@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint lint-fast lint-sarif ruff mypy test figures figures-smoke bench-json bench-smoke bench-kernels bench-kernels-smoke bench-parallel bench-parallel-smoke bench-sweep bench-sweep-smoke bench-figures bench-figures-smoke bench-sparse bench-sparse-smoke bench-dynamic bench-dynamic-smoke bench-check-identity
+.PHONY: check lint lint-fast lint-sarif ruff mypy test figures figures-smoke bench-json bench-smoke bench-kernels bench-kernels-smoke bench-parallel bench-parallel-smoke bench-sweep bench-sweep-smoke bench-figures bench-figures-smoke bench-sparse bench-sparse-smoke bench-dynamic bench-dynamic-smoke bench-check-identity bench-e2e-smoke
 
 check: ruff mypy lint test
 	@echo "make check: all gates passed"
@@ -125,3 +125,9 @@ bench-dynamic-smoke:
 # committed-baseline gate: fail on any `identical: false` in BENCH_*.json
 bench-check-identity:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --check-identity
+
+# smoke test of the end-to-end benchmark (BENCHMARK.json): every workload
+# at ~5% of its ops, outputs checked against golden.json.  The first run
+# fills the PIC instance cache under .bench_build/e2e/cache (about a minute)
+bench-e2e-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/e2e

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.errors import ParameterError
+from ..core.prefix import _as_int64
 
 __all__ = ["PrefixSum3D", "as_load_volume"]
 
@@ -25,15 +26,7 @@ def as_load_volume(A: np.ndarray) -> np.ndarray:
         raise ParameterError(f"load volume must be 3D, got shape {A.shape}")
     if A.size == 0:
         raise ParameterError("load volume must be non-empty")
-    if not np.issubdtype(A.dtype, np.integer):
-        if np.issubdtype(A.dtype, np.floating) and np.allclose(A, np.rint(A)):
-            A = np.rint(A)
-        else:
-            raise ParameterError(f"unsupported dtype {A.dtype}")
-    A = np.ascontiguousarray(A, dtype=np.int64)
-    if (A < 0).any():
-        raise ParameterError("load volume entries must be non-negative")
-    return A
+    return _as_int64(A, "load volume")
 
 
 class PrefixSum3D:

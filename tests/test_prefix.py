@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import prefix
 from repro.core.errors import ParameterError
 from repro.core.prefix import (
     PrefixSum1D,
@@ -15,6 +16,16 @@ from repro.core.prefix import (
 )
 
 from .conftest import load_arrays, load_matrices
+
+WIDE = prefix._ROW_SCAN_MIN_WIDTH
+
+
+def reference_grid(A) -> np.ndarray:
+    """Γ by the textbook two cumsums, column-wise first."""
+    A = np.asarray(A, dtype=np.int64)
+    G = np.zeros((A.shape[0] + 1, A.shape[1] + 1), dtype=np.int64)
+    G[1:, 1:] = np.cumsum(np.cumsum(A, axis=0), axis=1)
+    return G
 
 
 class TestAsLoadMatrix:
@@ -46,6 +57,88 @@ class TestAsLoadMatrix:
     def test_rejects_strings(self):
         with pytest.raises(ParameterError):
             as_load_matrix(np.array([["a", "b"]]))
+
+    def test_rejects_nearly_integral_float(self):
+        # np.allclose's rtol once accepted this and rounded it to 100000
+        with pytest.raises(ParameterError, match="integers"):
+            as_load_matrix(np.array([[1.0, 100000.5]]))
+
+    def test_rejects_entries_above_int64_as_too_large(self):
+        # the int64 cast once wrapped it and reported it as negative
+        with pytest.raises(ParameterError, match="exceeds int64"):
+            as_load_matrix(np.array([[1, 2**63]], dtype=np.uint64))
+        with pytest.raises(ParameterError, match="exceeds int64"):
+            as_load_matrix(np.array([[2.0**63]]))
+        A = as_load_matrix(np.array([[2**63 - 1]], dtype=np.uint64))
+        assert int(A[0, 0]) == 2**63 - 1
+
+
+class TestOverflow:
+    def test_total_above_int64_is_rejected(self):
+        # total 3·2^62 + 1 once wrapped to -4611686018427387903
+        A = np.array([[2**62, 2**62], [2**62, 1]], dtype=np.int64)
+        with pytest.raises(ParameterError, match="exceeds int64"):
+            PrefixSum2D(A)
+
+    def test_total_at_int64_max_is_exact(self):
+        A = np.array([[2**62], [2**62 - 1]], dtype=np.int64)
+        pf = PrefixSum2D(A)
+        assert pf.total == 2**63 - 1
+        assert pf.max_element() == 2**62
+        with pytest.raises(ParameterError, match="exceeds int64"):
+            PrefixSum2D(A + np.array([[0], [1]]))
+
+    @pytest.mark.parametrize("width", [WIDE - 1, WIDE])
+    def test_values_near_2_62_on_both_build_paths(self, width):
+        A = np.zeros((3, width), dtype=np.int64)
+        A[0, 0] = 2**62
+        A[2, -1] = 2**62 - width - 1
+        A[1, :] = 1
+        pf = PrefixSum2D(A)
+        assert pf.total == 2**63 - 1
+        np.testing.assert_array_equal(pf.G, reference_grid(A))
+
+
+class TestDenseBuild:
+    """The row-streamed Γ and the tiled Γᵀ against the textbook forms."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (1, 7), (7, 1), (1, WIDE + 5), (WIDE + 5, 1), (3, WIDE - 1), (3, WIDE),
+         (2, WIDE + 1), (WIDE, 3)],
+    )
+    def test_build_matches_reference(self, shape, rng):
+        A = rng.integers(0, 1000, size=shape)
+        np.testing.assert_array_equal(PrefixSum2D(A).G, reference_grid(A))
+
+    @given(load_matrices, st.booleans())
+    @settings(max_examples=60)
+    def test_both_build_paths_match_reference(self, A, row_scan):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prefix, "_ROW_SCAN_MIN_WIDTH", 1 if row_scan else 10**9)
+            np.testing.assert_array_equal(PrefixSum2D(A).G, reference_grid(A))
+
+    @given(load_matrices, st.integers(1, 4))
+    @settings(max_examples=60)
+    def test_tiled_transpose_matches_plain(self, A, tile):
+        G = PrefixSum2D(A).G
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prefix, "_TILED_TRANSPOSE_MIN_CELLS", 0)
+            mp.setattr(prefix, "_TILE", tile)
+            T = prefix._transposed(G)
+        assert T.flags.c_contiguous
+        np.testing.assert_array_equal(T, G.T)
+
+    @pytest.mark.parametrize("shape", [(1022, 1023), (1023, 1023), (1100, 1000), (300, 3600)])
+    def test_transpose_around_the_tiling_crossover(self, shape, rng):
+        # Γ of (1023, 1023) has exactly 2^20 cells; none of these is a
+        # multiple of the tile
+        A = rng.integers(0, 9, size=shape)
+        pf = PrefixSum2D(A)
+        T = pf._transpose_unvalidated()
+        assert T.G.flags.c_contiguous
+        np.testing.assert_array_equal(T.G, pf.G.T)
+        assert T.shape == (shape[1], shape[0])
 
 
 class TestPrefix1D:

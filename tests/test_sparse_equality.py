@@ -227,6 +227,52 @@ def test_from_triplets_validation():
         SparsePrefix2D.from_triplets([0], [0], [np.nan], (4, 4))
 
 
+def _nonzero_csr(A) -> tuple[np.ndarray, ...]:
+    """``(indptr, cols, vals, keys)`` by 2D ``np.nonzero`` and a fancy gather."""
+    A = np.asarray(A, dtype=np.int64)
+    n1, n2 = A.shape
+    rows, cols = np.nonzero(A)
+    indptr = np.zeros(n1 + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n1), out=indptr[1:])
+    return indptr, cols.astype(np.int64), A[rows, cols], rows.astype(np.int64) * n2 + cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices)
+def test_flat_index_csr_matches_nonzero_build(A):
+    sparse = SparsePrefix2D(A)
+    for got, want in zip(
+        (sparse.indptr, sparse.cols, sparse.vals, sparse.keys), _nonzero_csr(A)
+    ):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_total_above_int64_is_rejected_by_every_csr_build():
+    # total 3·2^62 + 1 once wrapped to -4611686018427387903 on all three
+    A = np.array([[2**62, 2**62], [2**62, 1]], dtype=np.int64)
+    with pytest.raises(ParameterError, match="exceeds int64"):
+        SparsePrefix2D(A)
+    with pytest.raises(ParameterError, match="exceeds int64"):
+        SparsePrefix2D.from_triplets([0, 0, 1, 1], [0, 1, 0, 1], A.ravel(), (2, 2))
+    # duplicates summed into one cell are checked before they are summed
+    with pytest.raises(ParameterError, match="exceeds int64"):
+        SparsePrefix2D.from_triplets([1, 1], [0, 0], [2**62, 2**62], (2, 2))
+    with pytest.raises(ParameterError, match="exceeds int64"):
+        substrate_from_triplets([1, 1], [0, 0], [2**62, 2**62], (2, 2))
+    ok = SparsePrefix2D.from_triplets([1, 1], [0, 0], [2**62, 2**62 - 1], (2, 2))
+    assert ok.total == 2**63 - 1 == SparsePrefix2D(ok.cells_dense()).total
+
+
+def test_triplet_values_are_checked_exactly():
+    with pytest.raises(ParameterError, match="integers"):
+        SparsePrefix2D.from_triplets([0], [0], [100000.5], (2, 2))
+    with pytest.raises(ParameterError, match="exceeds int64"):
+        SparsePrefix2D.from_triplets([0], [0], np.array([2**63], dtype=np.uint64), (2, 2))
+    with pytest.raises(ParameterError, match="exceeds int64"):
+        SparsePrefix2D(np.array([[0, 2**63]], dtype=np.uint64))
+
+
 def test_prefix_2d_passes_sparse_through(rng):
     sparse = SparsePrefix2D(_random_sparse(rng))
     assert prefix_2d(sparse) is sparse

@@ -297,7 +297,8 @@ class TestStoreFormat:
         """json carries python ints losslessly — no 2^53 truncation."""
         path = os.fspath(tmp_path / "big.json")
         big = (1 << 62) + 7
-        A = np.array([[big, 1], [1, big]], dtype=np.int64)
+        # one big cell: two would total past 2^63 - 1, which the substrate rejects
+        A = np.array([[big, 1], [1, 1]], dtype=np.int64)
         pref = prefix_2d(A)
         with use_sweep(store=path) as st:
             st.record_mono_opt(pref, "jag_m", 4, big)
