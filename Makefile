@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint lint-fast lint-sarif ruff mypy test figures figures-smoke bench-json bench-smoke bench-kernels bench-kernels-smoke bench-parallel bench-parallel-smoke bench-sweep bench-sweep-smoke bench-figures bench-figures-smoke bench-sparse bench-sparse-smoke bench-dynamic bench-dynamic-smoke bench-check-identity bench-e2e-smoke
+.PHONY: check lint lint-fast lint-sarif ruff mypy test figures figures-smoke bench-json bench-smoke bench-kernels bench-kernels-smoke bench-parallel bench-parallel-smoke bench-sweep bench-sweep-smoke bench-figures bench-figures-smoke bench-sparse bench-sparse-smoke bench-dynamic bench-dynamic-smoke bench-check-identity bench-e2e-smoke bench-e2e
 
 check: ruff mypy lint test
 	@echo "make check: all gates passed"
@@ -131,3 +131,10 @@ bench-check-identity:
 # fills the PIC instance cache under .bench_build/e2e/cache (about a minute)
 bench-e2e-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/e2e
+
+# the end-to-end benchmark itself, with warm bytecode: under
+# PYTHONDONTWRITEBYTECODE=1 a tree with no __pycache__ recompiles src/repro
+# in every fresh interpreter setup_s starts, which inflates setup_s
+bench-e2e:
+	env -u PYTHONDONTWRITEBYTECODE python3 -m compileall -q src
+	python3 benchmarks/e2e/run.py

@@ -15,14 +15,15 @@ bisect the bottleneck ``B`` and test feasibility with a *minimum-processor*
 DP: ``f(i) = min_k f(k) + parts(k, i, B)`` where ``parts`` is the greedy
 (optimal) number of rectangles covering stripe rows ``[k, i)`` at bottleneck
 ``B``; the m-way jagged class places no constraint on the stripe count, so
-``B`` is feasible iff ``f(n1) <= m``.  Candidate stripe starts are pruned
-with the load lower bound ``ceil(load/B)``, visited in ascending bound order
-so the scan stops after a handful of exact probes per row.  The two methods
-agree on every instance (property-tested).
+``B`` is feasible iff ``f(n1) <= m``.  Each row scans only the last start of
+each run of equal ``f`` (at most ``m + 1`` *level ends*, see
+:func:`_level_end_dp`).  The two methods agree on every instance
+(property-tested).
 """
 
 from __future__ import annotations
 
+import heapq
 from functools import lru_cache
 
 import numpy as np
@@ -38,11 +39,7 @@ from ..sweep.state import current as _sweep_current
 from .common import build_jagged_partition, oriented
 from .m_heur import _jag_m_heur_main0, allocate_processors
 
-__all__ = [
-    "jag_m_opt",
-    "jag_m_opt_bottleneck",
-    "jag_m_opt_dp_bottleneck",
-]
+__all__ = ["jag_m_opt", "jag_m_opt_bottleneck", "jag_m_opt_dp_bottleneck"]
 
 _INF = np.iinfo(np.int64).max // 4
 
@@ -145,68 +142,103 @@ def _memo_bounds(entries: list, B: int) -> tuple[int, int | None]:
     return lo, hi
 
 
-def _min_processors(
-    pref: PrefixSum2D, B: int, m_cap: int, memo: dict | None = None
-) -> np.ndarray | None:
-    """``f`` array of the minimum-processor DP, or None when ``f > m_cap`` everywhere.
+def _memo_parts(pref: PrefixSum2D, memo: dict, k: int, i: int, B: int, cap: int, lo: int) -> int:
+    """``parts(k, i, B)`` if it is ``<= cap``, else a lower bound above ``cap``.
 
-    ``f[i]`` = minimum rectangles of load ``<= B`` forming a jagged partition
-    of rows ``[0, i)`` (all columns).  Entries above ``m_cap`` are clamped to
-    ``_INF`` (they cannot participate in a feasible solution).  ``memo``
-    carries ``(k, i) -> [(B', parts', exact')]`` stripe evaluations across
-    bisection iterations (see :func:`_memo_bounds`); the bounds either skip
-    a candidate outright or pin its count without re-running the greedy.
+    ``memo`` facts (see :func:`_memo_bounds`) raise the bound ``lo`` and pin
+    or skip the greedy; a greedy run is recorded as a new fact.
     """
+    entries = memo.get((k, i))
+    hi: int | None = None
+    if entries is not None:
+        lo2, hi = _memo_bounds(entries, B)
+        lo = max(lo, lo2)
+    if lo > cap or hi == lo:
+        return lo
+    parts = _stripe_min_parts(pref, k, i, B, cap, est=lo)
+    _memo_record(memo, (k, i), entries, (B, parts, parts <= cap))
+    return parts
+
+
+def _level_end_dp(pref: PrefixSum2D, B: int, m_cap: int, memo: dict) -> list[int] | None:
+    """The perf-path ``f`` (as a list), or None once a row needs more than ``m_cap``.
+
+    ``f`` is non-decreasing and ``parts(k, i, B)`` non-increasing in ``k``,
+    so row ``i`` scans only the *level ends* (the last start of each run of
+    equal ``f``), by ascending lower bound, stopping at the first bound that
+    cannot improve or once ``best == f(i-1)``.  Bounds only grow with ``i``
+    (so does ``parts``, which a level end carries to the next row), so a
+    heap of stale bounds refreshed when popped yields that order.
+    """
+    rs = pref.axis_prefix(0, reuse=True).tolist()
+    D = max(B, 1)  # ceil(load/D) bounds parts for any D >= B (at B = 0 only zeros fit)
+    f = [0]
+    heap = [(1, 0, 1)]  # (stale bound on f(k) + parts(k, i, B), level end k, parts bound)
+    for i in range(1, pref.n1 + 1):
+        floor, ri, best = f[-1], rs[i], m_cap + 1
+        while heap[0][0] < best:
+            stale, k, c = heap[0]
+            if k + 1 < i and f[k + 1] == f[k]:
+                heapq.heappop(heap)  # k + 1 now ends k's level and dominates it
+                continue
+            lb = max(f[k] + c, f[k] - (rs[k] - ri) // D)
+            if lb == stale:  # the least current bound: evaluate it
+                c = _memo_parts(pref, memo, k, i, B, best - 1 - f[k], lb - f[k])
+                lb = f[k] + c
+                best = min(best, lb)
+            heapq.heapreplace(heap, (lb, k, c))
+            if best == floor:
+                break
+        if best > m_cap:
+            return None
+        f.append(best)
+        heapq.heappush(heap, (best + 1, i, 1))
+    return f
+
+
+def _reference_dp(pref: PrefixSum2D, B: int, m_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The all-starts DP: ``f`` (``_INF`` above ``m_cap``) and each row's chosen start."""
     n1 = pref.n1
-    fast = perf_enabled()
-    if fast and memo is None:
-        memo = {}
     rowsum = pref.axis_prefix(0, reuse=True)  # length n1+1
     f = np.full(n1 + 1, _INF, dtype=np.int64)
+    arg = np.zeros(n1 + 1, dtype=np.int64)
     f[0] = 0
     for i in range(1, n1 + 1):
-        ks = np.arange(i)
-        fk = f[:i]
         # cheap lower bound on the stripe cost: ceil(load/B), at least 1
         stripe_load = rowsum[i] - rowsum[:i]
-        lb = fk + np.maximum(1, -(-stripe_load // B)) if B > 0 else fk + 1
+        lb = f[:i] + np.maximum(1, -(-stripe_load // B)) if B > 0 else f[:i] + 1
         order = np.argsort(lb, kind="stable")
-        best = _INF
-        for k in ks[order]:
+        best, best_k = _INF, 0
+        for k in order:
             if lb[k] >= best or lb[k] > m_cap:
                 break
             kk = int(k)
             cap = int(min(best - 1 - f[kk], m_cap - f[kk]))
             if cap < 1:
                 continue
-            if fast:
-                key = (kk, i)
-                entries = memo.get(key)  # type: ignore[union-attr]
-                lower = int(lb[k] - fk[k])
-                hi: int | None = None
-                if entries is not None:
-                    lo2, hi = _memo_bounds(entries, B)
-                    if lo2 > lower:
-                        lower = lo2
-                if int(f[kk]) + lower >= best:
-                    continue  # proven unable to improve: skip the greedy
-                if hi is not None and hi == lower:
-                    parts = lower  # bounds met: the count is pinned
-                else:
-                    parts = _stripe_min_parts(pref, kk, i, B, cap, est=lower)
-                    rec = (B, parts, parts <= cap)
-                    _memo_record(memo, key, entries, rec)  # type: ignore[arg-type]
-            else:
-                parts = _stripe_min_parts(pref, kk, i, B, cap)
+            parts = _stripe_min_parts(pref, kk, i, B, cap)
             cost = f[kk] + parts
             if parts <= cap and cost < best:
-                best = cost
+                best, best_k = cost, kk
         f[i] = best
-        if fast and best > m_cap:
-            # f is non-decreasing in i (truncating a partition of [0, i) to
-            # [0, i') never adds rectangles), so one infeasible row decides
-            return None
-    return f if f[n1] <= m_cap else None
+        arg[i] = best_k
+    return f, arg
+
+
+def _min_processors(
+    pref: PrefixSum2D, B: int, m_cap: int, memo: dict | None = None
+) -> np.ndarray | None:
+    """``f`` array of the minimum-processor DP, or None when ``f > m_cap`` everywhere.
+
+    ``f[i]`` = minimum rectangles of load ``<= B`` forming a jagged partition
+    of rows ``[0, i)`` (all columns).  ``memo`` carries stripe facts across
+    bisection iterations (see :func:`_memo_parts`).
+    """
+    if perf_enabled():
+        fl = _level_end_dp(pref, B, m_cap, {} if memo is None else memo)
+        return None if fl is None else np.array(fl, dtype=np.int64)
+    f = _reference_dp(pref, B, m_cap)[0]
+    return f if f[pref.n1] <= m_cap else None
 
 
 def _shared_memo(pref: PrefixSum2D) -> dict | None:
@@ -299,64 +331,41 @@ def jag_m_opt_bottleneck(
     return int(lb)
 
 
-def _backtrack_stripes(
-    pref: PrefixSum2D, B: int, m: int, memo: dict | None = None
-) -> np.ndarray:
+def _path_start(pref: PrefixSum2D, rs: list[int], f: list[int], i: int, B: int, memo: dict) -> int:
+    """The reference backtrack's choice of stripe start for path row ``i``.
+
+    The all-starts scan keeps the first ``k``, in stable order of ``lb(k) =
+    f(k) + max(1, ceil(load/B))``, with ``parts(k, i, B) <= f(i) - f(k)``.
+    A start that misses rules out the earlier starts of its level.
+    """
+    lb = [f[k] + (max(1, -((rs[k] - rs[i]) // B)) if B > 0 else 1) for k in range(i)]
+    missed: dict[int, int] = {}  # f level -> its last start known to miss
+    for k in sorted(range(i), key=lb.__getitem__):
+        if lb[k] > f[i]:
+            break
+        cap = f[i] - f[k]
+        if k > missed.get(f[k], -1):
+            if _memo_parts(pref, memo, k, i, B, cap, lb[k] - f[k]) <= cap:
+                return k
+            missed[f[k]] = k
+    raise AssertionError("no start reaches f(i)")
+
+
+def _backtrack_stripes(pref: PrefixSum2D, B: int, m: int, memo: dict | None = None) -> np.ndarray:
     """Stripe cuts of a minimum-processor solution at bottleneck ``B``."""
-    n1 = pref.n1
-    fast = perf_enabled()
-    if fast and memo is None:
-        memo = {}
-    rowsum = pref.axis_prefix(0, reuse=True)
-    f = np.full(n1 + 1, _INF, dtype=np.int64)
-    arg = np.zeros(n1 + 1, dtype=np.int64)
-    f[0] = 0
-    for i in range(1, n1 + 1):
-        stripe_load = rowsum[i] - rowsum[:i]
-        lb = f[:i] + np.maximum(1, -(-stripe_load // B)) if B > 0 else f[:i] + 1
-        order = np.argsort(lb, kind="stable")
-        best, best_k = _INF, 0
-        for k in order:
-            if lb[k] >= best or lb[k] > m:
-                break
-            kk = int(k)
-            cap = int(min(best - 1 - f[kk], m - f[kk]))
-            if cap < 1:
-                continue
-            if fast:
-                # same memo bounds as _min_processors: they only drop
-                # candidates proven unable to *strictly* improve (or pin
-                # their exact count), so the first-strict-improvement
-                # choice of best_k is unchanged
-                key = (kk, i)
-                entries = memo.get(key)  # type: ignore[union-attr]
-                lower = int(lb[k] - f[kk])
-                hi: int | None = None
-                if entries is not None:
-                    lo2, hi = _memo_bounds(entries, B)
-                    if lo2 > lower:
-                        lower = lo2
-                if int(f[kk]) + lower >= best:
-                    continue
-                if hi is not None and hi == lower:
-                    parts = lower
-                else:
-                    parts = _stripe_min_parts(pref, kk, i, B, cap, est=lower)
-                    rec = (B, parts, parts <= cap)
-                    _memo_record(memo, key, entries, rec)  # type: ignore[arg-type]
-            else:
-                parts = _stripe_min_parts(pref, kk, i, B, cap)
-            cost = f[kk] + parts
-            if parts <= cap and cost < best:
-                best, best_k = cost, kk
-        f[i] = best
-        arg[i] = best_k
-    assert f[n1] <= m, "backtrack called with infeasible bottleneck"
-    cuts = [n1]
-    i = n1
-    while i > 0:
-        i = int(arg[i])
-        cuts.append(i)
+    cuts = [pref.n1]
+    if perf_enabled():
+        memo = {} if memo is None else memo
+        fl = _level_end_dp(pref, B, m, memo)
+        assert fl is not None, "backtrack called with infeasible bottleneck"
+        rs = pref.axis_prefix(0, reuse=True).tolist()
+        while cuts[-1] > 0:
+            cuts.append(_path_start(pref, rs, fl, cuts[-1], B, memo))
+    else:
+        f, arg = _reference_dp(pref, B, m)
+        assert f[pref.n1] <= m, "backtrack called with infeasible bottleneck"
+        while cuts[-1] > 0:
+            cuts.append(int(arg[cuts[-1]]))
     return np.array(cuts[::-1], dtype=np.int64)
 
 
@@ -365,35 +374,26 @@ def _jag_m_opt_main0(pref: PrefixSum2D, m: int) -> Partition:
     memo = _shared_memo(pref)
     B = jag_m_opt_bottleneck(pref, m, memo=memo)
     stripe_cuts = _backtrack_stripes(pref, B, m, memo)
-    P = len(stripe_cuts) - 1
+    stripes = list(zip(stripe_cuts[:-1].tolist(), stripe_cuts[1:].tolist()))
     # minimum per-stripe processor counts at bottleneck B
-    need = np.empty(P, dtype=np.int64)
-    for s in range(P):
-        need[s] = _stripe_min_parts(pref, int(stripe_cuts[s]), int(stripe_cuts[s + 1]), B, m)
+    need = np.array([_stripe_min_parts(pref, a, b, B, m) for a, b in stripes], dtype=np.int64)
     spare = m - int(need.sum())
-    assert spare >= 0
     if spare > 0:
         # spread idle processors where they help the within-stripe balance
         rowsum = pref.axis_prefix(0, reuse=True)
         loads = rowsum[stripe_cuts[1:]] - rowsum[stripe_cuts[:-1]]
-        extra = allocate_processors(loads, spare + P) - 1
-        need = need + extra
-        while int(need.sum()) > m:  # allocate_processors guarantees == m here
-            need[int(np.argmax(need))] -= 1
+        need = need + allocate_processors(loads, spare + len(stripes)) - 1
+    assert int(need.sum()) == m  # allocate_processors returns exactly spare + P
     col_cuts = []
-    for s in range(P):
-        band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]), reuse=True)
-        q = int(need[s])
-        # optimal within the stripe (never worse than the greedy B-cuts)
-        b = bisect_bottleneck(band, q)
-        cc = probe_cuts(band, q, min(b, B) if b <= B else b)
-        if cc is None:
-            cc = probe_cuts(band, q, B)
+    for (a, b), q in zip(stripes, need.tolist()):
+        band = pref.axis_prefix(1, a, b, reuse=True)
+        # optimal within the stripe: q >= its minimum count, which fits at B
+        bq = bisect_bottleneck(band, q)
+        assert bq <= B
+        cc = probe_cuts(band, q, bq)
         assert cc is not None
         col_cuts.append(cc)
-    return build_jagged_partition(
-        pref, stripe_cuts, col_cuts, method="JAG-M-OPT", pad_to=m
-    )
+    return build_jagged_partition(pref, stripe_cuts, col_cuts, method="JAG-M-OPT", pad_to=m)
 
 
 jag_m_opt = oriented(_jag_m_opt_main0)

@@ -227,3 +227,14 @@ def test_jag_m_opt_projection_cache_hits():
     assert ops["proj_hits"] <= ops["proj_queries"]
     stats = pref.projection_cache().stats()
     assert stats["hits"] == ops["proj_hits"]
+
+
+def test_jag_m_opt_scans_level_end_starts_only():
+    # the feasibility DP visits only the last start of each run of equal
+    # f(k) (at most m + 1 per row): 522 stripe projections on this
+    # instance, against 975 when every start in [0, i) is a candidate
+    rng = np.random.default_rng(9)
+    A = rng.integers(0, 60, (48, 48))
+    with use_perf(True), op_counters() as ops:
+        partition_2d(PrefixSum2D(A), 12, "JAG-M-OPT-HOR")
+    assert ops["proj_queries"] <= 600

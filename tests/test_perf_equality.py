@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.prefix import PrefixSum2D
 from repro.core.registry import partition_2d
@@ -24,9 +25,11 @@ from repro.hierarchical.cuts import (
     best_weighted_cut_num,
     best_weighted_cut_win,
 )
+from repro.jagged.m_opt import _backtrack_stripes, _min_processors, jag_m_opt_bottleneck
 from repro.oned.bisect import bisect_bottleneck, feasible_bottlenecks
 from repro.oned.probe import min_parts, probe
 from repro.perf import min_parts_batch, probe_batch, use_perf
+from repro.sweep import use_sweep
 
 from .conftest import load_arrays, prefix_of
 
@@ -212,6 +215,71 @@ def test_partitions_bit_identical_with_zeros_and_spikes():
             with use_perf(True):
                 opt = _rects(A, m, method)
             assert ref == opt, (method, m)
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """Small matrices whose minimum-processor DP is full of equal costs."""
+    n1, n2 = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+            st.tuples(st.just(1), st.integers(1, 16)),
+            st.tuples(st.integers(1, 16), st.just(1)),
+        )
+    )
+    kind = draw(st.sampled_from(("binary", "ones", "zero_rows", "spiky")))
+    if kind == "ones":
+        return np.ones((n1, n2), dtype=np.int64)
+    top = 1 if kind == "binary" else 3
+    A = draw(hnp.arrays(np.int64, (n1, n2), elements=st.integers(0, top)))
+    if kind == "zero_rows":
+        A[draw(st.lists(st.integers(0, n1 - 1), max_size=n1)), :] = 0
+    elif kind == "spiky":
+        A[draw(st.integers(0, n1 - 1)), draw(st.integers(0, n2 - 1))] = 40
+    return A
+
+
+def _jag_m_opt_outputs(A, ms):
+    # one prefix for every m, so a sweep scope shares its facts across them
+    pref = PrefixSum2D(A)
+    out = []
+    for m in ms:
+        B = jag_m_opt_bottleneck(pref, m)
+        cuts = _backtrack_stripes(pref, B, m).tolist()
+        out.append((B, cuts, partition_2d(pref, m, "JAG-M-OPT").rects))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=tie_heavy_matrices(), data=st.data())
+def test_min_processors_identical_across_modes(A, data):
+    # the perf path scans level-end starts only; f must match the
+    # all-starts reference entry for entry, including at B below the
+    # largest cell (infeasible: both None) and m >= n1
+    m = data.draw(st.integers(1, A.shape[0] + 4), label="m")
+    B = data.draw(st.integers(0, int(A.max()) + int(A.sum())), label="B")
+    with use_perf(False):
+        ref = _min_processors(PrefixSum2D(A), B, m)
+    with use_perf(True):
+        opt = _min_processors(PrefixSum2D(A), B, m)
+    assert (ref is None) == (opt is None)
+    if ref is not None:
+        assert ref.tolist() == opt.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=tie_heavy_matrices(), data=st.data())
+def test_jag_m_opt_backtrack_identical_across_modes(A, data):
+    # the perf backtrack resolves the reference tie-break only on the path
+    # rows: bottleneck, stripe cuts and rectangles must all match, cold and
+    # with facts shared across the m values of one sweep scope
+    ms = data.draw(st.lists(st.integers(1, A.shape[0] + 4), min_size=1, max_size=3), label="ms")
+    with use_perf(False):
+        ref = _jag_m_opt_outputs(A, ms)
+    with use_perf(True):
+        assert _jag_m_opt_outputs(A, ms) == ref
+        with use_sweep():
+            assert _jag_m_opt_outputs(A, ms) == ref
 
 
 def test_bisect_bottleneck_identical_on_nd_probe_path():
