@@ -386,6 +386,8 @@ def _registry_benches(tiny: bool) -> list[KernelBench]:
         ),
         KernelBench(
             "probe_multi",
+            # one (feasible, bound, cuts) walk per m: m = 4, 8 fail and prove
+            # a lower bound, m = 16, 32 succeed and realise their cuts
             lambda: [K.probe_multi(M, mm, B_multi) for mm in (4, 8, 16, 32)],
             key=lambda out: out,
         ),

@@ -11,133 +11,115 @@ where ``M`` stacks the per-stripe prefix arrays (shape ``(S, n+1)``).
 
 The greedy probe generalizes directly: from boundary ``i`` the furthest
 reachable boundary at bottleneck ``B`` is ``min_s`` of the per-stripe
-furthest boundaries, each found with one binary search (on Python lists —
-see :mod:`repro.oned.probe` for why).  Loads are integers, so exact integer
-bisection over ``B`` yields the optimum.
+furthest boundaries.  Every walk is the ``probe_multi`` kernel
+(:mod:`repro.perf.kernels`), which returns ``(feasible, bound, cuts)``:
 
-With the perf layer enabled, :func:`probe_multi` dispatches to the
-``probe_multi`` kernel (:mod:`repro.perf.kernels`): per-stripe jump tables
-folded with a running min in the dense-cut regime, a compiled twin under
-``REPRO_PERF_BACKEND=numba`` — bit-identical to the scalar greedy below,
-which stays as the reference twin.  :func:`multi_bottleneck` then probes
-the stacked int64 matrix directly instead of per-stripe Python lists.
+* a feasible walk's ``bound`` is the realised bottleneck of its cuts, and
+  every ``B'`` in ``[bound, B]`` walks the same cuts — a new upper bound;
+* an infeasible walk's ``bound`` is its cheapest one-boundary step
+  extension; every ``B' < bound`` walks the same steps and fails — a new
+  lower bound.
+
+With the perf layer on, :func:`multi_bottleneck` narrows the bracket on
+both sides with these bounds; with it off, it runs plain integer bisection
+on the ``reference`` kernel (the oracle).  Either way the optimum is the
+same, and :func:`partition_multi` takes its cuts from the last feasible
+walk, whose cuts are the greedy cuts at the optimum.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 import numpy as np
 
+from ..core.errors import ParameterError
 from ..perf import kernels as _kernels
 from ..perf.config import perf_enabled
 
 __all__ = ["probe_multi", "multi_bottleneck", "partition_multi", "multi_cuts"]
 
 
-def _rows(M) -> list[list[int]]:
-    if isinstance(M, list):
-        return M
-    return [row.tolist() for row in np.asarray(M)]
+def _walk(M, m: int, B: int) -> _kernels.MultiWalk:
+    """The greedy walk at ``B``: the active kernel, or the reference with perf off."""
+    if perf_enabled():
+        return _kernels.probe_multi(M, m, B)
+    return _kernels.kernel("probe_multi", "reference")(M, m, B)
 
 
-def _reach(rows: list[list[int]], n: int, i: int, B: int) -> int:
-    """Furthest boundary ``j >= i`` with every stripe load ``row[j]-row[i] <= B``."""
-    j = n
-    for row in rows:
-        r = bisect_right(row, row[i] + B, i, j + 1) - 1
-        if r < j:
-            j = r
-            if j <= i:
-                break
-    return j
+def _check_m(m: int) -> None:
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m}")
 
 
 def probe_multi(M, m: int, B: int) -> bool:
     """Can ``[0, n)`` be cut into ``<= m`` intervals of striped cost ``<= B``?"""
-    if perf_enabled():
-        return _kernels.probe_multi(M, m, B)
-    rows = _rows(M)
-    n = len(rows[0]) - 1 if rows else 0
-    if B < 0:
-        return False
-    pos = 0
-    for _ in range(m):
-        if pos >= n:
-            return True
-        nxt = _reach(rows, n, pos, B)
-        if nxt <= pos:
-            return False
-        pos = nxt
-    return pos >= n
+    return _walk(M, m, B)[0]
 
 
 def multi_cuts(M, m: int, B: int) -> np.ndarray | None:
     """Greedy cuts realizing striped bottleneck ``B`` (None if infeasible)."""
-    rows = _rows(M)
-    n = len(rows[0]) - 1 if rows else 0
-    cuts = np.empty(m + 1, dtype=np.int64)
-    cuts[0] = 0
-    pos = 0
-    for p in range(1, m + 1):
-        if pos < n:
-            nxt = _reach(rows, n, pos, B)
-            if nxt <= pos:
-                return None
-            pos = nxt
-        cuts[p] = pos
-    if pos < n:
-        return None
-    cuts[m] = n
-    return cuts
+    _check_m(m)
+    ok, _, cuts = _walk(M, m, B)
+    return np.array(cuts, dtype=np.int64) if ok else None
 
 
-def multi_bottleneck(M, m: int, *, ub: int | None = None) -> int:
-    """Optimal striped bottleneck by integer bisection with the multi-probe.
-
-    ``ub`` is an optional starting guess for the feasible end of the
-    bracket (e.g. a bottleneck some known partition achieves).  The guess
-    is *verified* by the doubling loop before the bisection starts, so a
-    wrong hint only costs extra probes — the returned optimum is identical
-    for any hint.
-    """
+def _solve(M, m: int, ub: int | None) -> tuple[int, list[int]]:
+    """``(optimal bottleneck, greedy cuts at it)`` of the striped problem."""
+    _check_m(m)
     M = np.ascontiguousarray(M, dtype=np.int64)
     n = M.shape[1] - 1
     if n == 0 or M.shape[0] == 0:
-        return 0
-    cell = np.diff(M, axis=1)
+        return 0, [0] + [n] * m
     # any interval covering boundary step b costs at least max_s cell[s, b]
-    max_step = int(cell.max(axis=0).max()) if cell.size else 0
+    max_step = int(np.diff(M, axis=1).max())
     heaviest = int(M[:, -1].max())
     lb = max(max_step, -(-heaviest // m))
-    # the kernel path probes the stacked int64 matrix in place (no per-call
-    # list conversion); the reference path converts to lists once up front
-    MM = M if perf_enabled() else _rows(M)
-    # The single-array DirectCut bound does not transfer to striped costs
-    # (different intervals may be bottlenecked by different stripes), so
-    # bracket the optimum by doubling from the heaviest-stripe bound (or
-    # the caller's hint when given).
-    ub = max(lb, heaviest // m + max_step) if ub is None else max(lb, int(ub))
-    while not probe_multi(MM, m, ub):
-        ub = max(ub * 2, ub + 1)
-    while lb < ub:
-        mid = (lb + ub) // 2
-        if probe_multi(MM, m, mid):
-            ub = mid
+    # the single-array DirectCut bound does not transfer to striped costs
+    # (different intervals may be bottlenecked by different stripes), so the
+    # first probe is the heaviest-stripe guess, or the caller's hint
+    guess = max(lb, heaviest // m + max_step) if ub is None else max(lb, int(ub))
+    if perf_enabled():
+        # one interval of cost `heaviest` covers everything: the bracket
+        # [lb, hi] always holds the optimum, and every walk narrows it
+        hi, cuts = heaviest, [0] + [n] * m
+        B = guess if guess < hi else (lb + hi) // 2
+        while lb < hi:
+            ok, bound, walk = _kernels.probe_multi(M, m, B)
+            if ok:
+                hi, cuts = bound, walk
+            else:
+                lb = bound
+            B = (lb + hi) // 2
+        return lb, cuts
+    ok, _, cuts = _walk(M, m, guess)
+    while not ok:
+        guess = max(guess * 2, guess + 1)
+        ok, _, cuts = _walk(M, m, guess)
+    while lb < guess:
+        mid = (lb + guess) // 2
+        ok, _, walk = _walk(M, m, mid)
+        if ok:
+            guess, cuts = mid, walk
         else:
             lb = mid + 1
-    return int(lb)
+    return lb, cuts
+
+
+def multi_bottleneck(M, m: int, *, ub: int | None = None) -> int:
+    """Optimal striped bottleneck.
+
+    ``ub`` is an optional first probe point (e.g. a bottleneck some known
+    partition achieves).  It is only ever probed, never trusted, so a wrong
+    hint costs extra probes at most — the returned optimum is identical
+    for any hint.
+    """
+    return _solve(M, m, ub)[0]
 
 
 def partition_multi(M, m: int, *, ub: int | None = None) -> tuple[int, np.ndarray]:
     """Optimal striped 1D partition ``(bottleneck, cuts)``.
 
-    ``ub`` is forwarded to :func:`multi_bottleneck` (a verified hint; the
+    ``ub`` is forwarded to :func:`multi_bottleneck` (a probed hint; the
     result is identical with or without it).
     """
-    M = np.ascontiguousarray(M, dtype=np.int64)
-    rows = _rows(M)
-    B = multi_bottleneck(M, m, ub=ub)
-    cuts = multi_cuts(rows, m, B)
-    assert cuts is not None
-    return B, cuts
+    B, cuts = _solve(M, m, ub)
+    return B, np.array(cuts, dtype=np.int64)

@@ -17,8 +17,9 @@ discipline through the 2D algorithms:
   named kernels (``probe_batch``, ``min_parts``, ``probe_cuts``,
   ``weighted_cut``, ``relaxed_split``, ``alloc_tail``, ``probe_multi``),
   each with a scalar reference implementation, a vectorized numpy
-  implementation, and (for the pure-int64 loops) an optional compiled numba
-  twin, selected via ``REPRO_PERF_BACKEND``.
+  implementation, and (for ``probe_batch``, ``min_parts`` and
+  ``probe_cuts``) an optional compiled numba twin, selected via
+  ``REPRO_PERF_BACKEND``.
 * :mod:`repro.perf.counters` — near-zero-overhead operation counters (probe
   calls, greedy/bisection steps, rectangle-load queries) with a
   context-manager API; the substrate for ROADMAP's RPL006 complexity

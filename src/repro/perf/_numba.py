@@ -6,11 +6,12 @@ backend when the import fails, so the package works identically without the
 extra installed.
 
 Only the pure-int64 loop kernels have compiled forms (``probe_batch``,
-``min_parts``, ``probe_cuts``, ``probe_multi``).  The scoring/allocation
-kernels (``weighted_cut``, ``relaxed_split``, ``alloc_tail``) are excluded
-on purpose: their contracts promise exact arithmetic at any load magnitude
+``min_parts``, ``probe_cuts``).  The scoring/allocation kernels
+(``weighted_cut``, ``relaxed_split``, ``alloc_tail``) are excluded on
+purpose: their contracts promise exact arithmetic at any load magnitude
 (cross-multiplied Python ints / ``Fraction``), which nopython int64
-arithmetic cannot provide.
+arithmetic cannot provide.  ``probe_multi`` has none either: its windowed
+walk is vectorized numpy on every backend but ``reference``.
 
 Every compiled core is a direct transliteration of the scalar reference in
 :mod:`repro.perf.kernels` — manual binary search, clamped targets (no int64
@@ -22,15 +23,13 @@ first call, so importing this module is cheap.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 from numba import njit  # ImportError here is the availability gate
 
 from .counters import _STACK as _OPS
 from .counters import bump
 
-__all__ = ["probe_batch", "min_parts_batch", "probe_cuts", "probe_multi"]
+__all__ = ["probe_batch", "min_parts_batch", "probe_cuts"]
 
 
 @njit(cache=True)
@@ -170,39 +169,3 @@ def probe_cuts(
     if not _probe_cuts_core(arr, int(m), int(B), int(lo), int(hi), cuts):
         return None
     return cuts
-
-
-@njit(cache=True)
-def _probe_multi_core(arr: np.ndarray, m: int, B: int) -> bool:
-    S = arr.shape[0]
-    n = arr.shape[1] - 1
-    pos = 0
-    for _ in range(m):
-        if pos >= n:
-            return True
-        j = n
-        for s in range(S):
-            row = arr[s]
-            rem = row[n] - row[pos]
-            step = B if B < rem else rem  # clamped target: stays in int64
-            r = _bsearch_right(row, row[pos] + step, pos, j)
-            if r < j:
-                j = r
-                if j <= pos:
-                    break
-        if j <= pos:
-            return False
-        pos = j
-    return pos >= n
-
-
-def probe_multi(M: Any, m: int, B: int) -> bool:
-    """Compiled twin of the ``probe_multi`` kernel (striped-cost greedy)."""
-    arr = np.ascontiguousarray(M, dtype=np.int64)
-    if arr.ndim != 2:
-        arr = arr.reshape(1, -1)
-    if B < 0:
-        return False
-    if arr.shape[0] == 0 or arr.shape[1] <= 1:
-        return True
-    return bool(_probe_multi_core(arr, int(m), int(B)))

@@ -21,7 +21,7 @@ implementations —
     arbitrary-precision Python-int arithmetic (``weighted_cut``,
     ``relaxed_split``, ``alloc_tail``) deliberately have no compiled form:
     int64 nopython arithmetic could overflow where the contract promises
-    exactness at any load magnitude.
+    exactness at any load magnitude.  ``probe_multi`` has none either.
 
 The backend is selected by ``REPRO_PERF_BACKEND`` (parsed in
 :mod:`repro.perf.config`, declared in :data:`repro.config.ENV_VARS`), or
@@ -38,9 +38,11 @@ code.
 
 Overflow discipline: every ``searchsorted`` target is clamped into the
 window (``target = p[pos] + min(B, p[hi] - p[pos])`` decides identically —
-any target at or beyond ``p[hi]`` resolves to the window end) and balance
-targets fall back to exact Python-int arithmetic when ``total · (m-1)``
-could exceed int64, so loads near ``2**62`` are safe in every backend.
+any target at or beyond ``p[hi]`` resolves to the window end), the striped
+walk compares differences of prefixes against a ``B`` clamped to the
+largest stripe total, and balance targets fall back to exact Python-int
+arithmetic when ``total · (m-1)`` could exceed int64, so loads near
+``2**62`` are safe in every backend.
 """
 
 from __future__ import annotations
@@ -70,14 +72,11 @@ __all__ = [
     "relaxed_split_scalar",
     "alloc_tail",
     "probe_multi",
+    "MultiWalk",
     "SCALAR_MAX_M",
 ]
 
 _I64_MAX = 2**63 - 1
-
-#: boundaries-per-interval ratio above which building an O(n) jump table
-#: cannot amortize against a greedy walk that visits at most m boundaries
-_CUTS_JUMP_RATIO = 16
 
 #: amortization bar for the probe_cuts jump table: the greedy realizes a
 #: *feasible* bottleneck, so it covers the window in ~span/B steps and pads
@@ -717,18 +716,31 @@ def _alloc_tail_numpy(loads: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # probe_multi — striped-cost probe for RECT-NICOL's inner 1D problem
 # ----------------------------------------------------------------------
-def _probe_multi_reference(M: Any, m: int, B: int) -> bool:
-    """Scalar greedy with per-stripe shrinking-window binary searches."""
-    rows: list[list[int]] = (
-        M if isinstance(M, list) else [row.tolist() for row in np.asarray(M)]
-    )
-    n = len(rows[0]) - 1 if rows else 0
+#: what a striped greedy walk proves: ``(feasible, bound, cuts)``
+MultiWalk = tuple[bool, int, "list[int] | None"]
+
+
+def _probe_multi_reference(M: Any, m: int, B: int) -> MultiWalk:
+    """Scalar greedy with per-stripe shrinking-window binary searches.
+
+    A step from ``pos`` reaches the furthest ``j`` whose striped cost
+    ``max_s (M[s, j] - M[s, pos])`` is at most ``B``.  A feasible walk
+    returns the largest step cost (its realised bottleneck) and its ``m + 1``
+    cuts; an infeasible one returns the cheapest one-boundary extension of
+    any step it took: every ``B'`` below that value walks the same steps.
+    """
+    arr = np.asarray(M, dtype=np.int64)
+    rows: list[list[int]] = arr.tolist()
+    n = arr.shape[1] - 1
     if B < 0:
-        return False
+        return False, 0, None
     pos = 0
+    cuts = [0]
+    bound = 0
+    exts: list[int] = []
     for _ in range(m):
         if pos >= n:
-            return True
+            break
         j = n
         for row in rows:
             r = bisect_right(row, row[pos] + B, pos, j + 1) - 1
@@ -736,75 +748,68 @@ def _probe_multi_reference(M: Any, m: int, B: int) -> bool:
                 j = r
                 if j <= pos:
                     break
+        if j < n:  # j < n needs a stripe, so the max has an argument
+            exts.append(max(row[j + 1] - row[pos] for row in rows))
         if j <= pos:
-            return False
+            return False, min(exts), None
+        bound = max(bound, max((row[j] - row[pos] for row in rows), default=0))
         pos = j
-    return pos >= n
+        cuts.append(j)
+    if pos < n:
+        # an m = 0 walk takes no step, so it proves nothing beyond B
+        return False, min(exts, default=B + 1), None
+    return True, bound, cuts + [n] * (m + 1 - len(cuts))
 
 
-def _probe_multi_numpy(M: Any, m: int, B: int) -> bool:
-    """Adaptive striped probe on the stacked int64 prefix matrix.
+def _probe_multi_numpy(M: Any, m: int, B: int) -> MultiWalk:
+    """Windowed striped walk on the stacked int64 prefix matrix.
 
-    Dense-cut regime: per-stripe jump tables folded with a running min,
-    then a pointer walk (min over stripes of clamped full-range searches
-    equals the iterative shrinking-window reach).  Sparse-cut regime: the
-    greedy visits at most ``m`` boundaries, so the walk runs directly on the
-    ndarray with clamped method-call searches — no O(S·n) table, no list
-    conversion.
+    Each step takes the column max of ``M[:, pos:pos+w+1] - M[:, pos]`` —
+    the striped cost of every end in the window, non-decreasing — and one
+    ``searchsorted`` finds the reach; the next column of the same row is
+    the extension cost.  ``w`` starts at about twice the mean interval
+    ``n/m`` and doubles while the reach hits the window edge, so a walk
+    touches O(S·n) entries in all.  ``B`` is clamped to the largest stripe
+    total: any larger bottleneck walks identically, and the costs stay in
+    int64.  Degenerate shapes (no stripes, no cells, ``m < 1``, ``B < 0``)
+    take the scalar walk.
     """
     arr = np.ascontiguousarray(M, dtype=np.int64)
     if arr.ndim != 2:
         arr = arr.reshape(1, -1)
-    S = arr.shape[0]
     n = arr.shape[1] - 1
-    if B < 0:
-        return False
-    if S == 0 or n <= 0:
-        return True
-    if n > _CUTS_JUMP_RATIO * m:
-        pos = 0
-        for _ in range(m):
-            if pos >= n:
-                return True
-            j = n
-            for s in range(S):
-                row = arr[s]
-                rp = int(row[pos])
-                rem = int(row[n]) - rp
-                t = rp + (B if B < rem else rem)  # clamped: stays in int64
-                r = int(row.searchsorted(t, side="right")) - 1
-                # full-range search then clamp ≡ the shrinking [pos, j] window
-                if r < j:
-                    j = r
-                    if j <= pos:
-                        break
-            if j <= pos:
-                return False
-            pos = j
-        return pos >= n
-    last = arr[:, n][:, None]
-    span = int(arr[:, n].max())
-    if B > span:
-        B = span  # every per-stripe clamp saturates anyway; stays in int64
-    targets = arr + np.minimum(B, last - arr)  # clamped: cannot overflow int64
-    reach = np.empty(n + 1, dtype=np.int64)
-    reach[:] = n
-    for s in range(S):
-        nxt = np.searchsorted(arr[s], targets[s], side="right") - 1
-        np.minimum(reach, nxt, out=reach)
-    if _OPS:
-        bump("searchsorted_calls", S)
-        bump("searchsorted_items", S * (n + 1))
-    jump = reach.tolist()
+    if B < 0 or m < 1 or arr.shape[0] == 0 or n <= 0:
+        return _probe_multi_reference(arr, m, B)
+    B = min(B, int(arr[:, n].max()))
+    w0 = max(2 * n // m, 1)
     pos = 0
-    for _ in range(m):
-        if pos >= n:
-            return True
-        step = jump[pos]
-        if step <= pos:
-            return False
-        pos = step
-    return pos >= n
+    cuts = [0]
+    bound = 0
+    ext = -1
+    while len(cuts) <= m and pos < n:
+        w = w0
+        while True:
+            end = pos + w if pos + w < n else n
+            win = arr[:, pos : end + 1]  # repro-lint: disable=RPL002 — boundary window, not cells
+            cost = np.maximum.reduce(win - win[:, :1], axis=0)
+            r = int(cost.searchsorted(B, side="right")) - 1
+            if pos + r < end or end == n:
+                break
+            w *= 2
+        if pos + r < n:
+            e = int(cost[r + 1])
+            if ext < 0 or e < ext:
+                ext = e
+        if r == 0:
+            return False, ext, None
+        c = int(cost[r])
+        if c > bound:
+            bound = c
+        pos += r
+        cuts.append(pos)
+    if pos < n:
+        return False, ext, None
+    return True, bound, cuts + [n] * (m + 1 - len(cuts))
 
 
 # ----------------------------------------------------------------------
@@ -835,9 +840,7 @@ KERNELS: dict[str, Kernel] = {
         "relaxed_split", _relaxed_split_reference, _relaxed_split_numpy
     ),
     "alloc_tail": Kernel("alloc_tail", _alloc_tail_reference, _alloc_tail_numpy),
-    "probe_multi": Kernel(
-        "probe_multi", _probe_multi_reference, _probe_multi_numpy, "probe_multi"
-    ),
+    "probe_multi": Kernel("probe_multi", _probe_multi_reference, _probe_multi_numpy),
 }
 
 _NUMBA_MOD: Any | None = None
@@ -936,6 +939,13 @@ def alloc_tail(loads: np.ndarray, q: Sequence[int] | np.ndarray, m: int) -> np.n
     return kernel("alloc_tail")(loads, q, m)
 
 
-def probe_multi(M: Any, m: int, B: int) -> bool:
-    """Striped-cost probe: can ``[0, n)`` be cut into ``<= m`` intervals ``<= B``?"""
+def probe_multi(M: Any, m: int, B: int) -> MultiWalk:
+    """Striped-cost greedy walk at bottleneck ``B`` over the ``(S, n+1)`` stack ``M``.
+
+    Returns ``(feasible, bound, cuts)``.  Feasible: ``bound <= B`` is the
+    realised bottleneck of the ``m + 1`` greedy ``cuts``, and every
+    ``B'`` in ``[bound, B]`` walks the same cuts.  Infeasible
+    (``cuts is None``): ``bound > B``, and every ``B' < bound`` is
+    infeasible too.
+    """
     return kernel("probe_multi")(M, m, B)

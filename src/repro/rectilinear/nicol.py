@@ -8,12 +8,12 @@ load of the interval inside each stripe of the fixed dimension.  At each
 iteration, the partition of one dimension is refined."
 
 The striped 1D sub-problem is solved exactly by
-:func:`repro.oned.multicost.partition_multi`, whose feasibility probes route
-through the ``probe_multi`` registry kernel (:mod:`repro.perf.kernels`,
-selected by ``REPRO_PERF_BACKEND``) when the perf layer is on — so the
-refinement's inner loop shares the batched/compiled probe implementations
-with the rest of the tree while staying bit-identical to the scalar
-reference.  Iteration stops when the grid bottleneck stops improving (the
+:func:`repro.oned.multicost.partition_multi`: a bisection over the
+``probe_multi`` registry kernel (:mod:`repro.perf.kernels`), whose greedy
+walks return the bound they prove — the realised bottleneck of a feasible
+walk, the cheapest step extension of an infeasible one — so each probe
+narrows the bracket from its own side, and the final feasible walk supplies
+the cuts.  Iteration stops when the grid bottleneck stops improving (the
 paper observes 3–10 iterations in practice for a 514×514 matrix up to
 10 000 processors) or at ``max_iters``.
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.errors import ParameterError
 from ..core.partition import Partition
-from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
+from ..core.prefix import MatrixLike, PrefixSum2D, _as_int64, prefix_2d
 from ..jagged.common import choose_pq
 from ..oned.multicost import partition_multi
 from ..perf.config import perf_enabled
@@ -58,7 +58,8 @@ def _stripe_matrix(pref: PrefixSum2D, cuts: np.ndarray, axis: int) -> np.ndarray
 
 
 def _validated_cuts(cuts, n: int, parts: int, what: str) -> np.ndarray:
-    out = np.asarray(cuts, dtype=np.int64)
+    # exact: 2.5 must not truncate to 2, nor 2^63 wrap or overflow
+    out = _as_int64(np.asarray(cuts), f"{what} init_cuts")
     if out.ndim != 1 or len(out) != parts + 1:
         raise ParameterError(f"{what} init_cuts must have length {parts + 1}")
     if out[0] != 0 or out[-1] != n or (np.diff(out) < 0).any():
@@ -88,10 +89,9 @@ def rect_nicol(
     exactly why the sweep engine does **not** chain cuts across ``m``
     values: its contract is bit-identity with cold calls.  The identity-
     safe warm start used instead is internal: each striped sub-problem is
-    seeded with the incumbent grid bottleneck as a feasible upper-bound
-    hint, which :func:`~repro.oned.multicost.multi_bottleneck` verifies
-    before trusting (perf-gated; the reference path keeps the cold
-    bracket).
+    seeded with the incumbent grid bottleneck as its first probe point,
+    which :func:`~repro.oned.multicost.multi_bottleneck` probes rather than
+    trusts (perf-gated; the reference path keeps the cold bracket).
     """
     pref = prefix_2d(A)
     if P is None or Q is None:

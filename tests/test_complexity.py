@@ -12,6 +12,8 @@ formulas on deterministic seeded instances:
   a fixed constant of ``n + m·log₂(n)``.
 * HIER-RB evaluates at most 2 cut searches per tree node with even splits,
   and at most 4 with odd ones (§3.3).
+* RECT-NICOL's striped bisection needs about half the walks of plain
+  bisection, because each walk's proved bound moves the bracket past ``B``.
 
 Counts are architecture-independent, so unlike wall-clock benchmarks these
 assertions are exact and CI-stable.
@@ -19,6 +21,7 @@ assertions are exact and CI-stable.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +31,7 @@ from repro.core.prefix import PrefixSum2D
 from repro.core.registry import partition_2d
 from repro.oned.bisect import bisect_bottleneck, feasible_bottlenecks
 from repro.oned.probe import min_parts, probe
-from repro.perf import min_parts_batch, op_counters, use_perf
+from repro.perf import min_parts_batch, op_counters, use_perf, use_perf_backend
 from repro.perf.counters import OpCounters
 
 from .conftest import prefix_of
@@ -227,6 +230,32 @@ def test_jag_m_opt_projection_cache_hits():
     assert ops["proj_hits"] <= ops["proj_queries"]
     stats = pref.projection_cache().stats()
     assert stats["hits"] == ops["proj_hits"]
+
+
+@pytest.mark.parametrize("P,Q", [(4, 4), (16, 16), (8, 32)])
+def test_striped_bisection_tightens_from_both_sides(monkeypatch, P, Q):
+    # every walk moves one end of the bracket to the bound it proves: 7–9
+    # probe_multi walks per solve here, against 19–20 for plain bisection
+    from repro.instances import peak
+    from repro.oned.multicost import multi_bottleneck
+    from repro.perf import kernels
+    from repro.rectilinear.nicol import _stripe_matrix
+    from repro.rectilinear.uniform import uniform_cuts
+
+    walks = []
+    k = kernels.KERNELS["probe_multi"]
+
+    def counted(*args):
+        walks.append(args[2])
+        return k.numpy(*args)
+
+    monkeypatch.setitem(kernels.KERNELS, "probe_multi", dataclasses.replace(k, numpy=counted))
+    M = _stripe_matrix(PrefixSum2D(peak(256, seed=0)), uniform_cuts(256, P), 0)
+    with use_perf(True), use_perf_backend("numpy"):
+        B = multi_bottleneck(M, Q)
+    with use_perf(False):
+        assert multi_bottleneck(M, Q) == B
+    assert len(walks) <= 10, walks
 
 
 def test_jag_m_opt_scans_level_end_starts_only():

@@ -11,6 +11,10 @@ is absent, so requesting it is always safe — on a box without the ``[perf]``
 extra these tests exercise the degradation path; with it installed they
 compare the compiled twins.
 
+``probe_multi`` returns a tuple ``(feasible, bound, cuts)``: the tuples must
+match, and the bound must be sound — realised by the cuts of a feasible
+walk, and still infeasible one below it after an infeasible walk.
+
 The tail of the module pins the dispatch sites themselves (RPL009: the
 ``perf_enabled()`` guards in ``oned.probe``, ``oned.multicost`` and
 ``jagged.m_heur`` must agree with their reference twins) and the registry's
@@ -21,6 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.perf.config import (
     _parse_backend,
@@ -207,20 +214,78 @@ _MULTI_CASES = [
     _stack([_HUGE - 7, 13, 2**61], [5, _HUGE - 1, 7]),  # near-overflow loads
     _stack([1, 2], [3, 4], [5, 6], [7, 8]),  # m > n for small m sweeps
     np.zeros((0, 5), dtype=np.int64),  # no stripes at all
+    # n >> m: 240 columns against m <= 3 — long steps, repeated doubling
+    _stack(*np.random.default_rng(7).integers(0, 50, (3, 240)).tolist()),
+    _stack([4, 1, 4, 1, 4, 1], [1, 4, 1, 4, 1, 4]),  # n == 6 ≈ m in the sweep
+    # zeros then one heavy last cell: at m = 4 the first window (10 columns)
+    # fills with zero cost, and its doubling lands exactly on column n = 20
+    _stack([0] * 19 + [5], [0] * 20),
 ]
+
+
+def _multi_Bs(M: np.ndarray) -> list[int]:
+    total = int(M[:, -1].max()) if M.shape[0] else 0
+    return sorted({-1, 0, 1, total // 3, total // 2, total, total + 9, 10**30})
+
+
+def _multi_ms(M: np.ndarray) -> list[int]:
+    n = M.shape[1] - 1
+    return sorted({1, 2, 3, 4, max(n - 1, 1), max(n, 1), n + 4})
 
 
 @pytest.mark.parametrize("case", range(len(_MULTI_CASES)))
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_probe_multi_matches_reference(case, backend):
     M = _MULTI_CASES[case]
-    total = int(M[:, -1].max()) if M.shape[0] else 0
-    Bs = sorted({-1, 0, 1, total // 3, total // 2, total, total + 9})
-    for m in (1, 2, 3, M.shape[1] + 4):
-        for B in Bs:
+    for m in _multi_ms(M):
+        for B in _multi_Bs(M):
             ref = kernel("probe_multi", "reference")(M, m, B)
             got = kernel("probe_multi", backend)(M, m, B)
             assert ref == got, (case, backend, m, B)
+
+
+def _check_walk_bound(M: np.ndarray, m: int, B: int, backend: str) -> None:
+    """A walk's bound is what it proves: realised if feasible, a lower bound if not."""
+    walk = kernel("probe_multi", backend)
+    ok, bound, cuts = walk(M, m, B)
+    if ok:
+        assert cuts is not None and len(cuts) == m + 1
+        assert cuts[0] == 0 and cuts[-1] == M.shape[1] - 1
+        cost = max(
+            (int((M[:, b] - M[:, a]).max(initial=0)) for a, b in zip(cuts, cuts[1:])),
+            default=0,
+        )
+        assert bound == cost <= B
+        # every B' in [bound, B] walks the same cuts
+        assert walk(M, m, bound) == (True, bound, cuts)
+    else:
+        assert cuts is None and bound > B
+        assert not walk(M, m, bound - 1)[0]
+
+
+@pytest.mark.parametrize("case", range(len(_MULTI_CASES)))
+@pytest.mark.parametrize("backend", ("reference",) + BACKENDS)
+def test_probe_multi_bound_is_sound(case, backend):
+    M = _MULTI_CASES[case]
+    for m in _multi_ms(M):
+        for B in _multi_Bs(M):
+            _check_walk_bound(M, m, B, backend)
+
+
+_stripe_stacks = hnp.arrays(
+    dtype=np.int64,
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 40)),
+    elements=st.integers(0, 12),
+).map(lambda A: np.concatenate([np.zeros((A.shape[0], 1), np.int64), A.cumsum(axis=1)], 1))
+
+
+@given(_stripe_stacks, st.integers(1, 12), st.integers(-2, 500))
+@settings(max_examples=300, deadline=None)
+def test_probe_multi_tuples_match_and_bounds_hold(M, m, B):
+    ref = kernel("probe_multi", "reference")(M, m, B)
+    for backend in BACKENDS:
+        assert kernel("probe_multi", backend)(M, m, B) == ref, backend
+    _check_walk_bound(M, m, B, "numpy")
 
 
 # ----------------------------------------------------------------------
@@ -277,6 +342,9 @@ def test_numba_backend_degrades_gracefully():
     assert KERNELS["weighted_cut"].numba_attr is None
     assert KERNELS["relaxed_split"].numba_attr is None
     assert KERNELS["alloc_tail"].numba_attr is None
+    # the striped walk has no compiled twin: "numba" is its numpy walk
+    assert KERNELS["probe_multi"].numba_attr is None
+    assert kernel("probe_multi", "numba") is KERNELS["probe_multi"].numpy
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +368,7 @@ def test_oned_probe_cuts_dispatch_matches_reference():
 
 
 def test_multicost_dispatch_matches_reference():
-    from repro.oned.multicost import multi_bottleneck, probe_multi
+    from repro.oned.multicost import multi_bottleneck, partition_multi, probe_multi
 
     M = _stack([5, 3, 9, 1, 7, 2], [2, 8, 1, 6, 3, 4])
     total = int(M[:, -1].max())
@@ -313,9 +381,12 @@ def test_multicost_dispatch_matches_reference():
             assert ref == got
         with use_perf(False):
             ref_B = multi_bottleneck(M, m)
+            ref_part = partition_multi(M, m)
         with use_perf(True):
             got_B = multi_bottleneck(M, m)
-        assert ref_B == got_B
+            got_part = partition_multi(M, m, ub=total)
+        assert ref_B == got_B == ref_part[0] == got_part[0]
+        assert ref_part[1].tolist() == got_part[1].tolist()
 
 
 def test_allocate_processors_dispatch_matches_reference():

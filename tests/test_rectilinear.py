@@ -88,6 +88,28 @@ class TestRectNicol:
         p = rect_nicol(A, 1)
         assert p.max_load(A) == A.sum()
 
+    def test_init_cuts_must_be_integral(self, rng):
+        # used to truncate 2.5 to 2 silently
+        A = rng.integers(1, 5, (4, 4))
+        with pytest.raises(ParameterError, match="row init_cuts must contain integers"):
+            rect_nicol(A, 4, P=2, Q=2, init_cuts=([0, 2.5, 4], [0, 2, 4]))
+        with pytest.raises(ParameterError, match="column init_cuts must contain integers"):
+            rect_nicol(A, 4, P=2, Q=2, init_cuts=([0, 2, 4], [0, 1.5, 4]))
+        with pytest.raises(ParameterError, match="column init_cuts must be finite"):
+            rect_nicol(A, 4, P=2, Q=2, init_cuts=([0, 2, 4], [0, np.nan, 4]))
+        # integral floats are exact, so they are still accepted
+        p = rect_nicol(A, 4, P=2, Q=2, init_cuts=([0.0, 2.0, 4.0], [0, 2, 4]))
+        assert p.max_load(A) == rect_nicol(A, 4, P=2, Q=2).max_load(A)
+
+    @pytest.mark.parametrize(
+        "big", [2**63, 2**64, np.uint64(2**63)], ids=["2^63", "2^64", "uint64-2^63"]
+    )
+    def test_init_cuts_past_int64_are_parameter_errors(self, rng, big):
+        # used to raise a raw OverflowError
+        A = rng.integers(1, 5, (4, 4))
+        with pytest.raises(ParameterError):
+            rect_nicol(A, 4, P=2, Q=2, init_cuts=([0, big, 4], [0, 2, 4]))
+
     def test_indexer_matches_owner_map(self, rng):
         A = rng.integers(0, 9, (10, 12))
         p = rect_nicol(A, 6)
