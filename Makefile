@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint lint-fast lint-sarif ruff mypy test figures figures-smoke bench-json bench-smoke bench-kernels bench-kernels-smoke bench-parallel bench-parallel-smoke bench-sweep bench-sweep-smoke bench-figures bench-figures-smoke bench-sparse bench-sparse-smoke bench-dynamic bench-dynamic-smoke bench-check-identity bench-e2e-smoke bench-e2e
+.PHONY: check lint lint-fast lint-sarif ruff mypy test figures figures-smoke bench-json bench-smoke bench-kernels bench-kernels-smoke bench-sweep bench-sweep-smoke bench-figures bench-figures-smoke bench-sparse bench-sparse-smoke bench-dynamic bench-dynamic-smoke bench-check-identity bench-e2e-smoke bench-e2e
 
 check: ruff mypy lint test
 	@echo "make check: all gates passed"
@@ -76,14 +76,6 @@ bench-kernels:
 
 bench-kernels-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --kernels --profile tiny
-
-# parallel family: serial vs the repro.parallel layer at 1/2/4 workers,
-# asserting bit-identical rectangles; writes BENCH_parallel.json
-bench-parallel:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --parallel
-
-bench-parallel-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --parallel --profile tiny
 
 # sweep family: repro.sweep.sweep() m-sweeps vs per-m cold calls, asserting
 # every cell bit-identical; writes BENCH_sweep.json

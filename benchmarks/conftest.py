@@ -31,18 +31,12 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _parallel_jobs(request):
-    """Mirror of ``repro-experiments --jobs``: scope the parallel layer to the run."""
-    jobs = request.config.getoption("--jobs")
-    if jobs <= 1:
-        yield
-        return
-    from repro.parallel.config import use_parallel
-    from repro.parallel.pool import shutdown_pool
+def _cell_jobs(request):
+    """Mirror of ``repro-experiments --jobs``: one cell pool for the run."""
+    from repro.experiments.pool import cell_pool
 
-    with use_parallel(True, workers=jobs):
+    with cell_pool(request.config.getoption("--jobs")):
         yield
-    shutdown_pool()
 
 
 @pytest.fixture(scope="session")

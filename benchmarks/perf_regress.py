@@ -21,16 +21,6 @@ bench-smoke`` (the ``tiny`` profile CI uses).  Exits non-zero if any bench
 produced a non-identical result, or — with ``--min-speedup`` — if a figure
 family misses the requested aggregate speedup.
 
-``--parallel`` runs the *parallel* family instead: each algorithm with a
-multicore backend (stripe-parallel jagged phase 2, subtree-parallel
-hierarchical growth) is timed serially and under ``repro.parallel`` with
-1, 2 and 4 workers, the rectangles are asserted bit-identical at every
-worker count, and ``BENCH_parallel.json`` is written.  Identity is the
-gate; the recorded speedups are honest — on a 1-CPU box dispatch
-short-circuits to serial (rows record ``pooled: false`` and sit at ~1.0x;
-the JSON records ``cpu_count`` so readers can tell).  Run via ``make
-bench-parallel`` / ``make bench-parallel-smoke``.
-
 ``--sweep`` runs the *sweep* family instead: whole m-sweeps through
 :func:`repro.sweep.sweep` (cross-call warm starts: monotone bound reuse,
 heuristic witnesses, shared stripe memos) against the same sweep as per-m
@@ -100,7 +90,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import statistics
 import sys
@@ -117,7 +106,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.prefix import PrefixSum2D  # noqa: E402
 from repro.core.registry import partition_2d  # noqa: E402
 from repro.instances import peak, uniform  # noqa: E402
-from repro.jagged.hetero import jag_hetero  # noqa: E402
 from repro.oned.bisect import bisect_bottleneck, feasible_bottlenecks  # noqa: E402
 from repro.oned.probe import min_parts  # noqa: E402
 from repro.perf import min_parts_batch, perf_enabled, use_perf  # noqa: E402
@@ -492,197 +480,6 @@ def run_kernels(profile: str, out_path: Path, min_speedup: float | None) -> int:
             )
             return 1
         print(f"ok: {len(fast)} kernels at >= {min_speedup:.2f}x ({', '.join(fast)})")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# parallel family
-
-#: worker counts the parallel family sweeps (1 == the serial short-circuit)
-PARALLEL_WORKERS = (1, 2, 4)
-
-
-def _parallel_benches(tiny: bool) -> list[Bench]:
-    """One bench per multicore backend, sized so dispatch has real work."""
-    n_jag = 128 if tiny else 512
-    A_jag = uniform(n_jag, 1.3, seed=0)
-    n_hier = 128 if tiny else 512
-    A_hier = peak(n_hier, seed=0)
-    m = 16 if tiny else 64
-    speeds = np.array([1.0, 1.0, 2.0, 3.0, 1.5, 1.0, 2.0, 1.0])
-    # best-of-15: the benches are ms-scale, and on a single-CPU box every
-    # row is the serial path timed twice — the measured dispatch overhead
-    # of the enabled-but-serial path is <1%, so anything further from 1.0
-    # is scheduler noise; deep best-of-N keeps the recorded ratios honest
-    repeats = 15
-    benches = [
-        _partition_bench(
-            f"par_jagged/{method}/m={m}", "parallel", A_jag, m, method, repeats
-        )
-        for method in ("JAG-PQ-HEUR", "JAG-M-HEUR")
-    ]
-    benches.append(
-        Bench(
-            name="par_jagged/jag_hetero/p=8",
-            family="parallel",
-            setup=lambda: PrefixSum2D(A_jag),
-            call=lambda pref: jag_hetero(pref, speeds),
-            key=lambda part: part.rects,
-            repeats=repeats,
-        )
-    )
-    benches += [
-        _partition_bench(
-            f"par_hier/{method}/m={m}", "parallel", A_hier, m, method, repeats
-        )
-        for method in ("HIER-RB", "HIER-RELAXED")
-    ]
-    # grid shipping: a whole (algorithm × m × seed) figure sweep through one
-    # pmap_batched call — the amortized-dispatch shape of fig03/fig04
-    from repro.experiments.figures import _avg_imbalance_grid
-
-    n_grid = 48 if tiny else 96
-    seeds = 3 if tiny else 5
-    grid = [
-        (f"HIER-RB-{v}", gm, {})
-        for gm in ((6, 9) if tiny else (9, 16, 25))
-        for v in ("LOAD", "DIST")
-    ]
-    benches.append(
-        Bench(
-            name="par_grid/hier_rb_sweep",
-            family="parallel",
-            setup=lambda: None,
-            call=lambda _: _avg_imbalance_grid(("peak", n_grid), seeds, grid),
-            key=lambda out: out,
-            repeats=repeats,
-        )
-    )
-    return benches
-
-
-def run_parallel(profile: str, out_path: Path) -> int:
-    """Time the parallel family at each worker count; identity is the gate.
-
-    Worker rows record ``pooled``: whether dispatch actually engaged the
-    pool.  On a single-CPU machine the layer short-circuits every
-    configuration to serial (see :func:`repro.parallel.config.effective_workers`),
-    so every row is honest serial time with ``pooled: false`` — the recorded
-    speedups sit at ~1.0 instead of the round-trip slowdowns they used to.
-    """
-    from repro.parallel import effective_workers, shutdown_pool, use_parallel
-
-    tiny = profile == "tiny"
-    benches = _parallel_benches(tiny)
-    cpu_count = os.cpu_count() or 1
-    print(f"# parallel family: workers {PARALLEL_WORKERS}, cpu_count={cpu_count}")
-    if cpu_count < 2:
-        print("# NOTE: single-CPU machine — dispatch short-circuits to serial (pooled=false)")
-
-    prev_min_cells = os.environ.get("REPRO_PARALLEL_MIN_CELLS")
-    os.environ["REPRO_PARALLEL_MIN_CELLS"] = "0"  # always dispatch: we gate identity
-    rows = []
-    failures = []
-    try:
-        for bench in benches:
-            per_workers: dict[str, dict[str, Any]] = {}
-            identical = True
-            serial_s = float("inf")
-            ref_key = None
-            # calibrate an inner-call loop so each timed sample covers
-            # ~10 ms: the parallel benches are sub-ms to ms scale, where
-            # single-core scheduler noise alone swings a one-call sample
-            # by ±10% and no amount of best-of-N settles the ratio
-            state = bench.setup()
-            t0 = time.perf_counter()
-            ref = bench.call(state)
-            once = time.perf_counter() - t0
-            inner = max(1, min(20, int(0.010 / max(once, 1e-9))))
-            for w in PARALLEL_WORKERS:
-                # interleave serial and worker samples one-for-one and
-                # alternate which leg runs first: CPU availability drifts
-                # over seconds, and the second leg of a pair sees slightly
-                # worse cache/frequency state — either effect turns into a
-                # systematic skew in rows whose pooled=false path is the
-                # very same code.  The pool (when one spawns) is
-                # persistent, so its one-time cost lands in a single
-                # worker sample and drops out of the min.
-                s_w = float("inf")
-                best = float("inf")
-                result = None
-                pooled = False
-                for rep in range(bench.repeats):
-                    legs = ("serial", "worker") if rep % 2 == 0 else ("worker", "serial")
-                    for leg in legs:
-                        if leg == "serial":
-                            state = bench.setup()
-                            t0 = time.perf_counter()
-                            for _ in range(inner):
-                                ref = bench.call(state)
-                            s_w = min(s_w, (time.perf_counter() - t0) / inner)
-                        else:
-                            with use_parallel(True, workers=w):
-                                pooled = effective_workers() > 0
-                                state = bench.setup()
-                                t0 = time.perf_counter()
-                                for _ in range(inner):
-                                    result = bench.call(state)
-                                best = min(best, (time.perf_counter() - t0) / inner)
-                serial_s = min(serial_s, s_w)
-                if ref_key is None:
-                    ref_key = bench.key(ref)
-                same = bench.key(result) == ref_key
-                identical = identical and same
-                per_workers[str(w)] = {
-                    "time_s": round(best, 6),
-                    "speedup": round(s_w / best, 3) if best > 0 else float("inf"),
-                    "pooled": pooled,
-                    "identical": same,
-                }
-            if not identical:
-                failures.append(bench.name)
-            rows.append(
-                {
-                    "name": bench.name,
-                    "family": bench.family,
-                    "serial_s": round(serial_s, 6),
-                    "workers": per_workers,
-                    "identical": identical,
-                }
-            )
-            times = "  ".join(
-                f"w={w}:{per_workers[str(w)]['time_s'] * 1e3:8.2f}ms"
-                f"({per_workers[str(w)]['speedup']:.2f}x)"
-                for w in PARALLEL_WORKERS
-            )
-            print(
-                f"{bench.name:34s} serial {serial_s * 1e3:8.2f}ms  {times}  "
-                f"{'ok' if identical else 'MISMATCH'}"
-            )
-    finally:
-        shutdown_pool()
-        if prev_min_cells is None:
-            os.environ.pop("REPRO_PARALLEL_MIN_CELLS", None)
-        else:
-            os.environ["REPRO_PARALLEL_MIN_CELLS"] = prev_min_cells
-
-    doc = {
-        "schema": 1,
-        "generated_by": "benchmarks/perf_regress.py --parallel",
-        "profile": profile,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "cpu_count": cpu_count,
-        "workers_swept": list(PARALLEL_WORKERS),
-        "benches": rows,
-        "all_identical": not failures,
-    }
-    out_path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out_path}")
-    if failures:
-        print(f"FAIL: non-identical results: {', '.join(failures)}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -1621,8 +1418,8 @@ def main(argv: list[str] | None = None) -> int:
         "--out",
         type=Path,
         default=None,
-        help="output JSON path (default: BENCH_core.json at the repo root, "
-        "BENCH_parallel.json with --parallel)",
+        help="output JSON path (default: the family's BENCH_*.json at the "
+        "repo root)",
     )
     ap.add_argument(
         "--min-speedup",
@@ -1630,12 +1427,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="fail unless the jagged and hierarchical figure aggregates reach "
         "this speedup (e.g. 2.0)",
-    )
-    ap.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run the parallel family instead: serial vs the repro.parallel "
-        "layer at 1/2/4 workers, asserting bit-identical rectangles",
     )
     ap.add_argument(
         "--sweep",
@@ -1690,9 +1481,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.kernels:
         out = args.out or REPO_ROOT / "BENCH_kernels.json"
         return run_kernels(args.profile, out, args.min_speedup)
-    if args.parallel:
-        out = args.out or REPO_ROOT / "BENCH_parallel.json"
-        return run_parallel(args.profile, out)
     if args.sweep:
         out = args.out or REPO_ROOT / "BENCH_sweep.json"
         return run_sweep(args.profile, out, args.min_speedup)

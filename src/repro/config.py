@@ -2,8 +2,7 @@
 
 Each knob the codebase consults from the environment is declared here once,
 with its default and a one-line description.  The layer-specific config
-modules (:mod:`repro.perf.config`, :mod:`repro.parallel.config`, the sweep
-engine) keep their own parsing — a truthy switch and a byte budget want
+modules (:mod:`repro.perf.config`, the sweep engine) keep their own parsing — a truthy switch and a byte budget want
 different validation — but the *names and defaults* live in this table, and
 ``repro-lint`` (RPL011) enforces three properties against it:
 
@@ -53,21 +52,6 @@ ENV_VARS: dict[str, EnvVar] = {
         default="65536",
         description="instance size (cells) below which memoization is skipped",
         consumer="repro.perf.config",
-    ),
-    "REPRO_PARALLEL": EnvVar(
-        default="0",
-        description="multicore execution layer switch; off by default",
-        consumer="repro.parallel.config",
-    ),
-    "REPRO_PARALLEL_WORKERS": EnvVar(
-        default="",
-        description="worker-process count; empty means os.cpu_count()",
-        consumer="repro.parallel.config",
-    ),
-    "REPRO_PARALLEL_MIN_CELLS": EnvVar(
-        default="262144",
-        description="work size (cells) below which dispatch stays serial",
-        consumer="repro.parallel.config",
     ),
     "REPRO_SWEEP_STORE": EnvVar(
         default="",

@@ -425,8 +425,6 @@ class PrefixSum2D(_ProjectionMemo):
     which is the half-open form of the formula in Section 2.1 of the paper.
     """
 
-    # __weakref__ lets repro.parallel.shm key exported shared-memory segments
-    # to the prefix's lifetime (weakref.finalize unlinks on collection)
     __slots__ = (
         "G",
         "n1",
@@ -436,7 +434,6 @@ class PrefixSum2D(_ProjectionMemo):
         "_max_el",
         "_min_el",
         "_T",
-        "__weakref__",
     )
 
     def __init__(self, A: np.ndarray, *, is_prefix: bool = False):

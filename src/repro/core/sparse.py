@@ -126,7 +126,6 @@ class SparsePrefix2D(_ProjectionMemo):
         "_max_el",
         "_min_el",
         "_T",
-        "__weakref__",
     )
 
     def __init__(self, A: np.ndarray):
@@ -144,36 +143,6 @@ class SparsePrefix2D(_ProjectionMemo):
         vals = flat[keys]
         _checked_max(vals)
         self._init_sorted(keys, vals, (A.shape[0], A.shape[1]))
-
-    def _init_csr(
-        self,
-        indptr: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        keys: np.ndarray,
-        shape: tuple[int, int],
-    ) -> None:
-        """Wire all slots from canonical CSR arrays (no copies, O(nnz) derive)."""
-        n1, n2 = shape
-        self.indptr = indptr
-        self.cols = cols
-        self.vals = vals
-        self.keys = keys
-        csum = np.zeros(len(vals) + 1, dtype=np.int64)
-        np.cumsum(vals, out=csum[1:])
-        self.csum = csum
-        self.row_pref = csum[indptr]  # fancy index: owns its memory
-        col_pref = np.zeros(n2 + 1, dtype=np.int64)
-        np.add.at(col_pref, cols + 1, vals)  # exact int64 (bincount would go float)
-        np.cumsum(col_pref, out=col_pref)
-        self.col_pref = col_pref
-        self.n1 = n1
-        self.n2 = n2
-        self._cache: LRUCache | None = None
-        self._cache_default: bool | None = None
-        self._max_el: int | None = None
-        self._min_el: int | None = None
-        self._T: "SparsePrefix2D | None" = None
 
     # -- constructors ---------------------------------------------------
 
@@ -231,35 +200,32 @@ class SparsePrefix2D(_ProjectionMemo):
 
     def _init_sorted(self, keys: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> None:
         """Wire all slots from strictly-increasing keys: rows, columns and
-        row pointers follow from one division."""
+        row pointers follow from one division (no copies, O(nnz) derive)."""
         n1, n2 = shape
         rows = keys // n2
         cols = keys - rows * n2
         counts = np.bincount(rows, minlength=n1)
         indptr = np.zeros(n1 + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        self._init_csr(indptr, cols, vals, keys, (n1, n2))
-
-    @classmethod
-    def _from_csr(
-        cls,
-        indptr: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        shape: tuple[int, int],
-    ) -> "SparsePrefix2D":
-        """From the three canonical CSR arrays — the shared-memory attach path.
-
-        The arrays are adopted as-is (zero-copy views over shm buffers are
-        fine: every query only reads them); the derived ``keys``/``csum``/
-        marginal arrays are rebuilt locally in O(nnz).
-        """
-        n1, n2 = int(shape[0]), int(shape[1])
-        counts = np.diff(indptr)
-        keys = np.repeat(np.arange(n1, dtype=np.int64) * n2, counts) + cols
-        self = cls.__new__(cls)
-        self._init_csr(indptr, cols, vals, keys, (n1, n2))
-        return self
+        self.indptr = indptr
+        self.cols = cols
+        self.vals = vals
+        self.keys = keys
+        csum = np.zeros(len(vals) + 1, dtype=np.int64)
+        np.cumsum(vals, out=csum[1:])
+        self.csum = csum
+        self.row_pref = csum[indptr]  # fancy index: owns its memory
+        col_pref = np.zeros(n2 + 1, dtype=np.int64)
+        np.add.at(col_pref, cols + 1, vals)  # exact int64 (bincount would go float)
+        np.cumsum(col_pref, out=col_pref)
+        self.col_pref = col_pref
+        self.n1 = n1
+        self.n2 = n2
+        self._cache: LRUCache | None = None
+        self._cache_default: bool | None = None
+        self._max_el: int | None = None
+        self._min_el: int | None = None
+        self._T: "SparsePrefix2D | None" = None
 
     # -- query surface (LoadView) ---------------------------------------
 

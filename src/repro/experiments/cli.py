@@ -9,16 +9,18 @@ Regenerates any subset of the paper's figures as text tables and CSV files::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack
 from pathlib import Path
 
-from ..parallel.config import use_parallel
+from ..sweep import set_default_store
 from .extensions import ALL_EXTENSIONS
 from .figures import ALL_FIGURES
-from .rawstore import current_raw_store, set_default_raw_store
-from .scale import get_scale
+from .pool import cell_pool
+from .rawstore import current_raw_store, use_raw_store
+from .scale import _PROFILES, get_scale
 
 ALL_RUNNABLE = {**ALL_FIGURES, **ALL_EXTENSIONS}
 
@@ -42,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scale",
         default=None,
-        choices=("tiny", "small", "paper"),
+        choices=tuple(_PROFILES),
         help="parameter profile (default: $REPRO_SCALE or 'small')",
     )
     parser.add_argument(
@@ -64,8 +66,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for figure cells and per-algorithm dispatch "
-        "(default 1 = serial; outputs are byte-identical for any N)",
+        help="worker processes for independent figure cells (default 1 = "
+        "serial; each solve stays serial; outputs are byte-identical for any N)",
     )
     parser.add_argument(
         "--sweep-store",
@@ -94,37 +96,32 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.raw_dir is not None:
-        set_default_raw_store(args.raw_dir, force=args.force)
-    elif args.force:
-        store = current_raw_store()
-        if store is None:
-            parser.error("--force needs a raw store (--raw-dir or $REPRO_RAW_STORE)")
-        store.force = True
-    if args.sweep_store is not None:
-        import os
-
-        from ..sweep import set_default_store
-
-        # set the env var too (not just the module default) so spawned
-        # pool workers inherit the store path with the environment
-        store_path = os.fspath(args.sweep_store)
-        os.environ["REPRO_SWEEP_STORE"] = store_path
-        set_default_store(store_path)
     figs = sorted(ALL_RUNNABLE) if args.all else (args.figures or [])
     if not figs and args.gallery is None:
         parser.error("choose figures with --figures, run --all, or use --gallery")
-    if args.gallery is not None:
-        from .gallery import make_gallery
+    raw_root = args.raw_dir
+    if raw_root is None and args.force:
+        ambient = current_raw_store()
+        if ambient is None:
+            parser.error("--force needs a raw store (--raw-dir or $REPRO_RAW_STORE)")
+        raw_root = ambient.root
+    sweep_store = None if args.sweep_store is None else os.fspath(args.sweep_store)
+    # every setting below is scoped to this call and restored on return
+    with ExitStack() as scope:
+        if sweep_store is not None:
+            scope.callback(set_default_store, set_default_store(sweep_store))
+        if raw_root is not None:
+            scope.enter_context(use_raw_store(raw_root, force=args.force))
+        if args.gallery is not None:
+            from .gallery import make_gallery
 
-        for path in make_gallery(args.gallery, get_scale(args.scale)):
-            print(f"# wrote {path}", file=sys.stderr)
-    scale = get_scale(args.scale)
-    print(f"# scale profile: {scale.name}", file=sys.stderr)
-    # every figure is deterministic and pmap preserves item order, so the
-    # tables and CSVs below are byte-identical for any --jobs value
-    ctx = use_parallel(True, workers=args.jobs) if args.jobs > 1 else nullcontext()
-    with ctx:
+            for path in make_gallery(args.gallery, get_scale(args.scale)):
+                print(f"# wrote {path}", file=sys.stderr)
+        scale = get_scale(args.scale)
+        print(f"# scale profile: {scale.name}", file=sys.stderr)
+        # every figure is deterministic and the cell maps preserve item
+        # order, so the tables and CSVs below are byte-identical for any --jobs
+        scope.enter_context(cell_pool(args.jobs, sweep_store=sweep_store))
         for fig in figs:
             store = current_raw_store()
             before = store.counters() if store is not None else {}
@@ -145,10 +142,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.out is not None:
                 path = result.to_csv(args.out / f"{fig}.csv")
                 print(f"# wrote {path}", file=sys.stderr)
-    if args.jobs > 1:
-        from ..parallel.pool import shutdown_pool
-
-        shutdown_pool()
     return 0
 
 

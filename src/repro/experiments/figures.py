@@ -18,11 +18,11 @@ from ..core.registry import ALGORITHMS
 from ..instances import diagonal, multi_peak, peak, slac_instance, uniform
 from ..instances.pic import PICMagDataset
 from ..jagged.m_heur import jag_m_heur
-from ..parallel.pool import pmap, pmap_batched
 from ..sweep import use_sweep
 from ..sweep.state import canonical_scope
 from ..theory.bounds import theorem3_ratio
 from .harness import FigureResult, timed
+from .pool import pmap, pmap_batched
 from .rawstore import (
     MISS,
     RawStore,
@@ -93,7 +93,7 @@ def _avg_imbalance(
     """Paper's synthetic-dataset metric: ``sum_I Lmax(I) / sum_I Lavg(I) - 1``.
 
     ``spec`` names the instance family and size, e.g. ``("peak", 1024)``.
-    The cells are independent; :func:`~repro.parallel.pool.pmap` preserves
+    The cells are independent; :func:`~repro.experiments.pool.pmap` preserves
     seed order, so the float reduction is bit-identical for any worker count.
     """
     cells = pmap(_imbalance_cell, [(spec[0], spec[1], s, algo, m, kw) for s in range(seeds)])
@@ -114,7 +114,7 @@ def _avg_imbalance_grid(
 
     Per-cell pool dispatch pays a round trip per *seed*; a figure sweep has
     ``len(grid) × seeds`` sub-millisecond cells, so the round trips dominate.
-    Shipping the full grid through one :func:`~repro.parallel.pool.pmap_batched`
+    Shipping the full grid through one :func:`~repro.experiments.pool.pmap_batched`
     call amortizes dispatch over whole chunks while the reduction below runs
     per cell in seed order — bit-identical to calling
     :func:`_avg_imbalance` cell by cell, for any worker count.

@@ -27,7 +27,6 @@ from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 from ..core.rectangle import Rect
-from ..parallel.backends import parallel_grow_tree
 from ..perf.config import perf_enabled
 from ..sweep.state import current as _sweep_current
 from .cuts import best_weighted_cut, best_weighted_cut_win
@@ -144,11 +143,7 @@ def hier_rb(A: MatrixLike, m: int, variant: str = "load") -> Partition:
     if variant not in HIER_VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}; choose from {HIER_VARIANTS}")
     pref = prefix_2d(A)
-    # subtrees are independent (§3.3): the parallel layer may expand them in
-    # worker processes, bit-identical to the serial reference growth
-    root = parallel_grow_tree(pref, m, "rb", variant)
-    if root is None:
-        root = grow_tree(pref, m, _rb_chooser(variant))
+    root = grow_tree(pref, m, _rb_chooser(variant))
     part = tree_to_partition(root, pref, f"HIER-RB-{variant.upper()}", m)
     state = _sweep_current()
     if state is not None:

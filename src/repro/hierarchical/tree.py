@@ -72,25 +72,14 @@ class HierNode:
         return best
 
 
-def grow_tree(
-    pref: PrefixSum2D,
-    m: int,
-    chooser,
-    *,
-    root: HierNode | None = None,
-    depth0: int = 0,
-) -> HierNode:
+def grow_tree(pref: PrefixSum2D, m: int, chooser) -> HierNode:
     """Grow a bipartition tree with an explicit worklist (no recursion limit).
 
     ``chooser(pref, rect, procs, depth)`` returns ``None`` when the node must
-    stay a leaf, or ``(dim, cut_abs, procs_left, procs_right)``.  ``root`` /
-    ``depth0`` let the parallel layer grow an interior subtree in place: the
-    depth offset matters because the HOR/VER variants alternate cut
-    dimensions by level.
+    stay a leaf, or ``(dim, cut_abs, procs_left, procs_right)``.
     """
-    if root is None:
-        root = HierNode(rect=Rect(0, pref.n1, 0, pref.n2), procs=m)
-    stack: list[tuple[HierNode, int]] = [(root, depth0)]
+    root = HierNode(rect=Rect(0, pref.n1, 0, pref.n2), procs=m)
+    stack: list[tuple[HierNode, int]] = [(root, 0)]
     while stack:
         node, depth = stack.pop()
         if node.procs == 1 or node.rect.area <= 1:

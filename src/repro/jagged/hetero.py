@@ -32,7 +32,6 @@ from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, prefix_2d
 from ..oned.hetero import hetero_cuts, hetero_makespan
-from ..parallel.backends import parallel_hetero_stripe_cuts
 from .common import build_jagged_partition, default_stripe_count
 
 __all__ = ["jag_hetero", "speed_groups", "hetero_makespan_2d"]
@@ -84,23 +83,16 @@ def jag_hetero(
     T = hetero_makespan(rows, group_speed)
     stripe_cuts = hetero_cuts(rows, group_speed, T * (1 + 1e-12) + 1e-9)
     assert stripe_cuts is not None
-    # per-stripe heterogeneous solves are independent once the stripes and
-    # groups are fixed: the parallel layer may fan them out, bit-identical to
-    # the serial reference loop kept below
     order: list[int] = [i for g in groups for i in g]
-    col_cuts = parallel_hetero_stripe_cuts(
-        pref, stripe_cuts, [speeds[g] for g in groups]
-    )
-    if col_cuts is None:
-        col_cuts = []
-        for s, g in enumerate(groups):
-            # full-width stripe projection: served by the memoized axis_prefix
-            band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]))
-            gs = speeds[g]
-            Ts = hetero_makespan(band, gs)
-            cc = hetero_cuts(band, gs, Ts * (1 + 1e-12) + 1e-9)
-            assert cc is not None
-            col_cuts.append(cc)
+    col_cuts = []
+    for s, g in enumerate(groups):
+        # full-width stripe projection: served by the memoized axis_prefix
+        band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]))
+        gs = speeds[g]
+        Ts = hetero_makespan(band, gs)
+        cc = hetero_cuts(band, gs, Ts * (1 + 1e-12) + 1e-9)
+        assert cc is not None
+        col_cuts.append(cc)
     part = build_jagged_partition(pref, stripe_cuts, col_cuts, method="JAG-HETERO")
     # reorder rectangles so rect i belongs to processor i: rectangle k (in
     # stripe-major order) was produced for processor order[k]

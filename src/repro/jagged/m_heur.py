@@ -29,7 +29,6 @@ from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import PrefixSum2D
 from ..oned.api import ONED_METHODS
-from ..parallel.backends import parallel_stripe_cuts
 from ..perf import kernels as _kernels
 from ..perf.config import perf_enabled
 from ..sweep.state import current as _sweep_current
@@ -164,16 +163,12 @@ def _jag_m_heur_single(
     _, stripe_cuts = solve(rows, P)
     stripe_loads = rows[stripe_cuts[1:]] - rows[stripe_cuts[:-1]]
     q = allocate_processors(stripe_loads, m)
-    # per-stripe solves are independent once q is fixed (§3.2.2): the
-    # parallel layer may fan them out, bit-identical to the serial reference
-    col_cuts = parallel_stripe_cuts(pref, stripe_cuts, [int(x) for x in q], oned)
-    if col_cuts is None:
-        col_cuts = []
-        for s in range(P):
-            # full-width stripe projection: served by the memoized axis_prefix
-            band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]))
-            _, cc = solve(band, int(q[s]))
-            col_cuts.append(cc)
+    col_cuts = []
+    for s in range(P):
+        # full-width stripe projection: served by the memoized axis_prefix
+        band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]))
+        _, cc = solve(band, int(q[s]))
+        col_cuts.append(cc)
     return build_jagged_partition(
         pref, stripe_cuts, col_cuts, method="JAG-M-HEUR", pad_to=m
     )

@@ -19,7 +19,6 @@ from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import PrefixSum2D
 from ..oned.api import ONED_METHODS
-from ..parallel.backends import parallel_stripe_cuts
 from ..sweep.state import current as _sweep_current
 from .common import build_jagged_partition, choose_pq, oriented
 
@@ -32,22 +31,19 @@ def jag_pq_heur_cuts(
     """Stripe cuts and per-stripe column cuts of the P×Q-way jagged heuristic.
 
     Main dimension is dimension 0.  Once the stripe cuts are fixed the per-
-    stripe solves are independent (§3.2.1); the parallel layer may fan them
-    out (bit-identical to the serial loop kept below as the reference path).
+    stripe solves are independent (§3.2.1).
     """
     if P <= 0 or Q <= 0:
         raise ParameterError("P and Q must be positive")
     solve = ONED_METHODS[oned]
     rows = pref.axis_prefix(0)  # projection on the main dimension
     _, stripe_cuts = solve(rows, P)
-    col_cuts = parallel_stripe_cuts(pref, stripe_cuts, [Q] * P, oned)
-    if col_cuts is None:
-        col_cuts = []
-        for s in range(P):
-            # full-width stripe projection: served by the memoized axis_prefix
-            band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]))
-            _, cc = solve(band, Q)
-            col_cuts.append(cc)
+    col_cuts = []
+    for s in range(P):
+        # full-width stripe projection: served by the memoized axis_prefix
+        band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]))
+        _, cc = solve(band, Q)
+        col_cuts.append(cc)
     return stripe_cuts, col_cuts
 
 

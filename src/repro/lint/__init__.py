@@ -8,8 +8,7 @@ linters cannot see:
 * every interval is half-open ``[lo, hi)``, mapping directly onto slices;
 * loads stay exact ``int64`` so the optimal algorithms (Nicol's parametric
   search, integer bisection) can bisect exactly;
-* every accelerated dispatch path (perf kernels, parallel execution, sweep
-  warm starts) is **bit-identical** to its reference twin — enforced
+* every accelerated dispatch path (perf kernels, sweep warm starts) is **bit-identical** to its reference twin — enforced
   dynamically by the equality tests and statically by the dataflow rules.
 
 This package enforces them with an AST rule engine (:mod:`.engine`), a

@@ -56,7 +56,6 @@ HOT_PACKAGES = frozenset(
         # compiled twins — the hottest loops in the tree (pinned by
         # tests/test_kernels_equality.py)
         "perf",
-        "parallel",
     }
 )
 #: packages additionally covered by the interval-convention and mutation rules

@@ -1,8 +1,8 @@
 """The dispatch-contract ruleset: RPL009–RPL012.
 
-PRs 2–5 layered three accelerated dispatch paths (perf, parallel,
-sweep/store) over the reference solvers under a **bit-identical-to-
-reference** contract, enforced dynamically by equality tests.  These rules
+The accelerated dispatch paths (perf kernels, sweep/store) sit over the
+reference solvers under a **bit-identical-to-reference** contract,
+enforced dynamically by equality tests.  These rules
 make the contract machine-checked at lint time, on top of the project graph
 (:mod:`.graph`) and the intraprocedural dataflow framework
 (:mod:`.dataflow`):
@@ -15,8 +15,8 @@ make the contract machine-checked at lint time, on top of the project graph
   entropy calls, unordered pool consumption);
 * **RPL011** — environment reads go through declared config modules, are
   registered in ``repro/config.py`` and documented under ``docs/``;
-* **RPL012** — shared-memory segments and process pools pair creation with
-  cleanup on all paths.
+* **RPL012** — process pools are spawned inside a ``with`` block (or in a
+  module with an atexit-registered shutdown).
 
 Each rule's core checker is a plain function over parsed
 :class:`~.engine.FileContext` trees so the tests can run them on synthetic
@@ -55,22 +55,10 @@ CONTRACT_PACKAGES = HOT_PACKAGES | {"sweep", "core"}
 EQUALITY_TEST_PATTERNS = ("test_*_equality.py", "test_sweep*.py")
 
 #: boolean switches that guard a fast path against its reference twin
-GUARD_NAMES = frozenset(
-    {"perf_enabled", "parallel_enabled", "effective_workers", "sweep_active", "sparse_enabled"}
-)
+GUARD_NAMES = frozenset({"perf_enabled", "sweep_active", "sparse_enabled"})
 
 #: dotted-target suffixes that denote the sweep-state accessor
 _SWEEP_CURRENT_SUFFIXES = ("sweep.state.current", "sweep.current")
-
-#: parent-side parallel hooks: ``None`` means "run the serial reference"
-PARALLEL_HOOKS = frozenset(
-    {
-        "parallel_stripe_cuts",
-        "parallel_hetero_stripe_cuts",
-        "parallel_grow_tree",
-        "get_pool",
-    }
-)
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +88,6 @@ def _is_guard_call(graph: ProjectGraph, mod: str, expr: ast.expr) -> bool:
     if bare in GUARD_NAMES or resolved.rsplit(".", 1)[-1] in GUARD_NAMES:
         return True
     return any(resolved.endswith(s) for s in _SWEEP_CURRENT_SUFFIXES)
-
-
-def _is_hook_call(graph: ProjectGraph, mod: str, expr: ast.expr, hooks: frozenset[str]) -> bool:
-    if not isinstance(expr, ast.Call):
-        return False
-    bare, resolved = _callee_names(graph, mod, expr)
-    return bare in hooks or resolved.rsplit(".", 1)[-1] in hooks
 
 
 def _statement_lists(fn: ast.AST) -> Iterator[list[ast.stmt]]:
@@ -206,7 +187,6 @@ def check_dispatch_twins(
     test_contexts: Sequence[FileContext],
     *,
     registry_names: Mapping[str, set[str]] | None = None,
-    hooks: frozenset[str] = PARALLEL_HOOKS,
 ) -> list[Violation]:
     """RPL009 core check over parsed source + equality-test trees.
 
@@ -243,9 +223,6 @@ def check_dispatch_twins(
 
             def guard_seed(e: ast.expr, _m: str = mod) -> bool:
                 return _is_guard_call(graph, _m, e)
-
-            def hook_seed(e: ast.expr, _m: str = mod) -> bool:
-                return _is_hook_call(graph, _m, e, hooks)
 
             guard_vars = flow.tainted(seed=guard_seed)
             parents = _build_parents(fn.node)
@@ -304,40 +281,6 @@ def check_dispatch_twins(
                             )
                         )
 
-            # --- hook sites: `cuts = parallel_stripe_cuts(...)` ----------
-            hook_calls = [
-                sub
-                for sub in walk_scope(fn.node)
-                if isinstance(sub, ast.Call) and _is_hook_call(graph, mod, sub, hooks)
-            ]
-            if hook_calls:
-                has_site = True
-                hook_vars = flow.tainted(seed=hook_seed)
-                checked = any(
-                    terminal_names(stmt.test) & hook_vars
-                    for stmt in walk_scope(fn.node)
-                    if isinstance(stmt, ast.If)
-                )
-                passed_through = any(
-                    flow._expr_tainted(r, hook_vars, hook_seed) for r in flow.returns
-                )
-                if not checked and not passed_through:
-                    call = hook_calls[0]
-                    bare, _ = _callee_names(graph, mod, call)
-                    out.append(
-                        Violation(
-                            path=ctx.rel,
-                            line=call.lineno,
-                            col=call.col_offset + 1,
-                            rule="RPL009",
-                            message=(
-                                f"`{fn.qualname}` calls parallel hook `{bare}` but "
-                                "never None-checks (or passes through) its result — "
-                                "the serial reference fallback is unreachable"
-                            ),
-                        )
-                    )
-
             # --- test reachability --------------------------------------
             if has_site and fn.key not in reachable:
                 out.append(
@@ -388,7 +331,7 @@ class DispatchTwinRule(ProjectRule):
     code = "RPL009"
     name = "dispatch-twin-contract"
     rationale = (
-        "every perf_enabled()/parallel/sweep fast path needs a reachable "
+        "every perf_enabled()/sweep fast path needs a reachable "
         "reference twin, and its function must be reachable from an "
         "equality/sweep test — an untested twin is an unenforced contract"
     )
@@ -861,7 +804,7 @@ class ConfigRegistryRule(ProjectRule):
 
 
 # ---------------------------------------------------------------------------
-# RPL012 — shared-memory / pool resource lifecycle
+# RPL012 — process-pool lifecycle
 # ---------------------------------------------------------------------------
 
 _POOL_CTORS = frozenset({"ProcessPoolExecutor", "Pool", "ThreadPoolExecutor"})
@@ -872,66 +815,25 @@ def _call_name(call: ast.Call) -> str:
     return f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
 
 
-def _mentions_cleanup(node: ast.AST, var: str) -> bool:
-    """Does ``node`` contain ``var.close()`` / ``var.unlink()``?"""
-    for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr in ("close", "unlink", "shutdown")
-            and var in terminal_names(sub.func.value)
-        ):
-            return True
-    return False
-
-
 class ResourceLifecycleRule(Rule):
-    """RPL012 — segments and pools pair creation with cleanup on all paths.
+    """RPL012 — pool spawns register their shutdown.
 
-    A ``SharedMemory(create=True)`` segment is a kernel object surviving the
-    creating frame; between creation and the registration of a cleanup
-    (finalizer, module registry consumed by a release function, try/finally)
-    any exception leaks it for the process lifetime.  Pools spawn worker
-    processes and must register shutdown (``atexit`` or ``with``).
+    Pools spawn worker processes that outlive the creating frame unless the
+    executor is entered in a ``with`` block (or the module registers an
+    ``atexit`` shutdown path).
     """
 
     code = "RPL012"
     name = "resource-lifecycle"
-    rationale = (
-        "shared_memory create/attach must pair with unlink/close on all "
-        "paths (try/finally or finalizer); pool spawns must register shutdown"
-    )
+    rationale = "pool spawns must register shutdown (a `with` block or atexit)"
     scope = None
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        module_dicts = self._module_container_names(ctx.tree)
-        has_atexit = self._has_atexit_register(ctx.tree)
+        if self._has_atexit_register(ctx.tree):
+            return
         for fn in ast.walk(ctx.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield from self._check_segments(ctx, fn, module_dicts)
-            yield from self._check_pools(ctx, fn, has_atexit)
-
-    # -- module-level facts ---------------------------------------------
-
-    @staticmethod
-    def _module_container_names(tree: ast.AST) -> set[str]:
-        out: set[str] = set()
-        body = getattr(tree, "body", [])
-        for node in body:
-            value = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-            elif isinstance(node, ast.AnnAssign):
-                target, value = node.target, node.value
-            else:
-                continue
-            if isinstance(target, ast.Name) and (
-                isinstance(value, (ast.Dict, ast.List))
-                or (isinstance(value, ast.Call) and _call_name(value) in ("dict", "list", "deque"))
-            ):
-                out.add(target.id)
-        return out
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from self._check_pools(ctx, fn)
 
     @staticmethod
     def _has_atexit_register(tree: ast.AST) -> bool:
@@ -944,126 +846,8 @@ class ResourceLifecycleRule(Rule):
                 return True
         return False
 
-    # -- segments -------------------------------------------------------
-
-    def _check_segments(
-        self,
-        ctx: FileContext,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        module_dicts: set[str],
-    ) -> Iterator[Violation]:
-        for block in _statement_lists(fn):
-            for idx, stmt in enumerate(block):
-                site = self._segment_assign(stmt)
-                if site is None:
-                    continue
-                var, call, is_create = site
-                protected, leaky_window = self._segment_protection(
-                    fn, block, idx, var, module_dicts
-                )
-                if not protected:
-                    kind = "created" if is_create else "attached"
-                    yield self.violation(
-                        ctx,
-                        call,
-                        f"shared-memory segment {kind} with no reachable "
-                        "unlink/close: register a finalizer, store it in a "
-                        "released module registry, or close in try/finally",
-                    )
-                elif is_create and leaky_window is not None:
-                    yield self.violation(
-                        ctx,
-                        leaky_window,
-                        f"statement between segment creation and cleanup "
-                        f"registration can leak `{var}` on exception; wrap it "
-                        "in try/except unlink (or register the cleanup first)",
-                    )
-
-    @staticmethod
-    def _segment_assign(stmt: ast.stmt) -> tuple[str, ast.Call, bool] | None:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and isinstance(stmt.value, ast.Call)
-            and _call_name(stmt.value) == "SharedMemory"
-        ):
-            is_create = any(
-                kw.arg == "create"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in stmt.value.keywords
-            )
-            return stmt.targets[0].id, stmt.value, is_create
-        return None
-
-    def _segment_protection(
-        self,
-        fn: ast.AST,
-        block: list[ast.stmt],
-        idx: int,
-        var: str,
-        module_dicts: set[str],
-    ) -> tuple[bool, ast.stmt | None]:
-        """``(protected, first statement in an unprotected window or None)``."""
-
-        def is_protection(stmt: ast.stmt) -> bool:
-            if isinstance(stmt, ast.Return):
-                return True  # ownership transferred to the caller
-            for sub in ast.walk(stmt):
-                if (
-                    isinstance(sub, ast.Call)
-                    and _call_name(sub) == "finalize"
-                ):
-                    return True
-                if (
-                    isinstance(sub, ast.Assign)
-                    and len(sub.targets) == 1
-                    and isinstance(sub.targets[0], ast.Subscript)
-                    and terminal_names(sub.targets[0].value) & module_dicts
-                    and var in terminal_names(sub.value)
-                ):
-                    return True
-            return False
-
-        # try/finally or with anywhere in the function that cleans the var up
-        for node in walk_scope(fn):
-            if isinstance(node, ast.Try):
-                for region in (node.finalbody, *[h.body for h in node.handlers]):
-                    for stmt in region:
-                        if _mentions_cleanup(stmt, var):
-                            return True, None
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if (
-                        isinstance(item.context_expr, ast.Call)
-                        and _call_name(item.context_expr) == "SharedMemory"
-                    ):
-                        return True, None
-
-        window: ast.stmt | None = None
-        for stmt in block[idx + 1 :]:
-            if is_protection(stmt):
-                return True, window
-            if isinstance(stmt, ast.Try):
-                cleans = any(
-                    _mentions_cleanup(s, var)
-                    for region in (stmt.finalbody, *[h.body for h in stmt.handlers])
-                    for s in region
-                )
-                if cleans and any(is_protection(s) for s in stmt.body):
-                    return True, None
-            if window is None:
-                window = stmt
-        return False, None
-
-    # -- pools ----------------------------------------------------------
-
     def _check_pools(
-        self,
-        ctx: FileContext,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        has_atexit: bool,
+        self, ctx: FileContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> Iterator[Violation]:
         with_ctors = {
             id(item.context_expr)
@@ -1077,7 +861,6 @@ class ResourceLifecycleRule(Rule):
                 isinstance(node, ast.Call)
                 and _call_name(node) in _POOL_CTORS
                 and id(node) not in with_ctors
-                and not has_atexit
             ):
                 yield self.violation(
                     ctx,

@@ -13,7 +13,7 @@ so this module builds the minimal project model that supports them:
 * a **reference graph**: an edge from function F to function G whenever F
   *mentions* G — a direct call, an aliased call through an import, a method
   call matched by bare attribute name, or a bare reference (callbacks handed
-  to ``pmap``/``pool.map`` count as calls).
+  to ``map``-style helpers count as calls).
 
 The graph is deliberately an over-approximation: attribute calls resolve to
 *every* project function sharing the bare name, and unresolvable names fall
@@ -230,7 +230,7 @@ class ProjectGraph:
                     out.add(f"{mod}.{name}")
                 elif minfo is not None and name in minfo.imports:
                     resolved = self.resolve_target(minfo.imports[name])
-                    # package re-exports (`from repro.parallel import pmap`)
+                    # package re-exports (`from repro.sweep import use_sweep`)
                     # have no `<module>.<qualname>` key; fall back to bare name
                     if not resolved:
                         resolved = self.by_name.get(name, set())

@@ -20,10 +20,12 @@ it likes; it visits ``m`` values in descending order, which maximizes
 lower-bound transfer (an optimum at a large ``m`` proves infeasibility
 just below it for every smaller ``m``) without affecting any result.
 
-Composition with the parallel layer: the sweep context lives in the parent
-process only.  Worker processes of :mod:`repro.parallel` never consult it —
-they execute per-stripe solves whose inputs are already fixed — so
-``use_sweep`` composes with ``use_parallel`` / ``--jobs`` unchanged.
+Composition with ``repro-experiments --jobs``: the sweep context lives in
+the parent process only.  The figure-cell workers of
+:mod:`repro.experiments.pool` receive the default store path through their
+pool initializer but never see the parent's open scopes, and every cell is
+bit-identical with or without warm facts, so ``use_sweep`` composes with
+``--jobs`` unchanged.
 """
 
 from __future__ import annotations
@@ -42,15 +44,18 @@ from .store import SweepStore
 __all__ = ["SweepResult", "set_default_store", "sweep", "use_sweep"]
 
 #: module-level default store path (set by ``--sweep-store``); the
-#: ``REPRO_SWEEP_STORE`` env var is the fallback, read at scope entry so
-#: spawned worker processes inherit it through the environment
+#: ``REPRO_SWEEP_STORE`` env var is the fallback, read at scope entry
 _DEFAULT_STORE: str | None = None
 
 
-def set_default_store(path: str | None) -> None:
-    """Set the process-wide default store path (None restores the env var)."""
+def set_default_store(path: str | None) -> str | None:
+    """Set the process-wide default store path (None restores the env var).
+
+    Returns the previous default so callers can restore it.
+    """
     global _DEFAULT_STORE
-    _DEFAULT_STORE = path
+    prev, _DEFAULT_STORE = _DEFAULT_STORE, path
+    return prev
 
 
 def _resolve_store(store: SweepStore | str | os.PathLike | None) -> SweepStore | None:

@@ -43,10 +43,7 @@ MODULES = [
     "repro.runtime",
     "repro.dynamic",
     "repro.experiments",
-    "repro.parallel",
-    "repro.parallel.config",
-    "repro.parallel.pool",
-    "repro.parallel.shm",
+    "repro.experiments.pool",
 ]
 
 

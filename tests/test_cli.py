@@ -1,10 +1,16 @@
-"""Tests for the repro-partition command-line tool."""
+"""Tests for the repro-partition and repro-experiments command-line tools."""
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core.serialize import load_partition
+from repro.experiments import cli as experiments_cli
+from repro.experiments import pool, rawstore
+from repro.experiments.rawstore import current_raw_store, use_raw_store
+from repro.sweep import engine
 
 
 @pytest.fixture()
@@ -78,3 +84,62 @@ class TestCli:
         path.write_text("1 2 3")
         with pytest.raises(SystemExit):
             main([str(path), "-m", "2"])
+
+
+class TestExperimentsCli:
+    def test_scale_choices_follow_the_profile_table(self, monkeypatch, tmp_path, capsys):
+        """--scale accepts every profile, `large` included."""
+        seen = []
+        monkeypatch.setattr(
+            experiments_cli,
+            "ALL_RUNNABLE",
+            {"fig05": lambda sc: seen.append(sc.name) or _demo_figure()},
+        )
+        rc = experiments_cli.main(["--figures", "fig05", "--scale", "large"])
+        assert rc == 0 and seen == ["large"]
+        with pytest.raises(SystemExit):
+            experiments_cli.main(["--figures", "fig05", "--scale", "huge"])
+
+    @staticmethod
+    def _process_state():
+        return (
+            dict(os.environ),
+            engine._DEFAULT_STORE,
+            current_raw_store(),
+            list(rawstore._STACK),
+            pool._ACTIVE,
+        )
+
+    def test_main_leaves_process_state_unchanged(self, tmp_path, capsys):
+        before = self._process_state()
+        rc = experiments_cli.main(
+            [
+                "--figures",
+                "fig05",
+                "--scale",
+                "tiny",
+                "--sweep-store",
+                os.fspath(tmp_path / "facts.json"),
+                "--raw-dir",
+                os.fspath(tmp_path / "raw"),
+            ]
+        )
+        assert rc == 0
+        assert (tmp_path / "raw").is_dir()  # the raw store was in use
+        assert self._process_state() == before
+
+    def test_force_leaves_the_ambient_store_unforced(self, tmp_path, capsys):
+        with use_raw_store(tmp_path / "raw") as ambient:
+            rc = experiments_cli.main(["--figures", "fig05", "--scale", "tiny", "--force"])
+            assert rc == 0
+            assert current_raw_store() is ambient
+            assert ambient.force is False
+            assert ambient.misses == 0  # the forced run used its own store
+
+
+def _demo_figure():
+    from repro.experiments.harness import FigureResult
+
+    r = FigureResult("fig05", "demo", "m", "y")
+    r.add("s", 1, 0.5)
+    return r

@@ -606,28 +606,6 @@ class TestRPL009DispatchTwins:
         assert [v.rule for v in out] == ["RPL009"]
         assert "incompatible positional signatures" in out[0].message
 
-    def test_unchecked_hook_triggers(self):
-        out = self._check(
-            "def solve(xs):\n"
-            "    pool = get_pool()\n"
-            "    pool.map(len, xs)\n"
-            "    return xs\n"
-        )
-        assert [v.rule for v in out] == ["RPL009"]
-        assert "never None-checks" in out[0].message
-
-    def test_none_checked_hook_is_silent(self):
-        out = self._check(
-            "def ref(xs):\n"
-            "    return list(xs)\n\n"
-            "def solve(xs):\n"
-            "    pool = get_pool()\n"
-            "    if pool is None:\n"
-            "        return ref(xs)\n"
-            "    return list(pool.map(len, xs))\n"
-        )
-        assert out == []
-
     def test_unreachable_dispatch_triggers(self):
         out = self._check(
             "def fast(x):\n"
@@ -706,7 +684,7 @@ class TestRPL009DoctoredTree:
         assert res.exit_code == 0
 
     @pytest.mark.parametrize(
-        "victim", ["test_perf_equality.py", "test_parallel_equality.py"]
+        "victim", ["test_perf_equality.py", "test_sparse_equality.py"]
     )
     def test_deleting_equality_test_fails_lint(self, tmp_path, victim):
         res = self._doctored(tmp_path, victim)
@@ -908,63 +886,9 @@ class TestRPL011ConfigRegistry:
 
 
 class TestRPL012ResourceLifecycle:
-    def test_unprotected_create_triggers(self, tmp_path):
-        src = (
-            "def f(n):\n"
-            "    seg = SharedMemory(name=n, create=True, size=8)\n"
-            "    buf = seg.buf\n"
-        )
-        res = lint_snippet(tmp_path, "parallel", src)
-        assert codes(res) == ["RPL012"]
-        assert "no reachable" in res.violations[0].message
-
-    def test_leaky_window_triggers(self, tmp_path):
-        src = (
-            "SEGS = {}\n\n"
-            "def f(n, data):\n"
-            "    seg = SharedMemory(name=n, create=True, size=8)\n"
-            "    seg.buf[0] = data\n"
-            "    SEGS[n] = seg\n"
-        )
-        res = lint_snippet(tmp_path, "parallel", src)
-        assert codes(res) == ["RPL012"]
-        assert "can leak" in res.violations[0].message
-
-    def test_immediate_registry_store_is_silent(self, tmp_path):
-        src = (
-            "SEGS = {}\n\n"
-            "def f(n):\n"
-            "    seg = SharedMemory(name=n, create=True, size=8)\n"
-            "    SEGS[n] = seg\n"
-            "    return seg\n"
-        )
-        assert codes(lint_snippet(tmp_path, "parallel", src)) == []
-
-    def test_finalizer_is_silent(self, tmp_path):
-        src = (
-            "import weakref\n\n"
-            "def f(n, owner, cleanup):\n"
-            "    seg = SharedMemory(name=n, create=True, size=8)\n"
-            "    weakref.finalize(owner, cleanup, n)\n"
-            "    return seg\n"
-        )
-        assert codes(lint_snippet(tmp_path, "parallel", src)) == []
-
-    def test_try_finally_is_silent(self, tmp_path):
-        src = (
-            "def f(n, data):\n"
-            "    seg = SharedMemory(name=n, create=True, size=8)\n"
-            "    try:\n"
-            "        seg.buf[0] = data\n"
-            "    finally:\n"
-            "        seg.close()\n"
-            "        seg.unlink()\n"
-        )
-        assert codes(lint_snippet(tmp_path, "parallel", src)) == []
-
     def test_pool_outside_with_triggers(self, tmp_path):
         src = "def f():\n    return ProcessPoolExecutor(2)\n"
-        res = lint_snippet(tmp_path, "parallel", src)
+        res = lint_snippet(tmp_path, "experiments", src)
         assert codes(res) == ["RPL012"]
         assert "atexit" in res.violations[0].message
 
@@ -977,7 +901,7 @@ class TestRPL012ResourceLifecycle:
             "def f():\n"
             "    return ProcessPoolExecutor(2)\n"
         )
-        assert codes(lint_snippet(tmp_path, "parallel", src)) == []
+        assert codes(lint_snippet(tmp_path, "experiments", src)) == []
 
     def test_pool_in_with_block_is_silent(self, tmp_path):
         src = (
@@ -985,7 +909,7 @@ class TestRPL012ResourceLifecycle:
             "    with ProcessPoolExecutor(2) as p:\n"
             "        return list(p.map(len, xs))\n"
         )
-        assert codes(lint_snippet(tmp_path, "parallel", src)) == []
+        assert codes(lint_snippet(tmp_path, "experiments", src)) == []
 
 
 class TestRPL100StaleSuppressions:

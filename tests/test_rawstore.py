@@ -29,7 +29,7 @@ from repro.experiments.rawstore import (
     digest_matrix,
     set_default_raw_store,
 )
-from repro.parallel.config import use_parallel
+from repro.experiments.pool import cell_pool
 
 
 @pytest.fixture(autouse=True)
@@ -228,8 +228,7 @@ class TestFigureFarm:
         baseline = _figures_under(RawStore(tmp_path / "baseline"))
 
         killed = InterruptingRawStore(tmp_path / "resumed", abort_after=7)
-        ctx = use_parallel(True, workers=jobs, force=True)
-        with ctx:
+        with cell_pool(jobs):
             with pytest.raises(SimulatedInterrupt):
                 _figures_under(killed)
             flushed = sum(

@@ -31,7 +31,6 @@ from repro.core.errors import ParameterError
 from repro.instances import slac_instance
 from repro.instances.spmv import hist2d_triplets, spmv_instance, spmv_sparse
 from repro.instances.mesh.project import slac_sparse
-from repro.parallel.shm import attach_prefix, export_prefix, live_segments, release_all
 from repro.perf.counters import op_counters
 from repro.sweep.store import instance_digest, matrix_digest
 
@@ -317,34 +316,6 @@ def test_hist2d_triplets_matches_histogram2d(rng):
         R = np.zeros(shape, dtype=np.int64)
         R[rows, cols] = counts
         np.testing.assert_array_equal(R, H.astype(np.int64))
-
-
-# ----------------------------------------------------------------------
-# shared-memory transport
-# ----------------------------------------------------------------------
-def test_shm_roundtrip_sparse(rng):
-    sparse = SparsePrefix2D(_random_sparse(rng))
-    try:
-        handle = export_prefix(sparse)
-        assert len(handle.names) == 3 and handle.nnz == sparse.nnz
-        assert export_prefix(sparse) is handle  # cached re-export
-        attached = attach_prefix(handle)
-        assert isinstance(attached, SparsePrefix2D)
-        np.testing.assert_array_equal(attached.cells_dense(), sparse.cells_dense())
-        assert attached.load(2, 9, 1, 8) == sparse.load(2, 9, 1, 8)
-    finally:
-        release_all()
-    assert live_segments() == []
-
-
-def test_shm_roundtrip_empty_sparse():
-    sparse = SparsePrefix2D(np.zeros((4, 6), dtype=np.int64))
-    try:
-        handle = export_prefix(sparse)
-        attached = attach_prefix(handle)
-        assert attached.total == 0 and attached.shape == (4, 6)
-    finally:
-        release_all()
 
 
 # ----------------------------------------------------------------------

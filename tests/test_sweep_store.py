@@ -327,15 +327,15 @@ class TestStoreFormat:
 class TestParallelComposition:
     def test_csvs_identical_jobs_1_vs_4_with_store(self, tmp_path, monkeypatch):
         """Figure CSVs are byte-identical for any --jobs inside sweep scopes,
-        cold and warm-from-disk alike."""
+        cold and warm-from-disk alike (fig03 ships its cells to the pool)."""
         from repro.experiments import ALL_FIGURES
         from repro.experiments.cli import main
         from tests.test_experiments import TINY
 
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_CELLS", "0")
+        figs = ("fig03", "fig05")
         monkeypatch.setattr(
             "repro.experiments.cli.ALL_RUNNABLE",
-            {"fig05": lambda sc: ALL_FIGURES["fig05"](TINY)},
+            {f: lambda sc, f=f: ALL_FIGURES[f](TINY) for f in figs},
         )
         store = os.fspath(tmp_path / "facts.json")
         outs = {}
@@ -344,7 +344,7 @@ class TestParallelComposition:
             rc = main(
                 [
                     "--figures",
-                    "fig05",
+                    *figs,
                     "--out",
                     os.fspath(out),
                     "--jobs",
@@ -354,5 +354,5 @@ class TestParallelComposition:
                 ]
             )
             assert rc == 0
-            outs[tag] = (out / "fig05.csv").read_bytes()
+            outs[tag] = [(out / f"{f}.csv").read_bytes() for f in figs]
         assert outs["serial"] == outs["par"] == outs["warm"]
