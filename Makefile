@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint lint-fast lint-sarif ruff mypy test figures figures-smoke bench-json bench-smoke bench-kernels bench-kernels-smoke bench-sweep bench-sweep-smoke bench-figures bench-figures-smoke bench-sparse bench-sparse-smoke bench-dynamic bench-dynamic-smoke bench-check-identity bench-e2e-smoke bench-e2e
+.PHONY: check lint lint-fast lint-sarif ruff mypy test figures figures-smoke bench-kernels bench-kernels-smoke bench-sweep bench-sweep-smoke bench-figures bench-figures-smoke bench-sparse bench-sparse-smoke bench-dynamic bench-dynamic-smoke bench-check-identity bench-e2e-smoke bench-e2e
 
 check: ruff mypy lint test
 	@echo "make check: all gates passed"
@@ -58,19 +58,8 @@ figures-smoke:
 	cmp /tmp/repro-figures-smoke/a/fig05.csv /tmp/repro-figures-smoke/b/fig05.csv
 	@echo "figures-smoke: warm rerun byte-identical"
 
-# perf-regression harness: times every optimized kernel against its
-# reference path and writes BENCH_core.json at the repo root
-bench-json:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --min-speedup 2.0
-
-# CI smoke: tiny instances, seconds of wall-clock, still asserts that the
-# optimized paths return bit-identical results
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --profile tiny
-
-# kernel registry family: reference vs numpy (vs numba when the `perf`
-# extra is installed) for every registered kernel, asserting bit-identical
-# results per row; writes BENCH_kernels.json
+# kernel registry family: reference vs numpy for every registered kernel,
+# asserting bit-identical results per row; writes BENCH_kernels.json
 bench-kernels:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --kernels --min-speedup 1.5
 

@@ -13,8 +13,13 @@ import pytest
 
 from repro.core.prefix import PrefixSum2D
 from repro.hierarchical import hier_rb, hier_relaxed
-from repro.hierarchical.cuts import best_relaxed_split
+from repro.hierarchical.cuts import best_relaxed_split_win
 from repro.instances import multi_peak
+
+
+def best_relaxed_split(bp: np.ndarray, m: int):
+    """The library's node rule on a whole rebased prefix."""
+    return best_relaxed_split_win(bp, 0, len(bp) - 1, m)
 
 
 def best_relaxed_split_loop(bp: np.ndarray, m: int):

@@ -1,31 +1,14 @@
-"""Perf-regression harness: before/after wall-clock of the optimized kernels.
+"""Perf-regression harness: timed families with bit-identity gates.
 
-Every optimized code path in the repo dispatches on
-:func:`repro.perf.config.perf_enabled` and keeps the reference
-implementation alive, so this harness can time the *same* entry points in
-both modes, in one process, on fixed seeded instances — and assert the
-partitions are bit-identical while it does so.
+Each family times one layer on fixed seeded instances and asserts, while it
+does so, that the accelerated path answers bit-identically to its oracle.
+Pick one family per run; each writes its ``BENCH_*.json`` at the
+repository root (``--out`` to move it).
 
-Benches come in three groups:
-
-* ``kernel/*`` — the core kernels in isolation (projection cache, direct
-  ndarray bisection, batched feasibility curve, jump-table greedy);
-* ``fig_jagged/*`` — one jagged-family figure sweep (uniform instance,
-  paper §4's m values at the small profile);
-* ``fig_hier/*`` — one hierarchical-family figure sweep (peak instance).
-
-Output is ``BENCH_core.json`` at the repository root (``--out`` to move
-it): per-bench ``before_s`` / ``after_s`` / ``speedup`` / ``identical``
-plus per-family aggregates.  Run via ``make bench-json`` (full) or ``make
-bench-smoke`` (the ``tiny`` profile CI uses).  Exits non-zero if any bench
-produced a non-identical result, or — with ``--min-speedup`` — if a figure
-family misses the requested aggregate speedup.
-
-``--sweep`` runs the *sweep* family instead: whole m-sweeps through
+``--sweep`` runs the *sweep* family: whole m-sweeps through
 :func:`repro.sweep.sweep` (cross-call warm starts: monotone bound reuse,
 heuristic witnesses, shared stripe memos) against the same sweep as per-m
-cold calls, perf layer on in **both** modes so the measured delta is the
-sweep engine alone.  Every (algorithm, m) cell is asserted bit-identical
+cold calls, so the measured delta is the sweep engine alone.  Every (algorithm, m) cell is asserted bit-identical
 to its cold call — that is the engine's contract — and
 ``BENCH_sweep.json`` is written.  Two store phases follow: the same
 sweeps warm-started from a freshly populated on-disk fact store
@@ -35,15 +18,14 @@ persisted node-decision facts must drop the warm run's ``cut_calls``
 counter below cold while the rectangles stay bit-identical).  Run via
 ``make bench-sweep`` / ``make bench-sweep-smoke``.
 
-``--kernels`` runs the *kernel-registry* family instead: every kernel in
+``--kernels`` runs the *kernel-registry* family: every kernel in
 :data:`repro.perf.kernels.KERNELS` is timed once per backend (``reference``
-vs ``numpy`` vs — when the ``[perf]`` extra is installed — ``numba``) on
-fixed seeded inputs, results are asserted bit-identical across backends,
-and ``BENCH_kernels.json`` is written.  ``--min-speedup`` here requires at
+vs ``numpy``) on fixed seeded inputs, results are asserted bit-identical
+across backends, and ``BENCH_kernels.json`` is written.  ``--min-speedup`` here requires at
 least three kernels to reach the threshold on the numpy backend.  Run via
 ``make bench-kernels`` / ``make bench-kernels-smoke``.
 
-``--figures`` runs the *figure-farm* family instead: a fast subset of the
+``--figures`` runs the *figure-farm* family: a fast subset of the
 experiment suite is regenerated three ways against the raw-result store
 (:mod:`repro.experiments.rawstore`) — cold into an empty store, warm from
 the fully populated store (must be all hits), and interrupted-then-resumed
@@ -54,7 +36,7 @@ three runs; ``--min-speedup`` requires the aggregate warm regeneration to
 beat cold by the given factor.  ``BENCH_FIGURES.json`` is written.  Run
 via ``make bench-figures`` / the CI ``figures-smoke`` job.
 
-``--sparse`` runs the *sparse-substrate* family instead: the ``large``
+``--sparse`` runs the *sparse-substrate* family: the ``large``
 profile's instance generators build their CSR substrate
 (:class:`repro.core.sparse.SparsePrefix2D`) from the triplet stream while
 the dense twins densify, memory (tracemalloc build peak, resident substrate
@@ -66,7 +48,7 @@ raw-store cell runs end-to-end (cold compute, then warm hit) on the sparse
 substrate.  ``BENCH_sparse.json`` is written.  Run via ``make bench-sparse``
 / ``make bench-sparse-smoke``.
 
-``--dynamic`` runs the *dynamic* family instead: every repartitioning
+``--dynamic`` runs the *dynamic* family: every repartitioning
 policy of :mod:`repro.dynamic.policies` drives the BSP simulator over the
 PIC-MAG snapshot stream (scenario driver
 :meth:`repro.instances.pic.PICMagDataset.stream`), gated on run-to-run
@@ -106,180 +88,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.prefix import PrefixSum2D  # noqa: E402
 from repro.core.registry import partition_2d  # noqa: E402
 from repro.instances import peak, uniform  # noqa: E402
-from repro.oned.bisect import bisect_bottleneck, feasible_bottlenecks  # noqa: E402
-from repro.oned.probe import min_parts  # noqa: E402
-from repro.perf import min_parts_batch, perf_enabled, use_perf  # noqa: E402
-
-
-@dataclass
-class Bench:
-    """One before/after measurement: same call, perf layer off vs on."""
-
-    name: str
-    family: str
-    setup: Callable[[], Any]  # fresh state per repeat (not timed)
-    call: Callable[[Any], Any]  # the timed entry point
-    key: Callable[[Any], Any]  # comparable form of the result
-    repeats: int = 3
-
-
-def _time_pair(bench: Bench) -> tuple[float, float, Any, Any]:
-    """Median-of-N of both modes, ref and perf paired within each repeat.
-
-    Two sources of bias make the classic one-block-per-mode best-of
-    unusable on the sub-millisecond figure rows, where the real effect is
-    a few percent: slow clock-speed drift lands entirely on whichever mode
-    runs second, and on a shared machine the minimum of a block measures
-    scheduler luck rather than the code.  So every repeat runs both modes
-    back to back (alternating which goes first to cancel ordering bias)
-    and each mode reports its *median* repeat — a stable estimator whose
-    noise the pairing applies to both sides equally.
-    """
-    times: dict[bool, list[float]] = {False: [], True: []}
-    result: dict[bool, Any] = {False: None, True: None}
-    for rep in range(bench.repeats):
-        order = (False, True) if rep % 2 == 0 else (True, False)
-        for enabled in order:
-            with use_perf(enabled):
-                state = bench.setup()
-                t0 = time.perf_counter()
-                result[enabled] = bench.call(state)
-                times[enabled].append(time.perf_counter() - t0)
-    return (
-        statistics.median(times[False]),
-        statistics.median(times[True]),
-        result[False],
-        result[True],
-    )
-
-
-# ---------------------------------------------------------------------------
-# bench construction
-
-
-def _partition_bench(
-    name: str, family: str, A: np.ndarray, m: int, method: str, repeats: int
-) -> Bench:
-    return Bench(
-        name=name,
-        family=family,
-        setup=lambda: PrefixSum2D(A),
-        call=lambda pref: partition_2d(pref, m, method),
-        key=lambda part: part.rects,
-        repeats=repeats,
-    )
-
-
-def _kernel_benches(tiny: bool) -> list[Bench]:
-    rng = np.random.default_rng(2024)
-    n_proj = 96 if tiny else 256
-    A = rng.integers(0, 100, (n_proj, n_proj))
-    bands = [tuple(sorted(rng.integers(0, n_proj + 1, 2))) for _ in range(40)]
-    bands = [(lo, hi) for lo, hi in bands if hi > lo]
-
-    def proj_sweep(pref: PrefixSum2D) -> int:
-        # every band queried several times: the access pattern of the
-        # jagged/hierarchical recursions that the projection cache serves
-        acc = 0
-        for _ in range(6):
-            for lo, hi in bands:
-                acc ^= int(pref.axis_prefix(1, lo, hi)[-1])
-                acc ^= len(pref.boundary_list(1, lo, hi))
-        return acc
-
-    n_1d = 20_000 if tiny else 100_000
-    values = np.random.default_rng(7).integers(0, 1_000_000, n_1d)
-    P = np.concatenate([[0], np.cumsum(values)]).astype(np.int64)
-    m_1d = 16 if tiny else 64  # keeps n >= 512*m so the nd probe path engages
-
-    # bottleneck low enough that the greedy crosses ~n/8 intervals: below
-    # that the jump table's O(n) build doesn't amortize (measured crossover;
-    # m_opt's scan sits far past it because its stripe prefixes are short)
-    big_B = 8 * int(P[-1]) // n_1d
-
-    # feasibility curve: many independent probe decisions against one prefix
-    # — probe_batch's native shape (one chained searchsorted per greedy round
-    # advances every candidate at once)
-    total = int(P[-1])
-    curve_Bs = np.linspace(total // (2 * m_1d), 2 * total // m_1d, 256).astype(np.int64)
-
-    return [
-        Bench(
-            name="kernel/projection_cache",
-            family="kernels",
-            setup=lambda: PrefixSum2D(A),
-            call=proj_sweep,
-            key=lambda acc: acc,
-            repeats=5,
-        ),
-        Bench(
-            name="kernel/bisect_1d_nd_probe",
-            family="kernels",
-            setup=lambda: P,
-            call=lambda Ps: bisect_bottleneck(Ps, m_1d),
-            key=lambda B: B,
-            repeats=5,
-        ),
-        Bench(
-            name="kernel/probe_feasibility_curve",
-            family="kernels",
-            setup=lambda: P,
-            call=lambda Ps: feasible_bottlenecks(Ps, m_1d, curve_Bs),
-            key=lambda out: out.tolist(),
-            repeats=5,
-        ),
-        Bench(
-            name="kernel/min_parts_jump_table",
-            family="kernels",
-            setup=lambda: P,
-            # dispatch by hand here: min_parts_batch is the perf twin of
-            # min_parts (equality is asserted through the shared key)
-            call=lambda Ps: (
-                min_parts_batch(Ps, big_B) if perf_enabled() else min_parts(Ps, big_B)
-            ),
-            key=lambda parts: parts,
-            repeats=5,
-        ),
-    ]
-
-
-def _figure_benches(tiny: bool) -> list[Bench]:
-    benches: list[Bench] = []
-
-    # jagged family: uniform instance (paper §4.1), small-profile m values
-    n_jag = 64 if tiny else 128
-    A_jag = uniform(n_jag, 1.3, seed=0)
-    heur_ms = (16, 36) if tiny else (16, 36, 64, 144)
-    opt_ms = (16,) if tiny else (36, 144)
-    for method in ("JAG-PQ-HEUR", "JAG-M-HEUR"):
-        for m in heur_ms:
-            # sub-millisecond rows: the per-mode best-of floor is a noisy
-            # estimator at this scale (the true perf edge is a few percent),
-            # so spend ~an extra half second on repeats to stabilize it
-            benches.append(
-                _partition_bench(
-                    f"fig_jagged/{method}/m={m}", "jagged", A_jag, m, method, repeats=31
-                )
-            )
-    for m in opt_ms:
-        benches.append(
-            _partition_bench(
-                f"fig_jagged/JAG-M-OPT/m={m}", "jagged", A_jag, m, "JAG-M-OPT", repeats=1
-            )
-        )
-
-    # hierarchical family: peak instance (paper Figs 3-5), m sweep
-    n_hier = 128 if tiny else 512
-    A_hier = peak(n_hier, seed=0)
-    hier_ms = (16, 64) if tiny else (64, 144, 256, 400)
-    for method in ("HIER-RB", "HIER-RELAXED"):
-        for m in hier_ms:
-            benches.append(
-                _partition_bench(
-                    f"fig_hier/{method}/m={m}", "hierarchical", A_hier, m, method, repeats=5
-                )
-            )
-    return benches
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +193,10 @@ def _registry_benches(tiny: bool) -> list[KernelBench]:
 def _time_backends(bench: KernelBench, backends: list[str]) -> dict[str, tuple[float, Any]]:
     """Median-of-N per backend, all backends paired within each repeat.
 
-    Same estimator rationale as :func:`_time_pair`: rotating the backend
-    order inside every repeat cancels ordering bias, and medians resist the
-    scheduler-luck outliers a best-of floor rewards.
+    Rotating the backend order inside every repeat cancels ordering bias
+    (slow clock drift would otherwise land on whichever backend runs
+    second), and medians resist the scheduler-luck outliers a best-of floor
+    rewards on a shared machine.
     """
     from repro.perf.config import use_perf_backend
 
@@ -406,20 +215,10 @@ def _time_backends(bench: KernelBench, backends: list[str]) -> dict[str, tuple[f
 def run_kernels(profile: str, out_path: Path, min_speedup: float | None) -> int:
     """Per-backend kernel timings; cross-backend bit-identity is the gate."""
     from repro.perf.config import perf_backend
-    from repro.perf.kernels import numba_available
 
     tiny = profile == "tiny"
-    has_numba = numba_available()
-    backends = ["reference", "numpy"] + (["numba"] if has_numba else [])
+    backends = ["reference", "numpy"]
     print(f"# kernel registry: backends {backends} (default {perf_backend()!r})")
-    if has_numba:
-        # compile outside the timed region: @njit is lazy and the first call
-        # per kernel pays the jit; a warmup pass keeps rows comparable
-        from repro.perf.config import use_perf_backend
-
-        with use_perf_backend("numba"):
-            for bench in _registry_benches(True):
-                bench.call()
 
     rows = []
     failures = []
@@ -436,23 +235,13 @@ def run_kernels(profile: str, out_path: Path, min_speedup: float | None) -> int:
             "reference_s": round(ref_s, 6),
             "numpy_s": round(numpy_s, 6),
             "numpy_speedup": round(ref_s / numpy_s, 3) if numpy_s > 0 else float("inf"),
-            "numba_s": None,
-            "numba_speedup": None,
             "identical": identical,
         }
-        msg = (
-            f"{bench.name:24s} ref {ref_s * 1e3:9.3f}ms  numpy {numpy_s * 1e3:9.3f}ms "
-            f"({row['numpy_speedup']:6.2f}x)"
-        )
-        if has_numba:
-            numba_s = timed_results["numba"][0]
-            row["numba_s"] = round(numba_s, 6)
-            row["numba_speedup"] = (
-                round(ref_s / numba_s, 3) if numba_s > 0 else float("inf")
-            )
-            msg += f"  numba {numba_s * 1e3:9.3f}ms ({row['numba_speedup']:6.2f}x)"
         rows.append(row)
-        print(f"{msg}  {'ok' if identical else 'MISMATCH'}")
+        print(
+            f"{bench.name:24s} ref {ref_s * 1e3:9.3f}ms  numpy {numpy_s * 1e3:9.3f}ms "
+            f"({row['numpy_speedup']:6.2f}x)  {'ok' if identical else 'MISMATCH'}"
+        )
 
     doc = {
         "schema": 1,
@@ -461,7 +250,6 @@ def run_kernels(profile: str, out_path: Path, min_speedup: float | None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "numba_available": has_numba,
         "benches": rows,
         "all_identical": not failures,
     }
@@ -542,65 +330,64 @@ def run_sweep(profile: str, out_path: Path, min_speedup: float | None) -> int:
     families: dict[str, dict[str, float]] = {}
     failures = []
     cold_keys: dict[tuple[str, str, int], Any] = {}
-    with use_perf(True):
-        for fam, A, names, ms in _sweep_configs(tiny):
-            warm_s = float("inf")
-            res = None
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                out = sweep(A, names, ms)
-                dt = time.perf_counter() - t0
-                if dt < warm_s:
-                    warm_s, res = dt, out
-            assert res is not None
-            cold_total = 0.0
-            fam_identical = True
-            for name in names:
-                for m in sorted(set(ms), reverse=True):
-                    cold_s = float("inf")
-                    ref = None
-                    for _ in range(repeats):
-                        t0 = time.perf_counter()
-                        # the cold baseline a user without the engine pays:
-                        # one public call per (algorithm, m), fresh prefix
-                        ref = partition_2d(A, m, name)
-                        cold_s = min(cold_s, time.perf_counter() - t0)
-                    assert ref is not None
-                    cold_keys[(fam, name, m)] = _rects_key(ref)
-                    identical = _rects_key(res[(name, m)]) == cold_keys[(fam, name, m)]
-                    fam_identical = fam_identical and identical
-                    if not identical:
-                        failures.append(f"{fam}/{name}/m={m}")
-                    cold_total += cold_s
-                    rows.append(
-                        {
-                            "name": f"{fam}/{name}/m={m}",
-                            "family": fam,
-                            "cold_s": round(cold_s, 6),
-                            "identical": identical,
-                        }
-                    )
-                    print(
-                        f"{fam}/{name}/m={m:<4d} cold {cold_s * 1e3:9.2f}ms  "
-                        f"{'ok' if identical else 'MISMATCH'}"
-                    )
-            speedup = cold_total / warm_s if warm_s > 0 else float("inf")
-            families[fam] = {
-                "cold_total_s": round(cold_total, 6),
-                "warm_sweep_s": round(warm_s, 6),
-                "speedup": round(speedup, 3),
-                "identical": fam_identical,
-            }
-            print(
-                f"-- {fam:12s} cold total {cold_total * 1e3:9.2f}ms -> "
-                f"sweep {warm_s * 1e3:9.2f}ms  {speedup:6.2f}x"
-            )
+    for fam, A, names, ms in _sweep_configs(tiny):
+        warm_s = float("inf")
+        res = None
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            out = sweep(A, names, ms)
+            dt = time.perf_counter() - t0
+            if dt < warm_s:
+                warm_s, res = dt, out
+        assert res is not None
+        cold_total = 0.0
+        fam_identical = True
+        for name in names:
+            for m in sorted(set(ms), reverse=True):
+                cold_s = float("inf")
+                ref = None
+                for _ in range(repeats):
+                    t0 = time.perf_counter()
+                    # the cold baseline a user without the engine pays:
+                    # one public call per (algorithm, m), fresh prefix
+                    ref = partition_2d(A, m, name)
+                    cold_s = min(cold_s, time.perf_counter() - t0)
+                assert ref is not None
+                cold_keys[(fam, name, m)] = _rects_key(ref)
+                identical = _rects_key(res[(name, m)]) == cold_keys[(fam, name, m)]
+                fam_identical = fam_identical and identical
+                if not identical:
+                    failures.append(f"{fam}/{name}/m={m}")
+                cold_total += cold_s
+                rows.append(
+                    {
+                        "name": f"{fam}/{name}/m={m}",
+                        "family": fam,
+                        "cold_s": round(cold_s, 6),
+                        "identical": identical,
+                    }
+                )
+                print(
+                    f"{fam}/{name}/m={m:<4d} cold {cold_s * 1e3:9.2f}ms  "
+                    f"{'ok' if identical else 'MISMATCH'}"
+                )
+        speedup = cold_total / warm_s if warm_s > 0 else float("inf")
+        families[fam] = {
+            "cold_total_s": round(cold_total, 6),
+            "warm_sweep_s": round(warm_s, 6),
+            "speedup": round(speedup, 3),
+            "identical": fam_identical,
+        }
+        print(
+            f"-- {fam:12s} cold total {cold_total * 1e3:9.2f}ms -> "
+            f"sweep {warm_s * 1e3:9.2f}ms  {speedup:6.2f}x"
+        )
 
     # warm-from-disk: a first sweep populates the persistent fact store, a
     # second run (fresh prefixes, facts only from disk) must be both faster
     # than the cold per-m baseline and bit-identical to it
     store_families: dict[str, dict[str, float]] = {}
-    with use_perf(True), tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         for fam, A, names, ms in _sweep_configs(tiny):
             spath = Path(tmp) / f"{fam}.json"
             t0 = time.perf_counter()
@@ -644,7 +431,7 @@ def run_sweep(profile: str, out_path: Path, min_speedup: float | None) -> int:
     n_hier = 64 if tiny else 128
     m_hier = 16 if tiny else 64
     A_hier = peak(n_hier, seed=0)
-    with use_perf(True), tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         spath = Path(tmp) / "hier.json"
         for name in ("HIER-RB", "HIER-RELAXED"):
             with op_counters() as ops:
@@ -945,144 +732,143 @@ def run_sparse(profile: str, out_path: Path) -> int:
     solver_rows = []
     failures = []
 
-    with use_perf(True):
-        for name, n, dense_builder, sparse_builder, mem_gate in _sparse_cases(tiny):
-            tracemalloc.start()
-            try:
-                t0 = time.perf_counter()
-                sub = sparse_builder()
-                build_sparse_s = time.perf_counter() - t0
-                _, build_peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+    for name, n, dense_builder, sparse_builder, mem_gate in _sparse_cases(tiny):
+        tracemalloc.start()
+        try:
             t0 = time.perf_counter()
-            A = dense_builder()
-            pref = PrefixSum2D(A)
-            build_dense_s = time.perf_counter() - t0
-            dense_bytes = pref.nbytes
+            sub = sparse_builder()
+            build_sparse_s = time.perf_counter() - t0
+            _, build_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        t0 = time.perf_counter()
+        A = dense_builder()
+        pref = PrefixSum2D(A)
+        build_dense_s = time.perf_counter() - t0
+        dense_bytes = pref.nbytes
 
-            is_sparse = isinstance(sub, SparsePrefix2D)
-            identical = is_sparse and instance_digest(sub) == instance_digest(pref)
+        is_sparse = isinstance(sub, SparsePrefix2D)
+        identical = is_sparse and instance_digest(sub) == instance_digest(pref)
 
-            # query workload: random rectangles + random stripe projections
-            k = 128 if tiny else 512
-            rr = np.sort(rng.integers(0, n + 1, size=(k, 2)), axis=1)
-            cc = np.sort(rng.integers(0, n + 1, size=(k, 2)), axis=1)
-            coords = np.column_stack([rr, cc])
-            bands = np.sort(rng.integers(0, n + 1, size=(16, 2)), axis=1)
-            bands = [(int(lo), int(hi)) for lo, hi in bands if hi > lo]
+        # query workload: random rectangles + random stripe projections
+        k = 128 if tiny else 512
+        rr = np.sort(rng.integers(0, n + 1, size=(k, 2)), axis=1)
+        cc = np.sort(rng.integers(0, n + 1, size=(k, 2)), axis=1)
+        coords = np.column_stack([rr, cc])
+        bands = np.sort(rng.integers(0, n + 1, size=(16, 2)), axis=1)
+        bands = [(int(lo), int(hi)) for lo, hi in bands if hi > lo]
 
+        t0 = time.perf_counter()
+        loads_sparse = sub.rect_loads(coords)
+        proj_sparse = [sub.axis_prefix(1, lo, hi, reuse=False) for lo, hi in bands]
+        query_sparse_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        loads_dense = pref.rect_loads(coords)
+        proj_dense = [pref.axis_prefix(1, lo, hi, reuse=False) for lo, hi in bands]
+        query_dense_s = time.perf_counter() - t0
+        identical = (
+            identical
+            and bool(np.array_equal(loads_sparse, loads_dense))
+            and all(np.array_equal(s, d) for s, d in zip(proj_sparse, proj_dense))
+        )
+        mem_ratio = sub.nbytes / dense_bytes
+        gate_ok = (not mem_gate) or mem_ratio <= 0.10
+        if not identical:
+            failures.append(f"substrate/{name} (queries)")
+        if not gate_ok:
+            failures.append(f"substrate/{name} (memory {mem_ratio:.3f} > 0.10)")
+        sub_rows.append(
+            {
+                "name": f"substrate/{name}",
+                "n": n,
+                "nnz": int(sub.nnz) if is_sparse else None,
+                "density": round(float(sub.density), 6) if is_sparse else None,
+                "sparse_nbytes": int(sub.nbytes),
+                "dense_gamma_bytes": int(dense_bytes),
+                "mem_ratio": round(mem_ratio, 6),
+                "mem_gated": mem_gate,
+                "build_sparse_s": round(build_sparse_s, 6),
+                "build_peak_bytes": int(build_peak),
+                "build_dense_s": round(build_dense_s, 6),
+                "query_sparse_s": round(query_sparse_s, 6),
+                "query_dense_s": round(query_dense_s, 6),
+                "identical": identical and gate_ok,
+            }
+        )
+        print(
+            f"substrate/{name:10s} n={n:5d} nnz={sub.nnz if is_sparse else '-':>8} "
+            f"mem {sub.nbytes / 2**20:7.2f}MiB / {dense_bytes / 2**20:7.2f}MiB "
+            f"({mem_ratio:6.1%})  build {build_sparse_s:6.2f}s/{build_dense_s:6.2f}s  "
+            f"{'ok' if identical and gate_ok else 'MISMATCH'}"
+        )
+
+        for algo in solver_algos:
             t0 = time.perf_counter()
-            loads_sparse = sub.rect_loads(coords)
-            proj_sparse = [sub.axis_prefix(1, lo, hi, reuse=False) for lo, hi in bands]
-            query_sparse_s = time.perf_counter() - t0
+            part_dense = partition_2d(pref, m_solver, algo)
+            solve_dense_s = time.perf_counter() - t0
             t0 = time.perf_counter()
-            loads_dense = pref.rect_loads(coords)
-            proj_dense = [pref.axis_prefix(1, lo, hi, reuse=False) for lo, hi in bands]
-            query_dense_s = time.perf_counter() - t0
-            identical = (
-                identical
-                and bool(np.array_equal(loads_sparse, loads_dense))
-                and all(np.array_equal(s, d) for s, d in zip(proj_sparse, proj_dense))
-            )
-            mem_ratio = sub.nbytes / dense_bytes
-            gate_ok = (not mem_gate) or mem_ratio <= 0.10
-            if not identical:
-                failures.append(f"substrate/{name} (queries)")
-            if not gate_ok:
-                failures.append(f"substrate/{name} (memory {mem_ratio:.3f} > 0.10)")
-            sub_rows.append(
+            part_sparse = partition_2d(sub, m_solver, algo)
+            solve_sparse_s = time.perf_counter() - t0
+            same = _rects_key(part_sparse) == _rects_key(part_dense)
+            if not same:
+                failures.append(f"solver/{name}/{algo}")
+            solver_rows.append(
                 {
-                    "name": f"substrate/{name}",
-                    "n": n,
-                    "nnz": int(sub.nnz) if is_sparse else None,
-                    "density": round(float(sub.density), 6) if is_sparse else None,
-                    "sparse_nbytes": int(sub.nbytes),
-                    "dense_gamma_bytes": int(dense_bytes),
-                    "mem_ratio": round(mem_ratio, 6),
-                    "mem_gated": mem_gate,
-                    "build_sparse_s": round(build_sparse_s, 6),
-                    "build_peak_bytes": int(build_peak),
-                    "build_dense_s": round(build_dense_s, 6),
-                    "query_sparse_s": round(query_sparse_s, 6),
-                    "query_dense_s": round(query_dense_s, 6),
-                    "identical": identical and gate_ok,
+                    "name": f"solver/{name}/{algo}/m={m_solver}",
+                    "sparse_s": round(solve_sparse_s, 6),
+                    "dense_s": round(solve_dense_s, 6),
+                    "identical": same,
                 }
             )
             print(
-                f"substrate/{name:10s} n={n:5d} nnz={sub.nnz if is_sparse else '-':>8} "
-                f"mem {sub.nbytes / 2**20:7.2f}MiB / {dense_bytes / 2**20:7.2f}MiB "
-                f"({mem_ratio:6.1%})  build {build_sparse_s:6.2f}s/{build_dense_s:6.2f}s  "
-                f"{'ok' if identical and gate_ok else 'MISMATCH'}"
+                f"solver/{name}/{algo}/m={m_solver}  sparse "
+                f"{solve_sparse_s * 1e3:9.2f}ms  dense {solve_dense_s * 1e3:9.2f}ms  "
+                f"{'ok' if same else 'MISMATCH'}"
             )
 
-            for algo in solver_algos:
-                t0 = time.perf_counter()
-                part_dense = partition_2d(pref, m_solver, algo)
-                solve_dense_s = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                part_sparse = partition_2d(sub, m_solver, algo)
-                solve_sparse_s = time.perf_counter() - t0
-                same = _rects_key(part_sparse) == _rects_key(part_dense)
-                if not same:
-                    failures.append(f"solver/{name}/{algo}")
-                solver_rows.append(
-                    {
-                        "name": f"solver/{name}/{algo}/m={m_solver}",
-                        "sparse_s": round(solve_sparse_s, 6),
-                        "dense_s": round(solve_dense_s, 6),
-                        "identical": same,
-                    }
-                )
-                print(
-                    f"solver/{name}/{algo}/m={m_solver}  sparse "
-                    f"{solve_sparse_s * 1e3:9.2f}ms  dense {solve_dense_s * 1e3:9.2f}ms  "
-                    f"{'ok' if same else 'MISMATCH'}"
-                )
+    # one `--scale large` cell end-to-end through the raw store: the
+    # sparse-substrate instance the profile exists for, resolved cold
+    # (computed, flushed) then warm (served from disk, no recompute)
+    sc = get_scale("large")
+    from repro.instances.spmv import spmv_sparse as _spmv_sparse
 
-        # one `--scale large` cell end-to-end through the raw store: the
-        # sparse-substrate instance the profile exists for, resolved cold
-        # (computed, flushed) then warm (served from disk, no recompute)
-        sc = get_scale("large")
-        from repro.instances.spmv import spmv_sparse as _spmv_sparse
-
-        t0 = time.perf_counter()
-        pref_large = _spmv_sparse(sc.n_spmv, model="rmat", seed=0)
-        build_large_s = time.perf_counter() - t0
-        dig = digest_prefix(pref_large)
-        with tempfile.TemporaryDirectory() as tmp:
-            cold_store = RawStore(Path(tmp) / "large")
-            with use_raw_store(None, store=cold_store):
-                t0 = time.perf_counter()
-                v_cold = _imb_cell(sc.name, dig, "JAG-M-HEUR", 16, pref_large)
-                cold_s = time.perf_counter() - t0
-            warm_store = RawStore(Path(tmp) / "large")
-            with use_raw_store(None, store=warm_store):
-                t0 = time.perf_counter()
-                v_warm = _imb_cell(sc.name, dig, "JAG-M-HEUR", 16, pref_large)
-                warm_s = time.perf_counter() - t0
-        cell_ok = (
-            isinstance(pref_large, SparsePrefix2D)
-            and v_warm == v_cold
-            and warm_store.misses == 0
-            and warm_store.hits >= 1
-        )
-        if not cell_ok:
-            failures.append("raw_store/large_cell")
-        large_cell = {
-            "name": "raw_store/large/spmv_rmat/JAG-M-HEUR/m=16",
-            "n": sc.n_spmv,
-            "scale": sc.name,
-            "build_s": round(build_large_s, 6),
-            "cold_s": round(cold_s, 6),
-            "warm_s": round(warm_s, 6),
-            "value": float(v_cold),
-            "identical": cell_ok,
-        }
-        print(
-            f"raw_store/large n={sc.n_spmv} cold {cold_s * 1e3:9.2f}ms -> warm "
-            f"{warm_s * 1e3:8.2f}ms  {'ok' if cell_ok else 'MISMATCH'}"
-        )
+    t0 = time.perf_counter()
+    pref_large = _spmv_sparse(sc.n_spmv, model="rmat", seed=0)
+    build_large_s = time.perf_counter() - t0
+    dig = digest_prefix(pref_large)
+    with tempfile.TemporaryDirectory() as tmp:
+        cold_store = RawStore(Path(tmp) / "large")
+        with use_raw_store(None, store=cold_store):
+            t0 = time.perf_counter()
+            v_cold = _imb_cell(sc.name, dig, "JAG-M-HEUR", 16, pref_large)
+            cold_s = time.perf_counter() - t0
+        warm_store = RawStore(Path(tmp) / "large")
+        with use_raw_store(None, store=warm_store):
+            t0 = time.perf_counter()
+            v_warm = _imb_cell(sc.name, dig, "JAG-M-HEUR", 16, pref_large)
+            warm_s = time.perf_counter() - t0
+    cell_ok = (
+        isinstance(pref_large, SparsePrefix2D)
+        and v_warm == v_cold
+        and warm_store.misses == 0
+        and warm_store.hits >= 1
+    )
+    if not cell_ok:
+        failures.append("raw_store/large_cell")
+    large_cell = {
+        "name": "raw_store/large/spmv_rmat/JAG-M-HEUR/m=16",
+        "n": sc.n_spmv,
+        "scale": sc.name,
+        "build_s": round(build_large_s, 6),
+        "cold_s": round(cold_s, 6),
+        "warm_s": round(warm_s, 6),
+        "value": float(v_cold),
+        "identical": cell_ok,
+    }
+    print(
+        f"raw_store/large n={sc.n_spmv} cold {cold_s * 1e3:9.2f}ms -> warm "
+        f"{warm_s * 1e3:8.2f}ms  {'ok' if cell_ok else 'MISMATCH'}"
+    )
 
     doc = {
         "schema": 1,
@@ -1227,7 +1013,7 @@ def run_dynamic(profile: str, out_path: Path) -> int:
         return partition_2d(pref, mm, "JAG-M-OPT")
 
     warm_doc: dict[str, Any]
-    with use_perf(True), tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         spath = Path(tmp) / "dynamic-store.json"
 
         solver, cold_s, cold_rects = _counting_partitioner(opt)
@@ -1337,74 +1123,6 @@ def check_identity(root: Path = REPO_ROOT) -> int:
 # driver
 
 
-def run(profile: str, out_path: Path, min_speedup: float | None) -> int:
-    tiny = profile == "tiny"
-    benches = _kernel_benches(tiny) + _figure_benches(tiny)
-
-    rows = []
-    failures = []
-    for bench in benches:
-        before_s, after_s, ref, opt = _time_pair(bench)
-        identical = bench.key(ref) == bench.key(opt)
-        if not identical:
-            failures.append(bench.name)
-        speedup = before_s / after_s if after_s > 0 else float("inf")
-        rows.append(
-            {
-                "name": bench.name,
-                "family": bench.family,
-                "before_s": round(before_s, 6),
-                "after_s": round(after_s, 6),
-                "speedup": round(speedup, 3),
-                "identical": identical,
-            }
-        )
-        print(
-            f"{bench.name:42s} {before_s * 1e3:9.2f}ms -> {after_s * 1e3:9.2f}ms "
-            f"{speedup:6.2f}x  {'ok' if identical else 'MISMATCH'}"
-        )
-
-    families: dict[str, dict[str, float]] = {}
-    for fam in sorted({r["family"] for r in rows}):
-        fam_rows = [r for r in rows if r["family"] == fam]
-        b = sum(r["before_s"] for r in fam_rows)
-        a = sum(r["after_s"] for r in fam_rows)
-        families[fam] = {
-            "before_s": round(b, 6),
-            "after_s": round(a, 6),
-            "speedup": round(b / a, 3) if a > 0 else float("inf"),
-        }
-        print(f"-- {fam:15s} aggregate {b * 1e3:9.2f}ms -> {a * 1e3:9.2f}ms  {b / a:6.2f}x")
-
-    doc = {
-        "schema": 1,
-        "generated_by": "benchmarks/perf_regress.py",
-        "profile": profile,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "benches": rows,
-        "families": families,
-        "all_identical": not failures,
-    }
-    out_path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {out_path}")
-
-    if failures:
-        print(f"FAIL: non-identical results: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    if min_speedup is not None:
-        for fam in ("jagged", "hierarchical"):
-            got = families[fam]["speedup"]
-            if got < min_speedup:
-                print(
-                    f"FAIL: {fam} aggregate speedup {got:.2f}x < {min_speedup:.2f}x",
-                    file=sys.stderr,
-                )
-                return 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
@@ -1425,40 +1143,40 @@ def main(argv: list[str] | None = None) -> int:
         "--min-speedup",
         type=float,
         default=None,
-        help="fail unless the jagged and hierarchical figure aggregates reach "
-        "this speedup (e.g. 2.0)",
+        help="--kernels: fail unless at least three kernels reach this numpy "
+        "speedup; --sweep / --figures: fail unless every aggregate does",
     )
     ap.add_argument(
         "--sweep",
         action="store_true",
-        help="run the sweep family instead: repro.sweep.sweep() m-sweeps vs "
+        help="run the sweep family: repro.sweep.sweep() m-sweeps vs "
         "per-m cold calls, asserting bit-identical rectangles per cell",
     )
     ap.add_argument(
         "--kernels",
         action="store_true",
-        help="run the kernel-registry family instead: every repro.perf.kernels "
-        "kernel timed per backend (reference/numpy/numba), asserting "
+        help="run the kernel-registry family: every repro.perf.kernels "
+        "kernel timed per backend (reference/numpy), asserting "
         "bit-identical results across backends",
     )
     ap.add_argument(
         "--figures",
         action="store_true",
-        help="run the figure-farm family instead: a fast figure subset "
+        help="run the figure-farm family: a fast figure subset "
         "regenerated cold / warm / interrupted-then-resumed against the raw "
         "store, asserting byte-identical CSVs",
     )
     ap.add_argument(
         "--sparse",
         action="store_true",
-        help="run the sparse-substrate family instead: CSR vs dense Γ memory "
+        help="run the sparse-substrate family: CSR vs dense Γ memory "
         "and wall-clock on the large-profile instances, asserting "
         "bit-identical queries and partitions across substrates",
     )
     ap.add_argument(
         "--dynamic",
         action="store_true",
-        help="run the dynamic family instead: repartitioning policies over "
+        help="run the dynamic family: repartitioning policies over "
         "the PIC snapshot stream (determinism + legacy-knob identity gates) "
         "plus warm-started per-snapshot solves from a persistent sweep store "
         "(seed/op-drop/bit-identity gates)",
@@ -1487,8 +1205,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.figures:
         out = args.out or REPO_ROOT / "BENCH_FIGURES.json"
         return run_figures(args.profile, out, args.min_speedup)
-    out = args.out or REPO_ROOT / "BENCH_core.json"
-    return run(args.profile, out, args.min_speedup)
+    ap.error("choose a family: --kernels, --sweep, --figures, --sparse, --dynamic "
+             "or --check-identity")
 
 
 if __name__ == "__main__":

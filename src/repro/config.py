@@ -2,9 +2,10 @@
 
 Each knob the codebase consults from the environment is declared here once,
 with its default and a one-line description.  The layer-specific config
-modules (:mod:`repro.perf.config`, the sweep engine) keep their own parsing — a truthy switch and a byte budget want
-different validation — but the *names and defaults* live in this table, and
-``repro-lint`` (RPL011) enforces three properties against it:
+modules (:mod:`repro.perf.config`, the sweep engine) keep their own
+parsing — a backend name and a byte budget want different validation —
+but the *names and defaults* live in this table, and ``repro-lint``
+(RPL011) enforces three properties against it:
 
 * every ``os.environ`` read in the tree happens inside a declared config
   module (this one, a ``*/config.py``, or the sweep engine);
@@ -33,14 +34,9 @@ class EnvVar:
 
 
 ENV_VARS: dict[str, EnvVar] = {
-    "REPRO_PERF": EnvVar(
-        default="1",
-        description="optimized-kernel layer switch; 0/false/off/no disables",
-        consumer="repro.perf.config",
-    ),
     "REPRO_PERF_BACKEND": EnvVar(
         default="numpy",
-        description="kernel-registry backend: reference, numpy or numba (degrades to numpy when the [perf] extra is absent)",
+        description="kernel-registry backend: reference (the scalar oracle) or numpy",
         consumer="repro.perf.config",
     ),
     "REPRO_PERF_CACHE_MB": EnvVar(

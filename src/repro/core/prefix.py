@@ -19,7 +19,7 @@ from typing import Protocol, Union, runtime_checkable
 import numpy as np
 
 from ..perf.cache import LRUCache
-from ..perf.config import cache_budget_bytes, cache_min_cells, perf_enabled
+from ..perf.config import cache_budget_bytes, cache_min_cells
 from ..perf.counters import _STACK as _OPS
 from ..perf.counters import bump, gauge
 from ..sweep.state import sweep_active
@@ -304,10 +304,10 @@ class _ProjectionMemo:
         For ``axis == 0`` this returns the length ``n1+1`` prefix of the row
         sums of columns ``[lo, hi)`` — i.e. the projection of the band onto
         the first dimension (paper §3.2: "there is actually no projection to
-        make", the prefix differences suffice).  With the perf layer enabled
-        the result is memoized per ``(axis, lo, hi)`` in a bounded LRU and
-        returned *read-only*; otherwise it is a fresh array (one vectorized
-        subtraction of two views of ``Γ``, or a sparse stripe scatter).
+        make", the prefix differences suffice).  A memoized result is kept
+        per ``(axis, lo, hi)`` in a bounded LRU and returned *read-only*; an
+        unmemoized one is a fresh array (one vectorized subtraction of two
+        views of ``Γ``, or a sparse stripe scatter).
 
         ``reuse`` controls memoization: ``True`` forces it (callers that
         revisit the same band many times, e.g. the exact-solver DPs),
@@ -316,8 +316,6 @@ class _ProjectionMemo:
         :func:`~repro.perf.config.cache_min_cells` cells — on small
         matrices the cache bookkeeping costs more than the subtraction.
         """
-        if not perf_enabled():
-            return self._axis_prefix_ref(axis, lo, hi)
         if reuse is None:
             # inlined slot read: this dispatch runs on every projection
             # query, and the resolved default is the overwhelmingly common
@@ -362,7 +360,7 @@ class _ProjectionMemo:
         ``Γ`` is zero), so that case is delegated to the memoized projection.
         ``reuse`` is forwarded to :meth:`axis_prefix`.
         """
-        if j0 == 0 and perf_enabled():
+        if j0 == 0:
             if j1 == (self.n1 if axis == 0 else self.n2):
                 return self.axis_prefix(axis, lo, hi, reuse=reuse)
             # axis prefixes start at 0, so no rebase is needed: hand out a
@@ -389,8 +387,6 @@ class _ProjectionMemo:
         Callers must treat the returned list as immutable.  ``reuse`` as in
         :meth:`axis_prefix` (``None`` defers to the instance-size default).
         """
-        if not perf_enabled():
-            return self._axis_prefix_ref(axis, lo, hi).tolist()
         if reuse is None:
             reuse = self._cache_default  # inlined, as in axis_prefix
             if reuse is None:
@@ -528,10 +524,10 @@ class PrefixSum2D(_ProjectionMemo):
     def transpose(self) -> "PrefixSum2D":
         """Prefix of the transposed matrix (for -VER algorithm variants).
 
-        With the perf layer enabled the transposed prefix is built once and
-        reused (the -BEST orientation wrappers and repeated figure sweeps
-        otherwise re-copy ``Γᵀ`` on every call); both directions share the
-        link, so ``pref.transpose().transpose() is pref``.
+        The transposed prefix is built once and reused (the -BEST
+        orientation wrappers and repeated figure sweeps otherwise re-copy
+        ``Γᵀ`` on every call); both directions share the link, so
+        ``pref.transpose().transpose() is pref``.
 
         Caching is adaptive, like the projection memo: pinning ``Γᵀ`` to
         the instance extends its lifetime and ties the pair into a reference
@@ -540,29 +536,27 @@ class PrefixSum2D(_ProjectionMemo):
         above :func:`~repro.perf.config.cache_min_cells` cells — or whenever
         a sweep is active, because the sweep stores key warm-start facts by
         object identity and the -VER variants only accumulate facts if every
-        call sees the *same* transposed prefix.  Below the threshold the
-        perf layer still copies (the per-stripe band queries of the jagged
-        heuristics want contiguous rows) but skips the constructor's border
-        re-validation — ``Γᵀ``'s zero border *is* ``Γ``'s zero border.
+        call sees the *same* transposed prefix.  Below the threshold it still
+        copies (the per-stripe band queries of the jagged heuristics want
+        contiguous rows) but skips the constructor's border re-validation —
+        ``Γᵀ``'s zero border *is* ``Γ``'s zero border.
         """
-        if perf_enabled():
-            if self._T is None and (self._reuse_default() or sweep_active()):
-                T = self._transpose_unvalidated()
-                T._T = self
-                self._T = T
-            if self._T is not None:
-                return self._T
-            return self._transpose_unvalidated()
-        return PrefixSum2D(np.ascontiguousarray(self.G.T), is_prefix=True)
+        if self._T is None and (self._reuse_default() or sweep_active()):
+            T = self._transpose_unvalidated()
+            T._T = self
+            self._T = T
+        if self._T is not None:
+            return self._T
+        return self._transpose_unvalidated()
 
     def _transpose_unvalidated(self) -> "PrefixSum2D":
         """Contiguous transposed prefix without re-running border validation.
 
         The constructor's zero-border check is a proof obligation for
         *external* prefix arrays; ``Γᵀ`` of an already-validated ``Γ``
-        satisfies it by construction, so the perf path skips the two
-        full-border scans and seeds the size- and max-element slots (both
-        are transpose-invariant) instead of re-resolving them.
+        satisfies it by construction, so this skips the two full-border
+        scans and seeds the size- and max-element slots (both are
+        transpose-invariant) instead of re-resolving them.
         """
         T = PrefixSum2D.__new__(PrefixSum2D)
         T.G = _transposed(self.G)

@@ -37,7 +37,6 @@ import numpy as np
 
 from ..config import env_str
 from ..perf.cache import LRUCache
-from ..perf.config import perf_enabled
 from ..perf.counters import _STACK as _OPS
 from ..perf.counters import bump
 from ..sweep.state import sweep_active
@@ -346,18 +345,17 @@ class SparsePrefix2D(_ProjectionMemo):
     def transpose(self) -> "SparsePrefix2D":
         """CSR substrate of the transposed matrix (for -VER variants).
 
-        Mirrors the dense twin's adaptive caching: with the perf layer on,
-        large instances (or any instance during a sweep — warm-start facts
-        key on object identity) pin the transposed substrate and back-link
-        it so ``pref.transpose().transpose() is pref``.
+        Mirrors the dense twin's adaptive caching: large instances (or any
+        instance during a sweep — warm-start facts key on object identity)
+        pin the transposed substrate and back-link it so
+        ``pref.transpose().transpose() is pref``.
         """
-        if perf_enabled():
-            if self._T is None and (self._reuse_default() or sweep_active()):
-                T = self._transpose_new()
-                T._T = self
-                self._T = T
-            if self._T is not None:
-                return self._T
+        if self._T is None and (self._reuse_default() or sweep_active()):
+            T = self._transpose_new()
+            T._T = self
+            self._T = T
+        if self._T is not None:
+            return self._T
         return self._transpose_new()
 
     def _transpose_new(self) -> "SparsePrefix2D":

@@ -19,7 +19,7 @@ from contextlib import contextmanager, nullcontext
 from multiprocessing import get_context
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
-from ..perf.config import perf_backend, perf_enabled, set_perf_backend, set_perf_enabled
+from ..perf.config import perf_backend, set_perf_backend
 from ..perf.counters import OpCounters, counting, merge_snapshot, op_counters
 from ..sweep import set_default_store
 
@@ -31,9 +31,8 @@ T = TypeVar("T")
 _ACTIVE: tuple[ProcessPoolExecutor, int] | None = None
 
 
-def _worker_init(perf_on: bool, perf_backend: str, sweep_store: str | None) -> None:
-    """Runs in each worker at spawn: mirror the parent's perf and store settings."""
-    set_perf_enabled(perf_on)
+def _worker_init(perf_backend: str, sweep_store: str | None) -> None:
+    """Runs in each worker at spawn: mirror the parent's kernel backend and store."""
     set_perf_backend(perf_backend)
     set_default_store(sweep_store)
 
@@ -53,7 +52,7 @@ def cell_pool(jobs: int, *, sweep_store: str | None = None) -> Iterator[None]:
         max_workers=jobs,
         mp_context=get_context("spawn"),
         initializer=_worker_init,
-        initargs=(perf_enabled(), perf_backend(), sweep_store),
+        initargs=(perf_backend(), sweep_store),
     ) as pool:
         prev, _ACTIVE = _ACTIVE, (pool, jobs)
         try:

@@ -1,127 +1,35 @@
 """Cut-selection helpers shared by the hierarchical algorithms (§3.3).
 
-:func:`best_weighted_cut` is exact: the balance-point search uses integer
-floor targets and candidate scores are :class:`fractions.Fraction` values,
-so HIER-RB cut decisions are bit-stable at any load magnitude.
+Both are thin dispatchers into the kernel registry
+(:mod:`repro.perf.kernels`, selected by ``REPRO_PERF_BACKEND``), working on
+a window of an un-rebased axis projection.
 
-:func:`best_relaxed_split` scores all ``m - 1`` processor splits at once
-with vectorized float arithmetic.  The relaxed node score is an *estimate*
-by construction (average loads stand in for recursive values, §3.3), near
-ties are handled explicitly below, and the final partition loads stay exact
-int64 — so the float scoring is a documented RPL003 exemption rather than a
-violation (see ``docs/lint.md``).
+:func:`best_weighted_cut_win` is exact: the balance-point search uses
+integer floor targets and candidate scores are exact Python ints scaled by
+the weight product, so HIER-RB cut decisions are bit-stable at any load
+magnitude.
 
-The windowed fast paths (``best_weighted_cut_win`` /
-``best_relaxed_split_win``) are thin dispatchers into the kernel registry
-(:mod:`repro.perf.kernels`, selected by ``REPRO_PERF_BACKEND``); the
-un-windowed functions below remain the independent reference twins the
-equality suites compare against.
+:func:`best_relaxed_split_win` scores all ``m - 1`` processor splits with
+float arithmetic.  The relaxed node score is an *estimate* by construction
+(average loads stand in for recursive values, §3.3), near ties are handled
+explicitly, and the final partition loads stay exact int64 — so the float
+scoring is a documented RPL003 exemption rather than a violation (see
+``docs/lint.md``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from ..perf.config import perf_enabled
-from ..perf.counters import _STACK as _OPS
-from ..perf.counters import bump
-from ..perf.kernels import (
-    SCALAR_MAX_M as _SCALAR_MAX_M,
-)
-from ..perf.kernels import (
-    relaxed_split_scalar as _relaxed_split_scalar,
-)
 from ..perf.kernels import relaxed_split_win, weighted_cut_win
 
-__all__ = [
-    "best_weighted_cut",
-    "best_weighted_cut_num",
-    "best_weighted_cut_win",
-    "best_relaxed_split",
-    "best_relaxed_split_win",
-]
-
-_I64_MAX = 2**63 - 1
-
-
-def best_weighted_cut(
-    bp: np.ndarray, w1: int, w2: int
-) -> tuple[int, Fraction] | None:
-    """Cut of a rebased prefix ``bp`` minimizing ``max(L1/w1, L2/w2)``.
-
-    Only non-degenerate cuts (both sides non-empty) are considered; returns
-    ``(cut, value)`` with ``cut`` relative to the prefix and ``value`` an
-    exact :class:`Fraction`, or None when the axis has fewer than 2 cells.
-    The left term grows and the right term shrinks with the cut, so the
-    minimum straddles the weighted balance point located by one binary
-    search.
-    """
-    L = len(bp) - 1
-    if L < 2:
-        return None
-    if _OPS:
-        bump("cut_calls")
-    total = int(bp[-1])
-    # integer bp ≤ total·w1/(w1+w2)  ⇔  bp ≤ floor(·): the floor target is exact
-    target = (total * w1) // (w1 + w2)
-    c = int(np.searchsorted(bp, target, side="right")) - 1
-    best: tuple[int, Fraction] | None = None
-    for cand in (c, c + 1):
-        if cand < 1 or cand > L - 1:
-            continue
-        l1 = int(bp[cand])
-        v = max(Fraction(l1, w1), Fraction(total - l1, w2))
-        if best is None or v < best[1]:
-            best = (cand, v)
-    if best is None:
-        # balance point at a border; fall back to the nearest interior cut
-        cand = min(max(c, 1), L - 1)
-        l1 = int(bp[cand])
-        best = (cand, max(Fraction(l1, w1), Fraction(total - l1, w2)))
-    return best
-
-
-def best_weighted_cut_num(bp: np.ndarray, w1: int, w2: int) -> tuple[int, int] | None:
-    """Integer-numerator twin of :func:`best_weighted_cut`.
-
-    Returns ``(cut, value · w1·w2)`` — the score scaled by the common
-    denominator, as an exact Python int.  ``max(L1/w1, L2/w2)`` compares
-    identically to ``max(L1·w2, L2·w1)`` for any fixed ``(w1, w2)`` pair,
-    and within one recursion node every candidate (either orientation,
-    either dimension) shares the product ``w1·w2``, so the chooser's
-    ordering is bit-identical to the Fraction path — without constructing
-    ~4 normalized Fractions per node.
-    """
-    L = len(bp) - 1
-    if L < 2:
-        return None
-    if _OPS:
-        bump("cut_calls")
-    total = int(bp[-1])
-    target = (total * w1) // (w1 + w2)
-    # method call: the np.searchsorted dispatch wrapper costs ~1.4 µs/call
-    c = int(bp.searchsorted(target, side="right")) - 1
-    best: tuple[int, int] | None = None
-    for cand in (c, c + 1):
-        if cand < 1 or cand > L - 1:
-            continue
-        l1 = int(bp[cand])
-        v = max(l1 * w2, (total - l1) * w1)
-        if best is None or v < best[1]:
-            best = (cand, v)
-    if best is None:
-        cand = min(max(c, 1), L - 1)
-        l1 = int(bp[cand])
-        best = (cand, max(l1 * w2, (total - l1) * w1))
-    return best
+__all__ = ["best_weighted_cut_win", "best_relaxed_split_win"]
 
 
 def best_weighted_cut_win(
     p: np.ndarray, j0: int, j1: int, orientations: tuple[tuple[int, int], ...]
 ) -> tuple[int, int, int, int] | None:
-    """Windowed, orientation-fused twin of :func:`best_weighted_cut_num`.
+    """Cut of window ``[j0, j1]`` minimizing ``max(L1/w1, L2/w2)`` over orientations.
 
     Operates directly on the *un-rebased* memoized axis projection ``p``
     restricted to window ``[j0, j1]`` — the rebased band prefix is
@@ -135,60 +43,24 @@ def best_weighted_cut_win(
 
     Dispatches to the ``weighted_cut`` registry kernel
     (:mod:`repro.perf.kernels`, ``REPRO_PERF_BACKEND``); every backend is
-    exact-int and bit-identical to rebasing + :func:`best_weighted_cut_num`.
+    exact-int: scores are ``max(L1·w2, L2·w1)``, which within one recursion
+    node (every candidate shares ``w1·w2``) orders exactly like the
+    ``Fraction`` scores ``max(L1/w1, L2/w2)``.
     """
     return weighted_cut_win(p, j0, j1, orientations)
-
-
-def best_relaxed_split(bp: np.ndarray, m: int) -> tuple[int, int, float] | None:
-    """Jointly optimal ``(cut, j, value)`` over all processor splits.
-
-    Implements the HIER-RELAXED node rule (paper §3.3): minimize
-    ``max(L1/j, L2/(m-j))`` over the cut position *and* the processor split
-    ``j ∈ [1, m-1]``.  For fixed ``j`` the optimal cut straddles the balance
-    point ``total·j/m``, so a single vectorized ``searchsorted`` over all
-    ``m-1`` targets finds every candidate at once.
-    """
-    L = len(bp) - 1
-    if L < 2 or m < 2:
-        return None
-    if _OPS:
-        bump("cut_calls")
-    total = int(bp[-1])
-    j = np.arange(1, m, dtype=np.int64)
-    if total > 0 and m > 2 and total > _I64_MAX // (m - 1):
-        # the intermediate product total·j would overflow int64 (each target
-        # itself fits — it is at most ``total``, a prefix value)
-        targets = np.array([(total * jv) // m for jv in range(1, m)], dtype=np.int64)
-    else:
-        targets = (total * j) // m  # exact integer balance targets
-    if perf_enabled() and m <= _SCALAR_MAX_M:
-        lo = bp.searchsorted(targets, side="right") - 1
-        return _relaxed_split_scalar(bp, m, total, lo.tolist(), L)
-    lo = np.searchsorted(bp, targets, side="right") - 1
-    cuts = np.concatenate([np.clip(lo, 1, L - 1), np.clip(lo + 1, 1, L - 1)])
-    jj = np.concatenate([j, j])
-    # the relaxed node score is an estimate by construction: vectorized
-    # float scoring is the documented exemption (module docstring); the
-    # partition loads themselves stay exact int64
-    l1 = bp[cuts].astype(np.float64)  # repro-lint: disable=RPL003
-    val = np.maximum(l1 / jj, (total - l1) / (m - jj))  # repro-lint: disable=RPL003
-    v = float(val.min())  # repro-lint: disable=RPL003 — reporting boundary
-    # The relaxed node score is blind to discretization error deeper in the
-    # tree, so many (cut, j) pairs score within noise of each other; among
-    # splits within 0.1% of the best score, prefer the most balanced
-    # processor split — unbalanced chains deepen the tree and accumulate
-    # rounding error (measured in benchmarks/bench_ablation_hier.py).
-    near = val <= v * (1.0 + 1e-3) + 1e-9
-    bal = np.where(near, np.minimum(jj, m - jj), -1)
-    k = int(np.argmax(bal))
-    return (int(cuts[k]), int(jj[k]), float(val[k]))  # repro-lint: disable=RPL003
 
 
 def best_relaxed_split_win(
     p: np.ndarray, j0: int, j1: int, m: int
 ) -> tuple[int, int, float] | None:
-    """Windowed twin of :func:`best_relaxed_split` on an un-rebased projection.
+    """Jointly optimal ``(cut, j, value)`` over all processor splits of a window.
+
+    Implements the HIER-RELAXED node rule (paper §3.3): minimize
+    ``max(L1/j, L2/(m-j))`` over the cut position *and* the processor split
+    ``j ∈ [1, m-1]``.  For fixed ``j`` the optimal cut straddles the balance
+    point ``total·j/m``, so one ``searchsorted`` over all ``m-1`` targets
+    finds every candidate at once.  Returns None when the window has fewer
+    than 2 cells or ``m < 2``.
 
     Same shifting argument as :func:`best_weighted_cut_win`: the rebased
     band is ``p[j0:j1+1] - base``, integer searchsorted targets shift by

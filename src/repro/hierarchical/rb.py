@@ -21,15 +21,12 @@ from __future__ import annotations
 
 from math import gcd
 
-import numpy as np
-
 from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 from ..core.rectangle import Rect
-from ..perf.config import perf_enabled
 from ..sweep.state import current as _sweep_current
-from .cuts import best_weighted_cut, best_weighted_cut_win
+from .cuts import best_weighted_cut_win
 from .tree import grow_tree, tree_to_partition
 
 __all__ = ["hier_rb", "HIER_VARIANTS"]
@@ -50,77 +47,56 @@ def _candidate_dims(variant: str, rect: Rect, depth: int) -> tuple[int, ...]:
     raise ParameterError(f"unknown variant {variant!r}; choose from {HIER_VARIANTS}")
 
 
-def _band(pref: PrefixSum2D, rect: Rect, dim: int) -> np.ndarray:
-    """Rebased prefix along ``dim`` of the sub-rectangle."""
-    if dim == 0:
-        return pref.band_prefix(0, rect.c0, rect.c1, rect.r0, rect.r1, reuse=True)
-    return pref.band_prefix(1, rect.r0, rect.r1, rect.c0, rect.c1, reuse=True)
-
-
 def _rb_chooser(variant: str):
     def choose(pref: PrefixSum2D, rect: Rect, m: int, depth: int):
         m1, m2 = m // 2, m - m // 2
         orientations = ((m1, m2),) if m1 == m2 else ((m1, m2), (m2, m1))
-        # every candidate in this node shares the weight product wl·wr, so
-        # the integer-numerator windowed scores order exactly like the
-        # Fractions of the reference path
-        fast = perf_enabled()
         # the cut decision only depends on the *ratio* m1:m2 — targets use
-        # ``(c·a)//(c·b) = a//b`` and scores scale uniformly — so the fast
-        # path searches with the gcd-reduced weights and sweep contexts
+        # ``(c·a)//(c·b) = a//b`` and scores scale uniformly — so the cut
+        # kernel searches with the gcd-reduced weights and sweep contexts
         # memoize per (sub-rectangle, dim, reduced ratio): every node of a
         # smaller power-of-two sweep step replays a larger step's decision
-        # without touching the cut kernel
+        # without touching the cut kernel.  Every candidate in this node
+        # shares the weight product, so the integer scores order exactly
+        # like the Fractions ``max(L1/wl, L2/wr)``
         d = gcd(m1, m2) or 1
         g1, g2 = m1 // d, m2 // d
         reduced = ((g1, g2),) if g1 == g2 else ((g1, g2), (g2, g1))
         memo = None
-        if fast:
-            state = _sweep_current()
-            if state is not None:
-                memo = state.hier_memo(pref, "rb")
+        state = _sweep_current()
+        if state is not None:
+            memo = state.hier_memo(pref, "rb")
         best = None  # (value, dim, cut_abs, wl, wr)
         dims = _candidate_dims(variant, rect, depth)
         fallback = tuple(d for d in (0, 1) if d not in dims)
         for dim_set in (dims, fallback):
             for dim in dim_set:
-                if fast:
-                    mkey = (rect.r0, rect.r1, rect.c0, rect.c1, dim, g1, g2)
-                    if memo is not None and mkey in memo:
-                        fact = memo[mkey]
+                mkey = (rect.r0, rect.r1, rect.c0, rect.c1, dim, g1, g2)
+                if memo is not None and mkey in memo:
+                    fact = memo[mkey]
+                else:
+                    # work on the memoized un-rebased projection directly
+                    if dim == 0:
+                        p = pref.axis_prefix(0, rect.c0, rect.c1, reuse=True)
+                        j0, j1 = rect.r0, rect.r1
                     else:
-                        # work on the memoized un-rebased projection directly
-                        if dim == 0:
-                            p = pref.axis_prefix(0, rect.c0, rect.c1, reuse=True)
-                            j0, j1 = rect.r0, rect.r1
-                        else:
-                            p = pref.axis_prefix(1, rect.r0, rect.r1, reuse=True)
-                            j0, j1 = rect.c0, rect.c1
-                        found2 = best_weighted_cut_win(p, j0, j1, reduced)
-                        if found2 is None:
-                            fact = None
-                        else:
-                            cut_rel, value, rl, _rr = found2
-                            fact = (cut_rel, value, 0 if g1 == g2 or rl == g1 else 1)
-                        if memo is not None:
-                            memo[mkey] = fact
-                    if fact is None:
-                        continue
-                    cut_rel, value, widx = fact
-                    wl, wr = orientations[widx]
-                    cut_abs = (rect.r0 if dim == 0 else rect.c0) + cut_rel
-                    if best is None or value < best[0]:
-                        best = (value, dim, cut_abs, wl, wr)
-                    continue
-                bp = _band(pref, rect, dim)
-                for wl, wr in orientations:
-                    found = best_weighted_cut(bp, wl, wr)
+                        p = pref.axis_prefix(1, rect.r0, rect.r1, reuse=True)
+                        j0, j1 = rect.c0, rect.c1
+                    found = best_weighted_cut_win(p, j0, j1, reduced)
                     if found is None:
-                        continue
-                    cut_rel, value = found
-                    cut_abs = (rect.r0 if dim == 0 else rect.c0) + cut_rel
-                    if best is None or value < best[0]:
-                        best = (value, dim, cut_abs, wl, wr)
+                        fact = None
+                    else:
+                        cut_rel, value, rl, _rr = found
+                        fact = (cut_rel, value, 0 if g1 == g2 or rl == g1 else 1)
+                    if memo is not None:
+                        memo[mkey] = fact
+                if fact is None:
+                    continue
+                cut_rel, value, widx = fact
+                wl, wr = orientations[widx]
+                cut_abs = (rect.r0 if dim == 0 else rect.c0) + cut_rel
+                if best is None or value < best[0]:
+                    best = (value, dim, cut_abs, wl, wr)
             if best is not None:
                 break  # only fall back when the preferred dims cannot be cut
         if best is None:

@@ -19,10 +19,9 @@ from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 from ..core.rectangle import Rect
-from ..perf.config import perf_enabled
 from ..sweep.state import current as _sweep_current
-from .cuts import best_relaxed_split, best_relaxed_split_win
-from .rb import HIER_VARIANTS, _band, _candidate_dims
+from .cuts import best_relaxed_split_win
+from .rb import HIER_VARIANTS, _candidate_dims
 from .tree import grow_tree, tree_to_partition
 
 __all__ = ["hier_relaxed"]
@@ -33,36 +32,30 @@ def _relaxed_chooser(variant: str):
         best = None  # (value, dim, cut_abs, j)
         dims = _candidate_dims(variant, rect, depth)
         fallback = tuple(d for d in (0, 1) if d not in dims)
-        fast = perf_enabled()
         # sweep contexts memoize per (sub-rectangle, dim, m): unlike RB the
         # split depends on the full m (float averages L/j), so facts only
         # replay at the same node processor count — still a hit whenever
         # variants share subtrees or the same m recurs across cells
         memo = None
-        if fast:
-            state = _sweep_current()
-            if state is not None:
-                memo = state.hier_memo(pref, "relaxed")
+        state = _sweep_current()
+        if state is not None:
+            memo = state.hier_memo(pref, "relaxed")
         for dim_set in (dims, fallback):
             for dim in dim_set:
-                if fast:
-                    mkey = (rect.r0, rect.r1, rect.c0, rect.c1, dim, m)
-                    if memo is not None and mkey in memo:
-                        found = memo[mkey]
-                    else:
-                        # windowed split on the memoized un-rebased
-                        # projection (bit-identical to rebasing first;
-                        # see cuts.py)
-                        if dim == 0:
-                            p = pref.axis_prefix(0, rect.c0, rect.c1, reuse=True)
-                            found = best_relaxed_split_win(p, rect.r0, rect.r1, m)
-                        else:
-                            p = pref.axis_prefix(1, rect.r0, rect.r1, reuse=True)
-                            found = best_relaxed_split_win(p, rect.c0, rect.c1, m)
-                        if memo is not None:
-                            memo[mkey] = found
+                mkey = (rect.r0, rect.r1, rect.c0, rect.c1, dim, m)
+                if memo is not None and mkey in memo:
+                    found = memo[mkey]
                 else:
-                    found = best_relaxed_split(_band(pref, rect, dim), m)
+                    # windowed split on the memoized un-rebased projection
+                    # (bit-identical to rebasing first; see cuts.py)
+                    if dim == 0:
+                        p = pref.axis_prefix(0, rect.c0, rect.c1, reuse=True)
+                        found = best_relaxed_split_win(p, rect.r0, rect.r1, m)
+                    else:
+                        p = pref.axis_prefix(1, rect.r0, rect.r1, reuse=True)
+                        found = best_relaxed_split_win(p, rect.c0, rect.c1, m)
+                    if memo is not None:
+                        memo[mkey] = found
                 if found is None:
                     continue
                 cut_rel, j, value = found

@@ -20,9 +20,6 @@ implementation defaults to the paper's practical choice ``P = √m``
 
 from __future__ import annotations
 
-import heapq
-from fractions import Fraction
-
 import numpy as np
 
 from ..core.errors import ParameterError
@@ -30,7 +27,6 @@ from ..core.partition import Partition
 from ..core.prefix import PrefixSum2D
 from ..oned.api import ONED_METHODS
 from ..perf import kernels as _kernels
-from ..perf.config import perf_enabled
 from ..sweep.state import current as _sweep_current
 from .common import build_jagged_partition, default_stripe_count, oriented
 
@@ -59,30 +55,12 @@ def allocate_processors(loads: np.ndarray, m: int) -> np.ndarray:
     q = -((-(m - P) * loads) // total)  # exact ceil((m-P)·load/total)
     np.maximum(q, 1, out=q)
     # ceil-sum can exceed m - P by at most P, and the max(·,1) bump only
-    # applies to zero-load stripes; shave overflow from the least loaded
-    # per-processor stripes, then distribute what is left.  Tie-breaking
-    # compares exact Fractions: float ratios can reorder stripes once loads
-    # outgrow 2**53 (RPL003 discipline; P ≈ √m keeps the loops cheap).
-    # The perf layer runs the same decisions on cross-multiplied ints via
-    # the ``alloc_tail`` registry kernel (bit-identical — asserted in
-    # tests/test_perf_equality.py and tests/test_kernels_equality.py).
-    if perf_enabled():
-        return _kernels.alloc_tail(loads, q, m)
-    while int(q.sum()) > m:
-        s = min(
-            (s for s in range(P) if q[s] > 1),
-            key=lambda s: Fraction(int(loads[s]), int(q[s])),
-        )
-        q[s] -= 1
-    remaining = m - int(q.sum())
-    if remaining > 0:
-        heap = [(Fraction(-int(loads[s]), int(q[s])), s) for s in range(P)]
-        heapq.heapify(heap)
-        for _ in range(remaining):
-            _, s = heapq.heappop(heap)
-            q[s] += 1
-            heapq.heappush(heap, (Fraction(-int(loads[s]), int(q[s])), s))
-    return q
+    # applies to zero-load stripes; the ``alloc_tail`` registry kernel shaves
+    # overflow from the least loaded per-processor stripes, then distributes
+    # what is left.  Tie-breaking is exact: float ratios can reorder stripes
+    # once loads outgrow 2**53 (RPL003 discipline).  Its ``reference``
+    # backend runs the paper's rule verbatim on ``Fraction`` keys.
+    return _kernels.alloc_tail(loads, q, m)
 
 
 def _stripe_candidates(pref: PrefixSum2D, m: int, spec) -> list[int]:

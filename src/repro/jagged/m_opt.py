@@ -34,7 +34,6 @@ from ..core.prefix import PrefixSum2D
 from ..oned.bisect import bisect_bottleneck
 from ..oned.probe import min_parts, probe_cuts
 from ..perf.kernels import min_parts_batch
-from ..perf.config import perf_enabled
 from ..sweep.state import current as _sweep_current
 from .common import build_jagged_partition, oriented
 from .m_heur import _jag_m_heur_main0, allocate_processors
@@ -55,15 +54,13 @@ def _stripe_min_parts(
     """Greedy rectangle count for stripe rows ``[k, i)`` at bottleneck ``B``.
 
     The feasibility DP revisits the same ``(k, i)`` stripes on every
-    bisection iteration; with the perf layer on, the stripe projection is
-    served from the prefix cache instead of re-materializing
-    ``G[i,:] - G[k,:]`` (and re-converting it to a list) per call.
+    bisection iteration, so the stripe projection is served from the
+    prefix cache instead of re-materializing ``G[i,:] - G[k,:]`` (and
+    re-converting it to a list) per call.
     ``est`` is the caller's lower bound on the interval count
     (``ceil(load/B)``): the jump-table kernel only pays off when the greedy
     walk is long, which ``est`` predicts and ``cap`` does not.
     """
-    if not perf_enabled():
-        return min_parts(pref.axis_prefix(1, k, i), B, cap=cap)
     if min(est, cap) >= _BATCH_MIN_PARTS:
         return min_parts_batch(pref.axis_prefix(1, k, i, reuse=True), B, cap=cap)
     return min_parts(pref.boundary_list(1, k, i, reuse=True), B, cap=cap)
@@ -161,7 +158,7 @@ def _memo_parts(pref: PrefixSum2D, memo: dict, k: int, i: int, B: int, cap: int,
 
 
 def _level_end_dp(pref: PrefixSum2D, B: int, m_cap: int, memo: dict) -> list[int] | None:
-    """The perf-path ``f`` (as a list), or None once a row needs more than ``m_cap``.
+    """The DP's ``f`` (as a list), or None once a row needs more than ``m_cap``.
 
     ``f`` is non-decreasing and ``parts(k, i, B)`` non-increasing in ``k``,
     so row ``i`` scans only the *level ends* (the last start of each run of
@@ -197,7 +194,11 @@ def _level_end_dp(pref: PrefixSum2D, B: int, m_cap: int, memo: dict) -> list[int
 
 
 def _reference_dp(pref: PrefixSum2D, B: int, m_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """The all-starts DP: ``f`` (``_INF`` above ``m_cap``) and each row's chosen start."""
+    """The all-starts DP: ``f`` (``_INF`` above ``m_cap``) and each row's chosen start.
+
+    The oracle :func:`_level_end_dp` and :func:`_path_start` are pinned
+    against; no solver path calls it.
+    """
     n1 = pref.n1
     rowsum = pref.axis_prefix(0, reuse=True)  # length n1+1
     f = np.full(n1 + 1, _INF, dtype=np.int64)
@@ -234,22 +235,17 @@ def _min_processors(
     of rows ``[0, i)`` (all columns).  ``memo`` carries stripe facts across
     bisection iterations (see :func:`_memo_parts`).
     """
-    if perf_enabled():
-        fl = _level_end_dp(pref, B, m_cap, {} if memo is None else memo)
-        return None if fl is None else np.array(fl, dtype=np.int64)
-    f = _reference_dp(pref, B, m_cap)[0]
-    return f if f[pref.n1] <= m_cap else None
+    fl = _level_end_dp(pref, B, m_cap, {} if memo is None else memo)
+    return None if fl is None else np.array(fl, dtype=np.int64)
 
 
-def _shared_memo(pref: PrefixSum2D) -> dict | None:
+def _shared_memo(pref: PrefixSum2D) -> dict:
     """The stripe memo to use: sweep-shared when a sweep is active.
 
     The memo facts are functions of the stripe and the probed bottleneck
     alone (m never enters), so one memo soundly serves every bisection of
     every sweep step over the same prefix.
     """
-    if not perf_enabled():
-        return None
     state = _sweep_current()
     if state is not None:
         memo = state.stripe_memo(pref)
@@ -309,7 +305,7 @@ def jag_m_opt_bottleneck(
     while lb < ub:
         mid = (lb + ub) // 2
         feasible: bool | None = None
-        entries = memo.get(_PROBE_KEY) if memo is not None else None
+        entries = memo.get(_PROBE_KEY)
         if entries is not None:
             flo, fhi = _memo_bounds(entries, mid)
             if fhi is not None and fhi <= m:
@@ -319,9 +315,8 @@ def jag_m_opt_bottleneck(
         if feasible is None:
             f = _min_processors(pref, mid, m, memo)
             feasible = f is not None
-            if memo is not None:
-                rec = (mid, int(f[pref.n1]), True) if f is not None else (mid, m + 1, False)
-                _memo_record(memo, _PROBE_KEY, entries, rec)
+            rec = (mid, int(f[pref.n1]), True) if f is not None else (mid, m + 1, False)
+            _memo_record(memo, _PROBE_KEY, entries, rec)
         if feasible:
             ub = mid
         else:
@@ -354,18 +349,12 @@ def _path_start(pref: PrefixSum2D, rs: list[int], f: list[int], i: int, B: int, 
 def _backtrack_stripes(pref: PrefixSum2D, B: int, m: int, memo: dict | None = None) -> np.ndarray:
     """Stripe cuts of a minimum-processor solution at bottleneck ``B``."""
     cuts = [pref.n1]
-    if perf_enabled():
-        memo = {} if memo is None else memo
-        fl = _level_end_dp(pref, B, m, memo)
-        assert fl is not None, "backtrack called with infeasible bottleneck"
-        rs = pref.axis_prefix(0, reuse=True).tolist()
-        while cuts[-1] > 0:
-            cuts.append(_path_start(pref, rs, fl, cuts[-1], B, memo))
-    else:
-        f, arg = _reference_dp(pref, B, m)
-        assert f[pref.n1] <= m, "backtrack called with infeasible bottleneck"
-        while cuts[-1] > 0:
-            cuts.append(int(arg[cuts[-1]]))
+    memo = {} if memo is None else memo
+    fl = _level_end_dp(pref, B, m, memo)
+    assert fl is not None, "backtrack called with infeasible bottleneck"
+    rs = pref.axis_prefix(0, reuse=True).tolist()
+    while cuts[-1] > 0:
+        cuts.append(_path_start(pref, rs, fl, cuts[-1], B, memo))
     return np.array(cuts[::-1], dtype=np.int64)
 
 

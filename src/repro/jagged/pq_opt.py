@@ -25,7 +25,6 @@ from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import PrefixSum2D
 from ..oned.probe import min_parts, probe_cuts
-from ..perf.config import perf_enabled
 from ..sweep.state import current as _sweep_current
 from .common import build_jagged_partition, choose_pq, oriented
 from .pq_heur import jag_pq_heur_cuts
@@ -37,14 +36,10 @@ def _stripe_feasible(pref: PrefixSum2D, r0: int, r1: int, Q: int, B: int) -> boo
     """Can stripe rows ``[r0, r1)`` be cut into ``<= Q`` rectangles of load ``<= B``?
 
     The outer binary search re-probes the same stripes at every bisection
-    level; with the perf layer on the stripe projection (and its one-time
-    list conversion) is served from the prefix cache instead of being
-    re-materialized per probe.
+    level, so the stripe projection (and its one-time list conversion) is
+    served from the prefix cache instead of being re-materialized per probe.
     """
-    if perf_enabled():
-        return min_parts(pref.boundary_list(1, r0, r1, reuse=True), B, cap=Q) <= Q
-    band = pref.axis_prefix(1, r0, r1)
-    return min_parts(band, B, cap=Q) <= Q
+    return min_parts(pref.boundary_list(1, r0, r1, reuse=True), B, cap=Q) <= Q
 
 
 def _max_stripe_end(pref: PrefixSum2D, r0: int, Q: int, B: int) -> int:
@@ -142,8 +137,8 @@ def _jag_pq_opt_main0(
     assert stripe_cuts is not None
     col_cuts = []
     for s in range(P):
-        # with the perf layer on this is served from the cache the
-        # feasibility probes already populated for this stripe
+        # served from the cache the feasibility probes already populated
+        # for this stripe
         band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]))
         cc = probe_cuts(band, Q, B)
         assert cc is not None

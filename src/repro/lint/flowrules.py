@@ -1,6 +1,6 @@
 """The dispatch-contract ruleset: RPL009–RPL012.
 
-The accelerated dispatch paths (perf kernels, sweep/store) sit over the
+The accelerated dispatch paths (sparse substrate, sweep/store) sit over the
 reference solvers under a **bit-identical-to-reference** contract,
 enforced dynamically by equality tests.  These rules
 make the contract machine-checked at lint time, on top of the project graph
@@ -55,7 +55,7 @@ CONTRACT_PACKAGES = HOT_PACKAGES | {"sweep", "core"}
 EQUALITY_TEST_PATTERNS = ("test_*_equality.py", "test_sweep*.py")
 
 #: boolean switches that guard a fast path against its reference twin
-GUARD_NAMES = frozenset({"perf_enabled", "sweep_active", "sparse_enabled"})
+GUARD_NAMES = frozenset({"sweep_active", "sparse_enabled"})
 
 #: dotted-target suffixes that denote the sweep-state accessor
 _SWEEP_CURRENT_SUFFIXES = ("sweep.state.current", "sweep.current")
@@ -228,7 +228,7 @@ def check_dispatch_twins(
             parents = _build_parents(fn.node)
             has_site = False
 
-            # --- branch sites: `if perf_enabled():` / `if fast:` ---------
+            # --- branch sites: `if sparse_enabled():` / `if fast:` -------
             for block in _statement_lists(fn.node):
                 for stmt in block:
                     if not isinstance(stmt, ast.If):
@@ -331,7 +331,7 @@ class DispatchTwinRule(ProjectRule):
     code = "RPL009"
     name = "dispatch-twin-contract"
     rationale = (
-        "every perf_enabled()/sweep fast path needs a reachable "
+        "every sparse_enabled()/sweep fast path needs a reachable "
         "reference twin, and its function must be reachable from an "
         "equality/sweep test — an untested twin is an unenforced contract"
     )

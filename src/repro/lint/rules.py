@@ -660,8 +660,8 @@ def check_budgets(
       ``min_parts`` walks exactly ``parts`` greedy steps after one batched
       jump-table search.
 
-    The instances are seeded, the counters deterministic, and both perf
-    modes are measured where the budget must hold in both — a budget
+    The instances are seeded, the counters deterministic, and both kernel
+    backends are measured where the budget must hold in both — a budget
     violation is a real complexity regression, never flake.
     """
     import math
@@ -671,7 +671,7 @@ def check_budgets(
     from ..core.registry import partition_2d
     from ..oned.bisect import bisect_bottleneck
     from ..oned.probe import probe
-    from ..perf import op_counters, use_perf
+    from ..perf import op_counters, use_perf_backend
 
     out: list[Violation] = []
 
@@ -690,7 +690,7 @@ def check_budgets(
     total = int(P[-1])
     for m in (3, 17):
         for B in (0, total // (2 * m), total // m, total):
-            with use_perf(False), op_counters() as ops:
+            with op_counters() as ops:
                 probe(P, m, B)
             if ops["probe_steps"] > m:
                 bad(
@@ -704,7 +704,7 @@ def check_budgets(
     lb = max(-(-total // m), max_el)
     ub = total // m + max_el
     budget = math.ceil(math.log2(ub - lb + 1)) + 1
-    with use_perf(False), op_counters() as ops:
+    with op_counters() as ops:
         bisect_bottleneck(P, m)
     if ops["probe_calls"] > budget:
         bad(
@@ -715,7 +715,7 @@ def check_budgets(
     # JAG-M-HEUR: O(n + m log n) probe work (§3.2.1)
     n, m = 64, 16
     A = np.random.default_rng(n + m).integers(0, 50, (n, n))
-    with use_perf(False), op_counters() as ops:
+    with op_counters() as ops:
         partition_2d(A, m, "JAG-M-HEUR-HOR")
     budget = 32 * (n + m * math.ceil(math.log2(n + 1)))
     if ops["probe_steps"] > budget:
@@ -724,28 +724,28 @@ def check_budgets(
             f"steps, over the 32*(n + m*log2(n)) = {budget} budget (§3.2.1)"
         )
 
-    # hierarchical: cut evaluations per tree node, both perf modes (§3.3)
+    # hierarchical: cut evaluations per tree node, both backends (§3.3)
     A = np.random.default_rng(5).integers(1, 50, (32, 32))
-    for perf in (False, True):
-        with use_perf(perf), op_counters() as ops:
+    for backend in ("reference", "numpy"):
+        with use_perf_backend(backend), op_counters() as ops:
             partition_2d(A, 16, "HIER-RB")
         if ops["cut_calls"] != 2 * 15:
             bad(
-                f"HIER-RB m=16 (perf={perf}) made {ops['cut_calls']} cut "
+                f"HIER-RB m=16 (backend={backend}) made {ops['cut_calls']} cut "
                 f"searches; power-of-two m must make exactly 2(m-1) = 30 (§3.3)"
             )
-        with use_perf(perf), op_counters() as ops:
+        with use_perf_backend(backend), op_counters() as ops:
             partition_2d(A, 13, "HIER-RB")
         if not 12 <= ops["cut_calls"] <= 4 * 12:
             bad(
-                f"HIER-RB m=13 (perf={perf}) made {ops['cut_calls']} cut "
+                f"HIER-RB m=13 (backend={backend}) made {ops['cut_calls']} cut "
                 f"searches, outside the [m-1, 4(m-1)] = [12, 48] budget (§3.3)"
             )
-        with use_perf(perf), op_counters() as ops:
+        with use_perf_backend(backend), op_counters() as ops:
             partition_2d(A, 9, "HIER-RELAXED")
         if not 8 <= ops["cut_calls"] <= 2 * 8:
             bad(
-                f"HIER-RELAXED m=9 (perf={perf}) made {ops['cut_calls']} cut "
+                f"HIER-RELAXED m=9 (backend={backend}) made {ops['cut_calls']} cut "
                 f"searches, outside the [m-1, 2(m-1)] = [8, 16] budget (§3.3)"
             )
 
@@ -754,7 +754,6 @@ def check_budgets(
     # for per-candidate walks): the batched probe advances every candidate
     # through one chained searchsorted per lockstep round, so a call costs
     # one probe_batch_calls bump and at most m searchsorted rounds
-    from ..perf.config import use_perf_backend
     from ..perf.kernels import min_parts_batch, probe_batch
 
     P = prefix_of(np.random.default_rng(29).integers(1, 100, 400))

@@ -15,9 +15,9 @@ search, and as the inner engine for generalized interval costs
 
 Perf notes (measured; see ``docs/performance.md``): for large prefixes the
 O(n) list conversion in front of the scalar probe loop dominates the whole
-O(probes · m · log n) search, so with the perf layer enabled the bisection
-probes the ndarray directly (:func:`_probe_nd`).  Batched *grid* narrowing
-via :func:`~repro.perf.kernels.probe_batch` was measured here too and lost in
+O(probes · m · log n) search, so the bisection probes the ndarray directly
+(:func:`_probe_nd`).  Batched *grid* narrowing via
+:func:`~repro.perf.kernels.probe_batch` was measured here too and lost in
 every regime — K batched candidates pay K full greedy walks but adaptive
 bisection extracts only log2(K) bits from them.  The batch kernel wins when
 many candidates are genuinely independent, which is what
@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..perf.kernels import probe_batch
-from ..perf.config import perf_enabled
 from ..perf.counters import _STACK as _OPS
 from ..perf.counters import bump
 from ..sweep.state import current as _sweep_current
@@ -131,7 +130,7 @@ def bisect_bottleneck(
         if wub is not None and wub < hi:
             hi = wub
     lb, ub = lo, max(lo, hi)
-    if perf_enabled() and isinstance(P, np.ndarray) and n >= _ND_PROBE_RATIO * m:
+    if isinstance(P, np.ndarray) and n >= _ND_PROBE_RATIO * m:
         # large prefix: skip the O(n) list conversion and probe the array
         # in place (each step is a ~0.6 µs method-call searchsorted, but
         # only O(probes · m) of them happen vs n list-element conversions)
@@ -164,15 +163,11 @@ def feasible_bottlenecks(P: np.ndarray, m: int, Bs) -> np.ndarray:
     :func:`~repro.perf.kernels.probe_batch` kernel wins at: all candidates
     advance in lockstep through one chained ``searchsorted`` per greedy
     round instead of ``len(Bs)`` separate scalar walks.  Used for
-    feasibility curves and the perf-regression harness; the reference path
-    runs the scalar probe per candidate (with the list conversion hoisted).
+    feasibility curves; the registry's ``reference`` backend runs the
+    scalar probe per candidate.
     """
     Bs = np.atleast_1d(np.asarray(Bs, dtype=np.int64))
-    if perf_enabled():
-        arr = np.asarray(P, dtype=np.int64)
-        return probe_batch(arr, m, Bs)
-    Pl = as_boundary_list(P)
-    return np.array([probe(Pl, m, int(B)) for B in Bs], dtype=bool)
+    return probe_batch(np.asarray(P, dtype=np.int64), m, Bs)
 
 
 def partition_bisect(P: np.ndarray, m: int) -> tuple[int, np.ndarray]:

@@ -20,10 +20,8 @@ furthest boundaries.  Every walk is the ``probe_multi`` kernel
   extension; every ``B' < bound`` walks the same steps and fails — a new
   lower bound.
 
-With the perf layer on, :func:`multi_bottleneck` narrows the bracket on
-both sides with these bounds; with it off, it runs plain integer bisection
-on the ``reference`` kernel (the oracle).  Either way the optimum is the
-same, and :func:`partition_multi` takes its cuts from the last feasible
+:func:`multi_bottleneck` narrows the bracket on both sides with these
+bounds, and :func:`partition_multi` takes its cuts from the last feasible
 walk, whose cuts are the greedy cuts at the optimum.
 """
 
@@ -33,16 +31,8 @@ import numpy as np
 
 from ..core.errors import ParameterError
 from ..perf import kernels as _kernels
-from ..perf.config import perf_enabled
 
 __all__ = ["probe_multi", "multi_bottleneck", "partition_multi", "multi_cuts"]
-
-
-def _walk(M, m: int, B: int) -> _kernels.MultiWalk:
-    """The greedy walk at ``B``: the active kernel, or the reference with perf off."""
-    if perf_enabled():
-        return _kernels.probe_multi(M, m, B)
-    return _kernels.kernel("probe_multi", "reference")(M, m, B)
 
 
 def _check_m(m: int) -> None:
@@ -52,13 +42,13 @@ def _check_m(m: int) -> None:
 
 def probe_multi(M, m: int, B: int) -> bool:
     """Can ``[0, n)`` be cut into ``<= m`` intervals of striped cost ``<= B``?"""
-    return _walk(M, m, B)[0]
+    return _kernels.probe_multi(M, m, B)[0]
 
 
 def multi_cuts(M, m: int, B: int) -> np.ndarray | None:
     """Greedy cuts realizing striped bottleneck ``B`` (None if infeasible)."""
     _check_m(m)
-    ok, _, cuts = _walk(M, m, B)
+    ok, _, cuts = _kernels.probe_multi(M, m, B)
     return np.array(cuts, dtype=np.int64) if ok else None
 
 
@@ -77,30 +67,17 @@ def _solve(M, m: int, ub: int | None) -> tuple[int, list[int]]:
     # (different intervals may be bottlenecked by different stripes), so the
     # first probe is the heaviest-stripe guess, or the caller's hint
     guess = max(lb, heaviest // m + max_step) if ub is None else max(lb, int(ub))
-    if perf_enabled():
-        # one interval of cost `heaviest` covers everything: the bracket
-        # [lb, hi] always holds the optimum, and every walk narrows it
-        hi, cuts = heaviest, [0] + [n] * m
-        B = guess if guess < hi else (lb + hi) // 2
-        while lb < hi:
-            ok, bound, walk = _kernels.probe_multi(M, m, B)
-            if ok:
-                hi, cuts = bound, walk
-            else:
-                lb = bound
-            B = (lb + hi) // 2
-        return lb, cuts
-    ok, _, cuts = _walk(M, m, guess)
-    while not ok:
-        guess = max(guess * 2, guess + 1)
-        ok, _, cuts = _walk(M, m, guess)
-    while lb < guess:
-        mid = (lb + guess) // 2
-        ok, _, walk = _walk(M, m, mid)
+    # one interval of cost `heaviest` covers everything: the bracket
+    # [lb, hi] always holds the optimum, and every walk narrows it
+    hi, cuts = heaviest, [0] + [n] * m
+    B = guess if guess < hi else (lb + hi) // 2
+    while lb < hi:
+        ok, bound, walk = _kernels.probe_multi(M, m, B)
         if ok:
-            guess, cuts = mid, walk
+            hi, cuts = bound, walk
         else:
-            lb = mid + 1
+            lb = bound
+        B = (lb + hi) // 2
     return lb, cuts
 
 

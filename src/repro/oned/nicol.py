@@ -38,7 +38,6 @@ from bisect import bisect_left
 
 import numpy as np
 
-from ..perf.config import perf_enabled
 from .probe import as_boundary_list, probe, probe_cuts
 
 __all__ = ["nicol", "nicol_plus", "nicol_bottleneck", "nicol_plus_bottleneck"]
@@ -138,24 +137,15 @@ def nicol(P: np.ndarray, m: int) -> tuple[int, np.ndarray]:
 def nicol_plus(P: np.ndarray, m: int) -> tuple[int, np.ndarray]:
     """Optimal 1D partition ``(bottleneck, cuts)`` via NicolPlus.
 
-    With the perf layer enabled the boundary-list conversion is shared
-    between the bottleneck search and the cut extraction (the reference
-    path's two standalone calls each convert — the jagged heuristics pay
-    that twice per stripe solve).  Same searches, same cuts.
+    The boundary-list conversion is shared between the bottleneck search
+    and the cut extraction (two standalone calls would each convert — the
+    jagged heuristics would pay that twice per stripe solve).
     """
-    if perf_enabled() and isinstance(P, np.ndarray):
-        n = len(P) - 1
-        if n == 0 or int(P[-1]) == 0:
-            B = 0
-            Pl: list = as_boundary_list(P)
-        else:
-            max_el = int(np.max(np.diff(P)))
-            Pl = as_boundary_list(P)
-            B = _nicol_plus_core(Pl, m, max_el)
-        cuts = probe_cuts(Pl, m, B)
-        assert cuts is not None
-        return B, cuts
-    B = nicol_plus_bottleneck(P, m)
-    cuts = probe_cuts(P, m, B)
+    Pl = as_boundary_list(P)
+    if len(Pl) == 1 or Pl[-1] == 0:
+        B = 0
+    else:
+        B = _nicol_plus_core(Pl, m, int(np.max(np.diff(P))))
+    cuts = probe_cuts(Pl, m, B)
     assert cuts is not None
     return B, cuts

@@ -25,7 +25,6 @@ from bisect import bisect_right
 import numpy as np
 
 from ..perf import kernels as _kernels
-from ..perf.config import perf_enabled
 from ..perf.counters import _STACK as _OPS
 from ..perf.counters import bump
 
@@ -95,32 +94,12 @@ def probe_cuts(P, m: int, B: int, lo: int = 0, hi: int | None = None) -> np.ndar
     ``cuts[m] == hi``; trailing intervals may be empty when fewer than ``m``
     intervals suffice.
 
-    With the perf layer enabled this dispatches to the ``probe_cuts`` kernel
-    (:mod:`repro.perf.kernels`): a jump-table walk in the dense-cut regime,
-    backend-selectable via ``REPRO_PERF_BACKEND``, bit-identical to the
-    scalar greedy below — which stays as the reference twin.
+    Dispatches to the ``probe_cuts`` kernel (:mod:`repro.perf.kernels`): a
+    jump-table walk in the dense-cut regime, backend-selectable via
+    ``REPRO_PERF_BACKEND``; the registry's ``reference`` backend is the
+    scalar greedy it is pinned against.
     """
-    if perf_enabled():
-        return _kernels.probe_cuts(P, m, B, lo, hi)
-    Pl = as_boundary_list(P)
-    if hi is None:
-        hi = len(Pl) - 1
-    if B < 0:
-        return None
-    cuts = np.empty(m + 1, dtype=np.int64)
-    cuts[0] = lo
-    pos = lo
-    for p in range(1, m + 1):
-        if pos < hi:
-            nxt = bisect_right(Pl, Pl[pos] + B, pos, hi + 1) - 1
-            if nxt <= pos:
-                return None
-            pos = nxt
-        cuts[p] = pos
-    if pos < hi:
-        return None
-    cuts[m] = hi
-    return cuts
+    return _kernels.probe_cuts(P, m, B, lo, hi)
 
 
 def probe_sliced(P, m: int, B: int, lo: int = 0, hi: int | None = None) -> bool:

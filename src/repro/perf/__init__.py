@@ -5,9 +5,9 @@ engineering turns exact 1D partitioning from minutes into milliseconds
 (Probe with array slicing, NicolPlus bounding).  This package carries that
 discipline through the 2D algorithms:
 
-* :mod:`repro.perf.config` — a global switch between the optimized kernels
-  and the straight-line reference paths, so the perf-regression harness can
-  measure both and the equality tests can compare them bit for bit.
+* :mod:`repro.perf.config` — the kernel-backend switch (``numpy`` runs,
+  ``reference`` is the oracle the equality tests compare it against bit for
+  bit) and the projection-memo sizing knobs.
 * :mod:`repro.perf.cache` — the bounded LRU memo behind
   :meth:`~repro.core.prefix.PrefixSum2D.axis_prefix` /
   :meth:`~repro.core.prefix.PrefixSum2D.boundary_list`: stripe projections
@@ -16,10 +16,8 @@ discipline through the 2D algorithms:
 * :mod:`repro.perf.kernels` — the stable kernel interface: a registry of
   named kernels (``probe_batch``, ``min_parts``, ``probe_cuts``,
   ``weighted_cut``, ``relaxed_split``, ``alloc_tail``, ``probe_multi``),
-  each with a scalar reference implementation, a vectorized numpy
-  implementation, and (for ``probe_batch``, ``min_parts`` and
-  ``probe_cuts``) an optional compiled numba twin, selected via
-  ``REPRO_PERF_BACKEND``.
+  each with a scalar reference implementation and a vectorized numpy
+  implementation, selected via ``REPRO_PERF_BACKEND``.
 * :mod:`repro.perf.counters` — near-zero-overhead operation counters (probe
   calls, greedy/bisection steps, rectangle-load queries) with a
   context-manager API; the substrate for ROADMAP's RPL006 complexity
@@ -27,17 +25,9 @@ discipline through the 2D algorithms:
 """
 
 from .cache import LRUCache
-from .config import (
-    cache_budget_bytes,
-    perf_backend,
-    perf_enabled,
-    set_perf_backend,
-    set_perf_enabled,
-    use_perf,
-    use_perf_backend,
-)
+from .config import cache_budget_bytes, perf_backend, set_perf_backend, use_perf_backend
 from .counters import OpCounters, bump, counting, op_counters
-from .kernels import KERNELS, kernel, min_parts_batch, numba_available, probe_batch
+from .kernels import KERNELS, kernel, min_parts_batch, probe_batch
 
 __all__ = [
     "KERNELS",
@@ -48,13 +38,9 @@ __all__ = [
     "counting",
     "kernel",
     "min_parts_batch",
-    "numba_available",
     "op_counters",
     "perf_backend",
-    "perf_enabled",
     "probe_batch",
     "set_perf_backend",
-    "set_perf_enabled",
-    "use_perf",
     "use_perf_backend",
 ]

@@ -1,36 +1,30 @@
-"""Global switch and sizing knobs for the optimized kernel layer.
+"""Backend selection and sizing knobs for the optimized kernel layer.
 
-Every optimized code path in the repo dispatches on :func:`perf_enabled` and
-keeps the straight-line reference implementation alive next to it.  That
-costs one branch per call, and buys two properties the perf work depends on:
+Every hot inner loop of the partitioners is a named kernel in the registry
+(:mod:`repro.perf.kernels`), and every kernel has two implementations:
+``numpy`` (the default — the vectorized paths every solver runs) and
+``reference`` (the scalar ground truth the equality suites pin ``numpy``
+against bit for bit).  ``REPRO_PERF_BACKEND`` selects which one the
+registry resolves; :func:`use_perf_backend` scopes the choice in tests and
+benchmarks.  ``REPRO_PERF_BACKEND=reference`` is also the switch to reach
+for when bisecting a suspected kernel bug.
 
-* the perf-regression harness (``benchmarks/perf_regress.py``) can time the
-  *same* entry points before and after, in one process, and
-* the equality tests can assert the optimized kernels produce bit-identical
-  partitions to the reference paths on randomized instances.
+Whether the projection memo is used is a separate, per-substrate decision:
+the ``reuse=`` argument of the projection queries, defaulting to
+:func:`cache_min_cells`.
 
-The switch defaults to on; ``REPRO_PERF=0`` in the environment turns the
-whole layer off (useful for bisecting a suspected cache bug).
-
-Orthogonal to the on/off switch, ``REPRO_PERF_BACKEND`` selects which
-implementation the kernel registry (:mod:`repro.perf.kernels`) resolves for
-the *fast* branch: ``numpy`` (the default — the vectorized paths), ``numba``
-(the optional compiled twins; silently degrades to numpy when the ``[perf]``
-extra is not installed), or ``reference`` (the registry's scalar ground
-truth, for timing and debugging).  Unrecognized values fall back to
-``numpy``.
+Malformed values are rejected with a ``ValueError`` naming the variable:
+a typo must never quietly select a different backend or budget.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
+from ..config import ENV_VARS, env_str
+
 __all__ = [
-    "perf_enabled",
-    "set_perf_enabled",
-    "use_perf",
     "perf_backend",
     "set_perf_backend",
     "use_perf_backend",
@@ -38,52 +32,31 @@ __all__ = [
     "cache_min_cells",
 ]
 
-_ENABLED: bool = os.environ.get("REPRO_PERF", "1").strip().lower() not in {
-    "0",
-    "false",
-    "off",
-    "no",
-}
-
-#: default per-prefix cache budget; enough for the JAG-M-OPT feasibility DP
-#: on the small-profile instances to keep every (stripe start, stripe end)
-#: band resident across all bisection iterations.
-_DEFAULT_CACHE_MB = 64
-
-
-def perf_enabled() -> bool:
-    """True when the optimized kernels are active (default)."""
-    return _ENABLED
-
-
-def set_perf_enabled(on: bool) -> bool:
-    """Set the global switch; returns the previous value."""
-    global _ENABLED
-    prev = _ENABLED
-    _ENABLED = bool(on)
-    return prev
-
-
-@contextmanager
-def use_perf(on: bool) -> Iterator[None]:
-    """Context manager scoping the global switch (used by tests/benchmarks)."""
-    prev = set_perf_enabled(on)
-    try:
-        yield
-    finally:
-        set_perf_enabled(prev)
-
-
 #: backends the kernel registry can resolve (see repro.perf.kernels)
-_VALID_BACKENDS = ("reference", "numpy", "numba")
+_VALID_BACKENDS = ("reference", "numpy")
 
 
-def _parse_backend(raw: str) -> str:
-    val = raw.strip().lower()
-    return val if val in _VALID_BACKENDS else "numpy"
+def _parse_backend() -> str:
+    """``REPRO_PERF_BACKEND`` (case-insensitive; unset or empty means numpy)."""
+    val = env_str("REPRO_PERF_BACKEND").strip().lower() or "numpy"
+    if val not in _VALID_BACKENDS:
+        raise ValueError(
+            f"REPRO_PERF_BACKEND={val!r} is not a kernel backend; "
+            f"expected one of {_VALID_BACKENDS}"
+        )
+    return val
 
 
-_BACKEND: str = _parse_backend(os.environ.get("REPRO_PERF_BACKEND", "numpy"))
+def _env_int(name: str) -> int:
+    """Integer value of declared env var ``name`` (unset or empty: its default)."""
+    raw = env_str(name).strip() or ENV_VARS[name].default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not an integer") from None
+
+
+_BACKEND: str = _parse_backend()
 
 
 def perf_backend() -> str:
@@ -94,8 +67,7 @@ def perf_backend() -> str:
 def set_perf_backend(name: str) -> str:
     """Set the kernel backend; returns the previous one.
 
-    Raises ``ValueError`` on unknown names — unlike the environment parse,
-    which falls back to ``numpy``, a programmatic typo should be loud.
+    Raises ``ValueError`` on unknown names.
     """
     global _BACKEND
     if name not in _VALID_BACKENDS:
@@ -116,34 +88,24 @@ def use_perf_backend(name: str) -> Iterator[None]:
 
 
 def cache_budget_bytes() -> int:
-    """Per-prefix projection-cache budget in bytes (``REPRO_PERF_CACHE_MB``)."""
-    raw = os.environ.get("REPRO_PERF_CACHE_MB", "").strip()
-    try:
-        mb = int(raw) if raw else _DEFAULT_CACHE_MB
-    except ValueError:
-        mb = _DEFAULT_CACHE_MB
-    return max(1, mb) * 1024 * 1024
+    """Per-prefix projection-cache budget in bytes (``REPRO_PERF_CACHE_MB``).
 
-
-#: instance size (n1·n2 cells) below which projection memoization is skipped
-#: by default: on small matrices the straight-line subtraction is cheaper
-#: than the cache key/lookup bookkeeping (measured — see the small-instance
-#: rows of BENCH_core.json and docs/performance.md), and the exact solvers
-#: that *do* win from reuse at any size request it explicitly per call.
-_DEFAULT_CACHE_MIN_CELLS = 65536
+    The 64 MiB default keeps every (stripe start, stripe end) band of the
+    JAG-M-OPT feasibility DP on the small-profile instances resident across
+    all bisection iterations.
+    """
+    return max(1, _env_int("REPRO_PERF_CACHE_MB")) * 1024 * 1024
 
 
 def cache_min_cells() -> int:
     """Memoization size threshold in cells (``REPRO_PERF_CACHE_MIN_CELLS``).
 
-    Callers that pass an explicit ``reuse=`` to the projection queries are
-    unaffected; this only sets the default for call sites that leave the
-    decision to the instance size.  ``0`` restores the pre-threshold
-    behavior (memoize always).
+    Below the 65536-cell default the straight-line subtraction is cheaper
+    than the cache key/lookup bookkeeping (measured — see
+    docs/performance.md), and the exact solvers that *do* win from reuse at
+    any size request it explicitly per call.  Callers that pass an explicit
+    ``reuse=`` to the projection queries are unaffected; this only sets the
+    default for call sites that leave the decision to the instance size.
+    ``0`` restores the pre-threshold behavior (memoize always).
     """
-    raw = os.environ.get("REPRO_PERF_CACHE_MIN_CELLS", "").strip()
-    try:
-        cells = int(raw) if raw else _DEFAULT_CACHE_MIN_CELLS
-    except ValueError:
-        cells = _DEFAULT_CACHE_MIN_CELLS
-    return max(0, cells)
+    return max(0, _env_int("REPRO_PERF_CACHE_MIN_CELLS"))

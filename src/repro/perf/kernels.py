@@ -1,40 +1,27 @@
 """The stable kernel interface: named kernels × selectable backends.
 
 Grown out of ``repro.perf.batch`` (PR 2): every vectorized inner loop of the
-partitioners now lives here as a *named kernel* with up to three
-implementations —
+partitioners lives here as a *named kernel* with two implementations —
 
 ``reference``
-    A self-contained scalar transliteration of the algorithm module's
-    straight-line path (Python ``bisect`` / exact int arithmetic).  This is
-    the ground truth the other backends are property-tested against
-    bit-for-bit (``tests/test_kernels_equality.py``).
+    A self-contained scalar transliteration of the algorithm (Python
+    ``bisect`` / exact int arithmetic).  This is the oracle the ``numpy``
+    backend is property-tested against bit-for-bit
+    (``tests/test_kernels_equality.py``, ``tests/test_backend_equality.py``).
 ``numpy``
     The vectorized array-program formulation (chained/jump-table
     ``searchsorted``, fused windowed scoring).  The default backend, and
-    exactly the behavior the perf layer shipped before the registry existed.
-``numba``
-    An optional compiled twin (``pip install .[perf]``), lazily imported
-    from :mod:`repro.perf._numba` on first use.  When numba is absent — or a
-    kernel has no compiled form — resolution silently degrades to ``numpy``;
-    requesting the backend never errors.  Kernels whose decisions need
-    arbitrary-precision Python-int arithmetic (``weighted_cut``,
-    ``relaxed_split``, ``alloc_tail``) deliberately have no compiled form:
-    int64 nopython arithmetic could overflow where the contract promises
-    exactness at any load magnitude.  ``probe_multi`` has none either.
+    the only production path.
 
 The backend is selected by ``REPRO_PERF_BACKEND`` (parsed in
 :mod:`repro.perf.config`, declared in :data:`repro.config.ENV_VARS`), or
-scoped with :func:`repro.perf.config.use_perf_backend`.  Backend selection
-is *orthogonal* to :func:`~repro.perf.config.perf_enabled`: call sites keep
-their ``perf_enabled()`` dispatch and reference twins (the RPL009 contract),
-and only the fast branch routes through this registry.
+scoped with :func:`repro.perf.config.use_perf_backend`.  Call sites always
+resolve through :func:`kernel`, so switching the backend swaps every
+kernel call at once.
 
 This module is deliberately self-contained — it imports nothing from the
 algorithm packages (``oned``/``jagged``/``hierarchical``), because those
-packages import *it*; the reference implementations are transliterations,
-pinned against the originals by the equality suites rather than by sharing
-code.
+packages import *it*.
 
 Overflow discipline: every ``searchsorted`` target is clamped into the
 window (``target = p[pos] + min(B, p[hi] - p[pos])`` decides identically —
@@ -63,7 +50,6 @@ __all__ = [
     "Kernel",
     "KERNELS",
     "kernel",
-    "numba_available",
     "probe_batch",
     "min_parts_batch",
     "probe_cuts",
@@ -683,8 +669,8 @@ def _alloc_tail_numpy(loads: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
 
     Same decisions (exact comparisons, first minimal index wins) on plain
     Python ints — int64 scalar arithmetic and ``Fraction`` construction both
-    disappear from the per-call cost.  No compiled form on purpose: the
-    cross products exceed int64 once loads approach ``2**32``.
+    disappear from the per-call cost.  The cross products exceed int64 once
+    loads approach ``2**32``, so they stay unbounded Python ints.
     """
     P = len(loads)
     ql = [int(x) for x in q]
@@ -817,24 +803,17 @@ def _probe_multi_numpy(M: Any, m: int, B: int) -> MultiWalk:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Kernel:
-    """One named kernel: reference/numpy implementations, optional compiled."""
+    """One named kernel: its reference (oracle) and numpy implementations."""
 
     name: str
     reference: Callable[..., Any]
     numpy: Callable[..., Any]
-    numba_attr: str | None = None  #: wrapper name in :mod:`repro.perf._numba`
 
 
 KERNELS: dict[str, Kernel] = {
-    "probe_batch": Kernel(
-        "probe_batch", _probe_batch_reference, _probe_batch_numpy, "probe_batch"
-    ),
-    "min_parts": Kernel(
-        "min_parts", _min_parts_reference, _min_parts_numpy, "min_parts_batch"
-    ),
-    "probe_cuts": Kernel(
-        "probe_cuts", _probe_cuts_reference, _probe_cuts_numpy, "probe_cuts"
-    ),
+    "probe_batch": Kernel("probe_batch", _probe_batch_reference, _probe_batch_numpy),
+    "min_parts": Kernel("min_parts", _min_parts_reference, _min_parts_numpy),
+    "probe_cuts": Kernel("probe_cuts", _probe_cuts_reference, _probe_cuts_numpy),
     "weighted_cut": Kernel("weighted_cut", _weighted_cut_reference, _weighted_cut_numpy),
     "relaxed_split": Kernel(
         "relaxed_split", _relaxed_split_reference, _relaxed_split_numpy
@@ -843,45 +822,16 @@ KERNELS: dict[str, Kernel] = {
     "probe_multi": Kernel("probe_multi", _probe_multi_reference, _probe_multi_numpy),
 }
 
-_NUMBA_MOD: Any | None = None
-_NUMBA_FAILED: bool = False
-
-
-def _numba_module() -> Any | None:
-    """The compiled-backend module, imported lazily; ``None`` when absent."""
-    global _NUMBA_MOD, _NUMBA_FAILED
-    if _NUMBA_MOD is None and not _NUMBA_FAILED:
-        try:
-            from . import _numba as mod
-        except ImportError:
-            _NUMBA_FAILED = True
-            return None
-        _NUMBA_MOD = mod
-    return _NUMBA_MOD
-
-
-def numba_available() -> bool:
-    """True when the compiled backend can serve requests (``[perf]`` extra)."""
-    return _numba_module() is not None
-
 
 def kernel(name: str, backend: str | None = None) -> Callable[..., Any]:
-    """Resolve kernel ``name`` for ``backend`` (default: the active one).
-
-    The ``numba`` backend degrades per kernel: kernels without a compiled
-    implementation — or any kernel when numba is not installed — resolve to
-    the numpy implementation.  Requesting it never raises.
-    """
+    """Resolve kernel ``name`` for ``backend`` (default: the active one)."""
     k = KERNELS[name]
     b = perf_backend() if backend is None else backend
     if b == "reference":
         return k.reference
-    if b == "numba" and k.numba_attr is not None:
-        mod = _numba_module()
-        if mod is not None:
-            impl: Callable[..., Any] = getattr(mod, k.numba_attr)
-            return impl
-    return k.numpy
+    if b == "numpy":
+        return k.numpy
+    raise ValueError(f"unknown kernel backend {b!r}")
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,6 @@ from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, _as_int64, prefix_2d
 from ..jagged.common import choose_pq
 from ..oned.multicost import partition_multi
-from ..perf.config import perf_enabled
 from .common import build_rectilinear_partition, grid_bottleneck
 from .uniform import uniform_cuts
 
@@ -91,7 +90,7 @@ def rect_nicol(
     safe warm start used instead is internal: each striped sub-problem is
     seeded with the incumbent grid bottleneck as its first probe point,
     which :func:`~repro.oned.multicost.multi_bottleneck` probes rather than
-    trusts (perf-gated; the reference path keeps the cold bracket).
+    trusts.
     """
     pref = prefix_2d(A)
     if P is None or Q is None:
@@ -108,7 +107,6 @@ def rect_nicol(
     best = grid_bottleneck(pref, row_cuts, col_cuts)
     best_cuts = (row_cuts.copy(), col_cuts.copy())
     iters_used = 0
-    fast = perf_enabled()
     # the current cuts achieve `cur` on the grid, so `cur` upper-bounds the
     # next refinement's striped optimum — a valid (and verified) hint
     cur = best
@@ -118,13 +116,13 @@ def rect_nicol(
         # each refinement's striped bottleneck IS the grid bottleneck of the
         # (fixed, refined) pair
         M = _stripe_matrix(pref, row_cuts, 0)
-        b1, col_cuts = partition_multi(M, Q, ub=cur if fast else None)
+        b1, col_cuts = partition_multi(M, Q, ub=cur)
         cur = b1
         if b1 < best:
             best = b1
             best_cuts = (row_cuts.copy(), col_cuts.copy())
         M = _stripe_matrix(pref, col_cuts, 1)
-        b2, row_cuts = partition_multi(M, P, ub=cur if fast else None)
+        b2, row_cuts = partition_multi(M, P, ub=cur)
         cur = b2
         iters_used = it + 1
         if b2 < best:

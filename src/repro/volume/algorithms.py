@@ -166,7 +166,7 @@ def vol_hier_rb(A, m: int) -> Partition3D:
             total = int(bp[-1])
             for wl, wr in orientations:
                 # exact integer balance target and Fraction scores, as in
-                # hierarchical.cuts.best_weighted_cut (RPL003 discipline)
+                # the HIER-RB weighted-cut kernel (RPL003 discipline)
                 target = (total * wl) // procs
                 c = int(np.searchsorted(bp, target, side="right")) - 1
                 for cand in (c, c + 1):

@@ -31,7 +31,7 @@ from repro.core.prefix import PrefixSum2D
 from repro.core.registry import partition_2d
 from repro.oned.bisect import bisect_bottleneck, feasible_bottlenecks
 from repro.oned.probe import min_parts, probe
-from repro.perf import min_parts_batch, op_counters, use_perf, use_perf_backend
+from repro.perf import min_parts_batch, op_counters, use_perf_backend
 from repro.perf.counters import OpCounters
 
 from .conftest import prefix_of
@@ -127,20 +127,21 @@ def test_bisect_probe_count_logarithmic(P):
     max_el = int(np.max(np.diff(P)))
     lb = max(-(-total // m), max_el)
     ub = total // m + max_el
-    with use_perf(False), op_counters() as ops:
+    with op_counters() as ops:
         bisect_bottleneck(P, m)
     assert ops["probe_calls"] <= math.ceil(math.log2(ub - lb + 1)) + 1
 
 
 def test_bisect_nd_probe_path_same_probe_count():
-    # large prefix: the perf path skips the list conversion but runs the
-    # *same* adaptive bisection — identical answer, identical probe count
+    # large prefix: the ndarray path skips the list conversion but runs the
+    # *same* adaptive bisection as the list path (a list input) — identical
+    # answer, identical probe count
     rng = np.random.default_rng(23)
     P = prefix_of(rng.integers(0, 1_000_000, 8_000))
     m = 11
-    with use_perf(False), op_counters() as ref:
-        want = bisect_bottleneck(P, m)
-    with use_perf(True), op_counters() as opt:
+    with op_counters() as ref:
+        want = bisect_bottleneck(P.tolist(), m)
+    with op_counters() as opt:
         got = bisect_bottleneck(P, m)
     assert got == want
     assert opt["probe_calls"] == ref["probe_calls"]
@@ -148,16 +149,16 @@ def test_bisect_nd_probe_path_same_probe_count():
 
 
 def test_feasibility_curve_batches_into_one_kernel_call():
-    # K independent candidates: the scalar path pays K probe calls, the
-    # batch path exactly one probe_batch invocation with m rounds at most
+    # K independent candidates: the reference kernel pays K probe calls, the
+    # numpy kernel exactly one probe_batch invocation with m rounds at most
     rng = np.random.default_rng(29)
     P = prefix_of(rng.integers(0, 1_000, 600))
     m = 9
     total = int(P[-1])
     Bs = list(range(total // (2 * m), 2 * total // m, max(total // (20 * m), 1)))
-    with use_perf(False), op_counters() as ref:
+    with use_perf_backend("reference"), op_counters() as ref:
         want = feasible_bottlenecks(P, m, Bs)
-    with use_perf(True), op_counters() as opt:
+    with op_counters() as opt:
         got = feasible_bottlenecks(P, m, Bs)
     np.testing.assert_array_equal(got, want)
     assert ref["probe_calls"] == len(Bs)
@@ -174,7 +175,7 @@ def test_feasibility_curve_batches_into_one_kernel_call():
 def test_jag_m_heur_probe_steps_within_paper_bound(n, m):
     rng = np.random.default_rng(n + m)
     A = rng.integers(0, 50, (n, n))
-    with use_perf(False), op_counters() as ops:
+    with op_counters() as ops:
         partition_2d(A, m, "JAG-M-HEUR-HOR")
     bound = n + m * math.ceil(math.log2(n + 1))
     # fixed constant covering the stripe-count search and the per-stripe
@@ -190,30 +191,30 @@ def test_hier_rb_cut_calls_even_splits():
     rng = np.random.default_rng(5)
     A = rng.integers(1, 50, (32, 32))
     m = 16  # powers of two split evenly at every node: one orientation each
-    for perf in (False, True):
-        with use_perf(perf), op_counters() as ops:
+    for backend in ("reference", "numpy"):
+        with use_perf_backend(backend), op_counters() as ops:
             partition_2d(A, m, "HIER-RB")
-        assert ops["cut_calls"] == 2 * (m - 1), f"perf={perf}"
+        assert ops["cut_calls"] == 2 * (m - 1), backend
 
 
 def test_hier_rb_cut_calls_odd_splits_at_most_4_per_node():
     rng = np.random.default_rng(6)
     A = rng.integers(1, 50, (32, 32))
     for m in (7, 13, 23):
-        for perf in (False, True):
-            with use_perf(perf), op_counters() as ops:
+        for backend in ("reference", "numpy"):
+            with use_perf_backend(backend), op_counters() as ops:
                 partition_2d(A, m, "HIER-RB")
-            assert m - 1 <= ops["cut_calls"] <= 4 * (m - 1), f"m={m} perf={perf}"
+            assert m - 1 <= ops["cut_calls"] <= 4 * (m - 1), (m, backend)
 
 
 def test_hier_relaxed_cut_calls_bounded_by_tree():
     rng = np.random.default_rng(8)
     A = rng.integers(1, 50, (32, 32))
     for m in (4, 9, 16):
-        for perf in (False, True):
-            with use_perf(perf), op_counters() as ops:
+        for backend in ("reference", "numpy"):
+            with use_perf_backend(backend), op_counters() as ops:
                 partition_2d(A, m, "HIER-RELAXED")
-            assert m - 1 <= ops["cut_calls"] <= 2 * (m - 1), f"m={m} perf={perf}"
+            assert m - 1 <= ops["cut_calls"] <= 2 * (m - 1), (m, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def test_hier_relaxed_cut_calls_bounded_by_tree():
 def test_jag_m_opt_projection_cache_hits():
     rng = np.random.default_rng(9)
     A = rng.integers(0, 60, (48, 48))
-    with use_perf(True), op_counters() as ops:
+    with op_counters() as ops:
         pref = PrefixSum2D(A)
         partition_2d(pref, 12, "JAG-M-OPT-HOR")
     assert ops["proj_hits"] > 0
@@ -251,9 +252,9 @@ def test_striped_bisection_tightens_from_both_sides(monkeypatch, P, Q):
 
     monkeypatch.setitem(kernels.KERNELS, "probe_multi", dataclasses.replace(k, numpy=counted))
     M = _stripe_matrix(PrefixSum2D(peak(256, seed=0)), uniform_cuts(256, P), 0)
-    with use_perf(True), use_perf_backend("numpy"):
+    with use_perf_backend("numpy"):
         B = multi_bottleneck(M, Q)
-    with use_perf(False):
+    with use_perf_backend("reference"):
         assert multi_bottleneck(M, Q) == B
     assert len(walks) <= 10, walks
 
@@ -264,6 +265,6 @@ def test_jag_m_opt_scans_level_end_starts_only():
     # instance, against 975 when every start in [0, i) is a candidate
     rng = np.random.default_rng(9)
     A = rng.integers(0, 60, (48, 48))
-    with use_perf(True), op_counters() as ops:
+    with op_counters() as ops:
         partition_2d(PrefixSum2D(A), 12, "JAG-M-OPT-HOR")
     assert ops["proj_queries"] <= 600

@@ -15,7 +15,7 @@ from repro.hierarchical import (
     hier_rb,
     hier_relaxed,
 )
-from repro.hierarchical.cuts import best_relaxed_split, best_weighted_cut
+from repro.hierarchical.cuts import best_relaxed_split_win, best_weighted_cut_win
 
 from .conftest import load_matrices, prefix_of
 
@@ -26,29 +26,40 @@ tiny_matrices = hnp.arrays(
 )
 
 
+def weighted_cut(bp, w1, w2):
+    """``(cut, max(L1/w1, L2/w2) · w1·w2)`` over the whole prefix, or None."""
+    found = best_weighted_cut_win(bp, 0, len(bp) - 1, ((w1, w2),))
+    return None if found is None else found[:2]
+
+
+def relaxed_split(bp, m):
+    return best_relaxed_split_win(bp, 0, len(bp) - 1, m)
+
+
 class TestCutHelpers:
     def test_weighted_cut_balances(self):
         bp = prefix_of([4, 4, 4, 4])
-        cut, val = best_weighted_cut(bp, 1, 1)
+        cut, val = weighted_cut(bp, 1, 1)
         assert cut == 2 and val == 8
 
     def test_weighted_cut_respects_weights(self):
         bp = prefix_of([3, 3, 3, 3])
-        cut, val = best_weighted_cut(bp, 3, 1)
+        cut, val = weighted_cut(bp, 3, 1)
         assert cut == 3  # 9 load for 3 procs vs 3 for 1
+        assert val == 9  # max(9/3, 3/1) = 3, scaled by w1·w2 = 3
 
     def test_weighted_cut_too_short(self):
-        assert best_weighted_cut(prefix_of([5]), 1, 1) is None
+        assert weighted_cut(prefix_of([5]), 1, 1) is None
 
     def test_relaxed_split_uniformish(self):
         bp = prefix_of([2] * 16)
-        cut, j, val = best_relaxed_split(bp, 4)
+        cut, j, val = relaxed_split(bp, 4)
         assert 1 <= cut <= 15 and 1 <= j <= 3
         assert val == pytest.approx(8.0)
 
     def test_relaxed_split_too_small(self):
-        assert best_relaxed_split(prefix_of([5]), 4) is None
-        assert best_relaxed_split(prefix_of([5, 5]), 1) is None
+        assert relaxed_split(prefix_of([5]), 4) is None
+        assert relaxed_split(prefix_of([5, 5]), 1) is None
 
 
 @pytest.mark.parametrize("algo", [hier_rb, hier_relaxed])

@@ -558,7 +558,7 @@ class TestRPL009DispatchTwins:
             "def fast(x):\n"
             "    return x\n\n"
             "def solve(x):\n"
-            "    if perf_enabled():\n"
+            "    if sparse_enabled():\n"
             "        return fast(x)\n"
         )
         assert [v.rule for v in out] == ["RPL009"]
@@ -571,7 +571,7 @@ class TestRPL009DispatchTwins:
             "def ref(x):\n"
             "    return x\n\n"
             "def solve(x):\n"
-            "    if perf_enabled():\n"
+            "    if sparse_enabled():\n"
             "        return fast(x)\n"
             "    return ref(x)\n"
         )
@@ -584,7 +584,7 @@ class TestRPL009DispatchTwins:
             "def ref(x):\n"
             "    return x\n\n"
             "def solve(x):\n"
-            "    if perf_enabled():\n"
+            "    if sparse_enabled():\n"
             "        return fast(x)\n"
             "    else:\n"
             "        return ref(x)\n"
@@ -598,7 +598,7 @@ class TestRPL009DispatchTwins:
             "def ref(a):\n"
             "    return a\n\n"
             "def solve(a, b):\n"
-            "    if perf_enabled():\n"
+            "    if sparse_enabled():\n"
             "        return fast(a, b)\n"
             "    else:\n"
             "        return ref(a)\n"
@@ -613,7 +613,7 @@ class TestRPL009DispatchTwins:
             "def ref(x):\n"
             "    return x\n\n"
             "def solve(x):\n"
-            "    if perf_enabled():\n"
+            "    if sparse_enabled():\n"
             "        return fast(x)\n"
             "    return ref(x)\n",
             tests=[],
@@ -628,7 +628,7 @@ class TestRPL009DispatchTwins:
             "def ref(x):\n"
             "    return x\n\n"
             "def solve(x):\n"
-            "    if perf_enabled():\n"
+            "    if sparse_enabled():\n"
             "        return fast(x)\n"
             "    return ref(x)\n"
         )
@@ -652,7 +652,7 @@ class TestRPL009DispatchTwins:
             "def ref(x):\n"
             "    return x\n\n"
             "def solve(x):\n"
-            "    if perf_enabled():\n"
+            "    if sparse_enabled():\n"
             "        return fast(x)\n"
             "    return ref(x)\n"
         )
@@ -683,9 +683,7 @@ class TestRPL009DoctoredTree:
         assert codes(res) == []
         assert res.exit_code == 0
 
-    @pytest.mark.parametrize(
-        "victim", ["test_perf_equality.py", "test_sparse_equality.py"]
-    )
+    @pytest.mark.parametrize("victim", ["test_sparse_equality.py"])
     def test_deleting_equality_test_fails_lint(self, tmp_path, victim):
         res = self._doctored(tmp_path, victim)
         assert res.exit_code == 1
@@ -882,7 +880,12 @@ class TestRPL011ConfigRegistry:
         source = (REPO_ROOT / "src" / "repro" / "config.py").read_text(encoding="utf-8")
         declared = ConfigRegistryRule._parse_declared(ast.parse(source))
         assert set(declared) == set(ENV_VARS)
-        assert declared["REPRO_PERF"] and "1" in declared["REPRO_PERF"]
+        assert "numpy" in declared["REPRO_PERF_BACKEND"]
+
+    def test_retired_perf_switch_is_not_declared(self):
+        # the kernel registry's backend is the only dispatch switch left
+        source = (REPO_ROOT / "src" / "repro" / "config.py").read_text(encoding="utf-8")
+        assert "REPRO_PERF" not in ConfigRegistryRule._parse_declared(ast.parse(source))
 
 
 class TestRPL012ResourceLifecycle:

@@ -1,8 +1,8 @@
 """Tests for the striped-cost 1D solver used by RECT-NICOL.
 
-The perf-on solve narrows its bracket with the bounds each walk proves;
-the perf-off solve is plain bisection on the reference walk.  Both must
-return the same optimum and the same cuts, for any ``ub`` hint.
+The solve narrows its bracket with the bounds each walk proves.  On either
+kernel backend it must return the brute-force optimum and the greedy cuts
+at it, for any ``ub`` hint.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.errors import ParameterError
 from repro.oned.multicost import multi_bottleneck, multi_cuts, partition_multi, probe_multi
-from repro.perf import use_perf
+from repro.perf import use_perf_backend
 
 stripe_loads = hnp.arrays(
     dtype=np.int64,
@@ -102,9 +102,9 @@ class TestBoundTightening:
         want = brute(M, m)
         hints = {"neg": -7, "below": want - 1, "at": want, "above": 2 * want + 3, "huge": 10**30}
         ub = hints[where]
-        for perf in (True, False):
-            with use_perf(perf):
-                assert multi_bottleneck(M, m, ub=ub) == want, perf
+        for backend in ("numpy", "reference"):
+            with use_perf_backend(backend):
+                assert multi_bottleneck(M, m, ub=ub) == want, backend
                 B, cuts = partition_multi(M, m, ub=ub)
             assert B == want
             np.testing.assert_array_equal(cuts, multi_cuts(M, m, want))
@@ -113,29 +113,33 @@ class TestBoundTightening:
     @settings(max_examples=80, deadline=None)
     def test_cuts_are_the_greedy_cuts_at_the_optimum(self, A, m):
         M = stack_prefix(A)
-        with use_perf(False):
+        with use_perf_backend("reference"):
             B_ref, cuts_ref = partition_multi(M, m)
-        with use_perf(True):
-            B, cuts = partition_multi(M, m)
+        B, cuts = partition_multi(M, m)
         assert B == B_ref and cuts.tolist() == cuts_ref.tolist()
         assert striped_cost(M, cuts) == B
 
     def test_wide_stripes_match_plain_bisection(self, rng):
-        # n >> m: the windowed walk doubles its window on most steps
+        # n >> m: the windowed walk doubles its window on most steps; the
+        # oracle is plain integer bisection over the reference walk
         M = stack_prefix(rng.integers(0, 1_000, (5, 3_000)))
         for m in (1, 2, 7, 40):
-            with use_perf(False):
-                want = partition_multi(M, m)
+            lo, hi = 0, int(M[:, -1].max())
+            with use_perf_backend("reference"):
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if probe_multi(M, m, mid) else (mid + 1, hi)
+                want_cuts = multi_cuts(M, m, lo)
             got = partition_multi(M, m, ub=int(M[:, -1].max()) // m)
-            assert got[0] == want[0] and got[1].tolist() == want[1].tolist()
+            assert got[0] == lo and got[1].tolist() == want_cuts.tolist()
 
 
 class TestParameterValidation:
     @pytest.mark.parametrize("m", [0, -1])
-    @pytest.mark.parametrize("perf", [True, False])
-    def test_m_below_one_is_a_parameter_error(self, m, perf):
+    @pytest.mark.parametrize("backend", ["numpy", "reference"])
+    def test_m_below_one_is_a_parameter_error(self, m, backend):
         M = stack_prefix(np.array([[3, 1, 4], [1, 5, 9]]))
-        with use_perf(perf):
+        with use_perf_backend(backend):
             with pytest.raises(ParameterError, match="m must be >= 1"):
                 multi_bottleneck(M, m)
             with pytest.raises(ParameterError, match="m must be >= 1"):

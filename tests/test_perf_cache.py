@@ -1,8 +1,8 @@
 """Tests for the perf-layer cache: LRU bounds, projection memos, identity.
 
-The optimized kernels only help if the cached arrays are (a) exactly the
-arrays the reference path would have built, (b) impossible to corrupt
-through the shared references, and (c) bounded in memory.  Each property is
+The projection memo only helps if the cached arrays are (a) exactly the
+arrays the unmemoized (``reuse=False``) path builds, (b) impossible to
+corrupt through the shared references, and (c) bounded in memory.  Each property is
 tested directly here; the end-to-end bit-identity of whole partitions lives
 in ``tests/test_perf_equality.py``.
 """
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.prefix import PrefixSum1D, PrefixSum2D
-from repro.perf import LRUCache, use_perf
+from repro.perf import LRUCache
 from repro.perf.cache import sizeof_entry
 from repro.perf.config import cache_budget_bytes, cache_min_cells
 
@@ -79,8 +79,11 @@ def test_lru_clear_keeps_statistics():
 def test_cache_budget_env_knob(monkeypatch):
     monkeypatch.setenv("REPRO_PERF_CACHE_MB", "3")
     assert cache_budget_bytes() == 3 * 1024 * 1024
+    monkeypatch.setenv("REPRO_PERF_CACHE_MB", "")
+    assert cache_budget_bytes() == 64 * 1024 * 1024  # empty means the default
     monkeypatch.setenv("REPRO_PERF_CACHE_MB", "not-a-number")
-    assert cache_budget_bytes() == 64 * 1024 * 1024  # falls back to default
+    with pytest.raises(ValueError, match="REPRO_PERF_CACHE_MB"):
+        cache_budget_bytes()
     monkeypatch.setenv("REPRO_PERF_CACHE_MB", "0")
     assert cache_budget_bytes() == 1024 * 1024  # floored at 1 MB
 
@@ -90,85 +93,79 @@ def test_cache_budget_env_knob(monkeypatch):
 
 
 def test_axis_prefix_memoized_and_frozen(pref):
-    with use_perf(True):
-        p1 = pref.axis_prefix(1, 3, 9, reuse=True)
-        p2 = pref.axis_prefix(1, 3, 9, reuse=True)
-        assert p1 is p2  # served from the memo, not recomputed
-        assert not p1.flags.writeable
-        with pytest.raises(ValueError):
-            p1[0] = 99
+    p1 = pref.axis_prefix(1, 3, 9, reuse=True)
+    p2 = pref.axis_prefix(1, 3, 9, reuse=True)
+    assert p1 is p2  # served from the memo, not recomputed
+    assert not p1.flags.writeable
+    with pytest.raises(ValueError):
+        p1[0] = 99
 
 
 def test_axis_prefix_matches_reference(pref):
     for axis in (0, 1):
         n = pref.n2 if axis == 0 else pref.n1
         for lo, hi in ((0, n), (2, n - 1), (5, 6)):
-            with use_perf(False):
-                ref = pref.axis_prefix(axis, lo, hi)
-            with use_perf(True):
-                opt = pref.axis_prefix(axis, lo, hi)
+            ref = pref.axis_prefix(axis, lo, hi, reuse=False)
+            opt = pref.axis_prefix(axis, lo, hi, reuse=True)
             np.testing.assert_array_equal(ref, opt)
 
 
 def test_axis_prefix_bypasses_cache_when_disabled(pref):
-    with use_perf(False):
-        p1 = pref.axis_prefix(1, 3, 9)
-        p2 = pref.axis_prefix(1, 3, 9)
+    p1 = pref.axis_prefix(1, 3, 9, reuse=False)
+    p2 = pref.axis_prefix(1, 3, 9, reuse=False)
     assert p1 is not p2
-    assert p1.flags.writeable  # reference path hands out private arrays
+    assert p1.flags.writeable  # the unmemoized path hands out private arrays
 
 
 def test_boundary_list_memoized_and_exact(pref):
-    with use_perf(True):
-        bl1 = pref.boundary_list(1, 2, 11, reuse=True)
-        bl2 = pref.boundary_list(1, 2, 11, reuse=True)
-        assert bl1 is bl2
-        assert bl1 == pref.axis_prefix(1, 2, 11).tolist()
-    with use_perf(False):
-        assert pref.boundary_list(1, 2, 11) == bl1
+    bl1 = pref.boundary_list(1, 2, 11, reuse=True)
+    bl2 = pref.boundary_list(1, 2, 11, reuse=True)
+    assert bl1 is bl2
+    assert bl1 == pref.axis_prefix(1, 2, 11).tolist()
+    assert pref.boundary_list(1, 2, 11, reuse=False) == bl1
 
 
 def test_band_prefix_equals_reference(pref):
     for axis, j_end in ((0, pref.n1), (1, pref.n2)):
         for j0, j1 in ((0, j_end), (0, j_end - 2), (3, j_end - 1)):
-            with use_perf(False):
-                ref = pref.band_prefix(axis, 1, 7, j0, j1)
-            with use_perf(True):
-                opt = pref.band_prefix(axis, 1, 7, j0, j1)
-            np.testing.assert_array_equal(ref, opt)
-            assert ref[0] == 0 == opt[0]
+            full = pref.axis_prefix(axis, 1, 7, reuse=False)
+            ref = full[j0 : j1 + 1] - full[j0]
+            for reuse in (False, True):
+                opt = pref.band_prefix(axis, 1, 7, j0, j1, reuse=reuse)
+                np.testing.assert_array_equal(ref, opt)
+                assert opt[0] == 0
 
 
-def test_transpose_is_involutive_under_perf():
+def test_transpose_is_involutive_under_perf(monkeypatch):
     # at/above the size threshold the transposed prefix is pinned: built
     # once, and the back-link makes the pair involutive
     big = PrefixSum2D(np.ones((260, 260), dtype=np.int64))
     assert big.n1 * big.n2 >= cache_min_cells()
-    with use_perf(True):
-        T = big.transpose()
-        assert T.transpose() is big
-        assert big.transpose() is T  # built once
-    with use_perf(False):
-        assert big.transpose() is not big.transpose()
+    T = big.transpose()
+    assert T.transpose() is big
+    assert big.transpose() is T  # built once
     np.testing.assert_array_equal(T.G, big.G.T)
+    # the same instance below a raised threshold is copied on every call
+    monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", str(big.n1 * big.n2 + 1))
+    fresh = PrefixSum2D(big.G, is_prefix=True)
+    assert fresh.transpose() is not fresh.transpose()
 
 
 def test_transpose_cache_is_adaptive(pref):
     # below the threshold the copy is cheaper than pinning the pair into a
     # reference cycle: every call returns a fresh prefix...
     assert pref.n1 * pref.n2 < cache_min_cells()
-    with use_perf(True):
-        assert pref.transpose() is not pref.transpose()
-        # ...except during a sweep, where warm-start facts are keyed by
-        # object identity and the -VER variants need a stable transpose
-        from repro.sweep.engine import use_sweep
+    assert pref.transpose() is not pref.transpose()
+    # ...except during a sweep, where warm-start facts are keyed by
+    # object identity and the -VER variants need a stable transpose
+    from repro.sweep.engine import use_sweep
 
-        with use_sweep():
-            T = pref.transpose()
-            assert pref.transpose() is T
-            assert T.transpose() is pref
-        # the pin installed by the sweep persists for the instance lifetime
+    with use_sweep():
+        T = pref.transpose()
         assert pref.transpose() is T
+        assert T.transpose() is pref
+    # the pin installed by the sweep persists for the instance lifetime
+    assert pref.transpose() is T
     np.testing.assert_array_equal(T.G, pref.G.T)
 
 
@@ -188,9 +185,8 @@ def test_max_element_cached_and_correct():
 
 def test_projection_cache_is_per_instance(pref):
     other = PrefixSum2D(np.ones((4, 4), dtype=np.int64))
-    with use_perf(True):
-        pref.axis_prefix(1, 0, 2, reuse=True)
-        assert other._cache is None or len(other.projection_cache()) == 0
+    pref.axis_prefix(1, 0, 2, reuse=True)
+    assert other._cache is None or len(other.projection_cache()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -202,31 +198,30 @@ def test_small_instance_skips_memo_by_default(pref):
     # the straight-line path (fresh writable arrays, nothing cached) so the
     # small-instance heuristics do not pay cache bookkeeping
     assert pref.n1 * pref.n2 < cache_min_cells()
-    with use_perf(True):
-        p1 = pref.axis_prefix(1, 3, 9)
-        p2 = pref.axis_prefix(1, 3, 9)
-        assert p1 is not p2
-        assert p1.flags.writeable
-        bl = pref.boundary_list(1, 3, 9)
-        assert bl == p1.tolist()
+    p1 = pref.axis_prefix(1, 3, 9)
+    p2 = pref.axis_prefix(1, 3, 9)
+    assert p1 is not p2
+    assert p1.flags.writeable
+    bl = pref.boundary_list(1, 3, 9)
+    assert bl == p1.tolist()
     assert pref._cache is None or len(pref._cache) == 0
 
 
 def test_explicit_reuse_overrides_size_default(pref):
-    with use_perf(True):
-        p1 = pref.axis_prefix(0, 1, 5, reuse=True)
-        assert pref.axis_prefix(0, 1, 5, reuse=True) is p1
-        # reuse=False forces the straight-line path even after a cached hit
-        p3 = pref.axis_prefix(0, 1, 5, reuse=False)
-        assert p3 is not p1
-        np.testing.assert_array_equal(p3, p1)
+    p1 = pref.axis_prefix(0, 1, 5, reuse=True)
+    assert pref.axis_prefix(0, 1, 5, reuse=True) is p1
+    # reuse=False forces the straight-line path even after a cached hit
+    p3 = pref.axis_prefix(0, 1, 5, reuse=False)
+    assert p3 is not p1
+    np.testing.assert_array_equal(p3, p1)
 
 
 def test_cache_min_cells_env_knob(monkeypatch):
     monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", "100")
     assert cache_min_cells() == 100
     monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", "not-a-number")
-    assert cache_min_cells() == 65536  # falls back to the default
+    with pytest.raises(ValueError, match="REPRO_PERF_CACHE_MIN_CELLS"):
+        cache_min_cells()
     monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", "-5")
     assert cache_min_cells() == 0  # floored: memoize always
 
@@ -235,15 +230,12 @@ def test_zero_threshold_restores_always_memoize(monkeypatch):
     monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", "0")
     rng = np.random.default_rng(5)
     small = PrefixSum2D(rng.integers(0, 50, (17, 23)))  # fresh: default unresolved
-    with use_perf(True):
-        assert small.axis_prefix(1, 3, 9) is small.axis_prefix(1, 3, 9)
+    assert small.axis_prefix(1, 3, 9) is small.axis_prefix(1, 3, 9)
 
 
 def test_size_default_resolved_once_per_instance(monkeypatch, pref):
-    with use_perf(True):
-        pref.axis_prefix(1, 3, 9)  # resolves the default (below threshold)
+    pref.axis_prefix(1, 3, 9)  # resolves the default (below threshold)
     monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", "0")
-    with use_perf(True):
-        # the instance keeps its resolved default; only fresh prefixes see
-        # the new threshold (documented process-level-knob behavior)
-        assert pref.axis_prefix(1, 3, 9) is not pref.axis_prefix(1, 3, 9)
+    # the instance keeps its resolved default; only fresh prefixes see
+    # the new threshold (documented process-level-knob behavior)
+    assert pref.axis_prefix(1, 3, 9) is not pref.axis_prefix(1, 3, 9)

@@ -1,14 +1,16 @@
-"""Property tests: optimized kernels are bit-identical to the reference paths.
+"""Property tests: optimized kernels are bit-identical to the reference oracles.
 
 The perf layer's contract (docs/performance.md) is *exact* equality, not
-approximate: every optimized kernel dispatches on ``perf_enabled()`` and
-must produce the same integers — same probe decisions, same cut positions,
-same rectangles — as the straight-line reference implementation it
-replaces.  These tests drive both paths on randomized instances and compare
-the raw outputs.
+approximate: every kernel's ``numpy`` backend must produce the same
+integers — same probe decisions, same cut positions, same rectangles — as
+its ``reference`` backend, and the JAG-M-OPT level-end DP must match the
+all-starts DP (:func:`repro.jagged.m_opt._reference_dp`).  These tests
+drive both on randomized instances and compare the raw outputs.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,17 +20,17 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.prefix import PrefixSum2D
 from repro.core.registry import partition_2d
-from repro.hierarchical.cuts import (
-    best_relaxed_split,
-    best_relaxed_split_win,
-    best_weighted_cut,
-    best_weighted_cut_num,
-    best_weighted_cut_win,
+from repro.hierarchical.cuts import best_relaxed_split_win, best_weighted_cut_win
+from repro.jagged.m_opt import (
+    _backtrack_stripes,
+    _min_processors,
+    _reference_dp,
+    jag_m_opt_bottleneck,
 )
-from repro.jagged.m_opt import _backtrack_stripes, _min_processors, jag_m_opt_bottleneck
 from repro.oned.bisect import bisect_bottleneck, feasible_bottlenecks
+from repro.oned.nicol import nicol_plus_bottleneck
 from repro.oned.probe import min_parts, probe
-from repro.perf import min_parts_batch, probe_batch, use_perf
+from repro.perf import kernel, min_parts_batch, probe_batch, use_perf_backend
 from repro.sweep import use_sweep
 
 from .conftest import load_arrays, prefix_of
@@ -95,20 +97,28 @@ def test_min_parts_batch_windowed():
 
 
 # ---------------------------------------------------------------------------
-# cut kernels vs the Fraction / vectorized references
+# cut kernels vs the Fraction / reference oracles
+
+
+def _fraction_score(bp: np.ndarray, c: int, w1: int, w2: int) -> Fraction:
+    """The paper's weighted-cut score in exact Fractions: ``max(L1/w1, L2/w2)``."""
+    return max(Fraction(int(bp[c]), w1), Fraction(int(bp[-1]) - int(bp[c]), w2))
 
 
 @settings(max_examples=80, deadline=None)
 @given(values=load_arrays, w1=st.integers(1, 9), w2=st.integers(1, 9))
 def test_weighted_cut_num_orders_like_fractions(values, w1, w2):
     bp = prefix_of(values)
-    ref = best_weighted_cut(bp, w1, w2)
-    num = best_weighted_cut_num(bp, w1, w2)
-    if ref is None:
+    L = len(bp) - 1
+    num = kernel("weighted_cut", "reference")(bp, 0, L, ((w1, w2),))
+    if L < 2:
         assert num is None
         return
-    assert num[0] == ref[0]
-    assert num[1] == ref[1] * w1 * w2  # same score, scaled by the denominator
+    # brute force over every interior cut: the kernel's cut attains the
+    # Fraction optimum, and its integer score is that optimum times w1·w2
+    best = min(_fraction_score(bp, c, w1, w2) for c in range(1, L))
+    assert _fraction_score(bp, num[0], w1, w2) == best
+    assert num[1] == best * w1 * w2
 
 
 @settings(max_examples=80, deadline=None)
@@ -119,26 +129,19 @@ def test_windowed_cut_kernels_match_rebased(values, m, data):
     j0 = data.draw(st.integers(0, n), label="j0")
     j1 = data.draw(st.integers(j0, n), label="j1")
     bp = p[j0 : j1 + 1] - p[j0]
+    L = j1 - j0
 
     m1, m2 = m // 2, m - m // 2
     orients = ((m1, m2),) if m1 == m2 else ((m1, m2), (m2, m1))
-    win = best_weighted_cut_win(p, j0, j1, orients)
-    # reference: sequential first-occurrence minimum over the orientations
-    seq = None
-    for w1, w2 in orients:
-        f = best_weighted_cut_num(bp, w1, w2)
-        if f is not None and (seq is None or f[1] < seq[1]):
-            seq = (f[0], f[1], w1, w2)
-    assert win == seq
+    ref_cut = kernel("weighted_cut", "reference")(bp, 0, L, orients)
+    assert best_weighted_cut_win(p, j0, j1, orients) == ref_cut
 
-    with use_perf(False):
-        ref_split = best_relaxed_split(bp, m)
-    split = best_relaxed_split_win(p, j0, j1, m)
-    assert split == ref_split
+    ref_split = kernel("relaxed_split", "reference")(bp, 0, L, m)
+    assert best_relaxed_split_win(p, j0, j1, m) == ref_split
 
 
 # ---------------------------------------------------------------------------
-# whole-algorithm bit identity: perf on vs perf off
+# whole-algorithm bit identity: numpy kernels vs reference kernels
 
 
 def _rects(A, m, method):
@@ -166,17 +169,16 @@ def test_partitions_bit_identical_across_modes(method):
     for seed, m in ((0, 5), (1, 9), (2, 16)):
         rng = np.random.default_rng(seed)
         A = rng.integers(0, 60, (21, 17))
-        with use_perf(False):
+        with use_perf_backend("reference"):
             ref = _rects(A, m, method)
-        with use_perf(True):
-            opt = _rects(A, m, method)
+        opt = _rects(A, m, method)
         assert ref == opt, f"{method} diverged (seed={seed}, m={m})"
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_allocate_processors_identical_across_modes(data):
-    # the perf path replaces Fraction-keyed ratio comparisons with exact
+    # the numpy kernel replaces Fraction-keyed ratio comparisons with exact
     # cross-multiplied ints; the allocation must match entry for entry,
     # ties included (first minimal stripe wins in both)
     from repro.jagged.m_heur import allocate_processors
@@ -195,10 +197,9 @@ def test_allocate_processors_identical_across_modes(data):
         ),
         dtype=object,
     )
-    with use_perf(False):
+    with use_perf_backend("reference"):
         ref = allocate_processors(loads.astype(np.int64, copy=False), m)
-    with use_perf(True):
-        opt = allocate_processors(loads.astype(np.int64, copy=False), m)
+    opt = allocate_processors(loads.astype(np.int64, copy=False), m)
     assert ref.tolist() == opt.tolist()
 
 
@@ -210,10 +211,9 @@ def test_partitions_bit_identical_with_zeros_and_spikes():
     A[3, 5] = 10_000
     for method in ("JAG-M-HEUR", "JAG-M-OPT", "HIER-RB", "HIER-RELAXED"):
         for m in (2, 7, 12):
-            with use_perf(False):
+            with use_perf_backend("reference"):
                 ref = _rects(A, m, method)
-            with use_perf(True):
-                opt = _rects(A, m, method)
+            opt = _rects(A, m, method)
             assert ref == opt, (method, m)
 
 
@@ -250,50 +250,67 @@ def _jag_m_opt_outputs(A, ms):
     return out
 
 
+def _reference_outputs(A, ms):
+    """Optimum and stripe cuts from the all-starts DP alone: bisection + argmin chain."""
+    pref = PrefixSum2D(A)
+    out = []
+    for m in ms:
+        lo, hi = 0, pref.total
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _reference_dp(pref, mid, m)[0][pref.n1] <= m:
+                hi = mid
+            else:
+                lo = mid + 1
+        arg = _reference_dp(pref, lo, m)[1]
+        cuts = [pref.n1]
+        while cuts[-1] > 0:
+            cuts.append(int(arg[cuts[-1]]))
+        out.append((lo, cuts[::-1]))
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(A=tie_heavy_matrices(), data=st.data())
 def test_min_processors_identical_across_modes(A, data):
-    # the perf path scans level-end starts only; f must match the
+    # the level-end DP scans level-end starts only; f must match the
     # all-starts reference entry for entry, including at B below the
     # largest cell (infeasible: both None) and m >= n1
     m = data.draw(st.integers(1, A.shape[0] + 4), label="m")
     B = data.draw(st.integers(0, int(A.max()) + int(A.sum())), label="B")
-    with use_perf(False):
-        ref = _min_processors(PrefixSum2D(A), B, m)
-    with use_perf(True):
-        opt = _min_processors(PrefixSum2D(A), B, m)
-    assert (ref is None) == (opt is None)
-    if ref is not None:
-        assert ref.tolist() == opt.tolist()
+    f = _reference_dp(PrefixSum2D(A), B, m)[0]
+    opt = _min_processors(PrefixSum2D(A), B, m)
+    assert (f[A.shape[0]] > m) == (opt is None)
+    if opt is not None:
+        assert f.tolist() == opt.tolist()
 
 
 @settings(max_examples=150, deadline=None)
 @given(A=tie_heavy_matrices(), data=st.data())
 def test_jag_m_opt_backtrack_identical_across_modes(A, data):
-    # the perf backtrack resolves the reference tie-break only on the path
-    # rows: bottleneck, stripe cuts and rectangles must all match, cold and
+    # the backtrack resolves the all-starts tie-break only on the path rows:
+    # bottleneck and stripe cuts must match the reference DP's argmin chain,
+    # and the rectangles must not move — on either kernel backend, cold and
     # with facts shared across the m values of one sweep scope
     ms = data.draw(st.lists(st.integers(1, A.shape[0] + 4), min_size=1, max_size=3), label="ms")
-    with use_perf(False):
-        ref = _jag_m_opt_outputs(A, ms)
-    with use_perf(True):
-        assert _jag_m_opt_outputs(A, ms) == ref
-        with use_sweep():
-            assert _jag_m_opt_outputs(A, ms) == ref
+    out = _jag_m_opt_outputs(A, ms)
+    assert [(B, cuts) for B, cuts, _ in out] == _reference_outputs(A, ms)
+    with use_sweep():
+        assert _jag_m_opt_outputs(A, ms) == out
+    with use_perf_backend("reference"):
+        assert _jag_m_opt_outputs(A, ms) == out
 
 
 def test_bisect_bottleneck_identical_on_nd_probe_path():
-    # n >= 512*m: the perf path probes the ndarray directly, skipping the
+    # n >= 512*m: the bisection probes the ndarray directly, skipping the
     # list conversion — the bottleneck must not move by a single unit
+    # against the list path (a list input) or the independent NicolPlus
     rng = np.random.default_rng(13)
     values = rng.integers(0, 1_000_000, 8_000)
     P = prefix_of(values)
     for m in (3, 7, 15):
-        with use_perf(False):
-            ref = bisect_bottleneck(P, m)
-        with use_perf(True):
-            opt = bisect_bottleneck(P, m)
-        assert ref == opt
+        opt = bisect_bottleneck(P, m)
+        assert opt == bisect_bottleneck(P.tolist(), m) == nicol_plus_bottleneck(P, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,10 +322,9 @@ def test_feasible_bottlenecks_identical_across_modes(values, m, data):
         st.lists(st.integers(-2, total + 2), min_size=1, max_size=10),
         label="bottleneck candidates",
     )
-    with use_perf(False):
+    with use_perf_backend("reference"):
         ref = feasible_bottlenecks(P, m, Bs)
-    with use_perf(True):
-        opt = feasible_bottlenecks(P, m, Bs)
+    opt = feasible_bottlenecks(P, m, Bs)
     np.testing.assert_array_equal(ref, opt)
     np.testing.assert_array_equal(ref, [probe(P, m, int(B)) for B in Bs])
 
@@ -318,11 +334,10 @@ def test_shared_prefix_instance_is_safe_across_methods():
     # must never leak state between them
     rng = np.random.default_rng(42)
     A = rng.integers(0, 60, (20, 20))
-    with use_perf(True):
-        pref = PrefixSum2D(A)
-        shared = [partition_2d(pref, 6, mth).rects for mth in EQUALITY_METHODS]
+    pref = PrefixSum2D(A)
+    shared = [partition_2d(pref, 6, mth).rects for mth in EQUALITY_METHODS]
     fresh = []
     for mth in EQUALITY_METHODS:
-        with use_perf(False):
+        with use_perf_backend("reference"):
             fresh.append(partition_2d(PrefixSum2D(A), 6, mth).rects)
     assert shared == fresh
