@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint lint-fast lint-sarif ruff mypy test figures figures-smoke bench-kernels bench-kernels-smoke bench-sweep bench-sweep-smoke bench-figures bench-figures-smoke bench-sparse bench-sparse-smoke bench-dynamic bench-dynamic-smoke bench-check-identity bench-e2e-smoke bench-e2e
+.PHONY: check lint lint-fast lint-sarif ruff mypy test figures figures-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
 
 check: ruff mypy lint test
 	@echo "make check: all gates passed"
@@ -65,47 +65,6 @@ bench-kernels:
 
 bench-kernels-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --kernels --profile tiny
-
-# sweep family: repro.sweep.sweep() m-sweeps vs per-m cold calls, asserting
-# every cell bit-identical; writes BENCH_sweep.json
-bench-sweep:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --sweep --min-speedup 1.5
-
-bench-sweep-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --sweep --profile tiny
-
-# figure-farm family: a fast figure subset regenerated cold / warm /
-# interrupted-then-resumed against the raw store, gated on byte-identical
-# CSVs; writes BENCH_FIGURES.json
-bench-figures:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --figures --min-speedup 5.0
-
-bench-figures-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --figures --profile tiny
-
-# sparse-substrate family: CSR substrate vs dense Γ on the large-profile
-# instances (4096² spmv/mesh/slac), gated on bit-identical queries and
-# partitions and on spmv substrate memory <= 10% of dense Γ bytes; writes
-# BENCH_sparse.json
-bench-sparse:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --sparse
-
-bench-sparse-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --sparse --profile tiny
-
-# dynamic family: repartitioning policies over the PIC snapshot stream
-# (determinism + legacy-knob identity) plus warm-started per-snapshot
-# solves from a persistent sweep store (seed / op-drop / bit-identity
-# gates); writes BENCH_dynamic.json
-bench-dynamic:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --dynamic
-
-bench-dynamic-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --dynamic --profile tiny
-
-# committed-baseline gate: fail on any `identical: false` in BENCH_*.json
-bench-check-identity:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --check-identity
 
 # smoke test of the end-to-end benchmark (BENCHMARK.json): every workload
 # at ~5% of its ops, outputs checked against golden.json.  The first run

@@ -20,8 +20,8 @@ and dense row/column *marginal* prefixes.  It satisfies the same
 * stripe projections (:meth:`_axis_prefix_ref`) by scatter-add over only
   the nonzeros inside the stripe;
 * all arithmetic exact ``int64`` — the bit-identity contract with the
-  dense substrate holds on every solver family, which the
-  ``tests/test_sparse_equality.py`` gate enforces.
+  dense substrate holds on every solver family, which the differential
+  matrix (``tests/test_backend_equality.py``) enforces.
 
 :func:`auto_substrate` dispatches between the two substrates on the
 ``REPRO_SPARSE_THRESHOLD`` density knob (registered in

@@ -22,7 +22,8 @@ from ..sweep import use_sweep
 from ..sweep.state import canonical_scope
 from ..theory.bounds import theorem3_ratio
 from .harness import FigureResult, timed
-from .pool import pmap, pmap_batched
+# pmap has no caller here, but benchmarks/e2e/tracing.py patches figures.pmap
+from .pool import pmap, pmap_batched  # noqa: F401
 from .rawstore import (
     MISS,
     RawStore,
@@ -87,37 +88,21 @@ def _imbalance_cell(payload) -> tuple[int, float]:
     return part.max_load(pref), pref.total / m
 
 
-def _avg_imbalance(
-    spec: tuple[str, int], seeds: int, algo: str, m: int, **kw
-) -> float:
-    """Paper's synthetic-dataset metric: ``sum_I Lmax(I) / sum_I Lavg(I) - 1``.
-
-    ``spec`` names the instance family and size, e.g. ``("peak", 1024)``.
-    The cells are independent; :func:`~repro.experiments.pool.pmap` preserves
-    seed order, so the float reduction is bit-identical for any worker count.
-    """
-    cells = pmap(_imbalance_cell, [(spec[0], spec[1], s, algo, m, kw) for s in range(seeds)])
-    lmax_sum = sum(lmax for lmax, _ in cells)
-    lavg_sum = 0.0
-    for _, lavg in cells:
-        lavg_sum += lavg
-    return lmax_sum / lavg_sum - 1.0
-
-
 def _avg_imbalance_grid(
     spec: tuple[str, int],
     seeds: int,
     grid: list[tuple[str, int, dict]],
     profile: str | None = None,
 ) -> list[float]:
-    """Whole-sweep twin of :func:`_avg_imbalance`: every ``(algo, m)`` at once.
+    """Paper's synthetic-dataset metric for every ``(algo, m)`` of a sweep.
 
-    Per-cell pool dispatch pays a round trip per *seed*; a figure sweep has
-    ``len(grid) × seeds`` sub-millisecond cells, so the round trips dominate.
-    Shipping the full grid through one :func:`~repro.experiments.pool.pmap_batched`
-    call amortizes dispatch over whole chunks while the reduction below runs
-    per cell in seed order — bit-identical to calling
-    :func:`_avg_imbalance` cell by cell, for any worker count.
+    The metric of one grid entry is ``sum_I Lmax(I) / sum_I Lavg(I) - 1``
+    over the seeded instances ``I`` of ``spec`` (the instance family and
+    size, e.g. ``("peak", 1024)``).  A figure sweep has ``len(grid) × seeds``
+    sub-millisecond cells, so the whole grid goes through one
+    :func:`~repro.experiments.pool.pmap_batched` call, which amortizes pool
+    dispatch over whole chunks; the reduction below runs per grid entry in
+    seed order, so the floats are bit-identical for any worker count.
 
     With an ambient raw store (and a ``profile`` name to key under), the
     parent resolves every per-seed cell against the store first, ships only

@@ -239,11 +239,10 @@ class SimulatedInterrupt(RuntimeError):
 class InterruptingRawStore(RawStore):
     """Kill-and-resume harness: dies after ``abort_after`` cell writes.
 
-    Used by ``tests/test_rawstore.py`` and ``benchmarks/perf_regress.py
-    --figures`` to emulate a run killed mid-figure: every write up to the
-    budget lands atomically on disk, then :class:`SimulatedInterrupt`
-    fires; a fresh run over the same directory must resume from the
-    flushed cells and produce byte-identical CSVs.
+    Used by ``tests/test_rawstore.py`` to emulate a run killed mid-figure:
+    every write up to the budget lands atomically on disk, then
+    :class:`SimulatedInterrupt` fires; a fresh run over the same directory
+    must resume from the flushed cells and produce byte-identical CSVs.
     """
 
     def __init__(self, root, *, abort_after: int, force: bool = False) -> None:

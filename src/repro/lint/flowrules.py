@@ -2,14 +2,13 @@
 
 The accelerated dispatch paths (sparse substrate, sweep/store) sit over the
 reference solvers under a **bit-identical-to-reference** contract,
-enforced dynamically by equality tests.  These rules
+enforced dynamically by the differential matrix.  These rules
 make the contract machine-checked at lint time, on top of the project graph
 (:mod:`.graph`) and the intraprocedural dataflow framework
 (:mod:`.dataflow`):
 
 * **RPL009** — every guarded fast path has a reachable reference twin, and
-  the dispatching function is reachable from at least one equality/sweep
-  test;
+  the dispatching function is reachable from the differential matrix;
 * **RPL010** — bit-identity modules carry no nondeterminism source a lucky
   test run could miss (unordered iteration into results, ``id()`` escapes,
   entropy calls, unordered pool consumption);
@@ -51,8 +50,9 @@ __all__ = [
 #: packages whose modules participate in the bit-identity contract
 CONTRACT_PACKAGES = HOT_PACKAGES | {"sweep", "core"}
 
-#: test files whose passing is the dynamic half of the contract
-EQUALITY_TEST_PATTERNS = ("test_*_equality.py", "test_sweep*.py")
+#: test files whose passing is the dynamic half of the contract: the
+#: differential matrix (backend × substrate × sweep temperature)
+EQUALITY_TEST_PATTERNS = ("test_backend_equality.py",)
 
 #: boolean switches that guard a fast path against its reference twin
 GUARD_NAMES = frozenset({"sweep_active", "sparse_enabled"})
@@ -192,15 +192,16 @@ def check_dispatch_twins(
 
     ``registry_names`` maps registry key strings (``"JAG-M-HEUR"``) to the
     bare names of their implementation chain, bridging the string-keyed
-    ``partition_2d`` dispatch the equality tests use.
+    ``partition_2d`` dispatch the equality tests use.  A test file that names
+    ``ALGORITHMS`` itself (iterating the registry) mentions every key.
     """
     out: list[Violation] = []
     graph = ProjectGraph.build([*src_contexts, *test_contexts])
     test_paths = {ctx.rel for ctx in test_contexts}
 
-    # roots: every function defined in an equality/sweep test file, whatever
+    # roots: every function defined in an equality test file, whatever
     # their module-level tables reference, plus the registry implementations
-    # those files name as strings
+    # those files name as strings or reach by iterating the registry
     roots = {f.key for f in graph.functions.values() if f.path in test_paths}
     for ctx in test_contexts:
         roots |= graph.module_edges.get(module_name(ctx.rel), set())
@@ -210,6 +211,8 @@ def check_dispatch_twins(
             for node in ast.walk(ctx.tree):
                 if isinstance(node, ast.Constant) and isinstance(node.value, str):
                     mentioned.add(node.value)
+                elif isinstance(node, ast.Name) and node.id == "ALGORITHMS":
+                    mentioned.update(registry_names)
         for key, impl_names in registry_names.items():
             if key in mentioned:
                 for bare in impl_names:
@@ -291,9 +294,9 @@ def check_dispatch_twins(
                         rule="RPL009",
                         message=(
                             f"dispatch function `{fn.qualname}` is not reachable "
-                            "from any tests/test_*_equality.py / test_sweep*.py "
-                            "test — the bit-identity contract on its fast path "
-                            "is unenforced"
+                            "from the differential matrix "
+                            "(tests/test_backend_equality.py) — the bit-identity "
+                            "contract on its fast path is unenforced"
                         ),
                     )
                 )
@@ -301,7 +304,7 @@ def check_dispatch_twins(
 
 
 def find_equality_test_files(src_root: Path) -> list[Path]:
-    """Locate the equality/sweep test files for a linted source tree.
+    """Locate the equality test files for a linted source tree.
 
     Walks up from ``src_root`` looking for a sibling ``tests`` directory
     (the same strategy RPL004 uses to locate ``docs/``).
@@ -332,8 +335,8 @@ class DispatchTwinRule(ProjectRule):
     name = "dispatch-twin-contract"
     rationale = (
         "every sparse_enabled()/sweep fast path needs a reachable "
-        "reference twin, and its function must be reachable from an "
-        "equality/sweep test — an untested twin is an unenforced contract"
+        "reference twin, and its function must be reachable from "
+        "the differential matrix — an untested twin is an unenforced contract"
     )
 
     def check_project(self, files: Sequence[FileContext]) -> Iterator[Violation]:

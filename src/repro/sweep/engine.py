@@ -14,11 +14,13 @@ evaluates every cell with warm starts flowing between calls:
 The contract is the repo's established one: **bit-identity**.  For every
 algorithm and every sweep order, the partition returned for a cell equals
 the partition a cold call (fresh prefix, no sweep context) returns —
-enforced by ``tests/test_sweep.py`` and by ``benchmarks/perf_regress.py
---sweep``.  Internally the engine may therefore execute cells in any order
-it likes; it visits ``m`` values in descending order, which maximizes
-lower-bound transfer (an optimum at a large ``m`` proves infeasibility
-just below it for every smaller ``m``) without affecting any result.
+enforced by ``tests/test_sweep.py`` and, for every registry algorithm on
+both substrates and kernel backends, by the differential matrix
+(``tests/test_backend_equality.py``).  Internally the engine may
+therefore execute cells in any order it likes; it visits ``m`` values in
+descending order, which maximizes lower-bound transfer (an optimum at a
+large ``m`` proves infeasibility just below it for every smaller ``m``)
+without affecting any result.
 
 Composition with ``repro-experiments --jobs``: the sweep context lives in
 the parent process only.  The figure-cell workers of

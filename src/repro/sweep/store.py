@@ -50,6 +50,7 @@ from typing import Any
 import numpy as np
 
 from ..core.prefix import PrefixSum2D
+from ..core.sparse import SparsePrefix2D
 from .state import Scope, SweepInvariantError, SweepState
 
 __all__ = ["SweepStore", "instance_digest", "matrix_digest"]
@@ -205,8 +206,8 @@ class SweepStore:
     # -- state integration (called by SweepState) -----------------------
 
     def is_instance(self, obj: Any) -> bool:
-        """True for objects the store can content-address (2D prefixes)."""
-        return isinstance(obj, PrefixSum2D)
+        """True for objects the store can content-address (either 2D substrate)."""
+        return isinstance(obj, (PrefixSum2D, SparsePrefix2D))
 
     def _digest_of(self, state: SweepState, pref: PrefixSum2D) -> tuple[str, int]:
         cached = state._digests.get(id(pref))
@@ -225,7 +226,7 @@ class SweepStore:
         already installed each passed validation individually, so they
         stay.
         """
-        if not isinstance(obj, PrefixSum2D):
+        if not self.is_instance(obj):
             return
         digest, c = self._digest_of(state, obj)
         inst = self._data.get(digest)
@@ -305,7 +306,7 @@ class SweepStore:
 
     def harvest_state(self, state: SweepState, obj: Any) -> None:
         """Collect ``obj``'s live facts (rescaled to primitive) for flush."""
-        if not isinstance(obj, PrefixSum2D):
+        if not self.is_instance(obj):
             return
         digest, c = self._digest_of(state, obj)
         key = id(obj)

@@ -645,6 +645,28 @@ class TestRPL009DispatchTwins:
         out = check_dispatch_twins([ctx], [test])
         assert [v.rule for v in out] == ["RPL009"]
 
+    def test_registry_iteration_bridges_reachability(self):
+        src = (
+            "def fast(x):\n"
+            "    return x\n\n"
+            "def ref(x):\n"
+            "    return x\n\n"
+            "def solve(x):\n"
+            "    if sparse_enabled():\n"
+            "        return fast(x)\n"
+            "    return ref(x)\n"
+        )
+        test = make_ctx(
+            "tests/test_reg_equality.py",
+            "def test_registry_equality():\n"
+            "    for name in sorted(ALGORITHMS):\n"
+            "        run(name)\n",
+        )
+        ctx = make_ctx("src/repro/oned/mod.py", src)
+        assert check_dispatch_twins(
+            [ctx], [test], registry_names={"FAST-ALG": {"solve"}}
+        ) == []
+
     def test_module_level_dispatch_table_bridges_reachability(self):
         src = (
             "def fast(x):\n"
@@ -683,7 +705,7 @@ class TestRPL009DoctoredTree:
         assert codes(res) == []
         assert res.exit_code == 0
 
-    @pytest.mark.parametrize("victim", ["test_sparse_equality.py"])
+    @pytest.mark.parametrize("victim", ["test_backend_equality.py"])
     def test_deleting_equality_test_fails_lint(self, tmp_path, victim):
         res = self._doctored(tmp_path, victim)
         assert res.exit_code == 1

@@ -15,6 +15,7 @@ from repro.dynamic import (
     WarmStarted,
     drift_exceeds,
 )
+from repro.perf.counters import op_counters
 from repro.runtime import BSPSimulator, CostModel
 from repro.sweep import SweepStore
 
@@ -203,12 +204,16 @@ class TestWarmStarted:
         cold = BSPSimulator(4, cold_run).run(snaps)
 
         warm_run1, rects1 = recording(self.opt)
-        r1 = BSPSimulator(4, warm_run1, policy=WarmStarted(store=store)).run(snaps)
+        with op_counters() as populate_ops:
+            r1 = BSPSimulator(4, warm_run1, policy=WarmStarted(store=store)).run(snaps)
         assert store.seeded == 0  # nothing on disk yet
 
         warm_run2, rects2 = recording(self.opt)
-        r2 = BSPSimulator(4, warm_run2, policy=WarmStarted(store=store)).run(snaps)
+        with op_counters() as warm_ops:
+            r2 = BSPSimulator(4, warm_run2, policy=WarmStarted(store=store)).run(snaps)
         assert store.seeded > 0  # second pass starts from persisted facts
+        # ... and consumes them: strictly less solver work than populating
+        assert sum(warm_ops.values()) < sum(populate_ops.values())
 
         # warm results are bit-identical to cold — the sweep contract
         assert rects1 == cold_rects == rects2

@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro.experiments import ALL_FIGURES, TINY, use_raw_store
+from repro.experiments import ALL_EXTENSIONS, ALL_FIGURES, TINY, use_raw_store
 from repro.experiments.rawstore import (
     MISS,
     InterruptingRawStore,
@@ -206,38 +206,74 @@ class TestAmbientSelection:
         assert digest_matrix(A).split(":")[0] == digest_matrix(A // 2).split(":")[0]
 
 
+class TestSparseCell:
+    def test_csr_cell_cold_then_warm(self, tmp_path):
+        """A CSR instance's cell: computed and flushed cold, then served from disk."""
+        from repro.core.prefix import PrefixSum2D
+        from repro.core.sparse import SparsePrefix2D
+        from repro.experiments.figures import _imb_cell
+        from repro.experiments.rawstore import digest_prefix
+        from repro.instances.spmv import spmv_sparse
+
+        pref = spmv_sparse(256, model="rmat", scale=12, edge_factor=2, seed=0)
+        assert isinstance(pref, SparsePrefix2D)
+        dig = digest_prefix(pref)
+        assert dig == digest_prefix(PrefixSum2D(pref.cells_dense()))
+
+        cold = RawStore(tmp_path)
+        with use_raw_store(None, store=cold):
+            value = _imb_cell("tiny", dig, "JAG-M-HEUR", 16, pref)
+        assert cold.counters() == {"hits": 0, "misses": 1, "invalid": 0}
+        assert os.path.exists(cold._path(_key(cold, digest=dig, m=16)))
+
+        warm = RawStore(tmp_path)
+        with use_raw_store(None, store=warm):
+            assert _imb_cell("tiny", dig, "JAG-M-HEUR", 16, pref) == value
+        assert warm.counters() == {"hits": 1, "misses": 0, "invalid": 0}
+
+
+#: the batched grid (fig03/fig04), per-cell sweeps (fig05/fig13), the
+#: verbatim ``runtime_s`` replay (fig06), kwargs-scoped cells (fig09, ext3)
+#: and the combined-stream digest (ext2)
+FARM = ("fig03", "fig04", "fig05", "fig06", "fig09", "fig13", "ext2", "ext3")
+
+
 def _figures_under(store, figs=("fig05", "fig13")):
+    runnable = {**ALL_FIGURES, **ALL_EXTENSIONS}
     out = {}
     with use_raw_store(None, store=store):
         for fig in figs:
-            out[fig] = ALL_FIGURES[fig](TINY).csv_bytes()
+            out[fig] = runnable[fig](TINY).csv_bytes()
     return out
 
 
 class TestFigureFarm:
     def test_second_run_all_hits_byte_identical(self, tmp_path):
-        cold = _figures_under(RawStore(tmp_path))
+        cold = _figures_under(RawStore(tmp_path), FARM)
         warm_store = RawStore(tmp_path)
-        warm = _figures_under(warm_store)
+        warm = _figures_under(warm_store, FARM)
         assert warm == cold
         assert warm_store.misses == 0 and warm_store.invalid == 0
         assert warm_store.hits > 0
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_kill_and_resume_byte_identical(self, tmp_path, jobs):
-        baseline = _figures_under(RawStore(tmp_path / "baseline"))
+        # fig03 ships its cells to the pool in chunks; fig06 is left out
+        # (a resumed run re-measures its wall-clock cells)
+        figs = ("fig03", "fig05", "fig13")
+        baseline = _figures_under(RawStore(tmp_path / "baseline"), figs)
 
         killed = InterruptingRawStore(tmp_path / "resumed", abort_after=7)
         with cell_pool(jobs):
             with pytest.raises(SimulatedInterrupt):
-                _figures_under(killed)
+                _figures_under(killed, figs)
             flushed = sum(
                 len(files) for _, _, files in os.walk(tmp_path / "resumed")
             )
             assert flushed == 7  # every write up to the kill landed atomically
 
             resumer = RawStore(tmp_path / "resumed")
-            resumed = _figures_under(resumer)
+            resumed = _figures_under(resumer, figs)
         assert resumed == baseline
         assert resumer.hits >= 7  # the flushed cells were reused, not redone
 

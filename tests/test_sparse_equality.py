@@ -1,12 +1,11 @@
 """Bit-identity gate: the sparse CSR substrate vs the dense reference Γ.
 
 Every query the :class:`~repro.core.prefix.LoadView` surface exposes, every
-registry algorithm, the sweep/raw-store digests and the shared-memory
-transport must answer **bit-identically** on the two substrates — the sparse
-path is a performance substrate, never a semantic fork.  This file is the
-reachability root the RPL009 dispatch contract requires for
-:func:`~repro.core.sparse.auto_substrate` and
-:func:`~repro.core.sparse.substrate_from_triplets`.
+registry algorithm and the sweep/raw-store digests must answer
+**bit-identically** on the two substrates — the sparse path is a performance
+substrate, never a semantic fork.  The density dispatchers, and every
+registry algorithm across backends and sweep temperatures too, are in the
+differential matrix (``tests/test_backend_equality.py``).
 """
 
 from __future__ import annotations
@@ -20,13 +19,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.partition import Partition
 from repro.core.prefix import LoadView, PrefixSum2D, as_load_matrix, prefix_2d
 from repro.core.registry import ALGORITHMS, partition_2d
-from repro.core.sparse import (
-    SparsePrefix2D,
-    auto_substrate,
-    sparse_enabled,
-    sparse_threshold,
-    substrate_from_triplets,
-)
+from repro.core.sparse import SparsePrefix2D, substrate_from_triplets
 from repro.core.errors import ParameterError
 from repro.instances import slac_instance
 from repro.instances.spmv import hist2d_triplets, spmv_instance, spmv_sparse
@@ -136,7 +129,8 @@ def test_projection_memo_does_not_leak_substrate_arrays(rng):
 
 
 # ----------------------------------------------------------------------
-# every registry algorithm, both substrates
+# every registry algorithm, both substrates (and across backends and sweep
+# temperatures: tests/test_backend_equality.py)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 def test_registry_bit_identity(algo, rng):
@@ -173,44 +167,6 @@ def test_partition_loads_accepts_sparse(rng):
     dense, sparse = _pair(A)
     part = partition_2d(dense, 4, "HIER-RB")
     np.testing.assert_array_equal(part.loads(sparse), part.loads(dense))
-
-
-# ----------------------------------------------------------------------
-# dispatchers (RPL009 reachability roots)
-# ----------------------------------------------------------------------
-def test_auto_substrate_dispatches_on_density(rng, monkeypatch):
-    A_sparse = _random_sparse(rng, density=0.05)
-    A_dense = rng.integers(1, 9, size=(16, 16)).astype(np.int64)
-    assert isinstance(auto_substrate(A_sparse), SparsePrefix2D)
-    assert isinstance(auto_substrate(A_dense), PrefixSum2D)
-    # the two dispatch outcomes agree on every query
-    s, d = auto_substrate(A_sparse), PrefixSum2D(A_sparse)
-    assert s.load(1, 7, 2, 9) == d.load(1, 7, 2, 9)
-    # threshold 0 disables the sparse path entirely
-    monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "0")
-    assert not sparse_enabled()
-    assert isinstance(auto_substrate(A_sparse), PrefixSum2D)
-    monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "1.0")
-    assert sparse_threshold() == 1.0
-    assert isinstance(auto_substrate(A_dense), SparsePrefix2D)
-
-
-def test_substrate_from_triplets_matches_dense_assembly(rng, monkeypatch):
-    n1, n2 = 21, 17
-    k = 60
-    rows = rng.integers(0, n1, size=k)
-    cols = rng.integers(0, n2, size=k)
-    vals = rng.integers(0, 7, size=k)  # duplicates and explicit zeros
-    A = np.zeros((n1, n2), dtype=np.int64)
-    np.add.at(A, (rows, cols), vals)
-    sub = substrate_from_triplets(rows, cols, vals, (n1, n2))
-    np.testing.assert_array_equal(sub.cells_dense(), A)
-    assert instance_digest(sub) == matrix_digest(A)
-    # disabled dispatcher → dense substrate, same logical matrix
-    monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "0")
-    dense_sub = substrate_from_triplets(rows, cols, vals, (n1, n2))
-    assert isinstance(dense_sub, PrefixSum2D)
-    np.testing.assert_array_equal(dense_sub.cells_dense(), A)
 
 
 def test_from_triplets_validation():
