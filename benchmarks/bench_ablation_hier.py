@@ -13,13 +13,14 @@ import pytest
 
 from repro.core.prefix import PrefixSum2D
 from repro.hierarchical import hier_rb, hier_relaxed
-from repro.hierarchical.cuts import best_relaxed_split_win
 from repro.instances import multi_peak
+from repro.perf.kernels import relaxed_splits
 
 
 def best_relaxed_split(bp: np.ndarray, m: int):
-    """The library's node rule on a whole rebased prefix."""
-    return best_relaxed_split_win(bp, 0, len(bp) - 1, m)
+    """The library's node rule on a whole rebased prefix (a one-window batch)."""
+    (found,) = relaxed_splits(bp, np.array([0, len(bp)]), [m])
+    return found
 
 
 def best_relaxed_split_loop(bp: np.ndarray, m: int):

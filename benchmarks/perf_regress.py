@@ -66,11 +66,13 @@ def _registry_benches(tiny: bool) -> list[KernelBench]:
     big_B = 8 * total // n
     m_cuts = n // 8  # dense-cut regime: hi - lo <= 16 * m engages the jump table
 
-    # windowed scoring kernels: many windows of one memoized projection,
-    # the access pattern of a hierarchical recursion level
-    wins = sorted({tuple(sorted(rng.integers(0, n + 1, 2))) for _ in range(200)})
-    wins = [(int(a), int(b)) for a, b in wins if b - a >= 2]
-    orients = ((3, 5), (5, 3))
+    # frontier cut kernels: one batch of 200 windows tiling one projection,
+    # as the nodes of a hierarchical tree level tile a band
+    ends = np.unique(np.concatenate([[0, n], rng.choice(np.arange(2, n - 1, 2), 199, replace=False)]))
+    vals = np.concatenate([P[a : b + 1] for a, b in zip(ends[:-1], ends[1:])])
+    offs = np.concatenate([[0], np.cumsum(np.diff(ends) + 1)])
+    orients = [((3, 5), (5, 3))] * (len(ends) - 1)
+    ms = [64] * (len(ends) - 1)
 
     S = 8
     n_multi = 1_000 if tiny else 4_000
@@ -108,12 +110,12 @@ def _registry_benches(tiny: bool) -> list[KernelBench]:
         ),
         KernelBench(
             "weighted_cut",
-            lambda: [K.weighted_cut_win(P, a, b, orients) for a, b in wins],
+            lambda: K.weighted_cuts(vals, offs, orients),
             key=lambda out: out,
         ),
         KernelBench(
             "relaxed_split",
-            lambda: [K.relaxed_split_win(P, a, b, 64) for a, b in wins],
+            lambda: K.relaxed_splits(vals, offs, ms),
             key=lambda out: out,
         ),
         KernelBench(

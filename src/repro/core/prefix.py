@@ -14,7 +14,7 @@ in ``int64`` is rejected at construction, never wrapped.
 
 from __future__ import annotations
 
-from typing import Protocol, Union, runtime_checkable
+from typing import Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
@@ -37,6 +37,9 @@ __all__ = [
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+#: the per-band coordinates of a batch of prefix windows (lists, tuples or arrays)
+_Ints = Sequence[int]
+
 #: a matrix at least this wide accumulates Γ down its rows one row at a time
 #: (two contiguous row reads per row written); a narrower one takes one
 #: in-place ``cumsum(axis=0)``, which walks Γ column-wise but wins while the
@@ -52,6 +55,16 @@ _TILE = 256
 #: apart per element, for each output row.  Tiled over plain time on the
 #: same VM: 769² → 1.14, 1025² → 0.88, 2049² → 0.88, 4097² → 0.58
 _TILED_TRANSPOSE_MIN_CELLS = 1 << 20
+
+#: a batch of prefix windows is read from Γ with one index gather when it
+#: holds at least ``_GATHER_MIN_WINDOWS`` windows of fewer than
+#: ``_GATHER_MAX_MEAN`` values on average, and sliced window by window
+#: otherwise: a slice costs ~2.5 µs whatever its length, the gather ~40 µs
+#: fixed plus ~18 ns a value.  On the same VM (4096² Γ), for 16 / 128 / 1024
+#: windows, slices over gather time: length 4 → 0.98 / 3.3 / 5.4, length
+#: 64 → 0.83 / 1.9 / 1.06, length 256 → 0.57 / 0.87 / 0.33
+_GATHER_MIN_WINDOWS = 16
+_GATHER_MAX_MEAN = 64
 
 
 def _as_int64(values: np.ndarray, what: str) -> np.ndarray:
@@ -134,6 +147,14 @@ def _prefix_grid(A: np.ndarray) -> np.ndarray:
     else:
         np.cumsum(G[1:], axis=0, out=G[1:])
     return G
+
+
+def _window_offsets(j0: _Ints, j1: _Ints) -> np.ndarray:
+    """Offsets of the flattened prefix windows ``[j0[k], j1[k]]`` (``j1 - j0 + 1`` values each)."""
+    offs = np.zeros(len(j0) + 1, dtype=np.int64)
+    np.cumsum(np.subtract(j1, j0), out=offs[1:])
+    offs += np.arange(len(j0) + 1)
+    return offs
 
 
 def _transposed(G: np.ndarray) -> np.ndarray:
@@ -241,6 +262,10 @@ class LoadView(Protocol):
     def band_prefix(
         self, axis: int, lo: int, hi: int, j0: int, j1: int, *, reuse: bool | None = None
     ) -> np.ndarray: ...
+
+    def band_windows(
+        self, axes: _Ints, lo: _Ints, hi: _Ints, j0: _Ints, j1: _Ints
+    ) -> tuple[np.ndarray, np.ndarray]: ...
 
     def boundary_list(
         self, axis: int, lo: int = 0, hi: int | None = None, *, reuse: bool | None = None
@@ -370,6 +395,25 @@ class _ProjectionMemo:
         p = self.axis_prefix(axis, lo, hi, reuse=reuse)[j0 : j1 + 1]  # repro-lint: disable=RPL002
         return p - p[0]
 
+    def band_windows(
+        self, axes: _Ints, lo: _Ints, hi: _Ints, j0: _Ints, j1: _Ints
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Windows ``[j0[k], j1[k]]`` of the projections of many bands, flattened.
+
+        Band ``k`` spans ``[lo[k], hi[k])`` across axis ``axes[k]`` (all five
+        are int sequences of one length ``K >= 1``), and its window is
+        ``axis_prefix(axes[k], lo[k], hi[k])[j0[k] : j1[k] + 1]``, un-rebased.
+        Returns ``(vals, offs)``: window ``k`` is ``vals[offs[k]:offs[k+1]]``,
+        the frontier batch of :func:`repro.perf.kernels.weighted_cuts`.  This
+        version slices memoized projections (one per band, as a per-node
+        query would); :class:`PrefixSum2D` reads only the windows from Γ.
+        """
+        parts = [
+            self.axis_prefix(ax, a, b, reuse=True)[x : y + 1]
+            for ax, a, b, x, y in zip(axes, lo, hi, j0, j1)
+        ]
+        return np.concatenate(parts), _window_offsets(j0, j1)
+
     def boundary_list(
         self,
         axis: int,
@@ -490,6 +534,48 @@ class PrefixSum2D(_ProjectionMemo):
             hi = self.n1 if hi is None else hi
             return self.G[hi, :] - self.G[lo, :]
         raise ParameterError(f"axis must be 0 or 1, got {axis}")
+
+    def band_windows(
+        self, axes: _Ints, lo: _Ints, hi: _Ints, j0: _Ints, j1: _Ints
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_ProjectionMemo.band_windows` read from the window cells of Γ alone.
+
+        Window ``k`` is ``E[hi[k], j0[k] : j1[k] + 1] - E[lo[k], ...]`` for
+        the edge matrix ``E`` of its axis: Γ for axis 1 (row ``r`` holds the
+        prefixes of row edge ``r``), Γᵀ for axis 0 — the rows of a cached
+        transpose, or strided Γ columns without one, which on a 4096² Γ miss
+        the cache on every value.  Few or long windows are subtracted into
+        the output slice by slice, many short ones gathered with one flat
+        index per value.  Memoizes nothing.
+        """
+        K = len(lo)
+        N = sum(j1) - sum(j0) + K
+        out = np.empty(N, dtype=np.int64)
+        if K < _GATHER_MIN_WINDOWS or N >= _GATHER_MAX_MEAN * K:
+            edges = (self.G.T if self._T is None else self._T.G, self.G)
+            ends = [0]
+            for ax, a, b, x, y in zip(axes, lo, hi, j0, j1):
+                E = edges[ax]
+                ends.append(ends[-1] + y - x + 1)
+                np.subtract(E[b, x : y + 1], E[a, x : y + 1], out=out[ends[-2] : ends[-1]])
+            return out, np.array(ends, dtype=np.int64)
+        offs = _window_offsets(j0, j1)
+        lens = np.diff(offs)
+        j = np.arange(N) + np.repeat(np.subtract(j0, offs[:-1]), lens)
+        a = np.repeat(lo, lens)
+        b = np.repeat(hi, lens)
+        rows = np.repeat(np.equal(axes, 1), lens)
+        # entry (edge, j) of an axis's edge matrix is flat[edge * se + j * sj]
+        width = self.n2 + 1
+        layouts = (
+            (self.G.ravel(), 1, width) if self._T is None else (self._T.G.ravel(), self.n1 + 1, 1),
+            (self.G.ravel(), width, 1),
+        )
+        for (flat, se, sj), sel in zip(layouts, (~rows, rows)):
+            if sel.any():
+                jj = j[sel] * sj
+                out[sel] = flat[b[sel] * se + jj] - flat[a[sel] * se + jj]
+        return out, offs
 
     def cells_dense(self) -> np.ndarray:
         """The load matrix ``A`` reconstructed from ``Γ`` (O(n1·n2) memory)."""

@@ -6,8 +6,8 @@ optimize the DP equation, but replaces the recursive ``Lmax`` calls with the
 average load ``L/j`` of each side.  Each side is then partitioned
 recursively.  Complexity ``O(m² log max(n1, n2))`` in the paper; here the
 inner (cut, j) optimization is vectorized — for fixed ``j`` the optimal cut
-straddles the balance point, so one ``searchsorted`` over all ``m-1``
-targets evaluates every split at once (see DESIGN.md §6).
+straddles the balance point, so one segmented ``searchsorted`` evaluates
+every split of every node of a tree level at once (see DESIGN.md §6).
 
 Variants mirror HIER-RB: ``load`` (choose the better dimension — the
 paper's reference variant), ``dist``, ``hor``, ``ver``.
@@ -15,59 +15,33 @@ paper's reference variant), ``dist``, ``hor``, ``ver``.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from ..core.errors import ParameterError
 from ..core.partition import Partition
-from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
-from ..core.rectangle import Rect
+from ..core.prefix import LoadView, MatrixLike, prefix_2d
+from ..perf.kernels import relaxed_splits
 from ..sweep.state import current as _sweep_current
-from .cuts import best_relaxed_split_win
-from .rb import HIER_VARIANTS, _candidate_dims
-from .tree import grow_tree, tree_to_partition
+from .rb import HIER_VARIANTS
+from .tree import choose_level, grow_tree, tree_to_partition
 
 __all__ = ["hier_relaxed"]
 
 
 def _relaxed_chooser(variant: str):
-    def choose(pref: PrefixSum2D, rect: Rect, m: int, depth: int):
-        best = None  # (value, dim, cut_abs, j)
-        dims = _candidate_dims(variant, rect, depth)
-        fallback = tuple(d for d in (0, 1) if d not in dims)
+    def choose(pref: LoadView, r0, r1, c0, c1, procs, depth: int):
+        def evaluate(nodes: list[int], vals, offs) -> list:
+            return relaxed_splits(vals, offs, [procs[k] for k in nodes])
+
         # sweep contexts memoize per (sub-rectangle, dim, m): unlike RB the
         # split depends on the full m (float averages L/j), so facts only
         # replay at the same node processor count — still a hit whenever
         # variants share subtrees or the same m recurs across cells
-        memo = None
-        state = _sweep_current()
-        if state is not None:
-            memo = state.hier_memo(pref, "relaxed")
-        for dim_set in (dims, fallback):
-            for dim in dim_set:
-                mkey = (rect.r0, rect.r1, rect.c0, rect.c1, dim, m)
-                if memo is not None and mkey in memo:
-                    found = memo[mkey]
-                else:
-                    # windowed split on the memoized un-rebased projection
-                    # (bit-identical to rebasing first; see cuts.py)
-                    if dim == 0:
-                        p = pref.axis_prefix(0, rect.c0, rect.c1, reuse=True)
-                        found = best_relaxed_split_win(p, rect.r0, rect.r1, m)
-                    else:
-                        p = pref.axis_prefix(1, rect.r0, rect.r1, reuse=True)
-                        found = best_relaxed_split_win(p, rect.c0, rect.c1, m)
-                    if memo is not None:
-                        memo[mkey] = found
-                if found is None:
-                    continue
-                cut_rel, j, value = found
-                cut_abs = (rect.r0 if dim == 0 else rect.c0) + cut_rel
-                if best is None or value < best[0]:
-                    best = (value, dim, cut_abs, j)
-            if best is not None:
-                break  # only fall back when the preferred dims cannot be cut
-        if best is None:
-            return None
-        _, dim, cut_abs, j = best
-        return dim, cut_abs, j, m - j
+        extra = [(m,) for m in procs]
+        dims, cuts, facts = choose_level(
+            pref, variant, depth, (r0, r1, c0, c1), "relaxed", extra, evaluate, itemgetter(2)
+        )
+        return dims, cuts, [0 if f is None else f[1] for f in facts]
 
     return choose
 

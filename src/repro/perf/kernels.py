@@ -10,8 +10,8 @@ partitioners lives here as a *named kernel* with two implementations —
     (``tests/test_kernels_equality.py``, ``tests/test_backend_equality.py``).
 ``numpy``
     The vectorized array-program formulation (chained/jump-table
-    ``searchsorted``, fused windowed scoring).  The default backend, and
-    the only production path.
+    ``searchsorted``, segmented scoring of a tree level's windows).  The
+    default backend, and the only production path.
 
 The backend is selected by ``REPRO_PERF_BACKEND`` (parsed in
 :mod:`repro.perf.config`, declared in :data:`repro.config.ENV_VARS`), or
@@ -27,9 +27,9 @@ Overflow discipline: every ``searchsorted`` target is clamped into the
 window (``target = p[pos] + min(B, p[hi] - p[pos])`` decides identically —
 any target at or beyond ``p[hi]`` resolves to the window end), the striped
 walk compares differences of prefixes against a ``B`` clamped to the
-largest stripe total, and balance targets fall back to exact Python-int
-arithmetic when ``total · (m-1)`` could exceed int64, so loads near
-``2**62`` are safe in every backend.
+largest stripe total, and the frontier cut kernels fall back to their exact
+Python-int scalar code when a window's ``total · w`` or ``total · (m-1)``
+could exceed int64, so loads near ``2**62`` are safe in every backend.
 """
 
 from __future__ import annotations
@@ -53,13 +53,11 @@ __all__ = [
     "probe_batch",
     "min_parts_batch",
     "probe_cuts",
-    "weighted_cut_win",
-    "relaxed_split_win",
-    "relaxed_split_scalar",
+    "weighted_cuts",
+    "relaxed_splits",
     "alloc_tail",
     "probe_multi",
     "MultiWalk",
-    "SCALAR_MAX_M",
 ]
 
 _I64_MAX = 2**63 - 1
@@ -78,23 +76,12 @@ _CUTS_STEP_AMORT = 4
 #: read the ndarray directly (same values, no O(window) ``tolist``)
 _MINPARTS_LIST_AMORT = 5
 
-#: processor count below which the scalar relaxed-split path beats the
-#: vectorized one (small-array numpy call overhead dominates under ~32)
-SCALAR_MAX_M = 32
-
-#: memoized ``np.arange(1, m)`` split indices — every recursion node with the
-#: same processor count re-needs the identical tiny array
-_J_CACHE: dict[int, np.ndarray] = {}
-
-
-def _split_indices(m: int) -> np.ndarray:
-    j = _J_CACHE.get(m)
-    if j is None:
-        j = np.arange(1, m, dtype=np.int64)
-        j.flags.writeable = False
-        _J_CACHE[m] = j
-    return j
-
+#: frontier cut kernels: below this many candidate cuts in one batch the
+#: numpy backend scores window by window with the scalar code — a segmented
+#: pass costs a fixed ~0.15 ms of numpy calls, a scalar candidate 1–2 µs.
+#: Measured crossover on the bench box, see docs/performance.md
+#: ("Frontier-batched hierarchical growth")
+_FRONTIER_MIN_CANDS = 96
 
 # ----------------------------------------------------------------------
 # probe_batch — many candidate bottlenecks against one prefix
@@ -386,232 +373,289 @@ def _probe_cuts_numpy(
 
 
 # ----------------------------------------------------------------------
-# weighted_cut — windowed, orientation-fused HIER-RB cut selection
+# frontier batches — the ragged windows the hierarchical kernels score
 # ----------------------------------------------------------------------
-def _weighted_cut_reference(
-    p: np.ndarray, j0: int, j1: int, orientations: tuple[tuple[int, int], ...]
+# A batch is one flat int64 array ``vals`` and ``K + 1`` offsets ``offs``
+# (see ``LoadView.band_windows``): window ``k`` is ``vals[offs[k]:offs[k+1]]``,
+# the boundaries ``[j0, j1]`` of one tree node's un-rebased axis projection
+# (non-empty, non-decreasing), so it spans ``L = j1 - j0`` cells.  Cuts come
+# back relative to the window start.  The rebased band prefix is
+# ``w - w[0]``; shifting every comparison by the constant ``w[0]`` leaves the
+# integer searches and the integer scores unchanged, so no window is copied.
+def _windows(vals: np.ndarray, offs: np.ndarray) -> list[np.ndarray]:
+    """The batch's windows, as views of ``vals``."""
+    o = offs.tolist()
+    return [vals[a:b] for a, b in zip(o, o[1:])]
+
+
+def _totals(
+    vals: np.ndarray, offs: np.ndarray, reach: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(base, total)`` of every window, or None when the batch must stay scalar.
+
+    None when a total times ``reach`` (the largest factor a kernel multiplies
+    a total by) could leave int64: the scalar code is exact in Python ints.
+    """
+    base = vals[offs[:-1]]
+    total = vals[offs[1:] - 1] - base
+    if int(total.max()) * reach > _I64_MAX:
+        return None
+    return base, total
+
+
+def _last_at_most(
+    vals: np.ndarray, start: np.ndarray, stop: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """Per search, the last index ``i`` in ``[start, stop)`` with ``vals[i] <= t``.
+
+    A lockstep binary search, each search inside its own window (which must
+    have ``vals[start] <= t``): every round halves every bracket, so
+    ``ceil(log2(longest window))`` rounds of a few array operations answer
+    the whole batch without a pass over the windows' values.
+    """
+    lo, hi = start, stop
+    for _ in range(int((stop - start).max() - 1).bit_length()):
+        mid = (lo + hi) >> 1
+        le = vals[mid] <= t
+        lo = np.where(le, mid, lo)
+        hi = np.where(le, hi, mid)
+    return lo
+
+
+def _first_argmin(x: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Index of the first minimum of each segment of ``x`` (``np.argmin``'s tie rule).
+
+    Segments are contiguous and non-empty: ``starts`` holds their first
+    indices and ``seg`` the segment of every element.
+    """
+    low = np.minimum.reduceat(x, starts)
+    idx = np.where(x == low[seg], np.arange(len(x)), len(x))
+    return np.minimum.reduceat(idx, starts)
+
+
+# ----------------------------------------------------------------------
+# weighted_cut — HIER-RB cut selection over a frontier of windows
+# ----------------------------------------------------------------------
+def _weighted_cut_window(
+    w: np.ndarray, orientations: tuple[tuple[int, int], ...]
 ) -> tuple[int, int, int, int] | None:
-    """Rebased per-orientation scalar scoring — exact Python-int arithmetic."""
-    L = j1 - j0
+    """Best weighted cut of one window: scalar, exact Python-int scores."""
+    L = len(w) - 1
     if L < 2:
         return None
     if _OPS:
         bump("cut_calls", len(orientations))
-    band = p[j0 : j1 + 1]  # repro-lint: disable=RPL002 — prefix window, not a load slice
-    b0 = int(band[0])
-    bl = [int(x) - b0 for x in band]
-    total = bl[-1]
+    base = int(w[0])
+    total = int(w[-1]) - base
     best: tuple[int, int, int, int] | None = None
     for w1, w2 in orientations:
         # integer bp ≤ total·w1/(w1+w2)  ⇔  bp ≤ floor(·): the floor target is exact
-        target = (total * w1) // (w1 + w2)
-        c = bisect_right(bl, target) - 1
+        c = int(w.searchsorted(base + (total * w1) // (w1 + w2), side="right")) - 1
         found: tuple[int, int] | None = None
         for cand in (c, c + 1):
             if cand < 1 or cand > L - 1:
                 continue
-            l1 = bl[cand]
+            l1 = int(w[cand]) - base
             v = max(l1 * w2, (total - l1) * w1)
             if found is None or v < found[1]:
                 found = (cand, v)
         if found is None:
             # balance point at a border; fall back to the nearest interior cut
             cand = min(max(c, 1), L - 1)
-            l1 = bl[cand]
+            l1 = int(w[cand]) - base
             found = (cand, max(l1 * w2, (total - l1) * w1))
         if best is None or found[1] < best[1]:
             best = (found[0], found[1], w1, w2)
     return best
+
+
+def _weighted_cut_reference(
+    vals: np.ndarray, offs: np.ndarray, orientations: Sequence[tuple[tuple[int, int], ...]]
+) -> list[tuple[int, int, int, int] | None]:
+    """Window by window: the scalar search and scoring of each node."""
+    return [_weighted_cut_window(w, o) for w, o in zip(_windows(vals, offs), orientations)]
 
 
 def _weighted_cut_numpy(
-    p: np.ndarray, j0: int, j1: int, orientations: tuple[tuple[int, int], ...]
-) -> tuple[int, int, int, int] | None:
-    """Windowed scoring on the un-rebased memoized projection.
+    vals: np.ndarray, offs: np.ndarray, orientations: Sequence[tuple[tuple[int, int], ...]]
+) -> list[tuple[int, int, int, int] | None]:
+    """Every (window, orientation) of the batch scored in one segmented pass.
 
-    The rebased band prefix is ``p[j0:j1+1] - p[j0]``; shifting every
-    comparison by the constant ``base = p[j0]`` leaves the integer
-    searchsorted and the integer scores unchanged, so no per-node band
-    allocation is needed.  All orientations share the window, total and
-    search bounds; the first orientation attaining the minimum wins,
-    matching the sequential first-occurrence rule of the chooser loop.
+    One lockstep search (:func:`_last_at_most`) finds every balance point;
+    both neighbours are scored as exact int64 ``max(L1·w2, L2·w1)``, the
+    scalar code's rules pick one per orientation, and the first orientation
+    attaining a window's minimum wins.  Batches under ``_FRONTIER_MIN_CANDS``
+    candidates, and batches whose ``total · w`` could leave int64, take the
+    scalar code.
     """
-    L = j1 - j0
-    if L < 2:
-        return None
+    cnt = list(map(len, orientations))
+    if 2 * sum(cnt) < _FRONTIER_MIN_CANDS:
+        return _weighted_cut_reference(vals, offs, orientations)
+    wts = np.array([w for o in orientations for w in o], dtype=np.int64).reshape(-1, 2)
+    K = len(cnt)
+    L = np.diff(offs) - 1
+    live = (L >= 2) & (np.array(cnt) > 0)
+    seg = _totals(vals, offs, int(wts.max())) if live.any() else None
+    if seg is None:
+        return _weighted_cut_reference(vals, offs, orientations)
+    base, total = seg
+    on = np.repeat(live, cnt)  # per (window, orientation): scored at all
+    k = np.repeat(np.arange(K), cnt)[on]
+    w1, w2 = wts[on].T
     if _OPS:
-        bump("cut_calls", len(orientations))
-    base = int(p[j0])
-    total = int(p[j1]) - base
-    view = p[j0 : j1 + 1]  # repro-lint: disable=RPL002 — prefix window, not a load slice
-    best: tuple[int, int, int, int] | None = None
-    for w1, w2 in orientations:
-        # integer bp ≤ t  ⇔  p ≤ base + t: the shifted floor target is exact
-        target = base + (total * w1) // (w1 + w2)
-        c = int(view.searchsorted(target, side="right")) - 1
-        found: tuple[int, int] | None = None
-        for cand in (c, c + 1):
-            if cand < 1 or cand > L - 1:
-                continue
-            l1 = int(view[cand]) - base
-            v = max(l1 * w2, (total - l1) * w1)
-            if found is None or v < found[1]:
-                found = (cand, v)
-        if found is None:
-            cand = min(max(c, 1), L - 1)
-            l1 = int(view[cand]) - base
-            found = (cand, max(l1 * w2, (total - l1) * w1))
-        if best is None or found[1] < best[1]:
-            best = (found[0], found[1], w1, w2)
-    return best
+        bump("cut_calls", len(k))
+    tot, Lk, o, b = total[k], L[k], offs[k], base[k]
+    c = _last_at_most(vals, o, offs[k + 1], b + tot * w1 // (w1 + w2)) - o
+    ca = np.clip(c, 1, Lk - 1)
+    cb = np.minimum(c + 1, Lk - 1)
+    la = vals[o + ca] - b
+    lb = vals[o + cb] - b
+    va = np.maximum(la * w2, (tot - la) * w1)
+    vb = np.maximum(lb * w2, (tot - lb) * w1)
+    # keep c unless c + 1 is interior and c is not (c = 0) or scores
+    # strictly worse; c = L has neither interior and falls back to L - 1 = ca
+    right = (c < Lk - 1) & ((c < 1) | (vb < va))
+    cut = np.where(right, cb, ca)
+    v = np.where(right, vb, va)
+    n = np.array(cnt)[live]  # orientations per scored window
+    starts = np.zeros(len(n), dtype=np.int64)
+    np.cumsum(n[:-1], out=starts[1:])
+    i = _first_argmin(v, starts, np.repeat(np.arange(len(n)), n))
+    out: list[tuple[int, int, int, int] | None] = [None] * K
+    for kk, row in zip(
+        np.flatnonzero(live).tolist(),
+        zip(cut[i].tolist(), v[i].tolist(), w1[i].tolist(), w2[i].tolist()),
+    ):
+        out[kk] = row
+    return out
 
 
 # ----------------------------------------------------------------------
 # relaxed_split — joint (cut, processor split) selection for HIER-RELAXED
 # ----------------------------------------------------------------------
-def relaxed_split_scalar(
-    bp: np.ndarray, m: int, total: int, lo: list[int], L: int, *, base: int = 0
-) -> tuple[int, int, float]:
-    """Scalar twin of the vectorized relaxed split for small ``m``.
+def _relaxed_split_window(w: np.ndarray, m: int) -> tuple[int, int, float] | None:
+    """HIER-RELAXED node rule on one window: scalar scoring of every split.
 
-    Below ~32 splits the per-call overhead of clip/concatenate/where
-    dominates the vectorized path; most nodes of a recursion tree are deep
-    and small, so this is the common case.  Candidates are enumerated in
-    the exact array order of the vectorized path (all ``lo`` cuts, then all
-    ``lo + 1`` cuts) with the same float arithmetic and the same
-    first-occurrence argmax tie-breaking, so the chosen split is
-    bit-identical.
+    Candidates are both neighbours of every balance point ``total·j/m``: all
+    ``lo`` cuts in ``j`` order, then all ``lo + 1`` cuts.  Each scores
+    ``max(L1/j, L2/(m-j))`` in floats from the exact integers; among
+    candidates within 0.1% of the best the most balanced split wins, the
+    first one on ties.
     """
+    L = len(w) - 1
+    if L < 2 or m < 2:
+        return None
+    if _OPS:
+        bump("cut_calls")
+    base = int(w[0])
+    total = int(w[-1]) - base
     n = m - 1
-    vals: list[float] = []
+    # exact Python-int targets (each fits int64: at most base + total); the
+    # "right" insertion points are one past the lo cuts
+    ends = w.searchsorted([base + (total * jv) // m for jv in range(1, m)], side="right")
+    cuts: list[int] = []
+    scores: list[float] = []
     v: float | None = None
-    for off in (0, 1):
-        for idx in range(n):
-            jv = idx + 1
-            cut = lo[idx] + off
+    for off in (-1, 0):
+        for jv, end in enumerate(ends.tolist(), 1):
+            cut = end + off
             if cut < 1:
                 cut = 1
             elif cut > L - 1:
                 cut = L - 1
-            l1 = float(int(bp[cut]) - base)  # repro-lint: disable=RPL003 — relaxed score
+            l1 = float(int(w[cut]) - base)  # repro-lint: disable=RPL003 — relaxed score
             a = l1 / jv  # repro-lint: disable=RPL003
             b = (total - l1) / (m - jv)  # repro-lint: disable=RPL003
             if b > a:
                 a = b
-            vals.append(a)
+            cuts.append(cut)
+            scores.append(a)
             if v is None or a < v:
                 v = a
     assert v is not None
+    # many (cut, j) pairs score within noise of each other; among splits
+    # within 0.1% of the best score, prefer the most balanced processor
+    # split — unbalanced chains deepen the tree and accumulate rounding
+    # error (measured in benchmarks/bench_ablation_hier.py)
     thr = v * (1.0 + 1e-3) + 1e-9
     best_bal = -1
     best_i = 0
-    for i, val in enumerate(vals):
+    for i, val in enumerate(scores):
         if val <= thr:
             jv = i % n + 1
             bal = jv if jv <= m - jv else m - jv
             if bal > best_bal:
                 best_bal, best_i = bal, i
-    jv = best_i % n + 1
-    cut = lo[best_i % n] + (1 if best_i >= n else 0)
-    if cut < 1:
-        cut = 1
-    elif cut > L - 1:
-        cut = L - 1
-    return (cut, jv, vals[best_i])
-
-
-def _relaxed_targets(base: int, total: int, m: int) -> np.ndarray:
-    """Shifted integer balance targets ``base + total·j/m`` for ``j in [1, m)``.
-
-    Falls back to exact Python-int arithmetic when ``total · (m-1)`` could
-    overflow int64 — each *result* fits (it is at most ``base + total``,
-    a prefix value), only the vectorized intermediate product does not.
-    """
-    if total > 0 and m > 2 and total > _I64_MAX // (m - 1):
-        return np.array(
-            [base + (total * jv) // m for jv in range(1, m)], dtype=np.int64
-        )
-    return base + (total * _split_indices(m)) // m
+    return (cuts[best_i], best_i % n + 1, scores[best_i])
 
 
 def _relaxed_split_reference(
-    p: np.ndarray, j0: int, j1: int, m: int
-) -> tuple[int, int, float] | None:
-    """Per-target scalar searches + exhaustive scalar candidate enumeration."""
-    L = j1 - j0
-    if L < 2 or m < 2:
-        return None
-    if _OPS:
-        bump("cut_calls")
-    base = int(p[j0])
-    total = int(p[j1]) - base
-    view = p[j0 : j1 + 1]  # repro-lint: disable=RPL002 — prefix window, not a load slice
-    lo = [
-        int(view.searchsorted(base + (total * jv) // m, side="right")) - 1
-        for jv in range(1, m)
-    ]
-    return relaxed_split_scalar(view, m, total, lo, L, base=base)
+    vals: np.ndarray, offs: np.ndarray, ms: Sequence[int]
+) -> list[tuple[int, int, float] | None]:
+    """Window by window: the scalar node rule of each node."""
+    return [_relaxed_split_window(w, int(m)) for w, m in zip(_windows(vals, offs), ms)]
 
 
 def _relaxed_split_numpy(
-    p: np.ndarray, j0: int, j1: int, m: int
-) -> tuple[int, int, float] | None:
-    """Windowed relaxed split on an un-rebased projection.
+    vals: np.ndarray, offs: np.ndarray, ms: Sequence[int]
+) -> list[tuple[int, int, float] | None]:
+    """Every window's ``2(m-1)`` candidates scored in one segmented pass.
 
-    Same shifting argument as the weighted-cut kernel: the rebased band is
-    ``p[j0:j1+1] - base``, integer searchsorted targets shift by ``base``
-    exactly, and the float scores are computed from the *same* integers
-    (``l1 = view[cut] - base``), so the chosen ``(cut, j, value)`` is
-    bit-identical to rebasing first — without the per-node band copy.
+    One lockstep search (:func:`_last_at_most`) finds the balance point of
+    every split of every window; the candidates are laid
+    out window by window in the scalar code's order, scored with the same
+    float arithmetic on the same integers, and reduced per window (minimum,
+    near-tie threshold, first most balanced split), so each choice is the
+    scalar one bit for bit.  Batches under ``_FRONTIER_MIN_CANDS``
+    candidates, and batches whose ``total · (m-1)`` could leave int64, take
+    the scalar code.
     """
-    L = j1 - j0
-    if L < 2 or m < 2:
-        return None
+    if 2 * (sum(ms) - len(ms)) < _FRONTIER_MIN_CANDS:
+        return _relaxed_split_reference(vals, offs, ms)
+    m = np.asarray(ms, dtype=np.int64)
+    L = np.diff(offs) - 1
+    live = (L >= 2) & (m >= 2)
+    n = m[live] - 1  # processor splits j ∈ [1, m) per live window
+    ncand = 2 * int(n.sum())
+    seg = _totals(vals, offs, int(n.max(initial=0)))
+    if seg is None or ncand == 0:
+        return _relaxed_split_reference(vals, offs, ms)
+    base, total = seg
+    ks = np.flatnonzero(live)
     if _OPS:
-        bump("cut_calls")
-    base = int(p[j0])
-    total = int(p[j1]) - base
-    view = p[j0 : j1 + 1]  # repro-lint: disable=RPL002 — prefix window, not a load slice
-    if m == 2:
-        # a bipartition node — j = 1 is the only split, and roughly half the
-        # nodes of any recursion tree look like this: pure scalar, no numpy
-        # temporaries.  Same candidate order and float scores as the
-        # vectorized path (j/1 division and (m-j) = 1 division are exact).
-        c = int(view.searchsorted(base + total // 2, side="right")) - 1
-        ca = 1 if c < 1 else (L - 1 if c > L - 1 else c)
-        cb = c + 1
-        cb = 1 if cb < 1 else (L - 1 if cb > L - 1 else cb)
-        la = float(int(view[ca]) - base)  # repro-lint: disable=RPL003 — relaxed score
-        lb = float(int(view[cb]) - base)  # repro-lint: disable=RPL003
-        va = la if la > total - la else total - la
-        vb = lb if lb > total - lb else total - lb
-        v = va if va < vb else vb
-        # both candidates tie on processor balance, so argmax keeps the first
-        # candidate within the near-tie threshold
-        if va <= v * (1.0 + 1e-3) + 1e-9:
-            return (ca, 1, va)
-        return (cb, 1, vb)
-    j = _split_indices(m)
-    targets = _relaxed_targets(base, total, m)
-    lo = view.searchsorted(targets, side="right") - 1
-    if m <= SCALAR_MAX_M:
-        return relaxed_split_scalar(view, m, total, lo.tolist(), L, base=base)
-    cuts = np.concatenate([np.clip(lo, 1, L - 1), np.clip(lo + 1, 1, L - 1)])
-    jj = np.concatenate([j, j])
+        bump("cut_calls", len(ks))
+    # one balance-point search per (window, j), window-major, j ascending
+    js = np.zeros(len(n) + 1, dtype=np.int64)
+    np.cumsum(n, out=js[1:])
+    sj = np.repeat(np.arange(len(n)), n)
+    j = np.arange(js[-1]) - js[sj] + 1
+    kj = ks[sj]
+    o = offs[kj]
+    lo = _last_at_most(vals, o, offs[kj + 1], base[kj] + total[kj] * j // m[kj]) - o
+    # candidates: per window every lo cut, then every lo + 1 cut
+    starts = 2 * js[:-1]
+    sc = np.repeat(np.arange(len(n)), 2 * n)
+    q = np.arange(ncand) - starts[sc]
+    nc = n[sc]
+    second = q >= nc
+    t = js[sc] + np.where(second, q - nc, q)
+    kc = ks[sc]
+    cut = np.clip(lo[t] + second, 1, L[kc] - 1)
+    jj = j[t]
+    mj = m[kc] - jj
     # the relaxed node score is an estimate by construction: vectorized
-    # float scoring is the documented RPL003 exemption (see
-    # repro.hierarchical.cuts); the partition loads themselves stay exact
-    l1 = (view[cuts] - base).astype(np.float64)  # repro-lint: disable=RPL003
-    val = np.maximum(l1 / jj, (total - l1) / (m - jj))  # repro-lint: disable=RPL003
-    v2 = float(val.min())  # repro-lint: disable=RPL003 — reporting boundary
-    # many (cut, j) pairs score within noise of each other; among splits
-    # within 0.1% of the best score, prefer the most balanced processor
-    # split — unbalanced chains deepen the tree and accumulate rounding
-    # error (measured in benchmarks/bench_ablation_hier.py)
-    near = val <= v2 * (1.0 + 1e-3) + 1e-9
-    bal = np.where(near, np.minimum(jj, m - jj), -1)
-    k = int(np.argmax(bal))
-    return (int(cuts[k]), int(jj[k]), float(val[k]))  # repro-lint: disable=RPL003
+    # float scoring is the documented RPL003 exemption; the partition loads
+    # themselves stay exact
+    l1 = (vals[offs[kc] + cut] - base[kc]).astype(np.float64)  # repro-lint: disable=RPL003
+    val = np.maximum(l1 / jj, (total[kc] - l1) / mj)  # repro-lint: disable=RPL003
+    v2 = np.minimum.reduceat(val, starts)
+    near = val <= (v2 * (1.0 + 1e-3) + 1e-9)[sc]
+    bal = np.where(near, np.minimum(jj, mj), -1)
+    i = _first_argmin(-bal, starts, sc)
+    out: list[tuple[int, int, float] | None] = [None] * len(ms)
+    for kk, row in zip(ks.tolist(), zip(cut[i].tolist(), jj[i].tolist(), val[i].tolist())):
+        out[kk] = row
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -866,22 +910,31 @@ def probe_cuts(
     return kernel("probe_cuts")(P, m, B, lo, hi)
 
 
-def weighted_cut_win(
-    p: np.ndarray, j0: int, j1: int, orientations: tuple[tuple[int, int], ...]
-) -> tuple[int, int, int, int] | None:
-    """Best weighted cut of window ``[j0, j1]`` over the given orientations.
+def weighted_cuts(
+    vals: np.ndarray, offs: np.ndarray, orientations: Sequence[tuple[tuple[int, int], ...]]
+) -> list[tuple[int, int, int, int] | None]:
+    """HIER-RB cut of every window of a frontier batch (see ``_windows``).
 
-    Returns ``(cut_rel, value · w1·w2, w1, w2)`` or ``None`` when the window
-    has fewer than 2 cells; scores are exact scaled ints on every backend.
+    Window ``k`` is ``vals[offs[k]:offs[k+1]]``; its cut minimizes
+    ``max(L1/w1, L2/w2)`` over ``orientations[k]``, and the first
+    orientation attaining the minimum wins.  Per window ``(cut_rel,
+    value · w1·w2, w1, w2)``, or None when it has fewer than 2 cells; scores
+    are exact scaled ints on every backend.
     """
-    return kernel("weighted_cut")(p, j0, j1, orientations)
+    return kernel("weighted_cut")(vals, offs, orientations)
 
 
-def relaxed_split_win(
-    p: np.ndarray, j0: int, j1: int, m: int
-) -> tuple[int, int, float] | None:
-    """Jointly optimal ``(cut, j, value)`` over all processor splits of a window."""
-    return kernel("relaxed_split")(p, j0, j1, m)
+def relaxed_splits(
+    vals: np.ndarray, offs: np.ndarray, ms: Sequence[int]
+) -> list[tuple[int, int, float] | None]:
+    """HIER-RELAXED ``(cut_rel, j, value)`` of every window of a frontier batch.
+
+    Window ``k`` (as in :func:`weighted_cuts`) holds ``ms[k]`` processors;
+    its cut and split ``j ∈ [1, ms[k])`` jointly minimize
+    ``max(L1/j, L2/(m-j))``.  None when the window has fewer than 2 cells
+    or ``ms[k] < 2``.
+    """
+    return kernel("relaxed_split")(vals, offs, ms)
 
 
 def alloc_tail(loads: np.ndarray, q: Sequence[int] | np.ndarray, m: int) -> np.ndarray:

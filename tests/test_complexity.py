@@ -11,7 +11,8 @@ formulas on deterministic seeded instances:
 * JAG-M-HEUR is ``O(n + m log n)`` (§3.2.1): total probe steps stay within
   a fixed constant of ``n + m·log₂(n)``.
 * HIER-RB evaluates at most 2 cut searches per tree node with even splits,
-  and at most 4 with odd ones (§3.3).
+  and at most 4 with odd ones (§3.3); HIER-RB and HIER-RELAXED make at most
+  depth + 1 cut-kernel calls per solve, one per tree level.
 * RECT-NICOL's striped bisection needs about half the walks of plain
   bisection, because each walk's proved bound moves the bracket past ``B``.
 
@@ -215,6 +216,38 @@ def test_hier_relaxed_cut_calls_bounded_by_tree():
             with use_perf_backend(backend), op_counters() as ops:
                 partition_2d(A, m, "HIER-RELAXED")
             assert m - 1 <= ops["cut_calls"] <= 2 * (m - 1), (m, backend)
+
+
+@pytest.mark.parametrize("method,name", [("HIER-RB", "weighted_cut"), ("HIER-RELAXED", "relaxed_split")])
+def test_hier_kernel_calls_one_per_tree_level(monkeypatch, method, name):
+    # the nodes of a tree level are independent: one kernel call scores every
+    # window of a level, so a solve makes at most depth + 1 calls (one per
+    # node and dimension before), however the backend scores them
+    from repro.perf import kernels
+
+    windows: list[int] = []
+    k = kernels.KERNELS[name]
+
+    def counted(fn):
+        def call(vals, offs, *args):
+            windows.append(len(offs) - 1)
+            return fn(vals, offs, *args)
+
+        return call
+
+    monkeypatch.setitem(
+        kernels.KERNELS,
+        name,
+        dataclasses.replace(k, reference=counted(k.reference), numpy=counted(k.numpy)),
+    )
+    A = np.random.default_rng(8).integers(1, 50, (48, 40))
+    for m in (7, 16, 64, 200):
+        for backend in ("reference", "numpy"):
+            windows.clear()
+            with use_perf_backend(backend):
+                depth = partition_2d(A, m, method).meta["tree"].depth()
+            assert len(windows) <= depth + 1, (m, backend, depth)
+            assert sum(windows) >= m - 1  # a window per internal node at least
 
 
 # ---------------------------------------------------------------------------

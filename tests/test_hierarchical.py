@@ -15,7 +15,7 @@ from repro.hierarchical import (
     hier_rb,
     hier_relaxed,
 )
-from repro.hierarchical.cuts import best_relaxed_split_win, best_weighted_cut_win
+from repro.perf.kernels import relaxed_splits, weighted_cuts
 
 from .conftest import load_matrices, prefix_of
 
@@ -26,14 +26,20 @@ tiny_matrices = hnp.arrays(
 )
 
 
+def _one_window(bp):
+    """``bp`` as a frontier batch of one window."""
+    return np.asarray(bp, dtype=np.int64), np.array([0, len(bp)], dtype=np.int64)
+
+
 def weighted_cut(bp, w1, w2):
     """``(cut, max(L1/w1, L2/w2) · w1·w2)`` over the whole prefix, or None."""
-    found = best_weighted_cut_win(bp, 0, len(bp) - 1, ((w1, w2),))
+    (found,) = weighted_cuts(*_one_window(bp), [((w1, w2),)])
     return None if found is None else found[:2]
 
 
 def relaxed_split(bp, m):
-    return best_relaxed_split_win(bp, 0, len(bp) - 1, m)
+    (found,) = relaxed_splits(*_one_window(bp), [m])
+    return found
 
 
 class TestCutHelpers:

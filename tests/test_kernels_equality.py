@@ -10,11 +10,16 @@ overflows int64), and ``m > n`` (more processors than cells).
 match, and the bound must be sound — realised by the cuts of a feasible
 walk, and still infeasible one below it after an infeasible walk.
 
+The frontier cut kernels (``weighted_cut``, ``relaxed_split``) score ragged
+batches of windows; their numpy backend runs in both of its regimes, the
+scalar one below ``_FRONTIER_MIN_CANDS`` candidates and the segmented pass
+forced on every batch.
+
 The tail of the module pins backend selection (malformed environment
 values fail loudly), the dispatch sites themselves (``oned.probe``,
-``oned.multicost``, ``jagged.m_heur`` and ``hierarchical.cuts`` answer
-identically on either backend) and the registry's lint coverage (``perf``
-stays in ``HOT_PACKAGES``).
+``oned.multicost``, ``jagged.m_heur`` and the frontier cut entry points
+answer identically on either backend) and the registry's lint coverage
+(``perf`` stays in ``HOT_PACKAGES``).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.perf import kernels
 from repro.perf.config import (
     _parse_backend,
     cache_budget_bytes,
@@ -136,38 +142,155 @@ def test_probe_cuts_accepts_boundary_lists():
 
 
 # ----------------------------------------------------------------------
-# weighted_cut / relaxed_split — the windowed scoring kernels
+# weighted_cut / relaxed_split — the frontier cut kernels
 # ----------------------------------------------------------------------
 _ORIENTS = ((1, 1),), ((3, 5), (5, 3)), ((2, 7), (7, 2), (4, 4))
 
 
-@pytest.mark.parametrize("pname", sorted(PREFIXES))
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_weighted_cut_matches_reference(pname, backend):
-    P = PREFIXES[pname]
+def _batch(P: np.ndarray, windows) -> tuple[np.ndarray, np.ndarray]:
+    """The frontier batch of the prefix windows ``[j0, j1]`` of ``P``."""
+    vals = np.concatenate([P[j0 : j1 + 1] for j0, j1 in windows]).astype(np.int64)
+    offs = np.zeros(len(windows) + 1, dtype=np.int64)
+    np.cumsum([j1 - j0 + 1 for j0, j1 in windows], out=offs[1:])
+    return vals, offs
+
+
+def _regimes(monkeypatch):
+    """Run the body under the numpy kernels' scalar regime, then with every
+    batch forced through the segmented pass."""
+    for floor in (10**9, 0):
+        monkeypatch.setattr(kernels, "_FRONTIER_MIN_CANDS", floor)
+        yield floor
+
+
+def _check_weighted(vals, offs, orients, backend, monkeypatch, where) -> None:
+    ref = kernel("weighted_cut", "reference")(vals, offs, orients)
+    assert len(ref) == len(offs) - 1
+    for floor in _regimes(monkeypatch):
+        got = kernel("weighted_cut", backend)(vals, offs, orients)
+        assert got == ref, (where, floor)
+
+
+def _check_relaxed(vals, offs, ms, backend, monkeypatch, where) -> None:
+    ref = kernel("relaxed_split", "reference")(vals, offs, ms)
+    assert len(ref) == len(offs) - 1
+    for floor in _regimes(monkeypatch):
+        got = kernel("relaxed_split", backend)(vals, offs, ms)
+        assert got == ref, (where, floor)
+
+
+def _windows_of(P: np.ndarray) -> list[tuple[int, int]]:
+    """Whole, one- and two-cell, interior and empty windows of a prefix."""
     n = len(P) - 1
-    windows = [(0, n), (0, min(1, n))] + ([(1, n - 1)] if n >= 3 else [])
-    for j0, j1 in windows:
-        for orients in _ORIENTS:
-            ref = kernel("weighted_cut", "reference")(P, j0, j1, orients)
-            got = kernel("weighted_cut", backend)(P, j0, j1, orients)
-            assert ref == got, (pname, backend, j0, j1, orients)
+    return [(0, n), (0, min(1, n)), (n, n)] + ([(1, n - 1), (2, 4)] if n >= 4 else [])
 
 
 @pytest.mark.parametrize("pname", sorted(PREFIXES))
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_relaxed_split_matches_reference(pname, backend):
+def test_weighted_cut_matches_reference(pname, backend, monkeypatch):
     P = PREFIXES[pname]
+    windows = _windows_of(P)
+    for orients in _ORIENTS:
+        for w in windows:  # single-window batches
+            _check_weighted(*_batch(P, [w]), [orients], backend, monkeypatch, (pname, w))
+        # one batch of every window, then the orientation sets mixed
+        _check_weighted(*_batch(P, windows), [orients] * len(windows), backend, monkeypatch, pname)
+    mixed = [_ORIENTS[i % 3] for i in range(len(windows))]
+    _check_weighted(*_batch(P, windows), mixed, backend, monkeypatch, pname)
+
+
+@pytest.mark.parametrize("pname", sorted(PREFIXES))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_relaxed_split_matches_reference(pname, backend, monkeypatch):
+    P = PREFIXES[pname]
+    windows = _windows_of(P)
+    # m = 1 (None), 2 and 3 (one or two splits), 32/33 and 1024 (wide nodes;
+    # on the "huge" prefix total·(m-1) overflows int64 and the batch stays
+    # in exact Python ints)
+    for m in (1, 2, 3, 5, 32, 33, 1024):
+        for w in windows:
+            _check_relaxed(*_batch(P, [w]), [m], backend, monkeypatch, (pname, w, m))
+        _check_relaxed(*_batch(P, windows), [m] * len(windows), backend, monkeypatch, (pname, m))
+    ms = [(2, 3, 32, 33, 1024, 1)[i % 6] for i in range(len(windows))]
+    _check_relaxed(*_batch(P, windows), ms, backend, monkeypatch, pname)
+
+
+def test_frontier_batches_mix_shapes(monkeypatch):
+    """One batch over every adversarial prefix: empty, one-cell, zero-load,
+    uniform (near-tie heavy) and plain windows side by side."""
+    ones = _prefix([1] * 40)
+    pieces = [(PREFIXES[name], w) for name in sorted(PREFIXES) for w in _windows_of(PREFIXES[name])]
+    pieces += [(ones, (0, 40)), (ones, (3, 36)), (ones, (5, 7))]
+    vals = np.concatenate([P[a : b + 1] for P, (a, b) in pieces]).astype(np.int64)
+    offs = np.zeros(len(pieces) + 1, dtype=np.int64)
+    np.cumsum([b - a + 1 for _, (a, b) in pieces], out=offs[1:])
+    for backend in BACKENDS:
+        for k in range(3):
+            orients = [_ORIENTS[(i + k) % 3] for i in range(len(pieces))]
+            _check_weighted(vals, offs, orients, backend, monkeypatch, k)
+        for m_node in (2, 3, 32, 33, 1024):
+            ms = [m_node if i % 4 else 2 + i for i in range(len(pieces))]
+            _check_relaxed(vals, offs, ms, backend, monkeypatch, m_node)
+
+
+def test_frontier_huge_totals_take_exact_ints(monkeypatch):
+    """Totals near 2**62: total·w and total·(m-1) leave int64, the batch falls
+    back to exact Python-int scoring and still answers like the reference."""
+    P = _prefix([2**61, 3, 2**61 - 9, 7, 11])
+    windows = [(0, 5), (1, 5), (0, 3)]
+    vals, offs = _batch(P, windows)
+    assert kernels._totals(vals, offs, 2) is None
+    assert kernels._totals(vals, offs, 1023) is None
+    assert kernels._totals(*_batch(PREFIXES["plain"], windows), 1023) is not None
+    for backend in BACKENDS:
+        _check_weighted(vals, offs, [_ORIENTS[2]] * 3, backend, monkeypatch, "huge")
+        _check_relaxed(vals, offs, [2, 33, 1024], backend, monkeypatch, "huge")
+    # the exact answer: cut 2 leaves 2**61 + 3 | 2**61 + 9, one past a float's reach
+    (found,) = kernels.weighted_cuts(*_batch(P, [(0, 5)]), [((1, 1),)])
+    assert found == (2, 2**61 + 9, 1, 1)
+
+
+@st.composite
+def _frontier_batches(draw):
+    """Ragged batches of windows over one random prefix, with per-window
+    processor counts and orientation sets."""
+    cells = draw(hnp.arrays(np.int64, st.integers(1, 40), elements=st.integers(0, 9)))
+    P = _prefix(cells)
     n = len(P) - 1
-    windows = [(0, n)] + ([(1, n - 1)] if n >= 3 else [])
-    # m = 1 (None), 2 (scalar fast path), 5 (scalar), 40 (vectorized — and
-    # on the "huge" prefix the total·j intermediate overflows without the
-    # Python-int target fallback)
-    for m in (1, 2, 5, 40):
-        for j0, j1 in windows:
-            ref = kernel("relaxed_split", "reference")(P, j0, j1, m)
-            got = kernel("relaxed_split", backend)(P, j0, j1, m)
-            assert ref == got, (pname, backend, m, j0, j1)
+    windows = draw(
+        st.lists(
+            st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted).map(tuple),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    ms = draw(st.lists(st.integers(1, 40), min_size=len(windows), max_size=len(windows)))
+    ratios = st.tuples(st.integers(1, 9), st.integers(1, 9))
+    orients = draw(
+        st.lists(
+            st.lists(ratios, min_size=1, max_size=3).map(tuple),
+            min_size=len(windows),
+            max_size=len(windows),
+        )
+    )
+    return _batch(P, windows), ms, orients
+
+
+@given(_frontier_batches())
+@settings(max_examples=200, deadline=None)
+def test_frontier_kernels_match_on_random_batches(case):
+    (vals, offs), ms, orients = case
+    ref_cut = kernel("weighted_cut", "reference")(vals, offs, orients)
+    ref_split = kernel("relaxed_split", "reference")(vals, offs, ms)
+    saved = kernels._FRONTIER_MIN_CANDS
+    try:
+        for floor in (10**9, 0):
+            kernels._FRONTIER_MIN_CANDS = floor
+            for backend in BACKENDS:
+                assert kernel("weighted_cut", backend)(vals, offs, orients) == ref_cut
+                assert kernel("relaxed_split", backend)(vals, offs, ms) == ref_split
+    finally:
+        kernels._FRONTIER_MIN_CANDS = saved
 
 
 # ----------------------------------------------------------------------
@@ -419,20 +542,22 @@ def test_allocate_processors_dispatch_matches_reference():
 
 
 def test_hier_cut_dispatchers_match_unwindowed_references():
-    """Windowed dispatch on the raw prefix == reference on the rebased band."""
-    from repro.hierarchical.cuts import best_relaxed_split_win, best_weighted_cut_win
+    """Windows of the raw prefix == the reference on each rebased band."""
+    from repro.perf.kernels import relaxed_splits, weighted_cuts
 
     P = PREFIXES["plain"]
     n = len(P) - 1
-    for j0, j1 in ((0, n), (2, n - 1)):
-        band = (P[j0 : j1 + 1] - P[j0]).astype(np.int64)
-        L = j1 - j0
-        for orients in _ORIENTS:
-            ref = kernel("weighted_cut", "reference")(band, 0, L, orients)
-            assert best_weighted_cut_win(P, j0, j1, orients) == ref, (j0, j1, orients)
-        for m in (2, 5, 40):
-            ref_s = kernel("relaxed_split", "reference")(band, 0, L, m)
-            assert best_relaxed_split_win(P, j0, j1, m) == ref_s, (j0, j1, m)
+    windows = [(0, n), (2, n - 1)]
+    vals, offs = _batch(P, windows)
+    bands = [_batch(P[j0 : j1 + 1] - P[j0], [(0, j1 - j0)]) for j0, j1 in windows]
+    ref = kernel("weighted_cut", "reference")
+    ref_s = kernel("relaxed_split", "reference")
+    for orients in _ORIENTS:
+        want = [ref(*band, [orients])[0] for band in bands]
+        assert weighted_cuts(vals, offs, [orients] * 2) == want, orients
+    for m in (2, 5, 40):
+        want_s = [ref_s(*band, [m])[0] for band in bands]
+        assert relaxed_splits(vals, offs, [m, m]) == want_s, m
 
 
 def test_perf_package_stays_lint_hot():

@@ -20,7 +20,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.prefix import PrefixSum2D
 from repro.core.registry import partition_2d
-from repro.hierarchical.cuts import best_relaxed_split_win, best_weighted_cut_win
 from repro.jagged.m_opt import (
     _backtrack_stripes,
     _min_processors,
@@ -31,6 +30,7 @@ from repro.oned.bisect import bisect_bottleneck, feasible_bottlenecks
 from repro.oned.nicol import nicol_plus_bottleneck
 from repro.oned.probe import min_parts, probe
 from repro.perf import kernel, min_parts_batch, probe_batch, use_perf_backend
+from repro.perf.kernels import relaxed_splits, weighted_cuts
 from repro.sweep import use_sweep
 
 from .conftest import load_arrays, prefix_of
@@ -110,7 +110,7 @@ def _fraction_score(bp: np.ndarray, c: int, w1: int, w2: int) -> Fraction:
 def test_weighted_cut_num_orders_like_fractions(values, w1, w2):
     bp = prefix_of(values)
     L = len(bp) - 1
-    num = kernel("weighted_cut", "reference")(bp, 0, L, ((w1, w2),))
+    (num,) = kernel("weighted_cut", "reference")(bp, np.array([0, L + 1]), [((w1, w2),)])
     if L < 2:
         assert num is None
         return
@@ -133,11 +133,13 @@ def test_windowed_cut_kernels_match_rebased(values, m, data):
 
     m1, m2 = m // 2, m - m // 2
     orients = ((m1, m2),) if m1 == m2 else ((m1, m2), (m2, m1))
-    ref_cut = kernel("weighted_cut", "reference")(bp, 0, L, orients)
-    assert best_weighted_cut_win(p, j0, j1, orients) == ref_cut
+    band = (bp, np.array([0, L + 1]))
+    window = (p[j0 : j1 + 1], np.array([0, L + 1]))
+    ref_cut = kernel("weighted_cut", "reference")(*band, [orients])
+    assert weighted_cuts(*window, [orients]) == ref_cut
 
-    ref_split = kernel("relaxed_split", "reference")(bp, 0, L, m)
-    assert best_relaxed_split_win(p, j0, j1, m) == ref_split
+    ref_split = kernel("relaxed_split", "reference")(*band, [m])
+    assert relaxed_splits(*window, [m]) == ref_split
 
 
 # ---------------------------------------------------------------------------

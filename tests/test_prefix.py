@@ -220,6 +220,36 @@ class TestPrefix2D:
         assert pt.shape == (7, 4)
         assert pt.load(1, 5, 0, 3) == A[0:3, 1:5].sum()
 
+    @pytest.mark.parametrize("cached_transpose", [False, True])
+    @pytest.mark.parametrize("count,longest", [(3, 30), (40, 6), (40, 160)])
+    def test_band_windows_match_projection_slices(self, rng, cached_transpose, count, longest):
+        # few (sliced), many short (gathered) and many long (sliced) windows,
+        # both axes mixed, column windows read from Γᵀ rows or Γ columns
+        from repro.core.sparse import SparsePrefix2D
+        from repro.sweep import use_sweep
+
+        A = rng.integers(0, 50, (97, 83))
+        pf = PrefixSum2D(A)
+        if cached_transpose:
+            with use_sweep():  # a sweep pins Γᵀ to the instance
+                pf.transpose()
+        assert (pf._T is not None) == cached_transpose
+        bands = []
+        for ax in [k % 2 for k in range(count)]:
+            n_band, n_win = (A.shape[1], A.shape[0]) if ax == 0 else A.shape
+            lo = int(rng.integers(0, n_band))
+            j0 = int(rng.integers(0, n_win // 3))
+            j1 = min(n_win, j0 + int(rng.integers(longest // 2, longest)))
+            bands.append((ax, lo, int(rng.integers(lo + 1, n_band + 1)), j0, j1))
+        vals, offs = pf.band_windows(*zip(*bands))
+        want = [pf.axis_prefix(ax, a, b, reuse=False)[x : y + 1] for ax, a, b, x, y in bands]
+        assert offs.tolist() == np.cumsum([0] + [len(w) for w in want]).tolist()
+        np.testing.assert_array_equal(vals, np.concatenate(want))
+        # the memoized-slice version every other substrate inherits agrees
+        csr_vals, csr_offs = SparsePrefix2D(A).band_windows(*zip(*bands))
+        np.testing.assert_array_equal(csr_vals, vals)
+        np.testing.assert_array_equal(csr_offs, offs)
+
     def test_from_prefix_roundtrip(self, rng):
         A = rng.integers(0, 50, (4, 4))
         pf = PrefixSum2D(A)
