@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint lint-fast lint-sarif ruff mypy test figures figures-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
+.PHONY: check lint lint-sarif ruff mypy test figures figures-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
 
 check: ruff mypy lint test
 	@echo "make check: all gates passed"
@@ -25,12 +25,6 @@ mypy:
 
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.lint src/repro
-
-# pre-commit loop: lint only the files changed vs the merge-base with main
-# (worktree edits and untracked files included; project-wide rules and the
-# stale-suppression check are skipped on partial sets)
-lint-fast:
-	PYTHONPATH=src $(PYTHON) -m repro.lint --changed src/repro
 
 # the code-scanning artifact CI uploads
 lint-sarif:

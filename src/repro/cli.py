@@ -80,13 +80,12 @@ def main(argv: list[str] | None = None) -> int:
     part.validate()
 
     if args.report:
-        lavg = pref.total / args.processors
         print(f"matrix        : {pref.shape[0]} x {pref.shape[1]}, total load {pref.total:,}")
         print(f"method        : {method}")
         print(f"processors    : {args.processors}")
         print(f"max load      : {part.max_load(pref):,}")
         print(f"lower bound   : {lower_bound(pref, args.processors):,}")
-        print(f"imbalance     : {part.max_load(pref) / lavg - 1.0:.4%}")
+        print(f"imbalance     : {part.imbalance(pref):.4%}")
         print(f"comm volume   : {communication_volume(part):,} edges")
         print(f"max boundary  : {max_boundary(part):,} edges")
     if args.ascii:

@@ -1,14 +1,14 @@
 """Central registry of every environment variable the repo reads.
 
 Each knob the codebase consults from the environment is declared here once,
-with its default and a one-line description.  The layer-specific config
-modules (:mod:`repro.perf.config`, the sweep engine) keep their own
-parsing — a backend name and a byte budget want different validation —
-but the *names and defaults* live in this table, and ``repro-lint``
-(RPL011) enforces three properties against it:
+with its default and a one-line description.  Each consumer (the
+``consumer`` field) keeps its own parsing — a backend name and a store path
+want different validation — but reads through :func:`env_str`; the *names
+and defaults* live in this table, and ``repro-lint`` (RPL011) enforces
+three properties against it:
 
 * every ``os.environ`` read in the tree happens inside a declared config
-  module (this one, a ``*/config.py``, or the sweep engine);
+  module (this one or a ``*/config.py``);
 * every variable name read anywhere is declared in :data:`ENV_VARS`;
 * every declared variable is documented under ``docs/``.
 
@@ -39,16 +39,6 @@ ENV_VARS: dict[str, EnvVar] = {
         description="kernel-registry backend: reference (the scalar oracle) or numpy",
         consumer="repro.perf.config",
     ),
-    "REPRO_PERF_CACHE_MB": EnvVar(
-        default="64",
-        description="per-prefix projection-cache budget in MiB",
-        consumer="repro.perf.config",
-    ),
-    "REPRO_PERF_CACHE_MIN_CELLS": EnvVar(
-        default="65536",
-        description="instance size (cells) below which memoization is skipped",
-        consumer="repro.perf.config",
-    ),
     "REPRO_SWEEP_STORE": EnvVar(
         default="",
         description="sweep fact-store path; empty keeps sweeps in-memory",
@@ -63,11 +53,6 @@ ENV_VARS: dict[str, EnvVar] = {
         default="small",
         description="experiment scale profile: tiny, small, paper or large",
         consumer="repro.experiments.scale",
-    ),
-    "REPRO_SPARSE_THRESHOLD": EnvVar(
-        default="0.25",
-        description="density (nnz/cells) at or below which auto_substrate builds the CSR substrate; 0 disables sparse",
-        consumer="repro.core.sparse",
     ),
     "REPRO_CACHE": EnvVar(
         default="",

@@ -19,7 +19,6 @@ from typing import Protocol, Sequence, Union, runtime_checkable
 import numpy as np
 
 from ..perf.cache import LRUCache
-from ..perf.config import cache_budget_bytes, cache_min_cells
 from ..perf.counters import _STACK as _OPS
 from ..perf.counters import bump, gauge
 from ..sweep.state import sweep_active
@@ -65,6 +64,17 @@ _TILED_TRANSPOSE_MIN_CELLS = 1 << 20
 #: 64 → 0.83 / 1.9 / 1.06, length 256 → 0.57 / 0.87 / 0.33
 _GATHER_MIN_WINDOWS = 16
 _GATHER_MAX_MEAN = 64
+
+#: byte budget of one substrate's projection memo.  A JAG-M-OPT solve on
+#: the small-profile 256² instances keeps every band resident up to m = 64
+#: (38–44 MiB); at m = 144 it evicts 1% (uniform) to 21% (peak) of its
+#: ~14.5k entries
+_CACHE_BUDGET_BYTES = 64 << 20
+#: size-defaulted projection queries memoize, and Γᵀ is pinned, from this
+#: many cells up.  Six one-shot heuristic solves on a fresh ``peak``
+#: substrate, memo on over off, at m = 16 / 64: 64² 1.12 / 1.06, 128²
+#: 1.01 / 0.97, 256² 0.94 / 1.02, 512² 0.94 / 1.01
+_CACHE_MIN_CELLS = 1 << 16
 
 
 def _as_int64(values: np.ndarray, what: str) -> np.ndarray:
@@ -301,7 +311,7 @@ class _ProjectionMemo:
     def projection_cache(self) -> LRUCache:
         """The per-instance projection/boundary-list memo (created lazily)."""
         if self._cache is None:
-            self._cache = LRUCache(cache_budget_bytes())
+            self._cache = LRUCache(_CACHE_BUDGET_BYTES)
         return self._cache
 
     def _reuse_default(self) -> bool:
@@ -309,11 +319,10 @@ class _ProjectionMemo:
 
         Small matrices lose to the cache bookkeeping (the straight-line
         subtraction is a handful of microseconds), so memoization defaults
-        on only above :func:`~repro.perf.config.cache_min_cells` cells.
-        Resolved once per instance — the threshold is a process-level knob.
+        on only from ``_CACHE_MIN_CELLS`` cells.  Resolved once per instance.
         """
         if self._cache_default is None:
-            self._cache_default = self.n1 * self.n2 >= cache_min_cells()
+            self._cache_default = self.n1 * self.n2 >= _CACHE_MIN_CELLS
         return self._cache_default
 
     def axis_prefix(
@@ -337,9 +346,9 @@ class _ProjectionMemo:
         ``reuse`` controls memoization: ``True`` forces it (callers that
         revisit the same band many times, e.g. the exact-solver DPs),
         ``False`` forces the straight-line path, and ``None`` (default)
-        memoizes only when the instance has at least
-        :func:`~repro.perf.config.cache_min_cells` cells — on small
-        matrices the cache bookkeeping costs more than the subtraction.
+        memoizes only when the instance has at least ``_CACHE_MIN_CELLS``
+        cells — on small matrices the cache bookkeeping costs more than the
+        subtraction.
         """
         if reuse is None:
             # inlined slot read: this dispatch runs on every projection
@@ -619,7 +628,7 @@ class PrefixSum2D(_ProjectionMemo):
         the instance extends its lifetime and ties the pair into a reference
         cycle (freed by the cycle collector, not refcounting), which on
         small matrices costs more than the copy it saves.  The cache engages
-        above :func:`~repro.perf.config.cache_min_cells` cells — or whenever
+        from ``_CACHE_MIN_CELLS`` cells — or whenever
         a sweep is active, because the sweep stores key warm-start facts by
         object identity and the -VER variants only accumulate facts if every
         call sees the *same* transposed prefix.  Below the threshold it still

@@ -23,10 +23,8 @@ and dense row/column *marginal* prefixes.  It satisfies the same
   dense substrate holds on every solver family, which the differential
   matrix (``tests/test_backend_equality.py``) enforces.
 
-:func:`auto_substrate` dispatches between the two substrates on the
-``REPRO_SPARSE_THRESHOLD`` density knob (registered in
-``repro.config.ENV_VARS``), with the reference (dense) twin always one
-``else`` away, per the RPL009 dispatch contract.
+:func:`auto_substrate` dispatches between the two substrates on density:
+CSR when at most a quarter of the cells are nonzero, dense otherwise.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import hashlib
 
 import numpy as np
 
-from ..config import env_str
 from ..perf.cache import LRUCache
 from ..perf.counters import _STACK as _OPS
 from ..perf.counters import bump
@@ -53,8 +50,6 @@ from .prefix import (
 __all__ = [
     "SparsePrefix2D",
     "auto_substrate",
-    "sparse_enabled",
-    "sparse_threshold",
     "substrate_from_triplets",
 ]
 
@@ -67,23 +62,11 @@ __all__ = [
 _NONZERO_BLOCK = 1 << 18
 
 
-def sparse_threshold() -> float:
-    """Density (nnz/cells) at or below which :func:`auto_substrate` goes sparse.
-
-    Parsed from ``REPRO_SPARSE_THRESHOLD`` on every call (the knob is a
-    test/bench surface); an unparsable value falls back to the registered
-    default rather than failing the solver path.
-    """
-    raw = env_str("REPRO_SPARSE_THRESHOLD")
-    try:
-        return float(raw)  # repro-lint: disable=RPL003 -- parses a config knob, not a load value
-    except ValueError:
-        return 0.25
-
-
-def sparse_enabled() -> bool:
-    """Whether the density dispatcher may pick the sparse substrate at all."""
-    return sparse_threshold() > 0.0
+#: the density dispatchers build CSR when ``nnz * _CELLS_PER_NONZERO <=
+#: cells`` (density at most ¼), where CSR's ~32 bytes a nonzero meet dense
+#: Γ's 8 bytes a cell: CSR over dense bytes on random 1024² matrices are
+#: 0.40 / 1.00 / 1.60 at density 0.10 / 0.25 / 0.40
+_CELLS_PER_NONZERO = 4
 
 
 class SparsePrefix2D(_ProjectionMemo):
@@ -244,11 +227,6 @@ class SparsePrefix2D(_ProjectionMemo):
         return len(self.vals)
 
     @property
-    def density(self) -> float:
-        """``nnz / (n1 * n2)`` — what the dispatch threshold compares against."""
-        return len(self.vals) / (self.n1 * self.n2)
-
-    @property
     def nbytes(self) -> int:
         """Resident bytes of the substrate (all seven arrays)."""
         return int(
@@ -402,17 +380,14 @@ class SparsePrefix2D(_ProjectionMemo):
 def auto_substrate(A: np.ndarray) -> LoadView:
     """Density-dispatched substrate for a raw load matrix.
 
-    Sparse when the dispatcher is enabled and the density is at or below
-    :func:`sparse_threshold`; the dense reference twin otherwise.  Both
-    branches build from the same canonicalized matrix, and every query
-    answers bit-identically (``tests/test_sparse_equality.py``).
+    CSR when at most a quarter of the cells are nonzero, dense otherwise.
+    Both build from the same canonicalized matrix, and every query answers
+    bit-identically (``tests/test_sparse_equality.py``).
     """
     A = as_load_matrix(A)
-    nnz = int(np.count_nonzero(A))
-    if sparse_enabled() and nnz <= sparse_threshold() * A.size:
+    if int(np.count_nonzero(A)) * _CELLS_PER_NONZERO <= A.size:
         return SparsePrefix2D(A)
-    else:
-        return PrefixSum2D(A)
+    return PrefixSum2D(A)
 
 
 def substrate_from_triplets(
@@ -423,13 +398,12 @@ def substrate_from_triplets(
 ) -> LoadView:
     """Density-dispatched substrate for a COO triplet stream.
 
-    The sparse build happens first (O(nnz) memory); only when the dispatch
-    resolves dense — disabled, or the instance too dense to profit — does
-    the matrix densify.  Generators at the ``large`` profile therefore
-    never allocate O(n1·n2) unless the data genuinely is dense.
+    The sparse build happens first (O(nnz) memory); only when the instance
+    is too dense to profit (the :func:`auto_substrate` rule) does the
+    matrix densify.  Generators at the ``large`` profile therefore never
+    allocate O(n1·n2) unless the data genuinely is dense.
     """
-    n1, n2 = int(shape[0]), int(shape[1])
     sp = SparsePrefix2D.from_triplets(rows, cols, vals, shape)
-    if sparse_enabled() and sp.nnz <= sparse_threshold() * (n1 * n2):
+    if sp.nnz * _CELLS_PER_NONZERO <= int(shape[0]) * int(shape[1]):
         return sp
     return PrefixSum2D(sp.cells_dense())

@@ -30,16 +30,6 @@ from ..instances.pic import PICConfig
 __all__ = ["Scale", "TINY", "SMALL", "PAPER", "LARGE", "current_scale", "get_scale"]
 
 
-def _squares(lo: int, hi: int, count: int) -> list[int]:
-    """Roughly geometric progression of perfect squares in [lo, hi]."""
-    import numpy as np
-
-    roots = np.unique(
-        np.round(np.geomspace(np.sqrt(lo), np.sqrt(hi), count)).astype(int)
-    )
-    return [int(r * r) for r in roots]
-
-
 @dataclass(frozen=True)
 class Scale:
     """All size knobs of the experiment suite."""

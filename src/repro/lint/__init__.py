@@ -12,12 +12,13 @@ linters cannot see:
   dynamically by the equality tests and statically by the dataflow rules.
 
 This package enforces them with an AST rule engine (:mod:`.engine`), a
-per-file ruleset grounded in this codebase (:mod:`.rules`, RPL001–RPL008),
-project-wide dataflow rules over the import/call graph (:mod:`.graph`,
-:mod:`.dataflow`, :mod:`.flowrules`, RPL009–RPL012), a stale-suppression
-meta-check (RPL100), and a CLI (:mod:`.cli`, installed as ``repro-lint`` /
-``python -m repro.lint``) with text/JSON/SARIF reporters and a ``--changed``
-fast mode.
+ruleset grounded in this codebase (:mod:`.rules`, RPL001–RPL005, RPL007,
+RPL008), project-wide dataflow rules over the import/call graph
+(:mod:`.graph`, :mod:`.dataflow`, :mod:`.flowrules`, RPL009–RPL012), a
+stale-suppression meta-check (RPL100), and a CLI (:mod:`.cli`, installed as
+``repro-lint`` / ``python -m repro.lint``) with text/JSON/SARIF reporters.
+The paper's complexity bounds are op-count tests
+(``tests/test_complexity.py``), not a lint rule.
 
 See ``docs/lint.md`` for the rule catalogue and suppression syntax.
 """
@@ -27,14 +28,13 @@ from __future__ import annotations
 from .engine import LintResult, Violation, lint_paths
 from .flowrules import check_dispatch_twins, check_env_reads
 from .reporters import json_report, sarif_report, text_report
-from .rules import ALL_RULES, check_budgets, check_registry
+from .rules import ALL_RULES, check_registry
 
 __all__ = [
     "LintResult",
     "Violation",
     "lint_paths",
     "ALL_RULES",
-    "check_budgets",
     "check_registry",
     "check_dispatch_twins",
     "check_env_reads",

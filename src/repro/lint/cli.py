@@ -6,7 +6,6 @@ Typical invocations::
     repro-lint --select RPL003 src/repro # one rule only
     repro-lint --format json src/repro   # machine-readable output
     repro-lint --format sarif src/repro  # code-scanning upload artifact
-    repro-lint --changed                 # only files changed vs merge-base
     python -m repro.lint src/repro       # same, without the console script
 
 Exit codes: 0 clean, 1 violations found, 2 usage or internal error — the
@@ -16,7 +15,6 @@ same contract CI relies on.
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 
@@ -53,44 +51,9 @@ def _list_rules() -> str:
     lines.append(f"{STALE_CODE}  stale-suppression")
     lines.append(
         "       a # repro-lint: disable comment that silences nothing must "
-        "be removed (skipped under --changed)"
+        "be removed"
     )
     return "\n".join(lines)
-
-
-def _git(*args: str) -> str:
-    return subprocess.run(
-        ["git", *args], check=True, capture_output=True, text=True
-    ).stdout
-
-
-def _changed_files(base: str, roots: list[Path]) -> list[Path] | None:
-    """Python files changed vs the merge-base with ``base``, under ``roots``.
-
-    Committed changes, worktree modifications and untracked files all count.
-    Returns None (with a message on stderr) when git cannot answer, so the
-    caller can fall back to a full lint rather than silently lint nothing.
-    """
-    try:
-        merge_base = _git("merge-base", "HEAD", base).strip()
-        names = set(_git("diff", "--name-only", merge_base, "--", "*.py").splitlines())
-        names |= set(_git("diff", "--name-only", "--", "*.py").splitlines())
-        names |= set(
-            _git("ls-files", "--others", "--exclude-standard", "--", "*.py").splitlines()
-        )
-        top = Path(_git("rev-parse", "--show-toplevel").strip())
-    except (subprocess.CalledProcessError, OSError) as exc:
-        print(f"warning: --changed unavailable ({exc}); linting everything", file=sys.stderr)
-        return None
-    resolved_roots = [r.resolve() for r in roots]
-    out: list[Path] = []
-    for name in sorted(names):
-        path = (top / name).resolve()
-        if not path.is_file():
-            continue  # deleted in the diff
-        if any(root == path or root in path.parents for root in resolved_roots):
-            out.append(path)
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -115,11 +78,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="list honoured suppressions in the text report")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    parser.add_argument("--changed", action="store_true",
-                        help="lint only files changed vs the merge-base "
-                        "(skips project rules' full-tree checks and RPL100)")
-    parser.add_argument("--base", default="main", metavar="REF",
-                        help="base ref for --changed (default: main)")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -135,21 +93,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no such path(s): {[str(p) for p in missing]}", file=sys.stderr)
         return 2
 
-    stale_check = True
-    if args.changed:
-        changed = _changed_files(args.base, paths)
-        if changed is not None:
-            if not changed:
-                print("0 violations in 0 files (0 suppressed)")
-                return 0
-            paths = changed
-            stale_check = False
-
     result = lint_paths(
         paths,
         select=_parse_codes(args.select),
         ignore=_parse_codes(args.ignore) or set(),
-        stale_check=stale_check,
     )
     if args.format == "json":
         print(json_report(result))

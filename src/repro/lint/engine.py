@@ -52,9 +52,9 @@ HOT_PACKAGES = frozenset(
         # the BSP simulator consumes substrates and exact loads on every
         # snapshot of a dynamic run — same integer-arithmetic contracts
         "runtime",
-        # "perf" covers the kernel registry (repro.perf.kernels) and its
-        # compiled twins — the hottest loops in the tree (pinned by
-        # tests/test_kernels_equality.py)
+        # "perf" covers the kernel registry (repro.perf.kernels): the
+        # reference and numpy backend of every kernel, the hottest loops in
+        # the tree (pinned by tests/test_kernels_equality.py)
         "perf",
     }
 )
@@ -268,15 +268,11 @@ def lint_paths(
     ignore: set[str] | None = None,
     rules: Sequence[Rule] | None = None,
     project_rules: Sequence[ProjectRule] | None = None,
-    stale_check: bool = True,
 ) -> LintResult:
     """Lint ``paths`` with the given (default: all registered) rules.
 
     ``select``/``ignore`` filter by rule code.  Project rules run once over
     the full file set; per-file rules run on each file they apply to.
-    ``stale_check=False`` skips the RPL100 stale-suppression pass (used by
-    ``--changed`` partial lints, where project rules skip quietly and their
-    suppressions would look stale).
     """
     from .rules import ALL_PROJECT_RULES, ALL_RULES
 
@@ -318,7 +314,7 @@ def lint_paths(
             else:
                 result.violations.append(v)
 
-    if stale_check and _selected(STALE_CODE, select, ignore):
+    if _selected(STALE_CODE, select, ignore):
         active_codes = {r.code for r in active} | {r.code for r in active_project}
         for v in _stale_suppressions(contexts, active_codes, full_run=select is None):
             ctx = by_rel.get(v.path)

@@ -11,11 +11,10 @@ make the contract machine-checked at lint time, on top of the project graph
   the dispatching function is reachable from the differential matrix;
 * **RPL010** — bit-identity modules carry no nondeterminism source a lucky
   test run could miss (unordered iteration into results, ``id()`` escapes,
-  entropy calls, unordered pool consumption);
+  entropy and wall-clock calls);
 * **RPL011** — environment reads go through declared config modules, are
   registered in ``repro/config.py`` and documented under ``docs/``;
-* **RPL012** — process pools are spawned inside a ``with`` block (or in a
-  module with an atexit-registered shutdown).
+* **RPL012** — process pools are spawned inside a ``with`` block.
 
 Each rule's core checker is a plain function over parsed
 :class:`~.engine.FileContext` trees so the tests can run them on synthetic
@@ -55,7 +54,7 @@ CONTRACT_PACKAGES = HOT_PACKAGES | {"sweep", "core"}
 EQUALITY_TEST_PATTERNS = ("test_backend_equality.py",)
 
 #: boolean switches that guard a fast path against its reference twin
-GUARD_NAMES = frozenset({"sweep_active", "sparse_enabled"})
+GUARD_NAMES = frozenset({"sweep_active"})
 
 #: dotted-target suffixes that denote the sweep-state accessor
 _SWEEP_CURRENT_SUFFIXES = ("sweep.state.current", "sweep.current")
@@ -231,7 +230,7 @@ def check_dispatch_twins(
             parents = _build_parents(fn.node)
             has_site = False
 
-            # --- branch sites: `if sparse_enabled():` / `if fast:` -------
+            # --- branch sites: `if sweep_active():` / `if fast:` --------
             for block in _statement_lists(fn.node):
                 for stmt in block:
                     if not isinstance(stmt, ast.If):
@@ -328,15 +327,15 @@ class DispatchTwinRule(ProjectRule):
     """RPL009 — guarded fast paths have twins and equality-test coverage.
 
     Runs only when the linted tree contains ``repro/core/registry.py`` (the
-    full source tree); skips quietly under ``--changed`` partial sets.
+    full source tree); skips quietly on partial file sets.
     """
 
     code = "RPL009"
     name = "dispatch-twin-contract"
     rationale = (
-        "every sparse_enabled()/sweep fast path needs a reachable "
-        "reference twin, and its function must be reachable from "
-        "the differential matrix — an untested twin is an unenforced contract"
+        "every sweep fast path needs a reachable reference twin, and "
+        "its function must be reachable from the differential matrix — "
+        "an untested twin is an unenforced contract"
     )
 
     def check_project(self, files: Sequence[FileContext]) -> Iterator[Violation]:
@@ -379,7 +378,6 @@ _TIME_CALLS = frozenset(
     {"time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns",
      "process_time", "process_time_ns", "now", "utcnow"}
 )
-_UNORDERED_POOL = frozenset({"as_completed", "imap_unordered"})
 _SET_CTORS = frozenset({"set", "frozenset"})
 _SEQ_WRAPPERS = frozenset({"list", "tuple", "iter", "reversed", "enumerate"})
 _DICT_VIEWS = frozenset({"values", "keys", "items"})
@@ -417,7 +415,7 @@ class DeterminismRule(Rule):
     name = "determinism"
     rationale = (
         "bit-identity modules must not let set/hash iteration order, id() "
-        "values, entropy or unordered pool results reach their outputs"
+        "values, entropy or wall-clock reads reach their outputs"
     )
     scope = CONTRACT_PACKAGES
 
@@ -430,7 +428,7 @@ class DeterminismRule(Rule):
                 yield self.violation(
                     ctx, node, f"import from entropy module `{node.module}` in a bit-identity module"
                 )
-        # module-scope entropy/pool patterns (rare but possible)
+        # module-scope entropy patterns (rare but possible)
         yield from self._check_calls(ctx, ctx.tree, id_keyed)
 
     # -- building blocks ------------------------------------------------
@@ -587,18 +585,8 @@ class DeterminismRule(Rule):
                     yield self.violation(
                         ctx, node, f"`np.random.{f.attr}(...)` in a bit-identity module"
                     )
-                elif f.attr in _UNORDERED_POOL:
-                    yield self.violation(
-                        ctx, node, f"unordered pool consumption `{f.attr}(...)`: completion "
-                        "order varies run to run",
-                    )
             elif isinstance(f, ast.Name):
-                if f.id in _UNORDERED_POOL:
-                    yield self.violation(
-                        ctx, node, f"unordered pool consumption `{f.id}(...)`: completion "
-                        "order varies run to run",
-                    )
-                elif f.id == "default_rng" and not node.args:
+                if f.id == "default_rng" and not node.args:
                     yield self.violation(
                         ctx, node, "`default_rng()` without a seed in a bit-identity module"
                     )
@@ -608,9 +596,8 @@ class DeterminismRule(Rule):
 # RPL011 — environment-variable config registry
 # ---------------------------------------------------------------------------
 
-#: modules allowed to read ``os.environ`` directly: any ``config.py`` plus
-#: the sweep engine (whose store path knob predates the registry)
-_CONFIG_MODULE_SUFFIXES = ("/config.py", "sweep/engine.py")
+#: modules allowed to read ``os.environ`` directly: any ``config.py``
+_CONFIG_MODULE_SUFFIXES = ("/config.py",)
 
 
 def _env_read_sites(tree: ast.AST) -> Iterator[tuple[ast.AST, str | None]]:
@@ -819,35 +806,21 @@ def _call_name(call: ast.Call) -> str:
 
 
 class ResourceLifecycleRule(Rule):
-    """RPL012 — pool spawns register their shutdown.
+    """RPL012 — pools are spawned inside a ``with`` block.
 
     Pools spawn worker processes that outlive the creating frame unless the
-    executor is entered in a ``with`` block (or the module registers an
-    ``atexit`` shutdown path).
+    executor is entered in a ``with`` block, whose exit shuts them down.
     """
 
     code = "RPL012"
     name = "resource-lifecycle"
-    rationale = "pool spawns must register shutdown (a `with` block or atexit)"
+    rationale = "pool spawns must sit in a `with` block that shuts the workers down"
     scope = None
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if self._has_atexit_register(ctx.tree):
-            return
         for fn in ast.walk(ctx.tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_pools(ctx, fn)
-
-    @staticmethod
-    def _has_atexit_register(tree: ast.AST) -> bool:
-        for node in getattr(tree, "body", []):
-            if (
-                isinstance(node, ast.Expr)
-                and isinstance(node.value, ast.Call)
-                and _call_name(node.value) == "register"
-            ):
-                return True
-        return False
 
     def _check_pools(
         self, ctx: FileContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
@@ -868,6 +841,6 @@ class ResourceLifecycleRule(Rule):
                 yield self.violation(
                     ctx,
                     node,
-                    f"`{_call_name(node)}` spawned outside a `with` block in a "
-                    "module with no atexit-registered shutdown path",
+                    f"`{_call_name(node)}` spawned outside a `with` block: "
+                    "nothing shuts its workers down",
                 )

@@ -1,4 +1,4 @@
-"""The repro ruleset: RPL001–RPL008.
+"""The repro ruleset: RPL001–RPL005, RPL007 and RPL008.
 
 Each rule encodes one invariant the paper's algorithms rely on; see
 ``docs/lint.md`` for the catalogue with worked examples.
@@ -33,7 +33,6 @@ __all__ = [
     "IntegerLoadRule",
     "RegistryRule",
     "NoInputMutationRule",
-    "ComplexityBudgetRule",
     "ComplexityClaimRule",
     "ExperimentsCoverageRule",
     "DispatchTwinRule",
@@ -41,7 +40,6 @@ __all__ = [
     "ConfigRegistryRule",
     "ResourceLifecycleRule",
     "check_registry",
-    "check_budgets",
     "check_claims",
     "ALL_RULES",
     "ALL_PROJECT_RULES",
@@ -636,194 +634,6 @@ class ExperimentsCoverageRule(ProjectRule):
         return out
 
 
-def check_budgets(
-    probe_path: str = "src/repro/oned/probe.py",
-    line: int = 1,
-) -> list[Violation]:
-    """RPL006 core check, factored out so tests can invoke it directly.
-
-    Re-measures the paper's complexity bounds as *operation budgets* on small
-    deterministic instances and reports every overshoot.  Counts come from
-    :func:`repro.perf.op_counters` on the instrumented call sites, so unlike
-    wall-clock numbers the budgets are architecture-independent and exact:
-
-    * probe (§2.2): at most ``m`` greedy steps per call;
-    * exact 1D bisection (§2.2): at most ``ceil(log2(UB - LB + 1)) + 1``
-      probe rounds over the opening bracket;
-    * JAG-M-HEUR (§3.2.1): total probe steps within ``32 * (n + m log n)``;
-    * HIER-RB (§3.3): exactly ``2(m - 1)`` cut searches for power-of-two
-      ``m``, and within ``[m - 1, 4(m - 1)]`` for odd ``m``;
-    * HIER-RELAXED (§3.3): cut searches within ``[m - 1, 2(m - 1)]``;
-    * kernel registry (``repro.perf.kernels``): ``probe_batch`` runs one
-      batch call with at most ``m`` lockstep rounds — and exactly one round
-      when every candidate resolves immediately (the early-exit contract);
-      ``min_parts`` walks exactly ``parts`` greedy steps after one batched
-      jump-table search.
-
-    The instances are seeded, the counters deterministic, and both kernel
-    backends are measured where the budget must hold in both — a budget
-    violation is a real complexity regression, never flake.
-    """
-    import math
-
-    import numpy as np
-
-    from ..core.registry import partition_2d
-    from ..oned.bisect import bisect_bottleneck
-    from ..oned.probe import probe
-    from ..perf import op_counters, use_perf_backend
-
-    out: list[Violation] = []
-
-    def bad(message: str) -> None:
-        out.append(
-            Violation(path=probe_path, line=line, col=1, rule="RPL006", message=message)
-        )
-
-    def prefix_of(v: np.ndarray) -> np.ndarray:
-        P = np.zeros(len(v) + 1, dtype=np.int64)
-        np.cumsum(v, out=P[1:])
-        return P
-
-    # probe: at most m greedy steps per call (§2.2)
-    P = prefix_of(np.random.default_rng(17).integers(0, 100, 200))
-    total = int(P[-1])
-    for m in (3, 17):
-        for B in (0, total // (2 * m), total // m, total):
-            with op_counters() as ops:
-                probe(P, m, B)
-            if ops["probe_steps"] > m:
-                bad(
-                    f"probe(m={m}, B={B}) took {ops['probe_steps']} greedy "
-                    f"steps, over the paper budget of m={m} (§2.2)"
-                )
-
-    # exact 1D bisection: O(log(UB - LB)) probe rounds (§2.2)
-    m = 12
-    max_el = int(np.max(np.diff(P)))
-    lb = max(-(-total // m), max_el)
-    ub = total // m + max_el
-    budget = math.ceil(math.log2(ub - lb + 1)) + 1
-    with op_counters() as ops:
-        bisect_bottleneck(P, m)
-    if ops["probe_calls"] > budget:
-        bad(
-            f"bisect_bottleneck(m={m}) opened {ops['probe_calls']} probes, "
-            f"over the ceil(log2(UB-LB+1))+1 = {budget} budget (§2.2)"
-        )
-
-    # JAG-M-HEUR: O(n + m log n) probe work (§3.2.1)
-    n, m = 64, 16
-    A = np.random.default_rng(n + m).integers(0, 50, (n, n))
-    with op_counters() as ops:
-        partition_2d(A, m, "JAG-M-HEUR-HOR")
-    budget = 32 * (n + m * math.ceil(math.log2(n + 1)))
-    if ops["probe_steps"] > budget:
-        bad(
-            f"JAG-M-HEUR on {n}x{n}, m={m} took {ops['probe_steps']} probe "
-            f"steps, over the 32*(n + m*log2(n)) = {budget} budget (§3.2.1)"
-        )
-
-    # hierarchical: cut evaluations per tree node, both backends (§3.3)
-    A = np.random.default_rng(5).integers(1, 50, (32, 32))
-    for backend in ("reference", "numpy"):
-        with use_perf_backend(backend), op_counters() as ops:
-            partition_2d(A, 16, "HIER-RB")
-        if ops["cut_calls"] != 2 * 15:
-            bad(
-                f"HIER-RB m=16 (backend={backend}) made {ops['cut_calls']} cut "
-                f"searches; power-of-two m must make exactly 2(m-1) = 30 (§3.3)"
-            )
-        with use_perf_backend(backend), op_counters() as ops:
-            partition_2d(A, 13, "HIER-RB")
-        if not 12 <= ops["cut_calls"] <= 4 * 12:
-            bad(
-                f"HIER-RB m=13 (backend={backend}) made {ops['cut_calls']} cut "
-                f"searches, outside the [m-1, 4(m-1)] = [12, 48] budget (§3.3)"
-            )
-        with use_perf_backend(backend), op_counters() as ops:
-            partition_2d(A, 9, "HIER-RELAXED")
-        if not 8 <= ops["cut_calls"] <= 2 * 8:
-            bad(
-                f"HIER-RELAXED m=9 (backend={backend}) made {ops['cut_calls']} cut "
-                f"searches, outside the [m-1, 2(m-1)] = [8, 16] budget (§3.3)"
-            )
-
-    # kernel registry (repro.perf.kernels, numpy backend pinned — the round
-    # structure below is the *vectorized* contract; other backends trade it
-    # for per-candidate walks): the batched probe advances every candidate
-    # through one chained searchsorted per lockstep round, so a call costs
-    # one probe_batch_calls bump and at most m searchsorted rounds
-    from ..perf.kernels import min_parts_batch, probe_batch
-
-    P = prefix_of(np.random.default_rng(29).integers(1, 100, 400))
-    total = int(P[-1])
-    m = 24
-    Bs = np.linspace(total // (2 * m), 2 * total // m, 64).astype(np.int64)
-    with use_perf_backend("numpy"):
-        with op_counters() as ops:
-            probe_batch(P, m, Bs)
-        if ops["probe_batch_calls"] != 1 or ops["searchsorted_calls"] > m:
-            bad(
-                f"probe_batch(m={m}, K=64) made {ops['probe_batch_calls']} batch "
-                f"call(s) and {ops['searchsorted_calls']} lockstep rounds; the "
-                f"budget is 1 call of at most m={m} rounds"
-            )
-        # early-exit contract: candidates that die or finish in round one must
-        # cost exactly one round, however large m is (every cell is positive,
-        # so B=0 kills every candidate immediately)
-        with op_counters() as ops:
-            probe_batch(P, 512, np.zeros(64, dtype=np.int64))
-        if ops["searchsorted_calls"] > 1:
-            bad(
-                f"probe_batch early exit ran {ops['searchsorted_calls']} lockstep "
-                f"rounds on all-stuck candidates; must stop after 1"
-            )
-        # min_parts: one batched jump-table search, then exactly `parts` steps
-        B = 8 * total // 400
-        with op_counters() as ops:
-            parts = min_parts_batch(P, B)
-        if ops["searchsorted_calls"] != 1 or ops["probe_steps"] != parts:
-            bad(
-                f"min_parts_batch walked {ops['probe_steps']} steps over "
-                f"{ops['searchsorted_calls']} searchsorted call(s) for {parts} "
-                f"parts; the budget is exactly one batched search and parts steps"
-            )
-    return out
-
-
-class ComplexityBudgetRule(ProjectRule):
-    """RPL006 — the paper's complexity bounds hold as measured op budgets.
-
-    Runs only when the linted tree contains ``oned/probe.py`` (i.e. the
-    repro source tree itself, not an arbitrary file set); re-measures the
-    probe/bisection/JAG-M-HEUR/hierarchical budgets of :func:`check_budgets`
-    on seeded instances and reports each overshoot as a violation anchored
-    on the probe module.
-    """
-
-    code = "RPL006"
-    name = "complexity-budget"
-    rationale = (
-        "op counts on seeded reference instances must stay within the "
-        "paper's complexity budgets (probe <= m steps, bisection O(log "
-        "range), JAG-M-HEUR O(n + m log n), hierarchical cut budgets)"
-    )
-
-    def check_project(self, files: Sequence[FileContext]) -> Iterator[Violation]:
-        probe_ctx = next(
-            (
-                ctx
-                for ctx in files
-                if ctx.path.as_posix().endswith("repro/oned/probe.py")
-            ),
-            None,
-        )
-        if probe_ctx is None:
-            return
-        yield from check_budgets(probe_ctx.rel)
-
-
 #: ``O(...)`` complexity claims, one paren nesting level deep — enough for
 #: every claim in the tree (``O(m log max(n1, n2))``)
 _CLAIM_RE = re.compile(r"O\((?:[^()]|\([^()]*\))*\)")
@@ -954,7 +764,6 @@ ALL_RULES: list[Rule] = [
 #: whole-project rules
 ALL_PROJECT_RULES: list[ProjectRule] = [
     RegistryRule(),
-    ComplexityBudgetRule(),
     ExperimentsCoverageRule(),
     ComplexityClaimRule(),
     DispatchTwinRule(),

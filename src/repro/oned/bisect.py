@@ -32,7 +32,7 @@ from ..perf.kernels import probe_batch
 from ..perf.counters import _STACK as _OPS
 from ..perf.counters import bump
 from ..sweep.state import current as _sweep_current
-from .probe import as_boundary_list, min_parts, probe, probe_cuts
+from .probe import as_boundary_list, probe, probe_cuts
 
 __all__ = ["bisect_bottleneck", "partition_bisect", "feasible_bottlenecks"]
 
@@ -176,8 +176,3 @@ def partition_bisect(P: np.ndarray, m: int) -> tuple[int, np.ndarray]:
     cuts = probe_cuts(P, m, B)
     assert cuts is not None
     return B, cuts
-
-
-def min_parts_for(P: np.ndarray, B: int, cap: int | None = None) -> int:
-    """Convenience re-export: minimum interval count at bottleneck ``B``."""
-    return min_parts(P, B, cap=cap)

@@ -7,7 +7,7 @@ discipline through the 2D algorithms:
 
 * :mod:`repro.perf.config` — the kernel-backend switch (``numpy`` runs,
   ``reference`` is the oracle the equality tests compare it against bit for
-  bit) and the projection-memo sizing knobs.
+  bit).
 * :mod:`repro.perf.cache` — the bounded LRU memo behind
   :meth:`~repro.core.prefix.PrefixSum2D.axis_prefix` /
   :meth:`~repro.core.prefix.PrefixSum2D.boundary_list`: stripe projections
@@ -20,12 +20,12 @@ discipline through the 2D algorithms:
   implementation, selected via ``REPRO_PERF_BACKEND``.
 * :mod:`repro.perf.counters` — near-zero-overhead operation counters (probe
   calls, greedy/bisection steps, rectangle-load queries) with a
-  context-manager API; the substrate for ROADMAP's RPL006 complexity
-  budgets (see ``tests/test_complexity.py``).
+  context-manager API; ``tests/test_complexity.py`` pins them against the
+  paper's complexity bounds.
 """
 
 from .cache import LRUCache
-from .config import cache_budget_bytes, perf_backend, set_perf_backend, use_perf_backend
+from .config import perf_backend, set_perf_backend, use_perf_backend
 from .counters import OpCounters, bump, counting, op_counters
 from .kernels import KERNELS, kernel, min_parts_batch, probe_batch
 
@@ -34,7 +34,6 @@ __all__ = [
     "LRUCache",
     "OpCounters",
     "bump",
-    "cache_budget_bytes",
     "counting",
     "kernel",
     "min_parts_batch",

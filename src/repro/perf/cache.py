@@ -12,8 +12,9 @@ list conversion across iterations, variants and algorithms.
 The cache is bounded by approximate payload *bytes* rather than entry count
 because entries range from a 17-element stripe prefix to a full-width
 boundary list; a count bound would either thrash on small entries or blow
-up on large ones.  Eviction is plain LRU.  Hit/miss/eviction counts are
-kept for the counter layer and the cache tests.
+up on large ones.  Eviction is plain LRU.  The cache keeps no statistics
+of its own: the projection queries count their lookups and hits as the
+``proj_queries`` / ``proj_hits`` op counters (:mod:`repro.perf.counters`).
 """
 
 from __future__ import annotations
@@ -47,16 +48,13 @@ class LRUCache:
     an entry larger than the whole budget is simply not stored.
     """
 
-    __slots__ = ("_data", "_sizes", "max_bytes", "nbytes", "hits", "misses", "evictions")
+    __slots__ = ("_data", "_sizes", "max_bytes", "nbytes")
 
     def __init__(self, max_bytes: int):
         self._data: OrderedDict[Key, object] = OrderedDict()
         self._sizes: Dict[Key, int] = {}
         self.max_bytes = int(max_bytes)
         self.nbytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -66,13 +64,9 @@ class LRUCache:
 
     def get(self, key: Key) -> object | None:
         """Value for ``key`` (refreshing its recency), or ``None``."""
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
+        value = self._data.get(key)
+        if value is not None:
+            self._data.move_to_end(key)
         return value
 
     def put(self, key: Key, value: object) -> None:
@@ -86,24 +80,6 @@ class LRUCache:
         while self._data and self.nbytes + size > self.max_bytes:
             old_key, _ = self._data.popitem(last=False)
             self.nbytes -= self._sizes.pop(old_key)
-            self.evictions += 1
         self._data[key] = value
         self._sizes[key] = size
         self.nbytes += size
-
-    def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
-        self._data.clear()
-        self._sizes.clear()
-        self.nbytes = 0
-
-    def stats(self) -> Dict[str, int]:
-        """Snapshot of the cache counters and occupancy."""
-        return {
-            "entries": len(self._data),
-            "nbytes": self.nbytes,
-            "max_bytes": self.max_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }

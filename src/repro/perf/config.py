@@ -1,4 +1,4 @@
-"""Backend selection and sizing knobs for the optimized kernel layer.
+"""Backend selection for the optimized kernel layer.
 
 Every hot inner loop of the partitioners is a named kernel in the registry
 (:mod:`repro.perf.kernels`), and every kernel has two implementations:
@@ -9,12 +9,9 @@ registry resolves; :func:`use_perf_backend` scopes the choice in tests and
 benchmarks.  ``REPRO_PERF_BACKEND=reference`` is also the switch to reach
 for when bisecting a suspected kernel bug.
 
-Whether the projection memo is used is a separate, per-substrate decision:
-the ``reuse=`` argument of the projection queries, defaulting to
-:func:`cache_min_cells`.
-
-Malformed values are rejected with a ``ValueError`` naming the variable:
-a typo must never quietly select a different backend or budget.
+A malformed value is rejected with a ``ValueError`` naming the variable:
+a typo must never quietly select a different backend.  The projection
+memo's size constants live with the memo, in :mod:`repro.core.prefix`.
 """
 
 from __future__ import annotations
@@ -22,14 +19,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from ..config import ENV_VARS, env_str
+from ..config import env_str
 
 __all__ = [
     "perf_backend",
     "set_perf_backend",
     "use_perf_backend",
-    "cache_budget_bytes",
-    "cache_min_cells",
 ]
 
 #: backends the kernel registry can resolve (see repro.perf.kernels)
@@ -45,15 +40,6 @@ def _parse_backend() -> str:
             f"expected one of {_VALID_BACKENDS}"
         )
     return val
-
-
-def _env_int(name: str) -> int:
-    """Integer value of declared env var ``name`` (unset or empty: its default)."""
-    raw = env_str(name).strip() or ENV_VARS[name].default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r} is not an integer") from None
 
 
 _BACKEND: str = _parse_backend()
@@ -85,27 +71,3 @@ def use_perf_backend(name: str) -> Iterator[None]:
         yield
     finally:
         set_perf_backend(prev)
-
-
-def cache_budget_bytes() -> int:
-    """Per-prefix projection-cache budget in bytes (``REPRO_PERF_CACHE_MB``).
-
-    The 64 MiB default keeps every (stripe start, stripe end) band of the
-    JAG-M-OPT feasibility DP on the small-profile instances resident across
-    all bisection iterations.
-    """
-    return max(1, _env_int("REPRO_PERF_CACHE_MB")) * 1024 * 1024
-
-
-def cache_min_cells() -> int:
-    """Memoization size threshold in cells (``REPRO_PERF_CACHE_MIN_CELLS``).
-
-    Below the 65536-cell default the straight-line subtraction is cheaper
-    than the cache key/lookup bookkeeping (measured — see
-    docs/performance.md), and the exact solvers that *do* win from reuse at
-    any size request it explicitly per call.  Callers that pass an explicit
-    ``reuse=`` to the projection queries are unaffected; this only sets the
-    default for call sites that leave the decision to the instance size.
-    ``0`` restores the pre-threshold behavior (memoize always).
-    """
-    return max(0, _env_int("REPRO_PERF_CACHE_MIN_CELLS"))

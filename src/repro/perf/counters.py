@@ -1,9 +1,9 @@
 """Near-zero-overhead operation counters for the partitioning hot paths.
 
 The paper states per-algorithm complexity bounds (Probe ``O(m log n)``,
-JAG-M-HEUR ``O(n + m log n)``, HIER-RB ``O(m log max(n1, n2))``, §2–3) and
-ROADMAP's RPL006 open item wants those bounds *checked* by counting the
-operations that dominate them.  This module is that substrate.
+JAG-M-HEUR ``O(n + m log n)``, HIER-RB ``O(m log max(n1, n2))``, §2–3);
+``tests/test_complexity.py`` checks them by counting the operations that
+dominate them.  This module is that substrate.
 
 Design: a module-level stack of active :class:`OpCounters`.  When the stack
 is empty — the common case — instrumented call sites pay exactly one

@@ -38,6 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from ..config import env_str
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 from .state import _STACK, SweepState
@@ -62,7 +63,7 @@ def set_default_store(path: str | None) -> str | None:
 
 def _resolve_store(store: SweepStore | str | os.PathLike | None) -> SweepStore | None:
     if store is None:
-        path = _DEFAULT_STORE or os.environ.get("REPRO_SWEEP_STORE") or None
+        path = _DEFAULT_STORE or env_str("REPRO_SWEEP_STORE") or None
         return SweepStore(path) if path else None
     if isinstance(store, SweepStore):
         return store

@@ -31,13 +31,7 @@ import pytest
 
 from repro.core.prefix import PrefixSum2D
 from repro.core.registry import ALGORITHMS, partition_2d
-from repro.core.sparse import (
-    SparsePrefix2D,
-    auto_substrate,
-    sparse_enabled,
-    sparse_threshold,
-    substrate_from_triplets,
-)
+from repro.core.sparse import SparsePrefix2D, auto_substrate, substrate_from_triplets
 from repro.perf.config import use_perf_backend
 from repro.perf.counters import op_counters
 from repro.sweep import SweepStore, use_sweep
@@ -144,7 +138,7 @@ def test_partitions_identical_across_backends(method, tmp_path):
 # ----------------------------------------------------------------------
 # the substrate dispatchers
 # ----------------------------------------------------------------------
-def test_auto_substrate_dispatches_on_density(rng, monkeypatch):
+def test_auto_substrate_dispatches_on_density(rng):
     A_sparse = _random_sparse(rng, 24, 20, 24, 50)
     A_dense = rng.integers(1, 9, size=(16, 16)).astype(np.int64)
     assert isinstance(auto_substrate(A_sparse), SparsePrefix2D)
@@ -152,16 +146,17 @@ def test_auto_substrate_dispatches_on_density(rng, monkeypatch):
     # the two dispatch outcomes agree on every query
     s, d = auto_substrate(A_sparse), PrefixSum2D(A_sparse)
     assert s.load(1, 7, 2, 9) == d.load(1, 7, 2, 9)
-    # threshold 0 disables the sparse path entirely
-    monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "0")
-    assert not sparse_enabled()
-    assert isinstance(auto_substrate(A_sparse), PrefixSum2D)
-    monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "1.0")
-    assert sparse_threshold() == 1.0
-    assert isinstance(auto_substrate(A_dense), SparsePrefix2D)
+    # the density boundary is exact, on both dispatchers: exactly a quarter
+    # of the cells nonzero is CSR, one more nonzero is dense
+    A = _random_sparse(rng, 12, 10, 30, 50)
+    for want in (SparsePrefix2D, PrefixSum2D):
+        rows, cols = np.nonzero(A)
+        assert isinstance(auto_substrate(A), want)
+        assert isinstance(substrate_from_triplets(rows, cols, A[rows, cols], A.shape), want)
+        A[np.unravel_index(np.flatnonzero(A == 0)[0], A.shape)] = 1
 
 
-def test_substrate_from_triplets_matches_dense_assembly(rng, monkeypatch):
+def test_substrate_from_triplets_matches_dense_assembly(rng):
     n1, n2 = 21, 17
     k = 60
     rows = rng.integers(0, n1, size=k)
@@ -172,8 +167,8 @@ def test_substrate_from_triplets_matches_dense_assembly(rng, monkeypatch):
     sub = substrate_from_triplets(rows, cols, vals, (n1, n2))
     np.testing.assert_array_equal(sub.cells_dense(), A)
     assert instance_digest(sub) == matrix_digest(A)
-    # disabled dispatcher → dense substrate, same logical matrix
-    monkeypatch.setenv("REPRO_SPARSE_THRESHOLD", "0")
-    dense_sub = substrate_from_triplets(rows, cols, vals, (n1, n2))
+    # a stream covering every cell densifies: same logical matrix
+    r, c = np.indices((n1, n2)).reshape(2, -1)
+    dense_sub = substrate_from_triplets(r, c, A[r, c] + 1, (n1, n2))
     assert isinstance(dense_sub, PrefixSum2D)
-    np.testing.assert_array_equal(dense_sub.cells_dense(), A)
+    np.testing.assert_array_equal(dense_sub.cells_dense(), A + 1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.registry import partition_2d
 from repro.core.serialize import load_partition
 from repro.experiments import cli as experiments_cli
 from repro.experiments import pool, rawstore
@@ -28,6 +29,21 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "imbalance" in out and "JAG-M-HEUR" in out
+
+    def test_report_imbalance_is_exact_and_zero_safe(self, tmp_path, capsys):
+        # the report prints Partition.imbalance: one rounding of the exact
+        # ratio, and 0 for an all-zero matrix (it used to divide by zero)
+        path = tmp_path / "zeros.npy"
+        np.save(path, np.zeros((6, 5), dtype=np.int64))
+        assert main([str(path), "-m", "4", "--report"]) == 0
+        assert "imbalance     : 0.0000%" in capsys.readouterr().out.splitlines()
+        A = np.full((3, 3), 2**60 // 9, dtype=np.int64)
+        A[0, 0] += 1
+        np.save(path, A)
+        assert main([str(path), "-m", "3", "--method", "JAG-M-HEUR-HOR", "--report"]) == 0
+        part = partition_2d(A, 3, "JAG-M-HEUR-HOR")
+        line = f"imbalance     : {part.imbalance(A):.4%}"
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_writes_partition_and_image(self, matrix_file, tmp_path, capsys):
         path, A = matrix_file

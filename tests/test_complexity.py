@@ -1,7 +1,8 @@
 """Operation-count checks against the paper's complexity bounds.
 
-ROADMAP item RPL006 wants the stated asymptotic bounds *enforced*, not just
-quoted.  The op-counter layer (:mod:`repro.perf.counters`) counts the
+The stated asymptotic bounds of the paper and its journal version (arXiv
+1104.2566) are *enforced* here, not just quoted, and this file is their
+only check.  The op-counter layer (:mod:`repro.perf.counters`) counts the
 operations that dominate each bound — probe steps, cut evaluations,
 rectangle-load queries — and these tests pin them against the paper's
 formulas on deterministic seeded instances:
@@ -10,9 +11,13 @@ formulas on deterministic seeded instances:
 * Exact 1D bisection opens ``O(log(UB - LB))`` probes (§2.2).
 * JAG-M-HEUR is ``O(n + m log n)`` (§3.2.1): total probe steps stay within
   a fixed constant of ``n + m·log₂(n)``.
-* HIER-RB evaluates at most 2 cut searches per tree node with even splits,
-  and at most 4 with odd ones (§3.3); HIER-RB and HIER-RELAXED make at most
-  depth + 1 cut-kernel calls per solve, one per tree level.
+* HIER-RB evaluates exactly 2 cut searches per tree node with even splits,
+  and at most 4 with odd ones; HIER-RELAXED at most 2 (§3.3).  Both make
+  at most depth + 1 cut-kernel calls per solve, one per tree level.
+* The vectorized kernels keep their round structure: ``probe_batch`` runs
+  at most ``m`` lockstep ``searchsorted`` rounds, and exactly one when
+  every candidate resolves in the first (early exit); ``min_parts_batch``
+  walks exactly one step per interval after one batched search.
 * RECT-NICOL's striped bisection needs about half the walks of plain
   bisection, because each walk's proved bound moves the bracket past ``B``.
 
@@ -32,7 +37,7 @@ from repro.core.prefix import PrefixSum2D
 from repro.core.registry import partition_2d
 from repro.oned.bisect import bisect_bottleneck, feasible_bottlenecks
 from repro.oned.probe import min_parts, probe
-from repro.perf import min_parts_batch, op_counters, use_perf_backend
+from repro.perf import min_parts_batch, op_counters, probe_batch, use_perf_backend
 from repro.perf.counters import OpCounters
 
 from .conftest import prefix_of
@@ -168,6 +173,17 @@ def test_feasibility_curve_batches_into_one_kernel_call():
     assert opt["searchsorted_calls"] <= m  # one chained round per greedy step
 
 
+def test_probe_batch_early_exit_is_one_round():
+    # every cell is positive, so B = 0 leaves every candidate stuck in the
+    # first round: the lockstep loop must stop there, however large m is
+    P = prefix_of(np.random.default_rng(29).integers(1, 100, 400))
+    with use_perf_backend("numpy"), op_counters() as ops:
+        feasible = probe_batch(P, 512, np.zeros(64, dtype=np.int64))
+    assert not feasible.any()
+    assert ops["probe_batch_calls"] == 1
+    assert ops["searchsorted_calls"] <= 1
+
+
 # ---------------------------------------------------------------------------
 # JAG-M-HEUR: O(n + m log n) probe work (§3.2.1)
 
@@ -262,8 +278,8 @@ def test_jag_m_opt_projection_cache_hits():
         partition_2d(pref, 12, "JAG-M-OPT-HOR")
     assert ops["proj_hits"] > 0
     assert ops["proj_hits"] <= ops["proj_queries"]
-    stats = pref.projection_cache().stats()
-    assert stats["hits"] == ops["proj_hits"]
+    # every miss stored its entry (nothing evicted within the budget)
+    assert len(pref.projection_cache()) == ops["proj_queries"] - ops["proj_hits"]
 
 
 @pytest.mark.parametrize("P,Q", [(4, 4), (16, 16), (8, 32)])

@@ -33,8 +33,6 @@ from hypothesis.extra import numpy as hnp
 from repro.perf import kernels
 from repro.perf.config import (
     _parse_backend,
-    cache_budget_bytes,
-    cache_min_cells,
     perf_backend,
     set_perf_backend,
     use_perf_backend,
@@ -453,22 +451,6 @@ def test_malformed_backend_env_is_rejected(monkeypatch, value):
     monkeypatch.setenv("REPRO_PERF_BACKEND", value)
     with pytest.raises(ValueError, match=r"REPRO_PERF_BACKEND.*'reference', 'numpy'"):
         _parse_backend()
-
-
-def test_malformed_cache_mb_env_is_rejected(monkeypatch):
-    monkeypatch.setenv("REPRO_PERF_CACHE_MB", "64MB")
-    with pytest.raises(ValueError, match="REPRO_PERF_CACHE_MB"):
-        cache_budget_bytes()
-    monkeypatch.setenv("REPRO_PERF_CACHE_MB", " 2 ")
-    assert cache_budget_bytes() == 2 * 1024 * 1024
-
-
-def test_malformed_cache_min_cells_env_is_rejected(monkeypatch):
-    monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", "1e5")
-    with pytest.raises(ValueError, match="REPRO_PERF_CACHE_MIN_CELLS"):
-        cache_min_cells()
-    monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", "")
-    assert cache_min_cells() == 65536
 
 
 def test_set_perf_backend_rejects_unknown_names():

@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import prefix
 from repro.core.prefix import PrefixSum1D, PrefixSum2D
 from repro.perf import LRUCache
 from repro.perf.cache import sizeof_entry
-from repro.perf.config import cache_budget_bytes, cache_min_cells
 
 
 @pytest.fixture()
@@ -31,11 +31,11 @@ def pref():
 def test_lru_get_put_and_stats():
     c = LRUCache(max_bytes=10_000)
     assert c.get(("a",)) is None
+    assert ("a",) not in c and len(c) == 0
     c.put(("a",), [1, 2, 3])
     assert c.get(("a",)) == [1, 2, 3]
-    s = c.stats()
-    assert s["hits"] == 1 and s["misses"] == 1 and s["entries"] == 1
-    assert s["nbytes"] == sizeof_entry([1, 2, 3])
+    assert ("a",) in c and len(c) == 1
+    assert c.nbytes == sizeof_entry([1, 2, 3])
 
 
 def test_lru_evicts_least_recently_used():
@@ -48,7 +48,7 @@ def test_lru_evicts_least_recently_used():
     assert c.get(("a",)) is not None  # refresh "a": now "b" is the LRU entry
     c.put(("d",), a.copy())
     assert ("b",) not in c and ("a",) in c and ("c",) in c and ("d",) in c
-    assert c.evictions == 1
+    assert len(c) == 3  # exactly one eviction
     assert c.nbytes <= c.max_bytes
 
 
@@ -64,28 +64,13 @@ def test_lru_byte_bound_holds_under_churn():
     for k in range(200):
         c.put(("k", k), np.zeros(rng.integers(1, 80), dtype=np.int64))
         assert c.nbytes <= c.max_bytes
-    assert c.evictions > 0
+    assert len(c) < 200  # entries were evicted
 
 
-def test_lru_clear_keeps_statistics():
-    c = LRUCache(max_bytes=10_000)
-    c.put(("a",), [1])
-    c.get(("a",))
-    c.clear()
-    assert len(c) == 0 and c.nbytes == 0
-    assert c.stats()["hits"] == 1
-
-
-def test_cache_budget_env_knob(monkeypatch):
-    monkeypatch.setenv("REPRO_PERF_CACHE_MB", "3")
-    assert cache_budget_bytes() == 3 * 1024 * 1024
-    monkeypatch.setenv("REPRO_PERF_CACHE_MB", "")
-    assert cache_budget_bytes() == 64 * 1024 * 1024  # empty means the default
-    monkeypatch.setenv("REPRO_PERF_CACHE_MB", "not-a-number")
-    with pytest.raises(ValueError, match="REPRO_PERF_CACHE_MB"):
-        cache_budget_bytes()
-    monkeypatch.setenv("REPRO_PERF_CACHE_MB", "0")
-    assert cache_budget_bytes() == 1024 * 1024  # floored at 1 MB
+def test_cache_budget_env_knob(monkeypatch, pref):
+    # the budget is a constant: the retired REPRO_PERF_CACHE_MB is not read
+    monkeypatch.setenv("REPRO_PERF_CACHE_MB", "1")
+    assert pref.projection_cache().max_bytes == 64 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +125,13 @@ def test_transpose_is_involutive_under_perf(monkeypatch):
     # at/above the size threshold the transposed prefix is pinned: built
     # once, and the back-link makes the pair involutive
     big = PrefixSum2D(np.ones((260, 260), dtype=np.int64))
-    assert big.n1 * big.n2 >= cache_min_cells()
+    assert big.n1 * big.n2 >= prefix._CACHE_MIN_CELLS
     T = big.transpose()
     assert T.transpose() is big
     assert big.transpose() is T  # built once
     np.testing.assert_array_equal(T.G, big.G.T)
     # the same instance below a raised threshold is copied on every call
-    monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", str(big.n1 * big.n2 + 1))
+    monkeypatch.setattr(prefix, "_CACHE_MIN_CELLS", big.n1 * big.n2 + 1)
     fresh = PrefixSum2D(big.G, is_prefix=True)
     assert fresh.transpose() is not fresh.transpose()
 
@@ -154,7 +139,7 @@ def test_transpose_is_involutive_under_perf(monkeypatch):
 def test_transpose_cache_is_adaptive(pref):
     # below the threshold the copy is cheaper than pinning the pair into a
     # reference cycle: every call returns a fresh prefix...
-    assert pref.n1 * pref.n2 < cache_min_cells()
+    assert pref.n1 * pref.n2 < prefix._CACHE_MIN_CELLS
     assert pref.transpose() is not pref.transpose()
     # ...except during a sweep, where warm-start facts are keyed by
     # object identity and the -VER variants need a stable transpose
@@ -197,7 +182,7 @@ def test_small_instance_skips_memo_by_default(pref):
     # 17×23 is far below the default threshold: size-defaulted queries take
     # the straight-line path (fresh writable arrays, nothing cached) so the
     # small-instance heuristics do not pay cache bookkeeping
-    assert pref.n1 * pref.n2 < cache_min_cells()
+    assert pref.n1 * pref.n2 < prefix._CACHE_MIN_CELLS
     p1 = pref.axis_prefix(1, 3, 9)
     p2 = pref.axis_prefix(1, 3, 9)
     assert p1 is not p2
@@ -216,18 +201,14 @@ def test_explicit_reuse_overrides_size_default(pref):
     np.testing.assert_array_equal(p3, p1)
 
 
-def test_cache_min_cells_env_knob(monkeypatch):
-    monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", "100")
-    assert cache_min_cells() == 100
-    monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", "not-a-number")
-    with pytest.raises(ValueError, match="REPRO_PERF_CACHE_MIN_CELLS"):
-        cache_min_cells()
-    monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", "-5")
-    assert cache_min_cells() == 0  # floored: memoize always
+def test_cache_min_cells_env_knob(monkeypatch, pref):
+    # the floor is a constant: the retired REPRO_PERF_CACHE_MIN_CELLS is not read
+    monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", "0")
+    assert pref.axis_prefix(1, 3, 9) is not pref.axis_prefix(1, 3, 9)
 
 
 def test_zero_threshold_restores_always_memoize(monkeypatch):
-    monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", "0")
+    monkeypatch.setattr(prefix, "_CACHE_MIN_CELLS", 0)
     rng = np.random.default_rng(5)
     small = PrefixSum2D(rng.integers(0, 50, (17, 23)))  # fresh: default unresolved
     assert small.axis_prefix(1, 3, 9) is small.axis_prefix(1, 3, 9)
@@ -235,7 +216,7 @@ def test_zero_threshold_restores_always_memoize(monkeypatch):
 
 def test_size_default_resolved_once_per_instance(monkeypatch, pref):
     pref.axis_prefix(1, 3, 9)  # resolves the default (below threshold)
-    monkeypatch.setenv("REPRO_PERF_CACHE_MIN_CELLS", "0")
+    monkeypatch.setattr(prefix, "_CACHE_MIN_CELLS", 0)
     # the instance keeps its resolved default; only fresh prefixes see
-    # the new threshold (documented process-level-knob behavior)
+    # the new threshold
     assert pref.axis_prefix(1, 3, 9) is not pref.axis_prefix(1, 3, 9)
