@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint lint-sarif ruff mypy test figures figures-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
+.PHONY: check lint lint-sarif ruff mypy test figures figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
 
 check: ruff mypy lint test
 	@echo "make check: all gates passed"
@@ -51,6 +51,29 @@ figures-smoke:
 		--raw-dir /tmp/repro-figures-smoke/raw --out /tmp/repro-figures-smoke/b
 	cmp /tmp/repro-figures-smoke/a/fig05.csv /tmp/repro-figures-smoke/b/fig05.csv
 	@echo "figures-smoke: warm rerun byte-identical"
+
+# CI smoke of the sweep fact store: fig07 populates a store, reruns warm
+# from it and runs once without one -- the three CSVs must be identical and
+# the file version 2; a garbage file is then ignored, the CSV is unchanged
+# and the flush rewrites the file valid
+SWEEP_SMOKE = /tmp/repro-sweep-store-smoke
+FIG07 = PYTHONPATH=src $(PYTHON) -m repro.experiments --figures fig07 --scale tiny
+STORE_OK = PYTHONPATH=src $(PYTHON) -c "import json, sys; from repro.sweep import SweepStore; \
+	s = SweepStore(sys.argv[1]); s.load(); \
+	assert s.ignored_reason is None and json.load(open(sys.argv[1]))['version'] == 2"
+sweep-store-smoke:
+	rm -rf $(SWEEP_SMOKE) && mkdir -p $(SWEEP_SMOKE)
+	$(FIG07) --sweep-store $(SWEEP_SMOKE)/S.json --out $(SWEEP_SMOKE)/cold
+	$(FIG07) --sweep-store $(SWEEP_SMOKE)/S.json --out $(SWEEP_SMOKE)/warm
+	$(FIG07) --out $(SWEEP_SMOKE)/none
+	cmp $(SWEEP_SMOKE)/cold/fig07.csv $(SWEEP_SMOKE)/warm/fig07.csv
+	cmp $(SWEEP_SMOKE)/cold/fig07.csv $(SWEEP_SMOKE)/none/fig07.csv
+	$(STORE_OK) $(SWEEP_SMOKE)/S.json
+	printf 'garbage{' > $(SWEEP_SMOKE)/S.json
+	$(FIG07) --sweep-store $(SWEEP_SMOKE)/S.json --out $(SWEEP_SMOKE)/healed
+	cmp $(SWEEP_SMOKE)/cold/fig07.csv $(SWEEP_SMOKE)/healed/fig07.csv
+	$(STORE_OK) $(SWEEP_SMOKE)/S.json
+	@echo "sweep-store-smoke: warm, storeless and healed runs byte-identical"
 
 # kernel registry family: reference vs numpy for every registered kernel,
 # asserting bit-identical results per row; writes BENCH_kernels.json

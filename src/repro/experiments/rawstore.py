@@ -8,9 +8,9 @@ is
 * **incremental** — a cell whose key already exists on disk is a cache
   hit and never recomputed (``make figures`` only solves what changed);
 * **interruptible/resumable** — cells are flushed atomically the moment
-  they complete (``tempfile.mkstemp`` + ``os.replace``, the sweep store's
-  pattern), so a killed ``--jobs N`` run resumes where it left off and
-  the final CSVs are byte-identical to an uninterrupted run;
+  they complete (:func:`repro.sweep.store.write_json_atomic`, the envelope
+  the sweep store uses), so a killed ``--jobs N`` run resumes where it
+  left off and the final CSVs are byte-identical to an uninterrupted run;
 * **safe** — a file that is truncated, tampered with, version-skewed, or
   keyed differently than its name promises is ignored and recomputed
   cold; a corrupt store can cost time, never poison a figure.
@@ -42,13 +42,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator
 
 from ..config import env_str
 from ..sweep.state import Scope, canonical_scope
-from ..sweep.store import instance_digest, matrix_digest
+from ..sweep.store import (
+    canonical_sha256,
+    instance_digest,
+    matrix_digest,
+    write_json_atomic,
+)
 
 __all__ = [
     "RawStore",
@@ -143,17 +147,9 @@ class RawStore:
         }
 
     def _path(self, key: dict) -> str:
-        blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-        tag = hashlib.sha256(blob.encode()).hexdigest()[:24]
+        tag = canonical_sha256(key)[:24]
         name = f"{key['algo']}-m{key['m']}-{key['metric']}-{tag}.json"
         return os.path.join(self.root, key["profile"], name)
-
-    @staticmethod
-    def _checksum(key: dict, value: Any) -> str:
-        blob = json.dumps(
-            {"key": key, "value": value}, sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()
 
     # -- cell I/O -------------------------------------------------------
 
@@ -185,7 +181,7 @@ class RawStore:
             or doc.get("version") != _VERSION
             or "value" not in doc
             or doc.get("key") != key
-            or doc.get("sha256") != self._checksum(key, doc["value"])
+            or doc.get("sha256") != canonical_sha256({"key": key, "value": doc["value"]})
         ):
             self.invalid += 1
             self.misses += 1
@@ -194,28 +190,19 @@ class RawStore:
         return doc["value"]
 
     def store(self, key: dict, value: Any) -> None:
-        """Atomically write one completed cell (mkstemp + ``os.replace``)."""
+        """Atomically write one completed cell (the sweep store's envelope)."""
         path = self._path(key)
-        doc = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "key": key,
-            "value": value,
-            "sha256": self._checksum(key, value),
-        }
-        d = os.path.dirname(path)
-        os.makedirs(d, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_json_atomic(
+            path,
+            {
+                "format": _FORMAT,
+                "version": _VERSION,
+                "key": key,
+                "value": value,
+                "sha256": canonical_sha256({"key": key, "value": value}),
+            },
+        )
 
     def resolve(self, key: dict, compute: Callable[[], Any]) -> Any:
         """Cached value for ``key``, computing (and flushing) on a miss."""

@@ -85,7 +85,7 @@ def hier_rb(A: MatrixLike, m: int, variant: str = "load") -> Partition:
         # the achieved max load is a feasible witness for the class —
         # persisted (and scale-transferred) by the disk store; scoped by
         # variant since different variants reach different partitions
-        state.record_mono_ub(
-            pref, "hier_rb", m, part.max_load(pref), kw={"variant": variant}
+        state.record_ub(
+            pref, "hier_rb", (m,), part.max_load(pref), kw={"variant": variant}
         )
     return part

@@ -64,7 +64,7 @@ def hier_relaxed(A: MatrixLike, m: int, variant: str = "load") -> Partition:
     if state is not None:
         # achieved max load = feasible class witness (persisted and
         # scale-transferred by the disk store), scoped by variant
-        state.record_mono_ub(
-            pref, "hier_relaxed", m, part.max_load(pref), kw={"variant": variant}
+        state.record_ub(
+            pref, "hier_relaxed", (m,), part.max_load(pref), kw={"variant": variant}
         )
     return part

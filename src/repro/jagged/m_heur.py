@@ -123,7 +123,7 @@ def _jag_m_heur_main0(
             "num_stripes": None if num_stripes in (None, "sqrt") else num_stripes,
             "oned": None if oned == "nicolplus" else oned,
         }
-        state.record_mono_ub(pref, "jag_m", m, best.max_load(pref), kw=scope)
+        state.record_ub(pref, "jag_m", (m,), best.max_load(pref), kw=scope)
     return best
 
 

@@ -273,14 +273,14 @@ def jag_m_opt_bottleneck(
     wlb: int | None = None
     wub: int | None = None
     if state is not None:
-        exact, wlb, wub = state.mono_bounds(pref, "jag_m", m)
+        exact, wlb, wub = state.bounds(pref, "jag_m", (m,))
         if exact is not None:
             return exact
     lb = max(-(-pref.total // m), pref.max_element())
     if wlb is not None and wlb > lb:
         lb = wlb
     if ub is None:
-        if state is not None and state.mono_witness(pref, "jag_m", m) is not None:
+        if state is not None and state.witness(pref, "jag_m", (m,)) is not None:
             # a same-m witness is exactly what the internal heuristic would
             # prove (or tighter); any valid ub leaves the bisection result
             # unchanged, so skip recomputing it
@@ -322,7 +322,7 @@ def jag_m_opt_bottleneck(
         else:
             lb = mid + 1
     if state is not None:
-        state.record_mono_opt(pref, "jag_m", m, int(lb))
+        state.record_opt(pref, "jag_m", (m,), int(lb))
     return int(lb)
 
 

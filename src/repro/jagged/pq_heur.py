@@ -70,7 +70,7 @@ def _jag_pq_heur_main0(
         # Scoped by the non-default 1D solver so a weaker oned's witness
         # never masquerades as the default producer's fact
         scope = {"oned": None if oned == "nicolplus" else oned}
-        state.record_grid_ub(pref, P, Q, part.max_load(pref), kw=scope)
+        state.record_ub(pref, "jag_pq", (P, Q), part.max_load(pref), kw=scope)
     return part
 
 

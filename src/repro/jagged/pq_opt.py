@@ -91,14 +91,14 @@ def jag_pq_opt_bottleneck(
     wlb: int | None = None
     wub: int | None = None
     if state is not None:
-        exact, wlb, wub = state.grid_bounds(pref, P, Q)
+        exact, wlb, wub = state.bounds(pref, "jag_pq", (P, Q))
         if exact is not None:
             return exact
     lb = max(-(-total // m), pref.max_element())
     if wlb is not None and wlb > lb:
         lb = wlb
     if ub is None:
-        if state is not None and state.grid_witness(pref, P, Q) is not None:
+        if state is not None and state.witness(pref, "jag_pq", (P, Q)) is not None:
             ub = wub  # same-(P, Q) witness: the heuristic ub is already known
         else:
             stripe_cuts, col_cuts = jag_pq_heur_cuts(pref, P, Q)
@@ -108,7 +108,7 @@ def jag_pq_opt_bottleneck(
                 cc = col_cuts[s]
                 ub = max(ub, int(np.max(band[cc[1:]] - band[cc[:-1]])))
             if state is not None:
-                state.record_grid_ub(pref, P, Q, ub)
+                state.record_ub(pref, "jag_pq", (P, Q), ub)
     assert ub is not None
     ub = max(lb, int(ub))
     if wub is not None and wub < ub:
@@ -120,7 +120,7 @@ def jag_pq_opt_bottleneck(
         else:
             lb = mid + 1
     if state is not None:
-        state.record_grid_opt(pref, P, Q, int(lb))
+        state.record_opt(pref, "jag_pq", (P, Q), int(lb))
     return int(lb)
 
 

@@ -122,7 +122,7 @@ def bisect_bottleneck(
         hi = int(ub)
     state = _sweep_current()
     if state is not None:
-        exact, wlb, wub = state.mono_bounds(P, "bisect", m)
+        exact, wlb, wub = state.bounds(P, "bisect", (m,))
         if exact is not None:
             return exact
         if wlb is not None and wlb > lo:
@@ -151,7 +151,7 @@ def bisect_bottleneck(
             else:
                 lb = mid + 1
     if state is not None:
-        state.record_mono_opt(P, "bisect", m, lb)
+        state.record_opt(P, "bisect", (m,), lb)
     return lb
 
 

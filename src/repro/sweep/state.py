@@ -1,47 +1,54 @@
-"""Cross-call warm-start state for m-sweeps over one load matrix.
+"""Cross-call warm-start state for sweeps over one load matrix.
 
-Every figure in the paper's evaluation (§4) sweeps the processor count ``m``
-over the *same* load matrix; a cold call rediscovers its bottleneck
-bisection window from scratch each time.  The optimal bottleneck of the
-m-way jagged class is monotone non-increasing in ``m``, and the P×Q-way
-class is monotone componentwise in ``(P, Q)``, so every completed bisection
-*proves* transferable facts:
+Every figure in the paper's evaluation (§4) sweeps the processor count over
+the *same* load matrix; a cold call rediscovers its bottleneck bisection
+window from scratch each time.  Every partition class the solvers bisect
+over has one monotonicity law: its optimal bottleneck is non-increasing
+under the componentwise order of the class's **point** — ``(m,)`` for the
+m-way classes, ``(P, Q)`` for the P×Q-way jagged class (more processors in
+any dimension can only help; plain m-monotonicity does **not** hold across
+factorizations, ``B*(1, 7)`` may exceed ``B*(2, 3)``).  So every completed
+bisection *proves* transferable facts:
 
-* an optimum ``B*(m)`` witnesses *feasibility* at ``B*(m)`` (an upper bound
-  for every ``m' >= m``) and *infeasibility* at ``B*(m) - 1`` (a lower
-  bound for every ``m' <= m``);
+* an optimum ``B*(p)`` witnesses *feasibility* at ``B*(p)`` (an upper bound
+  at every point dominating ``p``) and *infeasibility* at ``B*(p) - 1`` (a
+  lower bound at every point ``p`` dominates);
 * a heuristic partition witnesses feasibility of its max load for its own
-  class at its own ``m`` — an upper-bound fact exact solvers can consume;
-* across classes, any P×Q-way jagged partition *is* an (P·Q)-way jagged
-  partition, so P×Q facts transfer as upper bounds to the m-way class and
-  the m-way optimum at ``m = P·Q`` transfers as a lower bound to (P, Q).
+  class at its own point — an upper-bound fact exact solvers can consume.
+
+One table holds every class's facts, and the rules above are written once.
+The only class-specific code is the two cross-class transfers, both from
+"any P×Q-way jagged partition *is* a (P·Q)-way jagged partition":
+``jag_pq`` facts with ``P·Q <= m`` are upper bounds for ``jag_m`` at ``m``,
+and the ``jag_m`` optimum at exactly ``m = P·Q`` is a lower bound for
+``jag_pq`` at ``(P, Q)``.
 
 Facts are additionally keyed by a canonicalized **kwargs scope**: solver
 kwargs that constrain the solution space (e.g. ``num_stripes``) change what
 "the optimum" means, so facts recorded under different kwargs must never
-share a ``(class, m)`` slot — the same keying the disk store
+share a ``(class, point)`` slot — the same keying the disk store
 (:mod:`repro.sweep.store`) uses.  Two sound transfers cross the scope
 boundary, both derived from "a constrained partition is still a partition
 of the class":
 
 * a feasible witness (or optimum) recorded under *any* scope is an upper
-  bound for the **unconstrained** (empty) scope at the same or larger
-  ``m``;
+  bound for the **unconstrained** (empty) scope at every dominating point;
 * an **unconstrained** optimum is a lower bound for every constrained
   scope (a constraint can only worsen the optimum).
 
-This module holds only the *state* (a context stack plus per-prefix bound
-stores); it deliberately imports nothing from the algorithm packages so the
-algorithms can import it without cycles.  The engine that drives sweeps
-lives in :mod:`repro.sweep.engine`; disk persistence lives in
+This module holds only the *state* (a context stack plus per-prefix fact
+tables and memos); it deliberately imports nothing from the algorithm
+packages so the algorithms can import it without cycles.  The engine that
+drives sweeps lives in :mod:`repro.sweep.engine`; disk persistence lives in
 :mod:`repro.sweep.store` and is attached per state via the ``store``
 constructor argument (the state calls back into it through duck typing, so
-no import edge exists here either).
+no import edge exists here either).  The store sees the tables only through
+:meth:`SweepState.facts` and replays them through the ``record_*`` methods.
 
-Soundness discipline: the stores are written exclusively with *proven*
-facts (computed optima and achieved heuristic loads), entries are keyed by
-object identity with a strong reference held for the lifetime of the sweep
-(so ``id`` reuse after garbage collection cannot alias entries), and every
+Soundness discipline: the table is written exclusively with *proven* facts
+(computed optima and achieved heuristic loads), entries are keyed by object
+identity with a strong reference held for the lifetime of the sweep (so
+``id`` reuse after garbage collection cannot alias entries), and every
 record is validated against the monotonicity laws above —
 :class:`SweepInvariantError` is raised on any contradiction, which makes a
 poisoned bound impossible to install through the public API.
@@ -50,6 +57,7 @@ poisoned bound impossible to install through the public API.
 from __future__ import annotations
 
 import numbers
+import operator
 from typing import Any, Mapping
 
 __all__ = [
@@ -70,19 +78,29 @@ class SweepInvariantError(RuntimeError):
 #: memory — the strong references pin every tracked object alive)
 _MAX_TRACKED = 4096
 
-#: monotone class tags (optimum non-increasing in m).  ``bisect`` and
-#: ``jag_m`` are consumed by the exact solvers; ``hier_rb`` and
-#: ``hier_relaxed`` hold the hierarchical heuristics' achieved loads as
+#: class tag -> dimension of its points.  ``bisect`` (1D prefix arrays),
+#: ``jag_m`` and ``jag_pq`` are consumed by the exact solvers; ``hier_rb``
+#: and ``hier_relaxed`` hold the hierarchical heuristics' achieved loads as
 #: class-feasibility witnesses (persisted and scale-transferred by the
 #: disk store — the hierarchical *decisions* themselves are warm-started
 #: through the node memos, see :meth:`SweepState.hier_memo`).
-_MONO_CLASSES = ("bisect", "jag_m", "hier_rb", "hier_relaxed")
+_ARITY = {"bisect": 1, "jag_m": 1, "hier_rb": 1, "hier_relaxed": 1, "jag_pq": 2}
 
 #: a kwargs scope: canonicalized, hashable, JSON-round-trippable
 Scope = tuple[tuple[str, str], ...]
 
 #: the unconstrained scope (no result-affecting kwargs)
 NO_SCOPE: Scope = ()
+
+#: a point of a class: ``(m,)`` or ``(P, Q)``
+Point = tuple[int, ...]
+
+#: one class's facts in one scope: (proven optima, feasible witnesses)
+Tables = tuple[dict[Point, int], dict[Point, int]]
+
+#: one bound fact as :meth:`SweepState.facts` reports it:
+#: ``(kind, class, scope, point, B)`` with kind ``"opt"`` or ``"ub"``
+Fact = tuple[str, str, Scope, Point, int]
 
 
 def _canon_value(v: Any) -> str:
@@ -116,44 +134,69 @@ def canonical_scope(kw: Mapping[str, Any] | None) -> Scope:
     return tuple(items)
 
 
-class SweepState:
-    """Per-sweep warm-start stores, keyed by object identity and scope.
+def _point(cls: str, point: Any) -> Point:
+    """``point`` as a tuple of ints, validated against class ``cls``."""
+    arity = _ARITY.get(cls)
+    if arity is None:
+        raise SweepInvariantError(f"unknown monotone class {cls!r}")
+    p = tuple(map(int, point))
+    if len(p) != arity:
+        raise SweepInvariantError(f"{cls}: point {p} is not {arity}-dimensional")
+    return p
 
-    One instance lives for the duration of a ``use_sweep()`` block.  All
-    mutating methods validate monotonicity and raise
+
+def _dominated(q: Point, p: Point) -> bool:
+    """``q <= p`` componentwise."""
+    return all(map(operator.le, q, p))
+
+
+def _bracket(
+    scopes: dict[Scope, Tables], p: Point, scope: Scope
+) -> tuple[int | None, int | None]:
+    """``(lb, ub)`` at ``p`` from one class's facts (module docstring rules).
+
+    Lower bounds are optima at points dominating ``p``, in the own or the
+    unconstrained scope; upper bounds are optima and witnesses at points
+    ``p`` dominates, in the own scope — in every scope when ``scope`` is
+    the unconstrained one.
+    """
+    lb = ub = None
+    for s, (opt, wit) in scopes.items():
+        if s == scope or s == NO_SCOPE:
+            for q, B in opt.items():
+                if (lb is None or B > lb) and _dominated(p, q):
+                    lb = B
+        if s == scope or scope == NO_SCOPE:
+            for table in (opt, wit):
+                for q, B in table.items():
+                    if (ub is None or B < ub) and _dominated(q, p):
+                        ub = B
+    return lb, ub
+
+
+class SweepState:
+    """Per-sweep warm-start facts and memos, keyed by object identity.
+
+    One instance lives for the duration of a ``use_sweep()`` block.  Both
+    recording methods validate monotonicity and raise
     :class:`SweepInvariantError` on contradictions.  ``store`` optionally
     attaches a disk-backed fact store (:mod:`repro.sweep.store`): tracked
     2D prefixes are then seeded from disk on first touch and harvested
     back on :meth:`flush_to_store`.
     """
 
-    __slots__ = (
-        "_refs",
-        "_mono_opt",
-        "_mono_ub",
-        "_grid_opt",
-        "_grid_ub",
-        "_memos",
-        "_store",
-        "_digests",
-    )
+    __slots__ = ("_refs", "_facts", "_memos", "_store")
 
     def __init__(self, store: Any = None) -> None:
         # id -> strong reference (prevents GC id reuse for tracked objects)
         self._refs: dict[int, Any] = {}
-        # (id, class, scope) -> {m: B} proven optima / feasible upper bounds
-        self._mono_opt: dict[tuple[int, str, Scope], dict[int, int]] = {}
-        self._mono_ub: dict[tuple[int, str, Scope], dict[int, int]] = {}
-        # (id, scope) -> {(P, Q): B} for the P×Q-way jagged class
-        self._grid_opt: dict[tuple[int, Scope], dict[tuple[int, int], int]] = {}
-        self._grid_ub: dict[tuple[int, Scope], dict[tuple[int, int], int]] = {}
-        # (id, tag) -> shared memo; tags: "stripe" (JAG-M-OPT stripe facts),
+        # (id, class) -> scope -> (optima, witnesses), each {point: B}
+        self._facts: dict[tuple[int, str], dict[Scope, Tables]] = {}
+        # id -> tag -> shared memo; tags: "stripe" (JAG-M-OPT stripe facts),
         # "rb" / "relaxed" (hierarchical node decisions)
-        self._memos: dict[tuple[int, str], dict] = {}
+        self._memos: dict[int, dict[str, dict]] = {}
         # the attached disk store (duck-typed; see repro.sweep.store)
         self._store = store
-        # id -> (digest, scale) cache maintained by the store
-        self._digests: dict[int, tuple[str, int]] = {}
 
     # -- tracking -------------------------------------------------------
 
@@ -174,10 +217,9 @@ class SweepState:
     def _query_key(self, obj: Any) -> int | None:
         """Identity key for a *read*; seeds from the disk store on first touch.
 
-        Without a store, reads never track (exactly the pre-store
-        behavior: an object nobody recorded facts for has no warmth).
-        With a store attached, the first read of a content-addressable
-        instance loads its persisted facts.
+        Without a store, reads never track (an object nobody recorded facts
+        for has no warmth).  With a store attached, the first read of a
+        content-addressable instance loads its persisted facts.
         """
         key = id(obj)
         if key in self._refs:
@@ -186,359 +228,142 @@ class SweepState:
             return self._track(obj)
         return None
 
-    # -- monotone-in-m classes ------------------------------------------
+    # -- the bound table ------------------------------------------------
 
-    def mono_bounds(
-        self, obj: Any, cls: str, m: int, *, kw: Mapping[str, Any] | None = None
+    def bounds(
+        self, obj: Any, cls: str, point: Any, *, kw: Mapping[str, Any] | None = None
     ) -> tuple[int | None, int | None, int | None]:
-        """``(exact, lb, ub)`` for class ``cls`` at ``m`` from recorded facts.
+        """``(exact, lb, ub)`` for class ``cls`` at ``point`` from recorded facts.
 
-        ``exact`` is the recorded optimum at ``m`` itself (or None); ``lb``
-        comes from optima at ``m' >= m`` (their bisections proved
-        infeasibility just below them, which transfers downward in ``m``);
-        ``ub`` comes from optima and feasible witnesses at ``m' <= m``
-        (feasibility transfers upward in ``m``).  Facts live in the scope
-        of ``kw``; the unconstrained scope additionally sees every scope's
-        feasibility facts, and constrained scopes additionally see
-        unconstrained optima as lower bounds (module docstring).
+        ``exact`` is the optimum recorded at ``point`` itself (or None);
+        ``lb`` comes from optima at dominating points (their bisections
+        proved infeasibility just below them); ``ub`` comes from optima and
+        feasible witnesses at dominated points.  Facts live in the scope of
+        ``kw``; the unconstrained scope additionally sees every scope's
+        feasibility facts, constrained scopes additionally see unconstrained
+        optima as lower bounds, and the two cross-class transfers apply
+        (module docstring).
         """
-        key = id(obj)
-        if key not in self._refs:
-            key = self._query_key(obj)  # type: ignore[assignment]
-            if key is None:
-                return None, None, None
+        p = _point(cls, point)
+        key = self._query_key(obj)
+        if key is None:
+            return None, None, None
         scope = canonical_scope(kw)
-        opt = self._mono_opt.get((key, cls, scope))
-        exact = opt.get(m) if opt else None
+        scopes = self._facts.get((key, cls), {})
+        exact = scopes[scope][0].get(p) if scope in scopes else None
         if exact is not None:
             return exact, exact, exact
-        lb: int | None = None
-        ub: int | None = None
-        if opt:
-            for mp, B in opt.items():
-                if mp >= m and (lb is None or B > lb):
-                    lb = B
-                if mp <= m and (ub is None or B < ub):
-                    ub = B
-        ubs = self._mono_ub.get((key, cls, scope))
-        if ubs:
-            for mp, B in ubs.items():
-                if mp <= m and (ub is None or B < ub):
-                    ub = B
-        if scope == NO_SCOPE:
-            # constrained feasibility transfers to the unconstrained class
-            for (k2, c2, s2), table in self._mono_ub.items():  # repro-lint: disable=RPL010 — order-independent min-reduction
-                if k2 == key and c2 == cls and s2 != NO_SCOPE:
-                    for mp, B in table.items():
-                        if mp <= m and (ub is None or B < ub):
-                            ub = B
-            for (k2, c2, s2), table in self._mono_opt.items():  # repro-lint: disable=RPL010 — order-independent min-reduction
-                if k2 == key and c2 == cls and s2 != NO_SCOPE:
-                    for mp, B in table.items():
-                        if mp <= m and (ub is None or B < ub):
-                            ub = B
-        else:
-            # the unconstrained optimum lower-bounds every constrained one
-            base = self._mono_opt.get((key, cls, NO_SCOPE))
-            if base:
-                for mp, B in base.items():
-                    if mp >= m and (lb is None or B > lb):
-                        lb = B
+        lb, ub = _bracket(scopes, p, scope)
         if cls == "jag_m" and scope == NO_SCOPE:
-            # cross-class: any P×Q-way partition with P·Q <= m is an m-way
-            # jagged partition, so grid facts are feasible witnesses here
-            gub = self._grid_min_ub(key, m)
-            if gub is not None and (ub is None or gub < ub):
-                ub = gub
-        return None, lb, ub  # repro-lint: disable=RPL010 — lb/ub are bottleneck values, not identity keys
-
-    def record_mono_opt(
-        self, obj: Any, cls: str, m: int, B: int, *, kw: Mapping[str, Any] | None = None
-    ) -> None:
-        """Record a proven optimum ``B`` for class ``cls`` at ``m``."""
-        if cls not in _MONO_CLASSES:
-            raise SweepInvariantError(f"unknown monotone class {cls!r}")
-        key = self._track(obj)
-        if key is None:
-            return
-        scope = canonical_scope(kw)
-        B = int(B)
-        store = self._mono_opt.setdefault((key, cls, scope), {})
-        prev = store.get(m)
-        if prev is not None and prev != B:
-            raise SweepInvariantError(
-                f"{cls}: optimum at m={m} recorded twice with different values "
-                f"({prev} then {B})"
-            )
-        for mp, Bp in store.items():
-            if (mp <= m and Bp < B) or (mp >= m and Bp > B):
-                raise SweepInvariantError(
-                    f"{cls}: optimum {B} at m={m} contradicts optimum {Bp} at "
-                    f"m={mp} (B* must be non-increasing in m)"
-                )
-        ubs = self._mono_ub.get((key, cls, scope))
-        if ubs:
-            for mp, Bp in ubs.items():
-                if mp <= m and Bp < B:
-                    raise SweepInvariantError(
-                        f"{cls}: optimum {B} at m={m} exceeds the feasible "
-                        f"witness {Bp} recorded at m={mp}"
-                    )
-        if scope == NO_SCOPE:
-            # every scope's feasibility facts cap the unconstrained optimum
-            for (k2, c2, s2), table in list(self._mono_ub.items()) + list(
-                self._mono_opt.items()
-            ):
-                if k2 != key or c2 != cls or s2 == NO_SCOPE:
-                    continue
-                for mp, Bp in table.items():
-                    if mp <= m and Bp < B:
-                        raise SweepInvariantError(
-                            f"{cls}: unconstrained optimum {B} at m={m} exceeds "
-                            f"the feasible witness {Bp} at m={mp} "
-                            f"(scope {dict(s2)!r})"
-                        )
-        else:
-            base = self._mono_opt.get((key, cls, NO_SCOPE))
-            if base:
-                for mp, Bp in base.items():
-                    if mp >= m and B < Bp:
-                        raise SweepInvariantError(
-                            f"{cls}: constrained optimum {B} at m={m} "
-                            f"(scope {dict(scope)!r}) undercuts the "
-                            f"unconstrained optimum {Bp} at m={mp}"
-                        )
-        store[m] = B
-
-    def mono_witness(
-        self, obj: Any, cls: str, m: int, *, kw: Mapping[str, Any] | None = None
-    ) -> int | None:
-        """The recorded feasible witness at exactly ``m`` (or None).
-
-        Exact solvers use this to skip recomputing their internal heuristic
-        upper bound: a witness at the same ``m`` is feasible for the class,
-        and any valid upper bound leaves the bisection result unchanged.
-        The unconstrained scope sees every scope's witnesses (a constrained
-        partition is still a partition of the class).
-        """
-        key = id(obj)
-        if key not in self._refs:
-            key = self._query_key(obj)  # type: ignore[assignment]
-            if key is None:
-                return None
-        scope = canonical_scope(kw)
-        ubs = self._mono_ub.get((key, cls, scope))
-        out = ubs.get(m) if ubs else None
-        if scope == NO_SCOPE:
-            # constrained optima are feasible witnesses for the class too
-            for source in (self._mono_ub, self._mono_opt):
-                for (k2, c2, s2), table in source.items():
-                    if k2 == key and c2 == cls and s2 != NO_SCOPE:
-                        B = table.get(m)
-                        if B is not None and (out is None or B < out):
-                            out = B
-        return out
-
-    def record_mono_ub(
-        self, obj: Any, cls: str, m: int, B: int, *, kw: Mapping[str, Any] | None = None
-    ) -> None:
-        """Record a proven-feasible bottleneck ``B`` (a witness) at ``m``."""
-        if cls not in _MONO_CLASSES:
-            raise SweepInvariantError(f"unknown monotone class {cls!r}")
-        key = self._track(obj)
-        if key is None:
-            return
-        scope = canonical_scope(kw)
-        B = int(B)
-        for check_scope in {scope, NO_SCOPE}:
-            # a witness transfers to the unconstrained class, so it must not
-            # undercut the unconstrained optima either
-            opt = self._mono_opt.get((key, cls, check_scope))
-            if opt:
-                for mp, Bp in opt.items():
-                    if mp >= m and B < Bp:
-                        raise SweepInvariantError(
-                            f"{cls}: feasible witness {B} at m={m} undercuts "
-                            f"the optimum {Bp} at m={mp}"
-                        )
-        ubs = self._mono_ub.setdefault((key, cls, scope), {})
-        prev = ubs.get(m)
-        if prev is None or B < prev:
-            ubs[m] = B
-
-    # -- the P×Q-way jagged class (componentwise monotone) --------------
-
-    def grid_bounds(
-        self, pref: Any, P: int, Q: int, *, kw: Mapping[str, Any] | None = None
-    ) -> tuple[int | None, int | None, int | None]:
-        """``(exact, lb, ub)`` for the P×Q-way class by dominance lookup.
-
-        A recorded grid dominated by ``(P, Q)`` (componentwise ``<=``)
-        yields an upper bound; a dominating grid yields a lower bound.
-        Plain m-monotonicity does **not** hold across factorizations
-        (``B*(1, 7)`` may exceed ``B*(2, 3)``), hence the dominance scan.
-        The m-way optimum at ``m = P·Q`` is a valid lower bound (the m-way
-        class contains every P×Q-way partition).  Scope rules mirror
-        :meth:`mono_bounds`.
-        """
-        key = id(pref)
-        if key not in self._refs:
-            key = self._query_key(pref)  # type: ignore[assignment]
-            if key is None:
-                return None, None, None
-        scope = canonical_scope(kw)
-        opt = self._grid_opt.get((key, scope))
-        exact = opt.get((P, Q)) if opt else None
-        if exact is not None:
-            return exact, exact, exact
-        lb: int | None = None
-        ub: int | None = None
-        if opt:
-            for (Pp, Qp), B in opt.items():
-                if Pp <= P and Qp <= Q and (ub is None or B < ub):
-                    ub = B
-                if Pp >= P and Qp >= Q and (lb is None or B > lb):
-                    lb = B
-        ubs = self._grid_ub.get((key, scope))
-        if ubs:
-            for (Pp, Qp), B in ubs.items():
-                if Pp <= P and Qp <= Q and (ub is None or B < ub):
-                    ub = B
-        if scope == NO_SCOPE:
-            for (k2, s2), table in list(self._grid_ub.items()) + list(
-                self._grid_opt.items()
-            ):
-                if k2 != key or s2 == NO_SCOPE:
-                    continue
-                for (Pp, Qp), B in table.items():
-                    if Pp <= P and Qp <= Q and (ub is None or B < ub):
-                        ub = B
-        else:
-            base = self._grid_opt.get((key, NO_SCOPE))
-            if base:
-                for (Pp, Qp), B in base.items():
-                    if Pp >= P and Qp >= Q and (lb is None or B > lb):
-                        lb = B
-        mono = self._mono_opt.get((key, "jag_m", NO_SCOPE))
-        if mono is not None:
-            B = mono.get(P * Q)
+            # every scope's P×Q-way partition with P·Q <= m is m-way jagged
+            grid = self._facts.get((key, "jag_pq"), {})
+            for tables in grid.values():
+                for table in tables:
+                    for (P, Q), B in table.items():
+                        if (ub is None or B < ub) and P * Q <= p[0]:
+                            ub = B
+        elif cls == "jag_pq":
+            # the m-way class contains every P×Q-way partition
+            base = self._facts.get((key, "jag_m"), {}).get(NO_SCOPE)
+            B = base[0].get((p[0] * p[1],)) if base else None
             if B is not None and (lb is None or B > lb):
                 lb = B
         return None, lb, ub
 
-    def record_grid_opt(
-        self, pref: Any, P: int, Q: int, B: int, *, kw: Mapping[str, Any] | None = None
-    ) -> None:
-        """Record a proven P×Q-way optimum ``B``."""
-        key = self._track(pref)
-        if key is None:
-            return
-        scope = canonical_scope(kw)
-        B = int(B)
-        store = self._grid_opt.setdefault((key, scope), {})
-        prev = store.get((P, Q))
-        if prev is not None and prev != B:
-            raise SweepInvariantError(
-                f"jag_pq: optimum at ({P},{Q}) recorded twice with different "
-                f"values ({prev} then {B})"
-            )
-        for (Pp, Qp), Bp in store.items():
-            if (Pp <= P and Qp <= Q and Bp < B) or (Pp >= P and Qp >= Q and Bp > B):
-                raise SweepInvariantError(
-                    f"jag_pq: optimum {B} at ({P},{Q}) contradicts optimum "
-                    f"{Bp} at ({Pp},{Qp}) (componentwise monotonicity)"
-                )
-        ubs = self._grid_ub.get((key, scope))
-        if ubs:
-            for (Pp, Qp), Bp in ubs.items():
-                if Pp <= P and Qp <= Q and Bp < B:
-                    raise SweepInvariantError(
-                        f"jag_pq: optimum {B} at ({P},{Q}) exceeds the "
-                        f"feasible witness {Bp} at ({Pp},{Qp})"
-                    )
-        if scope == NO_SCOPE:
-            for (k2, s2), table in list(self._grid_ub.items()) + list(
-                self._grid_opt.items()
-            ):
-                if k2 != key or s2 == NO_SCOPE:
-                    continue
-                for (Pp, Qp), Bp in table.items():
-                    if Pp <= P and Qp <= Q and Bp < B:
-                        raise SweepInvariantError(
-                            f"jag_pq: unconstrained optimum {B} at ({P},{Q}) "
-                            f"exceeds the feasible witness {Bp} at "
-                            f"({Pp},{Qp}) (scope {dict(s2)!r})"
-                        )
-        else:
-            base = self._grid_opt.get((key, NO_SCOPE))
-            if base:
-                for (Pp, Qp), Bp in base.items():
-                    if Pp >= P and Qp >= Q and B < Bp:
-                        raise SweepInvariantError(
-                            f"jag_pq: constrained optimum {B} at ({P},{Q}) "
-                            f"(scope {dict(scope)!r}) undercuts the "
-                            f"unconstrained optimum {Bp} at ({Pp},{Qp})"
-                        )
-        store[(P, Q)] = B
-
-    def grid_witness(
-        self, pref: Any, P: int, Q: int, *, kw: Mapping[str, Any] | None = None
+    def witness(
+        self, obj: Any, cls: str, point: Any, *, kw: Mapping[str, Any] | None = None
     ) -> int | None:
-        """The recorded feasible witness at exactly ``(P, Q)`` (or None)."""
-        key = id(pref)
-        if key not in self._refs:
-            key = self._query_key(pref)  # type: ignore[assignment]
-            if key is None:
-                return None
-        scope = canonical_scope(kw)
-        ubs = self._grid_ub.get((key, scope))
-        out = ubs.get((P, Q)) if ubs else None
-        if scope == NO_SCOPE:
-            for (k2, s2), table in self._grid_ub.items():  # repro-lint: disable=RPL010 — order-independent min-reduction
-                if k2 == key and s2 != NO_SCOPE:
-                    B = table.get((P, Q))
-                    if B is not None and (out is None or B < out):
-                        out = B
-        return out
+        """The recorded feasible witness at exactly ``point`` (or None).
 
-    def record_grid_ub(
-        self, pref: Any, P: int, Q: int, B: int, *, kw: Mapping[str, Any] | None = None
+        Exact solvers use this to skip recomputing their internal heuristic
+        upper bound: a witness at the same point is feasible for the class,
+        and any valid upper bound leaves the bisection result unchanged.
+        The unconstrained scope sees every scope's witnesses and the
+        constrained scopes' optima (a constrained partition is still a
+        partition of the class).
+        """
+        p = _point(cls, point)
+        key = self._query_key(obj)
+        if key is None:
+            return None
+        scope = canonical_scope(kw)
+        found = []
+        scopes = self._facts.get((key, cls), {})
+        for s, (opt, wit) in scopes.items():
+            if s == scope or scope == NO_SCOPE:
+                found.append(wit.get(p))
+            if scope == NO_SCOPE and s != NO_SCOPE:
+                found.append(opt.get(p))
+        return min((B for B in found if B is not None), default=None)
+
+    def record_opt(
+        self, obj: Any, cls: str, point: Any, B: int, *, kw: Mapping[str, Any] | None = None
     ) -> None:
-        """Record a proven-feasible P×Q-way bottleneck (a witness)."""
-        key = self._track(pref)
+        """Record a proven optimum ``B`` for class ``cls`` at ``point``.
+
+        ``B`` must lie inside the bracket the class's recorded facts
+        already prove at ``point`` — which also rejects a second, different
+        optimum at the same point.
+        """
+        p = _point(cls, point)
+        key = self._track(obj)
         if key is None:
             return
         scope = canonical_scope(kw)
         B = int(B)
-        for check_scope in {scope, NO_SCOPE}:
-            opt = self._grid_opt.get((key, check_scope))
-            if opt:
-                for (Pp, Qp), Bp in opt.items():
-                    if Pp >= P and Qp >= Q and B < Bp:
-                        raise SweepInvariantError(
-                            f"jag_pq: feasible witness {B} at ({P},{Q}) "
-                            f"undercuts the optimum {Bp} at ({Pp},{Qp})"
-                        )
-        ubs = self._grid_ub.setdefault((key, scope), {})
-        prev = ubs.get((P, Q))
-        if prev is None or B < prev:
-            ubs[(P, Q)] = B
+        scopes = self._facts.setdefault((key, cls), {})
+        lb, ub = _bracket(scopes, p, scope)
+        if (lb is not None and B < lb) or (ub is not None and B > ub):
+            raise SweepInvariantError(
+                f"{cls}: optimum {B} at {p} (scope {dict(scope)!r}) contradicts "
+                f"the recorded bracket [{lb}, {ub}] (B* is non-increasing "
+                f"under componentwise order)"
+            )
+        scopes.setdefault(scope, ({}, {}))[0][p] = B
 
-    def _grid_min_ub(self, key: int, m: int) -> int | None:
-        """Tightest grid fact with ``P·Q <= m`` (an m-way feasible witness).
+    def record_ub(
+        self, obj: Any, cls: str, point: Any, B: int, *, kw: Mapping[str, Any] | None = None
+    ) -> None:
+        """Record a proven-feasible bottleneck ``B`` (a witness) at ``point``.
 
-        Scans every scope: any feasible P×Q-way partition — however its
-        producer was parameterized — is an m-way jagged partition.
+        A witness transfers to the unconstrained class, so it must not
+        undercut an optimum at a dominating point in its own scope or the
+        unconstrained one.
         """
-        out: int | None = None
-        for table_map in (self._grid_opt, self._grid_ub):
-            for (k2, _s2), store in table_map.items():
-                if k2 != key:
-                    continue
-                for (Pp, Qp), B in store.items():
-                    if Pp * Qp <= m and (out is None or B < out):
-                        out = B
-        return out
+        p = _point(cls, point)
+        key = self._track(obj)
+        if key is None:
+            return
+        scope = canonical_scope(kw)
+        B = int(B)
+        scopes = self._facts.setdefault((key, cls), {})
+        lb, _ = _bracket(scopes, p, scope)
+        if lb is not None and B < lb:
+            raise SweepInvariantError(
+                f"{cls}: feasible witness {B} at {p} (scope {dict(scope)!r}) "
+                f"undercuts the optimum {lb} at a dominating point"
+            )
+        wit = scopes.setdefault(scope, ({}, {}))[1]
+        if B < wit.get(p, B + 1):
+            wit[p] = B
+
+    def facts(self, obj: Any) -> tuple[list[Fact], dict[str, dict]]:
+        """Everything recorded about ``obj``: bound facts and shared memos.
+
+        The bound facts are ``(kind, class, scope, point, B)`` rows — kind
+        ``"opt"`` replays through :meth:`record_opt`, ``"ub"`` through
+        :meth:`record_ub` — and the memos map each non-empty tag to its
+        dict.  This is the disk store's only view of the state.
+        """
+        key = id(obj)
+        rows: list[Fact] = []
+        for cls in _ARITY:
+            scopes = self._facts.get((key, cls), {})
+            for scope, (opt, wit) in scopes.items():
+                rows += [("opt", cls, scope, p, B) for p, B in opt.items()]
+                rows += [("ub", cls, scope, p, B) for p, B in wit.items()]
+        tagged = self._memos.get(key, {})
+        return rows, {tag: memo for tag, memo in tagged.items() if memo}
 
     # -- shared memos (stripe facts, hierarchical node decisions) -------
 
@@ -571,11 +396,7 @@ class SweepState:
         key = self._track(obj)
         if key is None:
             return None
-        memo = self._memos.get((key, tag))
-        if memo is None:
-            memo = {}
-            self._memos[(key, tag)] = memo
-        return memo
+        return self._memos.setdefault(key, {}).setdefault(tag, {})
 
     # -- disk-store lifecycle -------------------------------------------
 

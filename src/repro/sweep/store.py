@@ -1,10 +1,10 @@
 """Disk-backed, content-addressed persistence for sweep facts.
 
-Facts proved inside one ``use_sweep()`` scope (monotone bottleneck bounds,
-grid dominance facts, heuristic witnesses, stripe facts, hierarchical node
-decisions) die with the process; this module persists them so a later
-process — rerunning a figure, or partitioning the *same* physical instance
-again — starts warm.  Mirroring how production partitioners amortize
+Facts proved inside one ``use_sweep()`` scope (the bound table's optima
+and feasible witnesses, stripe facts, hierarchical node decisions) die
+with the process; this module persists them so a later process —
+rerunning a figure, or partitioning the *same* physical instance again —
+starts warm.  Mirroring how production partitioners amortize
 repartitioning cost across timesteps, the store is keyed by *content*:
 
 * the instance digest is ``SHA-256`` over the load matrix's dtype tag,
@@ -19,24 +19,34 @@ repartitioning cost across timesteps, the store is keyed by *content*:
   under load scaling (integer cut targets use ``(s·a) // (s·b) = a // b``
   and scores scale uniformly), so they are stored scale-free; RELAXED node
   decisions involve float rounding and an absolute tie epsilon, so they
-  are stored *per scale* and reused only at a matching scale;
-* within one entry, facts carry their canonicalized solver-kwargs scope
-  (:func:`repro.sweep.state.canonical_scope`) — the same keying the
-  in-memory state uses.
+  are stored *per scale* and reused only at a matching scale.
 
-File format: one JSON document ``{"format", "version", "payload",
-"sha256"}`` where ``sha256`` covers the canonical (sorted, compact)
-serialization of ``payload``.  A file that fails to parse, fails the
-checksum, or carries another version is **ignored, never trusted** — and
-every seeded fact still passes the in-memory validators, so even a
-checksum-valid but semantically poisoned store cannot install a
-contradiction (seeding stops at the first rejected fact).
+The store reads a live state only through
+:meth:`~repro.sweep.state.SweepState.facts` and writes it only through
+``record_opt``/``record_ub`` and the memo accessors, so the table layout
+stays private to :mod:`repro.sweep.state`.  An instance entry is
+``{"shape", "facts", "stripe", "rb", "relaxed"}`` where ``facts`` is one
+list of ``[kind, class, scope, point, B]`` rows — kind ``"opt"`` or
+``"ub"``, the canonicalized solver-kwargs scope
+(:func:`repro.sweep.state.canonical_scope`) as ``[name, value]`` pairs,
+the point as a list of ints, ``B`` at primitive scale.
 
-Flushing is a read-merge-write: the current file is re-read, the session's
-harvest is merged in (upper bounds keep the minimum, conflicting optima
-are dropped entirely), and the result is written to a temp file in the
-same directory and ``os.replace``-d over the target — atomic on POSIX, so
-concurrent flushes end last-writer-wins and never corrupt the file.
+File format (version 2): one JSON document ``{"format", "version",
+"payload", "sha256"}`` where ``sha256`` covers the canonical (sorted,
+compact) serialization of ``payload``.  A file that fails to parse, fails
+the checksum, or carries another version (including a version-1 file) is
+**ignored, never trusted** — and every seeded fact still passes the
+in-memory validators, so even a checksum-valid but semantically poisoned
+store cannot install a contradiction (seeding stops at the first rejected
+fact).  :func:`canonical_sha256` and :func:`write_json_atomic` are the
+integrity envelope this store shares with the figure farm's raw store
+(:mod:`repro.experiments.rawstore`).
+
+Flushing is a read-merge-write: the current file is re-read, the harvest
+since the last flush is merged in (witnesses keep the minimum, conflicting
+optima are dropped entirely), and the result is written to a temp file in
+the same directory and ``os.replace``-d over the target — atomic on POSIX,
+so concurrent flushes end last-writer-wins and never corrupt the file.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import suppress
 from typing import Any
 
 import numpy as np
@@ -53,21 +64,52 @@ from ..core.prefix import PrefixSum2D
 from ..core.sparse import SparsePrefix2D
 from .state import Scope, SweepInvariantError, SweepState
 
-__all__ = ["SweepStore", "instance_digest", "matrix_digest"]
+__all__ = [
+    "SweepStore",
+    "canonical_sha256",
+    "instance_digest",
+    "matrix_digest",
+    "write_json_atomic",
+]
 
 _FORMAT = "repro-sweep-store"
-_VERSION = 1
+_VERSION = 2
 
 #: reserved stripe-memo key for whole-matrix probe facts — must match
 #: ``repro.jagged.m_opt._PROBE_KEY`` (a deliberate string constant, not an
 #: import: the store stays independent of the algorithm packages)
 _PROBE_KEY = "f"
 
-#: per-instance caps: entries beyond these are dropped at harvest time
-#: (deterministically, keeping the first ones) so one pathological run
-#: cannot grow the store without bound
-_MAX_TABLE = 512
+#: per-instance cap on each fact list: entries beyond it are dropped at
+#: harvest time (deterministically, keeping the first ones) so one
+#: pathological run cannot grow the store without bound
 _MAX_FACTS = 4096
+
+
+def canonical_sha256(obj: Any) -> str:
+    """SHA-256 of the canonical (sorted-key, compact) JSON encoding of ``obj``."""
+    canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def write_json_atomic(path: str, doc: Any) -> None:
+    """Write ``doc`` to ``path`` as compact sorted-key JSON, atomically.
+
+    The bytes go to a temp file in the target directory that
+    ``os.replace`` then moves over ``path``; the temp file is unlinked on
+    any failure, so a reader sees the old file or the new one, never a
+    torn write.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def matrix_digest(A: np.ndarray) -> tuple[str, int]:
@@ -119,13 +161,18 @@ class SweepStore:
 
     The public lifecycle is driven by :func:`repro.sweep.engine.use_sweep`:
     ``load()`` on scope entry, ``seed_state`` as instances are first
-    touched, ``harvest_state`` + ``flush()`` on scope exit.
+    touched, ``harvest_state`` + ``flush()`` on scope exit.  One store
+    object may serve many scopes; each flush writes only what was
+    harvested since the previous one.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = os.fspath(path)
         self._data: dict[str, dict] = {}
         self._harvest: dict[str, dict] = {}
+        # id -> (instance, digest, scale) for instances touched since the
+        # last flush; the strong reference keeps the id from being reused
+        self._digests: dict[int, tuple[Any, str, int]] = {}
         #: why the on-disk file was ignored at load time (None = trusted)
         self.ignored_reason: str | None = None
         #: instances seeded from this store (cumulative across scopes) —
@@ -133,11 +180,6 @@ class SweepStore:
         self.seeded = 0
 
     # -- file I/O -------------------------------------------------------
-
-    @staticmethod
-    def _checksum(payload: dict) -> str:
-        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
 
     def _read_file(self) -> tuple[dict[str, dict], str | None]:
         """Parse the on-disk file; ``(instances, reason-ignored)``."""
@@ -157,7 +199,7 @@ class SweepStore:
             payload.get("instances"), dict
         ):
             return {}, "malformed payload"
-        if doc.get("sha256") != self._checksum(payload):
+        if doc.get("sha256") != canonical_sha256(payload):
             return {}, "checksum mismatch"
         return payload["instances"], None
 
@@ -170,38 +212,32 @@ class SweepStore:
         return self._data.get(digest)
 
     def flush(self) -> None:
-        """Merge this session's harvest into the file, atomically.
+        """Merge the harvest since the last flush into the file, atomically.
 
         Re-reads the file first so concurrent flushers merge instead of
         clobbering each other's facts; the final ``os.replace`` makes the
-        outcome last-writer-wins and the file never torn.
+        outcome last-writer-wins and the file never torn.  A successful
+        flush empties the harvest, so a later scope on the same store
+        object never rewrites facts this one already flushed.
         """
+        self._digests.clear()
         if not self._harvest:
             return
         on_disk, _ = self._read_file()
         for digest, inst in self._harvest.items():
-            prev = on_disk.get(digest)
-            on_disk[digest] = _merge_instance(prev, inst) if prev else inst
+            on_disk[digest] = _merge_instance(on_disk.get(digest), inst)
         payload = {"instances": on_disk}
-        doc = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "payload": payload,
-            "sha256": self._checksum(payload),
-        }
-        directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        fd, tmp = tempfile.mkstemp(prefix=".sweep-store-", dir=directory)
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, separators=(",", ":"))
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(
+            self.path,
+            {
+                "format": _FORMAT,
+                "version": _VERSION,
+                "payload": payload,
+                "sha256": canonical_sha256(payload),
+            },
+        )
         self._data = on_disk
+        self._harvest = {}
 
     # -- state integration (called by SweepState) -----------------------
 
@@ -209,26 +245,26 @@ class SweepStore:
         """True for objects the store can content-address (either 2D substrate)."""
         return isinstance(obj, (PrefixSum2D, SparsePrefix2D))
 
-    def _digest_of(self, state: SweepState, pref: PrefixSum2D) -> tuple[str, int]:
-        cached = state._digests.get(id(pref))
+    def _digest_of(self, pref: PrefixSum2D) -> tuple[str, int]:
+        cached = self._digests.get(id(pref))
         if cached is None:
-            cached = instance_digest(pref)
-            state._digests[id(pref)] = cached
-        return cached
+            cached = (pref, *instance_digest(pref))
+            self._digests[id(pref)] = cached
+        return cached[1], cached[2]
 
     def seed_state(self, state: SweepState, obj: Any) -> None:
         """Install the stored facts for ``obj`` into a live state.
 
-        Every fact goes through the state's validated ``record_*`` API (or
-        the memo dicts, whose facts the consumers re-verify by
-        construction), rescaled from primitive to the live scale.  A fact
-        the validators reject stops the seeding of this instance — facts
-        already installed each passed validation individually, so they
-        stay.
+        Every bound fact goes through the state's validated ``record_opt``
+        / ``record_ub`` (and memo facts into the memo dicts, whose facts
+        the consumers re-verify by construction), rescaled from primitive
+        to the live scale.  A fact the validators reject stops the seeding
+        of this instance — facts already installed each passed validation
+        individually, so they stay.
         """
         if not self.is_instance(obj):
             return
-        digest, c = self._digest_of(state, obj)
+        digest, c = self._digest_of(obj)
         inst = self._data.get(digest)
         if inst is None:
             return
@@ -236,18 +272,9 @@ class SweepStore:
         try:
             if list(inst.get("shape", ())) != [obj.n1, obj.n2]:
                 return
-            for cls, raw_scope, opt, ub in inst.get("mono", ()):
-                scope = _scope_from_json(raw_scope)
-                for ms, B in opt.items():
-                    state.record_mono_opt(obj, cls, int(ms), int(B) * c, kw=scope)
-                for ms, B in ub.items():
-                    state.record_mono_ub(obj, cls, int(ms), int(B) * c, kw=scope)
-            for raw_scope, opt, ub in inst.get("grid", ()):
-                scope = _scope_from_json(raw_scope)
-                for P, Q, B in opt:
-                    state.record_grid_opt(obj, int(P), int(Q), int(B) * c, kw=scope)
-                for P, Q, B in ub:
-                    state.record_grid_ub(obj, int(P), int(Q), int(B) * c, kw=scope)
+            record = {"opt": state.record_opt, "ub": state.record_ub}
+            for kind, cls, scope, point, B in inst.get("facts", ()):
+                record[kind](obj, cls, point, int(B) * c, kw=_scope_from_json(scope))
             self._seed_stripe(state, obj, inst.get("stripe"), c)
             self._seed_rb(state, obj, inst.get("rb"), c)
             self._seed_relaxed(state, obj, inst.get("relaxed"), c)
@@ -308,55 +335,18 @@ class SweepStore:
         """Collect ``obj``'s live facts (rescaled to primitive) for flush."""
         if not self.is_instance(obj):
             return
-        digest, c = self._digest_of(state, obj)
-        key = id(obj)
-        inst: dict[str, Any] = {"shape": [obj.n1, obj.n2]}
+        digest, c = self._digest_of(obj)
+        bounds, memos = state.facts(obj)
+        inst: dict[str, Any] = {
+            "shape": [obj.n1, obj.n2],
+            "facts": [
+                [kind, cls, _scope_to_json(scope), list(p), B // c]
+                for kind, cls, scope, p, B in bounds
+                if B % c == 0
+            ][:_MAX_FACTS],
+        }
 
-        mono = []
-        for (k2, cls, scope), table in state._mono_opt.items():
-            if k2 != key:
-                continue
-            mono.append([cls, scope, dict(table), {}])
-        for (k2, cls, scope), table in state._mono_ub.items():
-            if k2 != key:
-                continue
-            for row in mono:
-                if row[0] == cls and row[1] == scope:
-                    row[3] = dict(table)
-                    break
-            else:
-                mono.append([cls, scope, {}, dict(table)])
-        inst["mono"] = [
-            [
-                cls,
-                _scope_to_json(scope),
-                {str(m): B // c for m, B in opt.items() if B % c == 0},
-                {str(m): B // c for m, B in ub.items() if B % c == 0},
-            ]
-            for cls, scope, opt, ub in mono[:_MAX_TABLE]
-        ]
-
-        grid = {}
-        for (k2, scope), table in state._grid_opt.items():
-            if k2 == key:
-                grid[scope] = [dict(table), {}]
-        for (k2, scope), table in state._grid_ub.items():
-            if k2 == key:
-                grid.setdefault(scope, [{}, {}])[1] = dict(table)
-        inst["grid"] = [
-            [
-                _scope_to_json(scope),
-                [[P, Q, B // c] for (P, Q), B in opt.items() if B % c == 0][
-                    :_MAX_TABLE
-                ],
-                [[P, Q, B // c] for (P, Q), B in ub.items() if B % c == 0][
-                    :_MAX_TABLE
-                ],
-            ]
-            for scope, (opt, ub) in grid.items()
-        ]
-
-        stripe = state._memos.get((key, "stripe"))
+        stripe = memos.get("stripe")
         if stripe:
             # parts(c·A', B) = parts(A', ⌊B/c⌋): the floor mapping is exact
             # for integer loads, so the primitive fact carries the same
@@ -377,42 +367,25 @@ class SweepStore:
                 "facts": facts,
             }
 
-        rb = state._memos.get((key, "rb"))
+        rb = memos.get("rb")
         if rb:
-            out = []
-            for mk, entry in rb.items():
-                if entry is not None and entry[1] % c != 0:
-                    continue  # defensive: scores of a scaled matrix divide by c
-                out.append(
-                    [
-                        list(mk),
-                        None
-                        if entry is None
-                        else [int(entry[0]), int(entry[1]) // c, int(entry[2])],
-                    ]
-                )
-                if len(out) >= _MAX_FACTS:
-                    break
-            inst["rb"] = out
+            # scores of a scaled matrix divide by c (the guard is defensive)
+            inst["rb"] = [
+                [list(mk), None if e is None else [int(e[0]), int(e[1]) // c, int(e[2])]]
+                for mk, e in rb.items()
+                if e is None or e[1] % c == 0
+            ][:_MAX_FACTS]
 
-        relaxed = state._memos.get((key, "relaxed"))
+        relaxed = memos.get("relaxed")
         if relaxed:
-            out = []
-            for mk, entry in relaxed.items():
-                out.append(
-                    [
-                        list(mk),
-                        None
-                        if entry is None
-                        else [int(entry[0]), int(entry[1]), float(entry[2])],
-                    ]
-                )
-                if len(out) >= _MAX_FACTS:
-                    break
-            inst["relaxed"] = {str(c): out}
+            inst["relaxed"] = {
+                str(c): [
+                    [list(mk), None if e is None else [int(e[0]), int(e[1]), float(e[2])]]
+                    for mk, e in relaxed.items()
+                ][:_MAX_FACTS]
+            }
 
-        prev = self._harvest.get(digest)
-        self._harvest[digest] = _merge_instance(prev, inst) if prev else inst
+        self._harvest[digest] = _merge_instance(self._harvest.get(digest), inst)
 
 
 def _dedupe(entries: list) -> list:
@@ -423,95 +396,60 @@ def _dedupe(entries: list) -> list:
     return [list(e) for e in seen][:_MAX_FACTS]
 
 
+def _union(new: Any, base: Any) -> list:
+    """Union two ``[[key, entry], ...]`` memo fact lists; base wins duplicates."""
+    merged: dict[tuple, Any] = {}
+    for src in (new or (), base or ()):  # base last: base wins
+        for mk, entry in src:
+            merged[tuple(mk)] = entry
+    return [[list(mk), entry] for mk, entry in merged.items()][:_MAX_FACTS]
+
+
 def _merge_instance(base: dict | None, new: dict) -> dict:
     """Merge two primitive-scale instance entries (same digest).
 
-    Upper bounds keep the minimum; optima recorded on both sides with
+    Witnesses keep the minimum; optima recorded on both sides with
     different values are *dropped* (one side is wrong — trust neither);
     memo fact lists union with the base side winning duplicates.
     """
-    if base is None:
+    if not base:
         return new
     if list(base.get("shape", ())) != list(new.get("shape", ())):
         return base
     out: dict[str, Any] = {"shape": base["shape"]}
 
-    mono: dict[tuple, list] = {}
+    facts: dict[tuple, list] = {}
     for src in (base, new):
-        for cls, scope, opt, ub in src.get("mono", ()):
-            k = (cls, json.dumps(scope))
-            row = mono.setdefault(k, [cls, scope, {}, {}])
-            for m, B in opt.items():
-                prev = row[2].get(m)
-                if prev is None:
-                    row[2][m] = B
-                elif prev != B:
-                    row[2][m] = None  # conflict marker
-            for m, B in ub.items():
-                prev = row[3].get(m)
-                row[3][m] = B if prev is None else min(prev, B)
-    out["mono"] = [
-        [cls, scope, {m: B for m, B in opt.items() if B is not None}, ub]
-        for cls, scope, opt, ub in mono.values()
-    ]
-
-    grid: dict[str, list] = {}
-    for src in (base, new):
-        for scope, opt, ub in src.get("grid", ()):
-            k = json.dumps(scope)
-            row = grid.setdefault(k, [scope, {}, {}])
-            for P, Q, B in opt:
-                prev = row[1].get((P, Q))
-                if prev is None:
-                    row[1][(P, Q)] = B
-                elif prev != B:
-                    row[1][(P, Q)] = None
-            for P, Q, B in ub:
-                prev = row[2].get((P, Q))
-                row[2][(P, Q)] = B if prev is None else min(prev, B)
-    out["grid"] = [
-        [
-            scope,
-            [[P, Q, B] for (P, Q), B in opt.items() if B is not None],
-            [[P, Q, B] for (P, Q), B in ub.items()],
-        ]
-        for scope, opt, ub in grid.values()
-    ]
+        for kind, cls, scope, point, B in src.get("facts", ()):
+            k = (kind, cls, json.dumps(scope), json.dumps(point))
+            row = facts.setdefault(k, [kind, cls, scope, point, B])
+            if kind == "ub":
+                row[4] = min(row[4], B)
+            elif row[4] != B:
+                row[4] = None  # conflicting optima: trust neither side
+    out["facts"] = [row for row in facts.values() if row[4] is not None]
 
     sb, sn = base.get("stripe"), new.get("stripe")
     if sb or sn:
         sb, sn = sb or {}, sn or {}
-        facts: dict[tuple[int, int], list] = {}
+        stripe: dict[tuple[int, int], list] = {}
         for src in (sb, sn):
             for k, i, entries in src.get("facts", ()):
-                cur = facts.setdefault((int(k), int(i)), [])
-                cur.extend(entries)
+                stripe.setdefault((int(k), int(i)), []).extend(entries)
         out["stripe"] = {
             "probe": _dedupe(list(sb.get("probe", ())) + list(sn.get("probe", ()))),
             "facts": [
-                [k, i, _dedupe(entries)] for (k, i), entries in facts.items()
+                [k, i, _dedupe(entries)] for (k, i), entries in stripe.items()
             ][:_MAX_FACTS],
         }
 
-    for fam in ("rb",):
-        fb, fn = base.get(fam), new.get(fam)
-        if fb or fn:
-            merged: dict[tuple, Any] = {}
-            for src in (fn or (), fb or ()):  # base last: base wins
-                for mk, entry in src:
-                    merged[tuple(mk)] = entry
-            out[fam] = [[list(mk), entry] for mk, entry in merged.items()][:_MAX_FACTS]
+    if base.get("rb") or new.get("rb"):
+        out["rb"] = _union(new.get("rb"), base.get("rb"))
 
-    rb_, rn = base.get("relaxed"), new.get("relaxed")
-    if rb_ or rn:
-        scales: dict[str, dict] = {}
-        for src in (rn or {}, rb_ or {}):  # base last: base wins
-            for scale, factlist in src.items():
-                merged = scales.setdefault(scale, {})
-                for mk, entry in factlist:
-                    merged[tuple(mk)] = entry
+    rel_b, rel_n = base.get("relaxed") or {}, new.get("relaxed") or {}
+    if rel_b or rel_n:
         out["relaxed"] = {
-            scale: [[list(mk), entry] for mk, entry in merged.items()][:_MAX_FACTS]
-            for scale, merged in scales.items()
+            scale: _union(rel_n.get(scale), rel_b.get(scale))
+            for scale in {**rel_n, **rel_b}
         }
     return out

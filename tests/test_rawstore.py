@@ -30,6 +30,7 @@ from repro.experiments.rawstore import (
     set_default_raw_store,
 )
 from repro.experiments.pool import cell_pool
+from repro.sweep.store import canonical_sha256
 
 
 @pytest.fixture(autouse=True)
@@ -151,7 +152,7 @@ class TestIntegrity:
             "version": 1,
             "key": other,
             "value": 9.0,
-            "sha256": store._checksum(other, 9.0),
+            "sha256": canonical_sha256({"key": other, "value": 9.0}),
         }
         with open(path, "w") as fh:  # checksum valid, key wrong for this path
             json.dump(doc, fh)

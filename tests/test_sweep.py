@@ -123,7 +123,7 @@ def test_exact_hit_short_circuits_second_call(A):
     pref = PrefixSum2D(A)
     with use_sweep() as state:
         b1 = jag_m_opt_bottleneck(pref, 12)
-        assert state.mono_bounds(pref, "jag_m", 12)[0] == b1
+        assert state.bounds(pref, "jag_m", (12,))[0] == b1
         b2 = jag_m_opt_bottleneck(pref, 12)
     assert b1 == b2 == jag_m_opt_bottleneck(PrefixSum2D(A), 12)
 
@@ -132,10 +132,10 @@ def test_heuristic_witness_recorded_and_consumed(A):
     pref = PrefixSum2D(A)
     with use_sweep() as state:
         heur = partition_2d(pref, 16, "JAG-M-HEUR-HOR")
-        wit = state.mono_witness(pref, "jag_m", 16)
+        wit = state.witness(pref, "jag_m", (16,))
         assert wit is not None and wit == heur.max_load(pref)
         exact = partition_2d(pref, 16, "JAG-M-OPT-HOR")
-        opt = state.mono_bounds(pref, "jag_m", 16)[0]
+        opt = state.bounds(pref, "jag_m", (16,))[0]
         assert opt is not None and opt == exact.max_load(pref) <= wit
 
 
@@ -145,25 +145,25 @@ def test_monotone_bound_transfer_across_m(A):
     pref = PrefixSum2D(A)
     with use_sweep() as state:
         b_large = jag_m_opt_bottleneck(pref, 20)
-        _, lb, _ = state.mono_bounds(pref, "jag_m", 10)
+        _, lb, _ = state.bounds(pref, "jag_m", (10,))
         assert lb is not None and lb >= b_large  # transfers downward in m
         b_small = jag_m_opt_bottleneck(pref, 10)
         assert b_small >= b_large
-        _, _, ub = state.mono_bounds(pref, "jag_m", 40)
+        _, _, ub = state.bounds(pref, "jag_m", (40,))
         assert ub is not None and ub <= b_small  # feasibility transfers up
 
 
 def test_cross_class_grid_fact_bounds_m_way():
     state = SweepState()
     obj = object()
-    state.record_grid_ub(obj, 3, 4, 120)
+    state.record_ub(obj, "jag_pq", (3, 4), 120)
     # a 3×4-way partition is a 12-way jagged partition: ub for every m >= 12
-    assert state.mono_bounds(obj, "jag_m", 12)[2] == 120
-    assert state.mono_bounds(obj, "jag_m", 30)[2] == 120
-    assert state.mono_bounds(obj, "jag_m", 11)[2] is None
+    assert state.bounds(obj, "jag_m", (12,))[2] == 120
+    assert state.bounds(obj, "jag_m", (30,))[2] == 120
+    assert state.bounds(obj, "jag_m", (11,))[2] is None
     # ... and the m-way optimum at m = P·Q lower-bounds the grid class
-    state.record_mono_opt(obj, "jag_m", 12, 100)
-    assert state.grid_bounds(obj, 3, 4)[1] == 100
+    state.record_opt(obj, "jag_m", (12,), 100)
+    assert state.bounds(obj, "jag_pq", (3, 4))[1] == 100
 
 
 def test_stripe_memo_shared_across_calls(A):
@@ -183,77 +183,82 @@ def test_stripe_memo_shared_across_calls(A):
 def test_record_rejects_contradicting_monotone_optima():
     state = SweepState()
     obj = object()
-    state.record_mono_opt(obj, "jag_m", 10, 100)
+    state.record_opt(obj, "jag_m", (10,), 100)
     with pytest.raises(SweepInvariantError):
-        state.record_mono_opt(obj, "jag_m", 10, 99)  # duplicate m, new value
+        state.record_opt(obj, "jag_m", (10,), 99)  # duplicate m, new value
     with pytest.raises(SweepInvariantError):
-        state.record_mono_opt(obj, "jag_m", 20, 150)  # larger m, larger B
+        state.record_opt(obj, "jag_m", (20,), 150)  # larger m, larger B
     with pytest.raises(SweepInvariantError):
-        state.record_mono_opt(obj, "jag_m", 5, 50)  # smaller m, smaller B
+        state.record_opt(obj, "jag_m", (5,), 50)  # smaller m, smaller B
 
 
 def test_record_rejects_witness_undercutting_optimum():
     state = SweepState()
     obj = object()
-    state.record_mono_opt(obj, "bisect", 10, 100)
+    state.record_opt(obj, "bisect", (10,), 100)
     with pytest.raises(SweepInvariantError):
         # nothing at m=5 can beat the optimum recorded at m=10
-        state.record_mono_ub(obj, "bisect", 5, 99)
+        state.record_ub(obj, "bisect", (5,), 99)
     with pytest.raises(SweepInvariantError):
-        state.record_mono_opt(obj, "bisect", 20, 80)
-        state.record_mono_ub(obj, "bisect", 20, 79)
+        state.record_opt(obj, "bisect", (20,), 80)
+        state.record_ub(obj, "bisect", (20,), 79)
 
 
 def test_record_rejects_optimum_above_feasible_witness():
     state = SweepState()
     obj = object()
-    state.record_mono_ub(obj, "jag_m", 10, 100)
+    state.record_ub(obj, "jag_m", (10,), 100)
     with pytest.raises(SweepInvariantError):
-        state.record_mono_opt(obj, "jag_m", 10, 101)  # witness already beat it
+        state.record_opt(obj, "jag_m", (10,), 101)  # witness already beat it
 
 
 def test_record_rejects_unknown_class():
     state = SweepState()
     with pytest.raises(SweepInvariantError):
-        state.record_mono_opt(object(), "jag_pq", 4, 10)
+        state.record_opt(object(), "rect", (4,), 10)
+    # a point of the wrong dimension is rejected the same way, on reads too
+    with pytest.raises(SweepInvariantError):
+        state.record_ub(object(), "jag_pq", (4,), 10)
+    with pytest.raises(SweepInvariantError):
+        state.bounds(object(), "jag_m", (2, 2))
 
 
 def test_grid_records_reject_componentwise_contradictions():
     state = SweepState()
     obj = object()
-    state.record_grid_opt(obj, 2, 3, 100)
+    state.record_opt(obj, "jag_pq", (2, 3), 100)
     with pytest.raises(SweepInvariantError):
-        state.record_grid_opt(obj, 2, 3, 90)
+        state.record_opt(obj, "jag_pq", (2, 3), 90)
     with pytest.raises(SweepInvariantError):
-        state.record_grid_opt(obj, 4, 6, 150)  # dominates but worse
+        state.record_opt(obj, "jag_pq", (4, 6), 150)  # dominates but worse
     with pytest.raises(SweepInvariantError):
-        state.record_grid_opt(obj, 1, 2, 50)  # dominated but better
+        state.record_opt(obj, "jag_pq", (1, 2), 50)  # dominated but better
     with pytest.raises(SweepInvariantError):
         # a feasible witness at a dominated grid implies B*(2,3) <= 99,
         # contradicting the recorded optimum 100
-        state.record_grid_ub(obj, 1, 2, 99)
+        state.record_ub(obj, "jag_pq", (1, 2), 99)
     # incomparable factorizations are unconstrained (no m-monotonicity)
-    state.record_grid_opt(obj, 6, 1, 160)
+    state.record_opt(obj, "jag_pq", (6, 1), 160)
 
 
 def test_grid_dominance_bounds():
     state = SweepState()
     obj = object()
-    state.record_grid_opt(obj, 2, 3, 100)
-    exact, lb, ub = state.grid_bounds(obj, 4, 6)
+    state.record_opt(obj, "jag_pq", (2, 3), 100)
+    exact, lb, ub = state.bounds(obj, "jag_pq", (4, 6))
     assert exact is None and lb is None and ub == 100
-    exact, lb, ub = state.grid_bounds(obj, 1, 3)
+    exact, lb, ub = state.bounds(obj, "jag_pq", (1, 3))
     assert exact is None and lb == 100 and ub is None
     # incomparable: no transfer either way
-    assert state.grid_bounds(obj, 3, 2) == (None, None, None)
+    assert state.bounds(obj, "jag_pq", (3, 2)) == (None, None, None)
 
 
 def test_untracked_objects_get_no_bounds():
     state = SweepState()
-    assert state.mono_bounds(object(), "jag_m", 4) == (None, None, None)
-    assert state.grid_bounds(object(), 2, 2) == (None, None, None)
-    assert state.mono_witness(object(), "jag_m", 4) is None
-    assert state.grid_witness(object(), 2, 2) is None
+    assert state.bounds(object(), "jag_m", (4,)) == (None, None, None)
+    assert state.bounds(object(), "jag_pq", (2, 2)) == (None, None, None)
+    assert state.witness(object(), "jag_m", (4,)) is None
+    assert state.witness(object(), "jag_pq", (2, 2)) is None
 
 
 def test_tracking_capacity_bound():
@@ -263,11 +268,11 @@ def test_tracking_capacity_bound():
     cap = state_mod._MAX_TRACKED
     keep = [object() for _ in range(cap + 5)]
     for i, obj in enumerate(keep):
-        state.record_mono_opt(obj, "jag_m", 4, 10)
+        state.record_opt(obj, "jag_m", (4,), 10)
         if i < cap:
-            assert state.mono_bounds(obj, "jag_m", 4)[0] == 10
+            assert state.bounds(obj, "jag_m", (4,))[0] == 10
     # beyond capacity: silently no warmth, never an error
-    assert state.mono_bounds(keep[-1], "jag_m", 4) == (None, None, None)
+    assert state.bounds(keep[-1], "jag_m", (4,)) == (None, None, None)
     assert state.stripe_memo(keep[-1]) is None
 
 
@@ -275,7 +280,7 @@ def test_identity_keying_holds_references():
     # the store must pin tracked objects so a GC'd id cannot alias a new one
     state = SweepState()
     obj = object()
-    state.record_mono_opt(obj, "jag_m", 4, 10)
+    state.record_opt(obj, "jag_m", (4,), 10)
     assert state._refs[id(obj)] is obj
 
 
@@ -290,10 +295,10 @@ def test_same_class_different_kwargs_coexist():
     # ("recorded twice") or silently poisoned the first fact
     state = SweepState()
     obj = object()
-    state.record_mono_opt(obj, "jag_m", 8, 100, kw={"num_stripes": 2})
-    state.record_mono_opt(obj, "jag_m", 8, 120, kw={"num_stripes": 3})
-    assert state.mono_bounds(obj, "jag_m", 8, kw={"num_stripes": 2})[0] == 100
-    assert state.mono_bounds(obj, "jag_m", 8, kw={"num_stripes": 3})[0] == 120
+    state.record_opt(obj, "jag_m", (8,), 100, kw={"num_stripes": 2})
+    state.record_opt(obj, "jag_m", (8,), 120, kw={"num_stripes": 3})
+    assert state.bounds(obj, "jag_m", (8,), kw={"num_stripes": 2})[0] == 100
+    assert state.bounds(obj, "jag_m", (8,), kw={"num_stripes": 3})[0] == 120
 
 
 def test_scope_canonicalization():
@@ -334,10 +339,10 @@ def test_constrained_feasibility_transfers_to_unscoped_query():
     # its load is an upper bound for the unconstrained class optimum
     state = SweepState()
     obj = object()
-    state.record_mono_ub(obj, "jag_m", 8, 140, kw={"num_stripes": 2})
-    state.record_mono_opt(obj, "jag_m", 8, 130, kw={"num_stripes": 3})
-    assert state.mono_bounds(obj, "jag_m", 8)[2] == 130  # min over scopes
-    assert state.mono_witness(obj, "jag_m", 8) == 130
+    state.record_ub(obj, "jag_m", (8,), 140, kw={"num_stripes": 2})
+    state.record_opt(obj, "jag_m", (8,), 130, kw={"num_stripes": 3})
+    assert state.bounds(obj, "jag_m", (8,))[2] == 130  # min over scopes
+    assert state.witness(obj, "jag_m", (8,)) == 130
 
 
 def test_unscoped_optimum_lower_bounds_constrained_query():
@@ -345,16 +350,16 @@ def test_unscoped_optimum_lower_bounds_constrained_query():
     # search space, so it transfers as a lower bound — never as exact
     state = SweepState()
     obj = object()
-    state.record_mono_opt(obj, "jag_m", 8, 100)
-    exact, lb, _ = state.mono_bounds(obj, "jag_m", 8, kw={"num_stripes": 2})
+    state.record_opt(obj, "jag_m", (8,), 100)
+    exact, lb, _ = state.bounds(obj, "jag_m", (8,), kw={"num_stripes": 2})
     assert exact is None and lb == 100
 
 
 def test_constrained_optimum_never_leaks_exact_to_unscoped():
     state = SweepState()
     obj = object()
-    state.record_mono_opt(obj, "jag_m", 8, 150, kw={"num_stripes": 2})
-    exact, _, ub = state.mono_bounds(obj, "jag_m", 8)
+    state.record_opt(obj, "jag_m", (8,), 150, kw={"num_stripes": 2})
+    exact, _, ub = state.bounds(obj, "jag_m", (8,))
     assert exact is None  # constrained optimum is not the class optimum
     assert ub == 150  # ... but it is feasible, hence an upper bound
 
@@ -362,10 +367,10 @@ def test_constrained_optimum_never_leaks_exact_to_unscoped():
 def test_record_rejects_constrained_fact_beating_unscoped_optimum():
     state = SweepState()
     obj = object()
-    state.record_mono_opt(obj, "jag_m", 8, 100)
+    state.record_opt(obj, "jag_m", (8,), 100)
     with pytest.raises(SweepInvariantError):
         # a constrained search space cannot beat the unconstrained optimum
-        state.record_mono_ub(obj, "jag_m", 8, 99, kw={"num_stripes": 2})
+        state.record_ub(obj, "jag_m", (8,), 99, kw={"num_stripes": 2})
 
 
 def test_bisect_class_records_under_sweep():
@@ -376,6 +381,6 @@ def test_bisect_class_records_under_sweep():
     np.cumsum(rng.integers(0, 50, 64), out=P[1:])
     with use_sweep() as state:
         b = bisect_bottleneck(P, 8)
-        assert state.mono_bounds(P, "bisect", 8)[0] == b
+        assert state.bounds(P, "bisect", (8,))[0] == b
         assert bisect_bottleneck(P, 8) == b
     assert bisect_bottleneck(P, 8) == b  # cold call agrees after the sweep

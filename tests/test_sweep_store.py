@@ -23,6 +23,7 @@ from repro.core.registry import partition_2d
 from repro.perf.counters import op_counters
 from repro.sweep import SweepStore, instance_digest, use_sweep
 from repro.sweep.engine import sweep
+from repro.sweep.store import canonical_sha256
 
 ALGOS = ["JAG-PQ-HEUR", "JAG-M-HEUR", "JAG-PQ-OPT", "JAG-M-OPT", "RECT-NICOL"]
 M_VALUES = [4, 6, 12, 20]
@@ -76,7 +77,7 @@ class TestWarmFromDisk:
         _populate(A, store_path, algos=["JAG-M-OPT"], ms=[6])
         with use_sweep(store=store_path) as st:
             pref = prefix_2d(A)
-            exact, lb, ub = st.mono_bounds(pref, "jag_m", 6)
+            exact, lb, ub = st.bounds(pref, "jag_m", (6,))
             assert exact is not None
             # the fact is the main-dimension-0 class optimum (the registry
             # entry returns the better of both orientations)
@@ -128,7 +129,7 @@ class TestScaleTransfer:
         with use_sweep(store=store_path) as st:
             pref = prefix_2d(C)
             # the store really transfers: bounds exist before any call here
-            exact, _, ub = st.mono_bounds(pref, "jag_m", max(M_VALUES))
+            exact, _, ub = st.bounds(pref, "jag_m", (max(M_VALUES),))
             assert exact is not None or ub is not None
             for name in ALGOS:
                 for m in M_VALUES:
@@ -142,7 +143,7 @@ class TestScaleTransfer:
         _populate(A, store_path, algos=["JAG-M-OPT"], ms=[6])
         with use_sweep(store=store_path) as st:
             pref = prefix_2d(A * 3)
-            exact, _, _ = st.mono_bounds(pref, "jag_m", 6)
+            exact, _, _ = st.bounds(pref, "jag_m", (6,))
             assert exact == 3 * opt
 
 
@@ -173,7 +174,7 @@ class TestHierWitnesses:
             pref = prefix_2d(A)
             for cls in ("hier_rb", "hier_relaxed"):
                 # the achieved load is a class witness, visible unscoped
-                assert st.mono_witness(pref, cls, 8) is not None
+                assert st.witness(pref, cls, (8,)) is not None
 
     def test_rb_scale_free_relaxed_scale_gated(self, store_path):
         """RB node facts transfer to a scaled instance; RELAXED ones do not."""
@@ -215,16 +216,37 @@ class TestRobustness:
         json.dump(doc, open(store_path, "w"))
         assert "version" in (self._ignored(store_path) or "")
         with use_sweep(store=store_path) as st:
-            assert st.mono_bounds(prefix_2d(A), "jag_m", 4) == (None, None, None)
+            assert st.bounds(prefix_2d(A), "jag_m", (4,)) == (None, None, None)
+
+    def test_v1_file_ignored(self, store_path):
+        """A checksum-valid file in the old two-family layout is never read."""
+        A = _matrix(5, 20)
+        dig, _ = instance_digest(prefix_2d(A))
+        inst = {"shape": [20, 20], "mono": [["jag_m", [], {"4": 1}, {}]], "grid": []}
+        payload = {"instances": {dig: inst}}
+        doc = {
+            "format": "repro-sweep-store",
+            "version": 1,
+            "payload": payload,
+            "sha256": canonical_sha256(payload),
+        }
+        with open(store_path, "w") as fh:
+            json.dump(doc, fh)
+        assert self._ignored(store_path) == "version 1 != 2"
+        with use_sweep(store=store_path) as st:
+            assert st.bounds(prefix_2d(A), "jag_m", (4,)) == (None, None, None)
+        s = SweepStore(store_path)
+        s.load()
+        assert s.ignored_reason is None  # the flush rewrote it as version 2
 
     def test_checksum_mismatch_ignored(self, store_path):
         A = _matrix(5, 20)
         _populate(A, store_path, algos=["JAG-M-OPT"], ms=[4])
         doc = json.load(open(store_path))
         inst = next(iter(doc["payload"]["instances"].values()))
-        for row in inst.get("mono", []):
-            for key in row[2]:
-                row[2][key] += 1  # tamper with an optimum, keep old checksum
+        for row in inst["facts"]:
+            if row[0] == "opt":
+                row[4] += 1  # tamper with an optimum, keep old checksum
         json.dump(doc, open(store_path, "w"))
         assert self._ignored(store_path) == "checksum mismatch"
         cold = _cold(A, "JAG-M-OPT", 4)
@@ -246,7 +268,7 @@ class TestRobustness:
         assert da != db
         _populate(A, store_path, algos=["JAG-M-OPT"], ms=[4])
         with use_sweep(store=store_path) as st:
-            assert st.mono_bounds(prefix_2d(B), "jag_m", 4) == (None, None, None)
+            assert st.bounds(prefix_2d(B), "jag_m", (4,)) == (None, None, None)
 
     def test_seeding_validates_semantics(self, store_path):
         """A checksum-valid store with contradictory facts cannot poison."""
@@ -254,11 +276,10 @@ class TestRobustness:
         _populate(A, store_path, algos=["JAG-M-OPT"], ms=[4, 6])
         doc = json.load(open(store_path))
         inst = next(iter(doc["payload"]["instances"].values()))
-        for row in inst.get("mono", []):
-            if row[0] == "jag_m" and "4" in row[2]:
-                row[2]["4"] = 1  # impossible optimum, violates monotonicity
-        payload = doc["payload"]
-        doc["sha256"] = SweepStore._checksum(payload)  # re-sign the tampering
+        for row in inst["facts"]:
+            if row[:2] == ["opt", "jag_m"] and row[3] == [4]:
+                row[4] = 1  # impossible optimum, violates monotonicity
+        doc["sha256"] = canonical_sha256(doc["payload"])  # re-sign the tampering
         json.dump(doc, open(store_path, "w"))
         assert self._ignored(store_path) is None  # checksum accepts it...
         cold = _cold(A, "JAG-M-OPT", 6)
@@ -301,27 +322,51 @@ class TestStoreFormat:
         A = np.array([[big, 1], [1, 1]], dtype=np.int64)
         pref = prefix_2d(A)
         with use_sweep(store=path) as st:
-            st.record_mono_opt(pref, "jag_m", 4, big)
+            st.record_opt(pref, "jag_m", (4,), big)
         with use_sweep(store=path) as st:
-            exact, _, _ = st.mono_bounds(prefix_2d(A), "jag_m", 4)
+            exact, _, _ = st.bounds(prefix_2d(A), "jag_m", (4,))
             assert exact == big
+
+    def test_reused_store_flushes_only_its_own_scope(self, store_path):
+        """A store object serving two scopes writes each harvest once.
+
+        Regression: the harvest was never cleared, so the second flush wrote
+        the first scope's facts back into a file deleted in between.
+        """
+        A, B = _matrix(21, 16), _matrix(22, 16)
+        store = SweepStore(store_path)
+        for M in (A, B):
+            with use_sweep(store=store):
+                partition_2d(prefix_2d(M), 4, "JAG-M-OPT")
+            if M is A:
+                os.remove(store_path)
+        alone = store_path + ".b"
+        with use_sweep(store=alone):
+            partition_2d(prefix_2d(B), 4, "JAG-M-OPT")
+        # the solve also touches B's transpose: compare against B alone
+        got, want = (json.load(open(p))["payload"]["instances"] for p in (store_path, alone))
+        assert instance_digest(prefix_2d(B))[0] in want
+        assert instance_digest(prefix_2d(A))[0] not in got
+        assert got == want
 
     def test_merge_drops_conflicting_optima(self, tmp_path):
         from repro.sweep.store import _merge_instance
 
-        a = {"shape": [2, 2], "mono": [["jag_m", [], {"4": 10}, {}]]}
-        b = {"shape": [2, 2], "mono": [["jag_m", [], {"4": 11, "6": 5}, {}]]}
+        a = {"shape": [2, 2], "facts": [["opt", "jag_m", [], [4], 10]]}
+        b = {
+            "shape": [2, 2],
+            "facts": [["opt", "jag_m", [], [4], 11], ["opt", "jag_pq", [], [2, 3], 5]],
+        }
         merged = _merge_instance(a, b)
-        table = merged["mono"][0][2]
-        assert "4" not in table  # trust neither side of a conflict
-        assert table["6"] == 5
+        # trust neither side of a conflict; the unrelated optimum survives
+        assert merged["facts"] == [["opt", "jag_pq", [], [2, 3], 5]]
 
     def test_merge_keeps_min_ubs(self, tmp_path):
         from repro.sweep.store import _merge_instance
 
-        a = {"shape": [2, 2], "mono": [["jag_m", [], {}, {"4": 10}]]}
-        b = {"shape": [2, 2], "mono": [["jag_m", [], {}, {"4": 8}]]}
-        assert _merge_instance(a, b)["mono"][0][3]["4"] == 8
+        a = {"shape": [2, 2], "facts": [["ub", "jag_m", [], [4], 10]]}
+        b = {"shape": [2, 2], "facts": [["ub", "jag_m", [], [4], 8]]}
+        assert _merge_instance(a, b)["facts"] == [["ub", "jag_m", [], [4], 8]]
 
 
 class TestParallelComposition:
