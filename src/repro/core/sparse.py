@@ -16,9 +16,14 @@ and dense row/column *marginal* prefixes.  It satisfies the same
 * rectangle loads in O(log nnz) per touched row (two ``searchsorted``
   probes against the monotone row-major key array per row, one prefix
   subtraction), O(1) for full-width/full-height rectangles via the
-  marginals;
-* stripe projections (:meth:`_axis_prefix_ref`) by scatter-add over only
-  the nonzeros inside the stripe;
+  marginals; :meth:`~SparsePrefix2D.rect_loads` batches the probes of
+  many rectangles into one vectorized pass;
+* row-band projections (:meth:`_axis_prefix_ref` along axis 1) by
+  scatter-add over only the nonzeros inside the band, O(nnz_band + n2);
+  column bands the same way through the transpose's row band when the
+  transpose is pinned (large instances once a -VER or -BEST solve has
+  built it, or any instance in a sweep), and otherwise by two searches
+  over all of ``keys`` per row, O(n1 log nnz);
 * all arithmetic exact ``int64`` — the bit-identity contract with the
   dense substrate holds on every solver family, which the differential
   matrix (``tests/test_backend_equality.py``) enforces.
@@ -54,8 +59,9 @@ __all__ = [
 ]
 
 
-#: cells per block of the dense-to-CSR nonzero scan.  Its boolean mask
-#: (256 KiB) stays in cache, and a full n1·n2 mask would be an extra
+#: cells per block of the dense-to-CSR nonzero scan, and (rectangle, row)
+#: pairs per block of :meth:`SparsePrefix2D.rect_loads`.  The scan's boolean
+#: mask (256 KiB) stays in cache, and a full n1·n2 mask would be an extra
 #: temporary.  Scan time over 4096² SLAC / R-MAT / mesh on a 2-vCPU Xeon VM:
 #: 2^16 → 29 / 22 / 19 ms, 2^18 → 29 / 23 / 19 ms, 2^20 → 30 / 27 / 18 ms,
 #: one full mask → 35 / 23 / 17 ms; 2D ``np.nonzero`` took 96 / 70 / 67 ms
@@ -239,7 +245,15 @@ class SparsePrefix2D(_ProjectionMemo):
             + self.col_pref.nbytes
         )
 
-    def _load(self, r0: int, r1: int, c0: int, c1: int) -> int:
+    def load(self, r0: int, r1: int, c0: int, c1: int) -> int:
+        """Load of the half-open rectangle ``[r0, r1) × [c0, c1)``.
+
+        O(1) for full-width/full-height rectangles (marginal prefixes),
+        otherwise two binary searches per touched row against the windowed
+        key segment plus one value-prefix subtraction per row.
+        """
+        if _OPS:
+            bump("load_queries")
         if c0 == 0 and c1 == self.n2:
             return int(self.row_pref[r1] - self.row_pref[r0])
         if r0 == 0 and r1 == self.n1:
@@ -254,23 +268,40 @@ class SparsePrefix2D(_ProjectionMemo):
         b = np.searchsorted(seg, base + c1, side="left") + s0
         return int((self.csum[b] - self.csum[a]).sum())
 
-    def load(self, r0: int, r1: int, c0: int, c1: int) -> int:
-        """Load of the half-open rectangle ``[r0, r1) × [c0, c1)``.
-
-        O(1) for full-width/full-height rectangles (marginal prefixes),
-        otherwise two binary searches per touched row against the windowed
-        key segment plus one value-prefix subtraction per row.
-        """
-        if _OPS:
-            bump("load_queries")
-        return self._load(r0, r1, c0, c1)
-
     def rect_loads(self, coords: np.ndarray) -> np.ndarray:
-        """Loads of many rectangles at once (same layout as the dense twin)."""
-        out = np.empty(len(coords), dtype=np.int64)
-        for i in range(len(coords)):
-            r0, r1, c0, c1 = coords[i]
-            out[i] = self._load(int(r0), int(r1), int(c0), int(c1))
+        """Loads of many rectangles at once (same layout as the dense twin).
+
+        Full-width and full-height rectangles read the marginals.  Every
+        other non-empty rectangle contributes one ``(rectangle, row)`` pair
+        per row it spans: one ``searchsorted`` pass over all pairs finds
+        each row segment's key window, and a segmented sum adds them up.
+        Whole rectangles are processed in blocks, a new one every
+        ``_NONZERO_BLOCK`` pairs, so the temporaries stay a few MiB however
+        many rectangles there are.
+        """
+        coords = np.asarray(coords, dtype=np.int64).reshape(-1, 4)
+        r0, r1, c0, c1 = coords.T
+        out = np.zeros(len(coords), dtype=np.int64)
+        full_w = (c0 == 0) & (c1 == self.n2)
+        out[full_w] = self.row_pref[r1[full_w]] - self.row_pref[r0[full_w]]
+        full_h = ~full_w & (r0 == 0) & (r1 == self.n1)
+        out[full_h] = self.col_pref[c1[full_h]] - self.col_pref[c0[full_h]]
+        rest = np.flatnonzero(~full_w & ~full_h & (r1 > r0) & (c1 > c0))
+        if not len(rest):
+            return out
+        h = r1[rest] - r0[rest]
+        first = np.cumsum(h) - h  # each rectangle's first pair
+        starts = np.flatnonzero(np.diff(first // _NONZERO_BLOCK)) + 1
+        for blk in np.split(np.arange(len(rest)), starts):
+            idx = rest[blk]
+            offs = first[blk] - first[blk[0]]
+            # pair p of rectangle i covers row r0[i] + (p - offs[i])
+            shift = np.repeat(r0[idx] - offs, h[blk])
+            base = (np.arange(len(shift), dtype=np.int64) + shift) * self.n2
+            a = np.searchsorted(self.keys, base + np.repeat(c0[idx], h[blk]), side="left")
+            b = np.searchsorted(self.keys, base + np.repeat(c1[idx], h[blk]), side="left")
+            # every segment is non-empty, so reduceat is the exact segment sum
+            out[idx] = np.add.reduceat(self.csum[b] - self.csum[a], offs)
         return out
 
     def _axis_prefix_ref(self, axis: int, lo: int, hi: int | None) -> np.ndarray:
@@ -280,6 +311,10 @@ class SparsePrefix2D(_ProjectionMemo):
                 # full band: the row marginal, copied so the memo's freeze
                 # cannot reach the substrate's own array
                 return self.row_pref.copy()
+            if self._T is not None:
+                # a column band is the pinned transpose's row band: one
+                # scatter over the band's nonzeros, not two searches a row
+                return self._T._axis_prefix_ref(1, lo, hi)
             out = np.zeros(self.n1 + 1, dtype=np.int64)
             base = np.arange(self.n1, dtype=np.int64) * self.n2
             a = np.searchsorted(self.keys, base + lo, side="left")

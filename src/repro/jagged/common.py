@@ -62,13 +62,16 @@ def build_jagged_partition(
     *,
     method: str = "",
     pad_to: int | None = None,
+    lmax: int | None = None,
 ) -> Partition:
     """Assemble a :class:`Partition` from stripe cuts and per-stripe column cuts.
 
     ``stripe_cuts`` has length ``P+1``; ``col_cuts[s]`` delimits the
     rectangles of stripe ``s`` (any per-stripe count).  Processors are
     numbered stripe-major.  ``pad_to`` appends empty rectangles up to a fixed
-    processor count (idle processors).
+    processor count (idle processors).  ``lmax``, the exact max load the
+    solver already knows (the largest of its stripes' 1D bottlenecks, §3.2),
+    is kept as ``meta["lmax"]`` so no reader has to re-measure the partition.
     """
     stripe_cuts = np.asarray(stripe_cuts, dtype=np.int64)
     P = len(stripe_cuts) - 1
@@ -87,6 +90,9 @@ def build_jagged_partition(
             raise ParameterError(f"pad_to={pad_to} below rectangle count {len(rects)}")
         rects.extend(Rect(0, 0, 0, 0) for _ in range(pad_to - len(rects)))
     cuts_list = [np.asarray(c, dtype=np.int64) for c in col_cuts]
+    meta: dict = {"stripe_cuts": stripe_cuts, "col_cuts": cuts_list}
+    if lmax is not None:
+        meta["lmax"] = int(lmax)
 
     def indexer(i: int, j: int) -> int:
         s = int(np.searchsorted(stripe_cuts, i, side="right")) - 1
@@ -105,7 +111,7 @@ def build_jagged_partition(
         pref.shape,
         method=method,
         indexer=indexer,
-        meta={"stripe_cuts": stripe_cuts, "col_cuts": cuts_list},
+        meta=meta,
     )
 
 
@@ -115,7 +121,8 @@ def oriented(
     """Wrap a main-dimension-0 jagged algorithm with HOR/VER/BEST orientation.
 
     The wrapped function gains an ``orientation`` keyword (``"hor"``,
-    ``"ver"``, ``"best"``; default ``"best"`` as selected in §4.2).
+    ``"ver"``, ``"best"``; default ``"best"`` as selected in §4.2).  ``fn``
+    must carry its exact Lmax in ``meta["lmax"]``: the -BEST pick reads it.
     """
 
     def run(A: MatrixLike, m: int, *args, orientation: str = "best", **kw) -> Partition:
@@ -134,7 +141,7 @@ def oriented(
             hor = fn(pref, m, *args, **kw)
             prefT = pref.transpose()  # hoisted: Γᵀ is a full-matrix copy
             vert = fn(prefT, m, *args, **kw)
-            if vert.max_load(prefT) < hor.max_load(pref):
+            if vert.meta["lmax"] < hor.meta["lmax"]:
                 out = vert.transpose().with_method(vert.method)
                 out.meta["orientation"] = "ver"
                 return out

@@ -109,7 +109,7 @@ def _jag_m_heur_main0(
         parts = [
             _jag_m_heur_single(pref, m, P, oned) for P in candidates
         ]
-        best = min(parts, key=lambda p: p.max_load(pref))
+        best = min(parts, key=lambda p: p.meta["lmax"])
     else:
         best = _jag_m_heur_single(pref, m, candidates[0], oned)
     state = _sweep_current()
@@ -123,7 +123,7 @@ def _jag_m_heur_main0(
             "num_stripes": None if num_stripes in (None, "sqrt") else num_stripes,
             "oned": None if oned == "nicolplus" else oned,
         }
-        state.record_ub(pref, "jag_m", (m,), best.max_load(pref), kw=scope)
+        state.record_ub(pref, "jag_m", (m,), best.meta["lmax"], kw=scope)
     return best
 
 
@@ -142,13 +142,15 @@ def _jag_m_heur_single(
     stripe_loads = rows[stripe_cuts[1:]] - rows[stripe_cuts[:-1]]
     q = allocate_processors(stripe_loads, m)
     col_cuts = []
+    lmax = 0
     for s in range(P):
         # full-width stripe projection: served by the memoized axis_prefix
         band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]))
-        _, cc = solve(band, int(q[s]))
+        b, cc = solve(band, int(q[s]))
+        lmax = max(lmax, int(b))
         col_cuts.append(cc)
     return build_jagged_partition(
-        pref, stripe_cuts, col_cuts, method="JAG-M-HEUR", pad_to=m
+        pref, stripe_cuts, col_cuts, method="JAG-M-HEUR", pad_to=m, lmax=lmax
     )
 
 

@@ -286,8 +286,7 @@ def jag_m_opt_bottleneck(
             # unchanged, so skip recomputing it
             ub = wub
         else:
-            heur = _jag_m_heur_main0(pref, m)
-            ub = heur.max_load(pref)
+            ub = _jag_m_heur_main0(pref, m).meta["lmax"]
     assert ub is not None
     ub = max(lb, int(ub))
     if wub is not None and wub < ub:
@@ -382,7 +381,10 @@ def _jag_m_opt_main0(pref: PrefixSum2D, m: int) -> Partition:
         cc = probe_cuts(band, q, bq)
         assert cc is not None
         col_cuts.append(cc)
-    return build_jagged_partition(pref, stripe_cuts, col_cuts, method="JAG-M-OPT", pad_to=m)
+    # every stripe fits at B, and no m-way jagged partition fits below it
+    return build_jagged_partition(
+        pref, stripe_cuts, col_cuts, method="JAG-M-OPT", pad_to=m, lmax=B
+    )
 
 
 jag_m_opt = oriented(_jag_m_opt_main0)

@@ -27,11 +27,12 @@ __all__ = ["jag_pq_heur", "jag_pq_heur_cuts"]
 
 def jag_pq_heur_cuts(
     pref: PrefixSum2D, P: int, Q: int, oned: str = "nicolplus"
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Stripe cuts and per-stripe column cuts of the P×Q-way jagged heuristic.
+) -> tuple[np.ndarray, list[np.ndarray], int]:
+    """Stripe cuts, per-stripe column cuts and Lmax of the P×Q-way jagged heuristic.
 
     Main dimension is dimension 0.  Once the stripe cuts are fixed the per-
-    stripe solves are independent (§3.2.1).
+    stripe solves are independent (§3.2.1).  Lmax is the largest of the
+    stripes' 1D bottlenecks.
     """
     if P <= 0 or Q <= 0:
         raise ParameterError("P and Q must be positive")
@@ -39,12 +40,14 @@ def jag_pq_heur_cuts(
     rows = pref.axis_prefix(0)  # projection on the main dimension
     _, stripe_cuts = solve(rows, P)
     col_cuts = []
+    lmax = 0
     for s in range(P):
         # full-width stripe projection: served by the memoized axis_prefix
         band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]))
-        _, cc = solve(band, Q)
+        b, cc = solve(band, Q)
+        lmax = max(lmax, int(b))
         col_cuts.append(cc)
-    return stripe_cuts, col_cuts
+    return stripe_cuts, col_cuts, lmax
 
 
 def _jag_pq_heur_main0(
@@ -59,9 +62,9 @@ def _jag_pq_heur_main0(
         P, Q = choose_pq(m, pref.n1, pref.n2)
     elif P * Q != m:
         raise ParameterError(f"P*Q must equal m ({P}*{Q} != {m})")
-    stripe_cuts, col_cuts = jag_pq_heur_cuts(pref, P, Q, oned)
+    stripe_cuts, col_cuts, lmax = jag_pq_heur_cuts(pref, P, Q, oned)
     part = build_jagged_partition(
-        pref, stripe_cuts, col_cuts, method="JAG-PQ-HEUR"
+        pref, stripe_cuts, col_cuts, method="JAG-PQ-HEUR", lmax=lmax
     )
     state = _sweep_current()
     if state is not None:
@@ -70,7 +73,7 @@ def _jag_pq_heur_main0(
         # Scoped by the non-default 1D solver so a weaker oned's witness
         # never masquerades as the default producer's fact
         scope = {"oned": None if oned == "nicolplus" else oned}
-        state.record_ub(pref, "jag_pq", (P, Q), part.max_load(pref), kw=scope)
+        state.record_ub(pref, "jag_pq", (P, Q), lmax, kw=scope)
     return part
 
 

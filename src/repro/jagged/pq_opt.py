@@ -101,12 +101,7 @@ def jag_pq_opt_bottleneck(
         if state is not None and state.witness(pref, "jag_pq", (P, Q)) is not None:
             ub = wub  # same-(P, Q) witness: the heuristic ub is already known
         else:
-            stripe_cuts, col_cuts = jag_pq_heur_cuts(pref, P, Q)
-            ub = 0
-            for s in range(P):
-                band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]))
-                cc = col_cuts[s]
-                ub = max(ub, int(np.max(band[cc[1:]] - band[cc[:-1]])))
+            _, _, ub = jag_pq_heur_cuts(pref, P, Q)
             if state is not None:
                 state.record_ub(pref, "jag_pq", (P, Q), ub)
     assert ub is not None
@@ -143,7 +138,8 @@ def _jag_pq_opt_main0(
         cc = probe_cuts(band, Q, B)
         assert cc is not None
         col_cuts.append(cc)
-    return build_jagged_partition(pref, stripe_cuts, col_cuts, method="JAG-PQ-OPT")
+    # every stripe fits at B, and no P×Q-way partition fits below it
+    return build_jagged_partition(pref, stripe_cuts, col_cuts, method="JAG-PQ-OPT", lmax=B)
 
 
 jag_pq_opt = oriented(_jag_pq_opt_main0)

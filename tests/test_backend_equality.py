@@ -5,7 +5,8 @@ Every registry algorithm runs on seeded instances across three axes:
 * kernel backend — the registry's scalar ``reference`` oracles and the
   production ``numpy`` kernels;
 * substrate — dense ``Γ`` (:class:`PrefixSum2D`) and CSR
-  (:class:`SparsePrefix2D`);
+  (:class:`SparsePrefix2D`), plus a cold CSR pass as on a large instance
+  (projection memo on, transpose pinned before the solve);
 * sweep temperature — *cold* (a fresh substrate per call), *swept* (one
   substrate in one ``use_sweep`` scope, m descending) and *warm* (a fresh
   substrate in a scope seeded from the :class:`SweepStore` file the swept
@@ -29,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import prefix
 from repro.core.prefix import PrefixSum2D
 from repro.core.registry import ALGORITHMS, partition_2d
 from repro.core.sparse import SparsePrefix2D, auto_substrate, substrate_from_triplets
@@ -133,6 +135,21 @@ def test_partitions_identical_across_backends(method, tmp_path):
                 seeded[sub] = store.seeded
         # one digest per matrix on both substrates: CSR persists and seeds like dense
         assert len(set(seeded.values())) <= 1, f"{method}, {backend}: {seeded}"
+        # cold on CSR as on a large instance: memo on by default and the
+        # transpose pinned, so every column band is the transpose's row band
+        with use_perf_backend(backend), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prefix, "_CACHE_MIN_CELLS", 0)
+            for name, A, ms in cells:
+                if exact and not name.startswith("sparse"):
+                    continue
+                got = _cold(method, _pinned_csr, A, ms)
+                assert got == want[name], f"{method}, {backend}, pinned csr, cold, {name}"
+
+
+def _pinned_csr(A: np.ndarray) -> SparsePrefix2D:
+    sub = SparsePrefix2D(A)
+    assert sub.transpose() is sub._T
+    return sub
 
 
 # ----------------------------------------------------------------------

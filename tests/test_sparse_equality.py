@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core import sparse as sparse_mod
 from repro.core.partition import Partition
 from repro.core.prefix import LoadView, PrefixSum2D, as_load_matrix, prefix_2d
 from repro.core.registry import ALGORITHMS, partition_2d
@@ -25,6 +26,7 @@ from repro.instances import slac_instance
 from repro.instances.spmv import hist2d_triplets, spmv_instance, spmv_sparse
 from repro.instances.mesh.project import slac_sparse
 from repro.perf.counters import op_counters
+from repro.sweep import use_sweep
 from repro.sweep.store import instance_digest, matrix_digest
 
 # sparse-ish matrices: mostly zeros, a band of structured mass, a few spikes
@@ -78,6 +80,107 @@ def test_rect_loads_match_dense(A, seed):
     cc = np.sort(rng.integers(0, n2 + 1, size=(16, 2)), axis=1)
     coords = np.column_stack([rr, cc])
     np.testing.assert_array_equal(sparse.rect_loads(coords), dense.rect_loads(coords))
+
+
+_INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def rect_batches(draw):
+    """A sparse matrix, optionally with two cells near 2^62 (total at most
+    2^63 - 1), and a batch of rectangles over it: random ones plus every
+    corner case of the vectorized path."""
+    A = draw(sparse_matrices).copy()
+    n1, n2 = A.shape
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.integers(0, n1 * n2 - 1), min_size=1, max_size=2, unique=True))
+        A.flat[cells[0]] = 2**62
+        if len(cells) == 2:
+            A.flat[cells[1]] = 0
+            A.flat[cells[1]] = _INT64_MAX - int(A.sum(dtype=object))
+    r = st.integers(0, n1)
+    c = st.integers(0, n2)
+    rects = [sorted(draw(st.tuples(r, r))) + sorted(draw(st.tuples(c, c))) for _ in range(draw(st.integers(0, 10)))]
+    i, j = draw(r), draw(c)
+    rects += [
+        [0, 0, 0, 0],  # an idle processor's Rect(0, 0, 0, 0)
+        [i, i, 0, j],  # no rows
+        [0, i, j, j],  # no columns
+        [0, i, 0, n2],  # full width
+        [min(i, n1 - 1), n1, 0, n2],
+        [0, n1, 0, j],  # full height
+        [0, n1, min(j, n2 - 1), n2],
+        [0, n1, 0, n2],
+    ]
+    return A, np.array(rects, dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rect_batches(), st.sampled_from([None, 1, 3]))
+def test_vectorized_rect_loads_match_dense(batch, block):
+    """One searchsorted pass and a segmented sum equal the 4-corner gather,
+    also when the (rectangle, row) pairs are split into tiny blocks."""
+    A, coords = batch
+    dense, sparse = _pair(A)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(sparse_mod, "_NONZERO_BLOCK", block)
+        got = sparse.rect_loads(coords)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, dense.rect_loads(coords))
+    assert [int(v) for v in got] == [
+        int(A[r0:r1, c0:c1].sum(dtype=object)) for r0, r1, c0, c1 in coords.tolist()
+    ]
+
+
+def _pinned(A) -> SparsePrefix2D:
+    """CSR substrate with its transpose pinned (a sweep pins it at any size)."""
+    sparse = SparsePrefix2D(A)
+    with use_sweep():
+        sparse.transpose()
+    assert sparse._T is not None
+    return sparse
+
+
+band_matrices = st.one_of(
+    hnp.arrays(np.int64, st.tuples(st.integers(1, 12), st.integers(1, 12)), elements=st.sampled_from([0, 0, 0, 1, 7, 40])),
+    hnp.arrays(np.int64, st.tuples(st.just(1), st.integers(1, 12)), elements=st.sampled_from([0, 3, 9])),
+    hnp.arrays(np.int64, st.tuples(st.integers(1, 12), st.just(1)), elements=st.sampled_from([0, 3, 9])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(band_matrices, st.integers(0, 11))
+def test_column_bands_from_pinned_transpose_match_dense(A, zero_col):
+    """Every column band ``[lo, hi)`` (empty, full and in between) read as the
+    pinned transpose's row band equals the dense projection."""
+    A = A.copy()
+    A[:, zero_col % A.shape[1]] = 0  # an empty column
+    dense, sparse = PrefixSum2D(A), _pinned(A)
+    n2 = A.shape[1]
+    for lo in range(n2 + 1):
+        for hi in range(lo, n2 + 1):
+            got = sparse.axis_prefix(0, lo, hi, reuse=False)
+            np.testing.assert_array_equal(got, dense.axis_prefix(0, lo, hi, reuse=False))
+
+
+def test_pinned_column_band_never_searches_keys(rng, monkeypatch):
+    A = _random_sparse(rng)
+    pinned, unpinned = _pinned(A), SparsePrefix2D(A)
+    searched = []
+    real = np.searchsorted
+
+    def spy(a, *args, **kw):
+        searched.extend(s for s in (pinned, unpinned) if a is s.keys)
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(sparse_mod.np, "searchsorted", spy)
+    for lo, hi in ((0, 5), (3, 4), (7, 20), (0, 19)):
+        pinned.axis_prefix(0, lo, hi, reuse=False)
+    assert not searched
+    # without a pinned transpose the keys are searched row by row
+    unpinned.axis_prefix(0, 3, 4, reuse=False)
+    assert searched == [unpinned, unpinned]
 
 
 @settings(max_examples=40, deadline=None)
