@@ -47,14 +47,6 @@ _Ints = Sequence[int]
 #: 0.43, width 1024 → 1.00 / 0.97 / 0.48, width 2048 → 0.90 / 0.84 / 0.45
 _ROW_SCAN_MIN_WIDTH = 1024
 
-#: side of the square tiles a large ``Γᵀ`` is copied in
-_TILE = 256
-#: Γ with at least this many cells is transposed tile by tile: a plain
-#: ``ascontiguousarray(G.T)`` reads a full column of ``G``, one row stride
-#: apart per element, for each output row.  Tiled over plain time on the
-#: same VM: 769² → 1.14, 1025² → 0.88, 2049² → 0.88, 4097² → 0.58
-_TILED_TRANSPOSE_MIN_CELLS = 1 << 20
-
 #: a batch of prefix windows is read from Γ with one index gather when it
 #: holds at least ``_GATHER_MIN_WINDOWS`` windows of fewer than
 #: ``_GATHER_MAX_MEAN`` values on average, and sliced window by window
@@ -167,18 +159,6 @@ def _window_offsets(j0: _Ints, j1: _Ints) -> np.ndarray:
     return offs
 
 
-def _transposed(G: np.ndarray) -> np.ndarray:
-    """C-contiguous ``Γᵀ``; large Γ is copied in square tiles that fit the cache."""
-    if G.size < _TILED_TRANSPOSE_MIN_CELLS:
-        return np.ascontiguousarray(G.T)
-    n1, n2 = G.shape
-    T = np.empty((n2, n1), dtype=G.dtype)
-    for i in range(0, n1, _TILE):
-        for j in range(0, n2, _TILE):
-            T[j : j + _TILE, i : i + _TILE] = G[i : i + _TILE, j : j + _TILE].T
-    return T
-
-
 def prefix_1d(values: np.ndarray) -> np.ndarray:
     """Return the length ``n+1`` prefix-sum array of a 1D load array.
 
@@ -200,7 +180,8 @@ class PrefixSum1D:
     ----------
     values:
         Either the raw 1D load array, or (with ``is_prefix=True``) an already
-        computed prefix array of length ``n+1`` starting at 0.
+        computed prefix array of length ``n+1`` starting at 0 and
+        non-decreasing (a decreasing step would be a negative load).
     """
 
     __slots__ = ("P", "n", "_max_el")
@@ -210,6 +191,8 @@ class PrefixSum1D:
             P = np.ascontiguousarray(values, dtype=np.int64)
             if P.ndim != 1 or len(P) < 1 or P[0] != 0:
                 raise ParameterError("prefix array must be 1D and start at 0")
+            if (P[1:] < P[:-1]).any():
+                raise ParameterError("prefix array must be non-decreasing")
         else:
             P = prefix_1d(values)
         self.P = P
@@ -487,10 +470,18 @@ class PrefixSum2D(_ProjectionMemo):
 
     def __init__(self, A: np.ndarray, *, is_prefix: bool = False):
         self._max_el: int | None = None
+        self._min_el: int | None = None
         if is_prefix:
             G = np.ascontiguousarray(A, dtype=np.int64)
             if G.ndim != 2 or G[0, 0] != 0 or (G[0, :] != 0).any() or (G[:, 0] != 0).any():
                 raise ParameterError("2D prefix array must have a zero first row/column")
+            # one pass over the cells Γ implies: none may be negative, and
+            # both element bounds are seeded
+            d = np.diff(np.diff(G, axis=0), axis=1)
+            if d.size:
+                self._min_el, self._max_el = int(d.min()), int(d.max())
+                if self._min_el < 0:
+                    raise ParameterError(f"prefix implies a negative cell load ({self._min_el})")
         else:
             A = as_load_matrix(A)
             self._max_el = _checked_max(A)  # the overflow check's max is the cell max
@@ -500,7 +491,6 @@ class PrefixSum2D(_ProjectionMemo):
         self.n2 = G.shape[1] - 1
         self._cache: LRUCache | None = None
         self._cache_default: bool | None = None
-        self._min_el: int | None = None
         self._T: "PrefixSum2D | None" = None
 
     @property
@@ -551,17 +541,19 @@ class PrefixSum2D(_ProjectionMemo):
 
         Window ``k`` is ``E[hi[k], j0[k] : j1[k] + 1] - E[lo[k], ...]`` for
         the edge matrix ``E`` of its axis: Γ for axis 1 (row ``r`` holds the
-        prefixes of row edge ``r``), Γᵀ for axis 0 — the rows of a cached
-        transpose, or strided Γ columns without one, which on a 4096² Γ miss
-        the cache on every value.  Few or long windows are subtracted into
-        the output slice by slice, many short ones gathered with one flat
-        index per value.  Memoizes nothing.
+        prefixes of row edge ``r``), Γᵀ for axis 0.  Both are read in place,
+        whatever Γ's layout: the windows along Γ's memory order are
+        contiguous, the others strided, and on a 4096² Γ a strided window
+        misses the cache on every value.  Few or long windows are subtracted
+        into the output slice by slice, many short ones gathered with one
+        flat index per value.  Memoizes nothing.
         """
         K = len(lo)
         N = sum(j1) - sum(j0) + K
         out = np.empty(N, dtype=np.int64)
+        G = self.G
         if K < _GATHER_MIN_WINDOWS or N >= _GATHER_MAX_MEAN * K:
-            edges = (self.G.T if self._T is None else self._T.G, self.G)
+            edges = (G.T, G)
             ends = [0]
             for ax, a, b, x, y in zip(axes, lo, hi, j0, j1):
                 E = edges[ax]
@@ -575,12 +567,10 @@ class PrefixSum2D(_ProjectionMemo):
         b = np.repeat(hi, lens)
         rows = np.repeat(np.equal(axes, 1), lens)
         # entry (edge, j) of an axis's edge matrix is flat[edge * se + j * sj]
-        width = self.n2 + 1
-        layouts = (
-            (self.G.ravel(), 1, width) if self._T is None else (self._T.G.ravel(), self.n1 + 1, 1),
-            (self.G.ravel(), width, 1),
-        )
-        for (flat, se, sj), sel in zip(layouts, (~rows, rows)):
+        # for Γ's element strides; Γ is contiguous in C or (a view) F order
+        flat = G.ravel(order="K")
+        s0, s1 = (s // G.itemsize for s in G.strides)
+        for (se, sj), sel in zip(((s1, s0), (s0, s1)), (~rows, rows)):
             if sel.any():
                 jj = j[sel] * sj
                 out[sel] = flat[b[sel] * se + jj] - flat[a[sel] * se + jj]
@@ -619,42 +609,39 @@ class PrefixSum2D(_ProjectionMemo):
     def transpose(self) -> "PrefixSum2D":
         """Prefix of the transposed matrix (for -VER algorithm variants).
 
-        The transposed prefix is built once and reused (the -BEST
-        orientation wrappers and repeated figure sweeps otherwise re-copy
-        ``Γᵀ`` on every call); both directions share the link, so
-        ``pref.transpose().transpose() is pref``.
+        Its ``G`` is a read-only strided view of this ``Γ``, never a copy:
+        every query reads ``Γ``'s own memory, and ``nbytes`` reports the
+        shared array, not extra memory.
 
-        Caching is adaptive, like the projection memo: pinning ``Γᵀ`` to
-        the instance extends its lifetime and ties the pair into a reference
-        cycle (freed by the cycle collector, not refcounting), which on
-        small matrices costs more than the copy it saves.  The cache engages
-        from ``_CACHE_MIN_CELLS`` cells — or whenever
-        a sweep is active, because the sweep stores key warm-start facts by
-        object identity and the -VER variants only accumulate facts if every
-        call sees the *same* transposed prefix.  Below the threshold it still
-        copies (the per-stripe band queries of the jagged heuristics want
-        contiguous rows) but skips the constructor's border re-validation —
-        ``Γᵀ``'s zero border *is* ``Γ``'s zero border.
+        Pinning is adaptive, like the projection memo: from
+        ``_CACHE_MIN_CELLS`` cells, or whenever a sweep is active, the
+        transposed prefix is built once and linked both ways, so
+        ``pref.transpose().transpose() is pref``.  The pinned side keeps its
+        projection memo across the -BEST wrappers' calls, and the sweep
+        stores key warm-start facts by object identity, so the -VER variants
+        only accumulate facts if every call sees the *same* transposed
+        prefix.  The link ties the pair into a reference cycle (freed by the
+        cycle collector, not refcounting), which small matrices skip.
         """
-        if self._T is None and (self._reuse_default() or sweep_active()):
-            T = self._transpose_unvalidated()
-            T._T = self
-            self._T = T
         if self._T is not None:
             return self._T
-        return self._transpose_unvalidated()
+        T = self._transpose_unvalidated()
+        if self._reuse_default() or sweep_active():
+            T._T, self._T = self, T
+        return T
 
     def _transpose_unvalidated(self) -> "PrefixSum2D":
-        """Contiguous transposed prefix without re-running border validation.
+        """Transposed prefix over a view of ``Γ``, without re-validation.
 
-        The constructor's zero-border check is a proof obligation for
-        *external* prefix arrays; ``Γᵀ`` of an already-validated ``Γ``
-        satisfies it by construction, so this skips the two full-border
-        scans and seeds the size- and max-element slots (both are
-        transpose-invariant) instead of re-resolving them.
+        The constructor's checks are a proof obligation for *external*
+        prefix arrays; ``Γᵀ`` of an already-validated ``Γ`` satisfies them
+        by construction, so this skips them and seeds the size- and
+        element-bound slots (all transpose-invariant) instead of
+        re-resolving them.
         """
         T = PrefixSum2D.__new__(PrefixSum2D)
-        T.G = _transposed(self.G)
+        T.G = self.G.T
+        T.G.flags.writeable = False  # shares Γ's memory
         T.n1 = self.n2
         T.n2 = self.n1
         T._cache = None

@@ -21,8 +21,8 @@ and dense row/column *marginal* prefixes.  It satisfies the same
 * row-band projections (:meth:`_axis_prefix_ref` along axis 1) by
   scatter-add over only the nonzeros inside the band, O(nnz_band + n2);
   column bands the same way through the transpose's row band when the
-  transpose is pinned (large instances once a -VER or -BEST solve has
-  built it, or any instance in a sweep), and otherwise by two searches
+  transpose is pinned (a large instance pins it on its first column band
+  or -VER solve, any instance in a sweep), and otherwise by two searches
   over all of ``keys`` per row, O(n1 log nnz);
 * all arithmetic exact ``int64`` — the bit-identity contract with the
   dense substrate holds on every solver family, which the differential
@@ -175,20 +175,20 @@ class SparsePrefix2D(_ProjectionMemo):
             vals = np.add.reduceat(vals, starts)  # exact int64 duplicate collapse
             keys = keys[starts]
         nz = vals != 0
-        return cls._from_sorted(keys[nz], vals[nz], (n1, n2))
-
-    @classmethod
-    def _from_sorted(
-        cls, keys: np.ndarray, vals: np.ndarray, shape: tuple[int, int]
-    ) -> "SparsePrefix2D":
-        """From strictly-increasing keys and positive values (internal)."""
         self = cls.__new__(cls)
-        self._init_sorted(keys, vals, shape)
+        self._init_sorted(keys[nz], vals[nz], (n1, n2))
         return self
 
-    def _init_sorted(self, keys: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> None:
+    def _init_sorted(
+        self,
+        keys: np.ndarray,
+        vals: np.ndarray,
+        shape: tuple[int, int],
+        col_pref: np.ndarray | None = None,
+    ) -> None:
         """Wire all slots from strictly-increasing keys: rows, columns and
-        row pointers follow from one division (no copies, O(nnz) derive)."""
+        row pointers follow from one division (no copies, O(nnz) derive).
+        A caller that already knows the column marginal passes ``col_pref``."""
         n1, n2 = shape
         rows = keys // n2
         cols = keys - rows * n2
@@ -203,9 +203,10 @@ class SparsePrefix2D(_ProjectionMemo):
         np.cumsum(vals, out=csum[1:])
         self.csum = csum
         self.row_pref = csum[indptr]  # fancy index: owns its memory
-        col_pref = np.zeros(n2 + 1, dtype=np.int64)
-        np.add.at(col_pref, cols + 1, vals)  # exact int64 (bincount would go float)
-        np.cumsum(col_pref, out=col_pref)
+        if col_pref is None:
+            col_pref = np.zeros(n2 + 1, dtype=np.int64)
+            np.add.at(col_pref, cols + 1, vals)  # exact int64 (bincount would go float)
+            np.cumsum(col_pref, out=col_pref)
         self.col_pref = col_pref
         self.n1 = n1
         self.n2 = n2
@@ -311,10 +312,11 @@ class SparsePrefix2D(_ProjectionMemo):
                 # full band: the row marginal, copied so the memo's freeze
                 # cannot reach the substrate's own array
                 return self.row_pref.copy()
-            if self._T is not None:
+            if self._T is not None or self._reuse_default():
                 # a column band is the pinned transpose's row band: one
-                # scatter over the band's nonzeros, not two searches a row
-                return self._T._axis_prefix_ref(1, lo, hi)
+                # scatter over the band's nonzeros, not two searches a row.
+                # A large instance pins it on its first column band
+                return self.transpose()._axis_prefix_ref(1, lo, hi)
             out = np.zeros(self.n1 + 1, dtype=np.int64)
             base = np.arange(self.n1, dtype=np.int64) * self.n2
             a = np.searchsorted(self.keys, base + lo, side="left")
@@ -363,18 +365,23 @@ class SparsePrefix2D(_ProjectionMemo):
         pin the transposed substrate and back-link it so
         ``pref.transpose().transpose() is pref``.
         """
-        if self._T is None and (self._reuse_default() or sweep_active()):
-            T = self._transpose_new()
-            T._T = self
-            self._T = T
         if self._T is not None:
             return self._T
-        return self._transpose_new()
+        T = self._transpose_new()
+        if self._reuse_default() or sweep_active():
+            T._T, self._T = self, T
+        return T
 
     def _transpose_new(self) -> "SparsePrefix2D":
-        tkeys = self.cols * np.int64(self.n1) + self.keys // self.n2
-        order = np.argsort(tkeys, kind="stable")
-        T = SparsePrefix2D._from_sorted(tkeys[order], self.vals[order], (self.n2, self.n1))
+        """The transpose: a stable sort by column leaves the row-major
+        nonzeros in the transpose's row-major order.  Up to 2^16 columns
+        the index sorts as ``uint16``, which NumPy sorts by radix."""
+        by_col = self.cols.astype(np.uint16) if self.n2 <= 1 << 16 else self.cols
+        order = np.argsort(by_col, kind="stable")
+        rows = np.repeat(np.arange(self.n1, dtype=np.int64), np.diff(self.indptr))
+        tkeys = self.cols[order] * self.n1 + rows[order]
+        T = SparsePrefix2D.__new__(SparsePrefix2D)
+        T._init_sorted(tkeys, self.vals[order], (self.n2, self.n1), self.row_pref)
         T._cache_default = self._cache_default  # same n1·n2 cell count
         T._max_el = self._max_el  # same multiset of cell loads
         T._min_el = self._min_el

@@ -139,8 +139,7 @@ def oriented(
             return out
         if o == "best":
             hor = fn(pref, m, *args, **kw)
-            prefT = pref.transpose()  # hoisted: Γᵀ is a full-matrix copy
-            vert = fn(prefT, m, *args, **kw)
+            vert = fn(pref.transpose(), m, *args, **kw)
             if vert.meta["lmax"] < hor.meta["lmax"]:
                 out = vert.transpose().with_method(vert.method)
                 out.meta["orientation"] = "ver"

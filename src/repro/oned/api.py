@@ -110,7 +110,7 @@ def partition_1d(
     if isinstance(values, PrefixSum1D):
         P = values.P
     elif is_prefix:
-        P = np.ascontiguousarray(values, dtype=np.int64)
+        P = PrefixSum1D(values, is_prefix=True).P  # the same boundary checks
     else:
         P = prefix_1d(np.asarray(values))
     key = method.lower().replace("-", "").replace("_", "")

@@ -100,7 +100,7 @@ class TestOverflow:
 
 
 class TestDenseBuild:
-    """The row-streamed Γ and the tiled Γᵀ against the textbook forms."""
+    """The row-streamed Γ against the textbook form."""
 
     @pytest.mark.parametrize(
         "shape",
@@ -117,28 +117,6 @@ class TestDenseBuild:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(prefix, "_ROW_SCAN_MIN_WIDTH", 1 if row_scan else 10**9)
             np.testing.assert_array_equal(PrefixSum2D(A).G, reference_grid(A))
-
-    @given(load_matrices, st.integers(1, 4))
-    @settings(max_examples=60)
-    def test_tiled_transpose_matches_plain(self, A, tile):
-        G = PrefixSum2D(A).G
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(prefix, "_TILED_TRANSPOSE_MIN_CELLS", 0)
-            mp.setattr(prefix, "_TILE", tile)
-            T = prefix._transposed(G)
-        assert T.flags.c_contiguous
-        np.testing.assert_array_equal(T, G.T)
-
-    @pytest.mark.parametrize("shape", [(1022, 1023), (1023, 1023), (1100, 1000), (300, 3600)])
-    def test_transpose_around_the_tiling_crossover(self, shape, rng):
-        # Γ of (1023, 1023) has exactly 2^20 cells; none of these is a
-        # multiple of the tile
-        A = rng.integers(0, 9, size=shape)
-        pf = PrefixSum2D(A)
-        T = pf._transpose_unvalidated()
-        assert T.G.flags.c_contiguous
-        np.testing.assert_array_equal(T.G, pf.G.T)
-        assert T.shape == (shape[1], shape[0])
 
 
 class TestPrefix1D:
@@ -167,6 +145,20 @@ class TestPrefix1D:
         p = PrefixSum1D(np.array([], dtype=np.int64))
         assert p.total == 0
         assert p.max_element() == 0
+
+    def test_rejects_decreasing_prefix(self):
+        # [0, 5, 3, 9] implies a load of -2; it used to be accepted
+        with pytest.raises(ParameterError, match="non-decreasing"):
+            PrefixSum1D(np.array([0, 5, 3, 9]), is_prefix=True)
+
+    def test_partition_1d_checks_its_prefix(self):
+        from repro.oned import partition_1d
+
+        with pytest.raises(ParameterError, match="non-decreasing"):
+            partition_1d(np.array([0, 5, 3, 9]), 2, is_prefix=True)
+        with pytest.raises(ParameterError, match="start at 0"):
+            partition_1d(np.array([1, 3, 4]), 2, is_prefix=True)
+        assert partition_1d(np.array([0, 5, 5, 9]), 2, is_prefix=True).bottleneck == 5
 
     @given(load_arrays)
     @settings(max_examples=40)
@@ -259,6 +251,18 @@ class TestPrefix2D:
     def test_rejects_bad_prefix(self):
         with pytest.raises(ParameterError):
             PrefixSum2D(np.ones((3, 3)), is_prefix=True)
+
+    def test_rejects_prefix_implying_a_negative_cell(self):
+        # its cells are [[5, -2], [4, 5]]: solvers used to run on it, and
+        # min_element() returned -2
+        with pytest.raises(ParameterError, match=r"negative cell load \(-2\)"):
+            PrefixSum2D(np.array([[0, 0, 0], [0, 5, 3], [0, 9, 12]]), is_prefix=True)
+
+    @given(load_matrices)
+    @settings(max_examples=30)
+    def test_prefix_input_seeds_the_element_bounds(self, A):
+        pf = PrefixSum2D(PrefixSum2D(A).G, is_prefix=True)
+        assert (pf._max_el, pf._min_el) == (A.max(), A.min())
 
     def test_prefix_2d_passthrough(self, rng):
         pf = PrefixSum2D(rng.integers(0, 5, (3, 3)))
