@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint lint-sarif ruff mypy test figures figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
+.PHONY: check lint ruff mypy test figures figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
 
 check: ruff mypy lint test
 	@echo "make check: all gates passed"
@@ -26,11 +26,6 @@ mypy:
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.lint src/repro
 
-# the code-scanning artifact CI uploads
-lint-sarif:
-	PYTHONPATH=src $(PYTHON) -m repro.lint --format sarif src/repro > repro-lint.sarif || true
-	@echo "wrote repro-lint.sarif"
-
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
@@ -41,16 +36,26 @@ test:
 figures:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments --all --raw-dir raw --out benchmarks/results
 
-# CI smoke: one small figure twice against a scratch store — the second
-# run must be all cache hits and the CSVs byte-identical
+# CI smoke of the figure farm: fig05 twice against one raw store -- the
+# second run must be all cache hits and its CSV byte-identical; then fig03
+# and fig05 at --jobs 1 and --jobs 2 must give byte-identical CSVs.  The
+# raw store is left in $(FIGURES_SMOKE)/raw
+FIGURES_SMOKE = /tmp/repro-figures-smoke
+EXPERIMENTS = PYTHONPATH=src $(PYTHON) -m repro.experiments --scale tiny
 figures-smoke:
-	rm -rf /tmp/repro-figures-smoke && mkdir -p /tmp/repro-figures-smoke
-	PYTHONPATH=src $(PYTHON) -m repro.experiments --figures fig05 \
-		--raw-dir /tmp/repro-figures-smoke/raw --out /tmp/repro-figures-smoke/a
-	PYTHONPATH=src $(PYTHON) -m repro.experiments --figures fig05 \
-		--raw-dir /tmp/repro-figures-smoke/raw --out /tmp/repro-figures-smoke/b
-	cmp /tmp/repro-figures-smoke/a/fig05.csv /tmp/repro-figures-smoke/b/fig05.csv
-	@echo "figures-smoke: warm rerun byte-identical"
+	rm -rf $(FIGURES_SMOKE) && mkdir -p $(FIGURES_SMOKE)
+	$(EXPERIMENTS) --figures fig05 --raw-dir $(FIGURES_SMOKE)/raw \
+		--out $(FIGURES_SMOKE)/cold 2> $(FIGURES_SMOKE)/cold.log
+	$(EXPERIMENTS) --figures fig05 --raw-dir $(FIGURES_SMOKE)/raw \
+		--out $(FIGURES_SMOKE)/warm 2> $(FIGURES_SMOKE)/warm.log
+	cat $(FIGURES_SMOKE)/warm.log
+	grep -q 'raw-store fig05: hits=[1-9][0-9]* misses=0 invalid=0' $(FIGURES_SMOKE)/warm.log
+	cmp $(FIGURES_SMOKE)/cold/fig05.csv $(FIGURES_SMOKE)/warm/fig05.csv
+	$(EXPERIMENTS) --figures fig03 fig05 --jobs 1 --out $(FIGURES_SMOKE)/jobs-1
+	$(EXPERIMENTS) --figures fig03 fig05 --jobs 2 --out $(FIGURES_SMOKE)/jobs-2
+	cmp $(FIGURES_SMOKE)/jobs-1/fig03.csv $(FIGURES_SMOKE)/jobs-2/fig03.csv
+	cmp $(FIGURES_SMOKE)/jobs-1/fig05.csv $(FIGURES_SMOKE)/jobs-2/fig05.csv
+	@echo "figures-smoke: warm rerun all hits, --jobs 1/2 byte-identical"
 
 # CI smoke of the sweep fact store: fig07 populates a store, reruns warm
 # from it and runs once without one -- the three CSVs must be identical and

@@ -159,18 +159,27 @@ def _window_offsets(j0: _Ints, j1: _Ints) -> np.ndarray:
     return offs
 
 
+def _prefix_1d(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """The prefix array of a 1D load array, and its largest element."""
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ParameterError("expected a 1D array")
+    values = _as_int64(values, "load array")
+    vmax = _checked_max(values)
+    out = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=out[1:])
+    return out, vmax
+
+
 def prefix_1d(values: np.ndarray) -> np.ndarray:
     """Return the length ``n+1`` prefix-sum array of a 1D load array.
 
     ``P[i]`` is the sum of the first ``i`` elements, so the load of the
-    half-open interval ``[i, j)`` is ``P[j] - P[i]``.
+    half-open interval ``[i, j)`` is ``P[j] - P[i]``.  The loads must be
+    exact non-negative integers whose total fits in int64 (as for
+    :func:`as_load_matrix`); anything else is a ``ParameterError``.
     """
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise ParameterError("expected a 1D array")
-    out = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(values, out=out[1:], dtype=np.int64)
-    return out
+    return _prefix_1d(values)[0]
 
 
 class PrefixSum1D:
@@ -179,25 +188,26 @@ class PrefixSum1D:
     Parameters
     ----------
     values:
-        Either the raw 1D load array, or (with ``is_prefix=True``) an already
-        computed prefix array of length ``n+1`` starting at 0 and
-        non-decreasing (a decreasing step would be a negative load).
+        Either the raw 1D load array (checked as by :func:`prefix_1d`), or
+        (with ``is_prefix=True``) an already computed integer prefix array
+        of length ``n+1`` starting at 0 and non-decreasing (a decreasing
+        step would be a negative load).
     """
 
     __slots__ = ("P", "n", "_max_el")
 
     def __init__(self, values: np.ndarray, *, is_prefix: bool = False):
+        self._max_el: int | None = None
         if is_prefix:
-            P = np.ascontiguousarray(values, dtype=np.int64)
+            P = _as_int64(np.asarray(values), "prefix array")
             if P.ndim != 1 or len(P) < 1 or P[0] != 0:
                 raise ParameterError("prefix array must be 1D and start at 0")
             if (P[1:] < P[:-1]).any():
                 raise ParameterError("prefix array must be non-decreasing")
         else:
-            P = prefix_1d(values)
+            P, self._max_el = _prefix_1d(values)
         self.P = P
         self.n = len(P) - 1
-        self._max_el: int | None = None
 
     @property
     def total(self) -> int:
@@ -472,7 +482,7 @@ class PrefixSum2D(_ProjectionMemo):
         self._max_el: int | None = None
         self._min_el: int | None = None
         if is_prefix:
-            G = np.ascontiguousarray(A, dtype=np.int64)
+            G = _as_int64(np.asarray(A), "prefix array")
             if G.ndim != 2 or G[0, 0] != 0 or (G[0, :] != 0).any() or (G[:, 0] != 0).any():
                 raise ParameterError("2D prefix array must have a zero first row/column")
             # one pass over the cells Γ implies: none may be negative, and

@@ -152,15 +152,14 @@ class SparsePrefix2D(_ProjectionMemo):
         n1, n2 = int(shape[0]), int(shape[1])
         if n1 <= 0 or n2 <= 0:
             raise ParameterError(f"shape must be positive, got {(n1, n2)}")
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
+        # exact, non-negative integers: a cast would truncate 1.5 to row 1
+        rows = _as_int64(np.asarray(rows).ravel(), "triplet row indices")
+        cols = _as_int64(np.asarray(cols).ravel(), "triplet column indices")
         vals = np.asarray(vals).ravel()
         if not (len(rows) == len(cols) == len(vals)):
             raise ParameterError("rows, cols and vals must have equal lengths")
         vals = _as_int64(vals, "triplet values")
-        if len(rows) and (
-            rows.min() < 0 or rows.max() >= n1 or cols.min() < 0 or cols.max() >= n2
-        ):
+        if len(rows) and (rows.max() >= n1 or cols.max() >= n2):
             raise ParameterError("triplet indices out of bounds for shape")
         _checked_max(vals)  # before the duplicate sums below could wrap
         keys = rows * n2 + cols

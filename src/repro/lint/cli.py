@@ -5,7 +5,6 @@ Typical invocations::
     repro-lint src/repro                 # lint the source tree (CI gate)
     repro-lint --select RPL003 src/repro # one rule only
     repro-lint --format json src/repro   # machine-readable output
-    repro-lint --format sarif src/repro  # code-scanning upload artifact
     python -m repro.lint src/repro       # same, without the console script
 
 Exit codes: 0 clean, 1 violations found, 2 usage or internal error — the
@@ -19,24 +18,20 @@ import sys
 from pathlib import Path
 
 from .engine import STALE_CODE, lint_paths
-from .reporters import json_report, sarif_report, text_report
-from .rules import ALL_PROJECT_RULES, ALL_RULES
+from .reporters import json_report, text_report
+from .rules import ALL_PROJECT_RULES, ALL_RULES, KNOWN_CODES
 
 __all__ = ["main"]
-
-_KNOWN_CODES = (
-    {r.code for r in ALL_RULES} | {r.code for r in ALL_PROJECT_RULES} | {STALE_CODE}
-)
 
 
 def _parse_codes(raw: str | None) -> set[str] | None:
     if raw is None:
         return None
     codes = {c.strip().upper() for c in raw.split(",") if c.strip()}
-    unknown = codes - _KNOWN_CODES
+    unknown = codes - KNOWN_CODES
     if unknown:
         print(
-            f"error: unknown rule code(s) {sorted(unknown)}; known: {sorted(_KNOWN_CODES)}",
+            f"error: unknown rule code(s) {sorted(unknown)}; known: {sorted(KNOWN_CODES)}",
             file=sys.stderr,
         )
         raise SystemExit(2)
@@ -50,8 +45,8 @@ def _list_rules() -> str:
         lines.append(f"       {rule.rationale}")
     lines.append(f"{STALE_CODE}  stale-suppression")
     lines.append(
-        "       a # repro-lint: disable comment that silences nothing must "
-        "be removed"
+        "       a # repro-lint: disable comment that silences nothing, or "
+        "names no rule, must be removed"
     )
     return "\n".join(lines)
 
@@ -72,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated rule codes to run (default: all)")
     parser.add_argument("--ignore", default=None, metavar="CODES",
                         help="comma-separated rule codes to skip")
-    parser.add_argument("--format", choices=("text", "json", "sarif"), default="text",
+    parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
     parser.add_argument("--show-suppressed", action="store_true",
                         help="list honoured suppressions in the text report")
@@ -100,8 +95,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.format == "json":
         print(json_report(result))
-    elif args.format == "sarif":
-        print(sarif_report(result))
     else:
         print(text_report(result, verbose=args.show_suppressed))
     return result.exit_code

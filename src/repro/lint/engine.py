@@ -231,23 +231,40 @@ def _selected(code: str, select: set[str] | None, ignore: set[str]) -> bool:
 
 
 def _stale_suppressions(
-    contexts: Sequence[FileContext], active_codes: set[str], full_run: bool
+    contexts: Sequence[FileContext],
+    active_codes: set[str],
+    known_codes: frozenset[str],
+    full_run: bool,
 ) -> Iterator[Violation]:
-    """RPL100: suppressions that silenced nothing this run.
+    """RPL100: suppressions that silenced nothing this run, or name no rule.
 
     A code is checkable only when its rule actually ran (``active_codes``);
     ``disable=all`` is checkable only on a full run (no ``--select``), since
-    a restricted run gives most rules no chance to match.
+    a restricted run gives most rules no chance to match.  A code outside
+    ``known_codes`` (a typo, a retired rule) is flagged on every run.
     """
     for ctx in contexts:
         for s in ctx.suppressions:
+            scope = "disable-file" if s.file_scope else "disable"
+            unknown = s.codes - known_codes - {"ALL"}
+            if unknown:
+                yield Violation(
+                    path=ctx.rel,
+                    line=s.line,
+                    col=1,
+                    rule=STALE_CODE,
+                    message=(
+                        f"suppression `# repro-lint: {scope}="
+                        f"{','.join(sorted(unknown))}` names an unknown rule "
+                        "code; remove it"
+                    ),
+                )
             if "ALL" in s.codes:
                 stale = frozenset({"ALL"}) if full_run and not s.used else frozenset()
             else:
                 stale = frozenset((s.codes & active_codes) - s.used)
             if not stale:
                 continue
-            scope = "disable-file" if s.file_scope else "disable"
             yield Violation(
                 path=ctx.rel,
                 line=s.line,
@@ -266,26 +283,19 @@ def lint_paths(
     *,
     select: set[str] | None = None,
     ignore: set[str] | None = None,
-    rules: Sequence[Rule] | None = None,
-    project_rules: Sequence[ProjectRule] | None = None,
 ) -> LintResult:
-    """Lint ``paths`` with the given (default: all registered) rules.
+    """Lint ``paths`` with every registered rule.
 
     ``select``/``ignore`` filter by rule code.  Project rules run once over
     the full file set; per-file rules run on each file they apply to.
     """
-    from .rules import ALL_PROJECT_RULES, ALL_RULES
+    from .rules import ALL_PROJECT_RULES, ALL_RULES, KNOWN_CODES
 
     ignore = {c.upper() for c in (ignore or set())}
     if select is not None:
         select = {c.upper() for c in select}
-    active = [r for r in (rules if rules is not None else ALL_RULES)
-              if _selected(r.code, select, ignore)]
-    active_project = [
-        r
-        for r in (project_rules if project_rules is not None else ALL_PROJECT_RULES)
-        if _selected(r.code, select, ignore)
-    ]
+    active = [r for r in ALL_RULES if _selected(r.code, select, ignore)]
+    active_project = [r for r in ALL_PROJECT_RULES if _selected(r.code, select, ignore)]
 
     result = LintResult()
     contexts: list[FileContext] = []
@@ -316,7 +326,9 @@ def lint_paths(
 
     if _selected(STALE_CODE, select, ignore):
         active_codes = {r.code for r in active} | {r.code for r in active_project}
-        for v in _stale_suppressions(contexts, active_codes, full_run=select is None):
+        for v in _stale_suppressions(
+            contexts, active_codes, KNOWN_CODES, full_run=select is None
+        ):
             ctx = by_rel.get(v.path)
             # a stale finding is suppressible only by an *explicit* RPL100
             # code — `disable=all` must not swallow its own staleness report

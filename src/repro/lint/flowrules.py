@@ -1,372 +1,42 @@
-"""The dispatch-contract ruleset: RPL009–RPL012.
+"""The contract ruleset: RPL010 and RPL011.
 
-The accelerated dispatch paths (sparse substrate, sweep/store) sit over the
-reference solvers under a **bit-identical-to-reference** contract,
-enforced dynamically by the differential matrix.  These rules
-make the contract machine-checked at lint time, on top of the project graph
-(:mod:`.graph`) and the intraprocedural dataflow framework
-(:mod:`.dataflow`):
+The accelerated paths (numpy kernels, sparse substrate, sweep/store) sit
+over the reference solvers under a **bit-identical-to-reference**
+contract, enforced dynamically by the differential matrix
+(``tests/test_backend_equality.py``).  These rules catch, at lint time,
+what a lucky test run could miss, using the intraprocedural dataflow
+framework (:mod:`.dataflow`):
 
-* **RPL009** — every guarded fast path has a reachable reference twin, and
-  the dispatching function is reachable from the differential matrix;
-* **RPL010** — bit-identity modules carry no nondeterminism source a lucky
-  test run could miss (unordered iteration into results, ``id()`` escapes,
-  entropy and wall-clock calls);
+* **RPL010** — bit-identity modules carry no nondeterminism source
+  (unordered iteration into results, ``id()`` escapes, entropy and
+  wall-clock calls);
 * **RPL011** — environment reads go through declared config modules, are
-  registered in ``repro/config.py`` and documented under ``docs/``;
-* **RPL012** — process pools are spawned inside a ``with`` block.
+  registered in ``repro/config.py`` and documented under ``docs/``.
 
-Each rule's core checker is a plain function over parsed
-:class:`~.engine.FileContext` trees so the tests can run them on synthetic
-projects; the registered Rule/ProjectRule classes wire them to the real
-tree (locating ``tests/`` and the algorithm registry the way RPL004 locates
-``docs/``).
+RPL011's core checker is a plain function over parsed
+:class:`~.engine.FileContext` trees so the tests can run it on synthetic
+projects; the registered ProjectRule wires it to the real tree (locating
+``docs/`` the way RPL004 does).
 """
 
 from __future__ import annotations
 
 import ast
-import fnmatch
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from .dataflow import FunctionFlow, terminal_names, walk_scope
 from .engine import HOT_PACKAGES, FileContext, ProjectRule, Rule, Violation
-from .graph import FunctionInfo, ProjectGraph, module_name
 
 __all__ = [
     "CONTRACT_PACKAGES",
-    "EQUALITY_TEST_PATTERNS",
-    "DispatchTwinRule",
     "DeterminismRule",
     "ConfigRegistryRule",
-    "ResourceLifecycleRule",
-    "check_dispatch_twins",
     "check_env_reads",
-    "find_equality_test_files",
 ]
 
 #: packages whose modules participate in the bit-identity contract
 CONTRACT_PACKAGES = HOT_PACKAGES | {"sweep", "core"}
-
-#: test files whose passing is the dynamic half of the contract: the
-#: differential matrix (backend × substrate × sweep temperature)
-EQUALITY_TEST_PATTERNS = ("test_backend_equality.py",)
-
-#: boolean switches that guard a fast path against its reference twin
-GUARD_NAMES = frozenset({"sweep_active"})
-
-#: dotted-target suffixes that denote the sweep-state accessor
-_SWEEP_CURRENT_SUFFIXES = ("sweep.state.current", "sweep.current")
-
-
-# ---------------------------------------------------------------------------
-# RPL009 — dispatch-twin contract
-# ---------------------------------------------------------------------------
-
-
-def _callee_names(graph: ProjectGraph, mod: str, call: ast.Call) -> tuple[str, str]:
-    """``(bare name, import-resolved dotted target)`` of a call's callee."""
-    f = call.func
-    bare = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
-    minfo = graph.modules.get(mod)
-    resolved = ""
-    if isinstance(f, ast.Name) and minfo is not None:
-        resolved = minfo.imports.get(f.id, "")
-    elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and minfo is not None:
-        base = minfo.imports.get(f.value.id)
-        if base is not None:
-            resolved = f"{base}.{f.attr}"
-    return bare, resolved
-
-
-def _is_guard_call(graph: ProjectGraph, mod: str, expr: ast.expr) -> bool:
-    if not isinstance(expr, ast.Call):
-        return False
-    bare, resolved = _callee_names(graph, mod, expr)
-    if bare in GUARD_NAMES or resolved.rsplit(".", 1)[-1] in GUARD_NAMES:
-        return True
-    return any(resolved.endswith(s) for s in _SWEEP_CURRENT_SUFFIXES)
-
-
-def _statement_lists(fn: ast.AST) -> Iterator[list[ast.stmt]]:
-    """Every statement list in ``fn`` (bodies, else/elif arms, handlers)."""
-    for node in walk_scope(fn):
-        for attr in ("body", "orelse", "finalbody"):
-            block = getattr(node, attr, None)
-            if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
-                yield block
-
-
-def _build_parents(fn: ast.AST) -> dict[int, tuple[ast.AST, list[ast.stmt], int]]:
-    """``id(stmt) -> (container node, containing block, index)`` within ``fn``."""
-    parents: dict[int, tuple[ast.AST, list[ast.stmt], int]] = {}
-    for node in walk_scope(fn):
-        for attr in ("body", "orelse", "finalbody"):
-            block = getattr(node, attr, None)
-            if isinstance(block, list):
-                for idx, stmt in enumerate(block):
-                    if isinstance(stmt, ast.stmt):
-                        parents[id(stmt)] = (node, block, idx)
-    return parents
-
-
-def _falls_off_end(
-    fn: ast.AST,
-    stmt: ast.stmt,
-    parents: dict[int, tuple[ast.AST, list[ast.stmt], int]],
-) -> bool:
-    """True when the false edge of ``stmt`` reaches the function end directly.
-
-    Walks the parent chain looking for a following sibling statement at any
-    level; loop containers count as having a successor (the back edge runs
-    the reference path on the next iteration).
-    """
-    handler_exit: dict[int, ast.AST] = {}
-    for node in walk_scope(fn):
-        if isinstance(node, ast.Try):
-            for h in node.handlers:
-                handler_exit[id(h)] = node
-    cur: ast.AST = stmt
-    while cur is not fn:
-        entry = parents.get(id(cur))
-        if entry is None:
-            nxt = handler_exit.get(id(cur))
-            if nxt is None:
-                return True
-            cur = nxt
-            continue
-        container, block, idx = entry
-        if idx < len(block) - 1:
-            return False
-        if isinstance(container, (ast.For, ast.AsyncFor, ast.While)):
-            return False
-        cur = container
-    return True
-
-
-def _single_call_return(block: list[ast.stmt]) -> ast.Call | None:
-    if len(block) == 1 and isinstance(block[0], ast.Return):
-        val = block[0].value
-        if isinstance(val, ast.Call):
-            return val
-    return None
-
-
-def _twin_arities(
-    graph: ProjectGraph, mod: str, site: ast.If
-) -> tuple[FunctionInfo, FunctionInfo] | None:
-    """The (fast, reference) twin functions when both branches are bare calls."""
-    fast_call = _single_call_return(site.body)
-    ref_call = _single_call_return(site.orelse)
-    if fast_call is None or ref_call is None:
-        return None
-
-    def lookup(call: ast.Call) -> FunctionInfo | None:
-        bare, resolved = _callee_names(graph, mod, call)
-        keys = graph.resolve_target(resolved) if resolved else set()
-        if not keys:
-            keys = {k for k in graph.by_name.get(bare, set())}
-        local = f"{mod}.{bare}"
-        if local in graph.functions:
-            keys = {local}
-        if len(keys) == 1:
-            return graph.functions[next(iter(keys))]
-        return None
-
-    fast = lookup(fast_call)
-    ref = lookup(ref_call)
-    if fast is None or ref is None or fast.key == ref.key:
-        return None
-    return fast, ref
-
-
-def check_dispatch_twins(
-    src_contexts: Sequence[FileContext],
-    test_contexts: Sequence[FileContext],
-    *,
-    registry_names: Mapping[str, set[str]] | None = None,
-) -> list[Violation]:
-    """RPL009 core check over parsed source + equality-test trees.
-
-    ``registry_names`` maps registry key strings (``"JAG-M-HEUR"``) to the
-    bare names of their implementation chain, bridging the string-keyed
-    ``partition_2d`` dispatch the equality tests use.  A test file that names
-    ``ALGORITHMS`` itself (iterating the registry) mentions every key.
-    """
-    out: list[Violation] = []
-    graph = ProjectGraph.build([*src_contexts, *test_contexts])
-    test_paths = {ctx.rel for ctx in test_contexts}
-
-    # roots: every function defined in an equality test file, whatever
-    # their module-level tables reference, plus the registry implementations
-    # those files name as strings or reach by iterating the registry
-    roots = {f.key for f in graph.functions.values() if f.path in test_paths}
-    for ctx in test_contexts:
-        roots |= graph.module_edges.get(module_name(ctx.rel), set())
-    if registry_names:
-        mentioned: set[str] = set()
-        for ctx in test_contexts:
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    mentioned.add(node.value)
-                elif isinstance(node, ast.Name) and node.id == "ALGORITHMS":
-                    mentioned.update(registry_names)
-        for key, impl_names in registry_names.items():
-            if key in mentioned:
-                for bare in impl_names:
-                    roots |= graph.by_name.get(bare, set())
-    reachable = graph.reachable_from(roots)
-
-    for ctx in src_contexts:
-        mod = module_name(ctx.rel)
-        for fn in graph.functions_in(ctx.rel):
-            flow = FunctionFlow(fn.node)
-
-            def guard_seed(e: ast.expr, _m: str = mod) -> bool:
-                return _is_guard_call(graph, _m, e)
-
-            guard_vars = flow.tainted(seed=guard_seed)
-            parents = _build_parents(fn.node)
-            has_site = False
-
-            # --- branch sites: `if sweep_active():` / `if fast:` --------
-            for block in _statement_lists(fn.node):
-                for stmt in block:
-                    if not isinstance(stmt, ast.If):
-                        continue
-                    test_names = terminal_names(stmt.test)
-                    is_site = bool(test_names & guard_vars) or any(
-                        _is_guard_call(graph, mod, sub)
-                        for sub in ast.walk(stmt.test)
-                        if isinstance(sub, ast.Call)
-                    )
-                    if not is_site:
-                        continue
-                    has_site = True
-                    fast_returns = bool(stmt.body) and isinstance(
-                        stmt.body[-1], ast.Return
-                    )
-                    if (
-                        not stmt.orelse
-                        and fast_returns
-                        and _falls_off_end(fn.node, stmt, parents)
-                    ):
-                        out.append(
-                            Violation(
-                                path=ctx.rel,
-                                line=stmt.lineno,
-                                col=stmt.col_offset + 1,
-                                rule="RPL009",
-                                message=(
-                                    f"guarded fast path in `{fn.qualname}` has no "
-                                    "reference twin: the dispatch `if` has no else "
-                                    "branch and no fall-through code"
-                                ),
-                            )
-                        )
-                        continue
-                    twins = _twin_arities(graph, mod, stmt)
-                    if twins is not None and twins[0].arity != twins[1].arity:
-                        fast, ref = twins
-                        out.append(
-                            Violation(
-                                path=ctx.rel,
-                                line=stmt.lineno,
-                                col=stmt.col_offset + 1,
-                                rule="RPL009",
-                                message=(
-                                    f"dispatch twins `{fast.name}` {fast.arity} and "
-                                    f"`{ref.name}` {ref.arity} have incompatible "
-                                    "positional signatures"
-                                ),
-                            )
-                        )
-
-            # --- test reachability --------------------------------------
-            if has_site and fn.key not in reachable:
-                out.append(
-                    Violation(
-                        path=ctx.rel,
-                        line=fn.lineno,
-                        col=fn.node.col_offset + 1,
-                        rule="RPL009",
-                        message=(
-                            f"dispatch function `{fn.qualname}` is not reachable "
-                            "from the differential matrix "
-                            "(tests/test_backend_equality.py) — the bit-identity "
-                            "contract on its fast path is unenforced"
-                        ),
-                    )
-                )
-    return out
-
-
-def find_equality_test_files(src_root: Path) -> list[Path]:
-    """Locate the equality test files for a linted source tree.
-
-    Walks up from ``src_root`` looking for a sibling ``tests`` directory
-    (the same strategy RPL004 uses to locate ``docs/``).
-    """
-    node = src_root.resolve()
-    for _ in range(6):
-        tests = node / "tests"
-        if tests.is_dir():
-            return sorted(
-                p
-                for p in tests.glob("test_*.py")
-                if any(fnmatch.fnmatch(p.name, pat) for pat in EQUALITY_TEST_PATTERNS)
-            )
-        if node.parent == node:
-            break
-        node = node.parent
-    return []
-
-
-class DispatchTwinRule(ProjectRule):
-    """RPL009 — guarded fast paths have twins and equality-test coverage.
-
-    Runs only when the linted tree contains ``repro/core/registry.py`` (the
-    full source tree); skips quietly on partial file sets.
-    """
-
-    code = "RPL009"
-    name = "dispatch-twin-contract"
-    rationale = (
-        "every sweep fast path needs a reachable reference twin, and "
-        "its function must be reachable from the differential matrix — "
-        "an untested twin is an unenforced contract"
-    )
-
-    def check_project(self, files: Sequence[FileContext]) -> Iterator[Violation]:
-        registry_ctx = next(
-            (c for c in files if c.path.as_posix().endswith("repro/core/registry.py")),
-            None,
-        )
-        if registry_ctx is None:
-            return
-        test_files = find_equality_test_files(registry_ctx.path.parent)
-        test_contexts: list[FileContext] = []
-        for path in test_files:
-            try:
-                source = path.read_text(encoding="utf-8")
-                test_contexts.append(FileContext(path, path.as_posix(), source))
-            except (OSError, SyntaxError, ValueError):
-                continue
-        registry_names: dict[str, set[str]] = {}
-        try:
-            from ..core.registry import ALGORITHMS
-
-            from .rules import ExperimentsCoverageRule
-
-            for key, fn in ALGORITHMS.items():
-                if callable(fn):
-                    registry_names[key] = ExperimentsCoverageRule._chain_names(fn)
-        except Exception:  # pragma: no cover - registry import is best-effort
-            registry_names = {}
-        yield from check_dispatch_twins(
-            list(files), test_contexts, registry_names=registry_names
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -791,56 +461,3 @@ class ConfigRegistryRule(ProjectRule):
                 break
             node = node.parent
         return None
-
-
-# ---------------------------------------------------------------------------
-# RPL012 — process-pool lifecycle
-# ---------------------------------------------------------------------------
-
-_POOL_CTORS = frozenset({"ProcessPoolExecutor", "Pool", "ThreadPoolExecutor"})
-
-
-def _call_name(call: ast.Call) -> str:
-    f = call.func
-    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
-
-
-class ResourceLifecycleRule(Rule):
-    """RPL012 — pools are spawned inside a ``with`` block.
-
-    Pools spawn worker processes that outlive the creating frame unless the
-    executor is entered in a ``with`` block, whose exit shuts them down.
-    """
-
-    code = "RPL012"
-    name = "resource-lifecycle"
-    rationale = "pool spawns must sit in a `with` block that shuts the workers down"
-    scope = None
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for fn in ast.walk(ctx.tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_pools(ctx, fn)
-
-    def _check_pools(
-        self, ctx: FileContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[Violation]:
-        with_ctors = {
-            id(item.context_expr)
-            for node in walk_scope(fn)
-            if isinstance(node, (ast.With, ast.AsyncWith))
-            for item in node.items
-            if isinstance(item.context_expr, ast.Call)
-        }
-        for node in walk_scope(fn):
-            if (
-                isinstance(node, ast.Call)
-                and _call_name(node) in _POOL_CTORS
-                and id(node) not in with_ctors
-            ):
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"`{_call_name(node)}` spawned outside a `with` block: "
-                    "nothing shuts its workers down",
-                )

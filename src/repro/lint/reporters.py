@@ -1,19 +1,12 @@
-"""Output formats for ``repro-lint``: text, JSON, and SARIF 2.1.0.
-
-The SARIF output targets GitHub code scanning: one run, one driver, every
-rule (including the RPL100 stale-suppression meta-check) in the rule table,
-honoured in-source suppressions carried as ``suppressions`` entries so the
-scanning UI shows them as dismissed rather than dropping them.
-"""
+"""Output formats for ``repro-lint``: text and JSON."""
 
 from __future__ import annotations
 
 import json
-from typing import Any
 
-from .engine import STALE_CODE, LintResult, Violation
+from .engine import LintResult
 
-__all__ = ["text_report", "json_report", "sarif_report"]
+__all__ = ["text_report", "json_report"]
 
 
 def text_report(result: LintResult, *, verbose: bool = False) -> str:
@@ -60,80 +53,5 @@ def json_report(result: LintResult) -> str:
         "errors": list(result.errors),
         "files_checked": result.files_checked,
         "exit_code": result.exit_code,
-    }
-    return json.dumps(payload, indent=2)
-
-
-_SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def _sarif_result(v: Violation, *, suppressed: bool) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "ruleId": v.rule,
-        "level": "error",
-        "message": {"text": v.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": v.path, "uriBaseId": "SRCROOT"},
-                    "region": {"startLine": v.line, "startColumn": v.col},
-                }
-            }
-        ],
-    }
-    if suppressed:
-        out["suppressions"] = [{"kind": "inSource"}]
-    return out
-
-
-def sarif_report(result: LintResult, *, tool_version: str = "0") -> str:
-    """SARIF 2.1.0 report (GitHub code-scanning compatible)."""
-    from .rules import ALL_PROJECT_RULES, ALL_RULES
-
-    rules_meta: list[dict[str, Any]] = [
-        {
-            "id": rule.code,
-            "name": rule.name,
-            "shortDescription": {"text": rule.name},
-            "fullDescription": {"text": rule.rationale},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for rule in [*ALL_RULES, *ALL_PROJECT_RULES]
-    ]
-    rules_meta.append(
-        {
-            "id": STALE_CODE,
-            "name": "stale-suppression",
-            "shortDescription": {"text": "stale-suppression"},
-            "fullDescription": {
-                "text": "a # repro-lint: disable comment no longer silences "
-                "any finding and should be removed"
-            },
-            "defaultConfiguration": {"level": "error"},
-        }
-    )
-    payload: dict[str, Any] = {
-        "$schema": _SARIF_SCHEMA,
-        "version": _SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": "docs/lint.md",
-                        "version": tool_version,
-                        "rules": rules_meta,
-                    }
-                },
-                "results": [
-                    *(_sarif_result(v, suppressed=False) for v in result.violations),
-                    *(_sarif_result(v, suppressed=True) for v in result.suppressed),
-                ],
-            }
-        ],
     }
     return json.dumps(payload, indent=2)

@@ -15,17 +15,13 @@ from typing import Any, Callable, Iterator, Sequence
 from .engine import (
     CORE_PACKAGES,
     HOT_PACKAGES,
+    STALE_CODE,
     FileContext,
     ProjectRule,
     Rule,
     Violation,
 )
-from .flowrules import (
-    ConfigRegistryRule,
-    DeterminismRule,
-    DispatchTwinRule,
-    ResourceLifecycleRule,
-)
+from .flowrules import ConfigRegistryRule, DeterminismRule
 
 __all__ = [
     "PrefixSumRule",
@@ -35,14 +31,13 @@ __all__ = [
     "NoInputMutationRule",
     "ComplexityClaimRule",
     "ExperimentsCoverageRule",
-    "DispatchTwinRule",
     "DeterminismRule",
     "ConfigRegistryRule",
-    "ResourceLifecycleRule",
     "check_registry",
     "check_claims",
     "ALL_RULES",
     "ALL_PROJECT_RULES",
+    "KNOWN_CODES",
 ]
 
 
@@ -758,7 +753,6 @@ ALL_RULES: list[Rule] = [
     IntegerLoadRule(),
     NoInputMutationRule(),
     DeterminismRule(),
-    ResourceLifecycleRule(),
 ]
 
 #: whole-project rules
@@ -766,6 +760,10 @@ ALL_PROJECT_RULES: list[ProjectRule] = [
     RegistryRule(),
     ExperimentsCoverageRule(),
     ComplexityClaimRule(),
-    DispatchTwinRule(),
     ConfigRegistryRule(),
 ]
+
+#: every code a selection or a suppression may name
+KNOWN_CODES = frozenset(
+    {r.code for r in ALL_RULES} | {r.code for r in ALL_PROJECT_RULES} | {STALE_CODE}
+)

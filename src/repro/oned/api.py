@@ -112,7 +112,7 @@ def partition_1d(
     elif is_prefix:
         P = PrefixSum1D(values, is_prefix=True).P  # the same boundary checks
     else:
-        P = prefix_1d(np.asarray(values))
+        P = prefix_1d(values)
     key = method.lower().replace("-", "").replace("_", "")
     if key not in ONED_METHODS:
         raise ParameterError(

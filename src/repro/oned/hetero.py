@@ -28,6 +28,7 @@ from bisect import bisect_right
 import numpy as np
 
 from ..core.errors import ParameterError
+from ..core.prefix import PrefixSum1D
 from .probe import as_boundary_list
 
 __all__ = ["probe_hetero", "hetero_cuts", "hetero_makespan", "partition_hetero"]
@@ -121,12 +122,7 @@ def partition_hetero(values, speeds, *, is_prefix: bool = False):
     hence exact) and the ``m+1`` cut array.
     """
     speeds = _check_speeds(speeds)
-    if is_prefix:
-        P = np.ascontiguousarray(values, dtype=np.int64)
-    else:
-        v = np.asarray(values, dtype=np.int64)
-        P = np.zeros(len(v) + 1, dtype=np.int64)
-        np.cumsum(v, out=P[1:])
+    P = PrefixSum1D(values, is_prefix=is_prefix).P  # the 1D boundary checks
     T = hetero_makespan(P, speeds)
     cuts = hetero_cuts(P, speeds, T * (1 + 1e-12) + 1e-9)
     assert cuts is not None

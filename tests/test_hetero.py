@@ -86,6 +86,13 @@ class TestHetero1D:
         with pytest.raises(ParameterError):
             partition_hetero(np.array([1, 2]), np.zeros(0))
 
+    def test_load_validation(self):
+        # both used to be truncated to integers and solved
+        with pytest.raises(ParameterError, match="load array must contain integers"):
+            partition_hetero([1.5, 2.0], np.ones(2))
+        with pytest.raises(ParameterError, match="prefix array must contain integers"):
+            partition_hetero([0, 1.5, 3.5], np.ones(2), is_prefix=True)
+
 
 class TestSpeedGroups:
     def test_partition_of_indices(self, rng):

@@ -1,18 +1,17 @@
-"""Tests for the repro-lint static-analysis subsystem (RPL001–RPL012, RPL100).
+"""Tests for the repro-lint static-analysis subsystem (RPL001–RPL005,
+RPL007, RPL008, RPL010, RPL011, RPL100).
 
 Each rule is exercised both ways: a fixture snippet that must trigger it and
 the idiomatic equivalent that must stay silent, plus the suppression syntax.
-The dataflow rules (RPL009–RPL012) additionally run on synthetic project
-trees, and a doctored-tree test pins the acceptance property that deleting
-an equality test breaks the lint gate.  A final smoke test asserts the
-linter exits 0 on the repo's own source tree — the property CI enforces.
+The config-registry rule (RPL011) additionally runs on synthetic project
+trees.  A smoke test asserts the linter exits 0 on the repo's own source
+tree — the property CI enforces.
 """
 
 from __future__ import annotations
 
 import ast
 import json
-import shutil
 from pathlib import Path
 
 import pytest
@@ -21,12 +20,8 @@ from repro.core.partition import Partition
 from repro.lint import check_registry, lint_paths
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import FileContext, LintResult, Violation
-from repro.lint.flowrules import (
-    ConfigRegistryRule,
-    check_dispatch_twins,
-    check_env_reads,
-)
-from repro.lint.reporters import json_report, sarif_report, text_report
+from repro.lint.flowrules import ConfigRegistryRule, check_env_reads
+from repro.lint.reporters import json_report, text_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -498,183 +493,6 @@ class TestRepoIsClean:
         assert a < b
 
 
-class TestRPL009DispatchTwins:
-    """RPL009: guarded fast paths have twins and equality-test coverage."""
-
-    TEST_CTX = make_ctx(
-        "tests/test_mod_equality.py",
-        "from repro.oned.mod import solve\n\n"
-        "def test_solve_equality():\n"
-        "    assert solve(1) == solve(1)\n",
-    )
-
-    @staticmethod
-    def _check(src: str, tests=None) -> list[Violation]:
-        ctx = make_ctx("src/repro/oned/mod.py", src)
-        return check_dispatch_twins(
-            [ctx], [TestRPL009DispatchTwins.TEST_CTX] if tests is None else tests
-        )
-
-    def test_missing_twin_triggers(self):
-        out = self._check(
-            "def fast(x):\n"
-            "    return x\n\n"
-            "def solve(x):\n"
-            "    if sweep_active():\n"
-            "        return fast(x)\n"
-        )
-        assert [v.rule for v in out] == ["RPL009"]
-        assert "no reference twin" in out[0].message
-
-    def test_fall_through_reference_is_silent(self):
-        out = self._check(
-            "def fast(x):\n"
-            "    return x\n\n"
-            "def ref(x):\n"
-            "    return x\n\n"
-            "def solve(x):\n"
-            "    if sweep_active():\n"
-            "        return fast(x)\n"
-            "    return ref(x)\n"
-        )
-        assert out == []
-
-    def test_else_twin_is_silent(self):
-        out = self._check(
-            "def fast(x):\n"
-            "    return x\n\n"
-            "def ref(x):\n"
-            "    return x\n\n"
-            "def solve(x):\n"
-            "    if sweep_active():\n"
-            "        return fast(x)\n"
-            "    else:\n"
-            "        return ref(x)\n"
-        )
-        assert out == []
-
-    def test_twin_arity_mismatch_triggers(self):
-        out = self._check(
-            "def fast(a, b):\n"
-            "    return a\n\n"
-            "def ref(a):\n"
-            "    return a\n\n"
-            "def solve(a, b):\n"
-            "    if sweep_active():\n"
-            "        return fast(a, b)\n"
-            "    else:\n"
-            "        return ref(a)\n"
-        )
-        assert [v.rule for v in out] == ["RPL009"]
-        assert "incompatible positional signatures" in out[0].message
-
-    def test_unreachable_dispatch_triggers(self):
-        out = self._check(
-            "def fast(x):\n"
-            "    return x\n\n"
-            "def ref(x):\n"
-            "    return x\n\n"
-            "def solve(x):\n"
-            "    if sweep_active():\n"
-            "        return fast(x)\n"
-            "    return ref(x)\n",
-            tests=[],
-        )
-        assert [v.rule for v in out] == ["RPL009"]
-        assert "not reachable" in out[0].message
-
-    def test_registry_string_bridges_reachability(self):
-        src = (
-            "def fast(x):\n"
-            "    return x\n\n"
-            "def ref(x):\n"
-            "    return x\n\n"
-            "def solve(x):\n"
-            "    if sweep_active():\n"
-            "        return fast(x)\n"
-            "    return ref(x)\n"
-        )
-        test = make_ctx(
-            "tests/test_reg_equality.py",
-            "def test_registry_equality():\n"
-            "    run('FAST-ALG')\n",
-        )
-        ctx = make_ctx("src/repro/oned/mod.py", src)
-        assert check_dispatch_twins(
-            [ctx], [test], registry_names={"FAST-ALG": {"solve"}}
-        ) == []
-        # without the bridge the same tree is unreachable
-        out = check_dispatch_twins([ctx], [test])
-        assert [v.rule for v in out] == ["RPL009"]
-
-    def test_registry_iteration_bridges_reachability(self):
-        src = (
-            "def fast(x):\n"
-            "    return x\n\n"
-            "def ref(x):\n"
-            "    return x\n\n"
-            "def solve(x):\n"
-            "    if sweep_active():\n"
-            "        return fast(x)\n"
-            "    return ref(x)\n"
-        )
-        test = make_ctx(
-            "tests/test_reg_equality.py",
-            "def test_registry_equality():\n"
-            "    for name in sorted(ALGORITHMS):\n"
-            "        run(name)\n",
-        )
-        ctx = make_ctx("src/repro/oned/mod.py", src)
-        assert check_dispatch_twins(
-            [ctx], [test], registry_names={"FAST-ALG": {"solve"}}
-        ) == []
-
-    def test_module_level_dispatch_table_bridges_reachability(self):
-        src = (
-            "def fast(x):\n"
-            "    return x\n\n"
-            "def ref(x):\n"
-            "    return x\n\n"
-            "def solve(x):\n"
-            "    if sweep_active():\n"
-            "        return fast(x)\n"
-            "    return ref(x)\n"
-        )
-        test = make_ctx(
-            "tests/test_table_equality.py",
-            "from repro.oned.mod import solve\n\n"
-            "CASES = {'solve': lambda x: solve(x)}\n\n"
-            "def test_cases_equality():\n"
-            "    for fn in CASES.values():\n"
-            "        fn(1)\n",
-        )
-        assert check_dispatch_twins([make_ctx("src/repro/oned/mod.py", src)], [test]) == []
-
-
-class TestRPL009DoctoredTree:
-    """The acceptance pin: deleting an equality test breaks the lint gate."""
-
-    def _doctored(self, tmp_path: Path, victim: str | None) -> LintResult:
-        ignore = shutil.ignore_patterns("__pycache__")
-        shutil.copytree(REPO_ROOT / "src" / "repro", tmp_path / "src" / "repro", ignore=ignore)
-        shutil.copytree(REPO_ROOT / "tests", tmp_path / "tests", ignore=ignore)
-        if victim is not None:
-            (tmp_path / "tests" / victim).unlink()
-        return lint_paths([tmp_path / "src" / "repro"], select={"RPL009"})
-
-    def test_intact_tree_is_clean(self, tmp_path):
-        res = self._doctored(tmp_path, None)
-        assert codes(res) == []
-        assert res.exit_code == 0
-
-    @pytest.mark.parametrize("victim", ["test_backend_equality.py"])
-    def test_deleting_equality_test_fails_lint(self, tmp_path, victim):
-        res = self._doctored(tmp_path, victim)
-        assert res.exit_code == 1
-        assert {v.rule for v in res.violations} == {"RPL009"}
-        assert any("not reachable" in v.message for v in res.violations)
-
-
 class TestRPL010Determinism:
     def test_set_iteration_to_return_triggers(self, tmp_path):
         src = (
@@ -871,22 +689,6 @@ class TestRPL011ConfigRegistry:
         assert "REPRO_PERF" not in ConfigRegistryRule._parse_declared(ast.parse(source))
 
 
-class TestRPL012ResourceLifecycle:
-    def test_pool_outside_with_triggers(self, tmp_path):
-        src = "def f():\n    return ProcessPoolExecutor(2)\n"
-        res = lint_snippet(tmp_path, "experiments", src)
-        assert codes(res) == ["RPL012"]
-        assert "outside a `with` block" in res.violations[0].message
-
-    def test_pool_in_with_block_is_silent(self, tmp_path):
-        src = (
-            "def f(xs):\n"
-            "    with ProcessPoolExecutor(2) as p:\n"
-            "        return list(p.map(len, xs))\n"
-        )
-        assert codes(lint_snippet(tmp_path, "experiments", src)) == []
-
-
 class TestRPL100StaleSuppressions:
     def test_stale_line_suppression_triggers(self, tmp_path):
         src = "x = 1  # repro-lint: disable=RPL003 — obsolete\n"
@@ -938,42 +740,27 @@ class TestRPL100StaleSuppressions:
         assert codes(res) == ["RPL100"]
         assert res.violations[0].line == 2
 
+    # a retired rule, a typo, and the two rules the matrix tests replaced
+    @pytest.mark.parametrize("code", ["RPL006", "RPL999", "RPL009", "RPL012"])
+    @pytest.mark.parametrize("scope", ["disable", "disable-file"])
+    def test_unknown_code_triggers(self, tmp_path, code, scope):
+        src = f"x = 1  # repro-lint: {scope}={code} — left behind\n"
+        res = lint_snippet(tmp_path, "oned", src)
+        assert codes(res) == ["RPL100"]
+        assert f"{scope}={code}` names an unknown rule code" in res.violations[0].message
+        # a restricted run flags it too: no rule could ever match the code
+        assert codes(lint_paths([tmp_path / "oned"], select={"RPL100"})) == ["RPL100"]
+
+    def test_unknown_code_next_to_a_live_one_triggers(self, tmp_path):
+        src = "b = float(total)  # repro-lint: disable=RPL003,RPL999 — fixture\n"
+        res = lint_snippet(tmp_path, "oned", src)
+        assert codes(res) == ["RPL100"]
+        assert "disable=RPL999`" in res.violations[0].message
+        assert [v.rule for v in res.suppressed] == ["RPL003"]
+
 
 class TestSarifReport:
-    def test_sarif_shape(self, tmp_path):
-        res = lint_snippet(tmp_path, "oned", "b = float(total)\n")
-        payload = json.loads(sarif_report(res))
-        assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        rule_ids = {r["id"] for r in driver["rules"]}
-        for code in ("RPL001", "RPL009", "RPL010", "RPL011", "RPL012", "RPL100"):
-            assert code in rule_ids
-        result = run["results"][0]
-        assert result["ruleId"] == "RPL003"
-        assert result["level"] == "error"
-        loc = result["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"].endswith("snippet.py")
-        assert loc["region"]["startLine"] == 1
-        assert "suppressions" not in result
-
-    def test_sarif_carries_suppressions(self, tmp_path):
-        src = "b = float(total)  # repro-lint: disable=RPL003 — fixture\n"
-        res = lint_snippet(tmp_path, "oned", src)
-        payload = json.loads(sarif_report(res))
-        results = payload["runs"][0]["results"]
-        assert len(results) == 1
-        assert results[0]["suppressions"] == [{"kind": "inSource"}]
-
-    def test_cli_sarif_output(self, tmp_path, capsys):
-        pkg = tmp_path / "jagged"
-        pkg.mkdir()
-        bad = pkg / "bad.py"
-        bad.write_text("t = A[r0:r1].sum()\n")
-        assert lint_main(["--format", "sarif", str(bad)]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["runs"][0]["results"][0]["ruleId"] == "RPL001"
+    """The CLI's summary line and rule catalogue."""
 
     def test_cli_suppressed_only_exits_zero_with_counts(self, tmp_path, capsys):
         pkg = tmp_path / "jagged"
@@ -987,5 +774,8 @@ class TestSarifReport:
     def test_cli_list_rules_covers_new_codes(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RPL009", "RPL010", "RPL011", "RPL012", "RPL100"):
-            assert code in out
+        listed = sorted(line.split()[0] for line in out.splitlines() if line.startswith("RPL"))
+        assert listed == [
+            "RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
+            "RPL007", "RPL008", "RPL010", "RPL011", "RPL100",
+        ]

@@ -160,6 +160,51 @@ class TestPrefix1D:
             partition_1d(np.array([1, 3, 4]), 2, is_prefix=True)
         assert partition_1d(np.array([0, 5, 5, 9]), 2, is_prefix=True).bottleneck == 5
 
+    def test_fractional_loads_rejected(self):
+        from repro.oned import partition_1d
+
+        # truncated to [1, 2, 3, 0], bottleneck 3; the true optimum is 4
+        with pytest.raises(ParameterError, match="load array must contain integers"):
+            partition_1d([1.5, 2.5, 3.5, 0.5], 2)
+        assert partition_1d([1.0, 2.0, 3.0, 0.0], 2).bottleneck == 3
+
+    def test_negative_loads_rejected(self):
+        from repro.oned import partition_1d
+
+        with pytest.raises(ParameterError, match="non-negative"):
+            partition_1d([5, -3, 4, 4], 2)
+
+    def test_total_above_int64_rejected(self):
+        from repro.oned import partition_1d
+
+        # the total used to wrap to -2^63
+        with pytest.raises(ParameterError, match="exceeds int64"):
+            PrefixSum1D([2**62, 2**62])
+        with pytest.raises(ParameterError, match="exceeds int64"):
+            partition_1d(np.array([2**62, 2**62], dtype=np.int64), 2)
+        assert PrefixSum1D([2**62, 2**62 - 1]).total == 2**63 - 1
+
+    def test_nan_loads_rejected(self):
+        from repro.oned import partition_1d
+
+        # used to fail deep in the solver with a bare AssertionError
+        with pytest.raises(ParameterError, match="finite"):
+            partition_1d([1.0, np.nan, 2.0], 2)
+
+    def test_fractional_1d_prefix_rejected(self):
+        # used to be truncated to [0, 1, 3]
+        with pytest.raises(ParameterError, match="prefix array must contain integers"):
+            PrefixSum1D([0, 1.5, 3], is_prefix=True)
+        assert PrefixSum1D([0.0, 1.0, 3.0], is_prefix=True).total == 3
+
+    def test_fractional_2d_prefix_rejected(self):
+        G = np.array([[0, 0, 0], [0, 1.5, 3], [0, 4, 8]])
+        with pytest.raises(ParameterError, match="prefix array must contain integers"):
+            PrefixSum2D(G, is_prefix=True)
+
+    def test_raw_array_seeds_max_element(self):
+        assert PrefixSum1D(np.array([3, 9, 4]))._max_el == 9
+
     @given(load_arrays)
     @settings(max_examples=40)
     def test_interval_loads_match_slices(self, vals):

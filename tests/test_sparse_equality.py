@@ -331,6 +331,18 @@ def test_triplet_values_are_checked_exactly():
         SparsePrefix2D(np.array([[0, 2**63]], dtype=np.uint64))
 
 
+def test_triplet_indices_must_be_exact_integers():
+    # row 1.5 used to be cast to row 1
+    with pytest.raises(ParameterError, match="row indices must contain integers"):
+        SparsePrefix2D.from_triplets([1.5], [0], [5], (3, 3))
+    with pytest.raises(ParameterError, match="column indices must contain integers"):
+        substrate_from_triplets([0], [0.5], [5], (3, 3))
+    with pytest.raises(ParameterError, match="non-negative"):
+        SparsePrefix2D.from_triplets([0], [-1], [5], (3, 3))
+    exact = SparsePrefix2D.from_triplets([1.0], [2.0], [5], (3, 3))
+    assert exact.load(1, 2, 2, 3) == exact.total == 5
+
+
 def test_prefix_2d_passes_sparse_through(rng):
     sparse = SparsePrefix2D(_random_sparse(rng))
     assert prefix_2d(sparse) is sparse
