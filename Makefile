@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint ruff mypy test figures figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
+.PHONY: check lint ruff mypy test test-reference figures figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
 
 check: ruff mypy lint test
 	@echo "make check: all gates passed"
@@ -28,6 +28,15 @@ lint:
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+# the solver suite again with every kernel call resolved to its scalar
+# reference oracle (CI's "solver suite on the reference kernels" step)
+test-reference:
+	REPRO_PERF_BACKEND=reference PYTHONPATH=src $(PYTHON) -m pytest -x -q \
+		tests/test_multicost.py tests/test_rectilinear.py tests/test_rect_opt.py \
+		tests/test_jagged_heur.py tests/test_jagged_opt.py tests/test_hierarchical.py \
+		tests/test_sparse_equality.py tests/test_jagged_lmax.py \
+		tests/test_transpose.py tests/test_metamorphic.py
 
 # regenerate every figure/extension through the committed raw/ store:
 # unchanged cells are cache hits, only what changed is recomputed, and a
@@ -85,7 +94,10 @@ sweep-store-smoke:
 bench-kernels:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --kernels --min-speedup 1.5
 
+# CI's kernel identity gate: the adversarial per-kernel suite and the
+# differential matrix, then the tiny kernel bench
 bench-kernels-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_kernels_equality.py tests/test_backend_equality.py
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --kernels --profile tiny
 
 # smoke test of the end-to-end benchmark (BENCHMARK.json): every workload

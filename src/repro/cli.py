@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -30,17 +31,23 @@ __all__ = ["main"]
 def _load_matrix(path: Path, key: str | None) -> np.ndarray:
     if not path.exists():
         raise SystemExit(f"error: no such file: {path}")
-    if path.suffix == ".npz":
+    if path.suffix not in (".npy", ".npz"):
+        raise SystemExit(f"error: unsupported input format {path.suffix!r} (.npy/.npz)")
+    try:
+        if path.suffix == ".npy":
+            return np.load(path)
         with np.load(path) as data:
+            if not data.files:
+                raise SystemExit(f"error: {path} holds no arrays")
             name = key or data.files[0]
             if name not in data.files:
                 raise SystemExit(
                     f"error: key {name!r} not in {path} (has {data.files})"
                 )
             return np.asarray(data[name])
-    if path.suffix == ".npy":
-        return np.load(path)
-    raise SystemExit(f"error: unsupported input format {path.suffix!r} (.npy/.npz)")
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # truncated, garbage or pickled/object data (np.load refuses pickles)
+        raise SystemExit(f"error: cannot read {path}: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:

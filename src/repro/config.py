@@ -4,16 +4,11 @@ Each knob the codebase consults from the environment is declared here once,
 with its default and a one-line description.  Each consumer (the
 ``consumer`` field) keeps its own parsing — a backend name and a store path
 want different validation — but reads through :func:`env_str`; the *names
-and defaults* live in this table, and ``repro-lint`` (RPL011) enforces
-three properties against it:
-
-* every ``os.environ`` read in the tree happens inside a declared config
-  module (this one or a ``*/config.py``);
-* every variable name read anywhere is declared in :data:`ENV_VARS`;
-* every declared variable is documented under ``docs/``.
-
-``ENV_VARS`` must stay a plain dict literal with string-constant keys: the
-lint rule reads it statically, without importing this module.
+and defaults* live in this table.  ``repro-lint`` (RPL011) checks every
+``os.environ`` read against it: the read happens inside a declared config
+module (this one or a ``*/config.py``) and names a variable declared in
+:data:`ENV_VARS`.  ``tests/test_lint.py`` checks that every declared
+variable is documented under ``docs/``.
 """
 
 from __future__ import annotations

@@ -36,7 +36,8 @@ def _jag(fn: Algo, orientation: str) -> Algo:
     def run(A: MatrixLike, m: int, **kw) -> Partition:
         return fn(A, m, orientation=orientation, **kw)
 
-    # let inspect.unwrap (and RPL004) reach the documented implementation
+    # let inspect.unwrap (and tests/test_registry.py) reach the documented
+    # implementation
     run.__wrapped__ = fn  # type: ignore[attr-defined]
     run.__name__ = getattr(fn, "__name__", "jagged")
     run.__doc__ = fn.__doc__

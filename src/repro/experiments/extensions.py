@@ -13,8 +13,9 @@
   load volume.
 * :func:`ext5_registry_coverage` — every registry entry the paper's figures
   leave out (exact methods, orientation variants, §3.4 spiral schemes) on a
-  tiny common instance, so the RPL007 lint gate holds: no registered
-  algorithm goes unmeasured.
+  tiny common instance, so the raw-cell coverage test
+  (``tests/test_registry.py::test_raw_cells_cover_every_entry``) holds: no
+  registered algorithm goes unmeasured.
 * :func:`ext6_spmv_sparse` — the intro's spmv use case ([1]–[3]) at the
   profile's histogram resolution; at the ``large`` profile the instance
   builds on the sparse CSR substrate straight from the edge stream (4096²,
@@ -217,9 +218,10 @@ def ext4_volume_3d(scale=None) -> FigureResult:
     return res
 
 
-#: registry entries no paper figure reaches (RPL007): the exact methods the
-#: paper caps or omits, the §3.4 spiral schemes, and the explicit orientation
-#: variants of the jagged algorithms (§4.1; the figures use the -BEST default)
+#: registry entries no paper figure reaches (test_raw_cells_cover_every_entry
+#: needs a raw cell for each): the exact methods the paper caps or omits, the
+#: §3.4 spiral schemes, and the explicit orientation variants of the jagged
+#: algorithms (§4.1; the figures use the -BEST default)
 _UNCOVERED_ENTRIES = (
     "HIER-OPT",
     "SPIRAL-RELAXED",
@@ -242,10 +244,11 @@ _UNCOVERED_ENTRIES = (
 def ext5_registry_coverage(scale=None) -> FigureResult:
     """Imbalance of every otherwise-unexercised registry entry vs m.
 
-    Closes the registry↔experiments coverage gap RPL007 guards: the exact
-    methods (HIER-OPT and the jagged -OPT variants are exponential-ish in
-    cost, so the figures cap or skip them), the §3.4 spiral schemes, and the
-    explicit -HOR/-VER/-BEST orientations all run on one tiny Peak instance.
+    Closes the registry↔experiments coverage gap that
+    ``test_raw_cells_cover_every_entry`` guards: the exact methods (HIER-OPT
+    and the jagged -OPT variants are exponential-ish in cost, so the figures
+    cap or skip them), the §3.4 spiral schemes, and the explicit
+    -HOR/-VER/-BEST orientations all run on one tiny Peak instance.
     Doubles as a sanity check: every exact method must beat or match its
     heuristic on the common instance (asserted in ``tests/test_experiments.py``).
     """
@@ -257,7 +260,7 @@ def ext5_registry_coverage(scale=None) -> FigureResult:
         f"Registry coverage sweep on {n}x{n} Peak",
         "m",
         "load imbalance",
-        notes=f"scale={sc.name}; entries no paper figure exercises (RPL007)",
+        notes=f"scale={sc.name}; entries no paper figure exercises",
     )
     dig = digest_prefix(pref)
     for m in (2, 4, 6):

@@ -12,15 +12,17 @@ linters cannot see:
   is **bit-identical** to its reference twin — enforced dynamically by the
   differential matrix and statically by the determinism rule.
 
-This package enforces them with an AST rule engine (:mod:`.engine`), a
-ruleset grounded in this codebase (:mod:`.rules`, RPL001–RPL005, RPL007,
-RPL008), dataflow rules (:mod:`.dataflow`, :mod:`.flowrules`, RPL010 and
-RPL011), a suppression meta-check (RPL100), and a CLI (:mod:`.cli`,
-installed as ``repro-lint`` / ``python -m repro.lint``) with text and JSON
-reporters.  The paper's complexity bounds are op-count tests
-(``tests/test_complexity.py``), and registry and kernel coverage of the
-differential matrix is a test in ``tests/test_backend_equality.py``; neither
-is a lint rule.
+This package enforces them with an AST rule engine (:mod:`.engine`) that
+checks source text one file at a time: a ruleset grounded in this codebase
+(:mod:`.rules`, RPL001–RPL003 and RPL005), dataflow rules (:mod:`.dataflow`,
+:mod:`.flowrules`, RPL010 and RPL011), a suppression meta-check (RPL100),
+and a CLI (:mod:`.cli`, installed as ``repro-lint`` / ``python -m
+repro.lint``) with text and JSON reporters.  Guarantees about live objects
+are tests, not rules: the paper's complexity bounds are op-count tests
+(``tests/test_complexity.py``); the registry's citations, annotations,
+catalogue entries and measured raw cells are ``tests/test_registry.py``;
+registry and kernel coverage of the differential matrix is
+``tests/test_backend_equality.py``.
 
 See ``docs/lint.md`` for the rule catalogue and suppression syntax.
 """
@@ -28,17 +30,14 @@ See ``docs/lint.md`` for the rule catalogue and suppression syntax.
 from __future__ import annotations
 
 from .engine import LintResult, Violation, lint_paths
-from .flowrules import check_env_reads
 from .reporters import json_report, text_report
-from .rules import ALL_RULES, check_registry
+from .rules import ALL_RULES
 
 __all__ = [
     "LintResult",
     "Violation",
     "lint_paths",
     "ALL_RULES",
-    "check_registry",
-    "check_env_reads",
     "json_report",
     "text_report",
 ]

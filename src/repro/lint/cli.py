@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .engine import STALE_CODE, lint_paths
 from .reporters import json_report, text_report
-from .rules import ALL_PROJECT_RULES, ALL_RULES, KNOWN_CODES
+from .rules import ALL_RULES, KNOWN_CODES
 
 __all__ = ["main"]
 
@@ -40,7 +40,7 @@ def _parse_codes(raw: str | None) -> set[str] | None:
 
 def _list_rules() -> str:
     lines = []
-    for rule in [*ALL_RULES, *ALL_PROJECT_RULES]:
+    for rule in ALL_RULES:
         lines.append(f"{rule.code}  {rule.name}")
         lines.append(f"       {rule.rationale}")
     lines.append(f"{STALE_CODE}  stale-suppression")

@@ -29,7 +29,6 @@ __all__ = [
     "FileContext",
     "Suppression",
     "Rule",
-    "ProjectRule",
     "LintResult",
     "collect_files",
     "lint_paths",
@@ -174,17 +173,6 @@ class Rule:
         )
 
 
-class ProjectRule:
-    """Base class for whole-project rules (run once per lint invocation)."""
-
-    code: str = "RPL000"
-    name: str = "unnamed"
-    rationale: str = ""
-
-    def check_project(self, files: Sequence[FileContext]) -> Iterator[Violation]:
-        raise NotImplementedError
-
-
 @dataclass
 class LintResult:
     """Outcome of a lint run: violations kept, suppressions honoured, errors."""
@@ -209,9 +197,10 @@ def collect_files(paths: Iterable[Path]) -> list[Path]:
             out.add(p)
         elif p.is_dir():
             for f in p.rglob("*.py"):
-                if "__pycache__" in f.parts or any(
-                    part.startswith(".") for part in f.parts
-                ):
+                # only the directories below the named path count: the path
+                # itself may run through `..` or a hidden checkout directory
+                below = f.relative_to(p).parts
+                if "__pycache__" in below or any(part.startswith(".") for part in below):
                     continue
                 out.add(f)
     return sorted(out)
@@ -286,16 +275,15 @@ def lint_paths(
 ) -> LintResult:
     """Lint ``paths`` with every registered rule.
 
-    ``select``/``ignore`` filter by rule code.  Project rules run once over
-    the full file set; per-file rules run on each file they apply to.
+    ``select``/``ignore`` filter by rule code; each rule runs on every file
+    it applies to.
     """
-    from .rules import ALL_PROJECT_RULES, ALL_RULES, KNOWN_CODES
+    from .rules import ALL_RULES, KNOWN_CODES
 
     ignore = {c.upper() for c in (ignore or set())}
     if select is not None:
         select = {c.upper() for c in select}
     active = [r for r in ALL_RULES if _selected(r.code, select, ignore)]
-    active_project = [r for r in ALL_PROJECT_RULES if _selected(r.code, select, ignore)]
 
     result = LintResult()
     contexts: list[FileContext] = []
@@ -315,29 +303,18 @@ def lint_paths(
             for v in rule.check(ctx):
                 (result.suppressed if ctx.is_suppressed(v) else result.violations).append(v)
 
-    by_rel = {ctx.rel: ctx for ctx in contexts}
-    for prule in active_project:
-        for v in prule.check_project(contexts):
-            ctx = by_rel.get(v.path)
-            if ctx is not None and ctx.is_suppressed(v):
-                result.suppressed.append(v)
-            else:
-                result.violations.append(v)
-
     if _selected(STALE_CODE, select, ignore):
-        active_codes = {r.code for r in active} | {r.code for r in active_project}
+        by_rel = {ctx.rel: ctx for ctx in contexts}
         for v in _stale_suppressions(
-            contexts, active_codes, KNOWN_CODES, full_run=select is None
+            contexts, {r.code for r in active}, KNOWN_CODES, full_run=select is None
         ):
-            ctx = by_rel.get(v.path)
             # a stale finding is suppressible only by an *explicit* RPL100
             # code — `disable=all` must not swallow its own staleness report
             hit = False
-            if ctx is not None:
-                for s in ctx.suppressions:
-                    if STALE_CODE in s.codes and (s.file_scope or s.line == v.line):
-                        s.used.add(STALE_CODE)
-                        hit = True
+            for s in by_rel[v.path].suppressions:
+                if STALE_CODE in s.codes and (s.file_scope or s.line == v.line):
+                    s.used.add(STALE_CODE)
+                    hit = True
             (result.suppressed if hit else result.violations).append(v)
 
     result.violations.sort()

@@ -10,29 +10,27 @@ framework (:mod:`.dataflow`):
 * **RPL010** — bit-identity modules carry no nondeterminism source
   (unordered iteration into results, ``id()`` escapes, entropy and
   wall-clock calls);
-* **RPL011** — environment reads go through declared config modules, are
-  registered in ``repro/config.py`` and documented under ``docs/``.
+* **RPL011** — environment reads go through declared config modules and
+  read names registered in the live :data:`repro.config.ENV_VARS`.
 
-RPL011's core checker is a plain function over parsed
-:class:`~.engine.FileContext` trees so the tests can run it on synthetic
-projects; the registered ProjectRule wires it to the real tree (locating
-``docs/`` the way RPL004 does).
+Both are per-file rules; that every declared name is documented under
+``docs/`` is a test (``tests/test_lint.py``), not a rule.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
+from ..config import ENV_VARS
 from .dataflow import FunctionFlow, terminal_names, walk_scope
-from .engine import HOT_PACKAGES, FileContext, ProjectRule, Rule, Violation
+from .engine import HOT_PACKAGES, FileContext, Rule, Violation
 
 __all__ = [
     "CONTRACT_PACKAGES",
     "DeterminismRule",
     "ConfigRegistryRule",
-    "check_env_reads",
 ]
 
 #: packages whose modules participate in the bit-identity contract
@@ -266,198 +264,98 @@ class DeterminismRule(Rule):
 # RPL011 — environment-variable config registry
 # ---------------------------------------------------------------------------
 
-#: modules allowed to read ``os.environ`` directly: any ``config.py``
-_CONFIG_MODULE_SUFFIXES = ("/config.py",)
+#: ``os.environ`` methods whose first argument names the variable read
+_KEYED_METHODS = frozenset({"get", "setdefault", "pop"})
+
+
+def _is_environ_load(node: ast.AST) -> bool:
+    """A load of ``os.environ`` / ``environ``."""
+    named = (isinstance(node, ast.Attribute) and node.attr == "environ") or (
+        isinstance(node, ast.Name) and node.id == "environ"
+    )
+    return named and isinstance(getattr(node, "ctx", None), ast.Load)
+
+
+def _literal(node: ast.AST | None) -> str | None:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
 
 
 def _env_read_sites(tree: ast.AST) -> Iterator[tuple[ast.AST, str | None]]:
-    """``(node, var name literal or None)`` for every environment *read*."""
+    """``(node, variable-name literal or None)`` for every environment read.
 
-    def env_base(expr: ast.expr) -> bool:
-        # os.environ / environ
-        if isinstance(expr, ast.Attribute) and expr.attr == "environ":
-            return True
-        return isinstance(expr, ast.Name) and expr.id == "environ"
-
-    def literal(args: list[ast.expr]) -> str | None:
-        if args and isinstance(args[0], ast.Constant) and isinstance(args[0].value, str):
-            return args[0].value
-        return None
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript) and env_base(node.value):
-            if isinstance(node.ctx, ast.Load):
-                name = None
-                if isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str):
-                    name = node.slice.value
-                yield node, name
-        elif isinstance(node, ast.Call):
-            f = node.func
-            if isinstance(f, ast.Attribute) and f.attr == "get" and env_base(f.value):
-                yield node, literal(node.args)
-            elif isinstance(f, ast.Attribute) and f.attr == "getenv":
-                yield node, literal(node.args)
-            elif isinstance(f, ast.Name) and f.id == "getenv":
-                yield node, literal(node.args)
-
-
-def check_env_reads(
-    files: Sequence[FileContext],
-    *,
-    declared: Mapping[str, str] | None,
-    registry_rel: str | None,
-    docs_text: str | None,
-) -> list[Violation]:
-    """RPL011 core check.
-
-    ``declared`` maps registered env-var names to their documented defaults
-    (parsed from ``repro/config.py``); ``None`` skips the declaration and
-    docs checks (partial file sets).
+    Every load of ``os.environ`` is a read — a subscript, ``.get``,
+    ``.setdefault``, ``.pop``, an ``in`` test, ``.copy()``, ``dict(...)`` —
+    except the target of an ``os.environ[...] = v`` write or a ``del``;
+    ``os.getenv(...)`` calls are reads too.
     """
-    out: list[Violation] = []
-    read_names: set[str] = set()
-    for ctx in files:
-        allowed = any(ctx.rel.endswith(suffix) for suffix in _CONFIG_MODULE_SUFFIXES)
-        for node, name in _env_read_sites(ctx.tree):
-            if name is not None:
-                read_names.add(name)
-            lineno = getattr(node, "lineno", 1)
-            col = getattr(node, "col_offset", 0) + 1
-            if not allowed:
-                out.append(
-                    Violation(
-                        path=ctx.rel,
-                        line=lineno,
-                        col=col,
-                        rule="RPL011",
-                        message=(
-                            "environment read outside a declared config module; "
-                            "route it through repro.config (or a */config.py)"
-                        ),
-                    )
-                )
-            if name is None:
-                out.append(
-                    Violation(
-                        path=ctx.rel,
-                        line=lineno,
-                        col=col,
-                        rule="RPL011",
-                        message=(
-                            "environment read with a non-literal variable name "
-                            "cannot be registered or documented"
-                        ),
-                    )
-                )
-        # os.environ[...] reads (even in config modules) bypass defaults
-        for node, _name in _env_read_sites(ctx.tree):
-            if isinstance(node, ast.Subscript):
-                out.append(
-                    Violation(
-                        path=ctx.rel,
-                        line=node.lineno,
-                        col=node.col_offset + 1,
-                        rule="RPL011",
-                        message=(
-                            "`os.environ[...]` read raises on absence and has no "
-                            "default; use `.get(name, default)`"
-                        ),
-                    )
-                )
-    if declared is None or registry_rel is None:
-        return out
-    anchor = registry_rel
-    for name in sorted(read_names - set(declared)):
-        out.append(
-            Violation(
-                path=anchor,
-                line=1,
-                col=1,
-                rule="RPL011",
-                message=(
-                    f"environment variable {name!r} is read but not declared in "
-                    "ENV_VARS (repro/config.py)"
-                ),
-            )
-        )
-    if docs_text is not None:
-        for name in sorted(set(declared)):
-            if name not in docs_text:
-                out.append(
-                    Violation(
-                        path=anchor,
-                        line=1,
-                        col=1,
-                        rule="RPL011",
-                        message=(
-                            f"declared environment variable {name!r} is not "
-                            "documented anywhere under docs/"
-                        ),
-                    )
-                )
-    return out
+    parents = {id(c): p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "getenv") or (
+                isinstance(f, ast.Name) and f.id == "getenv"
+            ):
+                yield node, _literal(node.args[0]) if node.args else None
+        if not _is_environ_load(node):
+            continue
+        parent = parents.get(id(node))
+        if isinstance(parent, ast.Subscript) and parent.value is node:
+            if isinstance(parent.ctx, ast.Load):
+                yield parent, _literal(parent.slice)
+        elif isinstance(parent, ast.Compare):
+            yield node, _literal(parent.left)
+        elif isinstance(parent, ast.Attribute) and parent.attr in _KEYED_METHODS:
+            call = parents.get(id(parent))
+            args = call.args if isinstance(call, ast.Call) else []
+            yield node, _literal(args[0]) if args else None
+        else:
+            yield node, None
 
 
-class ConfigRegistryRule(ProjectRule):
-    """RPL011 — env reads go through declared, documented config modules."""
+class ConfigRegistryRule(Rule):
+    """RPL011 — env reads go through config modules and declared names.
+
+    Checks one file against the live :data:`repro.config.ENV_VARS`.
+    """
 
     code = "RPL011"
     name = "config-registry"
     rationale = (
-        "every os.environ read must live in a declared config module, be "
-        "registered in repro/config.py ENV_VARS with a default, and be "
-        "documented under docs/"
+        "every os.environ read must live in a declared config module and "
+        "read a name registered in repro/config.py ENV_VARS"
     )
 
-    def check_project(self, files: Sequence[FileContext]) -> Iterator[Violation]:
-        registry_ctx = next(
-            (c for c in files if c.path.as_posix().endswith("repro/config.py")), None
-        )
-        declared: dict[str, str] | None = None
-        registry_rel: str | None = None
-        docs_text: str | None = None
-        if registry_ctx is not None:
-            registry_rel = registry_ctx.rel
-            declared = self._parse_declared(registry_ctx.tree)
-            docs_text = self._all_docs_text(registry_ctx.path)
-        yield from check_env_reads(
-            files, declared=declared, registry_rel=registry_rel, docs_text=docs_text
-        )
-
-    @staticmethod
-    def _parse_declared(tree: ast.AST) -> dict[str, str]:
-        """Keys (and rendered defaults) of the ``ENV_VARS`` dict literal."""
-        out: dict[str, str] = {}
-        for node in ast.walk(tree):
-            target = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                value = node.value
-            elif isinstance(node, ast.AnnAssign):
-                target = node.target
-                value = node.value
-            else:
-                continue
-            if (
-                isinstance(target, ast.Name)
-                and target.id == "ENV_VARS"
-                and isinstance(value, ast.Dict)
-            ):
-                for k, v in zip(value.keys, value.values):
-                    if isinstance(k, ast.Constant) and isinstance(k.value, str):
-                        out[k.value] = ast.unparse(v) if v is not None else ""
-        return out
-
-    @staticmethod
-    def _all_docs_text(config_path: Path) -> str | None:
-        node = config_path.resolve().parent
-        for _ in range(6):
-            docs = node / "docs"
-            if docs.is_dir():
-                return "\n".join(
-                    p.read_text(encoding="utf-8") for p in sorted(docs.glob("*.md"))
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        allowed = Path(ctx.rel).name == "config.py"
+        for node, name in _env_read_sites(ctx.tree):
+            if not allowed:
+                yield self.violation(
+                    ctx,
+                    node,
+                    "environment read outside a declared config module; "
+                    "route it through repro.config (or a */config.py)",
                 )
-            if node.parent == node:
-                break
-            node = node.parent
-        return None
+            if name is None:
+                yield self.violation(
+                    ctx,
+                    node,
+                    "environment read with a non-literal (or no) variable name "
+                    "cannot be checked against ENV_VARS",
+                )
+            elif name not in ENV_VARS:
+                yield self.violation(
+                    ctx,
+                    node,
+                    f"environment variable {name!r} is read but not declared in "
+                    "ENV_VARS (repro/config.py)",
+                )
+            if isinstance(node, ast.Subscript):
+                # os.environ[...] reads (even in config modules) bypass defaults
+                yield self.violation(
+                    ctx,
+                    node,
+                    "`os.environ[...]` read raises on absence and has no "
+                    "default; use `.get(name, default)`",
+                )

@@ -1,4 +1,5 @@
-"""The repro ruleset: RPL001–RPL005, RPL007 and RPL008.
+"""The repro ruleset: RPL001–RPL003 and RPL005 (RPL010 and RPL011 live in
+:mod:`.flowrules`).
 
 Each rule encodes one invariant the paper's algorithms rely on; see
 ``docs/lint.md`` for the catalogue with worked examples.
@@ -7,36 +8,19 @@ Each rule encodes one invariant the paper's algorithms rely on; see
 from __future__ import annotations
 
 import ast
-import inspect
-import re
-from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Iterator
 
-from .engine import (
-    CORE_PACKAGES,
-    HOT_PACKAGES,
-    STALE_CODE,
-    FileContext,
-    ProjectRule,
-    Rule,
-    Violation,
-)
+from .engine import CORE_PACKAGES, HOT_PACKAGES, STALE_CODE, FileContext, Rule, Violation
 from .flowrules import ConfigRegistryRule, DeterminismRule
 
 __all__ = [
     "PrefixSumRule",
     "HalfOpenRule",
     "IntegerLoadRule",
-    "RegistryRule",
     "NoInputMutationRule",
-    "ComplexityClaimRule",
-    "ExperimentsCoverageRule",
     "DeterminismRule",
     "ConfigRegistryRule",
-    "check_registry",
-    "check_claims",
     "ALL_RULES",
-    "ALL_PROJECT_RULES",
     "KNOWN_CODES",
 ]
 
@@ -392,360 +376,6 @@ class NoInputMutationRule(Rule):
         )
 
 
-_CITATION_RE = re.compile(r"§|\bSection\s+\d|\bTheorem\s+\d|\bFigure\s+\d|\b§?\d\.\d")
-_VARIANT_SUFFIXES = ("-HOR", "-VER", "-BEST", "-LOAD", "-DIST")
-
-
-def _strip_variant(name: str) -> str:
-    for suffix in _VARIANT_SUFFIXES:
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return name
-
-
-def check_registry(
-    algorithms: dict[str, Callable[..., Any]],
-    docs_text: str | None,
-    registry_path: str = "src/repro/core/registry.py",
-    registry_line: int = 1,
-) -> list[Violation]:
-    """RPL004 core check, factored out so tests can run it on fake registries.
-
-    For every registered algorithm: it must be callable, its (unwrapped)
-    implementation must annotate a ``Partition`` return and carry a docstring
-    citing a paper section, and its base name must appear in
-    ``docs/algorithms.md`` (``docs_text``; pass None to skip the doc check).
-    """
-    out: list[Violation] = []
-
-    def bad(message: str) -> None:
-        out.append(
-            Violation(
-                path=registry_path,
-                line=registry_line,
-                col=1,
-                rule="RPL004",
-                message=message,
-            )
-        )
-
-    for name in sorted(algorithms):
-        fn = algorithms[name]
-        if not callable(fn):
-            bad(f"ALGORITHMS[{name!r}] is not callable")
-            continue
-        target = inspect.unwrap(fn)
-        doc = inspect.getdoc(target) or ""
-        if not doc:
-            bad(f"ALGORITHMS[{name!r}] resolves to {target!r} with no docstring")
-        elif not _CITATION_RE.search(doc):
-            bad(
-                f"ALGORITHMS[{name!r}] docstring cites no paper section "
-                "(expected a §/Section/Theorem/Figure reference)"
-            )
-        ret = getattr(target, "__annotations__", {}).get("return")
-        ret_name = ret if isinstance(ret, str) else getattr(ret, "__name__", None)
-        if ret_name != "Partition":
-            bad(
-                f"ALGORITHMS[{name!r}] implementation does not annotate a "
-                f"Partition return (got {ret_name!r})"
-            )
-        if docs_text is not None and _strip_variant(name) not in docs_text:
-            bad(f"ALGORITHMS[{name!r}] (base {_strip_variant(name)!r}) missing from docs/algorithms.md")
-    return out
-
-
-class RegistryRule(ProjectRule):
-    """RPL004 — the algorithm registry, docs and implementations stay in sync.
-
-    Runs only when the linted tree contains ``core/registry.py`` (i.e. the
-    repro source tree itself); imports :data:`repro.core.registry.ALGORITHMS`
-    and validates it with :func:`check_registry`.
-    """
-
-    code = "RPL004"
-    name = "registry-consistency"
-    rationale = (
-        "every ALGORITHMS entry must be a documented, paper-cited callable "
-        "returning Partition and listed in docs/algorithms.md"
-    )
-
-    def check_project(self, files: Sequence[FileContext]) -> Iterator[Violation]:
-        registry_ctx = next(
-            (
-                ctx
-                for ctx in files
-                if ctx.path.as_posix().endswith("repro/core/registry.py")
-            ),
-            None,
-        )
-        if registry_ctx is None:
-            return
-        from ..core.registry import ALGORITHMS
-
-        docs_text = self._find_docs(registry_ctx.path)
-        line = self._algorithms_line(registry_ctx)
-        yield from check_registry(
-            ALGORITHMS, docs_text, registry_ctx.rel, registry_line=line
-        )
-
-    @staticmethod
-    def _find_docs(registry_path: Path) -> str | None:
-        node = registry_path.resolve().parent
-        for _ in range(6):
-            candidate = node / "docs" / "algorithms.md"
-            if candidate.is_file():
-                return candidate.read_text(encoding="utf-8")
-            node = node.parent
-        return None
-
-    @staticmethod
-    def _algorithms_line(ctx: FileContext) -> int:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                if node.target.id == "ALGORITHMS":
-                    return node.lineno
-            if isinstance(node, ast.Assign):
-                for tgt in node.targets:
-                    if _is_name(tgt, frozenset({"ALGORITHMS"})):
-                        return node.lineno
-        return 1
-
-
-class ExperimentsCoverageRule(ProjectRule):
-    """RPL007 — every registry entry is exercised by at least one experiment.
-
-    A registered algorithm nobody runs is a reproduction gap: its behavior is
-    asserted by unit tests but never measured against the paper.  The rule
-    statically collects, from the modules of the ``experiments`` package,
-
-    * exact string constants (``ALGORITHMS["JAG-M-HEUR"]``-style lookups and
-      name tuples like ``HEURISTICS``), excluding docstrings;
-    * leading constant prefixes of f-strings (``f"HIER-RB-{variant}"``
-      covers every ``HIER-RB-*`` variant);
-    * referenced identifiers, matched against each entry's unwrapped
-      implementation name (``jag_m_heur(...)`` called directly covers every
-      entry that unwraps to ``jag_m_heur``);
-
-    and reports each :data:`~repro.core.registry.ALGORITHMS` entry none of
-    them reach.  Like RPL004 it runs only when the linted tree contains the
-    registry, and skips quietly when the experiments package is not part of
-    the linted file set (e.g. single-file invocations).
-    """
-
-    code = "RPL007"
-    name = "experiments-coverage"
-    rationale = (
-        "every ALGORITHMS entry must be exercised by at least one "
-        "figure/extension experiment, by name or by implementation reference"
-    )
-
-    def check_project(self, files: Sequence[FileContext]) -> Iterator[Violation]:
-        registry_ctx = next(
-            (
-                ctx
-                for ctx in files
-                if ctx.path.as_posix().endswith("repro/core/registry.py")
-            ),
-            None,
-        )
-        exp_files = [ctx for ctx in files if "experiments" in ctx.package_parts()]
-        if registry_ctx is None or not exp_files:
-            return
-        from ..core.registry import ALGORITHMS
-
-        strings: set[str] = set()
-        prefixes: set[str] = set()
-        idents: set[str] = set()
-        for ctx in exp_files:
-            docstrings = self._docstring_ids(ctx.tree)
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    if id(node) not in docstrings:
-                        strings.add(node.value)
-                elif isinstance(node, ast.JoinedStr):
-                    first = node.values[0] if node.values else None
-                    if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                        prefixes.add(first.value)
-                elif isinstance(node, ast.Name):
-                    idents.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    idents.add(node.attr)
-        prefixes.discard("")
-        line = RegistryRule._algorithms_line(registry_ctx)
-        for name in sorted(ALGORITHMS):
-            if name in strings:
-                continue
-            if any(name.startswith(p) for p in prefixes):
-                continue
-            if self._chain_names(ALGORITHMS[name]) & idents:
-                continue
-            yield Violation(
-                path=registry_ctx.rel,
-                line=line,
-                col=1,
-                rule="RPL007",
-                message=(
-                    f"ALGORITHMS[{name!r}] is not exercised by any "
-                    "figure/extension experiment (no experiments module names "
-                    "it or references its implementation)"
-                ),
-            )
-
-    @staticmethod
-    def _chain_names(fn: Callable[..., Any]) -> set[str]:
-        """``__name__`` of every function along the ``__wrapped__`` chain.
-
-        Registry entries stack wrappers (orientation/variant closure over the
-        public ``jag_*``/``hier_*`` function over the ``_main0`` core); a
-        reference to any link counts as exercising the implementation.
-        """
-        out: set[str] = set()
-        seen: set[int] = set()
-        while id(fn) not in seen:
-            seen.add(id(fn))
-            name = getattr(fn, "__name__", None)
-            if name:
-                out.add(name)
-            fn = getattr(fn, "__wrapped__", fn)
-        return out
-
-    @staticmethod
-    def _docstring_ids(tree: ast.AST) -> set[int]:
-        """ids of the Constant nodes that are module/class/function docstrings."""
-        out: set[int] = set()
-        for node in ast.walk(tree):
-            if isinstance(
-                node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                body = getattr(node, "body", [])
-                if (
-                    body
-                    and isinstance(body[0], ast.Expr)
-                    and isinstance(body[0].value, ast.Constant)
-                    and isinstance(body[0].value.value, str)
-                ):
-                    out.add(id(body[0].value))
-        return out
-
-
-#: ``O(...)`` complexity claims, one paren nesting level deep — enough for
-#: every claim in the tree (``O(m log max(n1, n2))``)
-_CLAIM_RE = re.compile(r"O\((?:[^()]|\([^()]*\))*\)")
-
-
-def _normalize_claim(claim: str) -> str:
-    """Canonical form of one ``O(...)`` claim for cross-document comparison.
-
-    Lowercases, drops backticks/whitespace and multiplication dots/stars
-    (``O(n·m)`` == ``O(n*m)`` == ``O(nm)``), and rewrites superscripts to
-    carets (``m²`` == ``m^2``) — cosmetic typography must not count as a
-    mismatch, while any real difference (another variable, another factor)
-    still does.
-    """
-    out = claim.lower().replace("`", "")
-    for ch in ("·", "×", "*", " ", "\t", "\n"):
-        out = out.replace(ch, "")
-    return out.replace("²", "^2").replace("³", "^3")
-
-
-def check_claims(
-    algorithms: dict[str, Callable[..., Any]],
-    docs_text: str,
-    anchor_path: str = "src/repro/core/registry.py",
-    anchor_line: int = 1,
-) -> list[Violation]:
-    """RPL008 core check, factored out so tests can run it on fake registries.
-
-    Every ``O(...)`` claim in the docstrings reachable from the registry —
-    each entry's unwrapped implementation and its defining module — must
-    appear (normalized) in ``docs/algorithms.md``.  A claim the catalogue
-    does not carry is either stale code documentation or a catalogue gap;
-    both drift silently without this check.
-    """
-    import sys
-
-    doc_claims = {_normalize_claim(c) for c in _CLAIM_RE.findall(docs_text)}
-    out: list[Violation] = []
-    seen: set[tuple[str, str]] = set()
-    for name in sorted(algorithms):
-        fn = algorithms[name]
-        if not callable(fn):
-            continue  # RPL004's finding, not ours
-        target = inspect.unwrap(fn)
-        module = sys.modules.get(getattr(target, "__module__", ""))
-        sources = [
-            (getattr(target, "__module__", "?"), inspect.getdoc(module) or ""),
-            (
-                f"{getattr(target, '__module__', '?')}."
-                f"{getattr(target, '__qualname__', '?')}",
-                inspect.getdoc(target) or "",
-            ),
-        ]
-        for src, doc in sources:
-            for claim in _CLAIM_RE.findall(doc):
-                key = (src, _normalize_claim(claim))
-                if key in seen:
-                    continue
-                seen.add(key)
-                if key[1] not in doc_claims:
-                    out.append(
-                        Violation(
-                            path=anchor_path,
-                            line=anchor_line,
-                            col=1,
-                            rule="RPL008",
-                            message=(
-                                f"complexity claim {claim!r} in the docstring "
-                                f"of {src} does not appear in "
-                                "docs/algorithms.md (normalized "
-                                f"{key[1]!r})"
-                            ),
-                        )
-                    )
-    return out
-
-
-class ComplexityClaimRule(ProjectRule):
-    """RPL008 — docstring complexity claims stay in sync with the catalogue.
-
-    ``docs/algorithms.md`` is the source of truth for the complexity of
-    every algorithm; module and function docstrings repeat those bounds
-    next to the code.  This rule walks the registry (unwrapping shims like
-    RPL004/RPL007 do), extracts every ``O(...)`` claim from the reachable
-    docstrings, and reports claims the catalogue does not carry.  Like the
-    other registry rules it runs only when the linted tree contains
-    ``core/registry.py`` and skips quietly when ``docs/algorithms.md``
-    cannot be located.
-    """
-
-    code = "RPL008"
-    name = "complexity-claims"
-    rationale = (
-        "every O(...) claim in a registry-reachable docstring must appear "
-        "in docs/algorithms.md, so code comments and the catalogue cannot "
-        "drift apart"
-    )
-
-    def check_project(self, files: Sequence[FileContext]) -> Iterator[Violation]:
-        registry_ctx = next(
-            (
-                ctx
-                for ctx in files
-                if ctx.path.as_posix().endswith("repro/core/registry.py")
-            ),
-            None,
-        )
-        if registry_ctx is None:
-            return
-        docs_text = RegistryRule._find_docs(registry_ctx.path)
-        if docs_text is None:
-            return
-        from ..core.registry import ALGORITHMS
-
-        yield from check_claims(ALGORITHMS, docs_text, registry_ctx.rel)
-
-
 #: per-file rules, in code order
 ALL_RULES: list[Rule] = [
     PrefixSumRule(),
@@ -753,17 +383,8 @@ ALL_RULES: list[Rule] = [
     IntegerLoadRule(),
     NoInputMutationRule(),
     DeterminismRule(),
-]
-
-#: whole-project rules
-ALL_PROJECT_RULES: list[ProjectRule] = [
-    RegistryRule(),
-    ExperimentsCoverageRule(),
-    ComplexityClaimRule(),
     ConfigRegistryRule(),
 ]
 
 #: every code a selection or a suppression may name
-KNOWN_CODES = frozenset(
-    {r.code for r in ALL_RULES} | {r.code for r in ALL_PROJECT_RULES} | {STALE_CODE}
-)
+KNOWN_CODES = frozenset({r.code for r in ALL_RULES} | {STALE_CODE})

@@ -101,6 +101,22 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([str(path), "-m", "2"])
 
+    MALFORMED = {
+        "empty.npz": (lambda p: np.savez(p), "holds no arrays"),
+        "object.npy": (lambda p: np.save(p, np.array([{}, None], dtype=object)), "cannot read"),
+        "garbage.npy": (lambda p: p.write_bytes(b"not numpy data " * 4), "cannot read"),
+        "garbage.npz": (lambda p: p.write_bytes(b"PK\x03\x04 truncated"), "cannot read"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_input_is_a_named_error(self, tmp_path, name):
+        write, expect = self.MALFORMED[name]
+        path = tmp_path / name
+        write(path)
+        with pytest.raises(SystemExit) as exc:
+            main([str(path), "-m", "2"])
+        assert str(exc.value.code).startswith("error: ") and expect in str(exc.value.code)
+
 
 class TestExperimentsCli:
     def test_scale_choices_follow_the_profile_table(self, monkeypatch, tmp_path, capsys):

@@ -189,7 +189,8 @@ class TestDeterminism:
 
 class TestExtensions:
     def test_ext5_covers_registry_gaps(self):
-        """ext5 runs every otherwise-unexercised registry entry (RPL007)."""
+        """ext5 runs every otherwise-unexercised registry entry, so the raw
+        cells cover the registry (test_raw_cells_cover_every_entry)."""
         from repro.experiments.extensions import _UNCOVERED_ENTRIES, ext5_registry_coverage
 
         r = ext5_registry_coverage(TINY)

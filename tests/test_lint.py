@@ -1,27 +1,29 @@
-"""Tests for the repro-lint static-analysis subsystem (RPL001–RPL005,
-RPL007, RPL008, RPL010, RPL011, RPL100).
+"""Tests for the repro-lint static-analysis subsystem (RPL001–RPL003,
+RPL005, RPL010, RPL011, RPL100).
 
 Each rule is exercised both ways: a fixture snippet that must trigger it and
 the idiomatic equivalent that must stay silent, plus the suppression syntax.
-The config-registry rule (RPL011) additionally runs on synthetic project
-trees.  A smoke test asserts the linter exits 0 on the repo's own source
-tree — the property CI enforces.
+Next to the config-registry rule (RPL011) sits the test that every declared
+environment variable is documented.  A smoke test asserts the linter exits 0
+on the repo's own source tree — the property CI enforces.
 """
 
 from __future__ import annotations
 
-import ast
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.core.partition import Partition
-from repro.lint import check_registry, lint_paths
+from repro.config import ENV_VARS
+from repro.core.registry import ALGORITHMS
+from repro.lint import lint_paths
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import FileContext, LintResult, Violation
-from repro.lint.flowrules import ConfigRegistryRule, check_env_reads
+from repro.lint.flowrules import ConfigRegistryRule
 from repro.lint.reporters import json_report, text_report
+
+from .test_registry import CATALOGUE, _claims, check_entry, entry_claims
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -190,222 +192,6 @@ class TestRPL005NoInputMutation:
         assert codes(res) == []
 
 
-class TestRPL004Registry:
-    DOCS = "RECT-GOOD is documented here."
-
-    @staticmethod
-    def _good(A, m) -> Partition:
-        """Implements §3.1 of the paper."""
-        raise NotImplementedError
-
-    def test_compliant_registry_is_silent(self):
-        assert check_registry({"RECT-GOOD": self._good}, self.DOCS) == []
-
-    def test_variant_suffix_resolves_to_base_doc_entry(self):
-        assert check_registry({"RECT-GOOD-HOR": self._good}, self.DOCS) == []
-
-    def test_non_callable_triggers(self):
-        out = check_registry({"RECT-GOOD": 42}, self.DOCS)
-        assert [v.rule for v in out] == ["RPL004"]
-
-    def test_missing_citation_triggers(self):
-        def algo(A, m) -> Partition:
-            """No citation at all."""
-
-        out = check_registry({"RECT-GOOD": algo}, self.DOCS)
-        assert any("cites no paper section" in v.message for v in out)
-
-    def test_missing_docstring_triggers(self):
-        def algo(A, m) -> Partition:
-            pass
-
-        out = check_registry({"RECT-GOOD": algo}, self.DOCS)
-        assert any("no docstring" in v.message for v in out)
-
-    def test_wrong_return_annotation_triggers(self):
-        def algo(A, m) -> int:
-            """Implements §3.1."""
-            return 0
-
-        out = check_registry({"RECT-GOOD": algo}, self.DOCS)
-        assert any("Partition return" in v.message for v in out)
-
-    def test_missing_docs_entry_triggers(self):
-        out = check_registry({"RECT-UNLISTED": self._good}, self.DOCS)
-        assert any("missing from docs" in v.message for v in out)
-
-    def test_unwraps_registry_wrappers(self):
-        def impl(A, m) -> Partition:
-            """Implements §3.2."""
-            raise NotImplementedError
-
-        def wrapper(A, m, **kw):
-            return impl(A, m, **kw)
-
-        wrapper.__wrapped__ = impl
-        assert check_registry({"RECT-GOOD": wrapper}, self.DOCS) == []
-
-
-class TestRPL007Coverage:
-    """RPL007: every ALGORITHMS entry reached by some experiments module."""
-
-    REGISTRY_STUB = '"""Stub registry."""\n\nALGORITHMS = {}\n'
-
-    def _lint_tree(self, tmp_path: Path, experiments_src: str | None) -> list:
-        """Lint a tmp tree shaped like the repo (registry + experiments)."""
-        core = tmp_path / "repro" / "core"
-        core.mkdir(parents=True)
-        (core / "registry.py").write_text(self.REGISTRY_STUB, encoding="utf-8")
-        if experiments_src is not None:
-            exp = tmp_path / "repro" / "experiments"
-            exp.mkdir()
-            (exp / "figs.py").write_text(experiments_src, encoding="utf-8")
-        res = lint_paths([tmp_path / "repro"])
-        return [v for v in res.violations if v.rule == "RPL007"]
-
-    @staticmethod
-    def _names_tuple(names) -> str:
-        body = "\n".join(f"    {n!r}," for n in sorted(names))
-        return f"COVERED = (\n{body}\n)\n"
-
-    def test_full_string_coverage_is_silent(self, tmp_path):
-        from repro.core.registry import ALGORITHMS
-
-        out = self._lint_tree(tmp_path, self._names_tuple(ALGORITHMS))
-        assert out == []
-
-    def test_uncovered_entry_is_flagged(self, tmp_path):
-        from repro.core.registry import ALGORITHMS
-
-        covered = [n for n in ALGORITHMS if n != "HIER-OPT"]
-        out = self._lint_tree(tmp_path, self._names_tuple(covered))
-        assert len(out) == 1
-        assert "'HIER-OPT'" in out[0].message
-        assert out[0].line == 3  # anchored at the ALGORITHMS assignment
-
-    def test_empty_experiments_flags_every_entry(self, tmp_path):
-        from repro.core.registry import ALGORITHMS
-
-        out = self._lint_tree(tmp_path, "x = 1\n")
-        assert len(out) == len(ALGORITHMS)
-
-    def test_fstring_prefix_covers_variants(self, tmp_path):
-        from repro.core.registry import ALGORITHMS
-
-        covered = [n for n in ALGORITHMS if not n.startswith("HIER-RB-")]
-        src = self._names_tuple(covered) + 'name = f"HIER-RB-{variant}"\n'
-        assert self._lint_tree(tmp_path, src) == []
-
-    def test_implementation_reference_covers_entry(self, tmp_path):
-        from repro.core.registry import ALGORITHMS
-
-        covered = [n for n in ALGORITHMS if n != "JAG-PQ-HEUR"]
-        src = self._names_tuple(covered) + "part = jag_pq_heur(pref, m)\n"
-        assert self._lint_tree(tmp_path, src) == []
-
-    def test_docstring_mention_does_not_count(self, tmp_path):
-        from repro.core.registry import ALGORITHMS
-
-        covered = [n for n in ALGORITHMS if n != "HIER-OPT"]
-        src = '"""Covers \'HIER-OPT\' only in prose."""\n' + self._names_tuple(covered)
-        out = self._lint_tree(tmp_path, src)
-        assert len(out) == 1
-        assert "'HIER-OPT'" in out[0].message
-
-    def test_without_experiments_package_is_silent(self, tmp_path):
-        assert self._lint_tree(tmp_path, None) == []
-
-    def test_repo_tree_is_clean(self):
-        res = lint_paths([REPO_ROOT / "src" / "repro"])
-        assert [v for v in res.violations if v.rule == "RPL007"] == []
-
-
-class TestRPL008Claims:
-    """RPL008: docstring complexity claims must appear in docs/algorithms.md."""
-
-    DOCS = "RECT-GOOD runs in O(m log n) time; refinement costs O(n·m)."
-
-    def test_matching_claim_is_silent(self):
-        from repro.lint.rules import check_claims
-
-        def algo(A, m) -> Partition:
-            """Implements §3.1 in O(m log n)."""
-
-        assert check_claims({"RECT-GOOD": algo}, self.DOCS) == []
-
-    def test_undocumented_claim_is_flagged(self):
-        from repro.lint.rules import check_claims
-
-        def algo(A, m) -> Partition:
-            """Implements §3.1 in O(m^3 log n)."""
-
-        out = check_claims({"RECT-GOOD": algo}, self.DOCS)
-        assert [v.rule for v in out] == ["RPL008"]
-        assert "O(m^3 log n)" in out[0].message
-
-    def test_normalization_bridges_typography(self):
-        from repro.lint.rules import check_claims
-
-        def algo(A, m) -> Partition:
-            """Refinement step: `O(N * M)` per pass."""
-
-        # docs say O(n·m): case, backticks, spacing and the multiplication
-        # sign are cosmetic — the claims must unify
-        assert check_claims({"RECT-GOOD": algo}, self.DOCS) == []
-
-    def test_normalization_superscripts(self):
-        from repro.lint.rules import _normalize_claim
-
-        assert _normalize_claim("O(m²)") == _normalize_claim("O(m^2)")
-        assert _normalize_claim("O(n³ m)") == _normalize_claim("O(n^3m)")
-        assert _normalize_claim("O(n·m)") == _normalize_claim("O(nm)")
-        assert _normalize_claim("O(n)") != _normalize_claim("O(m)")
-
-    def test_claim_regex_handles_nested_parens(self):
-        from repro.lint.rules import _CLAIM_RE
-
-        text = "runs in O(m² log max(n1, n2)) overall"
-        assert _CLAIM_RE.findall(text) == ["O(m² log max(n1, n2))"]
-
-    def test_non_callable_entries_are_skipped(self):
-        from repro.lint.rules import check_claims
-
-        assert check_claims({"RECT-GOOD": 42}, self.DOCS) == []
-
-    def test_violation_anchored_on_given_path(self):
-        from repro.lint.rules import check_claims
-
-        def algo(A, m) -> Partition:
-            """Implements §3.1 in O(2^n)."""
-
-        out = check_claims({"RECT-GOOD": algo}, self.DOCS, "a/b.py", 9)
-        assert out[0].path == "a/b.py" and out[0].line == 9
-
-    def test_module_docstring_claims_are_checked(self):
-        import sys
-        import types
-
-        from repro.lint.rules import check_claims
-
-        mod = types.ModuleType("_rpl008_fake_mod")
-        mod.__doc__ = "Everything here is O(n!)."
-        sys.modules["_rpl008_fake_mod"] = mod
-        try:
-
-            def algo(A, m) -> Partition:
-                """Implements §3.1."""
-
-            algo.__module__ = "_rpl008_fake_mod"
-            out = check_claims({"RECT-GOOD": algo}, self.DOCS)
-            assert len(out) == 1 and "O(n!)" in out[0].message
-        finally:
-            del sys.modules["_rpl008_fake_mod"]
-
-    def test_repo_tree_is_clean(self):
-        res = lint_paths([REPO_ROOT / "src" / "repro"])
-        assert [v for v in res.violations if v.rule == "RPL008"] == []
-
-
 class TestEngineAndCli:
     def test_disable_all(self, tmp_path):
         src = "b = float(total); w = P[lo : hi + 1]  # repro-lint: disable=all\n"
@@ -466,10 +252,30 @@ class TestEngineAndCli:
     def test_cli_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL007"):
+        for code in ("RPL001", "RPL002", "RPL003", "RPL005", "RPL010", "RPL011"):
             assert code in out
-        # the complexity budgets are tests/test_complexity.py, not a rule
-        assert "RPL006" not in out
+        # the complexity budgets are tests/test_complexity.py, and the
+        # registry checks are tests/test_registry.py, not rules
+        for code in ("RPL004", "RPL006", "RPL007", "RPL008"):
+            assert code not in out
+
+    def test_path_through_dotdot_is_linted(self, tmp_path, monkeypatch):
+        # `repro-lint ../src/repro` from docs/: the `..` part is not hidden
+        lint_snippet(tmp_path, "jagged", "total = A[r0:r1].sum()\n")
+        (tmp_path / "docs").mkdir()
+        monkeypatch.chdir(tmp_path / "docs")
+        res = lint_paths([Path("../jagged")])
+        assert res.files_checked == 1 and codes(res) == ["RPL001"]
+
+    def test_checkout_under_hidden_directory_is_linted(self, tmp_path):
+        root = tmp_path / ".checkout"
+        lint_snippet(root, "jagged", "total = A[r0:r1].sum()\n")
+        # hidden directories *below* the named path are still skipped
+        hidden = root / "jagged" / ".venv"
+        hidden.mkdir()
+        (hidden / "vendored.py").write_text("total = A[r0:r1].sum()\n")
+        res = lint_paths([root / "jagged"])
+        assert res.files_checked == 1 and codes(res) == ["RPL001"]
 
 
 class TestRepoIsClean:
@@ -482,15 +288,24 @@ class TestRepoIsClean:
         assert out.strip().endswith("suppressed)")
 
     def test_real_registry_is_consistent(self):
-        from repro.core.registry import ALGORITHMS
-
-        docs = (REPO_ROOT / "docs" / "algorithms.md").read_text(encoding="utf-8")
-        assert check_registry(ALGORITHMS, docs) == []
+        """Every live registry entry passes the per-entry registry check."""
+        for name in sorted(ALGORITHMS):
+            check_entry(name)
 
     def test_violation_ordering(self):
         a = Violation("a.py", 1, 1, "RPL001", "x")
         b = Violation("a.py", 2, 1, "RPL001", "x")
         assert a < b
+
+
+class TestRPL008Claims:
+    """RPL008 is retired; its repo-wide property is checked on the live
+    registry instead: no entry claims a bound ``docs/algorithms.md`` lacks."""
+
+    def test_repo_tree_is_clean(self):
+        documented = _claims(CATALOGUE)
+        undocumented = {n: entry_claims(n) - documented for n in sorted(ALGORITHMS)}
+        assert {n: c for n, c in undocumented.items() if c} == {}
 
 
 class TestRPL010Determinism:
@@ -585,108 +400,93 @@ class TestRPL010Determinism:
 
 
 class TestRPL011ConfigRegistry:
+    CONFIG = "src/repro/perf/config.py"
+
     @staticmethod
-    def _check(files, declared=None, registry_rel=None, docs_text=None):
-        return check_env_reads(
-            files, declared=declared, registry_rel=registry_rel, docs_text=docs_text
-        )
+    def _check(rel: str, source: str) -> list[Violation]:
+        return list(ConfigRegistryRule().check(make_ctx(rel, source)))
 
     def test_read_outside_config_module_triggers(self, tmp_path):
-        src = "import os\nv = os.environ.get('REPRO_X', '')\n"
+        src = "import os\nv = os.environ.get('REPRO_SCALE', '')\n"
         res = lint_snippet(tmp_path, "oned", src)
         assert codes(res) == ["RPL011"]
         assert "outside a declared config module" in res.violations[0].message
         # the sweep engine is no exception: it reads through repro.config.env_str
-        out = self._check([make_ctx("src/repro/sweep/engine.py", src)])
+        out = self._check("src/repro/sweep/engine.py", src)
         assert [v.message for v in out] == [res.violations[0].message]
 
     def test_read_in_config_module_is_allowed(self):
-        ctx = make_ctx(
-            "src/repro/perf/config.py", "import os\nv = os.environ.get('REPRO_X', '1')\n"
-        )
-        assert self._check([ctx]) == []
+        assert self._check(self.CONFIG, "import os\nv = os.environ.get('REPRO_SCALE', '1')\n") == []
 
     def test_non_literal_name_triggers(self):
-        ctx = make_ctx(
-            "src/repro/perf/config.py", "import os\nv = os.environ.get(name)\n"
-        )
-        out = self._check([ctx])
+        out = self._check(self.CONFIG, "import os\nv = os.environ.get(name)\n")
         assert [v.rule for v in out] == ["RPL011"]
         assert "non-literal" in out[0].message
 
     def test_subscript_read_triggers_even_in_config(self):
-        ctx = make_ctx(
-            "src/repro/perf/config.py", "import os\nv = os.environ['REPRO_X']\n"
-        )
-        out = self._check([ctx])
+        out = self._check(self.CONFIG, "import os\nv = os.environ['REPRO_SCALE']\n")
         assert [v.rule for v in out] == ["RPL011"]
         assert "no default" in out[0].message
 
     def test_env_write_is_silent(self, tmp_path):
-        res = lint_snippet(tmp_path, "oned", "import os\nos.environ['REPRO_X'] = '1'\n")
-        assert codes(res) == []
+        src = "import os\nos.environ['REPRO_X'] = '1'\ndel os.environ['REPRO_X']\n"
+        assert codes(lint_snippet(tmp_path, "oned", src)) == []
 
     def test_undeclared_name_triggers(self):
-        ctx = make_ctx(
-            "src/repro/perf/config.py", "import os\nv = os.environ.get('REPRO_NEW', '')\n"
-        )
-        out = self._check(
-            [ctx],
-            declared={"REPRO_OLD": "'1'"},
-            registry_rel="src/repro/config.py",
-            docs_text="REPRO_OLD REPRO_NEW",
-        )
+        out = self._check(self.CONFIG, "import os\n\nv = os.environ.get('REPRO_NEW', '')\n")
         assert [v.rule for v in out] == ["RPL011"]
         assert "'REPRO_NEW'" in out[0].message and "not declared" in out[0].message
-        assert out[0].path == "src/repro/config.py"
-
-    def test_undocumented_declared_name_triggers(self):
-        ctx = make_ctx(
-            "src/repro/perf/config.py", "import os\nv = os.environ.get('REPRO_OLD', '')\n"
-        )
-        out = self._check(
-            [ctx],
-            declared={"REPRO_OLD": "'1'"},
-            registry_rel="src/repro/config.py",
-            docs_text="nothing relevant",
-        )
-        assert [v.rule for v in out] == ["RPL011"]
-        assert "not documented" in out[0].message
+        # reported at the read site, not at repro/config.py
+        assert (out[0].path, out[0].line) == (self.CONFIG, 3)
 
     def test_declared_and_documented_is_silent(self):
-        ctx = make_ctx(
-            "src/repro/perf/config.py", "import os\nv = os.environ.get('REPRO_OLD', '')\n"
-        )
-        assert (
-            self._check(
-                [ctx],
-                declared={"REPRO_OLD": "'1'"},
-                registry_rel="src/repro/config.py",
-                docs_text="`REPRO_OLD` does things",
-            )
-            == []
-        )
+        src = "import os\n" + "".join(f"v = os.getenv({n!r}, '')\n" for n in ENV_VARS)
+        assert self._check(self.CONFIG, src) == []
 
-    def test_static_parse_matches_runtime_registry(self):
-        from repro.config import ENV_VARS
+    def test_every_declared_name_is_documented(self):
+        docs = "\n".join(
+            p.read_text(encoding="utf-8") for p in sorted((REPO_ROOT / "docs").glob("*.md"))
+        )
+        assert [name for name in ENV_VARS if name not in docs] == []
 
-        source = (REPO_ROOT / "src" / "repro" / "config.py").read_text(encoding="utf-8")
-        declared = ConfigRegistryRule._parse_declared(ast.parse(source))
-        assert set(declared) == set(ENV_VARS)
-        assert "numpy" in declared["REPRO_PERF_BACKEND"]
+    def test_registry_declares_exactly_the_five_knobs(self):
         # the projection-memo sizes and the CSR density are module constants
-        assert set(declared) == {
+        assert set(ENV_VARS) == {
             "REPRO_PERF_BACKEND",
             "REPRO_SWEEP_STORE",
             "REPRO_RAW_STORE",
             "REPRO_SCALE",
             "REPRO_CACHE",
         }
+        assert ENV_VARS["REPRO_PERF_BACKEND"].default == "numpy"
 
     def test_retired_perf_switch_is_not_declared(self):
         # the kernel registry's backend is the only dispatch switch left
-        source = (REPO_ROOT / "src" / "repro" / "config.py").read_text(encoding="utf-8")
-        assert "REPRO_PERF" not in ConfigRegistryRule._parse_declared(ast.parse(source))
+        assert "REPRO_PERF" not in ENV_VARS
+        out = self._check(self.CONFIG, "import os\nv = os.environ.get('REPRO_PERF', '')\n")
+        assert [v.message for v in out] == [
+            "environment variable 'REPRO_PERF' is read but not declared in "
+            "ENV_VARS (repro/config.py)"
+        ]
+
+    #: every load of os.environ is a read; `{}` is the variable name, if any
+    READ_IDIOMS = {
+        "in": "'{}' in os.environ",
+        "setdefault": "os.environ.setdefault('{}', '1')",
+        "pop": "os.environ.pop('{}', None)",
+        "dict": "dict(os.environ)",
+        "copy": "os.environ.copy()",
+    }
+
+    @pytest.mark.parametrize("idiom", sorted(READ_IDIOMS))
+    def test_read_idiom_triggers(self, tmp_path, idiom):
+        expr = self.READ_IDIOMS[idiom]
+        res = lint_snippet(tmp_path, "oned", f"import os\nv = {expr.format('REPRO_SCALE')}\n")
+        assert codes(res) and set(codes(res)) == {"RPL011"}
+        assert "outside a declared config module" in res.violations[0].message
+        out = self._check(self.CONFIG, f"import os\nv = {expr.format('REPRO_NEW')}\n")
+        expected = "not declared" if "{}" in expr else "non-literal (or no) variable name"
+        assert len(out) == 1 and expected in out[0].message
 
 
 class TestRPL100StaleSuppressions:
@@ -740,8 +540,11 @@ class TestRPL100StaleSuppressions:
         assert codes(res) == ["RPL100"]
         assert res.violations[0].line == 2
 
-    # a retired rule, a typo, and the two rules the matrix tests replaced
-    @pytest.mark.parametrize("code", ["RPL006", "RPL999", "RPL009", "RPL012"])
+    # retired rules (the registry ones among them), a typo, and the two
+    # rules the matrix tests replaced
+    @pytest.mark.parametrize(
+        "code", ["RPL006", "RPL999", "RPL009", "RPL012", "RPL004", "RPL007", "RPL008"]
+    )
     @pytest.mark.parametrize("scope", ["disable", "disable-file"])
     def test_unknown_code_triggers(self, tmp_path, code, scope):
         src = f"x = 1  # repro-lint: {scope}={code} — left behind\n"
@@ -775,7 +578,4 @@ class TestSarifReport:
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         listed = sorted(line.split()[0] for line in out.splitlines() if line.startswith("RPL"))
-        assert listed == [
-            "RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
-            "RPL007", "RPL008", "RPL010", "RPL011", "RPL100",
-        ]
+        assert listed == ["RPL001", "RPL002", "RPL003", "RPL005", "RPL010", "RPL011", "RPL100"]

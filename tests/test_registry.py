@@ -1,5 +1,11 @@
 """Tests for the algorithm registry and the partition_2d entry point."""
 
+import inspect
+import json
+import re
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +14,9 @@ from repro import ALGORITHMS, algorithm_names, lower_bound, partition_2d
 from repro.core.errors import ParameterError
 
 from .conftest import load_matrices
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+CATALOGUE = (REPO_ROOT / "docs" / "algorithms.md").read_text(encoding="utf-8")
 
 FAST_NAMES = [
     "RECT-UNIFORM",
@@ -76,3 +85,73 @@ class TestAllAlgorithmsContract:
         ph = partition_2d(A, m, "JAG-PQ-HEUR").max_load(A)
         assert lb <= mo + (1 if A.sum() == 0 else 0)
         assert mo <= po <= ph
+
+
+_CITATION_RE = re.compile(r"§|\bSection\s+\d|\bTheorem\s+\d|\bFigure\s+\d|\b§?\d\.\d")
+#: ``O(...)`` claims, one paren nesting level deep (``O(m log max(n1, n2))``)
+_CLAIM_RE = re.compile(r"O\((?:[^()]|\([^()]*\))*\)")
+
+
+def _claims(text: str) -> set[str]:
+    """The ``O(...)`` claims in ``text``, normalized typographically.
+
+    Case, backticks, whitespace, multiplication signs and superscripts are
+    cosmetic (``O(n·m)`` == ``O(N * M)``, ``O(m²)`` == ``O(m^2)``); another
+    variable or factor is a real difference.
+    """
+    out = set()
+    for claim in _CLAIM_RE.findall(text):
+        claim = claim.lower().replace("`", "")
+        for ch in "·×* \t\n":
+            claim = claim.replace(ch, "")
+        out.add(claim.replace("²", "^2").replace("³", "^3"))
+    return out
+
+
+@pytest.mark.parametrize(
+    "text, claims",
+    [
+        ("`O(N * M)` per pass", {"o(nm)"}),
+        ("O(n·m) or O(n×m)", {"o(nm)"}),
+        ("O(m²) and O(n³ m)", {"o(m^2)", "o(n^3m)"}),
+        ("runs in O(m² log max(n1, n2)) overall", {"o(m^2logmax(n1,n2))"}),
+    ],
+    ids=["typography", "multiplication-signs", "superscripts", "nested-parens"],
+)
+def test_claim_normalization(text, claims):
+    assert _claims(text) == claims
+
+
+def entry_claims(name: str) -> set[str]:
+    """The complexity claims of an entry's implementation and its module."""
+    impl = inspect.unwrap(ALGORITHMS[name])
+    doc = inspect.getdoc(impl) or ""
+    module_doc = inspect.getdoc(sys.modules[impl.__module__]) or ""
+    return _claims(doc + "\n" + module_doc)
+
+
+def check_entry(name: str) -> None:
+    """Assert that the entry's implementation cites the paper, returns a
+    Partition, and is in ``docs/algorithms.md`` with every complexity claim
+    it makes."""
+    impl = inspect.unwrap(ALGORITHMS[name])
+    doc = inspect.getdoc(impl) or ""
+    assert _CITATION_RE.search(doc), f"{impl.__qualname__} cites no paper section"
+    ret = impl.__annotations__.get("return")
+    assert getattr(ret, "__name__", ret) == "Partition"
+    assert re.sub(r"-(HOR|VER|BEST|LOAD|DIST)$", "", name) in CATALOGUE
+    assert entry_claims(name) - _claims(CATALOGUE) == set()
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_entry_is_cited_typed_and_catalogued(name):
+    check_entry(name)
+
+
+def test_raw_cells_cover_every_entry():
+    """Every entry has a measured cell in the committed ``raw/`` store."""
+    algos = {
+        json.loads(p.read_text(encoding="utf-8"))["key"]["algo"]
+        for p in REPO_ROOT.glob("raw/*/*.json")
+    }
+    assert set(ALGORITHMS) - algos == set()
