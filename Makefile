@@ -36,7 +36,8 @@ test-reference:
 		tests/test_multicost.py tests/test_rectilinear.py tests/test_rect_opt.py \
 		tests/test_jagged_heur.py tests/test_jagged_opt.py tests/test_hierarchical.py \
 		tests/test_sparse_equality.py tests/test_jagged_lmax.py \
-		tests/test_transpose.py tests/test_metamorphic.py
+		tests/test_transpose.py tests/test_metamorphic.py \
+		tests/test_oned_optimal.py tests/test_oned_engine.py
 
 # regenerate every figure/extension through the committed raw/ store:
 # unchanged cells are cache hits, only what changed is recomputed, and a

@@ -1,8 +1,10 @@
 """Ablation: the 1D partitioning layer.
 
-* Exact algorithms head-to-head (Nicol vs NicolPlus vs integer bisection vs
-  the Manne–Olstad DP) — quantifies the paper's claim that bounding
-  techniques yield large speedups ([8], §2.2).
+* Exact algorithms head-to-head (Nicol vs NicolPlus vs the two-sided
+  bisection engine vs the Manne–Olstad DP) — quantifies the paper's claim
+  that bounding techniques yield large speedups ([8], §2.2).  Nicol and
+  NicolPlus are the §2.2 baselines; ``bisect`` is the engine every 2D
+  algorithm calls for its optimal 1D solves.
 * Probe implementations: plain binary search vs the Han et al. slicing
   technique.
 * Heuristics for context (DirectCut, refined DC, recursive bisection).

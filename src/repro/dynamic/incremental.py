@@ -37,7 +37,7 @@ __all__ = ["IncrementalJagged", "refine_jagged"]
 
 
 def refine_jagged(
-    previous: Partition, A: MatrixLike, *, oned: str = "nicolplus"
+    previous: Partition, A: MatrixLike, *, oned: str = "bisect"
 ) -> Partition:
     """Re-optimize the column cuts of a jagged partition for a new matrix.
 
@@ -103,7 +103,7 @@ class IncrementalJagged(RepartitionPolicy):
         1D method used for the refinements.
     """
 
-    def __init__(self, m: int, *, threshold: float = 0.10, oned: str = "nicolplus"):
+    def __init__(self, m: int, *, threshold: float = 0.10, oned: str = "bisect"):
         if m <= 0:
             raise ParameterError("m must be positive")
         if threshold < 0:

@@ -25,7 +25,7 @@ import numpy as np
 from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import PrefixSum2D
-from ..oned.api import ONED_METHODS
+from ..oned.api import EXACT_ONED, ONED_METHODS
 from ..perf import kernels as _kernels
 from ..sweep.state import current as _sweep_current
 from .common import build_jagged_partition, default_stripe_count, oriented
@@ -101,7 +101,7 @@ def _jag_m_heur_main0(
     pref: PrefixSum2D,
     m: int,
     num_stripes: int | str | None = None,
-    oned: str = "nicolplus",
+    oned: str = "bisect",
 ) -> Partition:
     """m-way jagged heuristic (§3.2.2) on main dimension 0 (see module docstring)."""
     candidates = _stripe_candidates(pref, m, "sqrt" if num_stripes is None else num_stripes)
@@ -121,7 +121,7 @@ def _jag_m_heur_main0(
         # (unconstrained queries still see every scope's witnesses)
         scope = {
             "num_stripes": None if num_stripes in (None, "sqrt") else num_stripes,
-            "oned": None if oned == "nicolplus" else oned,
+            "oned": None if oned in EXACT_ONED else oned,
         }
         state.record_ub(pref, "jag_m", (m,), best.meta["lmax"], kw=scope)
     return best
@@ -131,7 +131,7 @@ def _jag_m_heur_single(
     pref: PrefixSum2D,
     m: int,
     P: int,
-    oned: str = "nicolplus",
+    oned: str = "bisect",
 ) -> Partition:
     if not (1 <= P <= m):
         raise ParameterError(f"stripe count {P} out of range [1, {m}]")

@@ -18,7 +18,7 @@ import numpy as np
 from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import PrefixSum2D
-from ..oned.api import ONED_METHODS
+from ..oned.api import EXACT_ONED, ONED_METHODS
 from ..sweep.state import current as _sweep_current
 from .common import build_jagged_partition, choose_pq, oriented
 
@@ -26,7 +26,7 @@ __all__ = ["jag_pq_heur", "jag_pq_heur_cuts"]
 
 
 def jag_pq_heur_cuts(
-    pref: PrefixSum2D, P: int, Q: int, oned: str = "nicolplus"
+    pref: PrefixSum2D, P: int, Q: int, oned: str = "bisect"
 ) -> tuple[np.ndarray, list[np.ndarray], int]:
     """Stripe cuts, per-stripe column cuts and Lmax of the P×Q-way jagged heuristic.
 
@@ -55,7 +55,7 @@ def _jag_pq_heur_main0(
     m: int,
     P: int | None = None,
     Q: int | None = None,
-    oned: str = "nicolplus",
+    oned: str = "bisect",
 ) -> Partition:
     """P×Q-way jagged heuristic (§3.2.1) on main dimension 0 (see module docstring)."""
     if P is None or Q is None:
@@ -70,9 +70,9 @@ def _jag_pq_heur_main0(
     if state is not None:
         # a P×Q-way feasible witness; also transfers to the m-way class
         # (any P×Q-way jagged partition is a (P·Q)-way jagged partition).
-        # Scoped by the non-default 1D solver so a weaker oned's witness
-        # never masquerades as the default producer's fact
-        scope = {"oned": None if oned == "nicolplus" else oned}
+        # Scoped by a heuristic 1D solver so a weaker oned's witness never
+        # masquerades as the default producer's fact (every exact one is it)
+        scope = {"oned": None if oned in EXACT_ONED else oned}
         state.record_ub(pref, "jag_pq", (P, Q), lmax, kw=scope)
     return part
 

@@ -1,8 +1,9 @@
 """One-dimensional partitioning substrate (paper §2.2).
 
 Heuristics (DirectCut, recursive bisection), exact algorithms (Nicol,
-NicolPlus, Manne–Olstad DP, integer bisection), the Probe subroutine, and
-the striped-cost generalization used by RECT-NICOL.
+NicolPlus, Manne–Olstad DP, and the two-sided bisection engine the 2D
+algorithms call), the Probe subroutine, and the striped-cost
+generalization used by RECT-NICOL.
 """
 
 from .api import ONED_METHODS, OneDResult, interval_loads, partition_1d

@@ -1,8 +1,8 @@
 """Public 1D partitioning API.
 
 The paper's 2D algorithms all call "an optimal 1D partitioning algorithm"
-(NicolPlus by default, per §2.2).  This module exposes a uniform entry point
-over every 1D method implemented in the package.
+(§2.2), here the two-sided engine ``bisect``.  This module exposes a uniform
+entry point over every 1D method implemented in the package.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .dp import partition_dp
 from .heuristics import direct_cut, direct_cut_refined, recursive_bisection
 from .nicol import nicol, nicol_plus
 
-__all__ = ["OneDResult", "partition_1d", "ONED_METHODS", "interval_loads"]
+__all__ = ["OneDResult", "partition_1d", "ONED_METHODS", "EXACT_ONED", "interval_loads"]
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,9 @@ def _run_heuristic(fn: Callable[[np.ndarray, int], np.ndarray]):
     return run
 
 
-#: name -> callable(P, m) -> (bottleneck, cuts). Optimal methods: ``nicolplus``
-#: (default, §2.2), ``nicol``, ``dp`` (Manne–Olstad), ``bisect``.  Heuristics:
-#: ``dc`` (DirectCut), ``dc2`` (Miguet–Pierson H2), ``rb`` (recursive bisection).
+#: name -> callable(P, m) -> (bottleneck, cuts). Optimal methods: ``bisect``
+#: (the 2D algorithms' engine), ``nicolplus`` (§2.2), ``nicol``, ``dp``.
+#: Heuristics: ``dc`` (DirectCut), ``dc2`` (Miguet–Pierson H2), ``rb``.
 ONED_METHODS: dict[str, Callable[[np.ndarray, int], tuple[int, np.ndarray]]] = {
     "dc": _run_heuristic(direct_cut),
     "directcut": _run_heuristic(direct_cut),
@@ -79,6 +79,9 @@ ONED_METHODS: dict[str, Callable[[np.ndarray, int], tuple[int, np.ndarray]]] = {
     "nicol": nicol,
     "nicolplus": nicol_plus,
 }
+
+#: exact methods: the same optimum and greedy cuts ``probe_cuts(P, m, B*)``
+EXACT_ONED = frozenset({"bisect", "dp", "nicol", "nicolplus"})
 
 
 def partition_1d(

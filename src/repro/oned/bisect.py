@@ -1,30 +1,27 @@
-"""Exact 1D partitioning by integer bisection on the bottleneck value.
+"""The exact 1D engine: a two-sided integer bisection on the bottleneck value.
 
-Loads are integers throughout the reproduction (cf. DESIGN.md), so the
-optimal bottleneck is an integer in ``[LB, UB]`` with
+Loads are integers (cf. DESIGN.md), so the optimum is an integer in
+``[max(ceil(total/m), max element), total//m + max element]`` — the lower
+bounds of §2.1 and the DirectCut guarantee of §2.2.  Each probe is a greedy
+walk that proves a bound on both sides (the rule ``docs/algorithms.md``
+proves for :mod:`repro.oned.multicost`, with one stripe): a feasible walk
+returns its realised bottleneck, the new upper end, and an infeasible walk
+its cheapest one-step extension, the new lower end.  The search ends on the
+realised bottleneck of a walk, so its greedy cuts are ``probe_cuts(P, m,
+B*)``.  Every optimal 1D solve of the 2D algorithms runs here; NicolPlus
+(:mod:`repro.oned.nicol`) stays the §2.2 baseline.
 
-* ``LB = max(ceil(total/m), max element)`` (the lower bounds of §2.1), and
-* ``UB = total/m + max element`` (the DirectCut guarantee of §2.2 — the
-  paper highlights this bound precisely because it brackets the optimum).
-
-``Probe`` is monotone in ``B``, so a standard bisection yields the optimum in
-``O(m log(n) log(max - min))``.  This is not one of the paper's named
-algorithms but serves as an independent exact method to cross-check Nicol's
-search, and as the inner engine for generalized interval costs
-(:mod:`repro.oned.multicost`).
-
-Perf notes (measured; see ``docs/performance.md``): for large prefixes the
-O(n) list conversion in front of the scalar probe loop dominates the whole
-O(probes · m · log n) search, so the bisection probes the ndarray directly
-(:func:`_probe_nd`).  Batched *grid* narrowing via
-:func:`~repro.perf.kernels.probe_batch` was measured here too and lost in
-every regime — K batched candidates pay K full greedy walks but adaptive
-bisection extracts only log2(K) bits from them.  The batch kernel wins when
-many candidates are genuinely independent, which is what
-:func:`feasible_bottlenecks` exposes.
+Above ``_ND_PROBE_RATIO`` cells per part the O(n) list conversion would
+dominate the search, so the engine walks the ndarray in place
+(:func:`_walk_nd`), with the same decisions as :func:`_walk_list`.  Batched
+grid narrowing via :func:`~repro.perf.kernels.probe_batch` lost in every
+regime (``docs/performance.md``); the batch kernel serves genuinely
+independent candidates, :func:`feasible_bottlenecks`.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -32,7 +29,7 @@ from ..perf.kernels import probe_batch
 from ..perf.counters import _STACK as _OPS
 from ..perf.counters import bump
 from ..sweep.state import current as _sweep_current
-from .probe import as_boundary_list, probe, probe_cuts
+from .probe import as_boundary_list, check_m, probe_cuts
 
 __all__ = ["bisect_bottleneck", "partition_bisect", "feasible_bottlenecks"]
 
@@ -41,63 +38,87 @@ __all__ = ["bisect_bottleneck", "partition_bisect", "feasible_bottlenecks"]
 _ND_PROBE_RATIO = 512
 
 
-def _probe_nd(arr: np.ndarray, m: int, B: int, hi: int) -> bool:
-    """Scalar probe over an int64 prefix *array* — no list conversion.
+def _walk_list(Pl: list[int], m: int, B: int) -> tuple[bool, int, int]:
+    """Greedy walk at ``B >= 0`` over ``n >= 1`` cells: ``(feasible, bound, steps)``.
 
-    Decision-identical to :func:`repro.oned.probe.probe` on ``[0, hi)``: the
-    unrestricted ``searchsorted`` insertion point is ``>= pos + 1`` because
-    the target is ``>= arr[pos]``, and clamping to ``hi`` reproduces the
-    ``[pos, hi]`` window of the list-based binary search.
+    ``bound`` is the realised bottleneck of a feasible walk, else the
+    cheapest one-step extension of the steps it took.
     """
-    if _OPS:  # counting twin keeps the hot loop free of bookkeeping
-        return _probe_nd_counted(arr, m, B, hi)
-    if B < 0:
-        return False
+    n = len(Pl) - 1
+    top = Pl[n]
     pos = 0
-    for _ in range(m):
-        if pos >= hi:
-            return True
-        nxt = int(arr.searchsorted(arr[pos] + B, side="right")) - 1
-        if nxt > hi:
-            nxt = hi
-        if nxt <= pos:  # single cell exceeds B
-            return False
+    bound = 0
+    ext = top + 1  # every extension costs at most the total
+    for k in range(m):
+        base = Pl[pos]
+        nxt = bisect_right(Pl, base + B, pos) - 1
+        if nxt == n:
+            return True, max(bound, top - base), k + 1
+        c = Pl[nxt + 1] - base
+        if c < ext:
+            ext = c
+        if nxt == pos:  # single cell exceeds B
+            return False, ext, k + 1
+        c = Pl[nxt] - base
+        if c > bound:
+            bound = c
         pos = nxt
-    return pos >= hi
+    return False, ext, m
 
 
-def _probe_nd_counted(arr: np.ndarray, m: int, B: int, hi: int) -> bool:
-    """Instrumented twin of :func:`_probe_nd`: same decisions, counted steps."""
-    bump("probe_calls")
-    if B < 0:
-        return False
+def _walk_nd(arr: np.ndarray, m: int, B: int) -> tuple[bool, int, int]:
+    """:func:`_walk_list` on an int64 prefix array, with no list conversion.
+
+    The target is clamped to the total: ``arr[pos] + B`` would wrap in int64.
+    """
+    n = arr.shape[0] - 1
+    top = int(arr[n])
     pos = 0
-    steps = 0
-    result = pos >= hi
-    for _ in range(m):
-        if pos >= hi:
-            result = True
-            break
-        steps += 1
-        nxt = int(arr.searchsorted(arr[pos] + B, side="right")) - 1
-        if nxt > hi:
-            nxt = hi
-        if nxt <= pos:
-            result = False
-            break
+    bound = 0
+    ext = top + 1
+    for k in range(m):
+        base = int(arr[pos])
+        nxt = int(arr.searchsorted(min(base + B, top), side="right")) - 1
+        if nxt == n:
+            return True, max(bound, top - base), k + 1
+        c = int(arr[nxt + 1]) - base
+        if c < ext:
+            ext = c
+        if nxt == pos:
+            return False, ext, k + 1
+        c = int(arr[nxt]) - base
+        if c > bound:
+            bound = c
         pos = nxt
-    else:
-        result = pos >= hi
-    bump("probe_steps", steps)
-    return result
+    return False, ext, m
 
 
-def _bounds(P: np.ndarray, m: int) -> tuple[int, int]:
+def _bounds(P, m: int) -> tuple[int, int]:
     total = int(P[-1])
-    max_el = int(np.max(np.diff(P))) if len(P) > 1 else 0
+    max_el = int(np.max(np.diff(P), initial=0))
     lb = max(-(-total // m), max_el)
-    ub = total // m + max_el
-    return lb, max(lb, ub)
+    return lb, max(lb, total // m + max_el)
+
+
+def _search(P, m: int, lo: int, hi: int) -> tuple[int, list[int] | np.ndarray]:
+    """``(B*, boundary form walked)`` for a bracket ``[lo, hi]`` with ``hi`` feasible."""
+    if isinstance(P, np.ndarray) and len(P) - 1 >= _ND_PROBE_RATIO * m:
+        # large prefix: O(walks · m) ~0.6 µs searchsorted calls cost less
+        # than converting n boundaries to a list
+        A, walk = P, _walk_nd
+    else:
+        # one list conversion for every walk (and the caller's cut extraction)
+        A, walk = as_boundary_list(P), _walk_list
+    while lo < hi:
+        ok, bound, steps = walk(A, m, (lo + hi) // 2)
+        if _OPS:  # the walks themselves carry no bookkeeping
+            bump("probe_calls")
+            bump("probe_steps", steps)
+        if ok:
+            hi = bound
+        else:
+            lo = bound
+    return lo, A
 
 
 def bisect_bottleneck(
@@ -111,9 +132,10 @@ def bisect_bottleneck(
     ``B``.  Under an active :mod:`repro.sweep` context the bracket is
     additionally tightened from bounds proved by earlier calls on the same
     prefix array, and the computed optimum is recorded for later calls.
+    Raises :class:`~repro.core.errors.ParameterError` for ``m < 1``.
     """
-    n = len(P) - 1
-    if n == 0:
+    check_m(m)
+    if len(P) == 1:
         return 0
     lo, hi = _bounds(P, m)
     if lb is not None and lb > lo:
@@ -129,30 +151,10 @@ def bisect_bottleneck(
             lo = wlb
         if wub is not None and wub < hi:
             hi = wub
-    lb, ub = lo, max(lo, hi)
-    if isinstance(P, np.ndarray) and n >= _ND_PROBE_RATIO * m:
-        # large prefix: skip the O(n) list conversion and probe the array
-        # in place (each step is a ~0.6 µs method-call searchsorted, but
-        # only O(probes · m) of them happen vs n list-element conversions)
-        while lb < ub:
-            mid = (lb + ub) // 2
-            if _probe_nd(P, m, mid, n):
-                ub = mid
-            else:
-                lb = mid + 1
-    else:
-        # hoist the list conversion out of the probe loop: every iteration
-        # probes the same prefix (the conversion is O(n) per call otherwise)
-        Pl = as_boundary_list(P)
-        while lb < ub:
-            mid = (lb + ub) // 2
-            if probe(Pl, m, mid):
-                ub = mid
-            else:
-                lb = mid + 1
+    B = _search(P, m, lo, max(lo, hi))[0]
     if state is not None:
-        state.record_opt(P, "bisect", (m,), lb)
-    return lb
+        state.record_opt(P, "bisect", (m,), B)
+    return B
 
 
 def feasible_bottlenecks(P: np.ndarray, m: int, Bs) -> np.ndarray:
@@ -171,8 +173,13 @@ def feasible_bottlenecks(P: np.ndarray, m: int, Bs) -> np.ndarray:
 
 
 def partition_bisect(P: np.ndarray, m: int) -> tuple[int, np.ndarray]:
-    """Optimal 1D partition ``(bottleneck, cuts)`` via integer bisection."""
-    B = bisect_bottleneck(P, m)
-    cuts = probe_cuts(P, m, B)
+    """Optimal 1D partition ``(bottleneck, cuts)`` from the two-sided engine.
+
+    Unlike :func:`bisect_bottleneck` it keeps no sweep facts: the jagged
+    heuristics call it on throwaway stripe projections.
+    """
+    check_m(m)
+    B, A = _search(P, m, *_bounds(P, m))
+    cuts = probe_cuts(A, m, B)
     assert cuts is not None
     return B, cuts

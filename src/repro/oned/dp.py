@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .probe import probe_cuts
+from .probe import check_m, probe_cuts
 
 __all__ = ["dp_bottleneck", "partition_dp"]
 
 
 def dp_bottleneck(P: np.ndarray, m: int) -> int:
     """Optimal bottleneck value for partitioning prefix ``P`` into ``m`` intervals."""
+    check_m(m)
     n = len(P) - 1
-    if m <= 0:
-        raise ValueError("m must be positive")
     if n == 0:
         return 0
     # f[j] = optimal bottleneck of prefix cells [0, j) with current k intervals

@@ -29,15 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.errors import ParameterError
 from ..perf import kernels as _kernels
+from .probe import check_m
 
 __all__ = ["probe_multi", "multi_bottleneck", "partition_multi", "multi_cuts"]
-
-
-def _check_m(m: int) -> None:
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
 
 
 def probe_multi(M, m: int, B: int) -> bool:
@@ -47,14 +42,14 @@ def probe_multi(M, m: int, B: int) -> bool:
 
 def multi_cuts(M, m: int, B: int) -> np.ndarray | None:
     """Greedy cuts realizing striped bottleneck ``B`` (None if infeasible)."""
-    _check_m(m)
+    check_m(m)
     ok, _, cuts = _kernels.probe_multi(M, m, B)
     return np.array(cuts, dtype=np.int64) if ok else None
 
 
 def _solve(M, m: int, ub: int | None) -> tuple[int, list[int]]:
     """``(optimal bottleneck, greedy cuts at it)`` of the striped problem."""
-    _check_m(m)
+    check_m(m)
     M = np.ascontiguousarray(M, dtype=np.int64)
     n = M.shape[1] - 1
     if n == 0 or M.shape[0] == 0:

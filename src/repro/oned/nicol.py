@@ -38,7 +38,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .probe import as_boundary_list, probe, probe_cuts
+from .probe import as_boundary_list, check_m, probe, probe_cuts
 
 __all__ = ["nicol", "nicol_plus", "nicol_bottleneck", "nicol_plus_bottleneck"]
 
@@ -63,6 +63,7 @@ def _candidate_search(
 
 def nicol_bottleneck(P: np.ndarray, m: int) -> int:
     """Optimal bottleneck via Nicol's rightmost-failing-prefix search."""
+    check_m(m)
     n = len(P) - 1
     if n == 0 or int(P[-1]) == 0:
         return 0
@@ -86,16 +87,12 @@ def nicol_bottleneck(P: np.ndarray, m: int) -> int:
 
 def nicol_plus_bottleneck(P: np.ndarray, m: int) -> int:
     """NicolPlus: Nicol's search with sound bound-narrowed binary searches."""
+    check_m(m)
     n = len(P) - 1
     if n == 0 or int(P[-1]) == 0:
         return 0
     max_el = int(np.max(np.diff(P)))
-    return _nicol_plus_core(as_boundary_list(P), m, max_el)
-
-
-def _nicol_plus_core(P: list, m: int, max_el: int) -> int:
-    """NicolPlus search on an already-converted boundary list."""
-    n = len(P) - 1
+    P = as_boundary_list(P)
     total = int(P[-1])
     global_lb = max(-(-total // m), max_el)
     best: int | None = None
@@ -135,17 +132,8 @@ def nicol(P: np.ndarray, m: int) -> tuple[int, np.ndarray]:
 
 
 def nicol_plus(P: np.ndarray, m: int) -> tuple[int, np.ndarray]:
-    """Optimal 1D partition ``(bottleneck, cuts)`` via NicolPlus.
-
-    The boundary-list conversion is shared between the bottleneck search
-    and the cut extraction (two standalone calls would each convert — the
-    jagged heuristics would pay that twice per stripe solve).
-    """
-    Pl = as_boundary_list(P)
-    if len(Pl) == 1 or Pl[-1] == 0:
-        B = 0
-    else:
-        B = _nicol_plus_core(Pl, m, int(np.max(np.diff(P))))
-    cuts = probe_cuts(Pl, m, B)
+    """Optimal 1D partition ``(bottleneck, cuts)`` via NicolPlus."""
+    B = nicol_plus_bottleneck(P, m)
+    cuts = probe_cuts(P, m, B)
     assert cuts is not None
     return B, cuts

@@ -24,11 +24,18 @@ from bisect import bisect_right
 
 import numpy as np
 
+from ..core.errors import ParameterError
 from ..perf import kernels as _kernels
 from ..perf.counters import _STACK as _OPS
 from ..perf.counters import bump
 
-__all__ = ["probe", "probe_cuts", "probe_sliced", "min_parts", "as_boundary_list"]
+__all__ = ["probe", "probe_cuts", "probe_sliced", "min_parts", "as_boundary_list", "check_m"]
+
+
+def check_m(m: int) -> None:
+    """Reject a part count below one (every exact 1D method's domain)."""
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m}")
 
 
 def as_boundary_list(P) -> list[int]:

@@ -100,7 +100,7 @@ def vol_jag_m_heur(
     *,
     num_slabs: int | None = None,
     axis: int = 0,
-    oned: str = "nicolplus",
+    oned: str = "bisect",
 ) -> Partition3D:
     """3D m-way jagged heuristic: 1D slabs × 2D m-way jagged per slab.
 

@@ -8,7 +8,8 @@ rectangle-load queries — and these tests pin them against the paper's
 formulas on deterministic seeded instances:
 
 * Probe is ``O(m log n)``: at most ``m`` greedy steps per call (§2.2).
-* Exact 1D bisection opens ``O(log(UB - LB))`` probes (§2.2).
+* Exact 1D bisection opens ``O(log(UB - LB))`` probes (§2.2), and its
+  two-sided walks never need more of them than plain bisection.
 * JAG-M-HEUR is ``O(n + m log n)`` (§3.2.1): total probe steps stay within
   a fixed constant of ``n + m·log₂(n)``.
 * HIER-RB evaluates exactly 2 cut searches per tree node with even splits,
@@ -136,6 +137,27 @@ def test_bisect_probe_count_logarithmic(P):
     with op_counters() as ops:
         bisect_bottleneck(P, m)
     assert ops["probe_calls"] <= math.ceil(math.log2(ub - lb + 1)) + 1
+
+
+@pytest.mark.parametrize("m,walks", [(3, 3), (12, 4), (40, 5)])
+def test_bisect_walk_count_pinned(P, m, walks):
+    # each walk moves an end of the bracket to the bound it proves (the
+    # realised bottleneck or the cheapest extension), so the engine walks
+    # no more often than plain bisection, which learns one bit per probe
+    total = int(P[-1])
+    lo = max(-(-total // m), int(np.max(np.diff(P))))
+    hi = total // m + int(np.max(np.diff(P)))
+    plain = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        plain += 1
+        if probe(P, m, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    with op_counters() as ops:
+        assert bisect_bottleneck(P, m) == lo
+    assert ops["probe_calls"] == walks <= plain
 
 
 def test_bisect_nd_probe_path_same_probe_count():
