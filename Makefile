@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint ruff mypy test test-reference figures figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
+.PHONY: check lint ruff mypy test test-reference partition-smoke figures figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
 
 check: ruff mypy lint test
 	@echo "make check: all gates passed"
@@ -38,6 +38,31 @@ test-reference:
 		tests/test_sparse_equality.py tests/test_jagged_lmax.py \
 		tests/test_transpose.py tests/test_metamorphic.py \
 		tests/test_oned_optimal.py tests/test_oned_engine.py
+
+# CI smoke of the partition file round trip: each of the six heuristics
+# partitions a small .npy at m = 64 through the CLI into .json and .npz;
+# both files must reload (load_partition) to the in-process partition's
+# coordinates and shape, and validate
+PARTITION_SMOKE = /tmp/repro-partition-smoke
+HEURISTICS = RECT-UNIFORM RECT-NICOL JAG-PQ-HEUR JAG-M-HEUR HIER-RB HIER-RELAXED
+PART_OK = PYTHONPATH=src $(PYTHON) -c "import sys, numpy as np; \
+	from repro import partition_2d; from repro.core.serialize import load_partition; \
+	d, meth = sys.argv[1:]; A = np.load(d + '/A.npy'); want = partition_2d(A, 64, meth); \
+	got = [load_partition(f'{d}/{meth}.{ext}') for ext in ('json', 'npz')]; \
+	assert all(np.array_equal(p.coords(), want.coords()) and p.shape == want.shape for p in got), meth; \
+	[p.validate() for p in got]"
+partition-smoke:
+	rm -rf $(PARTITION_SMOKE) && mkdir -p $(PARTITION_SMOKE)
+	$(PYTHON) -c "import numpy as np; \
+		np.save('$(PARTITION_SMOKE)/A.npy', np.random.default_rng(0).integers(0, 100, (48, 40)))"
+	set -e; for meth in $(HEURISTICS); do \
+		for ext in json npz; do \
+			PYTHONPATH=src $(PYTHON) -m repro.cli $(PARTITION_SMOKE)/A.npy -m 64 \
+				--method $$meth --out $(PARTITION_SMOKE)/$$meth.$$ext; \
+		done; \
+		$(PART_OK) $(PARTITION_SMOKE) $$meth; \
+	done
+	@echo "partition-smoke: six heuristics round-trip through .json and .npz"
 
 # regenerate every figure/extension through the committed raw/ store:
 # unchanged cells are cache hits, only what changed is recomputed, and a

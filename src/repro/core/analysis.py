@@ -69,19 +69,19 @@ def analyze(A: MatrixLike, partition: Partition) -> PartitionReport:
     """Compute a :class:`PartitionReport` for ``partition`` on matrix ``A``."""
     pref = prefix_2d(A)
     loads = partition.loads(pref).astype(np.int64)
-    active = [r for r in partition.rects if not r.is_empty]
+    r0, r1, c0, c1 = partition.coords().T
+    h, w = r1 - r0, c1 - c0
+    active = (h > 0) & (w > 0)
+    h, w = h[active], w[active]
     lb = lower_bound(pref, partition.m)
     maxload = int(loads.max(initial=0))
-    aspects = [
-        max(r.height / r.width, r.width / r.height) for r in active if r.area > 0
-    ]
     # ratio metrics go through Fraction with one final float conversion:
     # dividing big-int loads as floats rounds twice and drifts past 2^53
     return PartitionReport(
         method=partition.method,
         shape=partition.shape,
         m=partition.m,
-        active=len(active),
+        active=int(active.sum()),
         total_load=pref.total,
         max_load=maxload,
         min_load=int(loads.min(initial=0)),
@@ -96,7 +96,7 @@ def analyze(A: MatrixLike, partition: Partition) -> PartitionReport:
         optimality_gap=float(Fraction(maxload - lb, lb)) if lb else 0.0,
         comm_volume=communication_volume(partition),
         max_boundary=max_boundary(partition),
-        worst_aspect=float(max(aspects)) if aspects else 1.0,
+        worst_aspect=float(np.maximum(h / w, w / h).max(initial=1.0)),
         load_percentiles={
             p: float(np.percentile(loads, p)) for p in (10, 50, 90, 99)
         }

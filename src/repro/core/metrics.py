@@ -57,24 +57,25 @@ def load_imbalance(A: MatrixLike, partition: Partition) -> float:
 def communication_volume(partition: Partition) -> int:
     """Total number of grid edges crossing rectangle boundaries.
 
-    Each cell communicates with its 4-neighbours (Section 1); an edge between
-    two cells owned by different processors costs one unit in each direction.
-    For a valid rectangle partition this equals the sum of the rectangles'
-    interior boundary lengths divided by... each crossing edge is counted once
-    from each side, so the sum of boundary lengths counts every cross edge
-    exactly twice.  We return the number of crossing edges (undirected).
+    Each cell communicates with its 4-neighbours (Section 1).  The sum of
+    the rectangles' interior boundary lengths counts every crossing edge
+    once from each side; the undirected count is half of it.
     """
-    n1, n2 = partition.shape
-    total = sum(r.boundary_length(n1, n2) for r in partition.rects)
-    return total // 2
+    return int(_boundary_lengths(partition).sum()) // 2
 
 
 def max_boundary(partition: Partition) -> int:
     """Largest per-processor boundary (a per-step communication bottleneck)."""
-    n1, n2 = partition.shape
-    if not partition.rects:
-        return 0
-    return max(r.boundary_length(n1, n2) for r in partition.rects)
+    return int(_boundary_lengths(partition).max(initial=0))
+
+
+def _boundary_lengths(partition: Partition) -> np.ndarray:
+    """Every rectangle's :meth:`~repro.core.rectangle.Rect.boundary_length`."""
+    lo, hi = partition.coords()[:, 0::2], partition.coords()[:, 1::2]
+    ext = hi - lo  # (height, width)
+    # a row side is as long as the width, a column side as the height
+    sides = (lo > 0).astype(np.int64) + (hi < partition.shape)
+    return (sides * ext[:, ::-1]).sum(axis=1) * (ext > 0).all(axis=1)
 
 
 def neighbor_counts(partition: Partition) -> np.ndarray:
@@ -131,9 +132,8 @@ def migration_volume(
             f"empty rectangles to compare"
         )
     pref = prefix_2d(A)
-    kept = 0
-    for i in range(old.m):
-        inter = old.rects[i].intersect(new.rects[i])
-        if inter is not None:
-            kept += pref.load(inter.r0, inter.r1, inter.c0, inter.c1)
-    return pref.total - kept
+    a, b = old.coords(), new.coords()
+    lo, hi = np.maximum(a[:, 0::2], b[:, 0::2]), np.minimum(a[:, 1::2], b[:, 1::2])
+    kept = (lo < hi).all(axis=1)  # processor i keeps old[i] ∩ new[i]
+    inter = np.stack([lo[kept, 0], hi[kept, 0], lo[kept, 1], hi[kept, 1]], axis=1)
+    return pref.total - sum(pref.rect_loads(inter).tolist())

@@ -10,13 +10,15 @@ easily find which processor a given cell is allocated to".
 
 from __future__ import annotations
 
+from copy import copy
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import starmap
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidPartitionError, ParameterError
-from .prefix import MatrixLike, prefix_2d
+from .prefix import MatrixLike, _as_int64, prefix_2d
 from .rectangle import Rect
 
 __all__ = ["Partition"]
@@ -25,16 +27,38 @@ __all__ = ["Partition"]
 Indexer = Callable[[int, int], int]
 
 
+def _as_coords(rects: Union[np.ndarray, Sequence[Rect]]) -> np.ndarray:
+    """A fresh read-only ``(m, 4)`` int64 copy of ``rects``, converted exactly."""
+    what = "partition coordinates"
+    if not isinstance(rects, np.ndarray):
+        rects = [(r.r0, r.r1, r.c0, r.c1) if isinstance(r, Rect) else r for r in rects]
+    try:
+        arr = np.array(rects).reshape(-1, 4) if len(rects) == 0 else np.array(rects)
+    except ValueError as exc:  # ragged rows
+        raise ParameterError(f"{what} must be rows of 4 integers") from exc
+    if arr.ndim != 2 or arr.shape[1] != 4 or arr.dtype == object:  # object: 2^70, None
+        raise ParameterError(f"{what} must be rows of 4 int64 integers")
+    arr = _as_int64(arr, what, signed=True)  # negative bounds are validate()'s
+    bad = (arr[:, 1] < arr[:, 0]) | (arr[:, 3] < arr[:, 2])
+    if bad.any():
+        Rect(*arr[bad][0].tolist())  # raises "malformed rectangle ..."
+    arr.flags.writeable = False
+    return arr
+
+
 class Partition:
     """A set of ``m`` rectangles partitioning an ``n1 × n2`` matrix.
 
     Parameters
     ----------
     rects:
-        One rectangle per processor; empty rectangles (zero area) are allowed
-        and represent idle processors.
+        One rectangle per processor, as an ``(m, 4)`` integer array or a
+        sequence of :class:`Rect`, stored as one read-only int64 array
+        (:meth:`coords`); empty rectangles (zero area) are allowed and
+        represent idle processors.  A fractional, non-numeric, wrong-width
+        or beyond-int64 row is a :class:`ParameterError`.
     shape:
-        Shape ``(n1, n2)`` of the partitioned matrix.
+        Shape ``(n1, n2)`` of the partitioned matrix (same exact rules).
     method:
         Optional name of the generating algorithm (for reporting).
     indexer:
@@ -42,22 +66,25 @@ class Partition:
         otherwise.
     meta:
         Free-form metadata recorded by the generating algorithm (stripe cuts,
-        tree root, iteration counts, ...).
+        tree, iteration counts, ...).
     """
 
-    __slots__ = ("rects", "shape", "method", "meta", "_indexer")
+    __slots__ = ("_coords", "_rects", "shape", "method", "meta", "_indexer")
 
     def __init__(
         self,
-        rects: Sequence[Rect],
+        rects: Union[np.ndarray, Sequence[Rect]],
         shape: tuple[int, int],
         *,
         method: str = "",
         indexer: Optional[Indexer] = None,
         meta: Optional[dict] = None,
     ):
-        self.rects: tuple[Rect, ...] = tuple(rects)
-        self.shape = (int(shape[0]), int(shape[1]))
+        self._coords = _as_coords(rects)
+        self._rects: Optional[tuple[Rect, ...]] = None
+        self.shape = tuple(_as_int64(np.asarray(shape), "partition shape", signed=True).tolist())
+        if len(self.shape) != 2 or not isinstance(self.shape[0], int):
+            raise ParameterError(f"partition shape must be (n1, n2), got {shape!r}")
         self.method = method
         self.meta = dict(meta or {})
         self._indexer = indexer
@@ -66,12 +93,19 @@ class Partition:
     # basic container protocol
     # ------------------------------------------------------------------
     @property
+    def rects(self) -> tuple[Rect, ...]:
+        """The rectangles as a tuple of :class:`Rect` (built once, on demand)."""
+        if self._rects is None:
+            self._rects = tuple(starmap(Rect, self._coords.tolist()))
+        return self._rects
+
+    @property
     def m(self) -> int:
         """Number of processors (rectangles), including idle ones."""
-        return len(self.rects)
+        return len(self._coords)
 
     def __len__(self) -> int:
-        return len(self.rects)
+        return len(self._coords)
 
     def __iter__(self):
         return iter(self.rects)
@@ -87,12 +121,8 @@ class Partition:
     # geometry / validity
     # ------------------------------------------------------------------
     def coords(self) -> np.ndarray:
-        """``(m, 4)`` int array of ``(r0, r1, c0, c1)`` rows."""
-        if not self.rects:
-            return np.zeros((0, 4), dtype=np.int64)
-        return np.array(
-            [(r.r0, r.r1, r.c0, r.c1) for r in self.rects], dtype=np.int64
-        )
+        """The read-only ``(m, 4)`` int64 array of ``(r0, r1, c0, c1)`` rows (no copy)."""
+        return self._coords
 
     def validate(self, *, method: str = "auto") -> None:
         """Check the two validity properties of Section 2.1.
@@ -130,14 +160,9 @@ class Partition:
         if method == "auto":
             method = "paint" if n1 * n2 <= 1 << 20 else "pairwise"
         if method == "paint":
-            owner = self.owner_map()
-            if (owner < 0).any():
+            # the areas sum to n1·n2, so full cover ⇒ disjoint
+            if (self.owner_map() < 0).any():
                 raise InvalidPartitionError("uncovered cell detected")
-            # area check above + full cover ⇒ disjoint, but double-check counts
-            counts = np.bincount(owner.ravel(), minlength=self.m)
-            my_areas = np.array([r.area for r in self.rects])
-            if (counts > my_areas).any():
-                raise InvalidPartitionError("overlapping rectangles detected")
         elif method == "pairwise":
             self._validate_pairwise(nonempty)
         else:
@@ -156,8 +181,7 @@ class Partition:
                 & (c0[lo:hi, None] < c1[None, :])
                 & (c0[None, :] < c1[lo:hi, None])
             )
-            idx = np.arange(lo, hi)[:, None] >= np.arange(k)[None, :]
-            ov &= ~idx  # keep strictly-upper pairs only
+            ov &= np.arange(lo, hi)[:, None] < np.arange(k)[None, :]  # pairs a < b only
             if ov.any():
                 a, b = np.argwhere(ov)[0]
                 raise InvalidPartitionError(
@@ -177,11 +201,7 @@ class Partition:
     # ------------------------------------------------------------------
     def loads(self, A: MatrixLike) -> np.ndarray:
         """Per-processor loads ``L(r_i)`` as an int64 array of length ``m``."""
-        pref = prefix_2d(A)
-        coords = self.coords()
-        if coords.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        return pref.rect_loads(coords)
+        return prefix_2d(A).rect_loads(self._coords)
 
     def max_load(self, A: MatrixLike) -> int:
         """Load of the most loaded processor (the paper's ``Lmax``)."""
@@ -215,9 +235,10 @@ class Partition:
             raise ParameterError(f"cell ({i}, {j}) outside matrix {self.shape}")
         if self._indexer is not None:
             return self._indexer(i, j)
-        for k, r in enumerate(self.rects):
-            if r.contains(i, j):
-                return k
+        r0, r1, c0, c1 = self._coords.T
+        hit = np.flatnonzero((r0 <= i) & (i < r1) & (c0 <= j) & (j < c1))
+        if hit.size:
+            return int(hit[0])
         raise InvalidPartitionError(f"cell ({i}, {j}) is not covered")
 
     def owner_map(self) -> np.ndarray:
@@ -227,29 +248,32 @@ class Partition:
         """
         n1, n2 = self.shape
         owner = np.full((n1, n2), -1, dtype=np.int32)
-        for k, r in enumerate(self.rects):
-            if not r.is_empty:
-                owner[r.r0 : r.r1, r.c0 : r.c1] = k
+        for k, (r0, r1, c0, c1) in enumerate(self._coords.tolist()):
+            owner[r0:r1, c0:c1] = k
         return owner
 
     # ------------------------------------------------------------------
     # transformations
     # ------------------------------------------------------------------
     def transpose(self) -> "Partition":
-        """Partition of the transposed matrix (swap axes of every rectangle)."""
+        """Partition of the transposed matrix (swap axes of every rectangle).
+
+        Grid ``row_cuts`` and ``col_cuts`` swap with the axes; jagged
+        ``stripe_cuts`` keep their ``orientation`` convention.
+        """
         idx = self._indexer
         t_indexer = (lambda i, j: idx(j, i)) if idx is not None else None
-        return Partition(
-            [r.transpose() for r in self.rects],
-            (self.shape[1], self.shape[0]),
-            method=self.method,
-            indexer=t_indexer,
-            meta=dict(self.meta),
-        )
+        meta = dict(self.meta)
+        if "row_cuts" in meta:
+            meta["row_cuts"], meta["col_cuts"] = meta["col_cuts"], meta["row_cuts"]
+        p = copy(self)
+        p._coords, p._rects, p.shape = self._coords[:, [2, 3, 0, 1]], None, self.shape[::-1]
+        p._coords.flags.writeable = False
+        p._indexer, p.meta = t_indexer, meta
+        return p
 
     def with_method(self, name: str) -> "Partition":
-        """Copy of this partition tagged with a different method name."""
-        p = Partition(
-            self.rects, self.shape, method=name, indexer=self._indexer, meta=self.meta
-        )
+        """Copy tagged with a different method name (sharing coords and rects)."""
+        p = copy(self)
+        p.method, p.meta = name, dict(self.meta)
         return p

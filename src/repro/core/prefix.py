@@ -69,12 +69,12 @@ _CACHE_BUDGET_BYTES = 64 << 20
 _CACHE_MIN_CELLS = 1 << 16
 
 
-def _as_int64(values: np.ndarray, what: str) -> np.ndarray:
+def _as_int64(values: np.ndarray, what: str, *, signed: bool = False) -> np.ndarray:
     """``values`` as a C-contiguous int64 array, exactly, or a ``ParameterError``.
 
-    Floats must be finite and exactly integral; every entry must be
-    non-negative and at most ``2^63 - 1``.  ``what`` names the input in the
-    error messages.
+    Floats must be finite and exactly integral; every entry must be at most
+    ``2^63 - 1``, and non-negative unless ``signed`` (then at least
+    ``-2^63``).  ``what`` names the input in the error messages.
     """
     if np.issubdtype(values.dtype, np.floating):
         if not np.isfinite(values).all():
@@ -82,7 +82,9 @@ def _as_int64(values: np.ndarray, what: str) -> np.ndarray:
         # exact equality: np.allclose's rtol would accept 100000.5 and round it
         if not (values == np.rint(values)).all():
             raise ParameterError(f"{what} must contain integers")
-        too_big = values.size > 0 and values.max() >= 2.0**63
+        too_big = values.size > 0 and (
+            values.max() >= 2.0**63 or (signed and values.min() < -(2.0**63))
+        )
     elif np.issubdtype(values.dtype, np.unsignedinteger):
         # the int64 cast would wrap 2^63 and above to negative values
         too_big = values.size > 0 and values.max() > _INT64_MAX
@@ -93,7 +95,7 @@ def _as_int64(values: np.ndarray, what: str) -> np.ndarray:
     if too_big:
         raise ParameterError(f"{what} has an entry that exceeds int64 (2^63 - 1)")
     out = np.ascontiguousarray(values, dtype=np.int64)
-    if out.size and out.min() < 0:
+    if not signed and out.size and out.min() < 0:
         raise ParameterError(f"{what} entries must be non-negative")
     return out
 

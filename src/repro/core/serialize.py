@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .partition import Partition
-from .rectangle import Rect
 
 __all__ = ["partition_to_dict", "partition_from_dict", "save_partition", "load_partition"]
 
@@ -42,7 +41,7 @@ def partition_to_dict(part: Partition) -> dict:
         "format": _FORMAT,
         "shape": list(part.shape),
         "method": part.method,
-        "rects": [[r.r0, r.r1, r.c0, r.c1] for r in part.rects],
+        "rects": part.coords().tolist(),
         "meta": meta,
     }
 
@@ -51,10 +50,9 @@ def partition_from_dict(data: dict) -> Partition:
     """Rebuild a partition from :func:`partition_to_dict` output."""
     if data.get("format") != _FORMAT:
         raise ParameterError(f"not a {_FORMAT} payload")
-    rects = [Rect(*map(int, row)) for row in data["rects"]]
     return Partition(
-        rects,
-        tuple(data["shape"]),
+        data["rects"],
+        data["shape"],
         method=data.get("method", ""),
         meta=data.get("meta", {}),
     )
@@ -81,9 +79,5 @@ def load_partition(path: str | Path) -> Partition:
     path = Path(path)
     if path.suffix == ".npz":
         with np.load(path, allow_pickle=False) as data:
-            coords = data["coords"]
-            shape = tuple(int(x) for x in data["shape"])
-            method = str(data["method"])
-        rects = [Rect(*map(int, row)) for row in coords]
-        return Partition(rects, shape, method=method)
+            return Partition(data["coords"], data["shape"], method=str(data["method"]))
     return partition_from_dict(json.loads(path.read_text()))

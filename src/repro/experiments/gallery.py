@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from ..core.partition import Partition
 from ..core.prefix import PrefixSum2D
-from ..core.rectangle import Rect
 from ..core.registry import ALGORITHMS
 from ..core.render import save_ppm
 from ..instances import diagonal, multi_peak, peak, slac_instance, uniform
@@ -63,6 +64,6 @@ def make_gallery(out_dir: str | Path, scale=None, *, n: int = 96, m: int = 20) -
     instances["pic_mag"] = pic.snapshot(2_000)
     for label, mat in instances.items():
         pref = PrefixSum2D(mat)
-        whole = Partition([Rect(0, pref.n1, 0, pref.n2)], pref.shape)
+        whole = Partition(np.array([[0, pref.n1, 0, pref.n2]]), pref.shape)
         paths.append(save_ppm(whole, out / f"fig2_{label}.ppm", A=pref, scale=2))
     return paths

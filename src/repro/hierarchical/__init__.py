@@ -3,7 +3,7 @@
 from .opt import hier_opt, hier_opt_bottleneck
 from .rb import HIER_VARIANTS, hier_rb
 from .relaxed import hier_relaxed
-from .tree import HierNode, tree_to_partition
+from .tree import HierTree, tree_to_partition
 
 __all__ = [
     "hier_opt",
@@ -11,6 +11,6 @@ __all__ = [
     "HIER_VARIANTS",
     "hier_rb",
     "hier_relaxed",
-    "HierNode",
+    "HierTree",
     "tree_to_partition",
 ]

@@ -19,10 +19,9 @@ from __future__ import annotations
 from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, prefix_2d
-from ..core.rectangle import Rect
 from ..perf.counters import _STACK as _OPS
 from ..perf.counters import bump
-from .tree import HierNode, tree_to_partition
+from .tree import HierTree, tree_to_partition
 
 __all__ = ["hier_opt", "hier_opt_bottleneck"]
 
@@ -40,9 +39,6 @@ class _HierDP:
         self.pref = pref
         self.m = m
         self._memo: dict = {}
-
-    def solve(self, r0: int, r1: int, c0: int, c1: int, m: int) -> int:
-        return self._solve(r0, r1, c0, c1, m)
 
     # value of the best cut at a fixed dim and processor split, by binary
     # search over the cut (both terms monotone in the cut position)
@@ -103,11 +99,11 @@ class _HierDP:
         return self._solve(0, self.pref.n1, 0, self.pref.n2, self.m)
 
     # ------------------------------------------------------------------
-    def build_tree(self, r0, r1, c0, c1, m) -> HierNode:
-        rect = Rect(r0, r1, c0, c1)
-        node = HierNode(rect=rect, procs=m)
-        if m == 1 or rect.area <= 1:
-            return node
+    def build_tree(self, tree: HierTree, k: int) -> None:
+        """Split leaf ``k`` of ``tree`` as the DP's optimum does, recursively."""
+        r0, r1, c0, c1, m = tree.r0[k], tree.r1[k], tree.c0[k], tree.c1[k], tree.procs[k]
+        if m == 1 or (r1 - r0) * (c1 - c0) <= 1:
+            return
         target = self._solve(r0, r1, c0, c1, m)
         for j in range(1, m):
             for dim in (0, 1):
@@ -115,15 +111,11 @@ class _HierDP:
                     continue
                 x, val = self._best_cut(r0, r1, c0, c1, dim, j, m)
                 if val == target:
-                    node.dim, node.cut = dim, x
-                    if dim == 0:
-                        node.left = self.build_tree(r0, x, c0, c1, j)
-                        node.right = self.build_tree(x, r1, c0, c1, m - j)
-                    else:
-                        node.left = self.build_tree(r0, r1, c0, x, j)
-                        node.right = self.build_tree(r0, r1, x, c1, m - j)
-                    return node
-        return node  # un-cuttable: keep as leaf (idle processors)
+                    a = tree.split(k, dim, x, j)
+                    self.build_tree(tree, a)
+                    self.build_tree(tree, a + 1)
+                    return
+        # un-cuttable: keep as leaf (idle processors)
 
 
 def hier_opt_bottleneck(A: MatrixLike, m: int, *, limit: int = 1 << 24) -> int:
@@ -138,7 +130,6 @@ def hier_opt(A: MatrixLike, m: int, *, limit: int = 1 << 24) -> Partition:
     if m <= 0:
         raise ParameterError("m must be positive")
     pref = prefix_2d(A)
-    dp = _HierDP(pref, m, limit)
-    dp.run()
-    root = dp.build_tree(0, pref.n1, 0, pref.n2, m)
-    return tree_to_partition(root, pref, "HIER-OPT", m)
+    tree = HierTree(pref.n1, pref.n2, m)
+    _HierDP(pref, m, limit).build_tree(tree, 0)
+    return tree_to_partition(tree, pref, "HIER-OPT", m)

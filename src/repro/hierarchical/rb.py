@@ -78,8 +78,8 @@ def hier_rb(A: MatrixLike, m: int, variant: str = "load") -> Partition:
     if variant not in HIER_VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}; choose from {HIER_VARIANTS}")
     pref = prefix_2d(A)
-    root = grow_tree(pref, m, _rb_chooser(variant))
-    part = tree_to_partition(root, pref, f"HIER-RB-{variant.upper()}", m)
+    tree = grow_tree(pref, m, _rb_chooser(variant))
+    part = tree_to_partition(tree, pref, f"HIER-RB-{variant.upper()}", m)
     state = _sweep_current()
     if state is not None:
         # the achieved max load is a feasible witness for the class —

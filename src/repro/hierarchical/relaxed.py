@@ -58,8 +58,8 @@ def hier_relaxed(A: MatrixLike, m: int, variant: str = "load") -> Partition:
     if variant not in HIER_VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}; choose from {HIER_VARIANTS}")
     pref = prefix_2d(A)
-    root = grow_tree(pref, m, _relaxed_chooser(variant))
-    part = tree_to_partition(root, pref, f"HIER-RELAXED-{variant.upper()}", m)
+    tree = grow_tree(pref, m, _relaxed_chooser(variant))
+    part = tree_to_partition(tree, pref, f"HIER-RELAXED-{variant.upper()}", m)
     state = _sweep_current()
     if state is not None:
         # achieved max load = feasible class witness (persisted and

@@ -7,73 +7,79 @@ cell→processor indexer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from ..core.partition import Partition
 from ..core.prefix import LoadView
-from ..core.rectangle import Rect
 from ..sweep.state import current as _sweep_current
 
-__all__ = ["HierNode", "tree_to_partition", "grow_tree", "choose_level"]
+__all__ = ["HierTree", "tree_to_partition", "grow_tree", "choose_level"]
 
 
-@dataclass
-class HierNode:
-    """A node of the bipartition tree.
+class HierTree:
+    """A bipartition tree as parallel per-node lists; node 0 is the root.
 
-    Leaves own a processor (``proc``); internal nodes record the cut
-    dimension (0 = rows), the absolute cut coordinate, and the two children.
-    ``procs`` is the number of processors in the subtree.
+    Node ``k`` covers ``[r0[k], r1[k]) × [c0[k], c1[k])`` with ``procs[k]``
+    processors.  An internal node records its cut dimension ``dim[k]``
+    (0 = rows), the absolute cut coordinate ``cut[k]`` and its children
+    ``left[k]`` and ``left[k] + 1``; a leaf has ``dim``, ``cut`` and
+    ``left`` -1.  :func:`tree_to_partition` numbers the leaves into
+    ``proc`` (-1 on internal nodes).
     """
 
-    rect: Rect
-    procs: int
-    dim: int = -1
-    cut: int = -1
-    left: Optional["HierNode"] = None
-    right: Optional["HierNode"] = None
-    proc: int = -1
+    __slots__ = ("r0", "r1", "c0", "c1", "procs", "dim", "cut", "left", "proc")
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    def __init__(self, n1: int, n2: int, m: int):
+        self.r0, self.r1, self.c0, self.c1, self.procs = [0], [n1], [0], [n2], [m]
+        self.dim, self.cut, self.left, self.proc = [-1], [-1], [-1], []
+
+    def split(self, k: int, dim: int, cut: int, procs_left: int) -> int:
+        """Cut leaf ``k`` at ``cut`` along ``dim``; append both children and
+        return the left one's index (the right one follows it)."""
+        a = len(self.procs)
+        self.dim[k], self.cut[k], self.left[k] = dim, cut, a
+        r0, r1, c0, c1 = self.r0[k], self.r1[k], self.c0[k], self.c1[k]
+        self.r0 += (r0, r0 if dim else cut)
+        self.r1 += (r1 if dim else cut, r1)
+        self.c0 += (c0, cut if dim else c0)
+        self.c1 += (cut if dim else c1, c1)
+        self.procs += (procs_left, self.procs[k] - procs_left)
+        self.dim += (-1, -1)
+        self.cut += (-1, -1)
+        self.left += (-1, -1)
+        return a
+
+    def leaves(self) -> list[int]:
+        """Leaf node indices left to right (processor order); iterative."""
+        left, out, stack = self.left, [], [0]
+        while stack:
+            k = stack.pop()
+            a = left[k]
+            if a < 0:
+                out.append(k)
+            else:
+                stack += (a + 1, a)
+        return out
+
+    def depth(self) -> int:
+        """Height of the tree (a lone root = 0); iterative."""
+        left, level, d = self.left, [0], -1
+        while level:
+            d += 1
+            level = [c for k in level if left[k] >= 0 for c in (left[k], left[k] + 1)]
+        return d
 
     def locate(self, i: int, j: int) -> int:
         """Processor owning cell ``(i, j)`` — descend the tree."""
-        node = self
-        while not node.is_leaf:
-            coord = i if node.dim == 0 else j
-            node = node.left if coord < node.cut else node.right
-            assert node is not None
-        return node.proc
-
-    def leaves(self):
-        """Yield leaves left-to-right (processor order); iterative, any depth."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield node
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-
-    def depth(self) -> int:
-        """Height of the subtree (leaf = 0); iterative, any depth."""
-        best = 0
-        stack = [(self, 0)]
-        while stack:
-            node, d = stack.pop()
-            if node.is_leaf:
-                best = max(best, d)
-            else:
-                stack.append((node.left, d + 1))
-                stack.append((node.right, d + 1))
-        return best
+        k, left, dim, cut = 0, self.left, self.dim, self.cut
+        while left[k] >= 0:
+            k = left[k] + ((i if dim[k] == 0 else j) >= cut[k])
+        return self.proc[k]
 
 
-def grow_tree(pref: LoadView, m: int, chooser) -> HierNode:
+def grow_tree(pref: LoadView, m: int, chooser) -> HierTree:
     """Grow a bipartition tree level by level (no recursion limit).
 
     The nodes of one level are independent (§3.3), so each round hands the
@@ -82,34 +88,23 @@ def grow_tree(pref: LoadView, m: int, chooser) -> HierNode:
     lefts)``: per node the cut dimension (-1 keeps it a leaf), the absolute
     cut coordinate and the left child's processor count.
     """
-    root = HierNode(rect=Rect(0, pref.n1, 0, pref.n2), procs=m)
-    frontier = [root]
+    tree = HierTree(pref.n1, pref.n2, m)
+    r0, r1, c0, c1, procs = tree.r0, tree.r1, tree.c0, tree.c1, tree.procs
+    frontier = [0]
     depth = 0
     while frontier:
-        live = [nd for nd in frontier if nd.procs > 1 and nd.rect.area > 1]
+        live = [k for k in frontier if procs[k] > 1 and (r1[k] - r0[k]) * (c1[k] - c0[k]) > 1]
         if not live:
             break
-        r0, r1, c0, c1, procs = zip(
-            *[(nd.rect.r0, nd.rect.r1, nd.rect.c0, nd.rect.c1, nd.procs) for nd in live]
-        )
-        dims, cuts, lefts = chooser(pref, r0, r1, c0, c1, procs, depth)
+        cols = ([col[k] for k in live] for col in (r0, r1, c0, c1, procs))
+        dims, cuts, lefts = chooser(pref, *cols, depth)
         frontier = []
-        for node, dim, cut, wl in zip(live, dims, cuts, lefts):
-            if dim < 0:
-                continue
-            r = node.rect
-            if dim == 0:
-                lrect = Rect(r.r0, cut, r.c0, r.c1)
-                rrect = Rect(cut, r.r1, r.c0, r.c1)
-            else:
-                lrect = Rect(r.r0, r.r1, r.c0, cut)
-                rrect = Rect(r.r0, r.r1, cut, r.c1)
-            node.dim, node.cut = dim, cut
-            node.left = HierNode(rect=lrect, procs=wl)
-            node.right = HierNode(rect=rrect, procs=node.procs - wl)
-            frontier += (node.left, node.right)
+        for k, dim, cut, wl in zip(live, dims, cuts, lefts):
+            if dim >= 0:
+                a = tree.split(k, dim, cut, wl)
+                frontier += (a, a + 1)
         depth += 1
-    return root
+    return tree
 
 
 def choose_level(
@@ -206,19 +201,21 @@ def _facts(pref, phase, coords, memo, extra, evaluate) -> tuple[list[Any], list[
 
 
 def tree_to_partition(
-    root: HierNode, pref: LoadView, method: str, m: int
+    tree: HierTree, pref: LoadView, method: str, m: int
 ) -> Partition:
-    """Number the leaves, collect their rectangles, attach the tree indexer."""
-    rects: list[Rect] = []
-    for k, leaf in enumerate(root.leaves()):
-        leaf.proc = k
-        rects.append(leaf.rect)
-    # idle processors (splits that could not proceed) appear as empty rects
-    rects.extend(Rect(0, 0, 0, 0) for _ in range(m - len(rects)))
+    """Number the leaves, gather their bounds, attach the tree indexer."""
+    order = tree.leaves()
+    tree.proc = proc = [-1] * len(tree.procs)
+    for p, k in enumerate(order):
+        proc[k] = p
+    bounds = np.array((tree.r0, tree.r1, tree.c0, tree.c1), dtype=np.int64)
+    # idle processors (splits that could not proceed) stay zero rows
+    coords = np.zeros((m, 4), dtype=np.int64)
+    coords[: len(order)] = bounds[:, order].T
     return Partition(
-        rects,
+        coords,
         pref.shape,
         method=method,
-        indexer=root.locate,
-        meta={"tree": root},
+        indexer=tree.locate,
+        meta={"tree": tree},
     )

@@ -17,7 +17,6 @@ import numpy as np
 from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
-from ..core.rectangle import Rect
 
 __all__ = [
     "build_jagged_partition",
@@ -77,37 +76,31 @@ def build_jagged_partition(
     P = len(stripe_cuts) - 1
     if len(col_cuts) != P:
         raise ParameterError("need one column-cut array per stripe")
-    rects: list[Rect] = []
-    offsets = np.zeros(P + 1, dtype=np.int64)
-    for s in range(P):
-        r0, r1 = int(stripe_cuts[s]), int(stripe_cuts[s + 1])
-        cc = np.asarray(col_cuts[s], dtype=np.int64)
-        offsets[s + 1] = offsets[s] + len(cc) - 1
-        for q in range(len(cc) - 1):
-            rects.append(Rect(r0, r1, int(cc[q]), int(cc[q + 1])))
-    if pad_to is not None:
-        if pad_to < len(rects):
-            raise ParameterError(f"pad_to={pad_to} below rectangle count {len(rects)}")
-        rects.extend(Rect(0, 0, 0, 0) for _ in range(pad_to - len(rects)))
     cuts_list = [np.asarray(c, dtype=np.int64) for c in col_cuts]
+    counts = [len(cc) - 1 for cc in cuts_list]
+    offsets = np.cumsum([0] + counts)
+    k = int(offsets[-1])
+    if pad_to is not None and pad_to < k:
+        raise ParameterError(f"pad_to={pad_to} below rectangle count {k}")
+    # processors are numbered stripe-major; idle ones pad with zero rows
+    coords = np.zeros((k if pad_to is None else pad_to, 4), dtype=np.int64)
+    if k:
+        coords[:k, 0] = np.repeat(stripe_cuts[:-1], counts)
+        coords[:k, 1] = np.repeat(stripe_cuts[1:], counts)
+        coords[:k, 2] = np.concatenate([cc[:-1] for cc in cuts_list])
+        coords[:k, 3] = np.concatenate([cc[1:] for cc in cuts_list])
     meta: dict = {"stripe_cuts": stripe_cuts, "col_cuts": cuts_list}
     if lmax is not None:
         meta["lmax"] = int(lmax)
 
     def indexer(i: int, j: int) -> int:
-        s = int(np.searchsorted(stripe_cuts, i, side="right")) - 1
-        s = min(max(s, 0), P - 1)
-        # skip empty stripes sharing the boundary
-        while stripe_cuts[s + 1] <= i and s < P - 1:
-            s += 1
-        q = int(np.searchsorted(cuts_list[s], j, side="right")) - 1
-        q = min(max(q, 0), len(cuts_list[s]) - 2)
-        while cuts_list[s][q + 1] <= j and q < len(cuts_list[s]) - 2:
-            q += 1
-        return int(offsets[s]) + q
+        # the last cut at or before the cell: empty stripes and rectangles
+        # are skipped
+        s = int(stripe_cuts.searchsorted(i, side="right")) - 1
+        return int(offsets[s] + cuts_list[s].searchsorted(j, side="right")) - 1
 
     return Partition(
-        rects,
+        coords,
         pref.shape,
         method=method,
         indexer=indexer,

@@ -96,10 +96,8 @@ def jag_hetero(
     part = build_jagged_partition(pref, stripe_cuts, col_cuts, method="JAG-HETERO")
     # reorder rectangles so rect i belongs to processor i: rectangle k (in
     # stripe-major order) was produced for processor order[k]
-    position = np.empty(m, dtype=np.int64)
-    position[np.array(order, dtype=np.int64)] = np.arange(m)
-    rects = [part.rects[int(position[i])] for i in range(m)]
-    out = Partition(rects, pref.shape, method="JAG-HETERO", meta=dict(part.meta))
+    rows = part.coords()[np.argsort(order)]  # the inverse permutation
+    out = Partition(rows, pref.shape, method="JAG-HETERO", meta=dict(part.meta))
     out.meta["groups"] = groups
     out.meta["makespan"] = hetero_makespan_2d(out, pref, speeds)
     return out

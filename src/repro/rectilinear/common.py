@@ -6,7 +6,6 @@ import numpy as np
 
 from ..core.partition import Partition
 from ..core.prefix import PrefixSum2D
-from ..core.rectangle import Rect
 
 __all__ = ["build_rectilinear_partition", "grid_bottleneck"]
 
@@ -45,25 +44,20 @@ def build_rectilinear_partition(
     col_cuts = np.asarray(col_cuts, dtype=np.int64)
     P = len(row_cuts) - 1
     Q = len(col_cuts) - 1
-    rects = [
-        Rect(int(row_cuts[p]), int(row_cuts[p + 1]), int(col_cuts[q]), int(col_cuts[q + 1]))
-        for p in range(P)
-        for q in range(Q)
-    ]
+    # processor p·Q + q owns row band p × column band q
+    coords = np.empty((P * Q, 4), dtype=np.int64)
+    coords[:, 0] = np.repeat(row_cuts[:-1], Q)
+    coords[:, 1] = np.repeat(row_cuts[1:], Q)
+    coords[:, 2] = np.tile(col_cuts[:-1], P)
+    coords[:, 3] = np.tile(col_cuts[1:], P)
 
     def indexer(i: int, j: int) -> int:
-        p = int(np.searchsorted(row_cuts, i, side="right")) - 1
-        q = int(np.searchsorted(col_cuts, j, side="right")) - 1
-        p = min(max(p, 0), P - 1)
-        q = min(max(q, 0), Q - 1)
-        while row_cuts[p + 1] <= i and p < P - 1:
-            p += 1
-        while col_cuts[q + 1] <= j and q < Q - 1:
-            q += 1
-        return p * Q + q
+        # the last cut at or before the cell: empty bands are skipped
+        p = int(row_cuts.searchsorted(i, side="right")) - 1
+        return p * Q + int(col_cuts.searchsorted(j, side="right")) - 1
 
     return Partition(
-        rects,
+        coords,
         pref.shape,
         method=method,
         indexer=indexer,

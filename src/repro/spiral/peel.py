@@ -23,38 +23,44 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
-from ..core.rectangle import Rect
 
 __all__ = ["spiral_relaxed", "spiral_opt", "spiral_opt_bottleneck", "SIDES"]
 
 #: strip sides in spiral order: top (rows), right (cols), bottom, left
 SIDES = ("top", "right", "bottom", "left")
+# a rectangle is a tuple of its half-open (r0, r1, c0, c1) bounds
+_Box = tuple[int, int, int, int]
 
 
-def _strip(rect: Rect, side: str, width: int) -> tuple[Rect, Rect]:
+def _strip(rect: _Box, side: str, width: int) -> tuple[_Box, _Box]:
     """Split ``rect`` into (peeled strip, remainder) at ``width`` cells."""
-    r0, r1, c0, c1 = rect.r0, rect.r1, rect.c0, rect.c1
+    r0, r1, c0, c1 = rect
     if side == "top":
-        return Rect(r0, r0 + width, c0, c1), Rect(r0 + width, r1, c0, c1)
+        return (r0, r0 + width, c0, c1), (r0 + width, r1, c0, c1)
     if side == "bottom":
-        return Rect(r1 - width, r1, c0, c1), Rect(r0, r1 - width, c0, c1)
+        return (r1 - width, r1, c0, c1), (r0, r1 - width, c0, c1)
     if side == "left":
-        return Rect(r0, r1, c0, c0 + width), Rect(r0, r1, c0 + width, c1)
+        return (r0, r1, c0, c0 + width), (r0, r1, c0 + width, c1)
     if side == "right":
-        return Rect(r0, r1, c1 - width, c1), Rect(r0, r1, c0, c1 - width)
+        return (r0, r1, c1 - width, c1), (r0, r1, c0, c1 - width)
     raise ParameterError(f"unknown side {side!r}")
 
 
-def _side_extent(rect: Rect, side: str) -> int:
-    return rect.height if side in ("top", "bottom") else rect.width
+def _side_extent(rect: _Box, side: str) -> int:
+    return rect[1] - rect[0] if side in ("top", "bottom") else rect[3] - rect[2]
 
 
-def _strip_load(pref: PrefixSum2D, rect: Rect, side: str, width: int) -> int:
-    s, _ = _strip(rect, side, width)
-    return pref.load(s.r0, s.r1, s.c0, s.c1)
+def _is_empty(rect: _Box) -> bool:
+    return rect[1] == rect[0] or rect[3] == rect[2]
+
+
+def _strip_load(pref: PrefixSum2D, rect: _Box, side: str, width: int) -> int:
+    return pref.load(*_strip(rect, side, width)[0])
 
 
 def spiral_relaxed(A: MatrixLike, m: int, *, start_side: str = "top") -> Partition:
@@ -70,13 +76,13 @@ def spiral_relaxed(A: MatrixLike, m: int, *, start_side: str = "top") -> Partiti
     if start_side not in SIDES:
         raise ParameterError(f"start_side must be one of {SIDES}")
     pref = prefix_2d(A)
-    rect = Rect(0, pref.n1, 0, pref.n2)
-    rects: list[Rect] = []
+    rect: _Box = (0, pref.n1, 0, pref.n2)
+    rects: list[_Box] = []
     side_idx = SIDES.index(start_side)
     for k in range(m - 1):
         remaining = m - k
-        if rect.is_empty:
-            rects.append(Rect(rect.r0, rect.r0, rect.c0, rect.c0))
+        if _is_empty(rect):
+            rects.append((rect[0], rect[0], rect[2], rect[2]))
             continue
         side = SIDES[side_idx % 4]
         side_idx += 1
@@ -89,9 +95,9 @@ def spiral_relaxed(A: MatrixLike, m: int, *, start_side: str = "top") -> Partiti
             extent = _side_extent(rect, side)
             if extent <= 1:
                 rects.append(rect)
-                rect = Rect(rect.r0, rect.r0, rect.c0, rect.c0)
+                rect = (rect[0], rect[0], rect[2], rect[2])
                 continue
-        total = pref.load(rect.r0, rect.r1, rect.c0, rect.c1)
+        total = pref.load(*rect)
         # exact rational target: integer strip loads compare against it
         # without float rounding (RPL003 discipline)
         target = Fraction(total, remaining)
@@ -112,7 +118,7 @@ def spiral_relaxed(A: MatrixLike, m: int, *, start_side: str = "top") -> Partiti
         strip, rect = _strip(rect, side, best_w)
         rects.append(strip)
     rects.append(rect)
-    return Partition(rects, pref.shape, method="SPIRAL-RELAXED")
+    return Partition(np.array(rects, dtype=np.int64), pref.shape, method="SPIRAL-RELAXED")
 
 
 # ----------------------------------------------------------------------
@@ -133,9 +139,9 @@ def _spiral_solver(pref: PrefixSum2D):
 
     @lru_cache(maxsize=None)
     def solve(r0: int, r1: int, c0: int, c1: int, side_idx: int, procs: int, skips: int) -> int:
-        rect = Rect(r0, r1, c0, c1)
+        rect = (r0, r1, c0, c1)
         load = pref.load(r0, r1, c0, c1)
-        if procs == 1 or rect.is_empty:
+        if procs == 1 or _is_empty(rect):
             return load
         side = SIDES[side_idx]
         extent = _side_extent(rect, side)
@@ -143,10 +149,10 @@ def _spiral_solver(pref: PrefixSum2D):
         best = None
         for width in range(1, extent + 1):
             strip, rest = _strip(rect, side, width)
-            sl = pref.load(strip.r0, strip.r1, strip.c0, strip.c1)
+            sl = pref.load(*strip)
             if best is not None and sl >= best:
                 break  # strip load is monotone in width
-            v = max(sl, solve(rest.r0, rest.r1, rest.c0, rest.c1, nxt, procs - 1, 0))
+            v = max(sl, solve(*rest, nxt, procs - 1, 0))
             if best is None or v < best:
                 best = v
         if extent <= 1 and skips < 3:
@@ -187,21 +193,21 @@ def spiral_opt(A: MatrixLike, m: int, *, limit: int = 1 << 24) -> Partition:
     target = min(solve(0, pref.n1, 0, pref.n2, s, m, 0) for s in range(4))
     # backtracking: at each level take any peel (or degenerate-side skip)
     # whose branch value equals the state's DP value
-    rects: list[Rect] = []
-    rect = Rect(0, pref.n1, 0, pref.n2)
+    rects: list[_Box] = []
+    rect: _Box = (0, pref.n1, 0, pref.n2)
     side_idx = min(range(4), key=lambda s: solve(0, pref.n1, 0, pref.n2, s, m, 0))
     procs = m
     skips = 0
-    while procs > 1 and not rect.is_empty:
-        value = solve(rect.r0, rect.r1, rect.c0, rect.c1, side_idx, procs, skips)
+    while procs > 1 and not _is_empty(rect):
+        value = solve(*rect, side_idx, procs, skips)
         side = SIDES[side_idx]
         extent = _side_extent(rect, side)
         nxt = (side_idx + 1) % 4
         chosen = None
         for width in range(1, extent + 1):
             strip, rest = _strip(rect, side, width)
-            sl = pref.load(strip.r0, strip.r1, strip.c0, strip.c1)
-            v = max(sl, solve(rest.r0, rest.r1, rest.c0, rest.c1, nxt, procs - 1, 0))
+            sl = pref.load(*strip)
+            v = max(sl, solve(*rest, nxt, procs - 1, 0))
             if v == value:
                 chosen = (strip, rest)
                 break
@@ -215,7 +221,7 @@ def spiral_opt(A: MatrixLike, m: int, *, limit: int = 1 << 24) -> Partition:
             skips += 1
         side_idx = nxt
     rects.append(rect)
-    rects.extend(Rect(0, 0, 0, 0) for _ in range(m - len(rects)))
-    part = Partition(rects, pref.shape, method="SPIRAL-OPT")
+    rects.extend([(0, 0, 0, 0)] * (m - len(rects)))
+    part = Partition(np.array(rects, dtype=np.int64), pref.shape, method="SPIRAL-OPT")
     assert part.max_load(pref) == target, "backtracking must reach the DP optimum"
     return part

@@ -130,13 +130,13 @@ def vol_jag_m_heur(
         part2 = _jag_m_heur_main0(
             PrefixSum2D(M2, is_prefix=True), int(q[s]), oned=oned
         )
-        for r in part2.rects:
+        for r0, r1, c0, c1 in part2.coords().tolist():
             if axis == 0:
-                boxes.append(Box(lo_s, hi_s, r.r0, r.r1, r.c0, r.c1))
+                boxes.append(Box(lo_s, hi_s, r0, r1, c0, c1))
             elif axis == 1:
-                boxes.append(Box(r.r0, r.r1, lo_s, hi_s, r.c0, r.c1))
+                boxes.append(Box(r0, r1, lo_s, hi_s, c0, c1))
             else:
-                boxes.append(Box(r.r0, r.r1, r.c0, r.c1, lo_s, hi_s))
+                boxes.append(Box(r0, r1, c0, c1, lo_s, hi_s))
     return Partition3D(
         boxes, pref.shape, method="VOL-JAG-M-HEUR", meta={"slab_cuts": slab_cuts}
     )

@@ -21,6 +21,8 @@ formulas on deterministic seeded instances:
   walks exactly one step per interval after one batched search.
 * RECT-NICOL's striped bisection needs about half the walks of plain
   bisection, because each walk's proved bound moves the bracket past ``B``.
+* A partition is one ``(m, 4)`` array (§1's "compact representation"): a
+  heuristic's solve constructs no per-rectangle ``Rect`` object.
 
 Counts are architecture-independent, so unlike wall-clock benchmarks these
 assertions are exact and CI-stable.
@@ -35,7 +37,8 @@ import numpy as np
 import pytest
 
 from repro.core.prefix import PrefixSum2D
-from repro.core.registry import partition_2d
+from repro.core.rectangle import Rect
+from repro.core.registry import algorithm_names, partition_2d
 from repro.oned.bisect import bisect_bottleneck, feasible_bottlenecks
 from repro.oned.probe import min_parts, probe
 from repro.perf import min_parts_batch, op_counters, probe_batch, use_perf_backend
@@ -286,6 +289,25 @@ def test_hier_kernel_calls_one_per_tree_level(monkeypatch, method, name):
                 depth = partition_2d(A, m, method).meta["tree"].depth()
             assert len(windows) <= depth + 1, (m, backend, depth)
             assert sum(windows) >= m - 1  # a window per internal node at least
+
+
+@pytest.mark.parametrize("method", algorithm_names(heuristics_only=True))
+def test_heuristic_solve_constructs_no_rect(monkeypatch, method):
+    # the builders emit one coordinate array; Rect objects appear only when
+    # a caller asks for ``Partition.rects``
+    made: list[Rect] = []
+    check = Rect.__post_init__
+
+    def counted(self):
+        made.append(self)
+        check(self)
+
+    monkeypatch.setattr(Rect, "__post_init__", counted)
+    A = np.random.default_rng(5).integers(0, 100, (48, 40))
+    part = partition_2d(A, 64, method)
+    assert part.m == 64 and made == []
+    assert len(part.rects) == 64 and len(made) == 64  # the lazy tuple
+    assert part.rects is part.rects and len(made) == 64  # built once
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.errors import ParameterError
 from repro.hierarchical import (
     HIER_VARIANTS,
-    HierNode,
+    HierTree,
     hier_opt,
     hier_opt_bottleneck,
     hier_rb,
@@ -137,11 +137,11 @@ class TestTreeStructure:
     def test_meta_contains_tree(self, rng):
         A = rng.integers(1, 9, (8, 8))
         p = hier_rb(A, 4)
-        root = p.meta["tree"]
-        assert isinstance(root, HierNode)
-        assert root.procs == 4
-        leaves = list(root.leaves())
-        assert [leaf.proc for leaf in leaves] == list(range(len(leaves)))
+        tree = p.meta["tree"]
+        assert isinstance(tree, HierTree)
+        assert tree.procs[0] == 4
+        leaves = tree.leaves()
+        assert [tree.proc[k] for k in leaves] == list(range(len(leaves)))
 
     def test_power_of_two_balanced_depth(self, rng):
         A = rng.integers(1, 9, (32, 32))
@@ -152,7 +152,7 @@ class TestTreeStructure:
         # a wide flat matrix: DIST always cuts columns, HOR starts with rows
         A = np.arange(1, 5 * 64 + 1, dtype=np.int64).reshape(5, 64)
         rb_dist = hier_rb(A, 8, "dist")
-        first_dims = {rb_dist.meta["tree"].dim}
+        first_dims = {rb_dist.meta["tree"].dim[0]}
         assert first_dims == {1}
         rb_hor = hier_rb(A, 8, "hor")
-        assert rb_hor.meta["tree"].dim == 0
+        assert rb_hor.meta["tree"].dim[0] == 0

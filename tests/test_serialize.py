@@ -79,3 +79,52 @@ class TestFileRoundtrip:
         for i in range(0, 12, 3):
             for j in range(0, 12, 3):
                 assert q.owner_of(i, j) == p.owner_of(i, j)
+
+
+def _payload(rects, shape=(4, 4)):
+    return {"format": "repro-partition-v1", "shape": list(shape), "method": "", "rects": rects}
+
+
+class TestExactCoordinates:
+    """A stored partition converts exactly or not at all: a fractional,
+    non-numeric, wrong-width or beyond-int64 coordinate is a
+    ``ParameterError``, never a truncated rectangle."""
+
+    @pytest.mark.parametrize(
+        "rects, shape",
+        [
+            ([[0, 2.7, 0, 4], [2, 4, 0, 4]], (4, 4)),  # was Rect(0, 2, 0, 4)
+            ([[0, 4, 0]], (4, 4)),  # was a bare TypeError
+            ([[0, 4, 0, 4, 1]], (4, 4)),
+            ([[0, 4, 0, 4], [0, 4]], (4, 4)),
+            ([[0, 2**70, 0, 4]], (4, 4)),  # was an OverflowError in coords()
+            ([[0, "4", 0, 4]], (4, 4)),
+            ([[0, None, 0, 4]], (4, 4)),
+            ([[0, 4, 0, 4]], (4.7, 4)),  # was shape (4, 4)
+            ([[0, 4, 0, 4]], (4, 4, 1)),
+        ],
+        ids=["fraction", "width3", "width5", "ragged", "beyond-int64", "string", "none",
+             "fractional-shape", "shape-width3"],
+    )
+    def test_dict_rejects_inexact_coordinates(self, rects, shape):
+        with pytest.raises(ParameterError):
+            partition_from_dict(_payload(rects, shape))
+
+    def test_npz_rejects_fractional_coordinates(self, tmp_path):
+        path = tmp_path / "p.npz"
+        np.savez_compressed(
+            path,
+            coords=np.array([[0, 2.5, 0, 4], [2.5, 4, 0, 4]]),
+            shape=np.array([4, 4]),
+            method=np.array(""),
+        )
+        with pytest.raises(ParameterError, match="integers"):
+            load_partition(path)
+
+    def test_integral_floats_and_negatives_still_load(self):
+        # exactly integral floats convert; a negative bound is validate()'s
+        # to reject, as before
+        p = partition_from_dict(_payload([[0, 4.0, 0, 4]], (4.0, 4)))
+        assert p.shape == (4, 4) and p.coords().tolist() == [[0, 4, 0, 4]]
+        q = partition_from_dict(_payload([[-1, 4, 0, 4]]))
+        assert not q.is_valid()
