@@ -49,6 +49,7 @@ def _registry_benches(tiny: bool) -> list[KernelBench]:
     """Fixed seeded workloads, one per registry kernel (plus the early-exit
     shape of ``probe_batch`` — satellite coverage for the compacted active
     set: candidates that die or finish in round one must cost one round)."""
+    from repro.oned.multicost import partition_multi
     from repro.perf import kernels as K
 
     rng = np.random.default_rng(42)
@@ -78,7 +79,11 @@ def _registry_benches(tiny: bool) -> list[KernelBench]:
     n_multi = 1_000 if tiny else 4_000
     M = np.cumsum(rng.integers(0, 100, (S, n_multi)), axis=1)
     M = np.concatenate([np.zeros((S, 1), dtype=np.int64), M], axis=1).astype(np.int64)
-    B_multi = int(M[:, -1].max()) // 12
+    # RECT-NICOL's hint: the striped bottleneck equal-width cuts realise
+    hints = {}
+    for mm in (4, 8, 16, 32):
+        c = np.linspace(0, n_multi, mm + 1).astype(np.int64)
+        hints[mm] = int((M[:, c[1:]] - M[:, c[:-1]]).max())
 
     P_alloc = 96
     m_alloc = 2_048
@@ -125,10 +130,11 @@ def _registry_benches(tiny: bool) -> list[KernelBench]:
         ),
         KernelBench(
             "probe_multi",
-            # one (feasible, bound, cuts) walk per m: m = 4, 8 fail and prove
-            # a lower bound, m = 16, 32 succeed and realise their cuts
-            lambda: [K.probe_multi(M, mm, B_multi) for mm in (4, 8, 16, 32)],
-            key=lambda out: out,
+            # one hinted striped solve per m, as RECT-NICOL makes them: its
+            # walks gallop down from the hint, then bisect, all through one
+            # step memo (which the reference backend ignores)
+            lambda: [partition_multi(M, mm, ub=h) for mm, h in hints.items()],
+            key=lambda out: [(B, cuts.tolist()) for B, cuts in out],
         ),
     ]
 

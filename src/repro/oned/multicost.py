@@ -23,39 +23,80 @@ furthest boundaries.  Every walk is the ``probe_multi`` kernel
 :func:`multi_bottleneck` narrows the bracket on both sides with these
 bounds, and :func:`partition_multi` takes its cuts from the last feasible
 walk, whose cuts are the greedy cuts at the optimum.
+
+An unhinted solve walks at the heaviest-stripe guess, then bisects.  A
+hinted one (``ub``; RECT-NICOL passes its incumbent bottleneck) walks at
+the hint and gallops down: after each feasible walk it probes ``gap``
+below the new upper end, ``gap`` doubling from ``hi // 128``, and the
+first infeasible walk hands over to bisection.  Nearby walks share long
+path prefixes, and every walk of one solve reads and extends one step
+memo of cost windows (see :func:`repro.perf.kernels.probe_multi`), so a
+shared step costs one ``searchsorted``.  Neither changes the optimum or
+the cuts.
+
+Every entry point checks ``M`` the same way: exact non-negative int64
+entries, rows starting at 0 and non-decreasing; a 1D prefix is one stripe.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core.errors import ParameterError
+from ..core.prefix import _as_int64
 from ..perf import kernels as _kernels
 from .probe import check_m
 
 __all__ = ["probe_multi", "multi_bottleneck", "partition_multi", "multi_cuts"]
 
+#: a hinted solve's first gallop step is its first feasible bound over
+#: this; the step doubles after every further feasible walk.  The sweep
+#: is in docs/performance.md ("RECT-NICOL gallop and step memo")
+_GALLOP_DIV = 128
+
+
+def _stripes(M) -> tuple[np.ndarray, np.ndarray]:
+    """``M`` as an exact ``(S, n+1)`` int64 prefix stack, and its steps.
+
+    A 1D prefix is one stripe.  Entries must be exact non-negative
+    integers that fit in int64, every row must start at 0 and never
+    decrease (a decreasing step would be a negative load); anything else
+    is a ``ParameterError``.
+    """
+    arr = _as_int64(np.asarray(M), "stripe prefix")
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise ParameterError("stripe prefix must be a 1D prefix or an (S, n+1) stack")
+    if arr[:, 0].any():
+        raise ParameterError("stripe prefix rows must start at 0")
+    steps = np.diff(arr, axis=1)
+    if steps.size and steps.min() < 0:
+        raise ParameterError("stripe prefix rows must be non-decreasing")
+    return arr, steps
+
 
 def probe_multi(M, m: int, B: int) -> bool:
     """Can ``[0, n)`` be cut into ``<= m`` intervals of striped cost ``<= B``?"""
-    return _kernels.probe_multi(M, m, B)[0]
+    return _kernels.probe_multi(_stripes(M)[0], m, B)[0]
 
 
 def multi_cuts(M, m: int, B: int) -> np.ndarray | None:
     """Greedy cuts realizing striped bottleneck ``B`` (None if infeasible)."""
     check_m(m)
-    ok, _, cuts = _kernels.probe_multi(M, m, B)
+    ok, _, cuts = _kernels.probe_multi(_stripes(M)[0], m, B)
     return np.array(cuts, dtype=np.int64) if ok else None
 
 
 def _solve(M, m: int, ub: int | None) -> tuple[int, list[int]]:
     """``(optimal bottleneck, greedy cuts at it)`` of the striped problem."""
     check_m(m)
-    M = np.ascontiguousarray(M, dtype=np.int64)
+    M, steps = _stripes(M)
     n = M.shape[1] - 1
     if n == 0 or M.shape[0] == 0:
         return 0, [0] + [n] * m
     # any interval covering boundary step b costs at least max_s cell[s, b]
-    max_step = int(np.diff(M, axis=1).max())
+    max_step = int(steps.max())
     heaviest = int(M[:, -1].max())
     lb = max(max_step, -(-heaviest // m))
     # the single-array DirectCut bound does not transfer to striped costs
@@ -66,23 +107,32 @@ def _solve(M, m: int, ub: int | None) -> tuple[int, list[int]]:
     # [lb, hi] always holds the optimum, and every walk narrows it
     hi, cuts = heaviest, [0] + [n] * m
     B = guess if guess < hi else (lb + hi) // 2
+    # a hinted solve gallops down from its hint — each feasible walk probes
+    # `gap` below its bound, `gap` doubling — until the first infeasible
+    # walk; from there (and throughout an unhinted solve) it bisects
+    gallop, gap = ub is not None, 0
+    memo: _kernels.StepMemo = {}
     while lb < hi:
-        ok, bound, walk = _kernels.probe_multi(M, m, B)
+        ok, bound, walk = _kernels.probe_multi(M, m, B, memo)
         if ok:
             hi, cuts = bound, walk
         else:
-            lb = bound
-        B = (lb + hi) // 2
+            lb, gallop = bound, False
+        if gallop:
+            gap = 2 * gap if gap else max(hi // _GALLOP_DIV, 1)
+            B = max(lb, hi - gap)
+        else:
+            B = (lb + hi) // 2
     return lb, cuts
 
 
 def multi_bottleneck(M, m: int, *, ub: int | None = None) -> int:
     """Optimal striped bottleneck.
 
-    ``ub`` is an optional first probe point (e.g. a bottleneck some known
-    partition achieves).  It is only ever probed, never trusted, so a wrong
-    hint costs extra probes at most — the returned optimum is identical
-    for any hint.
+    ``ub`` is an optional hint (e.g. a bottleneck some known partition
+    achieves): the solve probes it first and gallops down from it.  It is
+    only ever probed, never trusted, so a wrong hint costs extra probes at
+    most — the returned optimum is identical for any hint.
     """
     return _solve(M, m, ub)[0]
 
@@ -90,8 +140,8 @@ def multi_bottleneck(M, m: int, *, ub: int | None = None) -> int:
 def partition_multi(M, m: int, *, ub: int | None = None) -> tuple[int, np.ndarray]:
     """Optimal striped 1D partition ``(bottleneck, cuts)``.
 
-    ``ub`` is forwarded to :func:`multi_bottleneck` (a probed hint; the
-    result is identical with or without it).
+    ``ub`` is a probed hint as in :func:`multi_bottleneck`; the result is
+    identical with or without it.
     """
     B, cuts = _solve(M, m, ub)
     return B, np.array(cuts, dtype=np.int64)

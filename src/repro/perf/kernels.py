@@ -58,6 +58,7 @@ __all__ = [
     "alloc_tail",
     "probe_multi",
     "MultiWalk",
+    "StepMemo",
 ]
 
 _I64_MAX = 2**63 - 1
@@ -749,8 +750,12 @@ def _alloc_tail_numpy(loads: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
 #: what a striped greedy walk proves: ``(feasible, bound, cuts)``
 MultiWalk = tuple[bool, int, "list[int] | None"]
 
+#: one solve's step windows: ``pos -> (end, cost)``, where ``cost[k]`` is the
+#: striped cost ``max_s (M[s, pos+k] - M[s, pos])`` of every end up to ``end``
+StepMemo = dict[int, tuple[int, np.ndarray]]
 
-def _probe_multi_reference(M: Any, m: int, B: int) -> MultiWalk:
+
+def _probe_multi_reference(M: Any, m: int, B: int, memo: StepMemo | None = None) -> MultiWalk:
     """Scalar greedy with per-stripe shrinking-window binary searches.
 
     A step from ``pos`` reaches the furthest ``j`` whose striped cost
@@ -758,6 +763,7 @@ def _probe_multi_reference(M: Any, m: int, B: int) -> MultiWalk:
     returns the largest step cost (its realised bottleneck) and its ``m + 1``
     cuts; an infeasible one returns the cheapest one-boundary extension of
     any step it took: every ``B'`` below that value walks the same steps.
+    ``memo`` is accepted for the dispatcher's signature and ignored.
     """
     arr = np.asarray(M, dtype=np.int64)
     rows: list[list[int]] = arr.tolist()
@@ -791,7 +797,7 @@ def _probe_multi_reference(M: Any, m: int, B: int) -> MultiWalk:
     return True, bound, cuts + [n] * (m + 1 - len(cuts))
 
 
-def _probe_multi_numpy(M: Any, m: int, B: int) -> MultiWalk:
+def _probe_multi_numpy(M: Any, m: int, B: int, memo: StepMemo | None = None) -> MultiWalk:
     """Windowed striped walk on the stacked int64 prefix matrix.
 
     Each step takes the column max of ``M[:, pos:pos+w+1] - M[:, pos]`` —
@@ -803,6 +809,12 @@ def _probe_multi_numpy(M: Any, m: int, B: int) -> MultiWalk:
     total: any larger bottleneck walks identically, and the costs stay in
     int64.  Degenerate shapes (no stripes, no cells, ``m < 1``, ``B < 0``)
     take the scalar walk.
+
+    ``memo`` (one per solve, i.e. per ``M``) keeps every step's cost
+    window: a later walk reaching the same ``pos`` searches the cached
+    window and recomputes, twice as wide, only when its reach hits the
+    cached edge.  A window's reach and extension do not depend on its
+    width once the reach lies inside it, so the tuples are unchanged.
     """
     arr = np.ascontiguousarray(M, dtype=np.int64)
     if arr.ndim != 2:
@@ -817,15 +829,22 @@ def _probe_multi_numpy(M: Any, m: int, B: int) -> MultiWalk:
     bound = 0
     ext = -1
     while len(cuts) <= m and pos < n:
-        w = w0
-        while True:
-            end = pos + w if pos + w < n else n
-            win = arr[:, pos : end + 1]  # repro-lint: disable=RPL002 — boundary window, not cells
-            cost = np.maximum.reduce(win - win[:, :1], axis=0)
+        hit = None if memo is None else memo.get(pos)
+        if hit is not None:
+            end, cost = hit
             r = int(cost.searchsorted(B, side="right")) - 1
-            if pos + r < end or end == n:
-                break
-            w *= 2
+        if hit is None or (pos + r >= end and end < n):
+            w = w0 if hit is None else 2 * (end - pos)
+            while True:
+                end = pos + w if pos + w < n else n
+                win = arr[:, pos : end + 1]  # repro-lint: disable=RPL002 — boundary window, not cells
+                cost = np.maximum.reduce(win - win[:, :1], axis=0)
+                r = int(cost.searchsorted(B, side="right")) - 1
+                if pos + r < end or end == n:
+                    break
+                w *= 2
+            if memo is not None:
+                memo[pos] = (end, cost)
         if pos + r < n:
             e = int(cost[r + 1])
             if ext < 0 or e < ext:
@@ -942,13 +961,14 @@ def alloc_tail(loads: np.ndarray, q: Sequence[int] | np.ndarray, m: int) -> np.n
     return kernel("alloc_tail")(loads, q, m)
 
 
-def probe_multi(M: Any, m: int, B: int) -> MultiWalk:
+def probe_multi(M: Any, m: int, B: int, memo: StepMemo | None = None) -> MultiWalk:
     """Striped-cost greedy walk at bottleneck ``B`` over the ``(S, n+1)`` stack ``M``.
 
     Returns ``(feasible, bound, cuts)``.  Feasible: ``bound <= B`` is the
     realised bottleneck of the ``m + 1`` greedy ``cuts``, and every
     ``B'`` in ``[bound, B]`` walks the same cuts.  Infeasible
     (``cuts is None``): ``bound > B``, and every ``B' < bound`` is
-    infeasible too.
+    infeasible too.  ``memo`` is a dict shared by the walks of one solve on
+    the same ``M`` (start it empty); it changes no result.
     """
-    return kernel("probe_multi")(M, m, B)
+    return kernel("probe_multi")(M, m, B, memo)

@@ -8,17 +8,23 @@ load of the interval inside each stripe of the fixed dimension.  At each
 iteration, the partition of one dimension is refined."
 
 The striped 1D sub-problem is solved exactly by
-:func:`repro.oned.multicost.partition_multi`: a bisection over the
+:func:`repro.oned.multicost.partition_multi`: a search over the
 ``probe_multi`` registry kernel (:mod:`repro.perf.kernels`), whose greedy
 walks return the bound they prove — the realised bottleneck of a feasible
 walk, the cheapest step extension of an infeasible one — so each probe
 narrows the bracket from its own side, and the final feasible walk supplies
-the cuts.  Iteration stops when the grid bottleneck stops improving (the
-paper observes 3–10 iterations in practice for a 514×514 matrix up to
-10 000 processors) or at ``max_iters``.
+the cuts.  Each solve is hinted with the incumbent grid bottleneck, which
+bounds the new striped optimum from above: the search walks there first,
+gallops down in doubling steps until a walk fails, then bisects, and all
+its walks share one memo of step cost windows.  Iteration stops when the
+grid bottleneck stops improving (the paper observes 3–10 iterations in
+practice for a 514×514 matrix up to 10 000 processors) or at
+``max_iters``.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -66,6 +72,14 @@ def _validated_cuts(cuts, n: int, parts: int, what: str) -> np.ndarray:
     return out
 
 
+def _count(value, what: str, least: int) -> int:
+    """``value`` as an int of at least ``least``, or a ``ParameterError``."""
+    # bool is an Integral too, but True processors is a caller's bug
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def rect_nicol(
     A: MatrixLike,
     m: int,
@@ -89,14 +103,20 @@ def rect_nicol(
     values: its contract is bit-identity with cold calls.  The identity-
     safe warm start used instead is internal: each striped sub-problem is
     seeded with the incumbent grid bottleneck as its first probe point,
-    which :func:`~repro.oned.multicost.multi_bottleneck` probes rather than
-    trusts.
+    which :func:`~repro.oned.multicost.partition_multi` probes and
+    gallops down from rather than trusts.
+
+    ``P`` and ``Q`` must be integers of at least 1 and ``max_iters`` an
+    integer of at least 0; anything else is a ``ParameterError``.
     """
     pref = prefix_2d(A)
+    max_iters = _count(max_iters, "max_iters", 0)
     if P is None or Q is None:
         P, Q = choose_pq(m, pref.n1, pref.n2)
-    elif P * Q != m:
-        raise ParameterError(f"P*Q must equal m ({P}*{Q} != {m})")
+    else:
+        P, Q = _count(P, "P", 1), _count(Q, "Q", 1)
+        if P * Q != m:
+            raise ParameterError(f"P*Q must equal m ({P}*{Q} != {m})")
     if init_cuts is not None:
         row_init, col_init = init_cuts
         row_cuts = _validated_cuts(row_init, pref.n1, P, "row")

@@ -352,6 +352,28 @@ def test_striped_bisection_tightens_from_both_sides(monkeypatch, P, Q):
     assert len(walks) <= 10, walks
 
 
+def test_rect_nicol_gallops_from_its_hint(monkeypatch):
+    # RECT-NICOL hints every striped solve with the incumbent bottleneck,
+    # and the solve gallops down from it: 208 probe_multi walks here, 344
+    # when the hinted solve bisected like an unhinted one; the refinement
+    # itself (16 iterations) does not change
+    from repro.instances import diagonal
+    from repro.perf import kernels
+
+    walks = []
+    k = kernels.KERNELS["probe_multi"]
+
+    def counted(*args):
+        walks.append(args[2])
+        return k.numpy(*args)
+
+    monkeypatch.setitem(kernels.KERNELS, "probe_multi", dataclasses.replace(k, numpy=counted))
+    with use_perf_backend("numpy"):
+        part = partition_2d(diagonal(512, seed=0), 64, "RECT-NICOL")
+    assert part.meta["iterations"] == 16
+    assert len(walks) <= 220, len(walks)
+
+
 def test_jag_m_opt_scans_level_end_starts_only():
     # the feasibility DP visits only the last start of each run of equal
     # f(k) (at most m + 1 per row): 522 stripe projections on this

@@ -419,6 +419,35 @@ def test_probe_multi_tuples_match_and_bounds_hold(M, m, B):
     _check_walk_bound(M, m, B, "numpy")
 
 
+@given(
+    _stripe_stacks,
+    st.integers(1, 12),
+    st.lists(st.integers(-2, 500), min_size=1, max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_probe_multi_shared_memo_changes_no_walk(M, m, Bs):
+    # one solve's walks share a step memo; any order of B — widening
+    # windows included — must return exactly the memo-free tuples
+    for backend in ("reference",) + BACKENDS:
+        walk = kernel("probe_multi", backend)
+        memo: kernels.StepMemo = {}
+        for B in Bs:
+            assert walk(M, m, B, memo) == walk(M, m, B), (backend, B)
+
+
+def test_probe_multi_memo_widens_a_narrow_window():
+    # m = 8 over 64 columns: first windows are 16 columns wide; the walk at
+    # the total reaches the end in one step from a cached narrow window
+    M = _stack(*np.random.default_rng(3).integers(0, 9, (2, 64)).tolist())
+    total = int(M[:, -1].max())
+    memo: kernels.StepMemo = {}
+    walk = kernel("probe_multi", "numpy")
+    assert walk(M, 8, total // 10, memo) == walk(M, 8, total // 10)
+    assert memo[0][0] == 16
+    assert walk(M, 8, total, memo) == (True, total, [0] + [64] * 8)
+    assert memo[0][0] == 64
+
+
 # ----------------------------------------------------------------------
 # backend selection and malformed environment values
 # ----------------------------------------------------------------------

@@ -83,6 +83,32 @@ class TestRectNicol:
         with pytest.raises(ParameterError):
             rect_nicol(rng.integers(1, 5, (4, 4)), 4, P=3, Q=2)
 
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            # P*Q == m, but the uniform start failed inside numpy
+            (dict(P=-1, Q=-4), "P must be an integer >= 1"),
+            (dict(P=2.0, Q=2), "P must be an integer >= 1"),  # was a bare TypeError
+            (dict(P=2, Q=True), "Q must be an integer >= 1"),
+            (dict(max_iters=2.5), "max_iters must be an integer >= 0"),  # was a TypeError
+            (dict(max_iters=-1), "max_iters must be an integer >= 0"),  # ran zero iterations
+        ],
+        ids=["negative-pq", "float-p", "bool-q", "float-iters", "negative-iters"],
+    )
+    def test_malformed_arguments_are_parameter_errors(self, rng, kw, match):
+        A = rng.integers(1, 5, (8, 8))
+        with pytest.raises(ParameterError, match=match):
+            rect_nicol(A, 4, **kw)
+
+    def test_integral_arguments_of_any_int_type(self, rng):
+        A = rng.integers(1, 5, (8, 8))
+        want = rect_nicol(A, 4, P=2, Q=2).coords()
+        got = rect_nicol(A, 4, P=np.int64(2), Q=np.int32(2), max_iters=np.int64(20))
+        np.testing.assert_array_equal(got.coords(), want)
+        # zero iterations keep the uniform start
+        start = rect_nicol(A, 4, P=2, Q=2, max_iters=0)
+        assert start.meta["iterations"] == 0
+
     def test_single_processor(self, rng):
         A = rng.integers(1, 5, (4, 4))
         p = rect_nicol(A, 1)
