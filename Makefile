@@ -92,28 +92,53 @@ figures-smoke:
 	cmp $(FIGURES_SMOKE)/jobs-1/fig05.csv $(FIGURES_SMOKE)/jobs-2/fig05.csv
 	@echo "figures-smoke: warm rerun all hits, --jobs 1/2 byte-identical"
 
-# CI smoke of the sweep fact store: fig07 populates a store, reruns warm
-# from it and runs once without one -- the three CSVs must be identical and
-# the file version 2; a garbage file is then ignored, the CSV is unchanged
-# and the flush rewrites the file valid
+# CI smoke of the sweep fact store: a WarmStarted(EveryK(1)) JAG-M-OPT
+# stream over the tiny-profile PIC-MAG snapshots runs cold into a store,
+# warm from it, with no store, and again after the file was garbled.  The
+# four SimulationReports must be equal; after each flush the store must be
+# trusted and version 3, and only the warm run may seed from it.
+# argv: store path ('' = no store), report file, expected seeding (0/1)
 SWEEP_SMOKE = /tmp/repro-sweep-store-smoke
-FIG07 = PYTHONPATH=src $(PYTHON) -m repro.experiments --figures fig07 --scale tiny
-STORE_OK = PYTHONPATH=src $(PYTHON) -c "import json, sys; from repro.sweep import SweepStore; \
-	s = SweepStore(sys.argv[1]); s.load(); \
-	assert s.ignored_reason is None and json.load(open(sys.argv[1]))['version'] == 2"
+define WARM_STREAM
+import json, sys
+from repro import partition_2d
+from repro.dynamic import EveryK, WarmStarted
+from repro.experiments.scale import get_scale
+from repro.instances.pic import PICMagDataset
+from repro.runtime import BSPSimulator
+from repro.sweep import SweepStore
+path, out, seeds = sys.argv[1:]
+sc = get_scale("tiny")
+ds = PICMagDataset(sc.pic, period=sc.pic_period, max_iteration=sc.pic_max_iteration, cache=False)
+store = SweepStore(path) if path else None
+sim = BSPSimulator(
+    sc.m_cap_m_opt,
+    lambda pref, m: partition_2d(pref, m, "JAG-M-OPT"),
+    policy=WarmStarted(EveryK(1), store=store),
+)
+rep = sim.run(ds.snapshots(), steps_per_snapshot=sc.pic_period)
+open(out, "w").write(repr(rep) + "\n")
+if store is not None:
+    print(f"sweep-store-smoke: {path} seeded={store.seeded}")
+    assert (store.seeded > 0) == (seeds == "1"), store.seeded
+    disk = SweepStore(path)
+    disk.load()
+    assert disk.ignored_reason is None, disk.ignored_reason
+    assert json.load(open(path))["version"] == 3
+endef
+export WARM_STREAM
+WARM_RUN = PYTHONPATH=src $(PYTHON) -c "$$WARM_STREAM"
 sweep-store-smoke:
 	rm -rf $(SWEEP_SMOKE) && mkdir -p $(SWEEP_SMOKE)
-	$(FIG07) --sweep-store $(SWEEP_SMOKE)/S.json --out $(SWEEP_SMOKE)/cold
-	$(FIG07) --sweep-store $(SWEEP_SMOKE)/S.json --out $(SWEEP_SMOKE)/warm
-	$(FIG07) --out $(SWEEP_SMOKE)/none
-	cmp $(SWEEP_SMOKE)/cold/fig07.csv $(SWEEP_SMOKE)/warm/fig07.csv
-	cmp $(SWEEP_SMOKE)/cold/fig07.csv $(SWEEP_SMOKE)/none/fig07.csv
-	$(STORE_OK) $(SWEEP_SMOKE)/S.json
+	$(WARM_RUN) $(SWEEP_SMOKE)/S.json $(SWEEP_SMOKE)/cold.txt 0
+	$(WARM_RUN) $(SWEEP_SMOKE)/S.json $(SWEEP_SMOKE)/warm.txt 1
+	$(WARM_RUN) '' $(SWEEP_SMOKE)/none.txt 0
 	printf 'garbage{' > $(SWEEP_SMOKE)/S.json
-	$(FIG07) --sweep-store $(SWEEP_SMOKE)/S.json --out $(SWEEP_SMOKE)/healed
-	cmp $(SWEEP_SMOKE)/cold/fig07.csv $(SWEEP_SMOKE)/healed/fig07.csv
-	$(STORE_OK) $(SWEEP_SMOKE)/S.json
-	@echo "sweep-store-smoke: warm, storeless and healed runs byte-identical"
+	$(WARM_RUN) $(SWEEP_SMOKE)/S.json $(SWEEP_SMOKE)/healed.txt 0
+	cmp $(SWEEP_SMOKE)/cold.txt $(SWEEP_SMOKE)/warm.txt
+	cmp $(SWEEP_SMOKE)/cold.txt $(SWEEP_SMOKE)/none.txt
+	cmp $(SWEEP_SMOKE)/cold.txt $(SWEEP_SMOKE)/healed.txt
+	@echo "sweep-store-smoke: warm, storeless and healed reports equal"
 
 # kernel registry family: reference vs numpy for every registered kernel,
 # asserting bit-identical results per row; writes BENCH_kernels.json

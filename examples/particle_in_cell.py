@@ -12,6 +12,7 @@ Run:  python examples/particle_in_cell.py        (~1 minute)
 """
 
 from repro import partition_2d
+from repro.dynamic import EveryK
 from repro.instances.pic import PICConfig, PICMagDataset
 from repro.runtime import BSPSimulator, CostModel
 
@@ -37,7 +38,7 @@ print(f"{'partitioner':<14} {'policy':<10} {'total':>9} {'comp':>8} "
       f"{'comm':>8} {'migr':>8} {'mean imb':>9}")
 for name in ("RECT-UNIFORM", "JAG-PQ-HEUR", "JAG-M-HEUR", "HIER-RB", "HIER-RELAXED"):
     for label, every in (("static", 0), ("dynamic", 1)):
-        sim = BSPSimulator(M, strategy(name), cost=cost, repartition_every=every)
+        sim = BSPSimulator(M, strategy(name), cost=cost, policy=EveryK(every))
         rep = sim.run(snaps, steps_per_snapshot=500)
         print(
             f"{name:<14} {label:<10} {rep.total_time:>8.2f}s {rep.compute_time:>7.2f}s "

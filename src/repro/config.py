@@ -34,11 +34,6 @@ ENV_VARS: dict[str, EnvVar] = {
         description="kernel-registry backend: reference (the scalar oracle) or numpy",
         consumer="repro.perf.config",
     ),
-    "REPRO_SWEEP_STORE": EnvVar(
-        default="",
-        description="sweep fact-store path; empty keeps sweeps in-memory",
-        consumer="repro.sweep.engine",
-    ),
     "REPRO_RAW_STORE": EnvVar(
         default="",
         description="raw figure-result store directory; empty recomputes every cell",

@@ -19,9 +19,10 @@ this module supplies the *when to repartition* half of the loop as pluggable
 * :class:`WarmStarted` — delegate the decision to an inner policy and route
   every per-snapshot solve through one long-lived sweep scope
   (:func:`repro.sweep.use_sweep`), optionally backed by a persistent
-  :class:`~repro.sweep.store.SweepStore`.  Facts are digest-keyed, so a
-  rerun over the same snapshot stream starts every solve warm while the
-  partitions stay bit-identical to cold calls.
+  :class:`~repro.sweep.store.SweepStore`.  The scope carries JAG-M-OPT's
+  proven optima and stripe facts, digest-keyed on disk, so a rerun of a
+  JAG-M-OPT stream over the same snapshots starts every solve warm while
+  the partitions stay bit-identical to cold calls.
 
 :class:`repro.dynamic.IncrementalJagged` is itself a policy (it subclasses
 the base and re-produces a partition every snapshot — cheap refinement or
@@ -40,6 +41,8 @@ design — unit costs are real-valued, like the heterogeneous speeds of
 
 from __future__ import annotations
 
+import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +65,21 @@ __all__ = [
 
 #: the solver the simulator injects: ``(pref, m) -> Partition``
 Partitioner = Callable[[LoadView, int], Partition]
+
+
+def _count(name: str, value: Any, least: int) -> int:
+    """``value`` as an ``int >= least``; a fractional count is rejected, never truncated."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _finite(name: str, value: Any) -> float:
+    """``value`` as a finite, non-negative float (NaN and inf are rejected)."""
+    x = float(value)
+    if not math.isfinite(x) or x < 0:
+        raise ParameterError(f"{name} must be finite and non-negative, got {value!r}")
+    return x
 
 
 def drift_exceeds(value: int, baseline: int, threshold: float) -> bool:
@@ -142,16 +160,13 @@ class EveryK(RepartitionPolicy):
     """Repartition every ``k`` snapshots — the extracted legacy behavior.
 
     ``k=1`` repartitions on every snapshot, ``k=0`` never after the first
-    (a static decomposition).  Bit-compatible with the old
-    ``BSPSimulator(repartition_every=k)`` hardwired rule, which this class
-    now implements.
+    (a static decomposition).  It is the simulator's default policy
+    (``k=1``).
     """
 
     def __init__(self, k: int = 1) -> None:
         super().__init__()
-        if k < 0:
-            raise ParameterError(f"k must be non-negative, got {k}")
-        self.k = int(k)
+        self.k = _count("k", k, 0)
         self.name = f"every-{self.k}"
 
     def should_repartition(self, ctx: StepContext) -> bool:
@@ -171,9 +186,7 @@ class ImbalanceTriggered(RepartitionPolicy):
 
     def __init__(self, threshold: float = 0.10) -> None:
         super().__init__()
-        if threshold < 0:
-            raise ParameterError("threshold must be non-negative")
-        self.threshold = float(threshold)
+        self.threshold = _finite("threshold", threshold)
         self.name = f"imbalance-{self.threshold:g}"
 
     def should_repartition(self, ctx: StepContext) -> bool:
@@ -208,15 +221,9 @@ class MigrationBudgeted(RepartitionPolicy):
         self, *, horizon: int = 5, hysteresis: float = 1.0, cooldown: int = 0
     ) -> None:
         super().__init__()
-        if horizon < 1:
-            raise ParameterError("horizon must be >= 1")
-        if hysteresis < 0:
-            raise ParameterError("hysteresis must be non-negative")
-        if cooldown < 0:
-            raise ParameterError("cooldown must be non-negative")
-        self.horizon = int(horizon)
-        self.hysteresis = float(hysteresis)
-        self.cooldown = int(cooldown)
+        self.horizon = _count("horizon", horizon, 1)
+        self.hysteresis = _finite("hysteresis", hysteresis)
+        self.cooldown = _count("cooldown", cooldown, 0)
         self.name = f"budgeted-h{self.horizon}"
         self.candidate_solves = 0
         self._since_migration = 0
@@ -269,19 +276,19 @@ class MigrationBudgeted(RepartitionPolicy):
 class WarmStarted(RepartitionPolicy):
     """Route every per-snapshot solve through one warm sweep scope.
 
-    Consecutive snapshots are near-identical instances; with a persistent
+    The scope warms JAG-M-OPT only: with a persistent
     :class:`~repro.sweep.store.SweepStore` attached, every instance's
-    proven facts (bounds, probe staircases, witnesses, cut memos) are
-    digest-keyed on disk, so a rerun over the same stream — the steady
-    state of a long-running dynamic application that revisits load
-    configurations — seeds each solve warm.  Results stay **bit-identical**
-    to cold calls (the sweep engine's contract); only the work to reach
-    them shrinks.
+    proven optima and probe/stripe facts are digest-keyed on disk, so a
+    rerun over the same stream — the steady state of a long-running
+    dynamic application that revisits load configurations — returns each
+    recorded optimum outright.  Results stay **bit-identical** to cold
+    calls; only the work to reach them shrinks.  Other solvers run
+    unchanged inside the scope.
 
     The repartitioning *decision* is delegated to ``inner`` (default:
     :class:`EveryK` with ``k=1``).  ``store`` is a
-    :class:`~repro.sweep.store.SweepStore`, a path, or ``None`` (ambient
-    default, i.e. ``$REPRO_SWEEP_STORE``/:func:`repro.sweep.set_default_store`).
+    :class:`~repro.sweep.store.SweepStore`, a path, or ``None`` (the scope
+    stays in memory for the one run).
     """
 
     def __init__(

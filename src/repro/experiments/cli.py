@@ -9,13 +9,11 @@ Regenerates any subset of the paper's figures as text tables and CSV files::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from contextlib import ExitStack
 from pathlib import Path
 
-from ..sweep import set_default_store
 from .extensions import ALL_EXTENSIONS
 from .figures import ALL_FIGURES
 from .pool import cell_pool
@@ -70,15 +68,6 @@ def main(argv: list[str] | None = None) -> int:
         "serial; each solve stays serial; outputs are byte-identical for any N)",
     )
     parser.add_argument(
-        "--sweep-store",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="persist sweep facts to PATH across runs (content-addressed; "
-        "results stay byte-identical, repeat runs start warm; equivalent "
-        "to setting $REPRO_SWEEP_STORE)",
-    )
-    parser.add_argument(
         "--raw-dir",
         type=Path,
         default=None,
@@ -105,11 +94,8 @@ def main(argv: list[str] | None = None) -> int:
         if ambient is None:
             parser.error("--force needs a raw store (--raw-dir or $REPRO_RAW_STORE)")
         raw_root = ambient.root
-    sweep_store = None if args.sweep_store is None else os.fspath(args.sweep_store)
     # every setting below is scoped to this call and restored on return
     with ExitStack() as scope:
-        if sweep_store is not None:
-            scope.callback(set_default_store, set_default_store(sweep_store))
         if raw_root is not None:
             scope.enter_context(use_raw_store(raw_root, force=args.force))
         if args.gallery is not None:
@@ -121,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"# scale profile: {scale.name}", file=sys.stderr)
         # every figure is deterministic and the cell maps preserve item
         # order, so the tables and CSVs below are byte-identical for any --jobs
-        scope.enter_context(cell_pool(args.jobs, sweep_store=sweep_store))
+        scope.enter_context(cell_pool(args.jobs))
         for fig in figs:
             store = current_raw_store()
             before = store.counters() if store is not None else {}

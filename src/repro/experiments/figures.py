@@ -18,8 +18,6 @@ from ..core.registry import ALGORITHMS
 from ..instances import diagonal, multi_peak, peak, slac_instance, uniform
 from ..instances.pic import PICMagDataset
 from ..jagged.m_heur import jag_m_heur
-from ..sweep import use_sweep
-from ..sweep.state import canonical_scope
 from ..theory.bounds import theorem3_ratio
 from .harness import FigureResult, timed
 # pmap has no caller here, but benchmarks/e2e/tracing.py patches figures.pmap
@@ -27,6 +25,7 @@ from .pool import pmap, pmap_batched  # noqa: F401
 from .rawstore import (
     MISS,
     RawStore,
+    canonical_scope,
     cell as raw_cell,
     current_raw_store,
     digest_matrix,
@@ -244,11 +243,10 @@ def fig05_hier_relaxed_diagonal(scale=None) -> FigureResult:
         notes=f"scale={sc.name}; paper: 4096x4096",
     )
     dig = digest_prefix(pref)
-    with use_sweep():  # warm starts across the m sweep (bit-identical)
-        for m in sc.m_values:
-            for variant in ("LOAD", "DIST", "HOR", "VER"):
-                algo = f"HIER-RELAXED-{variant}"
-                res.add(algo, m, _imb_cell(sc.name, dig, algo, m, pref))
+    for m in sc.m_values:
+        for variant in ("LOAD", "DIST", "HOR", "VER"):
+            algo = f"HIER-RELAXED-{variant}"
+            res.add(algo, m, _imb_cell(sc.name, dig, algo, m, pref))
     return res
 
 
@@ -273,11 +271,9 @@ def fig06_runtime(scale=None) -> FigureResult:
         "seconds",
         notes=f"scale={sc.name}; paper: 512x512 C++ timings — compare ordering, not values",
     )
-    # deliberately NOT routed through use_sweep(): this figure *times* the
-    # algorithms, and warm starts would measure the sweep engine instead of
-    # the per-call costs the paper reports.  Timings are raw *measurements*:
-    # once a cell is in the raw store it is replayed verbatim (like any
-    # recorded experiment), keyed by the measurement protocol (repeats)
+    # timings are raw *measurements*: once a cell is in the raw store it is
+    # replayed verbatim (like any recorded experiment), keyed by the
+    # measurement protocol (repeats)
     def _timing(algo: str, m: int, repeats: int) -> float:
         return raw_cell(
             sc.name,
@@ -325,15 +321,13 @@ def fig07_jagged_vs_m(scale=None) -> FigureResult:
         "(paper caps at 1,000: 'runtime becomes prohibitive')",
     )
     dig = digest_prefix(pref)
-    with use_sweep():  # heuristic witnesses seed the exact solvers per m,
-        # and exact bounds transfer across the m sweep (bit-identical)
-        for m in sc.m_values:
-            for name in ("JAG-PQ-HEUR", "JAG-M-HEUR"):
-                res.add(name, m, _imb_cell(sc.name, dig, name, m, pref))
-            if m <= sc.m_cap_pq_opt:
-                res.add("JAG-PQ-OPT", m, _imb_cell(sc.name, dig, "JAG-PQ-OPT", m, pref))
-            if m <= sc.m_cap_m_opt:
-                res.add("JAG-M-OPT", m, _imb_cell(sc.name, dig, "JAG-M-OPT", m, pref))
+    for m in sc.m_values:
+        for name in ("JAG-PQ-HEUR", "JAG-M-HEUR"):
+            res.add(name, m, _imb_cell(sc.name, dig, name, m, pref))
+        if m <= sc.m_cap_pq_opt:
+            res.add("JAG-PQ-OPT", m, _imb_cell(sc.name, dig, "JAG-PQ-OPT", m, pref))
+        if m <= sc.m_cap_m_opt:
+            res.add("JAG-M-OPT", m, _imb_cell(sc.name, dig, "JAG-M-OPT", m, pref))
     return res
 
 
@@ -359,12 +353,10 @@ def fig08_jagged_vs_iteration(scale=None) -> FigureResult:
     for it, A in ds.snapshots():
         pref = PrefixSum2D(A)
         dig = digest_prefix(pref)
-        with use_sweep():  # per snapshot: the heuristic witness seeds the
-            # exact solver's upper bound at this m (bit-identical)
-            for name in ("JAG-PQ-HEUR", "JAG-PQ-OPT", "JAG-M-HEUR"):
-                if name == "JAG-PQ-OPT" and m > sc.m_cap_pq_opt:
-                    continue
-                res.add(name, it, _imb_cell(sc.name, dig, name, m, pref))
+        for name in ("JAG-PQ-HEUR", "JAG-PQ-OPT", "JAG-M-HEUR"):
+            if name == "JAG-PQ-OPT" and m > sc.m_cap_pq_opt:
+                continue
+            res.add(name, it, _imb_cell(sc.name, dig, name, m, pref))
     return res
 
 
@@ -433,12 +425,11 @@ def fig10_hier_diagonal(scale=None) -> FigureResult:
         notes=f"scale={sc.name}; paper: 4096x4096",
     )
     dig = digest_prefix(pref)
-    with use_sweep():  # warm starts across the m sweep (bit-identical)
-        for m in sc.m_values:
-            res.add("HIER-RB", m, _imb_cell(sc.name, dig, "HIER-RB", m, pref))
-            res.add(
-                "HIER-RELAXED", m, _imb_cell(sc.name, dig, "HIER-RELAXED", m, pref)
-            )
+    for m in sc.m_values:
+        res.add("HIER-RB", m, _imb_cell(sc.name, dig, "HIER-RB", m, pref))
+        res.add(
+            "HIER-RELAXED", m, _imb_cell(sc.name, dig, "HIER-RELAXED", m, pref)
+        )
     return res
 
 
@@ -518,10 +509,9 @@ def fig13_all_vs_m(scale=None) -> FigureResult:
         notes=f"scale={sc.name}",
     )
     dig = digest_prefix(pref)
-    with use_sweep():  # warm starts across the m sweep (bit-identical)
-        for m in sc.m_values:
-            for name in HEURISTICS:
-                res.add(name, m, _imb_cell(sc.name, dig, name, m, pref))
+    for m in sc.m_values:
+        for name in HEURISTICS:
+            res.add(name, m, _imb_cell(sc.name, dig, name, m, pref))
     return res
 
 
@@ -556,10 +546,9 @@ def fig14_slac(scale=None) -> FigureResult:
         notes=f"scale={sc.name}; sparse instance (zeros), delta undefined",
     )
     dig = digest_prefix(pref)
-    with use_sweep():  # warm starts across the m sweep (bit-identical)
-        for m in sc.m_values:
-            for name in HEURISTICS:
-                res.add(name, m, _imb_cell(sc.name, dig, name, m, pref))
+    for m in sc.m_values:
+        for name in HEURISTICS:
+            res.add(name, m, _imb_cell(sc.name, dig, name, m, pref))
     return res
 
 

@@ -21,7 +21,6 @@ from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from ..perf.config import perf_backend, set_perf_backend
 from ..perf.counters import OpCounters, counting, merge_snapshot, op_counters
-from ..sweep import set_default_store
 
 __all__ = ["cell_pool", "pmap", "pmap_batched"]
 
@@ -31,18 +30,12 @@ T = TypeVar("T")
 _ACTIVE: tuple[ProcessPoolExecutor, int] | None = None
 
 
-def _worker_init(perf_backend: str, sweep_store: str | None) -> None:
-    """Runs in each worker at spawn: mirror the parent's kernel backend and store."""
-    set_perf_backend(perf_backend)
-    set_default_store(sweep_store)
-
-
 @contextmanager
-def cell_pool(jobs: int, *, sweep_store: str | None = None) -> Iterator[None]:
+def cell_pool(jobs: int) -> Iterator[None]:
     """Fan :func:`pmap` / :func:`pmap_batched` out over ``jobs`` workers.
 
-    ``jobs < 2`` keeps both maps serial.  ``sweep_store`` is the sweep-store
-    path the workers resolve, passed through the pool initializer.
+    ``jobs < 2`` keeps both maps serial.  Each worker mirrors the parent's
+    kernel backend, set through the pool initializer.
     """
     global _ACTIVE
     if jobs < 2:
@@ -51,8 +44,8 @@ def cell_pool(jobs: int, *, sweep_store: str | None = None) -> Iterator[None]:
     with ProcessPoolExecutor(
         max_workers=jobs,
         mp_context=get_context("spawn"),
-        initializer=_worker_init,
-        initargs=(perf_backend(), sweep_store),
+        initializer=set_perf_backend,
+        initargs=(perf_backend(),),
     ) as pool:
         prev, _ACTIVE = _ACTIVE, (pool, jobs)
         try:

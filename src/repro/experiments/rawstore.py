@@ -15,10 +15,10 @@ is
   keyed differently than its name promises is ignored and recomputed
   cold; a corrupt store can cost time, never poison a figure.
 
-Keying follows the sweep store (PR 5): the instance coordinate is the
-SHA-256 of the gcd-primitive load array (:func:`repro.sweep.store.matrix_digest`)
+Keying follows the sweep store: the instance coordinate is the SHA-256 of
+the gcd-primitive load array (:func:`repro.sweep.store.matrix_digest`)
 suffixed with the live scale, and solver kwargs are canonicalized with
-:func:`repro.sweep.state.canonical_scope`.  The full cell key is
+:func:`canonical_scope`.  The full cell key is
 ``(schema version, profile, instance digest, algorithm, scope, m, metric)``
 — ``metric`` names the value schema (``imbalance``, ``lmax_lavg``,
 ``runtime_s``, ``comm_volume``, ``migration_series``), and ``profile``
@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..config import env_str
-from ..sweep.state import Scope, canonical_scope
 from ..sweep.store import (
     canonical_sha256,
     instance_digest,
@@ -57,6 +57,7 @@ from ..sweep.store import (
 __all__ = [
     "RawStore",
     "MISS",
+    "canonical_scope",
     "InterruptingRawStore",
     "SimulatedInterrupt",
     "use_raw_store",
@@ -75,6 +76,40 @@ _VERSION = 1
 SCHEMA = 1
 
 MISS = object()
+
+#: a kwargs scope: canonicalized, hashable, JSON-round-trippable
+Scope = tuple[tuple[str, str], ...]
+
+
+def _canon_value(v: Any) -> str:
+    """Canonical string form of one kwargs value (type-tagged)."""
+    if isinstance(v, bool):
+        return f"bool:{v}"
+    if isinstance(v, numbers.Integral):
+        return f"int:{int(v)}"
+    if isinstance(v, str):
+        return f"str:{v}"
+    if isinstance(v, float):
+        return f"float:{v!r}"
+    return f"repr:{v!r}"
+
+
+def canonical_scope(kw: Mapping[str, Any] | None) -> Scope:
+    """Canonicalize solver kwargs into a cell-key scope.
+
+    ``None`` and ``{}`` are the unconstrained scope; ``None``-valued
+    entries are dropped (an explicit default); remaining items are sorted
+    by name and values are reduced to type-tagged strings so the scope is
+    hashable, order-independent and survives a JSON round trip unchanged.
+    """
+    if not kw:
+        return ()
+    if isinstance(kw, tuple):
+        # already a canonical scope
+        return kw
+    items = [(str(k), _canon_value(v)) for k, v in kw.items() if v is not None]
+    items.sort()
+    return tuple(items)
 
 
 # ----------------------------------------------------------------------
@@ -309,9 +344,8 @@ def cell(
 ) -> Any:
     """Resolve one figure cell through the ambient store (compute if none).
 
-    ``kw`` is the solver-kwargs scope, canonicalized exactly like the sweep
-    state does, so cells keyed here and facts keyed there agree on what
-    "same solver configuration" means.
+    ``kw`` is the solver-kwargs scope, canonicalized by
+    :func:`canonical_scope`.
     """
     store = current_raw_store()
     if store is None:

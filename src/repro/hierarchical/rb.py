@@ -27,7 +27,6 @@ from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import LoadView, MatrixLike, prefix_2d
 from ..perf.kernels import weighted_cuts
-from ..sweep.state import current as _sweep_current
 from .tree import choose_level, grow_tree, tree_to_partition
 
 __all__ = ["hier_rb", "HIER_VARIANTS"]
@@ -40,12 +39,9 @@ def _rb_chooser(variant: str):
         halves = [(m // 2, m - m // 2) for m in procs]
         # the cut decision only depends on the *ratio* m1:m2 — targets use
         # ``(c·a)//(c·b) = a//b`` and scores scale uniformly — so the cut
-        # kernel searches with the gcd-reduced weights and sweep contexts
-        # memoize per (sub-rectangle, dim, reduced ratio): every node of a
-        # smaller power-of-two sweep step replays a larger step's decision
-        # without touching the cut kernel.  Every candidate in a node
-        # shares the weight product, so the integer scores order exactly
-        # like the Fractions ``max(L1/wl, L2/wr)``
+        # kernel searches with the gcd-reduced weights.  Every candidate in
+        # a node shares the weight product, so the integer scores order
+        # exactly like the Fractions ``max(L1/wl, L2/wr)``
         ratios = [(m1 // gcd(m1, m2), m2 // gcd(m1, m2)) for m1, m2 in halves]
         orients = [((g1, g2),) if g1 == g2 else ((g1, g2), (g2, g1)) for g1, g2 in ratios]
 
@@ -58,7 +54,7 @@ def _rb_chooser(variant: str):
             ]
 
         dims, cuts, facts = choose_level(
-            pref, variant, depth, (r0, r1, c0, c1), "rb", ratios, evaluate, itemgetter(1)
+            pref, variant, depth, (r0, r1, c0, c1), evaluate, itemgetter(1)
         )
         lefts = [0 if f is None else h[f[2]] for f, h in zip(facts, halves)]
         return dims, cuts, lefts
@@ -79,13 +75,4 @@ def hier_rb(A: MatrixLike, m: int, variant: str = "load") -> Partition:
         raise ParameterError(f"unknown variant {variant!r}; choose from {HIER_VARIANTS}")
     pref = prefix_2d(A)
     tree = grow_tree(pref, m, _rb_chooser(variant))
-    part = tree_to_partition(tree, pref, f"HIER-RB-{variant.upper()}", m)
-    state = _sweep_current()
-    if state is not None:
-        # the achieved max load is a feasible witness for the class —
-        # persisted (and scale-transferred) by the disk store; scoped by
-        # variant since different variants reach different partitions
-        state.record_ub(
-            pref, "hier_rb", (m,), part.max_load(pref), kw={"variant": variant}
-        )
-    return part
+    return tree_to_partition(tree, pref, f"HIER-RB-{variant.upper()}", m)

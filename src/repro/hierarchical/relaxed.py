@@ -21,7 +21,6 @@ from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import LoadView, MatrixLike, prefix_2d
 from ..perf.kernels import relaxed_splits
-from ..sweep.state import current as _sweep_current
 from .rb import HIER_VARIANTS
 from .tree import choose_level, grow_tree, tree_to_partition
 
@@ -33,13 +32,8 @@ def _relaxed_chooser(variant: str):
         def evaluate(nodes: list[int], vals, offs) -> list:
             return relaxed_splits(vals, offs, [procs[k] for k in nodes])
 
-        # sweep contexts memoize per (sub-rectangle, dim, m): unlike RB the
-        # split depends on the full m (float averages L/j), so facts only
-        # replay at the same node processor count — still a hit whenever
-        # variants share subtrees or the same m recurs across cells
-        extra = [(m,) for m in procs]
         dims, cuts, facts = choose_level(
-            pref, variant, depth, (r0, r1, c0, c1), "relaxed", extra, evaluate, itemgetter(2)
+            pref, variant, depth, (r0, r1, c0, c1), evaluate, itemgetter(2)
         )
         return dims, cuts, [0 if f is None else f[1] for f in facts]
 
@@ -59,12 +53,4 @@ def hier_relaxed(A: MatrixLike, m: int, variant: str = "load") -> Partition:
         raise ParameterError(f"unknown variant {variant!r}; choose from {HIER_VARIANTS}")
     pref = prefix_2d(A)
     tree = grow_tree(pref, m, _relaxed_chooser(variant))
-    part = tree_to_partition(tree, pref, f"HIER-RELAXED-{variant.upper()}", m)
-    state = _sweep_current()
-    if state is not None:
-        # achieved max load = feasible class witness (persisted and
-        # scale-transferred by the disk store), scoped by variant
-        state.record_ub(
-            pref, "hier_relaxed", (m,), part.max_load(pref), kw={"variant": variant}
-        )
-    return part
+    return tree_to_partition(tree, pref, f"HIER-RELAXED-{variant.upper()}", m)

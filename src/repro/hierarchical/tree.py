@@ -13,7 +13,6 @@ import numpy as np
 
 from ..core.partition import Partition
 from ..core.prefix import LoadView
-from ..sweep.state import current as _sweep_current
 
 __all__ = ["HierTree", "tree_to_partition", "grow_tree", "choose_level"]
 
@@ -112,8 +111,6 @@ def choose_level(
     variant: str,
     depth: int,
     coords: tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]],
-    family: str,
-    extra: list[tuple[int, ...]],
     evaluate: Callable[[list[int], Any, Any], list[Any]],
     value: Callable[[Any], Any],
 ) -> tuple[list[int], list[int], list[Any]]:
@@ -123,14 +120,10 @@ def choose_level(
     ``dist`` the longer side, ``hor``/``ver`` alternate by level starting
     with rows/columns; a node whose preferred dimension cannot be cut falls
     back to the other.  A (node, dim) fact is the kernel's answer on that
-    window: an active sweep's ``family`` memo holds it under the node's
-    rectangle, the dim and ``extra[k]``, and all misses of a phase are
-    decided by one ``evaluate(nodes, vals, offs)`` call on their windows.  A
-    node takes the first candidate with the least ``value(fact)``; ``cuts``
-    are absolute.
+    window, and all windows of a phase are decided by one
+    ``evaluate(nodes, vals, offs)`` call.  A node takes the first candidate
+    with the least ``value(fact)``; ``cuts`` are absolute.
     """
-    state = _sweep_current()
-    memo = None if state is None else state.hier_memo(pref, family)
     r0, r1, c0, c1 = coords
     K = len(r0)
     every = list(range(K))
@@ -145,7 +138,7 @@ def choose_level(
         phase = ([k for k in every if not prefer[k]], [k for k in every if prefer[k]])
     best: list[Any] = [None] * K
     while True:
-        for d, ks, facts in zip((0, 1), phase, _facts(pref, phase, coords, memo, extra, evaluate)):
+        for d, ks, facts in zip((0, 1), phase, _facts(pref, phase, coords, evaluate)):
             for k, f in zip(ks, facts):
                 if f is not None and (best[k] is None or value(f) < best[k][0]):
                     best[k] = (value(f), d, f)
@@ -165,24 +158,13 @@ def choose_level(
     return dims, cuts, out
 
 
-def _facts(pref, phase, coords, memo, extra, evaluate) -> tuple[list[Any], list[Any]]:
-    """Facts of the dim-0 and dim-1 windows of a phase's nodes: memo hits,
-    then one ``evaluate`` call on the windows of every miss."""
+def _facts(pref, phase, coords, evaluate) -> tuple[list[Any], list[Any]]:
+    """Facts of the dim-0 and dim-1 windows of a phase's nodes, from one
+    ``evaluate`` call on all their windows."""
     r0, r1, c0, c1 = coords
-    out: tuple[list[Any], list[Any]] = ([None] * len(phase[0]), [None] * len(phase[1]))
-    todo = (list(range(len(phase[0]))), list(range(len(phase[1]))))
-    if memo is not None:
-        keys = [[(r0[k], r1[k], c0[k], c1[k], d, *extra[k]) for k in ks] for d, ks in enumerate(phase)]
-        for d in (0, 1):
-            todo[d].clear()
-            for i, key in enumerate(keys[d]):
-                if key in memo:
-                    out[d][i] = memo[key]
-                else:
-                    todo[d].append(i)
-    s0, s1 = ([ks[i] for i in miss] for ks, miss in zip(phase, todo))
+    s0, s1 = phase
     if not s0 and not s1:
-        return out
+        return [], []
     # dim 0 cuts rows: its windows run down the column band [c0, c1)
     vals, offs = pref.band_windows(
         [0] * len(s0) + [1] * len(s1),
@@ -191,13 +173,8 @@ def _facts(pref, phase, coords, memo, extra, evaluate) -> tuple[list[Any], list[
         [r0[k] for k in s0] + [c0[k] for k in s1],
         [r1[k] for k in s0] + [c1[k] for k in s1],
     )
-    found = iter(evaluate(s0 + s1, vals, offs))
-    for d, miss in enumerate(todo):
-        for i in miss:
-            out[d][i] = f = next(found)
-            if memo is not None:
-                memo[keys[d][i]] = f
-    return out
+    found = evaluate(s0 + s1, vals, offs)
+    return found[: len(s0)], found[len(s0) :]
 
 
 def tree_to_partition(

@@ -25,9 +25,8 @@ import numpy as np
 from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import PrefixSum2D
-from ..oned.api import EXACT_ONED, ONED_METHODS
+from ..oned.api import ONED_METHODS
 from ..perf import kernels as _kernels
-from ..sweep.state import current as _sweep_current
 from .common import build_jagged_partition, default_stripe_count, oriented
 
 __all__ = ["jag_m_heur", "allocate_processors"]
@@ -109,22 +108,8 @@ def _jag_m_heur_main0(
         parts = [
             _jag_m_heur_single(pref, m, P, oned) for P in candidates
         ]
-        best = min(parts, key=lambda p: p.meta["lmax"])
-    else:
-        best = _jag_m_heur_single(pref, m, candidates[0], oned)
-    state = _sweep_current()
-    if state is not None:
-        # the achieved max load is an m-way jagged partition of this prefix,
-        # i.e. a proven-feasible witness the exact solver can start from.
-        # Scoped by the non-default kwargs: a different num_stripes/oned is
-        # a different producer, and facts must never cross-contaminate
-        # (unconstrained queries still see every scope's witnesses)
-        scope = {
-            "num_stripes": None if num_stripes in (None, "sqrt") else num_stripes,
-            "oned": None if oned in EXACT_ONED else oned,
-        }
-        state.record_ub(pref, "jag_m", (m,), best.meta["lmax"], kw=scope)
-    return best
+        return min(parts, key=lambda p: p.meta["lmax"])
+    return _jag_m_heur_single(pref, m, candidates[0], oned)
 
 
 def _jag_m_heur_single(

@@ -240,11 +240,11 @@ def _min_processors(
 
 
 def _shared_memo(pref: PrefixSum2D) -> dict:
-    """The stripe memo to use: sweep-shared when a sweep is active.
+    """The stripe memo to use: scope-shared when a sweep is active.
 
     The memo facts are functions of the stripe and the probed bottleneck
     alone (m never enters), so one memo soundly serves every bisection of
-    every sweep step over the same prefix.
+    every solve over the same prefix.
     """
     state = _sweep_current()
     if state is not None:
@@ -260,12 +260,11 @@ def jag_m_opt_bottleneck(
     """Optimal m-way jagged bottleneck (main dimension 0) by exact bisection.
 
     Under an active :mod:`repro.sweep` context the bisection window is
-    tightened from bounds proved by earlier calls on the same prefix
-    (monotone in ``m``), the internal heuristic upper bound is skipped when
-    a same-``m`` witness is already recorded, and the stripe memo is shared
-    across sweep steps.  All of these only narrow a valid bracket or reuse
-    proven stripe facts, so the returned optimum is bit-identical to a cold
-    call's.
+    tightened from optima proved by earlier calls on the same prefix
+    (monotone in ``m``), a recorded optimum at ``m`` itself is returned
+    outright, and the stripe memo is shared across calls.  All of these
+    only narrow a valid bracket or reuse proven stripe facts, so the
+    returned optimum is bit-identical to a cold call's.
     """
     if m <= 0:
         raise ParameterError("m must be positive")
@@ -273,21 +272,14 @@ def jag_m_opt_bottleneck(
     wlb: int | None = None
     wub: int | None = None
     if state is not None:
-        exact, wlb, wub = state.bounds(pref, "jag_m", (m,))
+        exact, wlb, wub = state.bounds(pref, m)
         if exact is not None:
             return exact
     lb = max(-(-pref.total // m), pref.max_element())
     if wlb is not None and wlb > lb:
         lb = wlb
     if ub is None:
-        if state is not None and state.witness(pref, "jag_m", (m,)) is not None:
-            # a same-m witness is exactly what the internal heuristic would
-            # prove (or tighter); any valid ub leaves the bisection result
-            # unchanged, so skip recomputing it
-            ub = wub
-        else:
-            ub = _jag_m_heur_main0(pref, m).meta["lmax"]
-    assert ub is not None
+        ub = _jag_m_heur_main0(pref, m).meta["lmax"]
     ub = max(lb, int(ub))
     if wub is not None and wub < ub:
         ub = max(lb, wub)
@@ -321,7 +313,7 @@ def jag_m_opt_bottleneck(
         else:
             lb = mid + 1
     if state is not None:
-        state.record_opt(pref, "jag_m", (m,), int(lb))
+        state.record_opt(pref, m, int(lb))
     return int(lb)
 
 

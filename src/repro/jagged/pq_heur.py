@@ -18,8 +18,7 @@ import numpy as np
 from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import PrefixSum2D
-from ..oned.api import EXACT_ONED, ONED_METHODS
-from ..sweep.state import current as _sweep_current
+from ..oned.api import ONED_METHODS
 from .common import build_jagged_partition, choose_pq, oriented
 
 __all__ = ["jag_pq_heur", "jag_pq_heur_cuts"]
@@ -63,18 +62,9 @@ def _jag_pq_heur_main0(
     elif P * Q != m:
         raise ParameterError(f"P*Q must equal m ({P}*{Q} != {m})")
     stripe_cuts, col_cuts, lmax = jag_pq_heur_cuts(pref, P, Q, oned)
-    part = build_jagged_partition(
+    return build_jagged_partition(
         pref, stripe_cuts, col_cuts, method="JAG-PQ-HEUR", lmax=lmax
     )
-    state = _sweep_current()
-    if state is not None:
-        # a P×Q-way feasible witness; also transfers to the m-way class
-        # (any P×Q-way jagged partition is a (P·Q)-way jagged partition).
-        # Scoped by a heuristic 1D solver so a weaker oned's witness never
-        # masquerades as the default producer's fact (every exact one is it)
-        scope = {"oned": None if oned in EXACT_ONED else oned}
-        state.record_ub(pref, "jag_pq", (P, Q), lmax, kw=scope)
-    return part
 
 
 jag_pq_heur = oriented(_jag_pq_heur_main0)

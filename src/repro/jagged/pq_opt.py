@@ -25,7 +25,6 @@ from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import PrefixSum2D
 from ..oned.probe import min_parts, probe_cuts
-from ..sweep.state import current as _sweep_current
 from .common import build_jagged_partition, choose_pq, oriented
 from .pq_heur import jag_pq_heur_cuts
 
@@ -76,46 +75,17 @@ def _feasible(pref: PrefixSum2D, P: int, Q: int, B: int) -> np.ndarray | None:
 def jag_pq_opt_bottleneck(
     pref: PrefixSum2D, P: int, Q: int, *, ub: int | None = None
 ) -> int:
-    """Optimal P×Q-way jagged bottleneck (main dimension 0).
-
-    Under an active :mod:`repro.sweep` context the bisection window is
-    tightened by dominance over earlier ``(P', Q')`` results on the same
-    prefix (componentwise monotonicity — plain m-monotonicity does not hold
-    across factorizations), and the internal heuristic upper bound is
-    skipped when a same-``(P, Q)`` witness is already recorded.  Both only
-    narrow a valid bracket, so the result is bit-identical to a cold call.
-    """
-    total = pref.total
-    m = P * Q
-    state = _sweep_current()
-    wlb: int | None = None
-    wub: int | None = None
-    if state is not None:
-        exact, wlb, wub = state.bounds(pref, "jag_pq", (P, Q))
-        if exact is not None:
-            return exact
-    lb = max(-(-total // m), pref.max_element())
-    if wlb is not None and wlb > lb:
-        lb = wlb
+    """Optimal P×Q-way jagged bottleneck (main dimension 0)."""
+    lb = max(-(-pref.total // (P * Q)), pref.max_element())
     if ub is None:
-        if state is not None and state.witness(pref, "jag_pq", (P, Q)) is not None:
-            ub = wub  # same-(P, Q) witness: the heuristic ub is already known
-        else:
-            _, _, ub = jag_pq_heur_cuts(pref, P, Q)
-            if state is not None:
-                state.record_ub(pref, "jag_pq", (P, Q), ub)
-    assert ub is not None
+        _, _, ub = jag_pq_heur_cuts(pref, P, Q)
     ub = max(lb, int(ub))
-    if wub is not None and wub < ub:
-        ub = max(lb, wub)
     while lb < ub:
         mid = (lb + ub) // 2
         if _feasible(pref, P, Q, mid) is not None:
             ub = mid
         else:
             lb = mid + 1
-    if state is not None:
-        state.record_opt(pref, "jag_pq", (P, Q), int(lb))
     return int(lb)
 
 

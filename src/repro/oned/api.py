@@ -19,7 +19,7 @@ from .dp import partition_dp
 from .heuristics import direct_cut, direct_cut_refined, recursive_bisection
 from .nicol import nicol, nicol_plus
 
-__all__ = ["OneDResult", "partition_1d", "ONED_METHODS", "EXACT_ONED", "interval_loads"]
+__all__ = ["OneDResult", "partition_1d", "ONED_METHODS", "interval_loads"]
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,6 @@ ONED_METHODS: dict[str, Callable[[np.ndarray, int], tuple[int, np.ndarray]]] = {
     "nicol": nicol,
     "nicolplus": nicol_plus,
 }
-
-#: exact methods: the same optimum and greedy cuts ``probe_cuts(P, m, B*)``
-EXACT_ONED = frozenset({"bisect", "dp", "nicol", "nicolplus"})
-
 
 def partition_1d(
     values: np.ndarray | PrefixSum1D,

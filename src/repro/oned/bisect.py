@@ -28,7 +28,6 @@ import numpy as np
 from ..perf.kernels import probe_batch
 from ..perf.counters import _STACK as _OPS
 from ..perf.counters import bump
-from ..sweep.state import current as _sweep_current
 from .probe import as_boundary_list, check_m, probe_cuts
 
 __all__ = ["bisect_bottleneck", "partition_bisect", "feasible_bottlenecks"]
@@ -129,10 +128,7 @@ def bisect_bottleneck(
     ``lb``/``ub`` are caller-asserted brackets of the optimum (the caller is
     trusted, like the ``ub`` hints of the exact jagged solvers); the result
     is identical for any valid bracket because the probe is monotone in
-    ``B``.  Under an active :mod:`repro.sweep` context the bracket is
-    additionally tightened from bounds proved by earlier calls on the same
-    prefix array, and the computed optimum is recorded for later calls.
-    Raises :class:`~repro.core.errors.ParameterError` for ``m < 1``.
+    ``B``.  Raises :class:`~repro.core.errors.ParameterError` for ``m < 1``.
     """
     check_m(m)
     if len(P) == 1:
@@ -142,19 +138,7 @@ def bisect_bottleneck(
         lo = int(lb)
     if ub is not None and ub < hi:
         hi = int(ub)
-    state = _sweep_current()
-    if state is not None:
-        exact, wlb, wub = state.bounds(P, "bisect", (m,))
-        if exact is not None:
-            return exact
-        if wlb is not None and wlb > lo:
-            lo = wlb
-        if wub is not None and wub < hi:
-            hi = wub
-    B = _search(P, m, lo, max(lo, hi))[0]
-    if state is not None:
-        state.record_opt(P, "bisect", (m,), B)
-    return B
+    return _search(P, m, lo, max(lo, hi))[0]
 
 
 def feasible_bottlenecks(P: np.ndarray, m: int, Bs) -> np.ndarray:
@@ -173,11 +157,7 @@ def feasible_bottlenecks(P: np.ndarray, m: int, Bs) -> np.ndarray:
 
 
 def partition_bisect(P: np.ndarray, m: int) -> tuple[int, np.ndarray]:
-    """Optimal 1D partition ``(bottleneck, cuts)`` from the two-sided engine.
-
-    Unlike :func:`bisect_bottleneck` it keeps no sweep facts: the jagged
-    heuristics call it on throwaway stripe projections.
-    """
+    """Optimal 1D partition ``(bottleneck, cuts)`` from the two-sided engine."""
     check_m(m)
     B, A = _search(P, m, *_bounds(P, m))
     cuts = probe_cuts(A, m, B)

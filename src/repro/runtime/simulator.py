@@ -17,9 +17,8 @@ execution:
   whose owner changes migrates at ``gamma`` per unit.
 
 *When* to repartition is a pluggable
-:class:`~repro.dynamic.policies.RepartitionPolicy` (``policy=``); the legacy
-``repartition_every=k`` knob maps onto
-:class:`~repro.dynamic.policies.EveryK` bit-compatibly.
+:class:`~repro.dynamic.policies.RepartitionPolicy` (``policy=``, default
+:class:`~repro.dynamic.policies.EveryK` with ``k=1``).
 
 Exactness: per-step imbalance is the single-rounding rational
 ``(Lmax·m − total) / total`` — the same contract as
@@ -178,16 +177,14 @@ class BSPSimulator:
         :func:`repro.partition_2d` (or :func:`hetero_partitioner`).
     cost:
         The :class:`CostModel`.
-    repartition_every:
-        Legacy knob: recompute the partition every k snapshots (1 = always;
-        0 = never after the first — a static decomposition).  Ignored when
-        ``policy`` is given.
     policy:
         A :class:`~repro.dynamic.policies.RepartitionPolicy` deciding when
         to repartition (and optionally how to solve).  Defaults to
-        :class:`~repro.dynamic.policies.EveryK` over ``repartition_every``.
+        ``EveryK(1)``, a fresh partition every snapshot; ``EveryK(0)`` is a
+        static decomposition.
     speeds:
-        Optional per-processor relative speeds (length ``m``, positive).
+        Optional per-processor relative speeds (length ``m``, finite and
+        positive).
         When given, the compute cost of a step is ``alpha`` times the
         makespan ``max_p L_p / s_p`` instead of ``alpha · Lmax``.
     """
@@ -198,21 +195,19 @@ class BSPSimulator:
         partitioner: Partitioner,
         *,
         cost: CostModel | None = None,
-        repartition_every: int = 1,
         policy: RepartitionPolicy | None = None,
         speeds=None,
     ):
         self.m = m
         self.partitioner = partitioner
         self.cost = cost or CostModel()
-        self.repartition_every = repartition_every
-        self.policy = policy if policy is not None else EveryK(repartition_every)
+        self.policy = policy if policy is not None else EveryK(1)
         if speeds is not None:
             speeds = np.asarray(speeds, dtype=np.float64)
             if speeds.ndim != 1 or len(speeds) != m:
                 raise ParameterError(f"speeds must be a 1D array of length m={m}")
-            if (speeds <= 0).any():
-                raise ParameterError("speeds must be positive")
+            if not (np.isfinite(speeds) & (speeds > 0)).all():
+                raise ParameterError("speeds must be finite and positive")
         self.speeds: Optional[np.ndarray] = speeds
 
     def run(

@@ -1,57 +1,43 @@
-"""Cross-call warm-start engine for m-sweeps (``repro.sweep``).
+"""Warm starts for repeated JAG-M-OPT solves (``repro.sweep``).
 
 Public surface:
 
-* :func:`~repro.sweep.engine.sweep` — run ``algorithms × m_values`` over
-  one matrix with warm starts, bit-identical to cold calls;
-* :func:`~repro.sweep.engine.use_sweep` — the scoped context the engine
-  (and the experiment suite's figure loops) run inside; takes an optional
-  disk-backed store;
+* :func:`~repro.sweep.engine.use_sweep` — the scoped context that
+  :class:`repro.dynamic.WarmStarted` runs a simulation inside; takes an
+  optional disk-backed store;
 * :class:`~repro.sweep.store.SweepStore` — content-addressed persistence
-  of sweep facts across processes (``REPRO_SWEEP_STORE`` /
-  ``repro-experiments --sweep-store``);
+  of JAG-M-OPT optima and stripe facts across processes;
 * :class:`~repro.sweep.state.SweepState` / ``SweepInvariantError`` — the
-  validated per-sweep bound store, facts keyed by canonicalized solver
-  kwargs (:func:`~repro.sweep.state.canonical_scope`).
+  validated per-scope table of optima, indexed by ``m``.
 
-The engine imports the algorithm registry, and the algorithm modules import
-:mod:`repro.sweep.state`; the engine symbols are therefore exported lazily
-(PEP 562) so importing an algorithm module never cycles through the engine.
+The engine imports the store, which imports the substrates, and the
+substrates and algorithm modules import :mod:`repro.sweep.state`; the
+engine and store symbols are therefore exported lazily (PEP 562) so
+importing an algorithm module never cycles through them.
 """
 
 from __future__ import annotations
 
-from .state import (
-    SweepInvariantError,
-    SweepState,
-    canonical_scope,
-    current,
-    sweep_active,
-)
+from .state import SweepInvariantError, SweepState, current, sweep_active
 
 __all__ = [
     "SweepInvariantError",
     "SweepState",
-    "SweepResult",
     "SweepStore",
-    "canonical_scope",
     "current",
     "instance_digest",
-    "set_default_store",
-    "sweep",
     "sweep_active",
     "use_sweep",
 ]
 
-_ENGINE_EXPORTS = {"sweep", "use_sweep", "SweepResult", "set_default_store"}
 _STORE_EXPORTS = {"SweepStore", "instance_digest"}
 
 
 def __getattr__(name: str):  # PEP 562: lazy engine import (cycle avoidance)
-    if name in _ENGINE_EXPORTS:
-        from . import engine
+    if name == "use_sweep":
+        from .engine import use_sweep
 
-        return getattr(engine, name)
+        return use_sweep
     if name in _STORE_EXPORTS:
         from . import store
 

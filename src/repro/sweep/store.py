@@ -1,52 +1,46 @@
-"""Disk-backed, content-addressed persistence for sweep facts.
+"""Disk-backed, content-addressed persistence for JAG-M-OPT facts.
 
-Facts proved inside one ``use_sweep()`` scope (the bound table's optima
-and feasible witnesses, stripe facts, hierarchical node decisions) die
-with the process; this module persists them so a later process —
-rerunning a figure, or partitioning the *same* physical instance again —
-starts warm.  Mirroring how production partitioners amortize
-repartitioning cost across timesteps, the store is keyed by *content*:
+Facts proved inside one ``use_sweep()`` scope (the m-indexed JAG-M-OPT
+optima and the stripe/probe memo) die with the process; this module
+persists them so a later process — replaying a snapshot stream, or
+partitioning the *same* physical instance again — starts warm.  Mirroring
+how production partitioners amortize repartitioning cost across
+timesteps, the store is keyed by *content*:
 
 * the instance digest is ``SHA-256`` over the load matrix's dtype tag,
   shape, and the bytes of its **primitive** form ``A' = A // g`` where
   ``g = gcd(A)`` — so instances that differ only by a positive integer
   scale factor share one entry;
 * facts are stored at primitive scale and rescaled on the way in and out:
-  ``Lmax(c·A) = c·Lmax(A)`` for every fixed rectangle set, so optima and
-  feasible witnesses multiply by the live scale exactly.  Stripe-count
-  facts transfer through ``parts(c·A', B) = parts(A', B // c)`` (integer
-  loads: ``c·l <= B  ⟺  l <= ⌊B/c⌋``).  RB node decisions are invariant
-  under load scaling (integer cut targets use ``(s·a) // (s·b) = a // b``
-  and scores scale uniformly), so they are stored scale-free; RELAXED node
-  decisions involve float rounding and an absolute tie epsilon, so they
-  are stored *per scale* and reused only at a matching scale.
+  ``Lmax(c·A) = c·Lmax(A)`` for every fixed rectangle set, so optima
+  multiply by the live scale exactly.  Stripe-count facts transfer
+  through ``parts(c·A', B) = parts(A', B // c)`` (integer loads:
+  ``c·l <= B  ⟺  l <= ⌊B/c⌋``).
 
 The store reads a live state only through
 :meth:`~repro.sweep.state.SweepState.facts` and writes it only through
-``record_opt``/``record_ub`` and the memo accessors, so the table layout
-stays private to :mod:`repro.sweep.state`.  An instance entry is
-``{"shape", "facts", "stripe", "rb", "relaxed"}`` where ``facts`` is one
-list of ``[kind, class, scope, point, B]`` rows — kind ``"opt"`` or
-``"ub"``, the canonicalized solver-kwargs scope
-(:func:`repro.sweep.state.canonical_scope`) as ``[name, value]`` pairs,
-the point as a list of ints, ``B`` at primitive scale.
+``record_opt`` and ``stripe_memo``, so the table layout stays private to
+:mod:`repro.sweep.state`.  An instance entry is ``{"shape", "opt",
+"stripe"}`` where ``opt`` is a list of ``[m, B]`` pairs, ``B`` at
+primitive scale.
 
-File format (version 2): one JSON document ``{"format", "version",
+File format (version 3): one JSON document ``{"format", "version",
 "payload", "sha256"}`` where ``sha256`` covers the canonical (sorted,
 compact) serialization of ``payload``.  A file that fails to parse, fails
-the checksum, or carries another version (including a version-1 file) is
-**ignored, never trusted** — and every seeded fact still passes the
-in-memory validators, so even a checksum-valid but semantically poisoned
-store cannot install a contradiction (seeding stops at the first rejected
-fact).  :func:`canonical_sha256` and :func:`write_json_atomic` are the
-integrity envelope this store shares with the figure farm's raw store
+the checksum, or carries another version (including the version-2 files
+that held heuristic witnesses and hierarchical node memos) is **ignored,
+never trusted** — and every seeded optimum still passes the in-memory
+validator, so even a checksum-valid but semantically poisoned store cannot
+install a contradiction (seeding stops at the first rejected fact).
+:func:`canonical_sha256` and :func:`write_json_atomic` are the integrity
+envelope this store shares with the figure farm's raw store
 (:mod:`repro.experiments.rawstore`).
 
 Flushing is a read-merge-write: the current file is re-read, the harvest
-since the last flush is merged in (witnesses keep the minimum, conflicting
-optima are dropped entirely), and the result is written to a temp file in
-the same directory and ``os.replace``-d over the target — atomic on POSIX,
-so concurrent flushes end last-writer-wins and never corrupt the file.
+since the last flush is merged in (conflicting optima are dropped
+entirely), and the result is written to a temp file in the same directory
+and ``os.replace``-d over the target — atomic on POSIX, so concurrent
+flushes end last-writer-wins and never corrupt the file.
 """
 
 from __future__ import annotations
@@ -62,7 +56,7 @@ import numpy as np
 
 from ..core.prefix import PrefixSum2D
 from ..core.sparse import SparsePrefix2D
-from .state import Scope, SweepInvariantError, SweepState
+from .state import SweepInvariantError, SweepState
 
 __all__ = [
     "SweepStore",
@@ -73,7 +67,7 @@ __all__ = [
 ]
 
 _FORMAT = "repro-sweep-store"
-_VERSION = 2
+_VERSION = 3
 
 #: reserved stripe-memo key for whole-matrix probe facts — must match
 #: ``repro.jagged.m_opt._PROBE_KEY`` (a deliberate string constant, not an
@@ -146,14 +140,6 @@ def instance_digest(pref: PrefixSum2D) -> tuple[str, int]:
     if digest is not None:
         return digest()
     return matrix_digest(np.diff(np.diff(pref.G, axis=0), axis=1))
-
-
-def _scope_to_json(scope: Scope) -> list:
-    return [list(item) for item in scope]
-
-
-def _scope_from_json(raw: Any) -> Scope:
-    return tuple((str(k), str(v)) for k, v in raw)
 
 
 class SweepStore:
@@ -255,11 +241,11 @@ class SweepStore:
     def seed_state(self, state: SweepState, obj: Any) -> None:
         """Install the stored facts for ``obj`` into a live state.
 
-        Every bound fact goes through the state's validated ``record_opt``
-        / ``record_ub`` (and memo facts into the memo dicts, whose facts
-        the consumers re-verify by construction), rescaled from primitive
-        to the live scale.  A fact the validators reject stops the seeding
-        of this instance — facts already installed each passed validation
+        Every optimum goes through the state's validated ``record_opt``
+        (and stripe facts into the memo dict, whose facts the consumer
+        re-verifies by construction), rescaled from primitive to the live
+        scale.  A fact the validator rejects stops the seeding of this
+        instance — facts already installed each passed validation
         individually, so they stay.
         """
         if not self.is_instance(obj):
@@ -272,12 +258,9 @@ class SweepStore:
         try:
             if list(inst.get("shape", ())) != [obj.n1, obj.n2]:
                 return
-            record = {"opt": state.record_opt, "ub": state.record_ub}
-            for kind, cls, scope, point, B in inst.get("facts", ()):
-                record[kind](obj, cls, point, int(B) * c, kw=_scope_from_json(scope))
+            for m, B in inst.get("opt", ()):
+                state.record_opt(obj, m, int(B) * c)
             self._seed_stripe(state, obj, inst.get("stripe"), c)
-            self._seed_rb(state, obj, inst.get("rb"), c)
-            self._seed_relaxed(state, obj, inst.get("relaxed"), c)
         except (SweepInvariantError, KeyError, TypeError, ValueError, AttributeError):
             # semantically bad content behind a valid checksum: stop here
             return
@@ -298,55 +281,16 @@ class SweepStore:
                 (int(B) * c, int(p), bool(e)) for B, p, e in entries
             ]
 
-    def _seed_rb(self, state: SweepState, pref: PrefixSum2D, raw: Any, c: int) -> None:
-        if not raw:
-            return
-        memo = state.hier_memo(pref, "rb")
-        if memo is None:
-            return
-        for key, entry in raw:
-            r0, r1, c0, c1, dim, g1, g2 = (int(x) for x in key)
-            memo[(r0, r1, c0, c1, dim, g1, g2)] = (
-                None
-                if entry is None
-                else (int(entry[0]), int(entry[1]) * c, int(entry[2]))
-            )
-
-    def _seed_relaxed(
-        self, state: SweepState, pref: PrefixSum2D, raw: Any, c: int
-    ) -> None:
-        if not raw:
-            return
-        facts = raw.get(str(c))
-        if not facts:
-            return  # float decisions only transfer at a matching scale
-        memo = state.hier_memo(pref, "relaxed")
-        if memo is None:
-            return
-        for key, entry in facts:
-            r0, r1, c0, c1, dim, m = (int(x) for x in key)
-            memo[(r0, r1, c0, c1, dim, m)] = (
-                None
-                if entry is None
-                else (int(entry[0]), int(entry[1]), float(entry[2]))
-            )
-
     def harvest_state(self, state: SweepState, obj: Any) -> None:
         """Collect ``obj``'s live facts (rescaled to primitive) for flush."""
         if not self.is_instance(obj):
             return
         digest, c = self._digest_of(obj)
-        bounds, memos = state.facts(obj)
+        optima, stripe = state.facts(obj)
         inst: dict[str, Any] = {
             "shape": [obj.n1, obj.n2],
-            "facts": [
-                [kind, cls, _scope_to_json(scope), list(p), B // c]
-                for kind, cls, scope, p, B in bounds
-                if B % c == 0
-            ][:_MAX_FACTS],
+            "opt": [[m, B // c] for m, B in optima.items() if B % c == 0][:_MAX_FACTS],
         }
-
-        stripe = memos.get("stripe")
         if stripe:
             # parts(c·A', B) = parts(A', ⌊B/c⌋): the floor mapping is exact
             # for integer loads, so the primitive fact carries the same
@@ -366,25 +310,6 @@ class SweepStore:
                 "probe": _dedupe([[int(B) // c, int(p), bool(e)] for B, p, e in probe]),
                 "facts": facts,
             }
-
-        rb = memos.get("rb")
-        if rb:
-            # scores of a scaled matrix divide by c (the guard is defensive)
-            inst["rb"] = [
-                [list(mk), None if e is None else [int(e[0]), int(e[1]) // c, int(e[2])]]
-                for mk, e in rb.items()
-                if e is None or e[1] % c == 0
-            ][:_MAX_FACTS]
-
-        relaxed = memos.get("relaxed")
-        if relaxed:
-            inst["relaxed"] = {
-                str(c): [
-                    [list(mk), None if e is None else [int(e[0]), int(e[1]), float(e[2])]]
-                    for mk, e in relaxed.items()
-                ][:_MAX_FACTS]
-            }
-
         self._harvest[digest] = _merge_instance(self._harvest.get(digest), inst)
 
 
@@ -396,21 +321,11 @@ def _dedupe(entries: list) -> list:
     return [list(e) for e in seen][:_MAX_FACTS]
 
 
-def _union(new: Any, base: Any) -> list:
-    """Union two ``[[key, entry], ...]`` memo fact lists; base wins duplicates."""
-    merged: dict[tuple, Any] = {}
-    for src in (new or (), base or ()):  # base last: base wins
-        for mk, entry in src:
-            merged[tuple(mk)] = entry
-    return [[list(mk), entry] for mk, entry in merged.items()][:_MAX_FACTS]
-
-
 def _merge_instance(base: dict | None, new: dict) -> dict:
     """Merge two primitive-scale instance entries (same digest).
 
-    Witnesses keep the minimum; optima recorded on both sides with
-    different values are *dropped* (one side is wrong — trust neither);
-    memo fact lists union with the base side winning duplicates.
+    Optima recorded on both sides with different values are *dropped*
+    (one side is wrong — trust neither); stripe fact lists union.
     """
     if not base:
         return new
@@ -418,16 +333,12 @@ def _merge_instance(base: dict | None, new: dict) -> dict:
         return base
     out: dict[str, Any] = {"shape": base["shape"]}
 
-    facts: dict[tuple, list] = {}
+    optima: dict[int, int | None] = {}
     for src in (base, new):
-        for kind, cls, scope, point, B in src.get("facts", ()):
-            k = (kind, cls, json.dumps(scope), json.dumps(point))
-            row = facts.setdefault(k, [kind, cls, scope, point, B])
-            if kind == "ub":
-                row[4] = min(row[4], B)
-            elif row[4] != B:
-                row[4] = None  # conflicting optima: trust neither side
-    out["facts"] = [row for row in facts.values() if row[4] is not None]
+        for m, B in src.get("opt", ()):
+            optima[m] = B if optima.get(m, B) == B else None
+    # conflicting optima: trust neither side
+    out["opt"] = [[m, B] for m, B in optima.items() if B is not None]
 
     sb, sn = base.get("stripe"), new.get("stripe")
     if sb or sn:
@@ -441,15 +352,5 @@ def _merge_instance(base: dict | None, new: dict) -> dict:
             "facts": [
                 [k, i, _dedupe(entries)] for (k, i), entries in stripe.items()
             ][:_MAX_FACTS],
-        }
-
-    if base.get("rb") or new.get("rb"):
-        out["rb"] = _union(new.get("rb"), base.get("rb"))
-
-    rel_b, rel_n = base.get("relaxed") or {}, new.get("relaxed") or {}
-    if rel_b or rel_n:
-        out["relaxed"] = {
-            scale: _union(rel_n.get(scale), rel_b.get(scale))
-            for scale in {**rel_n, **rel_b}
         }
     return out

@@ -11,7 +11,6 @@ from repro.core.serialize import load_partition
 from repro.experiments import cli as experiments_cli
 from repro.experiments import pool, rawstore
 from repro.experiments.rawstore import current_raw_store, use_raw_store
-from repro.sweep import engine
 
 
 @pytest.fixture()
@@ -136,7 +135,6 @@ class TestExperimentsCli:
     def _process_state():
         return (
             dict(os.environ),
-            engine._DEFAULT_STORE,
             current_raw_store(),
             list(rawstore._STACK),
             pool._ACTIVE,
@@ -150,8 +148,6 @@ class TestExperimentsCli:
                 "fig05",
                 "--scale",
                 "tiny",
-                "--sweep-store",
-                os.fspath(tmp_path / "facts.json"),
                 "--raw-dir",
                 os.fspath(tmp_path / "raw"),
             ]

@@ -100,10 +100,11 @@ class TestIncrementalJagged:
             assert p.max_load(pref) <= 1.2 * fresh.max_load(pref) + 1e-9
 
     def test_partitioner_adapter(self):
+        from repro.dynamic import EveryK
         from repro.runtime import BSPSimulator
 
         inc = IncrementalJagged(8, threshold=0.2)
-        sim = BSPSimulator(8, inc.partitioner(), repartition_every=1)
+        sim = BSPSimulator(8, inc.partitioner(), policy=EveryK(1))
         rep = sim.run((500 * k, A) for k, A in enumerate(blob_snapshots(steps=4)))
         assert len(rep.steps) == 4
         assert inc.full_repartitions + inc.refinements == 4

@@ -18,7 +18,7 @@ from repro import (
 from repro.core.prefix import PrefixSum2D
 from repro.core.render import ascii_render, save_ppm
 from repro.core.serialize import load_partition, save_partition
-from repro.dynamic import IncrementalJagged
+from repro.dynamic import EveryK, IncrementalJagged
 from repro.instances import PICConfig, PICMagDataset, peak, slac_instance
 from repro.runtime import BSPSimulator, CostModel
 
@@ -78,7 +78,7 @@ class TestDynamicPipeline:
             9,
             inc.partitioner(),
             cost=CostModel(alpha=1e-6, beta=2e-6, gamma=1e-6),
-            repartition_every=1,
+            policy=EveryK(1),
         )
         rep = sim.run(dataset.snapshots(), steps_per_snapshot=200)
         assert len(rep.steps) == 7
@@ -95,10 +95,10 @@ class TestDynamicPipeline:
         def jag(pref, m):
             return partition_2d(pref, m, "JAG-M-HEUR")
 
-        static = BSPSimulator(9, jag, cost=cost, repartition_every=0).run(
+        static = BSPSimulator(9, jag, cost=cost, policy=EveryK(0)).run(
             dataset.snapshots()
         )
-        dynamic = BSPSimulator(9, jag, cost=cost, repartition_every=1).run(
+        dynamic = BSPSimulator(9, jag, cost=cost, policy=EveryK(1)).run(
             dataset.snapshots()
         )
         assert dynamic.compute_time <= static.compute_time * (1 + 1e-9)

@@ -2,8 +2,8 @@
 
 A jagged partition's Lmax is the largest of its stripes' 1D bottlenecks
 (§3.2), and an exact solver's is its optimum B*.  The -BEST pick, JAG-M-HEUR's
-stripe-count pick, the sweep witnesses and the exact solvers' heuristic
-upper bounds read the carried value instead of re-measuring the partition,
+stripe-count pick and the exact solvers' heuristic upper bounds read the
+carried value instead of re-measuring the partition,
 so it must equal ``max_load`` on every solver, 1D method, orientation and
 substrate.
 """

@@ -411,8 +411,8 @@ class TestRPL011ConfigRegistry:
         res = lint_snippet(tmp_path, "oned", src)
         assert codes(res) == ["RPL011"]
         assert "outside a declared config module" in res.violations[0].message
-        # the sweep engine is no exception: it reads through repro.config.env_str
-        out = self._check("src/repro/sweep/engine.py", src)
+        # the raw store is no exception: it reads through repro.config.env_str
+        out = self._check("src/repro/experiments/rawstore.py", src)
         assert [v.message for v in out] == [res.violations[0].message]
 
     def test_read_in_config_module_is_allowed(self):
@@ -449,11 +449,11 @@ class TestRPL011ConfigRegistry:
         )
         assert [name for name in ENV_VARS if name not in docs] == []
 
-    def test_registry_declares_exactly_the_five_knobs(self):
-        # the projection-memo sizes and the CSR density are module constants
+    def test_registry_declares_exactly_the_four_knobs(self):
+        # the projection-memo sizes and the CSR density are module constants;
+        # a sweep store is attached only through use_sweep(store=)
         assert set(ENV_VARS) == {
             "REPRO_PERF_BACKEND",
-            "REPRO_SWEEP_STORE",
             "REPRO_RAW_STORE",
             "REPRO_SCALE",
             "REPRO_CACHE",

@@ -74,26 +74,29 @@ class TestDriftExceeds:
 
 
 class TestEveryK:
-    def test_matches_legacy_knob(self):
-        snaps = blob_snapshots()
-        for k in (0, 1, 2, 3):
-            legacy = BSPSimulator(4, jag, repartition_every=k).run(snaps)
-            policy = BSPSimulator(4, jag, policy=EveryK(k)).run(snaps)
-            assert legacy.steps == policy.steps  # bit-identical accounting
-
     def test_pattern(self):
-        rep = BSPSimulator(4, jag, policy=EveryK(2)).run(blob_snapshots(steps=5))
-        assert [s.repartitioned for s in rep.steps] == [
-            True,
-            False,
-            True,
-            False,
-            True,
-        ]
+        snaps = blob_snapshots(steps=5)
+        expected = {
+            0: [True, False, False, False, False],
+            1: [True, True, True, True, True],
+            2: [True, False, True, False, True],
+        }
+        for k, pattern in expected.items():
+            rep = BSPSimulator(4, jag, policy=EveryK(k)).run(snaps)
+            assert [s.repartitioned for s in rep.steps] == pattern, k
+        # EveryK(1) is the simulator's default policy
+        assert BSPSimulator(4, jag).run(snaps).steps == (
+            BSPSimulator(4, jag, policy=EveryK(1)).run(snaps).steps
+        )
 
     def test_validation(self):
         with pytest.raises(ParameterError):
             EveryK(-1)
+
+    def test_fractional_k_rejected(self):
+        # pinned: EveryK(2.5) used to truncate silently to every-2
+        with pytest.raises(ParameterError):
+            EveryK(2.5)
 
 
 class TestImbalanceTriggered:
@@ -135,6 +138,13 @@ class TestImbalanceTriggered:
     def test_validation(self):
         with pytest.raises(ParameterError):
             ImbalanceTriggered(-0.1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_threshold_rejected(self, bad):
+        # pinned: these constructed fine, then raised a bare ValueError /
+        # OverflowError from Fraction at the first decision
+        with pytest.raises(ParameterError):
+            ImbalanceTriggered(bad)
 
 
 class TestMigrationBudgeted:
@@ -180,6 +190,17 @@ class TestMigrationBudgeted:
             MigrationBudgeted(hysteresis=-1.0)
         with pytest.raises(ParameterError):
             MigrationBudgeted(cooldown=-1)
+
+    def test_fractional_horizon_rejected(self):
+        # pinned: horizon=2.5 used to truncate silently to 2
+        with pytest.raises(ParameterError):
+            MigrationBudgeted(horizon=2.5)
+
+    def test_nan_hysteresis_rejected(self):
+        # pinned: hysteresis=nan made every trade comparison false, so the
+        # policy silently never migrated
+        with pytest.raises(ParameterError):
+            MigrationBudgeted(hysteresis=float("nan"))
 
 
 class TestWarmStarted:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import partition_2d
+from repro.dynamic import EveryK
 from repro.runtime import BSPSimulator, CostModel, SimulationReport
 
 
@@ -37,12 +38,12 @@ class TestAccounting:
         assert rep.steps[0].repartitioned
 
     def test_static_strategy_no_migration(self):
-        rep = BSPSimulator(4, jag, repartition_every=0).run(snapshots())
+        rep = BSPSimulator(4, jag, policy=EveryK(0)).run(snapshots())
         assert rep.migration_time == 0.0
         assert [s.repartitioned for s in rep.steps] == [True, False, False, False]
 
     def test_periodic_repartitioning(self):
-        rep = BSPSimulator(4, jag, repartition_every=2).run(snapshots())
+        rep = BSPSimulator(4, jag, policy=EveryK(2)).run(snapshots())
         assert [s.repartitioned for s in rep.steps] == [True, False, True, False]
 
     def test_compute_time_scales_with_alpha(self):
@@ -78,8 +79,8 @@ class TestAccounting:
             A[:, max(0, c - 4) : c + 4] = 500
             snaps.append((k * 500, A))
         cost = CostModel(alpha=1e-6, beta=0.0, gamma=0.0)  # isolate imbalance
-        static = BSPSimulator(8, jag, cost=cost, repartition_every=0).run(snaps)
-        dynamic = BSPSimulator(8, jag, cost=cost, repartition_every=1).run(snaps)
+        static = BSPSimulator(8, jag, cost=cost, policy=EveryK(0)).run(snaps)
+        dynamic = BSPSimulator(8, jag, cost=cost, policy=EveryK(1)).run(snaps)
         assert dynamic.compute_time < static.compute_time
 
     def test_summary_string(self):
@@ -198,6 +199,15 @@ class TestHeterogeneous:
             BSPSimulator(4, jag, speeds=[1.0, 2.0])  # wrong length
         with pytest.raises(ParameterError):
             BSPSimulator(2, jag, speeds=[1.0, 0.0])  # non-positive
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_speeds_rejected(self, bad):
+        # pinned: a NaN speed used to run and report a NaN makespan and
+        # total_time, and an infinite one was accepted
+        from repro.core.errors import ParameterError
+
+        with pytest.raises(ParameterError):
+            BSPSimulator(4, jag, speeds=[1.0, bad, 1.0, 1.0])
 
     def test_hetero_partitioner_m_mismatch(self):
         from repro.core.errors import ParameterError

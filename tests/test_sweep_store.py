@@ -1,7 +1,7 @@
-"""The disk-backed sweep-fact store: bit-identity, scale transfer, robustness.
+"""The disk-backed JAG-M-OPT fact store: bit-identity, scale transfer, robustness.
 
-The contract extends the sweep engine's: a sweep warm-started *from disk*
-(fresh process, fresh prefix — only the store file survives) returns
+The contract extends the warm-start scope's: a scope warm-started *from
+disk* (fresh process, fresh prefix — only the store file survives) returns
 partitions bit-identical to cold calls, for the original instance and for
 any positive-integer multiple of it.  A corrupt, truncated or
 version-mismatched store is ignored, never trusted; concurrent flushes
@@ -20,14 +20,11 @@ import pytest
 
 from repro.core.prefix import PrefixSum2D, prefix_2d
 from repro.core.registry import partition_2d
-from repro.perf.counters import op_counters
 from repro.sweep import SweepStore, instance_digest, use_sweep
-from repro.sweep.engine import sweep
 from repro.sweep.store import canonical_sha256
 
 ALGOS = ["JAG-PQ-HEUR", "JAG-M-HEUR", "JAG-PQ-OPT", "JAG-M-OPT", "RECT-NICOL"]
 M_VALUES = [4, 6, 12, 20]
-HIER = ["HIER-RB", "HIER-RELAXED", "HIER-RB-DIST"]
 
 
 def _rects(part):
@@ -77,30 +74,25 @@ class TestWarmFromDisk:
         _populate(A, store_path, algos=["JAG-M-OPT"], ms=[6])
         with use_sweep(store=store_path) as st:
             pref = prefix_2d(A)
-            exact, lb, ub = st.bounds(pref, "jag_m", (6,))
+            exact, lb, ub = st.bounds(pref, 6)
             assert exact is not None
             # the fact is the main-dimension-0 class optimum (the registry
             # entry returns the better of both orientations)
             assert exact == jag_m_opt_bottleneck(prefix_2d(A), 6)
 
     def test_sweep_entry_point_takes_store(self, store_path):
+        """use_sweep takes a path or a SweepStore object for the same file."""
         A = _matrix(5, 24)
-        r1 = sweep(A, ["JAG-M-OPT"], [4, 6], store=store_path)
-        r2 = sweep(A, ["JAG-M-OPT"], [4, 6], store=store_path)
-        for key, part in r1:
-            assert _rects(r2[key]) == _rects(part)
-
-    def test_env_var_attaches_store(self, store_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_STORE", store_path)
-        A = _matrix(9, 20)
-        with use_sweep():
-            partition_2d(prefix_2d(A), 6, "JAG-M-OPT")
-        assert os.path.exists(store_path)
+        runs = []
+        for store in (store_path, SweepStore(store_path)):
+            with use_sweep(store=store):
+                pref = prefix_2d(A)
+                runs.append([_rects(partition_2d(pref, m, "JAG-M-OPT")) for m in (6, 4)])
+        assert runs[0] == runs[1]
         s = SweepStore(store_path)
         s.load()
         assert s.ignored_reason is None
-        dig, _ = instance_digest(prefix_2d(A))
-        assert s.get(dig) is not None
+        assert s.get(instance_digest(prefix_2d(A))[0]) is not None
 
     def test_flush_failure_warns_not_raises(self, tmp_path):
         bad = os.fspath(tmp_path / "no" / "such" / "dir" / "facts.json")
@@ -129,7 +121,7 @@ class TestScaleTransfer:
         with use_sweep(store=store_path) as st:
             pref = prefix_2d(C)
             # the store really transfers: bounds exist before any call here
-            exact, _, ub = st.bounds(pref, "jag_m", (max(M_VALUES),))
+            exact, _, ub = st.bounds(pref, max(M_VALUES))
             assert exact is not None or ub is not None
             for name in ALGOS:
                 for m in M_VALUES:
@@ -143,52 +135,8 @@ class TestScaleTransfer:
         _populate(A, store_path, algos=["JAG-M-OPT"], ms=[6])
         with use_sweep(store=store_path) as st:
             pref = prefix_2d(A * 3)
-            exact, _, _ = st.bounds(pref, "jag_m", (6,))
+            exact, _, _ = st.bounds(pref, 6)
             assert exact == 3 * opt
-
-
-class TestHierWitnesses:
-    def test_hier_warm_from_disk_drops_cut_calls(self, store_path):
-        """HIER node decisions replay from disk: fewer cut kernel calls."""
-        A = _matrix(7, 40)
-        cold = {}
-        cold_ops = {}
-        for name in HIER:
-            pref = prefix_2d(A)
-            with op_counters() as ops:
-                cold[name] = _rects(partition_2d(pref, 16, name))
-            cold_ops[name] = ops.get("cut_calls", 0)
-        _populate(A, store_path, algos=HIER, ms=[16])
-        with use_sweep(store=store_path):
-            pref = prefix_2d(A)
-            for name in HIER:
-                with op_counters() as ops:
-                    warm = _rects(partition_2d(pref, 16, name))
-                assert warm == cold[name]
-                assert ops.get("cut_calls", 0) < cold_ops[name]
-
-    def test_hier_witnesses_persisted(self, store_path):
-        A = _matrix(3, 24)
-        _populate(A, store_path, algos=["HIER-RB", "HIER-RELAXED"], ms=[8])
-        with use_sweep(store=store_path) as st:
-            pref = prefix_2d(A)
-            for cls in ("hier_rb", "hier_relaxed"):
-                # the achieved load is a class witness, visible unscoped
-                assert st.witness(pref, cls, (8,)) is not None
-
-    def test_rb_scale_free_relaxed_scale_gated(self, store_path):
-        """RB node facts transfer to a scaled instance; RELAXED ones do not."""
-        A = _matrix(11, 36)
-        _populate(A, store_path, algos=["HIER-RB", "HIER-RELAXED"], ms=[16])
-        C = A * 2
-        cold_rb = _cold(C, "HIER-RB", 16)
-        cold_rel = _cold(C, "HIER-RELAXED", 16)
-        with use_sweep(store=store_path):
-            pref = prefix_2d(C)
-            with op_counters() as ops:
-                assert _rects(partition_2d(pref, 16, "HIER-RB")) == cold_rb
-            assert ops.get("cut_calls", 0) == 0  # fully replayed across scales
-            assert _rects(partition_2d(pref, 16, "HIER-RELAXED")) == cold_rel
 
 
 class TestRobustness:
@@ -216,7 +164,46 @@ class TestRobustness:
         json.dump(doc, open(store_path, "w"))
         assert "version" in (self._ignored(store_path) or "")
         with use_sweep(store=store_path) as st:
-            assert st.bounds(prefix_2d(A), "jag_m", (4,)) == (None, None, None)
+            assert st.bounds(prefix_2d(A), 4) == (None, None, None)
+
+        # a version-2 file, entries as that layout wrote them for this
+        # instance (a few of each section): the m = 4 optimum beside the
+        # retired heuristic witnesses and hierarchical node memos — the
+        # whole file is ignored
+        dig, _ = instance_digest(prefix_2d(A))
+        inst = {
+            "shape": [20, 20],
+            "facts": [
+                ["opt", "jag_m", [], [4], 3003],
+                ["ub", "jag_m", [], [4], 3046],
+                ["ub", "hier_rb", [["variant", "str:load"]], [4], 3046],
+            ],
+            "stripe": {
+                "probe": [[2951, 5, False], [3023, 4, True]],
+                "facts": [[0, 1, [[2951, 1, True]]]],
+            },
+            "rb": [[[0, 20, 0, 20, 0, 1, 1], [10, 5862, 0]]],
+            "relaxed": {"1": [[[0, 20, 0, 20, 0, 4], [5, 1, 2893.0]]]},
+        }
+        payload = {"instances": {dig: inst}}
+        doc = {
+            "format": "repro-sweep-store",
+            "version": 2,
+            "payload": payload,
+            "sha256": canonical_sha256(payload),
+        }
+        with open(store_path, "w") as fh:
+            json.dump(doc, fh)
+        assert self._ignored(store_path) == "version 2 != 3"
+        cold = _cold(A, "JAG-M-OPT", 4)
+        with use_sweep(store=store_path) as st:
+            pref = prefix_2d(A)
+            assert st.bounds(pref, 4) == (None, None, None)
+            assert _rects(partition_2d(pref, 4, "JAG-M-OPT")) == cold
+        s = SweepStore(store_path)
+        s.load()
+        assert s.ignored_reason is None  # the flush rewrote it as version 3
+        assert list(s.get(dig)) == ["opt", "shape", "stripe"]
 
     def test_v1_file_ignored(self, store_path):
         """A checksum-valid file in the old two-family layout is never read."""
@@ -232,21 +219,20 @@ class TestRobustness:
         }
         with open(store_path, "w") as fh:
             json.dump(doc, fh)
-        assert self._ignored(store_path) == "version 1 != 2"
+        assert self._ignored(store_path) == "version 1 != 3"
         with use_sweep(store=store_path) as st:
-            assert st.bounds(prefix_2d(A), "jag_m", (4,)) == (None, None, None)
+            assert st.bounds(prefix_2d(A), 4) == (None, None, None)
         s = SweepStore(store_path)
         s.load()
-        assert s.ignored_reason is None  # the flush rewrote it as version 2
+        assert s.ignored_reason is None  # the flush rewrote it as version 3
 
     def test_checksum_mismatch_ignored(self, store_path):
         A = _matrix(5, 20)
         _populate(A, store_path, algos=["JAG-M-OPT"], ms=[4])
         doc = json.load(open(store_path))
         inst = next(iter(doc["payload"]["instances"].values()))
-        for row in inst["facts"]:
-            if row[0] == "opt":
-                row[4] += 1  # tamper with an optimum, keep old checksum
+        for row in inst["opt"]:
+            row[1] += 1  # tamper with an optimum, keep old checksum
         json.dump(doc, open(store_path, "w"))
         assert self._ignored(store_path) == "checksum mismatch"
         cold = _cold(A, "JAG-M-OPT", 4)
@@ -268,7 +254,7 @@ class TestRobustness:
         assert da != db
         _populate(A, store_path, algos=["JAG-M-OPT"], ms=[4])
         with use_sweep(store=store_path) as st:
-            assert st.bounds(prefix_2d(B), "jag_m", (4,)) == (None, None, None)
+            assert st.bounds(prefix_2d(B), 4) == (None, None, None)
 
     def test_seeding_validates_semantics(self, store_path):
         """A checksum-valid store with contradictory facts cannot poison."""
@@ -276,9 +262,9 @@ class TestRobustness:
         _populate(A, store_path, algos=["JAG-M-OPT"], ms=[4, 6])
         doc = json.load(open(store_path))
         inst = next(iter(doc["payload"]["instances"].values()))
-        for row in inst["facts"]:
-            if row[:2] == ["opt", "jag_m"] and row[3] == [4]:
-                row[4] = 1  # impossible optimum, violates monotonicity
+        for row in inst["opt"]:
+            if row[0] == 4:
+                row[1] = 1  # impossible optimum, violates monotonicity
         doc["sha256"] = canonical_sha256(doc["payload"])  # re-sign the tampering
         json.dump(doc, open(store_path, "w"))
         assert self._ignored(store_path) is None  # checksum accepts it...
@@ -322,9 +308,9 @@ class TestStoreFormat:
         A = np.array([[big, 1], [1, 1]], dtype=np.int64)
         pref = prefix_2d(A)
         with use_sweep(store=path) as st:
-            st.record_opt(pref, "jag_m", (4,), big)
+            st.record_opt(pref, 4, big)
         with use_sweep(store=path) as st:
-            exact, _, _ = st.bounds(prefix_2d(A), "jag_m", (4,))
+            exact, _, _ = st.bounds(prefix_2d(A), 4)
             assert exact == big
 
     def test_reused_store_flushes_only_its_own_scope(self, store_path):
@@ -352,27 +338,17 @@ class TestStoreFormat:
     def test_merge_drops_conflicting_optima(self, tmp_path):
         from repro.sweep.store import _merge_instance
 
-        a = {"shape": [2, 2], "facts": [["opt", "jag_m", [], [4], 10]]}
-        b = {
-            "shape": [2, 2],
-            "facts": [["opt", "jag_m", [], [4], 11], ["opt", "jag_pq", [], [2, 3], 5]],
-        }
+        a = {"shape": [2, 2], "opt": [[4, 10], [2, 12]]}
+        b = {"shape": [2, 2], "opt": [[4, 11], [6, 5], [2, 12]]}
         merged = _merge_instance(a, b)
-        # trust neither side of a conflict; the unrelated optimum survives
-        assert merged["facts"] == [["opt", "jag_pq", [], [2, 3], 5]]
-
-    def test_merge_keeps_min_ubs(self, tmp_path):
-        from repro.sweep.store import _merge_instance
-
-        a = {"shape": [2, 2], "facts": [["ub", "jag_m", [], [4], 10]]}
-        b = {"shape": [2, 2], "facts": [["ub", "jag_m", [], [4], 8]]}
-        assert _merge_instance(a, b)["facts"] == [["ub", "jag_m", [], [4], 8]]
+        # trust neither side of a conflict; agreeing and unrelated optima survive
+        assert merged["opt"] == [[2, 12], [6, 5]]
 
 
 class TestParallelComposition:
     def test_csvs_identical_jobs_1_vs_4_with_store(self, tmp_path, monkeypatch):
-        """Figure CSVs are byte-identical for any --jobs inside sweep scopes,
-        cold and warm-from-disk alike (fig03 ships its cells to the pool)."""
+        """Figure CSVs are byte-identical for any --jobs, cold and warm from
+        a raw store alike (fig03 ships its cells to the pool)."""
         from repro.experiments import ALL_FIGURES
         from repro.experiments.cli import main
         from tests.test_experiments import TINY
@@ -382,7 +358,7 @@ class TestParallelComposition:
             "repro.experiments.cli.ALL_RUNNABLE",
             {f: lambda sc, f=f: ALL_FIGURES[f](TINY) for f in figs},
         )
-        store = os.fspath(tmp_path / "facts.json")
+        store = os.fspath(tmp_path / "raw")
         outs = {}
         for tag, jobs in (("serial", "1"), ("par", "4"), ("warm", "4")):
             out = tmp_path / tag
@@ -394,7 +370,7 @@ class TestParallelComposition:
                     os.fspath(out),
                     "--jobs",
                     jobs,
-                    "--sweep-store",
+                    "--raw-dir",
                     store,
                 ]
             )
