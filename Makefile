@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint ruff mypy test test-reference partition-smoke figures figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
+.PHONY: check lint ruff mypy test test-reference partition-smoke figures figures-check figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
 
 check: ruff mypy lint test
 	@echo "make check: all gates passed"
@@ -70,6 +70,27 @@ partition-smoke:
 # a cold rebuild.
 figures:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments --all --raw-dir raw --out benchmarks/results
+
+# CI check that the committed figure CSVs are what the code computes now
+# (tests/test_paper_claims.py checks the paper's claims on them): a cold
+# small-profile run with no raw store must reproduce every committed
+# benchmarks/results/*.csv byte for byte, fig06 (wall-clock timings) aside;
+# then `make figures` through the committed raw/ store must leave raw/ and
+# benchmarks/results/ untouched.  Set REPRO_CACHE to a filled instance cache
+# to skip the PIC-MAG snapshot generation (minutes)
+FIGURES_CHECK = /tmp/repro-figures-check
+figures-check:
+	rm -rf $(FIGURES_CHECK) && mkdir -p $(FIGURES_CHECK)
+	REPRO_RAW_STORE= PYTHONPATH=src $(PYTHON) -m repro.experiments --all --scale small \
+		--out $(FIGURES_CHECK)/cold > /dev/null
+	set -e; for f in benchmarks/results/*.csv; do \
+		[ "$$(basename $$f)" = fig06.csv ] || cmp $$f $(FIGURES_CHECK)/cold/$$(basename $$f); \
+	done
+	$(MAKE) --no-print-directory figures > /dev/null 2> $(FIGURES_CHECK)/figures.log
+	! grep 'raw-store' $(FIGURES_CHECK)/figures.log | grep -v ' misses=0 invalid=0'
+	git status --porcelain -- raw benchmarks/results | tee $(FIGURES_CHECK)/dirty
+	test ! -s $(FIGURES_CHECK)/dirty
+	@echo "figures-check: committed CSVs reproduce cold, make figures all hits and clean"
 
 # CI smoke of the figure farm: fig05 twice against one raw store -- the
 # second run must be all cache hits and its CSV byte-identical; then fig03

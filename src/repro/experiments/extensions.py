@@ -27,7 +27,8 @@
   run.
 
 All return :class:`~repro.experiments.harness.FigureResult` like the paper
-figures and are exercised by ``benchmarks/bench_ext_experiments.py``.
+figures; ``tests/test_paper_claims.py`` checks the ext1–ext4 shape claims on
+their committed CSVs.
 """
 
 from __future__ import annotations

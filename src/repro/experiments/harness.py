@@ -2,7 +2,7 @@
 
 Each figure function returns a :class:`FigureResult`: named series of (x, y)
 points plus labels — exactly the rows/series the paper plots.  The harness
-renders them as an aligned text table (what the benchmark suite prints) and
+renders them as an aligned text table (what ``repro-experiments`` prints) and
 as CSV (what EXPERIMENTS.md is generated from); :meth:`FigureResult.from_csv`
 reads the CSV back, so the two formats round-trip.  Missing cells (a series
 with no point at some x, e.g. a capped optimal algorithm) are rendered with
@@ -111,7 +111,10 @@ class FigureResult:
 
         The CSV stores only the x label and the series; the other labels are
         not part of the format and default to empty unless passed in.
-        :data:`MISSING` cells are restored as absent points.
+        :data:`MISSING` cells are restored as absent points.  A row whose
+        cell count differs from the header's, or a cell that is neither
+        :data:`MISSING` nor a number, raises ``ValueError`` naming the path
+        and line.
         """
         path = Path(path)
         with path.open(newline="") as fh:
@@ -120,11 +123,18 @@ class FigureResult:
             raise ValueError(f"{path}: not a FigureResult CSV (empty or no header)")
         xlabel, names = rows[0][0], rows[0][1:]
         res = cls(fig, title, xlabel, ylabel, notes=notes)
-        for row in rows[1:]:
-            x = float(row[0])
-            for name, cell in zip(names, row[1:]):
-                if cell != MISSING:
-                    res.add(name, x, float(cell))
+        for line, row in enumerate(rows[1:], 2):
+            if len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}:{line}: {len(row)} cells under a {len(rows[0])}-column header"
+                )
+            try:
+                x = float(row[0])
+                cells = [(n, float(c)) for n, c in zip(names, row[1:]) if c != MISSING]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from None
+            for name, y in cells:
+                res.add(name, x, y)
         return res
 
     def __str__(self) -> str:  # pragma: no cover - convenience

@@ -4,7 +4,7 @@ The paper extracts "the distribution of the particles every 500 iterations of
 the simulations for the first 33,500 iterations" (§4.1).
 :class:`PICMagDataset` reproduces that cadence on the substitute simulator,
 memoizes snapshots in memory, and optionally persists them to an ``.npz``
-cache so the benchmark suite does not re-run the particle pusher.
+cache so repeated runs do not re-run the particle pusher.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ exactness is preserved:
 
 The window width is about one ``max_element`` worth of cells, which on
 near-uniform instances collapses the search from O(log n) probes to a
-handful — the effect measured by ``benchmarks/bench_ablation_oned.py``.
+handful.
 """
 
 from __future__ import annotations

@@ -577,7 +577,8 @@ def _relaxed_split_window(w: np.ndarray, m: int) -> tuple[int, int, float] | Non
     # many (cut, j) pairs score within noise of each other; among splits
     # within 0.1% of the best score, prefer the most balanced processor
     # split — unbalanced chains deepen the tree and accumulate rounding
-    # error (measured in benchmarks/bench_ablation_hier.py)
+    # error (tests/test_kernels_equality.py bounds the score against the
+    # per-j optimum)
     thr = v * (1.0 + 1e-3) + 1e-9
     best_bal = -1
     best_i = 0

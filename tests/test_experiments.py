@@ -1,5 +1,7 @@
 """Tests for the experiment harness, scale profiles, figure functions, CLI."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -77,10 +79,22 @@ class TestFigureResult:
         }
         assert MISSING in cells
 
-    def test_from_csv_rejects_empty(self, tmp_path):
-        p = tmp_path / "empty.csv"
-        p.write_text("")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        ("text", "where"),
+        [
+            ("", ""),
+            ("m,A,B\r\n2.0,0.75\r\n", ":2:"),  # short row: B@2 must not read as missing
+            ("m,A,B\r\n2.0,0.75,0.5\r\n4.0,0.5,0.25,0.125\r\n", ":3:"),  # long row
+            ("m,A\r\n2.0,\r\n", ":2:"),  # empty cell is not the MISSING sentinel
+            ("m,A\r\n2.0,abc\r\n", ":2:"),
+            ("m,A\r\nx,0.5\r\n", ":2:"),
+        ],
+        ids=["empty", "short-row", "long-row", "blank-cell", "text-cell", "text-x"],
+    )
+    def test_from_csv_rejects_empty(self, tmp_path, text, where):
+        p = tmp_path / "bad.csv"
+        p.write_text(text, newline="")
+        with pytest.raises(ValueError, match=re.escape(f"{p}{where}")):
             FigureResult.from_csv(p)
 
     def test_xs_sorted_union(self):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.core.errors import ParameterError
 from repro.core.prefix import PrefixSum2D
-from repro.jagged import hetero_makespan_2d, jag_hetero, speed_groups
+from repro.instances import peak
+from repro.jagged import hetero_makespan_2d, jag_hetero, jag_m_heur, speed_groups
 from repro.oned.bisect import bisect_bottleneck
 from repro.oned.hetero import (
     hetero_cuts,
@@ -140,12 +141,19 @@ class TestJagHetero:
         assert p.meta["makespan"] <= 1.25 * ideal
 
     def test_equal_speeds_reasonable(self, rng):
-        from repro.jagged import jag_m_heur
-
         A = rng.integers(1, 50, (32, 32))
         p = jag_hetero(A, np.ones(9))
         hom = jag_m_heur(A, 9)
         assert p.meta["makespan"] <= 1.3 * hom.max_load(A)
+
+    def test_speed_aware_beats_speed_blind(self):
+        """A mixed cluster finishes sooner on its speed-grouped partition than
+        on a speed-blind JAG-M-HEUR partition of the same processors."""
+        speeds = np.concatenate([np.full(8, 2.5), np.full(24, 1.0)])
+        np.random.default_rng(0).shuffle(speeds)
+        pref = PrefixSum2D(peak(256, seed=0))
+        aware = jag_hetero(pref, speeds).meta["makespan"]
+        assert aware < hetero_makespan_2d(jag_m_heur(pref, len(speeds)), pref, speeds)
 
     def test_lower_bound(self, rng):
         A = rng.integers(1, 20, (16, 16))

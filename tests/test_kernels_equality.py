@@ -571,6 +571,24 @@ def test_hier_cut_dispatchers_match_unwindowed_references():
         assert relaxed_splits(vals, offs, [m, m]) == want_s, m
 
 
+def test_relaxed_split_scores_the_per_j_optimum():
+    """The node rule's score is the best one of a plain scan over every
+    processor split j, up to its 0.1% balanced tie-break (the chosen cut and
+    j may differ among near-ties)."""
+    from repro.perf.kernels import relaxed_splits
+
+    P = _prefix(np.random.default_rng(0).integers(1, 1000, 4096))
+    total, L = int(P[-1]), len(P) - 1
+    for m in (2, 7, 64, 501):
+        best = np.inf
+        for j in range(1, m):
+            c = int(np.searchsorted(P, total * (j / m), side="right")) - 1
+            for cut in (min(max(cc, 1), L - 1) for cc in (c, c + 1)):
+                best = min(best, max(int(P[cut]) / j, (total - int(P[cut])) / (m - j)))
+        ((_, _, score),) = relaxed_splits(P, np.array([0, len(P)]), [m])
+        assert score == pytest.approx(best, rel=1e-3), m
+
+
 def test_perf_package_stays_lint_hot():
     """Satellite pin: the registry's package is covered by the hot-path rules."""
     from repro.lint.engine import HOT_PACKAGES
