@@ -81,7 +81,7 @@ figures:
 FIGURES_CHECK = /tmp/repro-figures-check
 figures-check:
 	rm -rf $(FIGURES_CHECK) && mkdir -p $(FIGURES_CHECK)
-	REPRO_RAW_STORE= PYTHONPATH=src $(PYTHON) -m repro.experiments --all --scale small \
+	PYTHONPATH=src $(PYTHON) -m repro.experiments --all --scale small \
 		--out $(FIGURES_CHECK)/cold > /dev/null
 	set -e; for f in benchmarks/results/*.csv; do \
 		[ "$$(basename $$f)" = fig06.csv ] || cmp $$f $(FIGURES_CHECK)/cold/$$(basename $$f); \

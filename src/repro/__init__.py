@@ -32,7 +32,6 @@ Sub-packages
 """
 
 from .core import (
-    InfeasibleError,
     InvalidPartitionError,
     ParameterError,
     Partition,
@@ -57,7 +56,6 @@ __all__ = [
     "algorithm_names",
     "partition_2d",
     "partition_1d",
-    "InfeasibleError",
     "InvalidPartitionError",
     "ParameterError",
     "Partition",

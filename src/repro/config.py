@@ -2,13 +2,14 @@
 
 Each knob the codebase consults from the environment is declared here once,
 with its default and a one-line description.  Each consumer (the
-``consumer`` field) keeps its own parsing — a backend name and a store path
+``consumer`` field) keeps its own parsing — a backend name and a cache directory
 want different validation — but reads through :func:`env_str`; the *names
 and defaults* live in this table.  ``repro-lint`` (RPL011) checks every
 ``os.environ`` read against it: the read happens inside a declared config
 module (this one or a ``*/config.py``) and names a variable declared in
 :data:`ENV_VARS`.  ``tests/test_lint.py`` checks that every declared
-variable is documented under ``docs/``.
+variable is documented under ``docs/`` and read as ``env_str("<NAME>")``
+in its ``consumer`` module.
 """
 
 from __future__ import annotations
@@ -33,16 +34,6 @@ ENV_VARS: dict[str, EnvVar] = {
         default="numpy",
         description="kernel-registry backend: reference (the scalar oracle) or numpy",
         consumer="repro.perf.config",
-    ),
-    "REPRO_RAW_STORE": EnvVar(
-        default="",
-        description="raw figure-result store directory; empty recomputes every cell",
-        consumer="repro.experiments.rawstore",
-    ),
-    "REPRO_SCALE": EnvVar(
-        default="small",
-        description="experiment scale profile: tiny, small, paper or large",
-        consumer="repro.experiments.scale",
     ),
     "REPRO_CACHE": EnvVar(
         default="",

@@ -1,12 +1,7 @@
 """Core substrate: prefix sums, rectangles, partitions, metrics, registry."""
 
 from .analysis import PartitionReport, analyze
-from .errors import (
-    InfeasibleError,
-    InvalidPartitionError,
-    ParameterError,
-    ReproError,
-)
+from .errors import InvalidPartitionError, ParameterError, ReproError
 from .metrics import (
     communication_volume,
     load_imbalance,
@@ -24,7 +19,6 @@ from .serialize import load_partition, partition_from_dict, partition_to_dict, s
 __all__ = [
     "PartitionReport",
     "analyze",
-    "InfeasibleError",
     "InvalidPartitionError",
     "ParameterError",
     "ReproError",

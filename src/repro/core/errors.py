@@ -11,13 +11,5 @@ class InvalidPartitionError(ReproError):
     """A set of rectangles does not form a valid partition of the matrix."""
 
 
-class InfeasibleError(ReproError):
-    """No solution exists for the requested parameters.
-
-    Raised, e.g., when a probe target is below the largest single element or
-    when a structured class cannot accommodate the requested processor count.
-    """
-
-
 class ParameterError(ReproError, ValueError):
     """An argument is out of its documented domain."""

@@ -28,8 +28,9 @@ and dense row/column *marginal* prefixes.  It satisfies the same
   dense substrate holds on every solver family, which the differential
   matrix (``tests/test_backend_equality.py``) enforces.
 
-:func:`auto_substrate` dispatches between the two substrates on density:
-CSR when at most a quarter of the cells are nonzero, dense otherwise.
+:func:`substrate_from_triplets` dispatches between the two substrates on
+density: CSR when at most a quarter of the cells are nonzero, dense
+otherwise.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .prefix import (
 
 __all__ = [
     "SparsePrefix2D",
-    "auto_substrate",
     "substrate_from_triplets",
 ]
 
@@ -68,7 +68,7 @@ __all__ = [
 _NONZERO_BLOCK = 1 << 18
 
 
-#: the density dispatchers build CSR when ``nnz * _CELLS_PER_NONZERO <=
+#: the density dispatcher builds CSR when ``nnz * _CELLS_PER_NONZERO <=
 #: cells`` (density at most ¼), where CSR's ~32 bytes a nonzero meet dense
 #: Γ's 8 bytes a cell: CSR over dense bytes on random 1024² matrices are
 #: 0.40 / 1.00 / 1.60 at density 0.10 / 0.25 / 0.40
@@ -418,19 +418,6 @@ class SparsePrefix2D(_ProjectionMemo):
         return h.hexdigest(), scale
 
 
-def auto_substrate(A: np.ndarray) -> LoadView:
-    """Density-dispatched substrate for a raw load matrix.
-
-    CSR when at most a quarter of the cells are nonzero, dense otherwise.
-    Both build from the same canonicalized matrix, and every query answers
-    bit-identically (``tests/test_sparse_equality.py``).
-    """
-    A = as_load_matrix(A)
-    if int(np.count_nonzero(A)) * _CELLS_PER_NONZERO <= A.size:
-        return SparsePrefix2D(A)
-    return PrefixSum2D(A)
-
-
 def substrate_from_triplets(
     rows: np.ndarray,
     cols: np.ndarray,
@@ -439,10 +426,11 @@ def substrate_from_triplets(
 ) -> LoadView:
     """Density-dispatched substrate for a COO triplet stream.
 
-    The sparse build happens first (O(nnz) memory); only when the instance
-    is too dense to profit (the :func:`auto_substrate` rule) does the
-    matrix densify.  Generators at the ``large`` profile therefore never
-    allocate O(n1·n2) unless the data genuinely is dense.
+    The sparse build happens first (O(nnz) memory); only when more than a
+    quarter of the cells are nonzero does the matrix densify.  Generators
+    at the ``large`` profile therefore never allocate O(n1·n2) unless the
+    data genuinely is dense.  Both substrates answer every query
+    bit-identically (``tests/test_sparse_equality.py``).
     """
     sp = SparsePrefix2D.from_triplets(rows, cols, vals, shape)
     if sp.nnz * _CELLS_PER_NONZERO <= int(shape[0]) * int(shape[1]):

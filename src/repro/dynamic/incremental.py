@@ -17,8 +17,8 @@ This trades balance for migration:
 * full repartition — the paper's JAG-M-HEUR, as balanced as Figure 8, but
   moving much more data.
 
-The strategy plugs into :class:`repro.runtime.BSPSimulator` via
-:meth:`IncrementalJagged.partitioner`.
+The strategy plugs into :class:`repro.runtime.BSPSimulator` as its
+``policy=``.
 """
 
 from __future__ import annotations
@@ -30,15 +30,13 @@ from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 from ..jagged.common import build_jagged_partition
 from ..jagged.m_heur import jag_m_heur
-from ..oned.api import ONED_METHODS
+from ..oned.bisect import partition_bisect
 from .policies import RepartitionPolicy, StepContext, drift_exceeds
 
 __all__ = ["IncrementalJagged", "refine_jagged"]
 
 
-def refine_jagged(
-    previous: Partition, A: MatrixLike, *, oned: str = "bisect"
-) -> Partition:
+def refine_jagged(previous: Partition, A: MatrixLike) -> Partition:
     """Re-optimize the column cuts of a jagged partition for a new matrix.
 
     The stripe cuts and per-stripe processor counts of ``previous`` are kept
@@ -55,12 +53,11 @@ def refine_jagged(
     old_cols = previous.meta["col_cuts"]
     if int(stripe_cuts[-1]) != work.n1:
         raise ParameterError("previous partition does not match the matrix shape")
-    solve = ONED_METHODS[oned]
     col_cuts = []
     for s in range(len(stripe_cuts) - 1):
         q = len(old_cols[s]) - 1
         band = work.band_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]), 0, work.n2)
-        _, cc = solve(band, q)
+        _, cc = partition_bisect(band, q)
         col_cuts.append(cc)
     part = build_jagged_partition(
         work, stripe_cuts, col_cuts, method="JAG-M-REFINE", pad_to=previous.m
@@ -82,8 +79,6 @@ class IncrementalJagged(RepartitionPolicy):
     (refined or rebuilt) partition on *every* snapshot, so plugged into
     :class:`repro.runtime.BSPSimulator` via ``policy=`` its
     ``should_repartition`` is always true and ``solve`` runs :meth:`step`.
-    The legacy :meth:`partitioner` adapter remains for the
-    ``partitioner=``-argument route.
 
     The full-vs-refine decision compares exact integer loads through
     :func:`~repro.dynamic.policies.drift_exceeds` — the earlier float form
@@ -99,25 +94,22 @@ class IncrementalJagged(RepartitionPolicy):
         Relative drift tolerance: a full repartition happens when the
         refined partition's max load exceeds ``(1 + threshold)`` times the
         max load of a fresh JAG-M-HEUR partition.
-    oned:
-        1D method used for the refinements.
     """
 
-    def __init__(self, m: int, *, threshold: float = 0.10, oned: str = "bisect"):
+    def __init__(self, m: int, *, threshold: float = 0.10):
         if m <= 0:
             raise ParameterError("m must be positive")
         if threshold < 0:
             raise ParameterError("threshold must be non-negative")
         self.m = m
         self.threshold = threshold
-        self.oned = oned
         self.current: Partition | None = None
         self.full_repartitions = 0
         self.refinements = 0
         self.name = f"incremental-{threshold:g}"
 
     def _fresh(self, pref: PrefixSum2D) -> Partition:
-        part = jag_m_heur(pref, self.m, oned=self.oned)
+        part = jag_m_heur(pref, self.m)
         # record orientation so refinements follow the same main dimension
         part.meta["transposed"] = part.meta.get("orientation") == "ver"
         return part
@@ -129,7 +121,7 @@ class IncrementalJagged(RepartitionPolicy):
             self.current = self._fresh(pref)
             self.full_repartitions += 1
             return self.current
-        refined = refine_jagged(self.current, pref, oned=self.oned)
+        refined = refine_jagged(self.current, pref)
         fresh = self._fresh(pref)
         # exact rational comparison: the float form double-rounds near 2^62
         if drift_exceeds(
@@ -158,13 +150,3 @@ class IncrementalJagged(RepartitionPolicy):
         if ctx.m != self.m:
             raise ParameterError(f"simulator m={ctx.m} != strategy m={self.m}")
         return self.step(ctx.pref)
-
-    def partitioner(self):
-        """Adapter: ``(PrefixSum2D, m) -> Partition`` for the BSP simulator."""
-
-        def run(pref: PrefixSum2D, m: int) -> Partition:
-            if m != self.m:
-                raise ParameterError(f"simulator m={m} != strategy m={self.m}")
-            return self.step(pref)
-
-        return run

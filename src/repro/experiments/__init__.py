@@ -3,8 +3,8 @@
 from .extensions import ALL_EXTENSIONS
 from .figures import ALL_FIGURES
 from .harness import FigureResult, timed
-from .rawstore import RawStore, current_raw_store, set_default_raw_store, use_raw_store
-from .scale import PAPER, SMALL, TINY, Scale, current_scale, get_scale
+from .rawstore import RawStore, current_raw_store, use_raw_store
+from .scale import PAPER, SMALL, TINY, Scale, get_scale
 
 __all__ = [
     "ALL_EXTENSIONS",
@@ -13,12 +13,10 @@ __all__ = [
     "timed",
     "RawStore",
     "current_raw_store",
-    "set_default_raw_store",
     "use_raw_store",
     "PAPER",
     "SMALL",
     "TINY",
     "Scale",
-    "current_scale",
     "get_scale",
 ]

@@ -17,7 +17,7 @@ from pathlib import Path
 from .extensions import ALL_EXTENSIONS
 from .figures import ALL_FIGURES
 from .pool import cell_pool
-from .rawstore import current_raw_store, use_raw_store
+from .rawstore import use_raw_store
 from .scale import _PROFILES, get_scale
 
 ALL_RUNNABLE = {**ALL_FIGURES, **ALL_EXTENSIONS}
@@ -41,9 +41,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--all", action="store_true", help="run every figure")
     parser.add_argument(
         "--scale",
-        default=None,
+        default="small",
         choices=tuple(_PROFILES),
-        help="parameter profile (default: $REPRO_SCALE or 'small')",
+        help="parameter profile (default: small)",
     )
     parser.add_argument(
         "--out",
@@ -73,8 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="DIR",
         help="raw-result store: completed figure cells are flushed to DIR "
-        "atomically and reused on the next run (incremental, resumable; "
-        "equivalent to setting $REPRO_RAW_STORE)",
+        "atomically and reused on the next run (incremental, resumable)",
     )
     parser.add_argument(
         "--force",
@@ -88,16 +87,13 @@ def main(argv: list[str] | None = None) -> int:
     figs = sorted(ALL_RUNNABLE) if args.all else (args.figures or [])
     if not figs and args.gallery is None:
         parser.error("choose figures with --figures, run --all, or use --gallery")
-    raw_root = args.raw_dir
-    if raw_root is None and args.force:
-        ambient = current_raw_store()
-        if ambient is None:
-            parser.error("--force needs a raw store (--raw-dir or $REPRO_RAW_STORE)")
-        raw_root = ambient.root
+    if args.force and args.raw_dir is None:
+        parser.error("--force needs a raw store (--raw-dir)")
     # every setting below is scoped to this call and restored on return
     with ExitStack() as scope:
-        if raw_root is not None:
-            scope.enter_context(use_raw_store(raw_root, force=args.force))
+        store = None
+        if args.raw_dir is not None:
+            store = scope.enter_context(use_raw_store(args.raw_dir, force=args.force))
         if args.gallery is not None:
             from .gallery import make_gallery
 
@@ -109,7 +105,6 @@ def main(argv: list[str] | None = None) -> int:
         # order, so the tables and CSVs below are byte-identical for any --jobs
         scope.enter_context(cell_pool(args.jobs))
         for fig in figs:
-            store = current_raw_store()
             before = store.counters() if store is not None else {}
             t0 = time.perf_counter()
             result = ALL_RUNNABLE[fig](scale)

@@ -98,19 +98,11 @@ class FigureResult:
         return path
 
     @classmethod
-    def from_csv(
-        cls,
-        path: str | Path,
-        *,
-        fig: str = "",
-        title: str = "",
-        ylabel: str = "",
-        notes: str = "",
-    ) -> "FigureResult":
+    def from_csv(cls, path: str | Path, *, fig: str = "") -> "FigureResult":
         """Read a :meth:`to_csv` file back into a result.
 
-        The CSV stores only the x label and the series; the other labels are
-        not part of the format and default to empty unless passed in.
+        The CSV stores only the x label and the series; the title, y label
+        and notes are not part of the format and come back empty.
         :data:`MISSING` cells are restored as absent points.  A row whose
         cell count differs from the header's, or a cell that is neither
         :data:`MISSING` nor a number, raises ``ValueError`` naming the path
@@ -122,7 +114,7 @@ class FigureResult:
         if not rows or not rows[0]:
             raise ValueError(f"{path}: not a FigureResult CSV (empty or no header)")
         xlabel, names = rows[0][0], rows[0][1:]
-        res = cls(fig, title, xlabel, ylabel, notes=notes)
+        res = cls(fig, "", xlabel, "")
         for line, row in enumerate(rows[1:], 2):
             if len(row) != len(rows[0]):
                 raise ValueError(

@@ -30,10 +30,9 @@ the misses, and flushes results as they arrive — the same parent-only
 discipline the sweep store uses, so concurrent figure runs on one store
 directory end last-writer-wins with identical content.
 
-The store is selected with ``repro-experiments --raw-dir`` or the
-``$REPRO_RAW_STORE`` knob (declared in :data:`repro.config.ENV_VARS`),
-or scoped with :func:`use_raw_store`.  Without a store every cell is
-simply computed — the figure functions are unchanged semantically and
+The store is selected with ``repro-experiments --raw-dir``, which scopes
+it with :func:`use_raw_store`.  Without a store every cell is simply
+computed — the figure functions are unchanged semantically and
 bit-identical either way.
 """
 
@@ -46,7 +45,6 @@ import os
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from ..config import env_str
 from ..sweep.store import (
     canonical_sha256,
     instance_digest,
@@ -62,7 +60,6 @@ __all__ = [
     "SimulatedInterrupt",
     "use_raw_store",
     "current_raw_store",
-    "set_default_raw_store",
     "digest_prefix",
     "digest_matrix",
     "combine_digests",
@@ -283,32 +280,11 @@ class InterruptingRawStore(RawStore):
 # ambient store selection
 # ----------------------------------------------------------------------
 _STACK: list[RawStore | None] = []
-_DEFAULT: RawStore | None = None
-_ENV_LOADED = False
-
-
-def set_default_raw_store(root: str | os.PathLike | None, *, force: bool = False) -> None:
-    """Set (or clear, with ``None``) the process-default raw store."""
-    global _DEFAULT, _ENV_LOADED
-    _DEFAULT = None if root is None else RawStore(root, force=force)
-    _ENV_LOADED = True  # an explicit choice overrides the env default
 
 
 def current_raw_store() -> RawStore | None:
-    """The innermost :func:`use_raw_store` scope, else the process default.
-
-    The process default is initialized lazily from ``$REPRO_RAW_STORE``
-    (empty = no store: every cell computes).
-    """
-    if _STACK:
-        return _STACK[-1]
-    global _DEFAULT, _ENV_LOADED
-    if not _ENV_LOADED:
-        _ENV_LOADED = True
-        path = env_str("REPRO_RAW_STORE")
-        if path:
-            _DEFAULT = RawStore(path)
-    return _DEFAULT
+    """The innermost :func:`use_raw_store` scope's store; ``None`` outside any scope."""
+    return _STACK[-1] if _STACK else None
 
 
 @contextmanager

@@ -16,18 +16,17 @@ profile*:
   (:mod:`repro.core.sparse`); the generators build from triplets and never
   densify, so memory stays O(nnz).
 
-Select with the environment variable ``REPRO_SCALE=paper`` or explicitly via
-the ``scale=`` argument of the figure functions.
+Select with ``repro-experiments --scale paper`` or the ``scale=`` argument
+of the figure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import env_str
 from ..instances.pic import PICConfig
 
-__all__ = ["Scale", "TINY", "SMALL", "PAPER", "LARGE", "current_scale", "get_scale"]
+__all__ = ["Scale", "TINY", "SMALL", "PAPER", "LARGE", "get_scale"]
 
 
 @dataclass(frozen=True)
@@ -169,15 +168,10 @@ LARGE = Scale(
 _PROFILES = {"tiny": TINY, "small": SMALL, "paper": PAPER, "large": LARGE}
 
 
-def current_scale() -> Scale:
-    """Profile selected by ``$REPRO_SCALE`` (default ``small``)."""
-    return get_scale(env_str("REPRO_SCALE"))
-
-
 def get_scale(name: str | Scale | None) -> Scale:
-    """Resolve a profile by name, pass through Scale objects, None → env."""
+    """Resolve a profile by name, pass through Scale objects, None → ``small``."""
     if name is None:
-        return current_scale()
+        return SMALL
     if isinstance(name, Scale):
         return name
     key = name.lower()

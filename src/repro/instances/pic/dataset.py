@@ -92,41 +92,6 @@ class PICMagDataset:
         for it in sorted(iterations if iterations is not None else self.iterations):
             yield it, self.snapshot(it)
 
-    def stream(
-        self,
-        iterations: list[int] | None = None,
-        *,
-        substrate: str = "dense",
-    ):
-        """Scenario driver: yield ``(iteration, LoadView)`` pairs.
-
-        The dynamic-loop entry point: each snapshot is wrapped in a load
-        substrate ready for :meth:`repro.runtime.BSPSimulator.run` (which
-        passes substrates through undensified).  ``substrate`` selects the
-        wrapping:
-
-        * ``"dense"`` — :class:`~repro.core.prefix.PrefixSum2D` (the full
-          prefix grid Γ);
-        * ``"sparse"`` — :class:`~repro.core.sparse.SparsePrefix2D` (CSR
-          prefixes; right for mostly-empty grids);
-        * ``"auto"`` — density-dispatched via
-          :func:`~repro.core.sparse.auto_substrate`.
-        """
-        from ...core.prefix import PrefixSum2D
-        from ...core.sparse import SparsePrefix2D, auto_substrate
-
-        wrap = {
-            "dense": PrefixSum2D,
-            "sparse": SparsePrefix2D,
-            "auto": auto_substrate,
-        }.get(substrate)
-        if wrap is None:
-            raise ParameterError(
-                f"substrate must be dense|sparse|auto, got {substrate!r}"
-            )
-        for it, A in self.snapshots(iterations):
-            yield it, wrap(A)
-
     # ------------------------------------------------------------------
     def _advance_to(self, iteration: int) -> None:
         if self._sim is None:
@@ -146,12 +111,24 @@ class PICMagDataset:
 
     # ------------------------------------------------------------------
     def _load_cache(self) -> None:
+        """Adopt the cached snapshots; a corrupt cache heals rather than poisons.
+
+        An unreadable file, or an entry with a non-integer name or not a
+        ``grid × grid`` int64 matrix, counts as missing: the simulator
+        regenerates it and :meth:`_save_cache` rewrites the file.
+        """
         p = self._cache_path
         if p is None or not p.exists():
             return
-        with np.load(p) as data:
-            for name in data.files:
-                self._snapshots[int(name)] = data[name]
+        try:
+            with np.load(p) as data:
+                entries = {name: data[name] for name in data.files}
+        except Exception:  # truncated, garbage, or not an .npz archive
+            return
+        n = self.config.grid
+        for name, A in entries.items():
+            if name.isdigit() and A.shape == (n, n) and A.dtype == np.int64:
+                self._snapshots[int(name)] = A
 
     def _save_cache(self) -> None:
         p = self._cache_path

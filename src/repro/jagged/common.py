@@ -23,7 +23,6 @@ __all__ = [
     "choose_pq",
     "default_stripe_count",
     "oriented",
-    "jagged_variants",
 ]
 
 
@@ -145,8 +144,3 @@ def oriented(
     run.__doc__ = fn.__doc__
     run.__wrapped__ = fn  # type: ignore[attr-defined]
     return run
-
-
-def jagged_variants(base: str) -> list[str]:
-    """Names of the orientation variants of a jagged algorithm."""
-    return [f"{base}-{suffix}" for suffix in ("HOR", "VER", "BEST")]

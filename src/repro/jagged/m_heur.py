@@ -25,7 +25,7 @@ import numpy as np
 from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import PrefixSum2D
-from ..oned.api import ONED_METHODS
+from ..oned.bisect import partition_bisect
 from ..perf import kernels as _kernels
 from .common import build_jagged_partition, default_stripe_count, oriented
 
@@ -97,33 +97,22 @@ def _stripe_candidates(pref: PrefixSum2D, m: int, spec) -> list[int]:
 
 
 def _jag_m_heur_main0(
-    pref: PrefixSum2D,
-    m: int,
-    num_stripes: int | str | None = None,
-    oned: str = "bisect",
+    pref: PrefixSum2D, m: int, num_stripes: int | str | None = None
 ) -> Partition:
     """m-way jagged heuristic (§3.2.2) on main dimension 0 (see module docstring)."""
     candidates = _stripe_candidates(pref, m, "sqrt" if num_stripes is None else num_stripes)
     if len(candidates) > 1:
-        parts = [
-            _jag_m_heur_single(pref, m, P, oned) for P in candidates
-        ]
+        parts = [_jag_m_heur_single(pref, m, P) for P in candidates]
         return min(parts, key=lambda p: p.meta["lmax"])
-    return _jag_m_heur_single(pref, m, candidates[0], oned)
+    return _jag_m_heur_single(pref, m, candidates[0])
 
 
-def _jag_m_heur_single(
-    pref: PrefixSum2D,
-    m: int,
-    P: int,
-    oned: str = "bisect",
-) -> Partition:
+def _jag_m_heur_single(pref: PrefixSum2D, m: int, P: int) -> Partition:
     if not (1 <= P <= m):
         raise ParameterError(f"stripe count {P} out of range [1, {m}]")
     P = min(P, pref.n1)
-    solve = ONED_METHODS[oned]
     rows = pref.axis_prefix(0)
-    _, stripe_cuts = solve(rows, P)
+    _, stripe_cuts = partition_bisect(rows, P)
     stripe_loads = rows[stripe_cuts[1:]] - rows[stripe_cuts[:-1]]
     q = allocate_processors(stripe_loads, m)
     col_cuts = []
@@ -131,7 +120,7 @@ def _jag_m_heur_single(
     for s in range(P):
         # full-width stripe projection: served by the memoized axis_prefix
         band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]))
-        b, cc = solve(band, int(q[s]))
+        b, cc = partition_bisect(band, int(q[s]))
         lmax = max(lmax, int(b))
         col_cuts.append(cc)
     return build_jagged_partition(

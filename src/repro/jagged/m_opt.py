@@ -254,9 +254,7 @@ def _shared_memo(pref: PrefixSum2D) -> dict:
     return {}
 
 
-def jag_m_opt_bottleneck(
-    pref: PrefixSum2D, m: int, *, ub: int | None = None, memo: dict | None = None
-) -> int:
+def jag_m_opt_bottleneck(pref: PrefixSum2D, m: int, *, memo: dict | None = None) -> int:
     """Optimal m-way jagged bottleneck (main dimension 0) by exact bisection.
 
     Under an active :mod:`repro.sweep` context the bisection window is
@@ -278,9 +276,7 @@ def jag_m_opt_bottleneck(
     lb = max(-(-pref.total // m), pref.max_element())
     if wlb is not None and wlb > lb:
         lb = wlb
-    if ub is None:
-        ub = _jag_m_heur_main0(pref, m).meta["lmax"]
-    ub = max(lb, int(ub))
+    ub = max(lb, int(_jag_m_heur_main0(pref, m).meta["lmax"]))
     if wub is not None and wub < ub:
         ub = max(lb, wub)
     if memo is None:

@@ -18,15 +18,13 @@ import numpy as np
 from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import PrefixSum2D
-from ..oned.api import ONED_METHODS
+from ..oned.bisect import partition_bisect
 from .common import build_jagged_partition, choose_pq, oriented
 
 __all__ = ["jag_pq_heur", "jag_pq_heur_cuts"]
 
 
-def jag_pq_heur_cuts(
-    pref: PrefixSum2D, P: int, Q: int, oned: str = "bisect"
-) -> tuple[np.ndarray, list[np.ndarray], int]:
+def jag_pq_heur_cuts(pref: PrefixSum2D, P: int, Q: int) -> tuple[np.ndarray, list[np.ndarray], int]:
     """Stripe cuts, per-stripe column cuts and Lmax of the P×Q-way jagged heuristic.
 
     Main dimension is dimension 0.  Once the stripe cuts are fixed the per-
@@ -35,15 +33,14 @@ def jag_pq_heur_cuts(
     """
     if P <= 0 or Q <= 0:
         raise ParameterError("P and Q must be positive")
-    solve = ONED_METHODS[oned]
     rows = pref.axis_prefix(0)  # projection on the main dimension
-    _, stripe_cuts = solve(rows, P)
+    _, stripe_cuts = partition_bisect(rows, P)
     col_cuts = []
     lmax = 0
     for s in range(P):
         # full-width stripe projection: served by the memoized axis_prefix
         band = pref.axis_prefix(1, int(stripe_cuts[s]), int(stripe_cuts[s + 1]))
-        b, cc = solve(band, Q)
+        b, cc = partition_bisect(band, Q)
         lmax = max(lmax, int(b))
         col_cuts.append(cc)
     return stripe_cuts, col_cuts, lmax
@@ -54,14 +51,13 @@ def _jag_pq_heur_main0(
     m: int,
     P: int | None = None,
     Q: int | None = None,
-    oned: str = "bisect",
 ) -> Partition:
     """P×Q-way jagged heuristic (§3.2.1) on main dimension 0 (see module docstring)."""
     if P is None or Q is None:
         P, Q = choose_pq(m, pref.n1, pref.n2)
     elif P * Q != m:
         raise ParameterError(f"P*Q must equal m ({P}*{Q} != {m})")
-    stripe_cuts, col_cuts, lmax = jag_pq_heur_cuts(pref, P, Q, oned)
+    stripe_cuts, col_cuts, lmax = jag_pq_heur_cuts(pref, P, Q)
     return build_jagged_partition(
         pref, stripe_cuts, col_cuts, method="JAG-PQ-HEUR", lmax=lmax
     )

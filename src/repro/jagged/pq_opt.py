@@ -72,14 +72,10 @@ def _feasible(pref: PrefixSum2D, P: int, Q: int, B: int) -> np.ndarray | None:
     return cuts if pos == pref.n1 else None
 
 
-def jag_pq_opt_bottleneck(
-    pref: PrefixSum2D, P: int, Q: int, *, ub: int | None = None
-) -> int:
+def jag_pq_opt_bottleneck(pref: PrefixSum2D, P: int, Q: int) -> int:
     """Optimal P×Q-way jagged bottleneck (main dimension 0)."""
     lb = max(-(-pref.total // (P * Q)), pref.max_element())
-    if ub is None:
-        _, _, ub = jag_pq_heur_cuts(pref, P, Q)
-    ub = max(lb, int(ub))
+    ub = max(lb, jag_pq_heur_cuts(pref, P, Q)[2])
     while lb < ub:
         mid = (lb + ub) // 2
         if _feasible(pref, P, Q, mid) is not None:

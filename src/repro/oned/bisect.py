@@ -120,25 +120,15 @@ def _search(P, m: int, lo: int, hi: int) -> tuple[int, list[int] | np.ndarray]:
     return lo, A
 
 
-def bisect_bottleneck(
-    P: np.ndarray, m: int, *, lb: int | None = None, ub: int | None = None
-) -> int:
+def bisect_bottleneck(P: np.ndarray, m: int) -> int:
     """Optimal bottleneck of an m-way interval partition of prefix ``P``.
 
-    ``lb``/``ub`` are caller-asserted brackets of the optimum (the caller is
-    trusted, like the ``ub`` hints of the exact jagged solvers); the result
-    is identical for any valid bracket because the probe is monotone in
-    ``B``.  Raises :class:`~repro.core.errors.ParameterError` for ``m < 1``.
+    Raises :class:`~repro.core.errors.ParameterError` for ``m < 1``.
     """
     check_m(m)
     if len(P) == 1:
         return 0
-    lo, hi = _bounds(P, m)
-    if lb is not None and lb > lo:
-        lo = int(lb)
-    if ub is not None and ub < hi:
-        hi = int(ub)
-    return _search(P, m, lo, max(lo, hi))[0]
+    return _search(P, m, *_bounds(P, m))[0]
 
 
 def feasible_bottlenecks(P: np.ndarray, m: int, Bs) -> np.ndarray:

@@ -144,7 +144,7 @@ class SimulationReport:
         )
 
 
-def hetero_partitioner(speeds, *, num_stripes: int | None = None) -> Partitioner:
+def hetero_partitioner(speeds) -> Partitioner:
     """Partitioner closure over :func:`repro.jagged.hetero.jag_hetero`.
 
     ``speeds[i]`` is processor ``i``'s relative speed; the returned callable
@@ -160,7 +160,7 @@ def hetero_partitioner(speeds, *, num_stripes: int | None = None) -> Partitioner
             raise ParameterError(
                 f"simulator m={m} != len(speeds)={len(speeds)}"
             )
-        return jag_hetero(pref, speeds, num_stripes=num_stripes)
+        return jag_hetero(pref, speeds)
 
     return run
 

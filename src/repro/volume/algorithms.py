@@ -25,7 +25,7 @@ import numpy as np
 from ..core.errors import ParameterError
 from ..core.prefix import PrefixSum2D
 from ..jagged.m_heur import _jag_m_heur_main0, allocate_processors
-from ..oned.api import ONED_METHODS
+from ..oned.bisect import partition_bisect
 from .box import Box
 from .partition3d import Partition3D
 from .prefix3d import PrefixSum3D
@@ -100,7 +100,6 @@ def vol_jag_m_heur(
     *,
     num_slabs: int | None = None,
     axis: int = 0,
-    oned: str = "bisect",
 ) -> Partition3D:
     """3D m-way jagged heuristic: 1D slabs × 2D m-way jagged per slab.
 
@@ -119,17 +118,14 @@ def vol_jag_m_heur(
         1: pref.axis_prefix(1, 0, pref.n0, 0, pref.n2),
         2: pref.axis_prefix(2, 0, pref.n0, 0, pref.n1),
     }[axis]
-    solve = ONED_METHODS[oned]
-    _, slab_cuts = solve(full, S)
+    _, slab_cuts = partition_bisect(full, S)
     slab_loads = full[slab_cuts[1:]] - full[slab_cuts[:-1]]
     q = allocate_processors(slab_loads, m)
     boxes: list[Box] = []
     for s in range(S):
         lo_s, hi_s = int(slab_cuts[s]), int(slab_cuts[s + 1])
         M2 = pref.slab_matrix(axis, lo_s, hi_s)
-        part2 = _jag_m_heur_main0(
-            PrefixSum2D(M2, is_prefix=True), int(q[s]), oned=oned
-        )
+        part2 = _jag_m_heur_main0(PrefixSum2D(M2, is_prefix=True), int(q[s]))
         for r0, r1, c0, c1 in part2.coords().tolist():
             if axis == 0:
                 boxes.append(Box(lo_s, hi_s, r0, r1, c0, c1))

@@ -38,7 +38,7 @@ import pytest
 from repro.core import prefix
 from repro.core.prefix import PrefixSum2D
 from repro.core.registry import ALGORITHMS, partition_2d
-from repro.core.sparse import SparsePrefix2D, auto_substrate, substrate_from_triplets
+from repro.core.sparse import SparsePrefix2D, substrate_from_triplets
 from repro.jagged import m_opt
 from repro.perf.config import use_perf_backend
 from repro.perf.counters import op_counters
@@ -202,22 +202,14 @@ def test_every_kernel_reference_is_exercised(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the substrate dispatchers
+# the substrate dispatcher
 # ----------------------------------------------------------------------
-def test_auto_substrate_dispatches_on_density(rng):
-    A_sparse = _random_sparse(rng, 24, 20, 24, 50)
-    A_dense = rng.integers(1, 9, size=(16, 16)).astype(np.int64)
-    assert isinstance(auto_substrate(A_sparse), SparsePrefix2D)
-    assert isinstance(auto_substrate(A_dense), PrefixSum2D)
-    # the two dispatch outcomes agree on every query
-    s, d = auto_substrate(A_sparse), PrefixSum2D(A_sparse)
-    assert s.load(1, 7, 2, 9) == d.load(1, 7, 2, 9)
-    # the density boundary is exact, on both dispatchers: exactly a quarter
-    # of the cells nonzero is CSR, one more nonzero is dense
+def test_substrate_from_triplets_dispatches_on_density(rng):
+    # the density boundary is exact: exactly a quarter of the cells nonzero
+    # is CSR, one more nonzero is dense
     A = _random_sparse(rng, 12, 10, 30, 50)
     for want in (SparsePrefix2D, PrefixSum2D):
         rows, cols = np.nonzero(A)
-        assert isinstance(auto_substrate(A), want)
         assert isinstance(substrate_from_triplets(rows, cols, A[rows, cols], A.shape), want)
         A[np.unravel_index(np.flatnonzero(A == 0)[0], A.shape)] = 1
 

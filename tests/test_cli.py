@@ -157,12 +157,16 @@ class TestExperimentsCli:
         assert self._process_state() == before
 
     def test_force_leaves_the_ambient_store_unforced(self, tmp_path, capsys):
-        with use_raw_store(tmp_path / "raw") as ambient:
-            rc = experiments_cli.main(["--figures", "fig05", "--scale", "tiny", "--force"])
-            assert rc == 0
+        raw = os.fspath(tmp_path / "raw")
+        argv = ["--figures", "fig05", "--scale", "tiny", "--force"]
+        with use_raw_store(raw) as ambient:
+            assert experiments_cli.main(argv + ["--raw-dir", raw]) == 0
             assert current_raw_store() is ambient
             assert ambient.force is False
             assert ambient.misses == 0  # the forced run used its own store
+            # the ambient store is no fallback for a missing --raw-dir
+            with pytest.raises(SystemExit):
+                experiments_cli.main(argv)
 
 
 def _demo_figure():

@@ -100,22 +100,6 @@ class TestIncrementalJagged:
             fresh = jag_m_heur(pref, 16)
             assert p.max_load(pref) <= 1.2 * fresh.max_load(pref) + 1e-9
 
-    def test_partitioner_adapter(self):
-        from repro.dynamic import EveryK
-        from repro.runtime import BSPSimulator
-
-        inc = IncrementalJagged(8, threshold=0.2)
-        sim = BSPSimulator(8, inc.partitioner(), policy=EveryK(1))
-        rep = sim.run((500 * k, A) for k, A in enumerate(blob_snapshots(steps=4)))
-        assert len(rep.steps) == 4
-        assert inc.full_repartitions + inc.refinements == 4
-
-    def test_partitioner_m_mismatch(self):
-        inc = IncrementalJagged(8)
-        run = inc.partitioner()
-        with pytest.raises(ParameterError):
-            run(PrefixSum2D(np.ones((4, 4), dtype=np.int64)), 9)
-
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             IncrementalJagged(0)
@@ -145,9 +129,9 @@ class TestIncrementalJagged:
                 return self._lmax
 
         fresh_parts = iter([FakePart(10), FakePart(fresh_lmax)])
-        monkeypatch.setattr(mod, "jag_m_heur", lambda pref, m, oned: next(fresh_parts))
+        monkeypatch.setattr(mod, "jag_m_heur", lambda pref, m: next(fresh_parts))
         monkeypatch.setattr(
-            mod, "refine_jagged", lambda prev, pref, oned: FakePart(refined_lmax)
+            mod, "refine_jagged", lambda prev, pref: FakePart(refined_lmax)
         )
 
         inc = IncrementalJagged(4, threshold=0.1)

@@ -11,11 +11,8 @@ from repro.experiments.scale import PAPER, SMALL, TINY, Scale
 
 
 class TestScale:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
-        assert get_scale(None).name == "small"
-        monkeypatch.setenv("REPRO_SCALE", "paper")
-        assert get_scale(None).name == "paper"
+    def test_default_is_small(self):
+        assert get_scale(None) is SMALL
 
     def test_by_name(self):
         assert get_scale("small") is SMALL

@@ -173,6 +173,27 @@ class TestPICDataset:
         assert 200 in ds2._snapshots  # loaded from disk, no simulation
         np.testing.assert_array_equal(ds2.snapshot(200), a)
 
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "bad-entries"])
+    def test_corrupt_disk_cache_heals(self, tmp_path, monkeypatch, damage):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        a = PICMagDataset(self.CFG, period=100, max_iteration=200).snapshot(200)
+        (path,) = tmp_path.glob("*.npz")
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif damage == "garbage":
+            path.write_bytes(b"garbage{")
+        else:  # a readable archive whose entries are all unusable
+            bad = {"junk": a, "100": a.astype(np.float64), "200": a[:-1], "0": a.ravel()}
+            np.savez(path, **bad)
+        ds = PICMagDataset(self.CFG, period=100, max_iteration=200)
+        ref = PICMagDataset(self.CFG, period=100, max_iteration=200, cache=False)
+        for (i, got), (j, want) in zip(ds.snapshots(), ref.snapshots(), strict=True):
+            assert i == j
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == np.int64
+        with np.load(path) as data:  # rewritten, and readable again
+            assert sorted(int(name) for name in data.files) == ds.iterations
+
     def test_period_validation(self):
         with pytest.raises(ParameterError):
             PICMagDataset(self.CFG, period=0, cache=False)

@@ -76,9 +76,9 @@ class TestDynamicPipeline:
         inc = IncrementalJagged(9, threshold=0.15)
         sim = BSPSimulator(
             9,
-            inc.partitioner(),
+            lambda pref, m: partition_2d(pref, m, "JAG-M-HEUR"),
             cost=CostModel(alpha=1e-6, beta=2e-6, gamma=1e-6),
-            policy=EveryK(1),
+            policy=inc,
         )
         rep = sim.run(dataset.snapshots(), steps_per_snapshot=200)
         assert len(rep.steps) == 7

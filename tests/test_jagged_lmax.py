@@ -4,8 +4,7 @@ A jagged partition's Lmax is the largest of its stripes' 1D bottlenecks
 (§3.2), and an exact solver's is its optimum B*.  The -BEST pick, JAG-M-HEUR's
 stripe-count pick and the exact solvers' heuristic upper bounds read the
 carried value instead of re-measuring the partition,
-so it must equal ``max_load`` on every solver, 1D method, orientation and
-substrate.
+so it must equal ``max_load`` on every solver, orientation and substrate.
 """
 
 from __future__ import annotations
@@ -16,18 +15,15 @@ import pytest
 from repro.core.prefix import PrefixSum2D
 from repro.core.sparse import SparsePrefix2D
 from repro.jagged import jag_m_heur, jag_m_opt, jag_pq_heur, jag_pq_opt
-from repro.oned.api import ONED_METHODS
 from repro.sweep import use_sweep
 
-SOLVERS = (
-    [(f"JAG-PQ-HEUR-{k}", jag_pq_heur, {"oned": k}) for k in sorted(ONED_METHODS)]
-    + [(f"JAG-M-HEUR-{k}", jag_m_heur, {"oned": k}) for k in sorted(ONED_METHODS)]
-    + [
-        ("JAG-M-HEUR-auto", jag_m_heur, {"num_stripes": "auto"}),
-        ("JAG-PQ-OPT", jag_pq_opt, {}),
-        ("JAG-M-OPT", jag_m_opt, {}),
-    ]
-)
+SOLVERS = [
+    ("JAG-PQ-HEUR", jag_pq_heur, {}),
+    ("JAG-M-HEUR", jag_m_heur, {}),
+    ("JAG-M-HEUR-auto", jag_m_heur, {"num_stripes": "auto"}),
+    ("JAG-PQ-OPT", jag_pq_opt, {}),
+    ("JAG-M-OPT", jag_m_opt, {}),
+]
 SUBSTRATES = {"dense": PrefixSum2D, "csr": SparsePrefix2D}
 
 

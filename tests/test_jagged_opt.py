@@ -17,6 +17,7 @@ from repro.jagged import (
     jag_pq_heur,
     jag_pq_opt,
     jag_pq_opt_bottleneck,
+    jag_pq_opt_dp_bottleneck,
 )
 from repro.oned.bisect import bisect_bottleneck
 
@@ -24,6 +25,13 @@ tiny_matrices = hnp.arrays(
     dtype=np.int64,
     shape=st.tuples(st.integers(2, 5), st.integers(2, 5)),
     elements=st.integers(0, 30),
+)
+
+#: up to 8×8, about half the cells zero (empty stripes and all-zero rows)
+zero_heavy_matrices = hnp.arrays(
+    dtype=np.int64,
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    elements=st.one_of(st.just(0), st.integers(0, 30)),
 )
 
 
@@ -95,6 +103,13 @@ class TestJagPQOpt:
 
         P, Q = choose_pq(m, A.shape[0], A.shape[1])
         assert p.max_load(A) == jag_pq_opt_bottleneck(PrefixSum2D(A), P, Q)
+
+    @given(zero_heavy_matrices, st.integers(1, 4), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_paper_dp(self, A, P, Q):
+        """The probe-of-probes bisection against the Manne–Sørevik DP, P > n1 included."""
+        pref = PrefixSum2D(A)
+        assert jag_pq_opt_bottleneck(pref, P, Q) == jag_pq_opt_dp_bottleneck(pref, P, Q)
 
     def test_medium_instance(self, rng):
         A = rng.integers(1, 100, (40, 40))

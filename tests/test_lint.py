@@ -407,16 +407,16 @@ class TestRPL011ConfigRegistry:
         return list(ConfigRegistryRule().check(make_ctx(rel, source)))
 
     def test_read_outside_config_module_triggers(self, tmp_path):
-        src = "import os\nv = os.environ.get('REPRO_SCALE', '')\n"
+        src = "import os\nv = os.environ.get('REPRO_CACHE', '')\n"
         res = lint_snippet(tmp_path, "oned", src)
         assert codes(res) == ["RPL011"]
         assert "outside a declared config module" in res.violations[0].message
-        # the raw store is no exception: it reads through repro.config.env_str
-        out = self._check("src/repro/experiments/rawstore.py", src)
+        # the consumer itself is no exception: it reads through repro.config.env_str
+        out = self._check("src/repro/instances/pic/dataset.py", src)
         assert [v.message for v in out] == [res.violations[0].message]
 
     def test_read_in_config_module_is_allowed(self):
-        assert self._check(self.CONFIG, "import os\nv = os.environ.get('REPRO_SCALE', '1')\n") == []
+        assert self._check(self.CONFIG, "import os\nv = os.environ.get('REPRO_CACHE', '1')\n") == []
 
     def test_non_literal_name_triggers(self):
         out = self._check(self.CONFIG, "import os\nv = os.environ.get(name)\n")
@@ -424,7 +424,7 @@ class TestRPL011ConfigRegistry:
         assert "non-literal" in out[0].message
 
     def test_subscript_read_triggers_even_in_config(self):
-        out = self._check(self.CONFIG, "import os\nv = os.environ['REPRO_SCALE']\n")
+        out = self._check(self.CONFIG, "import os\nv = os.environ['REPRO_CACHE']\n")
         assert [v.rule for v in out] == ["RPL011"]
         assert "no default" in out[0].message
 
@@ -449,16 +449,20 @@ class TestRPL011ConfigRegistry:
         )
         assert [name for name in ENV_VARS if name not in docs] == []
 
-    def test_registry_declares_exactly_the_four_knobs(self):
+    def test_registry_declares_exactly_the_two_knobs(self):
         # the projection-memo sizes and the CSR density are module constants;
-        # a sweep store is attached only through use_sweep(store=)
-        assert set(ENV_VARS) == {
-            "REPRO_PERF_BACKEND",
-            "REPRO_RAW_STORE",
-            "REPRO_SCALE",
-            "REPRO_CACHE",
-        }
+        # a sweep store is attached only through use_sweep(store=), a raw
+        # store only through --raw-dir / use_raw_store, a scale through
+        # --scale / scale=
+        assert set(ENV_VARS) == {"REPRO_PERF_BACKEND", "REPRO_CACHE"}
         assert ENV_VARS["REPRO_PERF_BACKEND"].default == "numpy"
+
+    @pytest.mark.parametrize("name", sorted(ENV_VARS))
+    def test_declared_name_is_read_by_its_consumer(self, name):
+        # a knob whose reader is gone must leave the table with it
+        consumer = ENV_VARS[name].consumer
+        path = REPO_ROOT / "src" / (consumer.replace(".", "/") + ".py")
+        assert f'env_str("{name}")' in path.read_text(encoding="utf-8"), consumer
 
     def test_retired_perf_switch_is_not_declared(self):
         # the kernel registry's backend is the only dispatch switch left
@@ -481,7 +485,7 @@ class TestRPL011ConfigRegistry:
     @pytest.mark.parametrize("idiom", sorted(READ_IDIOMS))
     def test_read_idiom_triggers(self, tmp_path, idiom):
         expr = self.READ_IDIOMS[idiom]
-        res = lint_snippet(tmp_path, "oned", f"import os\nv = {expr.format('REPRO_SCALE')}\n")
+        res = lint_snippet(tmp_path, "oned", f"import os\nv = {expr.format('REPRO_CACHE')}\n")
         assert codes(res) and set(codes(res)) == {"RPL011"}
         assert "outside a declared config module" in res.violations[0].message
         out = self._check(self.CONFIG, f"import os\nv = {expr.format('REPRO_NEW')}\n")

@@ -27,19 +27,9 @@ from repro.experiments.rawstore import (
     combine_digests,
     current_raw_store,
     digest_matrix,
-    set_default_raw_store,
 )
 from repro.experiments.pool import cell_pool
 from repro.sweep.store import canonical_sha256
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_store(monkeypatch):
-    """Keep each test's store explicit: clear env + process default."""
-    monkeypatch.delenv("REPRO_RAW_STORE", raising=False)
-    set_default_raw_store(None)
-    yield
-    set_default_raw_store(None)
 
 
 def _key(store, **over):
@@ -180,13 +170,6 @@ class TestAmbientSelection:
             with use_raw_store(None):  # inner scope disables caching
                 assert current_raw_store() is None
         assert current_raw_store() is None
-
-    def test_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RAW_STORE", str(tmp_path))
-        set_default_raw_store(None)
-        monkeypatch.setattr("repro.experiments.rawstore._ENV_LOADED", False)
-        store = current_raw_store()
-        assert store is not None and store.root == str(tmp_path)
 
     def test_kwargs_scope_keys_cells_apart(self, tmp_path):
         with use_raw_store(tmp_path) as store:
