@@ -4,7 +4,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint ruff mypy test test-reference partition-smoke figures figures-check figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
+.PHONY: check lint ruff mypy test test-reference partition-smoke examples-smoke figures figures-check figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
 
 check: ruff mypy lint test
 	@echo "make check: all gates passed"
@@ -63,6 +63,15 @@ partition-smoke:
 		$(PART_OK) $(PARTITION_SMOKE) $$meth; \
 	done
 	@echo "partition-smoke: six heuristics round-trip through .json and .npz"
+
+# every examples/*.py must run to completion: an API change that breaks one
+# fails here instead of leaving the example to rot (~30 s)
+examples-smoke:
+	set -e; for f in examples/*.py; do \
+		echo "examples-smoke: $$f"; \
+		PYTHONPATH=src $(PYTHON) $$f > /dev/null; \
+	done
+	@echo "examples-smoke: every example exits 0"
 
 # regenerate every figure/extension through the committed raw/ store:
 # unchanged cells are cache hits, only what changed is recomputed, and a

@@ -15,7 +15,7 @@ from repro import load_imbalance, lower_bound, partition_2d
 from repro.instances import peak
 from repro.theory.bounds import delta_of, jag_m_guarantee, jag_pq_guarantee
 
-N, M = 48, 12
+N, M = 24, 12
 A = peak(N, seed=7)
 
 

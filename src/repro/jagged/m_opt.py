@@ -18,22 +18,25 @@ DP: ``f(i) = min_k f(k) + parts(k, i, B)`` where ``parts`` is the greedy
 ``B`` is feasible iff ``f(n1) <= m``.  Each row scans only the last start of
 each run of equal ``f`` (at most ``m + 1`` *level ends*, see
 :func:`_level_end_dp`).  The two methods agree on every instance
-(property-tested).
+(property-tested).  The -BEST variant (§4.2) bisects ``min(opt_HOR,
+opt_VER)`` once and builds only the winner (:func:`_optimum`).
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import lru_cache
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from ..core.errors import ParameterError
 from ..core.partition import Partition
-from ..core.prefix import PrefixSum2D
+from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 from ..oned.bisect import bisect_bottleneck
 from ..oned.probe import min_parts, probe_cuts
 from ..perf.kernels import min_parts_batch
+from ..sweep.state import SweepInvariantError, SweepState
 from ..sweep.state import current as _sweep_current
 from .common import build_jagged_partition, oriented
 from .m_heur import _jag_m_heur_main0, allocate_processors
@@ -41,6 +44,8 @@ from .m_heur import _jag_m_heur_main0, allocate_processors
 __all__ = ["jag_m_opt", "jag_m_opt_bottleneck", "jag_m_opt_dp_bottleneck"]
 
 _INF = np.iinfo(np.int64).max // 4
+
+_R = TypeVar("_R")
 
 #: expected-interval threshold above which the jump-table kernel beats the
 #: scalar greedy: the table costs one O(n2) vectorized searchsorted while
@@ -226,19 +231,6 @@ def _reference_dp(pref: PrefixSum2D, B: int, m_cap: int) -> tuple[np.ndarray, np
     return f, arg
 
 
-def _min_processors(
-    pref: PrefixSum2D, B: int, m_cap: int, memo: dict | None = None
-) -> np.ndarray | None:
-    """``f`` array of the minimum-processor DP, or None when ``f > m_cap`` everywhere.
-
-    ``f[i]`` = minimum rectangles of load ``<= B`` forming a jagged partition
-    of rows ``[0, i)`` (all columns).  ``memo`` carries stripe facts across
-    bisection iterations (see :func:`_memo_parts`).
-    """
-    fl = _level_end_dp(pref, B, m_cap, {} if memo is None else memo)
-    return None if fl is None else np.array(fl, dtype=np.int64)
-
-
 def _shared_memo(pref: PrefixSum2D) -> dict:
     """The stripe memo to use: scope-shared when a sweep is active.
 
@@ -254,6 +246,126 @@ def _shared_memo(pref: PrefixSum2D) -> dict:
     return {}
 
 
+class _Side:
+    """One orientation's proven bracket ``[lo, hi]`` on its optimum, and its memo.
+
+    ``hi`` is a bottleneck the side is proven to fit at (at worst the total
+    load), and ``f`` the DP at ``hi`` when one ran there.  The bracket
+    starts from the trivial bound ``lb`` and the sweep's bounds at ``m``.
+    """
+
+    __slots__ = ("pref", "memo", "lo", "hi", "f")
+    pref: PrefixSum2D
+    memo: dict
+    lo: int
+    hi: int
+    f: list[int] | None
+
+    def __init__(
+        self, pref: PrefixSum2D, m: int, lb: int, state: SweepState | None, memo: dict | None
+    ) -> None:
+        exact, wlb, wub = state.bounds(pref, m) if state is not None else (None, None, None)
+        if exact is not None:
+            self.lo = self.hi = exact
+        else:
+            self.lo = lb if wlb is None else max(lb, wlb)
+            self.hi = max(self.lo, pref.total if wub is None else wub)
+        self.pref, self.f = pref, None
+        self.memo = _shared_memo(pref) if memo is None else memo
+
+    def fits(self, B: int, m: int) -> bool:
+        """Whether ``m`` rectangles fit at ``B``: from the bracket, the facts or one DP.
+
+        ``F(B)`` = minimum processors at bottleneck ``B`` is one
+        non-increasing staircase shared by every ``m``, so each DP's exact
+        result (or its proven "> m" lower bound) is recorded under
+        ``_PROBE_KEY`` and answers later probes outright.  A decided probe
+        returns exactly what the DP would have, so no answer depends on the
+        facts on record.
+        """
+        if B >= self.hi:
+            return True
+        if B < self.lo:
+            return False
+        entries = self.memo.get(_PROBE_KEY)
+        flo, fhi = _memo_bounds(entries, B) if entries is not None else (0, None)
+        f = None
+        if fhi is not None and fhi <= m:
+            ok = True
+        elif flo > m:
+            ok = False
+        else:
+            f = _level_end_dp(self.pref, B, m, self.memo)
+            ok = f is not None
+            rec = (B, f[-1], True) if f is not None else (B, m + 1, False)
+            _memo_record(self.memo, _PROBE_KEY, entries, rec)
+        if ok:
+            self.hi, self.f = B, f
+        else:
+            self.lo = B + 1
+        return ok
+
+
+def _optimum(prefs: tuple[PrefixSum2D, ...], m: int, memo: dict | None = None) -> tuple[_Side, int]:
+    """The least optimum over the orientations ``prefs`` (HOR first), and its side.
+
+    One bisection on ``min(opt)`` over one side per orientation.  A probe
+    asks the side that fit last first and the other only if the first
+    misses, so a loser is only ever asked whether it fits below the
+    winner.  With one optimum on record, the other side gets one threshold
+    probe.  Ties go to the first side, as in :func:`oriented`; only the
+    winner's optimum is recorded.  Under a sweep every bracket and fact
+    is proven, so the answer is a cold call's.
+    """
+    if m <= 0:
+        raise ParameterError("m must be positive")
+    state = _sweep_current()
+    lb = max(-(-prefs[0].total // m), prefs[0].max_element())
+    sides = [_Side(p, m, lb, state, memo) for p in prefs]
+    closed = [s for s in sides if s.lo == s.hi]
+    if not closed:
+        for s in sides:
+            s.hi = max(s.lo, min(s.hi, int(_jag_m_heur_main0(s.pref, m).meta["lmax"])))
+    elif len(closed) < len(sides):
+        (c,) = closed
+        (o,) = [s for s in sides if s is not c]
+        o.fits(c.hi - 1 if c is sides[0] else c.hi, m)  # o wins only below c
+    order = sorted(sides, key=lambda s: s.hi)  # the likelier winner first
+    while True:
+        lo, B = min(s.lo for s in sides), min(s.hi for s in sides)
+        if lo >= B:
+            break
+        mid = (lo + B) // 2
+        for s in order:
+            if s.fits(mid, m):
+                if s is not order[0]:
+                    order.reverse()
+                break
+    win = next(s for s in sides if s.fits(B, m))
+    if state is not None:
+        state.record_opt(win.pref, m, B)
+    return win, B
+
+
+def _healed(solve: Callable[[], _R], *prefs: PrefixSum2D) -> _R:
+    """``solve()``, re-run cold once if it disproves a fact seeded from disk.
+
+    A lone wrong optimum in a checksum-valid store contradicts nothing else
+    on record, so seeding accepts it; the solve then disproves it, either
+    when ``record_opt`` rejects the optimum or when the converged
+    bottleneck turns out infeasible.  The state then forgets every seeded
+    fact of ``prefs`` (and the store drops them at the next flush), and
+    the cold re-solve answers as if no store had been attached.
+    """
+    try:
+        return solve()
+    except SweepInvariantError:
+        state = _sweep_current()
+        if state is None or not any([state.forget_seeded(p) for p in prefs]):
+            raise
+        return solve()
+
+
 def jag_m_opt_bottleneck(pref: PrefixSum2D, m: int, *, memo: dict | None = None) -> int:
     """Optimal m-way jagged bottleneck (main dimension 0) by exact bisection.
 
@@ -264,53 +376,7 @@ def jag_m_opt_bottleneck(pref: PrefixSum2D, m: int, *, memo: dict | None = None)
     only narrow a valid bracket or reuse proven stripe facts, so the
     returned optimum is bit-identical to a cold call's.
     """
-    if m <= 0:
-        raise ParameterError("m must be positive")
-    state = _sweep_current()
-    wlb: int | None = None
-    wub: int | None = None
-    if state is not None:
-        exact, wlb, wub = state.bounds(pref, m)
-        if exact is not None:
-            return exact
-    lb = max(-(-pref.total // m), pref.max_element())
-    if wlb is not None and wlb > lb:
-        lb = wlb
-    ub = max(lb, int(_jag_m_heur_main0(pref, m).meta["lmax"]))
-    if wub is not None and wub < ub:
-        ub = max(lb, wub)
-    if memo is None:
-        memo = _shared_memo(pref)
-    # F(B) = minimum processors at bottleneck B is one non-increasing
-    # staircase shared by every m, so each probe's exact result (or its
-    # proven "> m_cap" lower bound) is recorded under _PROBE_KEY and can
-    # answer probes of *later* bisections outright.  Within a single
-    # bisection the facts never decide — the window is always the still-
-    # undecided gap — so a cold call's probe trajectory is unchanged, and
-    # a decided probe returns exactly what the DP would have computed,
-    # keeping the converged optimum bit-identical.
-    while lb < ub:
-        mid = (lb + ub) // 2
-        feasible: bool | None = None
-        entries = memo.get(_PROBE_KEY)
-        if entries is not None:
-            flo, fhi = _memo_bounds(entries, mid)
-            if fhi is not None and fhi <= m:
-                feasible = True
-            elif flo > m:
-                feasible = False
-        if feasible is None:
-            f = _min_processors(pref, mid, m, memo)
-            feasible = f is not None
-            rec = (mid, int(f[pref.n1]), True) if f is not None else (mid, m + 1, False)
-            _memo_record(memo, _PROBE_KEY, entries, rec)
-        if feasible:
-            ub = mid
-        else:
-            lb = mid + 1
-    if state is not None:
-        state.record_opt(pref, m, int(lb))
-    return int(lb)
+    return _healed(lambda: _optimum((pref,), m, memo)[1], pref)
 
 
 def _path_start(pref: PrefixSum2D, rs: list[int], f: list[int], i: int, B: int, memo: dict) -> int:
@@ -333,23 +399,31 @@ def _path_start(pref: PrefixSum2D, rs: list[int], f: list[int], i: int, B: int, 
     raise AssertionError("no start reaches f(i)")
 
 
-def _backtrack_stripes(pref: PrefixSum2D, B: int, m: int, memo: dict | None = None) -> np.ndarray:
-    """Stripe cuts of a minimum-processor solution at bottleneck ``B``."""
+def _backtrack_stripes(
+    pref: PrefixSum2D, B: int, m: int, memo: dict | None = None, f: list[int] | None = None
+) -> np.ndarray:
+    """Stripe cuts of a minimum-processor solution at bottleneck ``B``.
+
+    ``f`` is the DP at ``B`` when the caller already ran it; an infeasible
+    ``B`` can only come from a wrong recorded bound.
+    """
     cuts = [pref.n1]
     memo = {} if memo is None else memo
-    fl = _level_end_dp(pref, B, m, memo)
-    assert fl is not None, "backtrack called with infeasible bottleneck"
+    fl = _level_end_dp(pref, B, m, memo) if f is None else f
+    if fl is None:
+        raise SweepInvariantError(
+            f"bottleneck {B} is infeasible at m={m}: a recorded bound is wrong"
+        )
     rs = pref.axis_prefix(0, reuse=True).tolist()
     while cuts[-1] > 0:
         cuts.append(_path_start(pref, rs, fl, cuts[-1], B, memo))
     return np.array(cuts[::-1], dtype=np.int64)
 
 
-def _jag_m_opt_main0(pref: PrefixSum2D, m: int) -> Partition:
-    """Optimal m-way jagged partition (§3.2.2) on main dimension 0."""
-    memo = _shared_memo(pref)
-    B = jag_m_opt_bottleneck(pref, m, memo=memo)
-    stripe_cuts = _backtrack_stripes(pref, B, m, memo)
+def _build(side: _Side, B: int, m: int) -> Partition:
+    """The partition of ``side`` at its optimum ``B``: backtrack, phase 2, build."""
+    pref = side.pref
+    stripe_cuts = _backtrack_stripes(pref, B, m, side.memo, side.f)  # hi == B: f is the DP at B
     stripes = list(zip(stripe_cuts[:-1].tolist(), stripe_cuts[1:].tolist()))
     # minimum per-stripe processor counts at bottleneck B
     need = np.array([_stripe_min_parts(pref, a, b, B, m) for a, b in stripes], dtype=np.int64)
@@ -375,8 +449,38 @@ def _jag_m_opt_main0(pref: PrefixSum2D, m: int) -> Partition:
     )
 
 
-jag_m_opt = oriented(_jag_m_opt_main0)
-jag_m_opt.__name__ = "jag_m_opt"
+def _jag_m_opt_main0(pref: PrefixSum2D, m: int) -> Partition:
+    """Optimal m-way jagged partition (§3.2.2) on main dimension 0."""
+    return _healed(lambda: _build(*_optimum((pref,), m), m), pref)
+
+
+_jag_m_opt_oriented = oriented(_jag_m_opt_main0)
+
+
+def jag_m_opt(A: MatrixLike, m: int, *, orientation: str = "best") -> Partition:
+    """Optimal m-way jagged partition (§3.2.2) in the -HOR, -VER or -BEST variant (§4.1).
+
+    -HOR and -VER solve one orientation.  -BEST (the default, §4.2) keeps
+    the better of the two, ties to HOR, as one bisection on
+    ``min(opt_HOR, opt_VER)`` (:func:`_optimum`) that builds only the
+    winner.
+    """
+    if orientation.lower() != "best":
+        return _jag_m_opt_oriented(A, m, orientation=orientation)
+    pref = prefix_2d(A)
+    T = pref.transpose()
+
+    def solve() -> tuple[bool, Partition]:
+        win, B = _optimum((pref, T), m)
+        return win.pref is T, _build(win, B, m)
+
+    ver, part = _healed(solve, pref, T)
+    if not ver:
+        part.meta["orientation"] = "hor"
+        return part
+    out = part.transpose().with_method(part.method)
+    out.meta["orientation"] = "ver"
+    return out
 
 
 # ----------------------------------------------------------------------

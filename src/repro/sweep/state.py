@@ -71,7 +71,7 @@ class SweepState:
     on :meth:`flush_to_store`.
     """
 
-    __slots__ = ("_refs", "_optima", "_memos", "_store")
+    __slots__ = ("_refs", "_optima", "_memos", "_store", "_seeded")
 
     def __init__(self, store: Any = None) -> None:
         # id -> strong reference (prevents GC id reuse for tracked objects)
@@ -82,6 +82,8 @@ class SweepState:
         self._memos: dict[int, dict] = {}
         # the attached disk store (duck-typed; see repro.sweep.store)
         self._store = store
+        # ids whose facts came (at least in part) from the store
+        self._seeded: set[int] = set()
 
     # -- tracking -------------------------------------------------------
 
@@ -97,6 +99,8 @@ class SweepState:
             # install this instance's persisted facts before any are read;
             # record_opt re-entry is safe because the id is registered above
             self._store.seed_state(self, obj)
+            if key in self._optima or key in self._memos:
+                self._seeded.add(key)
         return key  # repro-lint: disable=RPL010 — in-process handle; cross-run reuse goes through content digests
 
     def _query_key(self, obj: Any) -> int | None:
@@ -151,6 +155,22 @@ class SweepState:
                 f"[{lb}, {ub}] (B* is non-increasing in m)"
             )
         optima[m] = B
+
+    def forget_seeded(self, obj: Any) -> bool:
+        """Drop every fact about ``obj`` if the store seeded any; True if so.
+
+        A solve calls this when it disproves a seeded fact.  ``obj`` stays
+        tracked, so it is not seeded again, and the store drops its entry
+        at the next flush instead of merging into it.
+        """
+        key = id(obj)
+        if key not in self._seeded:
+            return False
+        self._seeded.discard(key)
+        self._optima.pop(key, None)
+        self._memos.pop(key, None)
+        self._store.drop(obj)
+        return True
 
     def facts(self, obj: Any) -> tuple[dict[int, int], dict]:
         """Everything recorded about ``obj``: ``({m: B*}, stripe memo)``.

@@ -22,7 +22,9 @@ The store reads a live state only through
 ``record_opt`` and ``stripe_memo``, so the table layout stays private to
 :mod:`repro.sweep.state`.  An instance entry is ``{"shape", "opt",
 "stripe"}`` where ``opt`` is a list of ``[m, B]`` pairs, ``B`` at
-primitive scale.
+primitive scale.  A -BEST JAG-M-OPT solve records only the winning
+orientation's optimum; the losing orientation's entry (the transposed
+matrix) carries only the probe facts showing it does not fit below it.
 
 File format (version 3): one JSON document ``{"format", "version",
 "payload", "sha256"}`` where ``sha256`` covers the canonical (sorted,
@@ -31,7 +33,12 @@ the checksum, or carries another version (including the version-2 files
 that held heuristic witnesses and hierarchical node memos) is **ignored,
 never trusted** — and every seeded optimum still passes the in-memory
 validator, so even a checksum-valid but semantically poisoned store cannot
-install a contradiction (seeding stops at the first rejected fact).
+install a contradiction (seeding stops at the first rejected fact).  A
+lone wrong optimum contradicts nothing on record, so seeding accepts it;
+the solve that disproves it (``record_opt`` rejects its result, or the
+converged bottleneck is infeasible) makes the state forget the
+instance's seeded facts and re-solve cold, and the next flush replaces
+the instance's entry instead of merging into it (:meth:`SweepStore.drop`).
 :func:`canonical_sha256` and :func:`write_json_atomic` are the integrity
 envelope this store shares with the figure farm's raw store
 (:mod:`repro.experiments.rawstore`).
@@ -92,13 +99,15 @@ def write_json_atomic(path: str, doc: Any) -> None:
     The bytes go to a temp file in the target directory that
     ``os.replace`` then moves over ``path``; the temp file is unlinked on
     any failure, so a reader sees the old file or the new one, never a
-    torn write.
+    torn write.  ``json.dumps`` encodes in C where ``json.dump`` to a file
+    takes the pure-Python encoder; the bytes are the same.
     """
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):
@@ -156,6 +165,8 @@ class SweepStore:
         self.path = os.fspath(path)
         self._data: dict[str, dict] = {}
         self._harvest: dict[str, dict] = {}
+        # digests whose on-disk entry a solve disproved: replaced, not merged
+        self._dropped: set[str] = set()
         # id -> (instance, digest, scale) for instances touched since the
         # last flush; the strong reference keeps the id from being reused
         self._digests: dict[int, tuple[Any, str, int]] = {}
@@ -207,9 +218,11 @@ class SweepStore:
         object never rewrites facts this one already flushed.
         """
         self._digests.clear()
-        if not self._harvest:
+        if not self._harvest and not self._dropped:
             return
         on_disk, _ = self._read_file()
+        for digest in self._dropped:
+            on_disk.pop(digest, None)
         for digest, inst in self._harvest.items():
             on_disk[digest] = _merge_instance(on_disk.get(digest), inst)
         payload = {"instances": on_disk}
@@ -224,6 +237,7 @@ class SweepStore:
         )
         self._data = on_disk
         self._harvest = {}
+        self._dropped = set()
 
     # -- state integration (called by SweepState) -----------------------
 
@@ -280,6 +294,12 @@ class SweepStore:
             memo[(int(k), int(i))] = [
                 (int(B) * c, int(p), bool(e)) for B, p, e in entries
             ]
+
+    def drop(self, obj: Any) -> None:
+        """Forget ``obj``'s entry: the next flush deletes it before merging."""
+        digest, _ = self._digest_of(obj)
+        self._dropped.add(digest)
+        self._harvest.pop(digest, None)
 
     def harvest_state(self, state: SweepState, obj: Any) -> None:
         """Collect ``obj``'s live facts (rescaled to primitive) for flush."""

@@ -21,6 +21,9 @@ formulas on deterministic seeded instances:
   walks exactly one step per interval after one batched search.
 * RECT-NICOL's striped bisection needs about half the walks of plain
   bisection, because each walk's proved bound moves the bracket past ``B``.
+* JAG-M-OPT-BEST settles both orientations in one bisection: fewer
+  feasibility DPs than a -HOR and a -VER solve together, and exactly one
+  (the winner's backtrack) warm from a seeded store.
 * A partition is one ``(m, 4)`` array (§1's "compact representation"): a
   heuristic's solve constructs no per-rectangle ``Rect`` object.
 
@@ -383,3 +386,43 @@ def test_jag_m_opt_scans_level_end_starts_only():
     with op_counters() as ops:
         partition_2d(PrefixSum2D(A), 12, "JAG-M-OPT-HOR")
     assert ops["proj_queries"] <= 600
+
+
+@pytest.mark.parametrize("m,winner,dps", [(6, "hor", 12), (12, "ver", 10)])
+def test_jag_m_opt_best_settles_both_orientations_in_one_bisection(
+    monkeypatch, tmp_path, m, winner, dps
+):
+    # -BEST bisects min(opt_HOR, opt_VER) once and builds only the winner:
+    # 12 and 10 feasibility DPs here, against 9 + 8 and 7 + 8 for a -HOR
+    # and a -VER solve; warm from a seeded store, the winner's optimum is
+    # on record, the loser's threshold probe is a recorded fact, and the
+    # backtrack is the only DP left
+    from repro.jagged import m_opt
+    from repro.sweep import use_sweep
+
+    calls = []
+    dp = m_opt._level_end_dp
+
+    def counted(*args):
+        calls.append(args[1])
+        return dp(*args)
+
+    monkeypatch.setattr(m_opt, "_level_end_dp", counted)
+    A = np.random.default_rng(9).integers(0, 60, (48, 48))
+
+    def solve(method):
+        calls.clear()
+        part = partition_2d(PrefixSum2D(A), m, method)
+        return part, len(calls)
+
+    _, hor = solve("JAG-M-OPT-HOR")
+    _, ver = solve("JAG-M-OPT-VER")
+    part, best = solve("JAG-M-OPT")
+    assert part.meta["orientation"] == winner
+    assert best == dps < hor + ver
+    path = tmp_path / "facts.json"
+    with use_sweep(store=path):
+        solve("JAG-M-OPT")
+    with use_sweep(store=path):
+        part, warm = solve("JAG-M-OPT")
+    assert warm == 1 and calls == [part.meta["lmax"]]

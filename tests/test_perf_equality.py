@@ -10,6 +10,8 @@ drive both on randomized instances and compare the raw outputs.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +24,7 @@ from repro.core.prefix import PrefixSum2D
 from repro.core.registry import partition_2d
 from repro.jagged.m_opt import (
     _backtrack_stripes,
-    _min_processors,
+    _level_end_dp,
     _reference_dp,
     jag_m_opt_bottleneck,
 )
@@ -269,10 +271,10 @@ def test_min_processors_identical_across_modes(A, data):
     m = data.draw(st.integers(1, A.shape[0] + 4), label="m")
     B = data.draw(st.integers(0, int(A.max()) + int(A.sum())), label="B")
     f = _reference_dp(PrefixSum2D(A), B, m)[0]
-    opt = _min_processors(PrefixSum2D(A), B, m)
+    opt = _level_end_dp(PrefixSum2D(A), B, m, {})
     assert (f[A.shape[0]] > m) == (opt is None)
     if opt is not None:
-        assert f.tolist() == opt.tolist()
+        assert f.tolist() == opt
 
 
 @settings(max_examples=150, deadline=None)
@@ -289,6 +291,44 @@ def test_jag_m_opt_backtrack_identical_across_modes(A, data):
         assert _jag_m_opt_outputs(A, ms) == out
     with use_perf_backend("reference"):
         assert _jag_m_opt_outputs(A, ms) == out
+
+
+def _best_outputs(A, ms, first=()):
+    """-BEST outputs on one prefix, after solving ``first`` (-HOR/-VER) at every m."""
+    pref = PrefixSum2D(A)
+    for o in first:
+        for m in ms:
+            partition_2d(pref, m, f"JAG-M-OPT-{o}")
+    return [
+        (p.rects, p.meta["lmax"], p.meta["orientation"])
+        for p in (partition_2d(pref, m, "JAG-M-OPT") for m in ms)
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(A=tie_heavy_matrices(), data=st.data())
+def test_jag_m_opt_best_is_the_better_orientation(A, data):
+    # -BEST settles both orientations in one joint bisection; it must return
+    # exactly the -HOR partition when hor.lmax <= ver.lmax (ties keep HOR)
+    # and the -VER one otherwise: cold, in a sweep scope (also after -HOR
+    # and/or -VER solves put one or both optima on record), and warm from a
+    # store seeded by the same solves
+    ms = data.draw(st.lists(st.integers(1, A.shape[0] + 4), min_size=1, max_size=3), label="ms")
+    want = []
+    for m in ms:
+        hor = partition_2d(PrefixSum2D(A), m, "JAG-M-OPT-HOR")
+        ver = partition_2d(PrefixSum2D(A), m, "JAG-M-OPT-VER")
+        pick = hor if hor.meta["lmax"] <= ver.meta["lmax"] else ver
+        want.append((pick.rects, pick.meta["lmax"], pick.meta["orientation"]))
+    assert _best_outputs(A, ms) == want
+    for first in ((), ("HOR",), ("VER",), ("HOR", "VER")):
+        with use_sweep():
+            assert _best_outputs(A, ms, first) == want, first
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "facts.json")
+        for _ in range(2):  # cold into the store, then warm from it
+            with use_sweep(store=path):
+                assert _best_outputs(A, ms) == want
 
 
 def test_bisect_bottleneck_identical_on_nd_probe_path():

@@ -21,7 +21,7 @@ import pytest
 from repro.core.prefix import PrefixSum2D, prefix_2d
 from repro.core.registry import partition_2d
 from repro.sweep import SweepStore, instance_digest, use_sweep
-from repro.sweep.store import canonical_sha256
+from repro.sweep.store import canonical_sha256, write_json_atomic
 
 ALGOS = ["JAG-PQ-HEUR", "JAG-M-HEUR", "JAG-PQ-OPT", "JAG-M-OPT", "RECT-NICOL"]
 M_VALUES = [4, 6, 12, 20]
@@ -71,13 +71,13 @@ class TestWarmFromDisk:
         from repro.jagged.m_opt import jag_m_opt_bottleneck
 
         A = _matrix()
-        _populate(A, store_path, algos=["JAG-M-OPT"], ms=[6])
+        # -HOR: a -BEST solve records only the winning orientation's optimum
+        _populate(A, store_path, algos=["JAG-M-OPT-HOR"], ms=[6])
         with use_sweep(store=store_path) as st:
             pref = prefix_2d(A)
             exact, lb, ub = st.bounds(pref, 6)
             assert exact is not None
-            # the fact is the main-dimension-0 class optimum (the registry
-            # entry returns the better of both orientations)
+            # the fact is the main-dimension-0 class optimum
             assert exact == jag_m_opt_bottleneck(prefix_2d(A), 6)
 
     def test_sweep_entry_point_takes_store(self, store_path):
@@ -132,7 +132,7 @@ class TestScaleTransfer:
 
         A = _matrix(8, 24)
         opt = jag_m_opt_bottleneck(prefix_2d(A), 6)
-        _populate(A, store_path, algos=["JAG-M-OPT"], ms=[6])
+        _populate(A, store_path, algos=["JAG-M-OPT-HOR"], ms=[6])
         with use_sweep(store=store_path) as st:
             pref = prefix_2d(A * 3)
             exact, _, _ = st.bounds(pref, 6)
@@ -274,6 +274,33 @@ class TestRobustness:
             # and the sweep still returns cold-identical results
             assert _rects(partition_2d(prefix_2d(A), 6, "JAG-M-OPT")) == cold
 
+    @pytest.mark.parametrize("method", ["JAG-M-OPT-HOR", "JAG-M-OPT"])
+    @pytest.mark.parametrize("lie", ["below-every-bound", "between-bound-and-optimum"])
+    def test_disproved_seed_heals(self, store_path, lie, method):
+        """A lone wrong optimum passes seeding; the solve that disproves it
+        (``record_opt`` rejects the result, or the converged bottleneck is
+        infeasible) forgets the seeded facts, re-solves cold, and the flush
+        replaces the poisoned entry."""
+        from repro.jagged.m_opt import jag_m_opt_bottleneck
+
+        A = _matrix(5, 20)
+        pref = prefix_2d(A)
+        lb, opt = max(-(-pref.total // 6), pref.max_element()), jag_m_opt_bottleneck(pref, 6)
+        fake = 1 if lie == "below-every-bound" else (lb + opt) // 2
+        assert fake < opt
+        _populate(A, store_path, algos=["JAG-M-OPT-HOR"], ms=[4])
+        doc = json.load(open(store_path))
+        (inst,) = doc["payload"]["instances"].values()
+        assert [m for m, _ in inst["opt"]] == [4]
+        inst["opt"] = [[4, fake]]  # B*(6) <= B*(4) = fake: a wrong upper bound
+        doc["sha256"] = canonical_sha256(doc["payload"])
+        json.dump(doc, open(store_path, "w"))
+        cold = _cold(A, method, 6)
+        with use_sweep(store=store_path):
+            assert _rects(partition_2d(prefix_2d(A), 6, method)) == cold
+        inst = json.load(open(store_path))["payload"]["instances"][instance_digest(pref)[0]]
+        assert [4, fake] not in inst["opt"]
+
     def test_concurrent_flush_never_corrupts(self, store_path):
         """Two processes flushing the same file: valid store, facts survive."""
         ctx = multiprocessing.get_context("spawn")
@@ -312,6 +339,14 @@ class TestStoreFormat:
         with use_sweep(store=path) as st:
             exact, _, _ = st.bounds(prefix_2d(A), 4)
             assert exact == big
+
+    def test_atomic_write_bytes_are_canonical_json(self, tmp_path):
+        """The file holds exactly the compact sorted-key encoding, nothing else."""
+        doc = {"b": [1, (1 << 70) + 3, {"z": None, "a": "\u00e9"}], "a": 1.5, "c": True}
+        path = tmp_path / "doc.json"
+        write_json_atomic(os.fspath(path), doc)
+        assert path.read_bytes() == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        assert os.listdir(tmp_path) == ["doc.json"]  # the temp file was moved, not left
 
     def test_reused_store_flushes_only_its_own_scope(self, store_path):
         """A store object serving two scopes writes each harvest once.
