@@ -38,7 +38,7 @@ from ..oned.probe import min_parts, probe_cuts
 from ..perf.kernels import min_parts_batch
 from ..sweep.state import SweepInvariantError, SweepState
 from ..sweep.state import current as _sweep_current
-from .common import build_jagged_partition, oriented
+from .common import build_jagged_partition
 from .m_heur import _jag_m_heur_main0, allocate_processors
 
 __all__ = ["jag_m_opt", "jag_m_opt_bottleneck", "jag_m_opt_dp_bottleneck"]
@@ -261,17 +261,14 @@ class _Side:
     hi: int
     f: list[int] | None
 
-    def __init__(
-        self, pref: PrefixSum2D, m: int, lb: int, state: SweepState | None, memo: dict | None
-    ) -> None:
+    def __init__(self, pref: PrefixSum2D, m: int, lb: int, state: SweepState | None) -> None:
         exact, wlb, wub = state.bounds(pref, m) if state is not None else (None, None, None)
         if exact is not None:
             self.lo = self.hi = exact
         else:
             self.lo = lb if wlb is None else max(lb, wlb)
             self.hi = max(self.lo, pref.total if wub is None else wub)
-        self.pref, self.f = pref, None
-        self.memo = _shared_memo(pref) if memo is None else memo
+        self.pref, self.f, self.memo = pref, None, _shared_memo(pref)
 
     def fits(self, B: int, m: int) -> bool:
         """Whether ``m`` rectangles fit at ``B``: from the bracket, the facts or one DP.
@@ -306,22 +303,24 @@ class _Side:
         return ok
 
 
-def _optimum(prefs: tuple[PrefixSum2D, ...], m: int, memo: dict | None = None) -> tuple[_Side, int]:
+def _optimum(prefs: tuple[PrefixSum2D, ...], m: int) -> tuple[_Side, int]:
     """The least optimum over the orientations ``prefs`` (HOR first), and its side.
 
     One bisection on ``min(opt)`` over one side per orientation.  A probe
     asks the side that fit last first and the other only if the first
     misses, so a loser is only ever asked whether it fits below the
     winner.  With one optimum on record, the other side gets one threshold
-    probe.  Ties go to the first side, as in :func:`oriented`; only the
-    winner's optimum is recorded.  Under a sweep every bracket and fact
-    is proven, so the answer is a cold call's.
+    probe.  Ties go to the first side, as ``oriented()`` does for the
+    heuristics; only the winner's optimum is recorded.  Under a sweep
+    every in-process bracket and fact is proven, so the answer is a cold
+    call's; a winner that converged on a bracket end seeded from a store
+    is confirmed by one DP at ``B``, which the build reuses.
     """
     if m <= 0:
         raise ParameterError("m must be positive")
     state = _sweep_current()
     lb = max(-(-prefs[0].total // m), prefs[0].max_element())
-    sides = [_Side(p, m, lb, state, memo) for p in prefs]
+    sides = [_Side(p, m, lb, state) for p in prefs]
     closed = [s for s in sides if s.lo == s.hi]
     if not closed:
         for s in sides:
@@ -342,6 +341,12 @@ def _optimum(prefs: tuple[PrefixSum2D, ...], m: int, memo: dict | None = None) -
                     order.reverse()
                 break
     win = next(s for s in sides if s.fits(B, m))
+    if win.f is None and state is not None and state.seeded(win.pref):
+        win.f = _level_end_dp(win.pref, B, m, win.memo)
+        if win.f is None:
+            raise SweepInvariantError(
+                f"bottleneck {B} is infeasible at m={m}: a seeded optimum is wrong"
+            )
     if state is not None:
         state.record_opt(win.pref, m, B)
     return win, B
@@ -352,10 +357,11 @@ def _healed(solve: Callable[[], _R], *prefs: PrefixSum2D) -> _R:
 
     A lone wrong optimum in a checksum-valid store contradicts nothing else
     on record, so seeding accepts it; the solve then disproves it, either
-    when ``record_opt`` rejects the optimum or when the converged
-    bottleneck turns out infeasible.  The state then forgets every seeded
-    fact of ``prefs`` (and the store drops them at the next flush), and
-    the cold re-solve answers as if no store had been attached.
+    when ``record_opt`` rejects the optimum or when the DP at the
+    converged bottleneck finds it infeasible (:func:`_optimum`).  The
+    state then forgets every seeded fact of ``prefs`` (and the store drops
+    them at the next flush), and the cold re-solve answers as if no store
+    had been attached.
     """
     try:
         return solve()
@@ -366,7 +372,7 @@ def _healed(solve: Callable[[], _R], *prefs: PrefixSum2D) -> _R:
         return solve()
 
 
-def jag_m_opt_bottleneck(pref: PrefixSum2D, m: int, *, memo: dict | None = None) -> int:
+def jag_m_opt_bottleneck(pref: PrefixSum2D, m: int) -> int:
     """Optimal m-way jagged bottleneck (main dimension 0) by exact bisection.
 
     Under an active :mod:`repro.sweep` context the bisection window is
@@ -376,7 +382,7 @@ def jag_m_opt_bottleneck(pref: PrefixSum2D, m: int, *, memo: dict | None = None)
     only narrow a valid bracket or reuse proven stripe facts, so the
     returned optimum is bit-identical to a cold call's.
     """
-    return _healed(lambda: _optimum((pref,), m, memo)[1], pref)
+    return _healed(lambda: _optimum((pref,), m)[1], pref)
 
 
 def _path_start(pref: PrefixSum2D, rs: list[int], f: list[int], i: int, B: int, memo: dict) -> int:
@@ -404,16 +410,12 @@ def _backtrack_stripes(
 ) -> np.ndarray:
     """Stripe cuts of a minimum-processor solution at bottleneck ``B``.
 
-    ``f`` is the DP at ``B`` when the caller already ran it; an infeasible
-    ``B`` can only come from a wrong recorded bound.
+    ``f`` is the DP at ``B`` when the caller already ran it.
     """
     cuts = [pref.n1]
     memo = {} if memo is None else memo
     fl = _level_end_dp(pref, B, m, memo) if f is None else f
-    if fl is None:
-        raise SweepInvariantError(
-            f"bottleneck {B} is infeasible at m={m}: a recorded bound is wrong"
-        )
+    assert fl is not None, "backtrack called with infeasible bottleneck"
     rs = pref.axis_prefix(0, reuse=True).tolist()
     while cuts[-1] > 0:
         cuts.append(_path_start(pref, rs, fl, cuts[-1], B, memo))
@@ -449,14 +451,6 @@ def _build(side: _Side, B: int, m: int) -> Partition:
     )
 
 
-def _jag_m_opt_main0(pref: PrefixSum2D, m: int) -> Partition:
-    """Optimal m-way jagged partition (§3.2.2) on main dimension 0."""
-    return _healed(lambda: _build(*_optimum((pref,), m), m), pref)
-
-
-_jag_m_opt_oriented = oriented(_jag_m_opt_main0)
-
-
 def jag_m_opt(A: MatrixLike, m: int, *, orientation: str = "best") -> Partition:
     """Optimal m-way jagged partition (§3.2.2) in the -HOR, -VER or -BEST variant (§4.1).
 
@@ -465,22 +459,27 @@ def jag_m_opt(A: MatrixLike, m: int, *, orientation: str = "best") -> Partition:
     ``min(opt_HOR, opt_VER)`` (:func:`_optimum`) that builds only the
     winner.
     """
-    if orientation.lower() != "best":
-        return _jag_m_opt_oriented(A, m, orientation=orientation)
     pref = prefix_2d(A)
-    T = pref.transpose()
+    o = orientation.lower()
+    if o == "hor":
+        prefs: tuple[PrefixSum2D, ...] = (pref,)
+    elif o in ("ver", "best"):
+        T = pref.transpose()
+        prefs = (T,) if o == "ver" else (pref, T)
+    else:
+        raise ParameterError(f"orientation must be hor/ver/best, got {orientation!r}")
 
-    def solve() -> tuple[bool, Partition]:
-        win, B = _optimum((pref, T), m)
-        return win.pref is T, _build(win, B, m)
+    def solve() -> Partition:
+        win, B = _optimum(prefs, m)
+        part = _build(win, B, m)
+        if win.pref is pref:
+            part.meta["orientation"] = "hor"
+            return part
+        out = part.transpose().with_method(part.method)
+        out.meta["orientation"] = "ver"
+        return out
 
-    ver, part = _healed(solve, pref, T)
-    if not ver:
-        part.meta["orientation"] = "hor"
-        return part
-    out = part.transpose().with_method(part.method)
-    out.meta["orientation"] = "ver"
-    return out
+    return _healed(solve, *prefs)
 
 
 # ----------------------------------------------------------------------

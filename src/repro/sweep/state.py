@@ -82,8 +82,8 @@ class SweepState:
         self._memos: dict[int, dict] = {}
         # the attached disk store (duck-typed; see repro.sweep.store)
         self._store = store
-        # ids whose facts came (at least in part) from the store
-        self._seeded: set[int] = set()
+        # id -> True for instances whose facts came (in part) from the store
+        self._seeded: dict[int, bool] = {}
 
     # -- tracking -------------------------------------------------------
 
@@ -100,7 +100,7 @@ class SweepState:
             # record_opt re-entry is safe because the id is registered above
             self._store.seed_state(self, obj)
             if key in self._optima or key in self._memos:
-                self._seeded.add(key)
+                self._seeded[key] = True
         return key  # repro-lint: disable=RPL010 — in-process handle; cross-run reuse goes through content digests
 
     def _query_key(self, obj: Any) -> int | None:
@@ -156,6 +156,10 @@ class SweepState:
             )
         optima[m] = B
 
+    def seeded(self, obj: Any) -> bool:
+        """Whether the store seeded facts about ``obj`` (unproven in this process)."""
+        return self._seeded.get(id(obj), False)
+
     def forget_seeded(self, obj: Any) -> bool:
         """Drop every fact about ``obj`` if the store seeded any; True if so.
 
@@ -164,9 +168,8 @@ class SweepState:
         at the next flush instead of merging into it.
         """
         key = id(obj)
-        if key not in self._seeded:
+        if not self._seeded.pop(key, False):
             return False
-        self._seeded.discard(key)
         self._optima.pop(key, None)
         self._memos.pop(key, None)
         self._store.drop(obj)

@@ -36,7 +36,7 @@ validator, so even a checksum-valid but semantically poisoned store cannot
 install a contradiction (seeding stops at the first rejected fact).  A
 lone wrong optimum contradicts nothing on record, so seeding accepts it;
 the solve that disproves it (``record_opt`` rejects its result, or the
-converged bottleneck is infeasible) makes the state forget the
+DP that confirms a seeded bracket end finds it infeasible) makes the state forget the
 instance's seeded facts and re-solve cold, and the next flush replaces
 the instance's entry instead of merging into it (:meth:`SweepStore.drop`).
 :func:`canonical_sha256` and :func:`write_json_atomic` are the integrity
@@ -296,9 +296,11 @@ class SweepStore:
             ]
 
     def drop(self, obj: Any) -> None:
-        """Forget ``obj``'s entry: the next flush deletes it before merging."""
+        """Forget ``obj``'s entry: no later instance is seeded from it, and
+        the next flush deletes it before merging."""
         digest, _ = self._digest_of(obj)
         self._dropped.add(digest)
+        self._data.pop(digest, None)
         self._harvest.pop(digest, None)
 
     def harvest_state(self, state: SweepState, obj: Any) -> None:

@@ -274,13 +274,14 @@ class TestRobustness:
             # and the sweep still returns cold-identical results
             assert _rects(partition_2d(prefix_2d(A), 6, "JAG-M-OPT")) == cold
 
-    @pytest.mark.parametrize("method", ["JAG-M-OPT-HOR", "JAG-M-OPT"])
+    @pytest.mark.parametrize("method", ["JAG-M-OPT-HOR", "JAG-M-OPT", "bottleneck"])
     @pytest.mark.parametrize("lie", ["below-every-bound", "between-bound-and-optimum"])
     def test_disproved_seed_heals(self, store_path, lie, method):
         """A lone wrong optimum passes seeding; the solve that disproves it
-        (``record_opt`` rejects the result, or the converged bottleneck is
-        infeasible) forgets the seeded facts, re-solves cold, and the flush
-        replaces the poisoned entry."""
+        (``record_opt`` rejects the result, or the DP at the converged
+        bottleneck finds it infeasible) forgets the seeded facts, re-solves
+        cold, no later instance of the matrix is seeded with the lie, and
+        the flush replaces the poisoned entry."""
         from repro.jagged.m_opt import jag_m_opt_bottleneck
 
         A = _matrix(5, 20)
@@ -295,9 +296,17 @@ class TestRobustness:
         inst["opt"] = [[4, fake]]  # B*(6) <= B*(4) = fake: a wrong upper bound
         doc["sha256"] = canonical_sha256(doc["payload"])
         json.dump(doc, open(store_path, "w"))
-        cold = _cold(A, method, 6)
-        with use_sweep(store=store_path):
-            assert _rects(partition_2d(prefix_2d(A), 6, method)) == cold
+        cold = None if method == "bottleneck" else _cold(A, method, 6)
+        with use_sweep(store=store_path) as st:
+            if method == "bottleneck":
+                assert jag_m_opt_bottleneck(PrefixSum2D(A), 6) == opt
+            else:
+                assert _rects(partition_2d(prefix_2d(A), 6, method)) == cold
+            # a second instance touched after the heal reads no lie, and
+            # its facts do not carry the lie back into the flush
+            again = PrefixSum2D(A)
+            assert st.bounds(again, 4)[0] != fake
+            assert jag_m_opt_bottleneck(again, 6) == opt
         inst = json.load(open(store_path))["payload"]["instances"][instance_digest(pref)[0]]
         assert [4, fake] not in inst["opt"]
 
