@@ -170,16 +170,16 @@ sweep-store-smoke:
 	cmp $(SWEEP_SMOKE)/cold.txt $(SWEEP_SMOKE)/healed.txt
 	@echo "sweep-store-smoke: warm, storeless and healed reports equal"
 
-# kernel registry family: reference vs numpy for every registered kernel,
+# kernel micro-bench: reference vs numpy for every kernel with a numpy body,
 # asserting bit-identical results per row; writes BENCH_kernels.json
 bench-kernels:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --kernels --min-speedup 1.5
+	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --min-speedup 1.5
 
 # CI's kernel identity gate: the adversarial per-kernel suite and the
 # differential matrix, then the tiny kernel bench
 bench-kernels-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_kernels_equality.py tests/test_backend_equality.py
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --kernels --profile tiny
+	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --profile tiny
 
 # smoke test of the end-to-end benchmark (BENCHMARK.json): every workload
 # at ~5% of its ops, outputs checked against golden.json.  The first run

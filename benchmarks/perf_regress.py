@@ -1,11 +1,11 @@
-"""Kernel microbench: every registry kernel, ``reference`` vs ``numpy``.
+"""Kernel microbench: every numpy kernel body against its ``reference`` body.
 
-``--kernels`` times every kernel in :data:`repro.perf.kernels.KERNELS` once
-per backend on fixed seeded inputs, asserts the two backends' results
-bit-identical, and writes ``BENCH_kernels.json`` at the repository root
-(``--out`` to move it).  ``--min-speedup`` requires at least three kernels
-to reach the threshold on the numpy backend.  Run via ``make bench-kernels``
-/ ``make bench-kernels-smoke``.
+Times each kernel of :data:`repro.perf.kernels.KERNELS` that has a numpy
+body of its own once per backend on fixed seeded inputs, asserts the two
+backends' results bit-identical, and writes ``BENCH_kernels.json`` at the
+repository root (``--out`` to move it).  ``--min-speedup`` requires at
+least three kernels to reach the threshold on the numpy backend.  Run via
+``make bench-kernels`` / ``make bench-kernels-smoke``.
 
 Whole-partition identity across kernel backend, substrate and sweep-store
 temperature is a pytest gate (``tests/test_backend_equality.py``), and the
@@ -31,10 +31,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 
-# ---------------------------------------------------------------------------
-# kernel-registry family (--kernels)
-
-
 @dataclass
 class KernelBench:
     """One registry-kernel workload timed per backend (same call, same key)."""
@@ -46,27 +42,13 @@ class KernelBench:
 
 
 def _registry_benches(tiny: bool) -> list[KernelBench]:
-    """Fixed seeded workloads, one per registry kernel (plus the early-exit
-    shape of ``probe_batch`` — satellite coverage for the compacted active
-    set: candidates that die or finish in round one must cost one round)."""
+    """Fixed seeded workloads, one per kernel with a numpy body."""
     from repro.oned.multicost import partition_multi
     from repro.perf import kernels as K
 
     rng = np.random.default_rng(42)
     n = 8_000 if tiny else 60_000
     P = np.concatenate([[0], np.cumsum(rng.integers(1, 1_000, n))]).astype(np.int64)
-    total = int(P[-1])
-    m = 64
-    curve_Bs = np.linspace(total // (2 * m), 2 * total // m, 256).astype(np.int64)
-    # early-exit shape: half the candidates are infeasible at B=0 (stuck in
-    # round one), half cover the whole array (done in round one) — the
-    # lockstep loop must terminate after a single round either way
-    exit_Bs = np.concatenate(
-        [np.zeros(128, dtype=np.int64), np.full(128, total, dtype=np.int64)]
-    )
-    big_B = 8 * total // n
-    m_cuts = n // 8  # dense-cut regime: hi - lo <= 16 * m engages the jump table
-
     # frontier cut kernels: one batch of 200 windows tiling one projection,
     # as the nodes of a hierarchical tree level tile a band
     ends = np.unique(np.concatenate([[0, n], rng.choice(np.arange(2, n - 1, 2), 199, replace=False)]))
@@ -85,34 +67,7 @@ def _registry_benches(tiny: bool) -> list[KernelBench]:
         c = np.linspace(0, n_multi, mm + 1).astype(np.int64)
         hints[mm] = int((M[:, c[1:]] - M[:, c[:-1]]).max())
 
-    P_alloc = 96
-    m_alloc = 2_048
-    loads = rng.integers(1, 10_000, P_alloc).astype(np.int64)
-    lt = int(loads.sum())
-    q0 = -((-(m_alloc - P_alloc) * loads) // lt)
-    np.maximum(q0, 1, out=q0)
-
     return [
-        KernelBench(
-            "probe_batch",
-            lambda: K.probe_batch(P, m, curve_Bs),
-            key=lambda out: out.tolist(),
-        ),
-        KernelBench(
-            "probe_batch_early_exit",
-            lambda: K.probe_batch(P, 512, exit_Bs),
-            key=lambda out: out.tolist(),
-        ),
-        KernelBench(
-            "min_parts",
-            lambda: K.min_parts_batch(P, big_B),
-            key=lambda parts: parts,
-        ),
-        KernelBench(
-            "probe_cuts",
-            lambda: K.probe_cuts(P, m_cuts, -(-total // m_cuts) + big_B),
-            key=lambda cuts: None if cuts is None else cuts.tolist(),
-        ),
         KernelBench(
             "weighted_cut",
             lambda: K.weighted_cuts(vals, offs, orients),
@@ -122,11 +77,6 @@ def _registry_benches(tiny: bool) -> list[KernelBench]:
             "relaxed_split",
             lambda: K.relaxed_splits(vals, offs, ms),
             key=lambda out: out,
-        ),
-        KernelBench(
-            "alloc_tail",
-            lambda: [K.alloc_tail(loads, q0, m_alloc) for _ in range(40)],
-            key=lambda out: [q.tolist() for q in out],
         ),
         KernelBench(
             "probe_multi",
@@ -194,7 +144,7 @@ def run_kernels(profile: str, out_path: Path, min_speedup: float | None) -> int:
 
     doc = {
         "schema": 1,
-        "generated_by": "benchmarks/perf_regress.py --kernels",
+        "generated_by": "benchmarks/perf_regress.py",
         "profile": profile,
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -220,10 +170,6 @@ def run_kernels(profile: str, out_path: Path, min_speedup: float | None) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# driver
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
@@ -245,16 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="fail unless at least three kernels reach this numpy speedup",
     )
-    ap.add_argument(
-        "--kernels",
-        action="store_true",
-        help="run the kernel-registry family: every repro.perf.kernels "
-        "kernel timed per backend (reference/numpy), asserting "
-        "bit-identical results across backends",
-    )
     args = ap.parse_args(argv)
-    if not args.kernels:
-        ap.error("choose a family: --kernels")
     return run_kernels(args.profile, args.out, args.min_speedup)
 
 

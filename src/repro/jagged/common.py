@@ -28,6 +28,8 @@ __all__ = [
 
 def default_stripe_count(m: int, n_main: int) -> int:
     """The paper's default stripe count: ``√m`` (§3.2.2), clamped to valid range."""
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m}")
     P = int(round(np.sqrt(m)))
     return max(1, min(P, n_main, m))
 

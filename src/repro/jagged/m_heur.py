@@ -54,11 +54,10 @@ def allocate_processors(loads: np.ndarray, m: int) -> np.ndarray:
     q = -((-(m - P) * loads) // total)  # exact ceil((m-P)·load/total)
     np.maximum(q, 1, out=q)
     # ceil-sum can exceed m - P by at most P, and the max(·,1) bump only
-    # applies to zero-load stripes; the ``alloc_tail`` registry kernel shaves
+    # applies to zero-load stripes; the ``alloc_tail`` kernel shaves
     # overflow from the least loaded per-processor stripes, then distributes
-    # what is left.  Tie-breaking is exact: float ratios can reorder stripes
-    # once loads outgrow 2**53 (RPL003 discipline).  Its ``reference``
-    # backend runs the paper's rule verbatim on ``Fraction`` keys.
+    # what is left, on exact ``Fraction`` keys: float ratios can reorder
+    # stripes once loads outgrow 2**53 (RPL003 discipline).
     return _kernels.alloc_tail(loads, q, m)
 
 

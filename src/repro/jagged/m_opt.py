@@ -35,7 +35,6 @@ from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 from ..oned.bisect import bisect_bottleneck
 from ..oned.probe import min_parts, probe_cuts
-from ..perf.kernels import min_parts_batch
 from ..sweep.state import SweepInvariantError, SweepState
 from ..sweep.state import current as _sweep_current
 from .common import build_jagged_partition
@@ -47,27 +46,14 @@ _INF = np.iinfo(np.int64).max // 4
 
 _R = TypeVar("_R")
 
-#: expected-interval threshold above which the jump-table kernel beats the
-#: scalar greedy: the table costs one O(n2) vectorized searchsorted while
-#: the scalar path costs one list bisection per interval actually placed
-_BATCH_MIN_PARTS = 48
-
-
-def _stripe_min_parts(
-    pref: PrefixSum2D, k: int, i: int, B: int, cap: int, est: int = 1
-) -> int:
+def _stripe_min_parts(pref: PrefixSum2D, k: int, i: int, B: int, cap: int) -> int:
     """Greedy rectangle count for stripe rows ``[k, i)`` at bottleneck ``B``.
 
     The feasibility DP revisits the same ``(k, i)`` stripes on every
-    bisection iteration, so the stripe projection is served from the
+    bisection iteration, so the stripe's boundary list is served from the
     prefix cache instead of re-materializing ``G[i,:] - G[k,:]`` (and
     re-converting it to a list) per call.
-    ``est`` is the caller's lower bound on the interval count
-    (``ceil(load/B)``): the jump-table kernel only pays off when the greedy
-    walk is long, which ``est`` predicts and ``cap`` does not.
     """
-    if min(est, cap) >= _BATCH_MIN_PARTS:
-        return min_parts_batch(pref.axis_prefix(1, k, i, reuse=True), B, cap=cap)
     return min_parts(pref.boundary_list(1, k, i, reuse=True), B, cap=cap)
 
 
@@ -157,7 +143,7 @@ def _memo_parts(pref: PrefixSum2D, memo: dict, k: int, i: int, B: int, cap: int,
         lo = max(lo, lo2)
     if lo > cap or hi == lo:
         return lo
-    parts = _stripe_min_parts(pref, k, i, B, cap, est=lo)
+    parts = _stripe_min_parts(pref, k, i, B, cap)
     _memo_record(memo, (k, i), entries, (B, parts, parts <= cap))
     return parts
 

@@ -7,7 +7,7 @@ generalization used by RECT-NICOL.
 """
 
 from .api import ONED_METHODS, OneDResult, interval_loads, partition_1d
-from .bisect import bisect_bottleneck, feasible_bottlenecks, partition_bisect
+from .bisect import bisect_bottleneck, partition_bisect
 from .dp import dp_bottleneck, partition_dp
 from .hetero import hetero_makespan, partition_hetero, probe_hetero
 from .heuristics import direct_cut, direct_cut_refined, recursive_bisection
@@ -21,7 +21,6 @@ __all__ = [
     "interval_loads",
     "partition_1d",
     "bisect_bottleneck",
-    "feasible_bottlenecks",
     "partition_bisect",
     "dp_bottleneck",
     "partition_dp",

@@ -14,9 +14,8 @@ B*)``.  Every optimal 1D solve of the 2D algorithms runs here; NicolPlus
 Above ``_ND_PROBE_RATIO`` cells per part the O(n) list conversion would
 dominate the search, so the engine walks the ndarray in place
 (:func:`_walk_nd`), with the same decisions as :func:`_walk_list`.  Batched
-grid narrowing via :func:`~repro.perf.kernels.probe_batch` lost in every
-regime (``docs/performance.md``); the batch kernel serves genuinely
-independent candidates, :func:`feasible_bottlenecks`.
+grid narrowing (many candidate bottlenecks probed in lockstep) lost in every
+regime (``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -25,12 +24,11 @@ from bisect import bisect_right
 
 import numpy as np
 
-from ..perf.kernels import probe_batch
 from ..perf.counters import _STACK as _OPS
 from ..perf.counters import bump
 from .probe import as_boundary_list, check_m, probe_cuts
 
-__all__ = ["bisect_bottleneck", "partition_bisect", "feasible_bottlenecks"]
+__all__ = ["bisect_bottleneck", "partition_bisect"]
 
 #: cells-per-processor ratio above which the O(n) list conversion costs more
 #: than the pricier per-step ndarray ``searchsorted`` of the direct path
@@ -129,21 +127,6 @@ def bisect_bottleneck(P: np.ndarray, m: int) -> int:
     if len(P) == 1:
         return 0
     return _search(P, m, *_bounds(P, m))[0]
-
-
-def feasible_bottlenecks(P: np.ndarray, m: int, Bs) -> np.ndarray:
-    """Probe decisions for *many* candidate bottlenecks against one prefix.
-
-    Returns a boolean array with ``out[i] == probe(P, m, Bs[i])``.  The
-    candidates are independent, which is exactly the shape the vectorized
-    :func:`~repro.perf.kernels.probe_batch` kernel wins at: all candidates
-    advance in lockstep through one chained ``searchsorted`` per greedy
-    round instead of ``len(Bs)`` separate scalar walks.  Used for
-    feasibility curves; the registry's ``reference`` backend runs the
-    scalar probe per candidate.
-    """
-    Bs = np.atleast_1d(np.asarray(Bs, dtype=np.int64))
-    return probe_batch(np.asarray(P, dtype=np.int64), m, Bs)
 
 
 def partition_bisect(P: np.ndarray, m: int) -> tuple[int, np.ndarray]:

@@ -16,8 +16,9 @@ discipline through the 2D algorithms:
 * :mod:`repro.perf.kernels` — the stable kernel interface: a registry of
   named kernels (``probe_batch``, ``min_parts``, ``probe_cuts``,
   ``weighted_cut``, ``relaxed_split``, ``alloc_tail``, ``probe_multi``),
-  each with a scalar reference implementation and a vectorized numpy
-  implementation, selected via ``REPRO_PERF_BACKEND``.
+  each with a scalar reference implementation and, where an end-to-end
+  workload needs one, a vectorized numpy implementation, selected via
+  ``REPRO_PERF_BACKEND``; and the scalar §2.2 Probe walks.
 * :mod:`repro.perf.counters` — near-zero-overhead operation counters (probe
   calls, greedy/bisection steps, rectangle-load queries) with a
   context-manager API; ``tests/test_complexity.py`` pins them against the
@@ -27,7 +28,7 @@ discipline through the 2D algorithms:
 from .cache import LRUCache
 from .config import perf_backend, set_perf_backend, use_perf_backend
 from .counters import OpCounters, bump, counting, op_counters
-from .kernels import KERNELS, kernel, min_parts_batch, probe_batch
+from .kernels import KERNELS, kernel
 
 __all__ = [
     "KERNELS",
@@ -36,10 +37,8 @@ __all__ = [
     "bump",
     "counting",
     "kernel",
-    "min_parts_batch",
     "op_counters",
     "perf_backend",
-    "probe_batch",
     "set_perf_backend",
     "use_perf_backend",
 ]

@@ -8,9 +8,9 @@ dominate them.  This module is that substrate.
 Design: a module-level stack of active :class:`OpCounters`.  When the stack
 is empty — the common case — instrumented call sites pay exactly one
 truthiness test on a list (they import the stack object directly); the
-counting twins of the innermost loops are only entered while a counter
-context is open, so the greedy/bisection hot loops carry no per-iteration
-overhead in normal runs.
+greedy/bisection walks return their step counts and their callers bump
+once per walk behind that test, so the hot loops carry no per-iteration
+bookkeeping.
 
 Usage::
 
@@ -21,11 +21,8 @@ Usage::
 Counter names used across the repo:
 
 ``probe_calls`` / ``probe_steps``
-    Probe-family invocations and their greedy binary-search steps
-    (``bisect_right`` or jump-table hops — one step per interval placed).
-``probe_batch_calls`` / ``searchsorted_calls`` / ``searchsorted_items``
-    Vectorized kernel invocations, chained ``np.searchsorted`` rounds, and
-    total candidate items those rounds evaluated.
+    Probe-family walks and their greedy binary-search steps (one step per
+    interval placed).
 ``cut_calls``
     Hierarchical cut-selection evaluations (weighted or relaxed).
 ``load_queries``

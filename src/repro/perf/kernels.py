@@ -1,7 +1,8 @@
 """The stable kernel interface: named kernels × selectable backends.
 
-Grown out of ``repro.perf.batch`` (PR 2): every vectorized inner loop of the
-partitioners lives here as a *named kernel* with two implementations —
+Grown out of ``repro.perf.batch`` (PR 2): every inner loop of the
+partitioners lives here as a *named kernel* with a ``reference`` and a
+``numpy`` slot —
 
 ``reference``
     A self-contained scalar transliteration of the algorithm (Python
@@ -9,23 +10,28 @@ partitioners lives here as a *named kernel* with two implementations —
     backend is property-tested against bit-for-bit
     (``tests/test_kernels_equality.py``, ``tests/test_backend_equality.py``).
 ``numpy``
-    The vectorized array-program formulation (chained/jump-table
-    ``searchsorted``, segmented scoring of a tree level's windows).  The
-    default backend, and the only production path.
+    The vectorized array-program formulation (segmented scoring of a tree
+    level's windows, windowed striped walks).  The default backend.
+
+A numpy body stays only while some end-to-end workload measurably needs it
+(``docs/performance.md``, "Kernel A/B"): ``weighted_cut``,
+``relaxed_split`` and ``probe_multi`` have one; ``probe_batch``,
+``min_parts``, ``probe_cuts`` and ``alloc_tail`` are one scalar body filling
+both slots.  The scalar §2.2 Probe walks (:func:`probe`,
+:func:`min_parts`, ``probe_cuts``) are written once, here, and
+:mod:`repro.oned.probe` re-exports them.
 
 The backend is selected by ``REPRO_PERF_BACKEND`` (parsed in
 :mod:`repro.perf.config`, declared in :data:`repro.config.ENV_VARS`), or
-scoped with :func:`repro.perf.config.use_perf_backend`.  Call sites always
-resolve through :func:`kernel`, so switching the backend swaps every
-kernel call at once.
+scoped with :func:`repro.perf.config.use_perf_backend`.  Call sites resolve
+through :func:`kernel`, so switching the backend swaps every kernel call at
+once.
 
 This module is deliberately self-contained — it imports nothing from the
 algorithm packages (``oned``/``jagged``/``hierarchical``), because those
 packages import *it*.
 
-Overflow discipline: every ``searchsorted`` target is clamped into the
-window (``target = p[pos] + min(B, p[hi] - p[pos])`` decides identically —
-any target at or beyond ``p[hi]`` resolves to the window end), the striped
+Overflow discipline: the scalar walks search exact Python ints, the striped
 walk compares differences of prefixes against a ``B`` clamped to the
 largest stripe total, and the frontier cut kernels fall back to their exact
 Python-int scalar code when a window's ``total · w`` or ``total · (m-1)``
@@ -50,8 +56,9 @@ __all__ = [
     "Kernel",
     "KERNELS",
     "kernel",
-    "probe_batch",
-    "min_parts_batch",
+    "as_boundary_list",
+    "probe",
+    "min_parts",
     "probe_cuts",
     "weighted_cuts",
     "relaxed_splits",
@@ -63,20 +70,6 @@ __all__ = [
 
 _I64_MAX = 2**63 - 1
 
-#: amortization bar for the probe_cuts jump table: the greedy realizes a
-#: *feasible* bottleneck, so it covers the window in ~span/B steps and pads
-#: the remaining cuts without further searches.  The O(window) table build
-#: (~40ns/boundary) only beats per-step ``bisect_right`` (~250ns/step on
-#: a 10^5-boundary window) when the walk visits at least window/4
-#: boundaries — measured crossover on the bench box, see
-#: docs/performance.md ("probe_cuts regime crossover")
-_CUTS_STEP_AMORT = 4
-
-#: min_parts jump-table walk: list conversion of the whole table only
-#: amortizes when the walk visits at least window/5 entries; sparser walks
-#: read the ndarray directly (same values, no O(window) ``tolist``)
-_MINPARTS_LIST_AMORT = 5
-
 #: frontier cut kernels: below this many candidate cuts in one batch the
 #: numpy backend scores window by window with the scalar code — a segmented
 #: pass costs a fixed ~0.15 ms of numpy calls, a scalar candidate 1–2 µs.
@@ -84,216 +77,91 @@ _MINPARTS_LIST_AMORT = 5
 #: ("Frontier-batched hierarchical growth")
 _FRONTIER_MIN_CANDS = 96
 
+
 # ----------------------------------------------------------------------
-# probe_batch — many candidate bottlenecks against one prefix
+# the §2.2 Probe greedy: decision, interval count and cut points
 # ----------------------------------------------------------------------
-def _probe_ref(Pl: list[int], m: int, B: int, lo: int, hi: int) -> bool:
-    """Scalar greedy probe on a boundary list (exact Python ints)."""
-    if _OPS:
-        bump("probe_calls")
+# Each walk places the largest prefix of load <= B per interval: one
+# ``bisect_right`` on a plain boundary list per interval (C speed, ~0.1 µs,
+# where a scalar ``np.searchsorted`` costs ~1.5 µs of wrapper overhead).
+def as_boundary_list(P: np.ndarray | list[int]) -> list[int]:
+    """Convert a prefix array to the list form the probe walks search."""
+    if isinstance(P, list):
+        return P
+    return P.tolist()
+
+
+def _probe_walk(Pl: list[int], m: int, B: int, lo: int, hi: int) -> tuple[bool, int]:
+    """Greedy walk over ``[lo, hi)`` with at most ``m`` intervals: ``(feasible, steps)``."""
     if B < 0:
-        return False
+        return False, 0
     pos = lo
-    steps = 0
-    result = pos >= hi
-    for _ in range(m):
+    for k in range(m):
         if pos >= hi:
-            result = True
-            break
-        steps += 1
+            return True, k
+        # rightmost boundary nxt in (pos, hi] with P[nxt] <= P[pos] + B
         nxt = bisect_right(Pl, Pl[pos] + B, pos, hi + 1) - 1
         if nxt <= pos:  # single cell exceeds B
-            result = False
-            break
+            return False, k + 1
         pos = nxt
-    else:
-        result = pos >= hi
-    if _OPS:
-        bump("probe_steps", steps)
-    return result
+    return pos >= hi, m
 
 
-def _probe_batch_reference(
-    P: np.ndarray, m: int, Bs: np.ndarray, lo: int = 0, hi: int | None = None
-) -> np.ndarray:
-    """K independent scalar probes — the ground truth for the batch kernel."""
-    arr = np.asarray(P, dtype=np.int64)
-    B = np.atleast_1d(np.asarray(Bs, dtype=np.int64))
-    if hi is None:
-        hi = arr.shape[0] - 1
-    Pl = arr.tolist()
-    out = np.empty(B.shape, dtype=bool)
-    for i, b in enumerate(B.tolist()):
-        out[i] = _probe_ref(Pl, m, b, lo, hi)
-    return out
+def probe(P: np.ndarray | list[int], m: int, B: int, lo: int = 0, hi: int | None = None) -> bool:
+    """Exact decision: can ``[lo, hi)`` be cut into ``<= m`` intervals of load ``<= B``?
 
-
-def _probe_batch_numpy(
-    P: np.ndarray, m: int, Bs: np.ndarray, lo: int = 0, hi: int | None = None
-) -> np.ndarray:
-    """Lockstep vectorized probes over a *compacted* active candidate set.
-
-    Each of the at most ``m`` rounds performs one chained ``searchsorted``
-    over only the candidates still walking; candidates that reach ``hi``
-    (success) or get stuck (failure) leave the working set immediately, and
-    the loop exits as soon as it is empty.  Op counters are accumulated per
-    round and flushed once per call.
+    ``P`` is a prefix-sum array or list (``P[0] == 0``); indices refer to
+    cell boundaries, so the searched range covers cells ``lo .. hi-1``.
+    A negative ``B`` is infeasible.
     """
-    arr = np.asarray(P, dtype=np.int64)
-    B = np.atleast_1d(np.asarray(Bs, dtype=np.int64))
+    Pl = as_boundary_list(P)
     if hi is None:
-        hi = arr.shape[0] - 1
-    ok = np.zeros(B.shape, dtype=bool)
-    if lo >= hi:
-        # empty window: every non-negative candidate trivially covers it
-        ok[B >= 0] = True
-        if _OPS:
-            bump("probe_batch_calls")
-        return ok
-    arr_hi = int(arr[hi])
-    idx = np.flatnonzero(B >= 0)
-    pos = np.full(idx.shape, lo, dtype=np.int64)
-    Ba = B[idx]
-    rounds = 0
-    items = 0
-    for _ in range(m):
-        if idx.size == 0:
-            break  # early exit: every candidate already decided
-        base = arr[pos]
-        # clamp the chained targets into the window: any target at or beyond
-        # arr[hi] resolves to the window end either way, and the clamped sum
-        # cannot overflow int64 even with loads near 2**62
-        targets = base + np.minimum(Ba, arr_hi - base)
-        nxt = np.searchsorted(arr, targets, side="right") - 1
-        np.minimum(nxt, hi, out=nxt)
-        rounds += 1
-        items += int(idx.shape[0])  # repro-lint: disable=RPL001 — op-counter bookkeeping, not a load accumulation
-        stuck = nxt <= pos  # a single cell exceeds B: candidate fails
-        done = nxt >= hi  # window covered: candidate succeeds
-        ok[idx[done & ~stuck]] = True
-        keep = ~(stuck | done)
-        idx = idx[keep]
-        pos = nxt[keep]
-        Ba = Ba[keep]
-    # candidates still walking after m rounds did not cover the window: fail
-    if _OPS:
-        bump("probe_batch_calls")
-        bump("searchsorted_calls", rounds)
-        bump("searchsorted_items", items)
+        hi = len(Pl) - 1
+    ok, steps = _probe_walk(Pl, m, B, lo, hi)
+    if _OPS:  # the walk itself carries no bookkeeping
+        bump("probe_calls")
+        bump("probe_steps", steps)
     return ok
 
 
-# ----------------------------------------------------------------------
-# min_parts — greedy interval count from a jump table
-# ----------------------------------------------------------------------
-def _min_parts_reference(
-    P: np.ndarray, B: int, lo: int = 0, hi: int | None = None, cap: int | None = None
+def min_parts(
+    P: np.ndarray | list[int], B: int, lo: int = 0, hi: int | None = None, cap: int | None = None
 ) -> int:
-    """Scalar greedy count (same contract as :func:`repro.oned.probe.min_parts`)."""
-    arr = np.asarray(P, dtype=np.int64)
-    Pl = arr.tolist()
+    """Minimum number of intervals of load ``<= B`` covering ``[lo, hi)``.
+
+    Returns ``cap + 1`` as soon as more than ``cap`` intervals are needed
+    (early abort for branch-and-bound callers), and ``cap + 1`` as well when
+    no count is feasible: some single cell exceeds ``B``, or ``B < 0`` (as
+    in :func:`probe`).  With ``cap=None`` an infeasible call raises
+    ``ValueError``.
+    """
+    Pl = as_boundary_list(P)
     if hi is None:
         hi = len(Pl) - 1
     limit = cap if cap is not None else (hi - lo) + 1
-    if B < 0:
-        if cap is None:
-            raise ValueError(f"single cell exceeds bottleneck {B}")
-        return limit + 1
     pos = lo
     parts = 0
     while pos < hi:
         if parts >= limit:
             return limit + 1
         nxt = bisect_right(Pl, Pl[pos] + B, pos, hi + 1) - 1
-        if nxt <= pos:
-            if cap is None:
-                raise ValueError(f"single cell exceeds bottleneck {B}")
-            return limit + 1
+        if nxt <= pos:  # single cell exceeds B (always, when B < 0)
+            break
         pos = nxt
         parts += 1
-    return parts
-
-
-def _min_parts_numpy(
-    P: np.ndarray, B: int, lo: int = 0, hi: int | None = None, cap: int | None = None
-) -> int:
-    """Jump-table count: one vectorized ``searchsorted``, then a pointer walk.
-
-    Returns ``cap + 1`` past the cap or on an infeasible single cell
-    (``cap=None`` raises ``ValueError`` on infeasibility, like the scalar
-    reference).
-    """
-    arr = np.asarray(P, dtype=np.int64)
-    if hi is None:
-        hi = arr.shape[0] - 1
-    limit = cap if cap is not None else (hi - lo) + 1
-    if B < 0:
-        if cap is None:
-            raise ValueError(f"single cell exceeds bottleneck {B}")
-        return limit + 1
-    # the jump-table window covers boundaries lo..hi of the prefix
-    w = arr[lo : hi + 1]  # repro-lint: disable=RPL002 — boundary window, not cells
-    span = 0
-    if w.size:
-        span = int(w[-1]) - int(w[0])
-        if B > span:
-            B = span  # any B covering the whole window jumps the same; stays in int64
-        targets = w[-1] - w  # stays int64: both ends bounded by the total
-        np.minimum(targets, B, out=targets)
-        np.add(targets, w, out=targets)  # clamped: cannot overflow int64
     else:
-        targets = w
-    nxt = np.searchsorted(w, targets, side="right")
-    nxt -= 1
-    if _OPS:
-        bump("searchsorted_calls")
-        bump("searchsorted_items", hi - lo + 1)
-    end = hi - lo
-    # the walk reads ~span/B of the (hi-lo) table entries; converting the
-    # whole table to a list (~17ns/entry) only amortizes against per-read
-    # ``.item`` overhead (~90ns) when the walk is dense — measured
-    # crossover at window/_MINPARTS_LIST_AMORT on the bench box
-    est = min(limit, span // B + 1) if B > 0 else 1
-    if est * _MINPARTS_LIST_AMORT >= end:
-        fetch = nxt.tolist().__getitem__
-    else:
-        fetch = nxt.item
-    pos = 0
-    parts = 0
-    while pos < end:
-        if parts >= limit:
-            if _OPS:
-                bump("probe_calls")
-                bump("probe_steps", parts)
-            return limit + 1
-        step = fetch(pos)
-        if step <= pos:  # single cell exceeds B
-            if cap is None:
-                raise ValueError(f"single cell exceeds bottleneck {B}")
-            if _OPS:
-                bump("probe_calls")
-                bump("probe_steps", parts)
-            return limit + 1
-        pos = step
-        parts += 1
-    if _OPS:
-        bump("probe_calls")
-        bump("probe_steps", parts)
-    return parts
+        if B >= 0:
+            return parts
+    if cap is None:
+        raise ValueError(f"no interval count is feasible at bottleneck {B}")
+    return limit + 1
 
 
-# ----------------------------------------------------------------------
-# probe_cuts — greedy cut points realizing a bottleneck
-# ----------------------------------------------------------------------
-def _probe_cuts_reference(
-    P: np.ndarray | list[int],
-    m: int,
-    B: int,
-    lo: int = 0,
-    hi: int | None = None,
+def _probe_cuts(
+    P: np.ndarray | list[int], m: int, B: int, lo: int = 0, hi: int | None = None
 ) -> np.ndarray | None:
-    """Scalar greedy cuts (same contract as :func:`repro.oned.probe.probe_cuts`)."""
-    Pl: list[int] = P if isinstance(P, list) else np.asarray(P, dtype=np.int64).tolist()
+    """Scalar greedy cuts (the contract of :func:`probe_cuts`)."""
+    Pl = as_boundary_list(P)
     if hi is None:
         hi = len(Pl) - 1
     if B < 0:
@@ -314,63 +182,13 @@ def _probe_cuts_reference(
     return cuts
 
 
-def _probe_cuts_numpy(
-    P: np.ndarray | list[int],
-    m: int,
-    B: int,
-    lo: int = 0,
-    hi: int | None = None,
-) -> np.ndarray | None:
-    """Adaptive greedy cuts: jump table only when the walk can amortize it.
-
-    The greedy realizes a bottleneck ``B`` and stops searching once the
-    window is covered — after roughly ``span/B`` steps — padding the
-    remaining cuts for free.  Estimated walk length (capped at ``m``) must
-    reach a constant fraction of the window (``_CUTS_STEP_AMORT``) for the
-    O(window) table build to beat per-step ``bisect_right``; below that
-    measured crossover the scalar walk (trivially identical to the
-    reference) is kept.
-    """
-    if hi is None:
-        hi = len(P) - 1
-    if B < 0:
-        return None
-    window = hi - lo
-    span = int(P[hi]) - int(P[lo]) if window > 0 else 0
-    steps = min(m, span // B + 1) if B > 0 else 0
-    if steps * _CUTS_STEP_AMORT < window:
-        return _probe_cuts_reference(P, m, B, lo, hi)
-    arr = np.asarray(P, dtype=np.int64)
-    w = arr[lo : hi + 1]  # repro-lint: disable=RPL002 — boundary window, not cells
-    if w.size:
-        if B > span:
-            B = span  # any B covering the whole window jumps the same
-        targets = w[-1] - w  # stays int64: both ends bounded by the total
-        np.minimum(targets, B, out=targets)
-        np.add(targets, w, out=targets)  # clamped: cannot overflow int64
-    else:
-        targets = w
-    nxt = np.searchsorted(w, targets, side="right")
-    nxt -= 1
-    jump = nxt.tolist()
-    if _OPS:
-        bump("searchsorted_calls")
-        bump("searchsorted_items", hi - lo + 1)
-    end = hi - lo
-    cuts = np.empty(m + 1, dtype=np.int64)
-    cuts[0] = lo
-    pos = 0
-    for p in range(1, m + 1):
-        if pos < end:
-            step = jump[pos]
-            if step <= pos:  # single cell exceeds B
-                return None
-            pos = step
-        cuts[p] = lo + pos
-    if pos < end:
-        return None
-    cuts[m] = hi
-    return cuts
+def _probe_batch(
+    P: np.ndarray, m: int, Bs: np.ndarray, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """One :func:`probe` decision per candidate bottleneck in ``Bs``."""
+    Pl = as_boundary_list(np.asarray(P, dtype=np.int64))
+    Bl = np.atleast_1d(np.asarray(Bs, dtype=np.int64)).tolist()
+    return np.array([probe(Pl, m, b, lo, hi) for b in Bl], dtype=bool)
 
 
 # ----------------------------------------------------------------------
@@ -663,7 +481,7 @@ def _relaxed_split_numpy(
 # ----------------------------------------------------------------------
 # alloc_tail — JAG-M-HEUR stripe-allocation shave + leftover-assign tail
 # ----------------------------------------------------------------------
-def _alloc_tail_reference(loads: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
+def _alloc_tail(loads: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
     """Exact ``Fraction``-keyed shave/assign loops (the paper's rule verbatim)."""
     P = len(loads)
     out = np.array(q, dtype=np.int64)
@@ -682,67 +500,6 @@ def _alloc_tail_reference(loads: np.ndarray, q: np.ndarray, m: int) -> np.ndarra
             out[s] += 1
             heapq.heappush(heap, (Fraction(-int(loads[s]), int(out[s])), s))
     return out
-
-
-class _RatioKey:
-    """Heap key ordering stripes by descending ``load/q``, exact integers.
-
-    Induces the same total order as the reference path's
-    ``(Fraction(-load, q), s)`` tuples: ratios compare by cross-
-    multiplication (exact in unbounded ints, RPL003 discipline), ties fall
-    back to the stripe index.  Skipping ``Fraction``'s gcd normalization on
-    every heap push is the whole point.
-    """
-
-    __slots__ = ("load", "q", "s")
-
-    def __init__(self, load: int, q: int, s: int):
-        self.load = load
-        self.q = q
-        self.s = s
-
-    def __lt__(self, other: "_RatioKey") -> bool:
-        # load/q > other.load/other.q  (descending ratio; q > 0 always)
-        a = self.load * other.q
-        b = other.load * self.q
-        if a != b:
-            return a > b
-        return self.s < other.s
-
-
-def _alloc_tail_numpy(loads: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
-    """Cross-multiplied Python-int twin of the ``Fraction`` reference loops.
-
-    Same decisions (exact comparisons, first minimal index wins) on plain
-    Python ints — int64 scalar arithmetic and ``Fraction`` construction both
-    disappear from the per-call cost.  The cross products exceed int64 once
-    loads approach ``2**32``, so they stay unbounded Python ints.
-    """
-    P = len(loads)
-    ql = [int(x) for x in q]
-    ll = [int(x) for x in loads]
-    s_total = sum(ql)
-    while s_total > m:
-        # argmin of load/q over stripes with q > 1; strict < keeps the
-        # first minimal stripe, matching min() over the reference generator
-        bs = -1
-        bl = bq = 0
-        for s in range(P):
-            if ql[s] > 1:
-                load, qs = ll[s], ql[s]
-                if bs < 0 or load * bq < bl * qs:
-                    bs, bl, bq = s, load, qs
-        ql[bs] -= 1
-        s_total -= 1
-    remaining = m - s_total
-    if remaining > 0:
-        heap = [_RatioKey(ll[s], ql[s], s) for s in range(P)]
-        heapq.heapify(heap)
-        for _ in range(remaining):
-            k = heapq.heappop(heap)
-            ql[k.s] += 1
-            heapq.heappush(heap, _RatioKey(k.load, ql[k.s], k.s))
-    return np.array(ql, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -867,7 +624,10 @@ def _probe_multi_numpy(M: Any, m: int, B: int, memo: StepMemo | None = None) -> 
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Kernel:
-    """One named kernel: its reference (oracle) and numpy implementations."""
+    """One named kernel: its reference (oracle) and numpy implementations.
+
+    A kernel with no numpy body holds its one body in both slots.
+    """
 
     name: str
     reference: Callable[..., Any]
@@ -875,14 +635,15 @@ class Kernel:
 
 
 KERNELS: dict[str, Kernel] = {
-    "probe_batch": Kernel("probe_batch", _probe_batch_reference, _probe_batch_numpy),
-    "min_parts": Kernel("min_parts", _min_parts_reference, _min_parts_numpy),
-    "probe_cuts": Kernel("probe_cuts", _probe_cuts_reference, _probe_cuts_numpy),
+    # no caller: kept so the registry keys (the e2e per-kernel metrics) stay fixed
+    "probe_batch": Kernel("probe_batch", _probe_batch, _probe_batch),
+    "min_parts": Kernel("min_parts", min_parts, min_parts),
+    "probe_cuts": Kernel("probe_cuts", _probe_cuts, _probe_cuts),
     "weighted_cut": Kernel("weighted_cut", _weighted_cut_reference, _weighted_cut_numpy),
     "relaxed_split": Kernel(
         "relaxed_split", _relaxed_split_reference, _relaxed_split_numpy
     ),
-    "alloc_tail": Kernel("alloc_tail", _alloc_tail_reference, _alloc_tail_numpy),
+    "alloc_tail": Kernel("alloc_tail", _alloc_tail, _alloc_tail),
     "probe_multi": Kernel("probe_multi", _probe_multi_reference, _probe_multi_numpy),
 }
 
@@ -901,32 +662,15 @@ def kernel(name: str, backend: str | None = None) -> Callable[..., Any]:
 # ----------------------------------------------------------------------
 # public entry points (stable signatures; call sites dispatch through these)
 # ----------------------------------------------------------------------
-def probe_batch(
-    P: np.ndarray, m: int, Bs: np.ndarray, lo: int = 0, hi: int | None = None
-) -> np.ndarray:
-    """Vectorized ``probe``: one boolean per candidate bottleneck in ``Bs``.
-
-    ``P`` is a prefix array (``P[0] == 0``); the answer for ``Bs[i]`` equals
-    ``probe(P, m, Bs[i], lo, hi)`` exactly, on every backend.
-    """
-    return kernel("probe_batch")(P, m, Bs, lo, hi)
-
-
-def min_parts_batch(
-    P: np.ndarray,
-    B: int,
-    lo: int = 0,
-    hi: int | None = None,
-    cap: int | None = None,
-) -> int:
-    """Jump-table twin of :func:`repro.oned.probe.min_parts` (same contract)."""
-    return kernel("min_parts")(P, B, lo, hi, cap)
-
-
 def probe_cuts(
     P: np.ndarray | list[int], m: int, B: int, lo: int = 0, hi: int | None = None
 ) -> np.ndarray | None:
-    """Greedy cut points realizing bottleneck ``B`` (None if infeasible)."""
+    """Greedy cut points realizing bottleneck ``B``, or None if infeasible.
+
+    Returns an int array of length ``m + 1`` with ``cuts[0] == lo`` and
+    ``cuts[m] == hi``; trailing intervals may be empty when fewer than ``m``
+    intervals suffice.  ``P`` is a prefix array or boundary list.
+    """
     return kernel("probe_cuts")(P, m, B, lo, hi)
 
 

@@ -165,6 +165,8 @@ def _spiral_solver(pref: PrefixSum2D):
 
 
 def _spiral_guard(pref: PrefixSum2D, m: int, limit: int) -> None:
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m}")
     cost = pref.n1 * pref.n1 * pref.n2 * pref.n2 * m
     if cost > limit:
         raise ParameterError(

@@ -14,6 +14,27 @@ def prefix_of(values) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(values)]).astype(np.int64)
 
 
+def alloc_oracle(loads: list[int], q: list[int], m: int) -> list[int]:
+    """The JAG-M-HEUR allocation tail by linear scans over cross-multiplied
+    ratios: shave the first stripe of least ``load/q`` (with ``q > 1``) while
+    the total exceeds ``m``, then give each leftover processor to the first
+    stripe of greatest ``load/q``."""
+    q = list(q)
+    while sum(q) > m:
+        s = -1
+        for t in range(len(q)):
+            if q[t] > 1 and (s < 0 or loads[t] * q[s] < loads[s] * q[t]):
+                s = t
+        q[s] -= 1
+    for _ in range(m - sum(q)):
+        s = 0
+        for t in range(1, len(q)):
+            if loads[t] * q[s] > loads[s] * q[t]:
+                s = t
+        q[s] += 1
+    return q
+
+
 # 1D load arrays (possibly containing zeros)
 load_arrays = hnp.arrays(
     dtype=np.int64,

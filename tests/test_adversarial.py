@@ -6,6 +6,8 @@ algorithm.  These are the inputs most likely to break cut-search invariants
 (empty stripes, zero-load bands, saturated processor counts).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro import lower_bound, partition_2d
 from repro.core.errors import InvalidPartitionError, ParameterError
+from repro.core.registry import ALGORITHMS
 from repro.core.partition import Partition
 from repro.core.rectangle import Rect
 
@@ -113,6 +116,17 @@ class TestCorruptedInputs:
         for name in FAST:
             with pytest.raises((ParameterError, ValueError)):
                 partition_2d(A, 0, name)
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_nonpositive_m_is_a_parameter_error(self, name, m):
+        # a named error from every entry, with no numpy warning on the way
+        # and no reliance on an ``assert`` that ``python -O`` strips
+        A = np.ones((4, 4), dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                partition_2d(A, m, name)
 
     def test_tampered_partition_detected(self, rng):
         A = rng.integers(1, 9, (8, 8))

@@ -39,7 +39,6 @@ from repro.core import prefix
 from repro.core.prefix import PrefixSum2D
 from repro.core.registry import ALGORITHMS, partition_2d
 from repro.core.sparse import SparsePrefix2D, substrate_from_triplets
-from repro.jagged import m_opt
 from repro.perf.config import use_perf_backend
 from repro.perf.counters import op_counters
 from repro.perf.kernels import KERNELS
@@ -97,8 +96,8 @@ def _cold(method, make, A, ms):
 
 
 def _counted(method, A, ms):
-    """Cold ``numpy`` dense rects and op counts (the counting twins are slow:
-    only this cell pays for them)."""
+    """Cold ``numpy`` dense rects and op counts (counting is slow: only this
+    cell pays for it)."""
     with use_perf_backend("numpy"), op_counters() as ops:
         rects = _cold(method, PrefixSum2D, A, ms)
     ops.pop("proj_hits", None)  # memo reuse, not solver work
@@ -149,12 +148,9 @@ def test_partitions_identical_across_backends(method, tmp_path):
         # one digest per matrix on both substrates: CSR persists and seeds like dense
         assert len(set(seeded.values())) <= 1, f"{method}, {backend}: {seeded}"
         # cold on CSR as on a large instance: memo on by default and the
-        # transpose pinned, so every column band is the transpose's row band;
-        # JAG-M-OPT takes the min_parts jump table, which no instance this
-        # narrow reaches at the default threshold
+        # transpose pinned, so every column band is the transpose's row band
         with use_perf_backend(backend), pytest.MonkeyPatch.context() as mp:
             mp.setattr(prefix, "_CACHE_MIN_CELLS", 0)
-            mp.setattr(m_opt, "_BATCH_MIN_PARTS", 1)
             for name, A, ms in cells:
                 if exact and not name.startswith("sparse"):
                     continue
@@ -181,10 +177,11 @@ def test_matrix_runs_every_registry_entry():
 
 
 def test_every_kernel_reference_is_exercised(monkeypatch):
-    """One solve per registry entry reaches every kernel's reference oracle,
-    so the matrix compares each numpy kernel against it.  ``probe_batch`` is
-    the exception: its only caller, ``oned.bisect.feasible_bottlenecks``, is
-    outside the registry, and ``tests/test_kernels_equality.py`` pins it."""
+    """One solve per registry entry reaches the reference oracle of every
+    kernel with a numpy body, so the matrix compares each numpy body against
+    it.  A kernel with one body in both slots has no second body to compare;
+    ``tests/test_kernels_equality.py`` pins it against its own oracle."""
+    dual = {name for name, k in KERNELS.items() if k.numpy is not k.reference}
     reached = set()
     for name, k in list(KERNELS.items()):
 
@@ -193,12 +190,11 @@ def test_every_kernel_reference_is_exercised(monkeypatch):
             return _ref(*args, **kwargs)
 
         monkeypatch.setitem(KERNELS, name, dataclasses.replace(k, reference=spy))
-    monkeypatch.setattr(m_opt, "_BATCH_MIN_PARTS", 1)
     smooth = next(A for name, A, _ in INSTANCES if name == "smooth")
     with use_perf_backend("reference"):
         for method in sorted(ALGORITHMS):
             partition_2d(PrefixSum2D(smooth), 5, method)
-    assert reached == set(KERNELS) - {"probe_batch"}
+    assert dual and dual <= reached
 
 
 # ----------------------------------------------------------------------

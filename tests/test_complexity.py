@@ -15,10 +15,6 @@ formulas on deterministic seeded instances:
 * HIER-RB evaluates exactly 2 cut searches per tree node with even splits,
   and at most 4 with odd ones; HIER-RELAXED at most 2 (§3.3).  Both make
   at most depth + 1 cut-kernel calls per solve, one per tree level.
-* The vectorized kernels keep their round structure: ``probe_batch`` runs
-  at most ``m`` lockstep ``searchsorted`` rounds, and exactly one when
-  every candidate resolves in the first (early exit); ``min_parts_batch``
-  walks exactly one step per interval after one batched search.
 * RECT-NICOL's striped bisection needs about half the walks of plain
   bisection, because each walk's proved bound moves the bracket past ``B``.
 * JAG-M-OPT-BEST settles both orientations in one bisection: fewer
@@ -42,9 +38,9 @@ import pytest
 from repro.core.prefix import PrefixSum2D
 from repro.core.rectangle import Rect
 from repro.core.registry import algorithm_names, partition_2d
-from repro.oned.bisect import bisect_bottleneck, feasible_bottlenecks
-from repro.oned.probe import min_parts, probe
-from repro.perf import min_parts_batch, op_counters, probe_batch, use_perf_backend
+from repro.oned.bisect import bisect_bottleneck
+from repro.oned.probe import probe
+from repro.perf import op_counters, use_perf_backend
 from repro.perf.counters import OpCounters
 
 from .conftest import prefix_of
@@ -121,15 +117,6 @@ def test_probe_steps_bounded_by_m(P):
             assert ops["probe_steps"] <= m
 
 
-def test_min_parts_batch_counts_match_parts(P):
-    B = int(P[-1]) // 7
-    with op_counters() as ops:
-        parts = min_parts_batch(P, B)
-    assert parts == min_parts(P, B)
-    assert ops["probe_steps"] == parts  # one jump-table hop per interval
-    assert ops["searchsorted_calls"] == 1  # the whole table from one call
-
-
 # ---------------------------------------------------------------------------
 # exact 1D bisection: O(log(UB - LB)) probe rounds (§2.2)
 
@@ -180,36 +167,6 @@ def test_bisect_nd_probe_path_same_probe_count():
     assert got == want
     assert opt["probe_calls"] == ref["probe_calls"]
     assert opt["probe_steps"] == ref["probe_steps"]
-
-
-def test_feasibility_curve_batches_into_one_kernel_call():
-    # K independent candidates: the reference kernel pays K probe calls, the
-    # numpy kernel exactly one probe_batch invocation with m rounds at most
-    rng = np.random.default_rng(29)
-    P = prefix_of(rng.integers(0, 1_000, 600))
-    m = 9
-    total = int(P[-1])
-    Bs = list(range(total // (2 * m), 2 * total // m, max(total // (20 * m), 1)))
-    with use_perf_backend("reference"), op_counters() as ref:
-        want = feasible_bottlenecks(P, m, Bs)
-    with op_counters() as opt:
-        got = feasible_bottlenecks(P, m, Bs)
-    np.testing.assert_array_equal(got, want)
-    assert ref["probe_calls"] == len(Bs)
-    assert opt["probe_calls"] == 0
-    assert opt["probe_batch_calls"] == 1
-    assert opt["searchsorted_calls"] <= m  # one chained round per greedy step
-
-
-def test_probe_batch_early_exit_is_one_round():
-    # every cell is positive, so B = 0 leaves every candidate stuck in the
-    # first round: the lockstep loop must stop there, however large m is
-    P = prefix_of(np.random.default_rng(29).integers(1, 100, 400))
-    with use_perf_backend("numpy"), op_counters() as ops:
-        feasible = probe_batch(P, 512, np.zeros(64, dtype=np.int64))
-    assert not feasible.any()
-    assert ops["probe_batch_calls"] == 1
-    assert ops["searchsorted_calls"] <= 1
 
 
 # ---------------------------------------------------------------------------

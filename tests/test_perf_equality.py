@@ -3,9 +3,11 @@
 The perf layer's contract (docs/performance.md) is *exact* equality, not
 approximate: every kernel's ``numpy`` backend must produce the same
 integers — same probe decisions, same cut positions, same rectangles — as
-its ``reference`` backend, and the JAG-M-OPT level-end DP must match the
-all-starts DP (:func:`repro.jagged.m_opt._reference_dp`).  These tests
-drive both on randomized instances and compare the raw outputs.
+its ``reference`` backend, the Probe walks must answer alike
+(``probe_batch`` and ``min_parts`` against per-candidate ``probe``), and
+the JAG-M-OPT level-end DP must match the all-starts DP
+(:func:`repro.jagged.m_opt._reference_dp`).  These tests drive both on
+randomized instances and compare the raw outputs.
 """
 
 from __future__ import annotations
@@ -28,17 +30,17 @@ from repro.jagged.m_opt import (
     _reference_dp,
     jag_m_opt_bottleneck,
 )
-from repro.oned.bisect import bisect_bottleneck, feasible_bottlenecks
+from repro.oned.bisect import bisect_bottleneck
 from repro.oned.nicol import nicol_plus_bottleneck
 from repro.oned.probe import min_parts, probe
-from repro.perf import kernel, min_parts_batch, probe_batch, use_perf_backend
+from repro.perf import kernel, use_perf_backend
 from repro.perf.kernels import relaxed_splits, weighted_cuts
 from repro.sweep import use_sweep
 
-from .conftest import load_arrays, prefix_of
+from .conftest import alloc_oracle, load_arrays, prefix_of
 
 # ---------------------------------------------------------------------------
-# batched probe kernels vs scalar references
+# the probe_batch kernel and min_parts vs the scalar probe
 
 
 @settings(max_examples=60, deadline=None)
@@ -50,7 +52,7 @@ def test_probe_batch_matches_scalar_probe(values, m, data):
         st.lists(st.integers(-2, total + 2), min_size=1, max_size=12),
         label="bottleneck candidates",
     )
-    got = probe_batch(P, m, np.array(Bs, dtype=np.int64))
+    got = kernel("probe_batch")(P, m, np.array(Bs, dtype=np.int64))
     want = np.array([probe(P, m, B) for B in Bs])
     np.testing.assert_array_equal(got, want)
 
@@ -64,38 +66,33 @@ def test_probe_batch_matches_on_windows(values, data):
     lo = data.draw(st.integers(0, n), label="lo")
     hi = data.draw(st.integers(lo, n), label="hi")
     Bs = np.array([0, 1, int(P[-1]) // 2 + 1, int(P[-1])], dtype=np.int64)
-    got = probe_batch(P, m, Bs, lo, hi)
+    got = kernel("probe_batch")(P, m, Bs, lo, hi)
     want = np.array([probe(P, m, int(B), lo, hi) for B in Bs])
     np.testing.assert_array_equal(got, want)
 
 
+def _fewest_parts(P, B: int, lo: int, hi: int) -> int | None:
+    """The least ``m`` whose probe succeeds on ``[lo, hi)``, or None if none does."""
+    return next((m for m in range(hi - lo + 1) if probe(P, m, B, lo, hi)), None)
+
+
 @settings(max_examples=80, deadline=None)
 @given(values=load_arrays, data=st.data())
-def test_min_parts_batch_matches_scalar(values, data):
+def test_min_parts_matches_probe(values, data):
     P = prefix_of(values)
-    total = int(P[-1])
-    B = data.draw(st.integers(0, total + 1), label="B")
-    cap = data.draw(st.one_of(st.none(), st.integers(0, len(P) + 1)), label="cap")
-    try:
-        want = min_parts(P, B, cap=cap)
-    except ValueError:
+    n = len(P) - 1
+    lo = data.draw(st.integers(0, n), label="lo")
+    hi = data.draw(st.integers(lo, n), label="hi")
+    B = data.draw(st.integers(-2, int(P[-1]) + 1), label="B")
+    cap = data.draw(st.one_of(st.none(), st.integers(0, n + 1)), label="cap")
+    want = _fewest_parts(P, B, lo, hi)
+    if want is None and cap is None:
         with pytest.raises(ValueError):
-            min_parts_batch(P, B, cap=cap)
+            min_parts(P, B, lo, hi, cap=cap)
         return
-    assert min_parts_batch(P, B, cap=cap) == want
-
-
-def test_min_parts_batch_windowed():
-    rng = np.random.default_rng(3)
-    P = prefix_of(rng.integers(0, 40, 60))
-    for lo, hi in ((0, 60), (5, 55), (20, 21), (30, 30)):
-        for B in (0, 37, 120, 999):
-            for cap in (None, 2, 7):
-                try:
-                    want = min_parts(P, B, lo, hi, cap=cap)
-                except ValueError:
-                    continue
-                assert min_parts_batch(P, B, lo, hi, cap=cap) == want
+    if cap is not None and (want is None or want > cap):
+        want = cap + 1
+    assert min_parts(P, B, lo, hi, cap=cap) == want
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +181,9 @@ def test_partitions_bit_identical_across_modes(method):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_allocate_processors_identical_across_modes(data):
-    # the numpy kernel replaces Fraction-keyed ratio comparisons with exact
-    # cross-multiplied ints; the allocation must match entry for entry,
-    # ties included (first minimal stripe wins in both)
+    # the Fraction-keyed allocation tail must match the cross-multiplied
+    # linear-scan oracle entry for entry, ties included (first minimal
+    # stripe wins in both)
     from repro.jagged.m_heur import allocate_processors
 
     P = data.draw(st.integers(1, 20))
@@ -207,6 +204,11 @@ def test_allocate_processors_identical_across_modes(data):
         ref = allocate_processors(loads.astype(np.int64, copy=False), m)
     opt = allocate_processors(loads.astype(np.int64, copy=False), m)
     assert ref.tolist() == opt.tolist()
+    L = loads.astype(np.int64, copy=False)
+    total = int(L.sum())
+    if total:
+        q = np.maximum(-((-(m - P) * L) // total), 1)  # the caller's ceil allocation
+        assert opt.tolist() == alloc_oracle(L.tolist(), q.tolist(), m)
 
 
 @st.composite
@@ -341,22 +343,6 @@ def test_bisect_bottleneck_identical_on_nd_probe_path():
     for m in (3, 7, 15):
         opt = bisect_bottleneck(P, m)
         assert opt == bisect_bottleneck(P.tolist(), m) == nicol_plus_bottleneck(P, m)
-
-
-@settings(max_examples=60, deadline=None)
-@given(values=load_arrays, m=st.integers(1, 8), data=st.data())
-def test_feasible_bottlenecks_identical_across_modes(values, m, data):
-    P = prefix_of(values)
-    total = int(P[-1])
-    Bs = data.draw(
-        st.lists(st.integers(-2, total + 2), min_size=1, max_size=10),
-        label="bottleneck candidates",
-    )
-    with use_perf_backend("reference"):
-        ref = feasible_bottlenecks(P, m, Bs)
-    opt = feasible_bottlenecks(P, m, Bs)
-    np.testing.assert_array_equal(ref, opt)
-    np.testing.assert_array_equal(ref, [probe(P, m, int(B)) for B in Bs])
 
 
 def test_shared_prefix_instance_is_safe_across_methods():

@@ -115,6 +115,15 @@ class TestMinParts:
         P = prefix_of([0, 0, 0])
         assert min_parts(P, 0) == 1
 
+    def test_negative_bottleneck_is_infeasible_on_any_window(self):
+        # as in probe, B < 0 fits no interval count, even on an empty window
+        P = prefix_of([3, 1, 4, 1])
+        assert not probe(P, 2, -1, lo=2, hi=2)
+        with pytest.raises(ValueError):
+            min_parts(P, -1, lo=2, hi=2)
+        assert min_parts(P, -1, lo=2, hi=2, cap=5) == 6
+        assert min_parts(P, -1, cap=5) == 6
+
     @given(load_arrays, st.integers(1, 50))
     @settings(max_examples=50)
     def test_consistent_with_probe(self, vals, B):
