@@ -76,15 +76,8 @@ def _fewest_parts(P, B: int, lo: int, hi: int) -> int | None:
     return next((m for m in range(hi - lo + 1) if probe(P, m, B, lo, hi)), None)
 
 
-@settings(max_examples=80, deadline=None)
-@given(values=load_arrays, data=st.data())
-def test_min_parts_matches_probe(values, data):
-    P = prefix_of(values)
-    n = len(P) - 1
-    lo = data.draw(st.integers(0, n), label="lo")
-    hi = data.draw(st.integers(lo, n), label="hi")
-    B = data.draw(st.integers(-2, int(P[-1]) + 1), label="B")
-    cap = data.draw(st.one_of(st.none(), st.integers(0, n + 1)), label="cap")
+def _check_min_parts(P, B: int, lo: int, hi: int, cap: int | None) -> None:
+    """``min_parts`` is the fewest parts ``probe`` accepts, ``cap + 1`` past the cap."""
     want = _fewest_parts(P, B, lo, hi)
     if want is None and cap is None:
         with pytest.raises(ValueError):
@@ -93,6 +86,31 @@ def test_min_parts_matches_probe(values, data):
     if cap is not None and (want is None or want > cap):
         want = cap + 1
     assert min_parts(P, B, lo, hi, cap=cap) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=load_arrays, data=st.data())
+def test_min_parts_batch_matches_scalar(values, data):
+    P = prefix_of(values)
+    n = len(P) - 1
+    lo = data.draw(st.integers(0, n), label="lo")
+    hi = data.draw(st.integers(lo, n), label="hi")
+    Bs = data.draw(
+        st.lists(st.integers(-2, int(P[-1]) + 1), min_size=1, max_size=6),
+        label="bottleneck candidates",
+    )
+    cap = data.draw(st.one_of(st.none(), st.integers(0, n + 1)), label="cap")
+    for B in Bs:
+        _check_min_parts(P, B, lo, hi, cap)
+
+
+def test_min_parts_batch_windowed():
+    rng = np.random.default_rng(3)
+    P = prefix_of(rng.integers(0, 40, 60))
+    for lo, hi in ((0, 60), (5, 55), (20, 21), (30, 30)):
+        for B in (-1, 0, 37, 120, 999):
+            for cap in (None, 2, 7):
+                _check_min_parts(P, B, lo, hi, cap)
 
 
 # ---------------------------------------------------------------------------
