@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import communication_volume, lower_bound, max_boundary
+from .metrics import communication_volume, exact_imbalance, lower_bound, max_boundary
 from .partition import Partition
 from .prefix import MatrixLike, prefix_2d
 
@@ -87,11 +87,7 @@ def analyze(A: MatrixLike, partition: Partition) -> PartitionReport:
         min_load=int(loads.min(initial=0)),
         mean_load=float(Fraction(pref.total, partition.m)) if partition.m else 0.0,
         std_load=float(loads.std()) if len(loads) else 0.0,
-        imbalance=(
-            float(Fraction(maxload * partition.m - pref.total, pref.total))
-            if pref.total and partition.m
-            else 0.0
-        ),
+        imbalance=exact_imbalance(maxload, pref.total, partition.m),
         lower_bound=lb,
         optimality_gap=float(Fraction(maxload - lb, lb)) if lb else 0.0,
         comm_volume=communication_volume(partition),

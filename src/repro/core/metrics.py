@@ -11,15 +11,21 @@ communication/migration measures motivating the paper's future work).
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .partition import Partition
 from .prefix import MatrixLike, prefix_2d
+
+if TYPE_CHECKING:
+    from .partition import Partition
 
 __all__ = [
     "lower_bound",
     "upper_bound",
     "load_imbalance",
+    "exact_imbalance",
     "communication_volume",
     "max_boundary",
     "migration_volume",
@@ -47,6 +53,19 @@ def upper_bound(A: MatrixLike, m: int) -> int:
     """
     pref = prefix_2d(A)
     return int(pref.total // m + pref.max_element() + 1)
+
+
+def exact_imbalance(lmax: int, total: int, m: int) -> float:
+    """Load imbalance ``Lmax / Lavg - 1`` from exact integer loads (Section 2.1).
+
+    Evaluated as the rational ``(Lmax·m − total) / total`` with a single
+    correctly rounded conversion to float: the naive ``Lmax / (total / m)``
+    rounds twice and drifts once loads exceed 2^53.  Zero when there is no
+    load or no processor.
+    """
+    if not total or not m:
+        return 0.0
+    return float(Fraction(int(lmax) * int(m) - int(total), int(total)))
 
 
 def load_imbalance(A: MatrixLike, partition: Partition) -> float:

@@ -11,13 +11,13 @@ easily find which processor a given cell is allocated to".
 from __future__ import annotations
 
 from copy import copy
-from fractions import Fraction
 from itertools import starmap
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidPartitionError, ParameterError
+from .metrics import exact_imbalance
 from .prefix import MatrixLike, _as_int64, prefix_2d
 from .rectangle import Rect
 
@@ -208,18 +208,10 @@ class Partition:
         return int(self.loads(A).max())
 
     def imbalance(self, A: MatrixLike) -> float:
-        """Load imbalance ``Lmax / Lavg - 1`` (Section 2.1).
-
-        Evaluated as the exact rational ``(Lmax·m − total) / total`` with a
-        single correctly-rounded conversion to float: the naive
-        ``Lmax / (total / m)`` rounds twice and drifts once loads exceed
-        2^53.
-        """
+        """Load imbalance ``Lmax / Lavg - 1`` (Section 2.1), rounded once
+        (:func:`~repro.core.metrics.exact_imbalance`)."""
         pref = prefix_2d(A)
-        total = pref.total
-        if total == 0:
-            return 0.0
-        return float(Fraction(self.max_load(pref) * self.m - total, total))
+        return exact_imbalance(self.max_load(pref), pref.total, self.m)
 
     # ------------------------------------------------------------------
     # ownership

@@ -10,15 +10,18 @@ linters cannot see:
   search, integer bisection) can bisect exactly;
 * every accelerated path (perf kernels, CSR substrate, sweep warm starts)
   is **bit-identical** to its reference twin — enforced dynamically by the
-  differential matrix and statically by the determinism rule.
+  differential matrix; the determinism rule flags the hash-order
+  iterations a lucky run can miss.
 
 This package enforces them with an AST rule engine (:mod:`.engine`) that
 checks source text one file at a time: a ruleset grounded in this codebase
-(:mod:`.rules`, RPL001–RPL003 and RPL005), dataflow rules (:mod:`.dataflow`,
+(:mod:`.rules`, RPL001–RPL003), dataflow rules (:mod:`.dataflow`,
 :mod:`.flowrules`, RPL010 and RPL011), a suppression meta-check (RPL100),
 and a CLI (:mod:`.cli`, installed as ``repro-lint`` / ``python -m
 repro.lint``) with text and JSON reporters.  Guarantees about live objects
-are tests, not rules: the paper's complexity bounds are op-count tests
+are tests, not rules: the input matrix is never written
+(``tests/test_adversarial.py::test_input_matrix_is_read_only``); the
+paper's complexity bounds are op-count tests
 (``tests/test_complexity.py``); the registry's citations, annotations,
 catalogue entries and measured raw cells are ``tests/test_registry.py``;
 registry and kernel coverage of the differential matrix is

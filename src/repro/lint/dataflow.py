@@ -13,7 +13,7 @@ is reported even if the tainting branch cannot execute.  For lint purposes
 that is the right direction — suppressions carry the proof burden for the
 false positives, and no real flow is missed.
 
-Two deliberate precision choices, documented because rules rely on them:
+Two deliberate precision choices, documented because RPL010 relies on them:
 
 * ``x += expr`` with an arithmetic operator does **not** propagate taint
   into ``x``: the dominant idiom is order-independent scalar accumulation
@@ -95,8 +95,6 @@ class FunctionFlow:
         self.sources: dict[str, list[ast.expr]] = {}
         #: name -> expressions accumulated into it (``x.append(e)``)
         self.accumulated: dict[str, list[ast.expr]] = {}
-        #: loop target names -> the iterable expression they range over
-        self.loop_iters: dict[str, list[ast.expr]] = {}
         self.returns: list[ast.expr] = []
         self._build()
 
@@ -113,12 +111,8 @@ class FunctionFlow:
                 self._bind(self.sources, node.target, node.value)
             elif isinstance(node, ast.NamedExpr):
                 self._bind(self.sources, node.target, node.value)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
+            elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
                 self._bind(self.sources, node.target, node.iter)
-                self._bind(self.loop_iters, node.target, node.iter)
-            elif isinstance(node, ast.comprehension):
-                self._bind(self.sources, node.target, node.iter)
-                self._bind(self.loop_iters, node.target, node.iter)
             elif isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
                     if item.optional_vars is not None:
@@ -145,27 +139,17 @@ class FunctionFlow:
         expr: ast.expr,
         tainted: set[str],
         seed: Callable[[ast.expr], bool] | None,
-        launder_lookups: bool = False,
     ) -> bool:
         """Does ``expr`` (or a sub-expression) carry taint?
 
         A call in :data:`ORDER_LAUNDERING` stops the descent; everything
-        else propagates structurally.  With ``launder_lookups``, a container
-        lookup (``d[key]`` / ``d.get(key)``) propagates only the container's
-        taint, not the key's — the value *found by* a tainted key is not
-        itself derived from it (the query RPL010's id-escape check needs).
+        else propagates structurally.
         """
         if isinstance(expr, ast.Call):
             f = expr.func
             fname = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
             if fname in ORDER_LAUNDERING:
                 return False
-            if (
-                launder_lookups
-                and isinstance(f, ast.Attribute)
-                and fname in ("get", "pop", "setdefault")
-            ):
-                return self._expr_tainted(f.value, tainted, seed, launder_lookups)
         if seed is not None and seed(expr):
             return True
         if isinstance(expr, ast.Name):
@@ -175,11 +159,9 @@ class FunctionFlow:
                 return True
             if isinstance(expr.value, ast.Name):
                 return expr.value.id in tainted
-            return self._expr_tainted(expr.value, tainted, seed, launder_lookups)
-        if launder_lookups and isinstance(expr, ast.Subscript):
-            return self._expr_tainted(expr.value, tainted, seed, launder_lookups)
+            return self._expr_tainted(expr.value, tainted, seed)
         return any(
-            self._expr_tainted(child, tainted, seed, launder_lookups)
+            self._expr_tainted(child, tainted, seed)
             for child in ast.iter_child_nodes(expr)
             if isinstance(child, ast.expr)
         )
@@ -188,7 +170,6 @@ class FunctionFlow:
         self,
         seed: Callable[[ast.expr], bool] | None = None,
         seed_names: set[str] | None = None,
-        launder_lookups: bool = False,
     ) -> set[str]:
         """Names transitively derived from seed expressions / seed names."""
         tainted: set[str] = set(seed_names or ())
@@ -199,22 +180,14 @@ class FunctionFlow:
                 for name, exprs in table.items():
                     if name in tainted:
                         continue
-                    if any(
-                        self._expr_tainted(e, tainted, seed, launder_lookups)
-                        for e in exprs
-                    ):
+                    if any(self._expr_tainted(e, tainted, seed) for e in exprs):
                         tainted.add(name)
                         changed = True
         return tainted
 
-    def first_tainted_return(
-        self,
-        tainted: set[str],
-        seed: Callable[[ast.expr], bool] | None = None,
-        launder_lookups: bool = False,
-    ) -> ast.expr | None:
+    def first_tainted_return(self, tainted: set[str]) -> ast.expr | None:
         """The first return/yield expression that carries taint, or None."""
         for expr in self.returns:
-            if self._expr_tainted(expr, tainted, seed, launder_lookups):
+            if self._expr_tainted(expr, tainted, None):
                 return expr
         return None

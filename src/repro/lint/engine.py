@@ -57,7 +57,7 @@ HOT_PACKAGES = frozenset(
         "perf",
     }
 )
-#: packages additionally covered by the interval-convention and mutation rules
+#: packages additionally covered by the interval-convention rule
 CORE_PACKAGES = HOT_PACKAGES | {"core"}
 
 #: individual modules outside the hot packages whose loops are nonetheless

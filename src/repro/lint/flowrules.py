@@ -7,9 +7,8 @@ contract, enforced dynamically by the differential matrix
 what a lucky test run could miss, using the intraprocedural dataflow
 framework (:mod:`.dataflow`):
 
-* **RPL010** — bit-identity modules carry no nondeterminism source
-  (unordered iteration into results, ``id()`` escapes, entropy and
-  wall-clock calls);
+* **RPL010** — in bit-identity modules, no result follows the iteration
+  order of a set or of an identity-keyed container;
 * **RPL011** — environment reads go through declared config modules and
   read names registered in the live :data:`repro.config.ENV_VARS`.
 
@@ -41,11 +40,6 @@ CONTRACT_PACKAGES = HOT_PACKAGES | {"sweep", "core"}
 # RPL010 — determinism in bit-identity modules
 # ---------------------------------------------------------------------------
 
-_ENTROPY_MODULES = frozenset({"random", "secrets", "uuid"})
-_TIME_CALLS = frozenset(
-    {"time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns",
-     "process_time", "process_time_ns", "now", "utcnow"}
-)
 _SET_CTORS = frozenset({"set", "frozenset"})
 _SEQ_WRAPPERS = frozenset({"list", "tuple", "iter", "reversed", "enumerate"})
 _DICT_VIEWS = frozenset({"values", "keys", "items"})
@@ -71,19 +65,21 @@ def _is_set_expr(expr: ast.expr) -> bool:
 
 
 class DeterminismRule(Rule):
-    """RPL010 — no nondeterminism sources in bit-identity modules.
+    """RPL010 — no hash-order iteration into results in bit-identity modules.
 
-    The equality tests compare two runs *within one process*; hash-order
-    iteration, ``id()`` escapes and entropy calls can agree on a lucky run
-    and diverge across processes or interpreter invocations.  This rule
-    flags the sources statically, in the packages carrying the contract.
+    The equality tests compare two runs *within one process*, where hash
+    seeds and allocation patterns agree; a result that follows the
+    iteration order of a set, or of a container keyed by ``id()``, can
+    agree on a lucky run and diverge across processes or interpreter
+    invocations.  This rule flags such iterations statically, in the
+    packages carrying the contract.
     """
 
     code = "RPL010"
     name = "determinism"
     rationale = (
-        "bit-identity modules must not let set/hash iteration order, id() "
-        "values, entropy or wall-clock reads reach their outputs"
+        "bit-identity modules must not let set or identity-keyed iteration "
+        "order reach their outputs"
     )
     scope = CONTRACT_PACKAGES
 
@@ -92,12 +88,6 @@ class DeterminismRule(Rule):
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_function(ctx, node, id_keyed)
-            elif isinstance(node, ast.ImportFrom) and node.module in _ENTROPY_MODULES:
-                yield self.violation(
-                    ctx, node, f"import from entropy module `{node.module}` in a bit-identity module"
-                )
-        # module-scope entropy patterns (rare but possible)
-        yield from self._check_calls(ctx, ctx.tree, id_keyed)
 
     # -- building blocks ------------------------------------------------
 
@@ -167,8 +157,8 @@ class DeterminismRule(Rule):
                 and bool(terminal_names(e.func.value) & id_keyed)
             )
 
-        # 1. unordered iteration (set order, or an identity-keyed container's
-        #    allocation order) whose results reach the return value
+        # unordered iteration (set order, or an identity-keyed container's
+        # allocation order) whose results reach the return value
         for node in walk_scope(fn):
             it: ast.expr | None = None
             target: ast.AST | None = None
@@ -190,74 +180,11 @@ class DeterminismRule(Rule):
                 )
             else:
                 continue
-            seeds = {n for n in terminal_names(target)}
-            tainted = flow.tainted(seed_names=seeds)
+            tainted = flow.tainted(seed_names=terminal_names(target))
             if flow.first_tainted_return(tainted) is not None:
                 yield self.violation(
                     ctx, node if hasattr(node, "lineno") else it, message
                 )
-
-        # 2. id() value escaping through the return value (lookups by an
-        #    id-derived key are laundered: the value found is not the id)
-        id_tainted = flow.tainted(seed=_is_id_call, launder_lookups=True)
-        escape = flow.first_tainted_return(
-            id_tainted, seed=_is_id_call, launder_lookups=True
-        )
-        if escape is not None:
-            yield self.violation(
-                ctx,
-                escape,
-                "id()-derived value escapes through the return value; object "
-                "identity differs across runs and processes",
-            )
-
-        yield from self._check_calls(ctx, fn, id_keyed)
-
-    def _check_calls(
-        self, ctx: FileContext, root: ast.AST, id_keyed: set[str]
-    ) -> Iterator[Violation]:
-        direct = root if isinstance(root, ast.Module) else None
-        nodes = (
-            [n for n in ast.iter_child_nodes(direct)] if direct is not None else list(walk_scope(root))
-        )
-        seen: set[int] = set()
-        stack = nodes
-        while stack:
-            node = stack.pop()
-            if direct is not None:
-                # module scope: don't re-descend into functions (handled above)
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                stack.extend(ast.iter_child_nodes(node))
-            if not isinstance(node, ast.Call) or id(node) in seen:
-                continue
-            seen.add(id(node))
-            f = node.func
-            if isinstance(f, ast.Attribute):
-                base = f.value
-                root_name = base.id if isinstance(base, ast.Name) else None
-                if root_name in _ENTROPY_MODULES:
-                    yield self.violation(
-                        ctx, node, f"entropy call `{root_name}.{f.attr}(...)` in a bit-identity module"
-                    )
-                elif root_name == "time" and f.attr in _TIME_CALLS:
-                    yield self.violation(
-                        ctx, node, f"wall-clock call `time.{f.attr}()` in a bit-identity module"
-                    )
-                elif (
-                    isinstance(base, ast.Attribute)
-                    and base.attr == "random"
-                    and isinstance(base.value, ast.Name)
-                    and base.value.id in ("np", "numpy")
-                ):
-                    yield self.violation(
-                        ctx, node, f"`np.random.{f.attr}(...)` in a bit-identity module"
-                    )
-            elif isinstance(f, ast.Name):
-                if f.id == "default_rng" and not node.args:
-                    yield self.violation(
-                        ctx, node, "`default_rng()` without a seed in a bit-identity module"
-                    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The repro ruleset: RPL001–RPL003 and RPL005 (RPL010 and RPL011 live in
+"""The repro ruleset: RPL001–RPL003 (RPL010 and RPL011 live in
 :mod:`.flowrules`).
 
 Each rule encodes one invariant the paper's algorithms rely on; see
@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from .dataflow import terminal_names
 from .engine import CORE_PACKAGES, HOT_PACKAGES, STALE_CODE, FileContext, Rule, Violation
 from .flowrules import ConfigRegistryRule, DeterminismRule
 
@@ -17,23 +18,11 @@ __all__ = [
     "PrefixSumRule",
     "HalfOpenRule",
     "IntegerLoadRule",
-    "NoInputMutationRule",
     "DeterminismRule",
     "ConfigRegistryRule",
     "ALL_RULES",
     "KNOWN_CODES",
 ]
-
-
-def _terminal_names(node: ast.AST) -> set[str]:
-    """Terminal identifiers in a subtree: ``Name.id`` and ``Attribute.attr``."""
-    out: set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-    return out
 
 
 def _is_name(node: ast.AST, names: frozenset[str]) -> bool:
@@ -301,7 +290,7 @@ class IntegerLoadRule(Rule):
 
     def _mentions_load(self, node: ast.BinOp) -> bool:
         for side in (node.left, node.right):
-            if _terminal_names(side) & self.LOAD_NAMES:
+            if terminal_names(side) & self.LOAD_NAMES:
                 return True
             for sub in ast.walk(side):
                 if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
@@ -312,76 +301,11 @@ class IntegerLoadRule(Rule):
         return False
 
 
-class NoInputMutationRule(Rule):
-    """RPL005 — partitioner entry points must not mutate their input matrix.
-
-    Every public algorithm takes the load matrix ``A`` (or a prefix built
-    from it) read-only; callers reuse the same matrix across algorithms when
-    comparing them (the experiment harness does exactly that).  In-place
-    writes to the parameter would corrupt cross-algorithm comparisons.
-    """
-
-    code = "RPL005"
-    name = "no-input-mutation"
-    rationale = (
-        "algorithms must treat the load-matrix parameter A as read-only; "
-        "copy before modifying"
-    )
-    scope = CORE_PACKAGES
-
-    MUTATORS = frozenset({"sort", "fill", "resize", "put", "itemset", "partition"})
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for fn in ast.walk(ctx.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            params = {a.arg for a in fn.args.args + fn.args.posonlyargs + fn.args.kwonlyargs}
-            if "A" not in params:
-                continue
-            yield from self._check_body(ctx, fn)
-
-    def _check_body(self, ctx: FileContext, fn: ast.AST) -> Iterator[Violation]:
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign):
-                for tgt in node.targets:
-                    if self._writes_A(tgt):
-                        yield self.violation(
-                            ctx, node, "in-place write to input matrix `A[...] = ...`"
-                        )
-            elif isinstance(node, ast.AugAssign):
-                if self._writes_A(node.target) or _is_name(node.target, frozenset({"A"})):
-                    yield self.violation(
-                        ctx, node, "augmented assignment mutates the input matrix A in place"
-                    )
-            elif isinstance(node, ast.Call):
-                f = node.func
-                if (
-                    isinstance(f, ast.Attribute)
-                    and f.attr in self.MUTATORS
-                    and _is_name(f.value, frozenset({"A"}))
-                ):
-                    yield self.violation(
-                        ctx, node, f"`A.{f.attr}(...)` mutates the input matrix in place"
-                    )
-                for kw in node.keywords:
-                    if kw.arg == "out" and _is_name(kw.value, frozenset({"A"})):
-                        yield self.violation(
-                            ctx, node, "`out=A` writes into the input matrix in place"
-                        )
-
-    @staticmethod
-    def _writes_A(target: ast.AST) -> bool:
-        return isinstance(target, ast.Subscript) and _is_name(
-            target.value, frozenset({"A"})
-        )
-
-
 #: per-file rules, in code order
 ALL_RULES: list[Rule] = [
     PrefixSumRule(),
     HalfOpenRule(),
     IntegerLoadRule(),
-    NoInputMutationRule(),
     DeterminismRule(),
     ConfigRegistryRule(),
 ]

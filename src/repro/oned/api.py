@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 from ..core.errors import ParameterError
+from ..core.metrics import exact_imbalance
 from ..core.prefix import PrefixSum1D, prefix_1d
 from .bisect import partition_bisect
 from .dp import partition_dp
@@ -51,10 +52,8 @@ class OneDResult:
         return (P[self.cuts[1:]] - P[self.cuts[:-1]]).astype(np.int64)
 
     def imbalance(self, P: np.ndarray) -> float:
-        """Load imbalance ``Lmax / Lavg - 1`` of this 1D partition."""
-        avg = int(P[-1]) / self.m
-        # reporting boundary: floats never feed back into a search
-        return (self.bottleneck / avg - 1.0) if avg > 0 else 0.0  # repro-lint: disable=RPL003
+        """Load imbalance ``Lmax / Lavg - 1`` of this 1D partition, rounded once."""
+        return exact_imbalance(self.bottleneck, int(P[-1]), self.m)
 
 
 def _run_heuristic(fn: Callable[[np.ndarray, int], np.ndarray]):

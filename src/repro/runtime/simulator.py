@@ -21,8 +21,8 @@ execution:
 :class:`~repro.dynamic.policies.EveryK` with ``k=1``).
 
 Exactness: per-step imbalance is the single-rounding rational
-``(Lmax·m − total) / total`` — the same contract as
-:meth:`repro.core.partition.Partition.imbalance`; the earlier
+``(Lmax·m − total) / total`` of :func:`repro.core.metrics.exact_imbalance`,
+shared with :meth:`repro.core.partition.Partition.imbalance`; the earlier
 ``lmax / (total / m) − 1`` float form double-rounds past 2^53 (pinned in
 ``tests/test_runtime.py``).  Snapshots pass through
 :func:`~repro.core.prefix.prefix_2d`, so sparse
@@ -40,13 +40,12 @@ application and study their end-to-end effects").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from ..core.errors import ParameterError
-from ..core.metrics import max_boundary, migration_volume, neighbor_counts
+from ..core.metrics import exact_imbalance, max_boundary, migration_volume, neighbor_counts
 from ..core.partition import Partition
 from ..core.prefix import LoadView, MatrixLike, prefix_2d
 from ..dynamic.policies import EveryK, RepartitionPolicy, StepContext
@@ -256,12 +255,7 @@ class BSPSimulator:
                         repartitioned = True
                 assert part is not None
                 lmax = part.max_load(pref)
-                total = pref.total
-                # exact single-rounding imbalance, as Partition.imbalance:
-                # the naive lmax / (total / m) - 1 double-rounds past 2^53
-                imbalance = (
-                    float(Fraction(lmax * self.m - total, total)) if total else 0.0
-                )
+                imbalance = exact_imbalance(lmax, pref.total, self.m)
                 if self.speeds is not None:
                     loads = part.loads(pref).astype(np.float64)
                     makespan = float(np.max(loads / self.speeds))

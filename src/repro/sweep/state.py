@@ -101,7 +101,7 @@ class SweepState:
             self._store.seed_state(self, obj)
             if key in self._optima or key in self._memos:
                 self._seeded[key] = True
-        return key  # repro-lint: disable=RPL010 — in-process handle; cross-run reuse goes through content digests
+        return key
 
     def _query_key(self, obj: Any) -> int | None:
         """Identity key for a *read*; seeds from the disk store on first touch.
@@ -112,7 +112,7 @@ class SweepState:
         """
         key = id(obj)
         if key in self._refs:
-            return key  # repro-lint: disable=RPL010 — in-process handle; cross-run reuse goes through content digests
+            return key
         if self._store is not None and self._store.is_instance(obj):
             return self._track(obj)
         return None

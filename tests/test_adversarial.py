@@ -172,3 +172,22 @@ def test_two_hot_cells_opposite_corners(n, m):
     part.validate()
     if m >= 2:
         assert part.max_load(A) < 2 * 10**6
+
+
+#: every entry shares the factor 6, so a solver that rescales its input in
+#: place (a gcd reduction, say) would change bytes the caller owns
+_SHARED_FACTOR = 6 * np.random.default_rng(5).integers(0, 40, (12, 12))
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_input_matrix_is_read_only(name):
+    """Callers reuse one matrix across algorithms, so no entry may write it:
+    a read-only matrix must solve, and a writeable one keep its bytes."""
+    m = 3 if name in ("HIER-OPT", "SPIRAL-OPT") else 7
+    frozen = _SHARED_FACTOR.copy()
+    frozen.flags.writeable = False
+    want = partition_2d(frozen, m, name).coords()
+    A = _SHARED_FACTOR.copy()
+    got = partition_2d(A, m, name).coords()
+    assert A.tobytes() == _SHARED_FACTOR.tobytes()
+    assert np.array_equal(got, want)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.metrics import (
     communication_volume,
+    exact_imbalance,
     load_imbalance,
     lower_bound,
     max_boundary,
@@ -14,6 +15,7 @@ from repro.core.metrics import (
 from repro.core.partition import Partition
 from repro.core.prefix import PrefixSum2D
 from repro.core.rectangle import Rect
+from repro.oned.api import partition_1d
 from repro.rectilinear import rect_uniform
 
 
@@ -64,6 +66,22 @@ class TestBounds:
         A = np.zeros((2, 2), dtype=np.int64)
         p = rect_uniform(A, 4)
         assert p.imbalance(A) == 0.0
+
+    def test_exact_imbalance_guards(self):
+        assert exact_imbalance(5, 0, 3) == 0.0
+        assert exact_imbalance(5, 10, 0) == 0.0
+        assert exact_imbalance(5, 10, 2) == 0.0
+        assert exact_imbalance(6, 10, 2) == pytest.approx(0.2)
+
+    def test_oned_imbalance_exact_past_float_precision(self):
+        # total = 2^62 + 3 and the optimal 2-way bottleneck is 2^61 + 2: the
+        # exact imbalance is 1 / total, while Lmax / (total / m) - 1 rounds
+        # total / 2 and Lmax to the same double and returns 0.0
+        vals = [2**61 + 1, 2**61 - 1, 3]
+        r = partition_1d(vals, 2)
+        assert r.bottleneck == 2**61 + 2
+        P = np.concatenate([[0], np.cumsum(vals)])
+        assert r.imbalance(P) == 1 / (2**62 + 3) > 0.0
 
 
 class TestCommunication:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.oned.heuristics import direct_cut, direct_cut_refined, recursive_bisection
-from repro.oned.api import interval_loads
+from repro.oned.api import interval_loads, partition_1d
 
 from .conftest import load_arrays, positive_arrays, prefix_of
 
@@ -99,3 +99,13 @@ class TestRecursiveBisectionOddSplit:
         cuts = recursive_bisection(P, 3)
         loads = interval_loads(P, cuts)
         assert loads.max() <= 20  # a (2,1)-orientation split achieves this
+
+
+class TestRecursiveBisectionExactTarget:
+    def test_balance_point_is_exact_past_float_precision(self):
+        # the balance-point search target is base + total·w1 // (w1 + w2):
+        # a float target total·w1 / (w1 + w2) lands 24 above the exact one
+        # here (2^61 + 2000 has no exact double), so it cuts at 1025
+        r = partition_1d([2**60] + [1] * 2000 + [2**60], 2, "rb")
+        assert r.cuts.tolist() == [0, 1001, 2002]
+        assert r.bottleneck == 2**60 + 1000

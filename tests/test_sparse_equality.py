@@ -356,6 +356,9 @@ def test_digest_equality_across_substrates(rng):
         _random_sparse(rng),
         np.zeros((5, 7), dtype=np.int64),
         6 * _random_sparse(rng, 9, 9, density=0.2),  # gcd scale > 1
+        # the CSR digest densifies one 4 MiB row block at a time (128 rows
+        # at 4096 columns): three blocks here, the last one partial
+        _random_sparse(rng, 300, 4096, density=0.001),
     ):
         dense, sparse = _pair(A)
         assert sparse.matrix_digest() == matrix_digest(A)
