@@ -46,13 +46,14 @@ def allocate_processors(loads: np.ndarray, m: int) -> np.ndarray:
     P = len(loads)
     if m < P:
         raise ParameterError(f"need at least one processor per stripe ({m} < {P})")
-    total = int(loads.sum())
+    ls = loads.tolist()
+    total = sum(ls)
     if total == 0:
         q = np.full(P, m // P, dtype=np.int64)
         q[: m - int(q.sum())] += 1
         return q
-    q = -((-(m - P) * loads) // total)  # exact ceil((m-P)·load/total)
-    np.maximum(q, 1, out=q)
+    # exact ceil((m-P)·load/total) on Python ints: the int64 product wraps past 2**63
+    q = np.array([max(1, -((P - m) * x // total)) for x in ls], dtype=np.int64)
     # ceil-sum can exceed m - P by at most P, and the max(·,1) bump only
     # applies to zero-load stripes; the ``alloc_tail`` kernel shaves
     # overflow from the least loaded per-processor stripes, then distributes

@@ -18,8 +18,10 @@ DP: ``f(i) = min_k f(k) + parts(k, i, B)`` where ``parts`` is the greedy
 ``B`` is feasible iff ``f(n1) <= m``.  Each row scans only the last start of
 each run of equal ``f`` (at most ``m + 1`` *level ends*, see
 :func:`_level_end_dp`).  The two methods agree on every instance
-(property-tested).  The -BEST variant (§4.2) bisects ``min(opt_HOR,
-opt_VER)`` once and builds only the winner (:func:`_optimum`).
+(property-tested).  The -BEST variant (§4.2) settles the likelier
+orientation, asks the other once whether it fits below, and builds only
+the winner (:func:`_optimum`).  Each probe of a bisection pins its DP rows
+between the staircases of that side's last feasible and infeasible DPs.
 """
 
 from __future__ import annotations
@@ -148,22 +150,43 @@ def _memo_parts(pref: PrefixSum2D, memo: dict, k: int, i: int, B: int, cap: int,
     return parts
 
 
-def _level_end_dp(pref: PrefixSum2D, B: int, m_cap: int, memo: dict) -> list[int] | None:
+def _level_end_dp(
+    pref: PrefixSum2D,
+    B: int,
+    m_cap: int,
+    memo: dict,
+    low: list[int] | None = None,
+    up: list[int] | None = None,
+    out: list[int] | None = None,
+) -> list[int] | None:
     """The DP's ``f`` (as a list), or None once a row needs more than ``m_cap``.
 
     ``f`` is non-decreasing and ``parts(k, i, B)`` non-increasing in ``k``,
     so row ``i`` scans only the *level ends* (the last start of each run of
     equal ``f``), by ascending lower bound, stopping at the first bound that
-    cannot improve or once ``best == f(i-1)``.  Bounds only grow with ``i``
-    (so does ``parts``, which a level end carries to the next row), so a
-    heap of stale bounds refreshed when popped yields that order.
+    cannot improve or once ``best`` meets the row's floor.  Bounds only grow
+    with ``i`` (so does ``parts``, which a level end carries to the next
+    row), so a heap of stale bounds refreshed when popped yields that order.
+
+    ``f`` is non-increasing in ``B``, so ``low`` (``f`` at a larger
+    bottleneck) raises each row's floor, and ``up`` (``f`` at a smaller one,
+    up to the row where that DP failed) pins a row, without evaluating a
+    stripe, where the two meet.  ``out`` (empty) is filled with ``f``, and
+    keeps the rows computed when the DP fails.
     """
     rs = pref.axis_prefix(0, reuse=True).tolist()
     D = max(B, 1)  # ceil(load/D) bounds parts for any D >= B (at B = 0 only zeros fit)
-    f = [0]
+    f = [] if out is None else out
+    f.append(0)
     heap = [(1, 0, 1)]  # (stale bound on f(k) + parts(k, i, B), level end k, parts bound)
+    up = [] if up is None else up
     for i in range(1, pref.n1 + 1):
-        floor, ri, best = f[-1], rs[i], m_cap + 1
+        floor = f[-1] if low is None else max(f[-1], low[i])
+        if i < len(up) and up[i] == floor:
+            f.append(floor)
+            heapq.heappush(heap, (floor + 1, i, 1))
+            continue
+        ri, best = rs[i], m_cap + 1
         while heap[0][0] < best:
             stale, k, c = heap[0]
             if k + 1 < i and f[k + 1] == f[k]:
@@ -236,16 +259,20 @@ class _Side:
     """One orientation's proven bracket ``[lo, hi]`` on its optimum, and its memo.
 
     ``hi`` is a bottleneck the side is proven to fit at (at worst the total
-    load), and ``f`` the DP at ``hi`` when one ran there.  The bracket
-    starts from the trivial bound ``lb`` and the sweep's bounds at ``m``.
+    load).  ``f`` is the DP of its last feasible probe (run at ``at``) and
+    ``g`` the rows its last infeasible probe computed: the staircases every
+    later probe inside the bracket is pinned between.  The bracket starts
+    from the trivial bound ``lb`` and the sweep's bounds at ``m``.
     """
 
-    __slots__ = ("pref", "memo", "lo", "hi", "f")
+    __slots__ = ("pref", "memo", "lo", "hi", "f", "at", "g")
     pref: PrefixSum2D
     memo: dict
     lo: int
     hi: int
     f: list[int] | None
+    at: int | None
+    g: list[int] | None
 
     def __init__(self, pref: PrefixSum2D, m: int, lb: int, state: SweepState | None) -> None:
         exact, wlb, wub = state.bounds(pref, m) if state is not None else (None, None, None)
@@ -254,7 +281,8 @@ class _Side:
         else:
             self.lo = lb if wlb is None else max(lb, wlb)
             self.hi = max(self.lo, pref.total if wub is None else wub)
-        self.pref, self.f, self.memo = pref, None, _shared_memo(pref)
+        self.pref, self.memo = pref, _shared_memo(pref)
+        self.f = self.at = self.g = None
 
     def fits(self, B: int, m: int) -> bool:
         """Whether ``m`` rectangles fit at ``B``: from the bracket, the facts or one DP.
@@ -272,68 +300,73 @@ class _Side:
             return False
         entries = self.memo.get(_PROBE_KEY)
         flo, fhi = _memo_bounds(entries, B) if entries is not None else (0, None)
-        f = None
         if fhi is not None and fhi <= m:
             ok = True
         elif flo > m:
             ok = False
         else:
-            f = _level_end_dp(self.pref, B, m, self.memo)
+            g: list[int] = []
+            f = _level_end_dp(self.pref, B, m, self.memo, low=self.f, up=self.g, out=g)
             ok = f is not None
+            if ok:
+                self.f, self.at = f, B
+            else:
+                self.g = g
             rec = (B, f[-1], True) if f is not None else (B, m + 1, False)
             _memo_record(self.memo, _PROBE_KEY, entries, rec)
         if ok:
-            self.hi, self.f = B, f
+            self.hi = B
         else:
             self.lo = B + 1
         return ok
+
+    def settle(self, m: int) -> int:
+        """Bisect the bracket to the side's optimum."""
+        while self.lo < self.hi:
+            self.fits((self.lo + self.hi) // 2, m)
+        return self.hi
 
 
 def _optimum(prefs: tuple[PrefixSum2D, ...], m: int) -> tuple[_Side, int]:
     """The least optimum over the orientations ``prefs`` (HOR first), and its side.
 
-    One bisection on ``min(opt)`` over one side per orientation.  A probe
-    asks the side that fit last first and the other only if the first
-    misses, so a loser is only ever asked whether it fits below the
-    winner.  With one optimum on record, the other side gets one threshold
-    probe.  Ties go to the first side, as ``oriented()`` does for the
-    heuristics; only the winner's optimum is recorded.  Under a sweep
-    every in-process bracket and fact is proven, so the answer is a cold
-    call's; a winner that converged on a bracket end seeded from a store
-    is confirmed by one DP at ``B``, which the build reuses.
+    A side whose optimum is on record leads.  Otherwise the midpoint of the
+    joint window ``[min lo, min hi]`` is asked of every side until one fits,
+    and the leader is the side that fits with the fewest processors (ties
+    to the lower JAG-M-HEUR bound).  The leader is settled alone; the other
+    side then gets one threshold probe, just below a HOR optimum or at a VER
+    one, so ties go to HOR as ``oriented()`` does for the heuristics.  Only
+    if it fits there is it settled, inside ``[lo, threshold]``.  Only the
+    winner's optimum is recorded.  Under a sweep every in-process bracket
+    and fact is proven, so the answer is a cold call's; the winner then runs
+    one unpinned DP at ``B``, which records the stripe facts a warm solve
+    reads, confirms a bracket end seeded from a store, and is reused by the
+    build.
     """
     if m <= 0:
         raise ParameterError("m must be positive")
     state = _sweep_current()
     lb = max(-(-prefs[0].total // m), prefs[0].max_element())
     sides = [_Side(p, m, lb, state) for p in prefs]
-    closed = [s for s in sides if s.lo == s.hi]
-    if not closed:
+    if all(s.lo < s.hi for s in sides):
         for s in sides:
             s.hi = max(s.lo, min(s.hi, int(_jag_m_heur_main0(s.pref, m).meta["lmax"])))
-    elif len(closed) < len(sides):
-        (c,) = closed
-        (o,) = [s for s in sides if s is not c]
-        o.fits(c.hi - 1 if c is sides[0] else c.hi, m)  # o wins only below c
     order = sorted(sides, key=lambda s: s.hi)  # the likelier winner first
-    while True:
-        lo, B = min(s.lo for s in sides), min(s.hi for s in sides)
-        if lo >= B:
-            break
-        mid = (lo + B) // 2
-        for s in order:
-            if s.fits(mid, m):
-                if s is not order[0]:
-                    order.reverse()
-                break
-    win = next(s for s in sides if s.fits(B, m))
-    if win.f is None and state is not None and state.seeded(win.pref):
-        win.f = _level_end_dp(win.pref, B, m, win.memo)
+    lead = sides[0] if len(sides) == 1 else None
+    while lead is None:
+        mid = (min(s.lo for s in sides) + min(s.hi for s in sides)) // 2
+        fit = [s for s in order if s.lo == s.hi] or [s for s in order if s.fits(mid, m)]
+        lead = min(fit, key=lambda s: s.f[-1] if s.f and s.at == mid else m, default=None)
+    win, B = lead, lead.settle(m)
+    for s in sides:
+        if s is not lead and s.fits(B - 1 if lead is sides[0] else B, m):
+            win, B = s, s.settle(m)
+    if state is not None:
+        win.f, win.at = _level_end_dp(win.pref, B, m, win.memo), B
         if win.f is None:
             raise SweepInvariantError(
                 f"bottleneck {B} is infeasible at m={m}: a seeded optimum is wrong"
             )
-    if state is not None:
         state.record_opt(win.pref, m, B)
     return win, B
 
@@ -411,7 +444,8 @@ def _backtrack_stripes(
 def _build(side: _Side, B: int, m: int) -> Partition:
     """The partition of ``side`` at its optimum ``B``: backtrack, phase 2, build."""
     pref = side.pref
-    stripe_cuts = _backtrack_stripes(pref, B, m, side.memo, side.f)  # hi == B: f is the DP at B
+    f = side.f if side.at == B else None
+    stripe_cuts = _backtrack_stripes(pref, B, m, side.memo, f)
     stripes = list(zip(stripe_cuts[:-1].tolist(), stripe_cuts[1:].tolist()))
     # minimum per-stripe processor counts at bottleneck B
     need = np.array([_stripe_min_parts(pref, a, b, B, m) for a, b in stripes], dtype=np.int64)

@@ -17,9 +17,10 @@ formulas on deterministic seeded instances:
   at most depth + 1 cut-kernel calls per solve, one per tree level.
 * RECT-NICOL's striped bisection needs about half the walks of plain
   bisection, because each walk's proved bound moves the bracket past ``B``.
-* JAG-M-OPT-BEST settles both orientations in one bisection: fewer
-  feasibility DPs than a -HOR and a -VER solve together, and exactly one
-  (the winner's backtrack) warm from a seeded store.
+* JAG-M-OPT-BEST settles the likelier orientation and asks the other
+  once whether it fits below: its greedy steps on fig06's instance stay
+  below the joint bisection's, and warm from a seeded store it makes
+  exactly one DP (the confirm the build reuses), over a few stripes.
 * A partition is one ``(m, 4)`` array (§1's "compact representation"): a
   heuristic's solve constructs no per-rectangle ``Rect`` object.
 
@@ -345,41 +346,74 @@ def test_jag_m_opt_scans_level_end_starts_only():
     assert ops["proj_queries"] <= 600
 
 
-@pytest.mark.parametrize("m,winner,dps", [(6, "hor", 12), (12, "ver", 10)])
-def test_jag_m_opt_best_settles_both_orientations_in_one_bisection(
-    monkeypatch, tmp_path, m, winner, dps
-):
-    # -BEST bisects min(opt_HOR, opt_VER) once and builds only the winner:
-    # 12 and 10 feasibility DPs here, against 9 + 8 and 7 + 8 for a -HOR
-    # and a -VER solve; warm from a seeded store, the winner's optimum is
-    # on record, the loser's threshold probe is a recorded fact, and the
-    # backtrack is the only DP left
+def _count_m_opt_work(monkeypatch):
+    """Record each feasibility DP's bottleneck and each stripe walk's count."""
     from repro.jagged import m_opt
+
+    dps: list[int] = []
+    walks: list[int] = []
+    dp, walk = m_opt._level_end_dp, m_opt.min_parts
+
+    def counted_dp(*args, **kwargs):
+        dps.append(args[1])
+        return dp(*args, **kwargs)
+
+    def counted_walk(*args, **kwargs):
+        walks.append(walk(*args, **kwargs))
+        return walks[-1]
+
+    monkeypatch.setattr(m_opt, "_level_end_dp", counted_dp)
+    monkeypatch.setattr(m_opt, "min_parts", counted_walk)
+    return dps, walks
+
+
+@pytest.mark.parametrize(
+    "m,winner,dps,warm_walks",
+    [pytest.param(6, "hor", 11, 3, id="6-hor"), pytest.param(12, "ver", 16, 5, id="12-ver")],
+)
+def test_jag_m_opt_best_settles_the_leader_then_probes_the_other(
+    monkeypatch, tmp_path, m, winner, dps, warm_walks
+):
+    # -BEST settles the leader alone, asks the other side once whether it
+    # fits below, and builds only the winner: 11 and 16 feasibility DPs
+    # here, where -HOR plus -VER take 9 + 8 and 7 + 8 (this fixture is too
+    # small for the order to pay; the fig06 pin below is where it does).
+    # Warm from a seeded store, the winner's optimum is on record, the
+    # other side's threshold probe is a recorded fact, and the one DP left
+    # is the confirm at B*, which the build reuses.  The cold sweep ran an
+    # unpinned DP at B*, so that confirm walks few stripes: 3 and 5, where
+    # a store left by the pinned DP alone makes it walk 5 and 33.
     from repro.sweep import use_sweep
 
-    calls = []
-    dp = m_opt._level_end_dp
-
-    def counted(*args):
-        calls.append(args[1])
-        return dp(*args)
-
-    monkeypatch.setattr(m_opt, "_level_end_dp", counted)
+    calls, walks = _count_m_opt_work(monkeypatch)
     A = np.random.default_rng(9).integers(0, 60, (48, 48))
 
     def solve(method):
         calls.clear()
+        walks.clear()
         part = partition_2d(PrefixSum2D(A), m, method)
         return part, len(calls)
 
-    _, hor = solve("JAG-M-OPT-HOR")
-    _, ver = solve("JAG-M-OPT-VER")
     part, best = solve("JAG-M-OPT")
     assert part.meta["orientation"] == winner
-    assert best == dps < hor + ver
+    assert best == dps
     path = tmp_path / "facts.json"
     with use_sweep(store=path):
         solve("JAG-M-OPT")
     with use_sweep(store=path):
         part, warm = solve("JAG-M-OPT")
     assert warm == 1 and calls == [part.meta["lmax"]]
+    assert len(walks) == warm_walks
+
+
+def test_jag_m_opt_best_asks_the_loser_once(monkeypatch):
+    # fig06's instance at m = 36 (VER wins): settling the leader, then one
+    # threshold probe, walks stripes for 44 798 greedy steps (the counts
+    # the walks return); asking the loser at every midpoint the leader
+    # misses took 59 413 with the same pinned DPs, and 71 308 unpinned
+    from repro.instances import uniform
+
+    _, walks = _count_m_opt_work(monkeypatch)
+    part = partition_2d(PrefixSum2D(uniform(256, 1.2, seed=0)), 36, "JAG-M-OPT")
+    assert part.meta["orientation"] == "ver"
+    assert sum(walks) <= 50_000, sum(walks)

@@ -71,6 +71,42 @@ class TestAllocateProcessors:
         assert q.sum() == 7
         assert q.max() - q.min() <= 1
 
+    @pytest.mark.parametrize(
+        "loads,m",
+        [
+            ([2**61, 2**61 + 1, 2**61 - 1, 5], 10),
+            ([2**62, 2**62 - 7, 1], 9),
+            ([2**62 + 3, 0, 2**61, 2**60], 40),
+        ],
+    )
+    def test_ceilings_exact_where_int64_wraps(self, monkeypatch, loads, m):
+        # (m - P)·load passes 2**63 here: the proportional start must be the
+        # paper's ceil((m - P)·load/total) in exact integers (at least 1),
+        # and the result the exact shave-then-assign rule on Fraction keys
+        from fractions import Fraction
+
+        from repro.perf import kernels
+
+        starts = []
+        tail = kernels.alloc_tail
+
+        def spy(loads_, q, m_):
+            starts.append(q.tolist())
+            return tail(loads_, q, m_)
+
+        monkeypatch.setattr(kernels, "alloc_tail", spy)
+        P, total = len(loads), sum(loads)
+        assert max((m - P) * x for x in loads) > 2**63
+        want = [max(1, -(-(m - P) * x // total)) for x in loads]
+        got = allocate_processors(np.array(loads, dtype=np.int64), m)
+        assert starts == [want]
+        while sum(want) > m:
+            s = min((s for s in range(P) if want[s] > 1), key=lambda s: Fraction(loads[s], want[s]))
+            want[s] -= 1
+        while sum(want) < m:
+            want[max(range(P), key=lambda s: Fraction(loads[s], want[s]))] += 1
+        assert got.tolist() == want
+
     def test_too_few_processors(self):
         with pytest.raises(ParameterError):
             allocate_processors(np.array([1, 1, 1]), 2)

@@ -222,11 +222,12 @@ def test_allocate_processors_identical_across_modes(data):
         ref = allocate_processors(loads.astype(np.int64, copy=False), m)
     opt = allocate_processors(loads.astype(np.int64, copy=False), m)
     assert ref.tolist() == opt.tolist()
-    L = loads.astype(np.int64, copy=False)
-    total = int(L.sum())
+    L = [int(x) for x in loads]
+    total = sum(L)
     if total:
-        q = np.maximum(-((-(m - P) * L) // total), 1)  # the caller's ceil allocation
-        assert opt.tolist() == alloc_oracle(L.tolist(), q.tolist(), m)
+        # the caller's ceil allocation, exact: neither the sum nor (m - P)·load may wrap
+        q = [max(1, -(-(m - P) * x // total)) for x in L]
+        assert opt.tolist() == alloc_oracle(L, q, m)
 
 
 @st.composite
@@ -295,6 +296,34 @@ def test_min_processors_identical_across_modes(A, data):
     assert (f[A.shape[0]] > m) == (opt is None)
     if opt is not None:
         assert f.tolist() == opt
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=tie_heavy_matrices(), data=st.data())
+def test_pinned_dp_identical_to_unpinned(A, data):
+    # f falls as B grows, so f at B + d (full, when that DP fits) floors
+    # every row and the rows a DP at B - d computed (up to where it failed)
+    # cap them; rows where the two meet are pinned without a stripe walk.
+    # The pinned DP must return the unbounded call's f, and keep the same
+    # rows when it fails, and both must match the all-starts reference
+    pref = PrefixSum2D(A)
+    n1 = A.shape[0]
+    m = data.draw(st.integers(1, n1 + 4), label="m")
+    B = data.draw(st.integers(0, int(A.max()) + int(A.sum())), label="B")
+    above = B + data.draw(st.integers(0, int(A.max()) + 2), label="above")
+    below = max(0, B - data.draw(st.integers(0, int(A.max()) + 2), label="below"))
+    memo: dict = {}
+    low = _level_end_dp(pref, above, m, memo)
+    up: list[int] = []
+    _level_end_dp(pref, below, m, memo, out=up)
+    rows: list[int] = []
+    f = _level_end_dp(pref, B, m, memo, low=low, up=up, out=rows)
+    bare: list[int] = []
+    assert f == _level_end_dp(pref, B, m, {}, out=bare)
+    assert rows == bare
+    ref = _reference_dp(pref, B, m)[0].tolist()
+    assert ref[: len(rows)] == rows
+    assert (f is None) == (len(rows) <= n1) == (ref[n1] > m)
 
 
 @settings(max_examples=150, deadline=None)

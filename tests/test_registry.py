@@ -6,9 +6,11 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import ALGORITHMS, algorithm_names, lower_bound, partition_2d
 from repro.core.errors import ParameterError
@@ -17,6 +19,13 @@ from .conftest import load_matrices
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CATALOGUE = (REPO_ROOT / "docs" / "algorithms.md").read_text(encoding="utf-8")
+
+#: small enough for HIER-OPT's exhaustive DP
+tiny_matrices = hnp.arrays(
+    dtype=np.int64,
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    elements=st.integers(0, 40),
+)
 
 FAST_NAMES = [
     "RECT-UNIFORM",
@@ -85,6 +94,15 @@ class TestAllAlgorithmsContract:
         ph = partition_2d(A, m, "JAG-PQ-HEUR").max_load(A)
         assert lb <= mo + (1 if A.sum() == 0 else 0)
         assert mo <= po <= ph
+
+    @given(A=tiny_matrices, m=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_hierarchical_contains_m_way_jagged(self, A, m):
+        """Class inclusion: an m-way jagged partition is hierarchical (its
+        stripes are cut off one by one, then each stripe), so HIER-OPT <=
+        JAG-M-OPT, whichever orientation wins."""
+        ho = partition_2d(A, m, "HIER-OPT").max_load(A)
+        assert ho <= partition_2d(A, m, "JAG-M-OPT").max_load(A)
 
 
 _CITATION_RE = re.compile(r"§|\bSection\s+\d|\bTheorem\s+\d|\bFigure\s+\d|\b§?\d\.\d")
