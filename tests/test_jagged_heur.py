@@ -17,7 +17,7 @@ from repro.jagged import (
 )
 from repro.theory.bounds import jag_m_guarantee, jag_pq_guarantee
 
-from .conftest import load_matrices, positive_matrices
+from .conftest import alloc_oracle, load_matrices, positive_matrices
 
 
 class TestChoosePQ:
@@ -82,9 +82,7 @@ class TestAllocateProcessors:
     def test_ceilings_exact_where_int64_wraps(self, monkeypatch, loads, m):
         # (m - P)·load passes 2**63 here: the proportional start must be the
         # paper's ceil((m - P)·load/total) in exact integers (at least 1),
-        # and the result the exact shave-then-assign rule on Fraction keys
-        from fractions import Fraction
-
+        # and the result the exact shave-then-assign rule from that start
         from repro.perf import kernels
 
         starts = []
@@ -100,12 +98,7 @@ class TestAllocateProcessors:
         want = [max(1, -(-(m - P) * x // total)) for x in loads]
         got = allocate_processors(np.array(loads, dtype=np.int64), m)
         assert starts == [want]
-        while sum(want) > m:
-            s = min((s for s in range(P) if want[s] > 1), key=lambda s: Fraction(loads[s], want[s]))
-            want[s] -= 1
-        while sum(want) < m:
-            want[max(range(P), key=lambda s: Fraction(loads[s], want[s]))] += 1
-        assert got.tolist() == want
+        assert got.tolist() == alloc_oracle(loads, want, m)
 
     def test_too_few_processors(self):
         with pytest.raises(ParameterError):
