@@ -12,9 +12,23 @@ from __future__ import annotations
 import numpy as np
 
 from ...core.errors import ParameterError
+from ..spmv import _hist2d_counts, hist2d_triplets
 from .cavity import CavityConfig, cavity_vertices
 
 __all__ = ["project_vertices", "project_vertices_sparse", "slac_instance", "slac_sparse"]
+
+
+def _projection(vertices: np.ndarray, n: int, axes: tuple[int, int], n2: int | None) -> tuple:
+    """``(u, v, bins, value_range)`` of a projection — both twins' builder."""
+    vertices = np.asarray(vertices, dtype=np.float64)
+    if vertices.ndim != 2 or vertices.shape[1] != 3 or len(vertices) == 0:
+        raise ParameterError("vertices must have shape (N, 3) with N > 0")
+    if not np.isfinite(vertices).all():
+        raise ParameterError("vertices must be finite")
+    u = vertices[:, axes[0]]
+    v = vertices[:, axes[1]]
+    value_range = ((u.min(), u.max() + 1e-12), (v.min(), v.max() + 1e-12))
+    return u, v, (n, n if n2 is None else n2), value_range
 
 
 def project_vertices(
@@ -29,7 +43,7 @@ def project_vertices(
     Parameters
     ----------
     vertices:
-        ``(N, 3)`` coordinates.
+        ``(N, 3)`` finite coordinates, ``N > 0``.
     n, n2:
         Grid resolution (``n2`` defaults to ``n``) — the paper's
         "granularity of the discretization".
@@ -37,19 +51,7 @@ def project_vertices(
         Which coordinate pair spans the projection plane (default: the side
         view ``(z, x)``).
     """
-    vertices = np.asarray(vertices, dtype=np.float64)
-    if vertices.ndim != 2 or vertices.shape[1] != 3:
-        raise ParameterError("vertices must have shape (N, 3)")
-    n2 = n if n2 is None else n2
-    u = vertices[:, axes[0]]
-    v = vertices[:, axes[1]]
-    H, _, _ = np.histogram2d(
-        u,
-        v,
-        bins=(n, n2),
-        range=((u.min(), u.max() + 1e-12), (v.min(), v.max() + 1e-12)),
-    )
-    return H.astype(np.int64)
+    return _hist2d_counts(*_projection(vertices, n, axes, n2))
 
 
 def project_vertices_sparse(
@@ -67,21 +69,9 @@ def project_vertices_sparse(
     O(vertices + nnz) instead of O(n·n2).
     """
     from ...core.sparse import substrate_from_triplets
-    from ..spmv import hist2d_triplets
 
-    vertices = np.asarray(vertices, dtype=np.float64)
-    if vertices.ndim != 2 or vertices.shape[1] != 3:
-        raise ParameterError("vertices must have shape (N, 3)")
-    n2 = n if n2 is None else n2
-    u = vertices[:, axes[0]]
-    v = vertices[:, axes[1]]
-    rows, cols, counts = hist2d_triplets(
-        u,
-        v,
-        (n, n2),
-        ((u.min(), u.max() + 1e-12), (v.min(), v.max() + 1e-12)),
-    )
-    return substrate_from_triplets(rows, cols, counts, (n, n2))
+    u, v, bins, value_range = _projection(vertices, n, axes, n2)
+    return substrate_from_triplets(*hist2d_triplets(u, v, bins, value_range), bins)
 
 
 def slac_instance(

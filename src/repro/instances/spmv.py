@@ -12,6 +12,9 @@ Two synthetic sparsity models:
   skewed web/social-network regime where load-aware partitioners shine);
 * ``mesh`` — a 5-point-stencil mesh matrix (banded, near-uniform rows; the
   structured-PDE regime).
+
+Both twins share one nonzero builder per model (:func:`_spmv_points`) and
+one exact binning (:func:`_hist2d_keys`, bit-identical to ``np.histogram2d``).
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ import numpy as np
 from ..core.errors import ParameterError
 
 __all__ = ["spmv_instance", "spmv_sparse", "rmat_edges", "hist2d_triplets"]
+
+_Bins = int | tuple[int, int]
+_Range = tuple[tuple[float, float], tuple[float, float]]
 
 
 def rmat_edges(
@@ -48,17 +54,38 @@ def rmat_edges(
     for _ in range(scale):
         # quadrant choice per bit level: P(col bit) = b + d, and the row bit
         # is drawn conditionally on the chosen column half
-        r = rng.uniform(size=n_edges)
-        col_bit = (r >= a + c).astype(np.int64)
+        col_bit = rng.uniform(size=n_edges) >= a + c
         r2 = rng.uniform(size=n_edges)
-        row_bit = np.where(
-            col_bit == 1,
-            (r2 >= b / (b + d)).astype(np.int64),
-            (r2 >= a / (a + c)).astype(np.int64),
-        )
-        rows = (rows << 1) | row_bit
-        cols = (cols << 1) | col_bit
+        row_bit = np.where(col_bit, r2 >= b / (b + d), r2 >= a / (a + c))
+        rows <<= 1
+        rows |= row_bit
+        cols <<= 1
+        cols |= col_bit
     return np.stack([rows, cols], axis=1)
+
+
+def _spmv_points(
+    n: int, model: str, scale: int, edge_factor: int, mesh_size: int | None, seed
+) -> tuple[np.ndarray, np.ndarray, _Range]:
+    """Nonzero ``(rows, cols, value_range)`` of one model — both twins' builder."""
+    if n <= 0:
+        raise ParameterError("n must be positive")
+    key = model.lower()
+    if key == "rmat":
+        edges = rmat_edges(scale, edge_factor, seed=seed)
+        size = 1 << scale
+        return edges[:, 0], edges[:, 1], ((0, size), (0, size))
+    if key == "mesh":
+        k = mesh_size if mesh_size is not None else 256
+        if k <= 0:
+            raise ParameterError("mesh_size must be positive")
+        size = k * k
+        idx = np.arange(size, dtype=np.int64)
+        right = idx[idx % k != 0]  # cells with a left neighbour
+        rows = (idx, idx[k:], idx[:-k], right, right - 1)
+        cols = (idx, idx[k:] - k, idx[:-k] + k, right - 1, right)
+        return np.concatenate(rows), np.concatenate(cols), ((0, size), (0, size))
+    raise ParameterError(f"unknown model {model!r}; choose 'rmat' or 'mesh'")
 
 
 def spmv_instance(
@@ -76,68 +103,96 @@ def spmv_instance(
     the tail quadrants); ``model="mesh"`` builds the 5-point stencil matrix
     of a ``mesh_size²`` grid (block-banded, near-uniform).
     """
-    if n <= 0:
-        raise ParameterError("n must be positive")
-    key = model.lower()
-    if key == "rmat":
-        edges = rmat_edges(scale, edge_factor, seed=seed)
-        size = 1 << scale
-        H, _, _ = np.histogram2d(
-            edges[:, 0], edges[:, 1], bins=n, range=((0, size), (0, size))
-        )
-        return H.astype(np.int64)
-    if key == "mesh":
-        k = mesh_size if mesh_size is not None else 256
-        size = k * k
-        idx = np.arange(size, dtype=np.int64)
-        i, j = idx // k, idx % k
-        rows = [idx]
-        cols = [idx]
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ni, nj = i + di, j + dj
-            ok = (0 <= ni) & (ni < k) & (0 <= nj) & (nj < k)
-            rows.append(idx[ok])
-            cols.append((ni * k + nj)[ok])
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        H, _, _ = np.histogram2d(r, c, bins=n, range=((0, size), (0, size)))
-        return H.astype(np.int64)
-    raise ParameterError(f"unknown model {model!r}; choose 'rmat' or 'mesh'")
+    rows, cols, value_range = _spmv_points(n, model, scale, edge_factor, mesh_size, seed)
+    return _hist2d_counts(rows, cols, n, value_range)
+
+
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(edges, x, side="right")`` for ``np.linspace`` edges.
+
+    The guess ``floor((x - lo) · n / (hi - lo))`` is off by at most a rounding
+    step; two exact rounds against ``edges`` move it, and a point unsettled
+    after them (a guess that overflowed) takes the ``searchsorted`` fallback.
+    """
+    n = len(edges) - 1
+    if not np.all(edges[:-1] <= edges[1:]):  # a linspace that overflowed
+        return np.searchsorted(edges, x, side="right")
+    # b settles where pad[b] <= x < top[b]; the NaN cap is never <= x, so b
+    # stays in [0, n + 1] (a NaN x guesses n + 1, where searchsorted sorts it)
+    pad = np.concatenate(([-np.inf], edges, [np.nan]))
+    top = pad[1:]
+    # in place: every fresh temporary is one more freed array the heap may keep
+    with np.errstate(all="ignore"):
+        guess = np.subtract(x, edges[0])
+        guess *= n / (edges[-1] - edges[0])
+    guess += 1
+    np.fmin(guess, n + 1, out=guess)
+    b = np.fmax(guess, 0, out=guess).astype(np.int64)
+    for _ in range(2):
+        down, up = pad[b] > x, top[b] <= x
+        if not (down.any() or up.any()):
+            return b
+        b += up
+        b -= down
+    bad = (pad[b] > x) | (top[b] <= x)
+    b[bad] = np.searchsorted(edges, x[bad], side="right")
+    return b
+
+
+def _hist2d_keys(
+    x: np.ndarray, y: np.ndarray, bins: _Bins, value_range: _Range
+) -> tuple[np.ndarray, int, int]:
+    """Flat ``row · n2 + col`` cell key of every counted point, and ``(n1, n2)``.
+
+    Bins as ``np.histogram2d(x, y, bins, range=value_range)`` does: the same
+    ``linspace`` edges (an empty range widened to ±0.5), the rightmost edge
+    folded into the last bin, points outside the range dropped.
+    """
+    n1, n2 = (int(bins),) * 2 if np.ndim(bins) == 0 else (int(bins[0]), int(bins[1]))
+    if n1 <= 0 or n2 <= 0:
+        raise ParameterError("bins must be positive")
+    axes = []
+    for pts, n, (lo, hi) in ((x, n1, value_range[0]), (y, n2, value_range[1])):
+        if not (np.isfinite(lo) and lo <= hi and np.isfinite(float(hi) - float(lo))):
+            raise ParameterError(f"bin range [{lo}, {hi}] must be ordered, of finite width")
+        if lo == hi:
+            lo, hi = lo - 0.5, hi + 0.5
+        edges = np.linspace(lo, hi, n + 1)
+        pts = np.ascontiguousarray(pts, dtype=np.float64)
+        b = _bin_index(pts, edges)
+        b -= pts == edges[-1]
+        axes.append(b)
+    bx, by = axes  # bins 0 and n + 1 lie outside the range
+    if bx.size and not (min(bx.min(), by.min()) >= 1 and bx.max() <= n1 and by.max() <= n2):
+        keep = (bx >= 1) & (bx <= n1) & (by >= 1) & (by <= n2)
+        bx, by = bx[keep], by[keep]
+    bx *= n2
+    bx += by
+    bx -= n2 + 1
+    return bx, n1, n2
+
+
+def _hist2d_counts(x: np.ndarray, y: np.ndarray, bins: _Bins, value_range: _Range) -> np.ndarray:
+    """``np.histogram2d(x, y, bins, range=value_range)`` as int64, counted in
+    one ``bincount`` (no float64 histogram, no int64 copy of it)."""
+    keys, n1, n2 = _hist2d_keys(x, y, bins, value_range)
+    return np.bincount(keys, minlength=n1 * n2).reshape(n1, n2)
 
 
 def hist2d_triplets(
-    x: np.ndarray,
-    y: np.ndarray,
-    bins: int | tuple[int, int],
-    value_range: tuple[tuple[float, float], tuple[float, float]],
+    x: np.ndarray, y: np.ndarray, bins: _Bins, value_range: _Range
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """COO triplets of the 2D histogram — bit-identical bins, O(points) memory.
 
-    Replicates ``np.histogram2d(x, y, bins, range)`` binning exactly (same
-    ``linspace`` edges, same right-side ``searchsorted``, same inclusive
-    rightmost edge, same out-of-range exclusion) but returns only the
-    *occupied* cells as ``(rows, cols, counts)`` instead of the dense
-    histogram array.  This is what lets the ``large`` profile build a
+    The same keys as the dense twin, but only the *occupied* cells, as
+    ``(rows, cols, counts)``: the ``large`` profile builds a
     :class:`~repro.core.sparse.SparsePrefix2D` with the same digest as the
     densified instance, without the O(bins²) allocation.
     """
-    bx_n, by_n = (bins, bins) if isinstance(bins, int) else (int(bins[0]), int(bins[1]))
-    if bx_n <= 0 or by_n <= 0:
-        raise ParameterError("bins must be positive")
-    (x0, x1), (y0, y1) = value_range
-    xe = np.linspace(x0, x1, bx_n + 1)
-    ye = np.linspace(y0, y1, by_n + 1)
-    bx = np.searchsorted(xe, x, side="right")
-    by = np.searchsorted(ye, y, side="right")
-    # histogramdd folds points sitting exactly on the rightmost edge into
-    # the last bin; everything outside [lo, hi] is dropped
-    bx[np.asarray(x) == xe[-1]] -= 1
-    by[np.asarray(y) == ye[-1]] -= 1
-    ok = (bx >= 1) & (bx <= bx_n) & (by >= 1) & (by <= by_n)
-    keys = (bx[ok].astype(np.int64) - 1) * by_n + (by[ok].astype(np.int64) - 1)
+    keys, _, n2 = _hist2d_keys(x, y, bins, value_range)
     uniq, counts = np.unique(keys, return_counts=True)
-    rows = uniq // by_n
-    cols = uniq - rows * by_n
+    rows = uniq // n2
+    cols = uniq - rows * n2
     return rows, cols, counts.astype(np.int64)
 
 
@@ -160,30 +215,5 @@ def spmv_sparse(
     """
     from ..core.sparse import substrate_from_triplets
 
-    if n <= 0:
-        raise ParameterError("n must be positive")
-    key = model.lower()
-    if key == "rmat":
-        edges = rmat_edges(scale, edge_factor, seed=seed)
-        size = 1 << scale
-        rows, cols, counts = hist2d_triplets(
-            edges[:, 0], edges[:, 1], n, ((0, size), (0, size))
-        )
-        return substrate_from_triplets(rows, cols, counts, (n, n))
-    if key == "mesh":
-        k = mesh_size if mesh_size is not None else 256
-        size = k * k
-        idx = np.arange(size, dtype=np.int64)
-        i, j = idx // k, idx % k
-        r_parts = [idx]
-        c_parts = [idx]
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ni, nj = i + di, j + dj
-            ok = (0 <= ni) & (ni < k) & (0 <= nj) & (nj < k)
-            r_parts.append(idx[ok])
-            c_parts.append((ni * k + nj)[ok])
-        r = np.concatenate(r_parts)
-        c = np.concatenate(c_parts)
-        rows, cols, counts = hist2d_triplets(r, c, n, ((0, size), (0, size)))
-        return substrate_from_triplets(rows, cols, counts, (n, n))
-    raise ParameterError(f"unknown model {model!r}; choose 'rmat' or 'mesh'")
+    rows, cols, value_range = _spmv_points(n, model, scale, edge_factor, mesh_size, seed)
+    return substrate_from_triplets(*hist2d_triplets(rows, cols, n, value_range), (n, n))

@@ -24,7 +24,11 @@ from repro.core.sparse import SparsePrefix2D, substrate_from_triplets
 from repro.core.errors import ParameterError
 from repro.instances import slac_instance
 from repro.instances.spmv import hist2d_triplets, spmv_instance, spmv_sparse
-from repro.instances.mesh.project import slac_sparse
+from repro.instances.mesh.project import (
+    project_vertices,
+    project_vertices_sparse,
+    slac_sparse,
+)
 from repro.perf.counters import op_counters
 from repro.sweep import use_sweep
 from repro.sweep.store import instance_digest, matrix_digest
@@ -390,6 +394,17 @@ def test_hist2d_triplets_matches_histogram2d(rng):
         R = np.zeros(shape, dtype=np.int64)
         R[rows, cols] = counts
         np.testing.assert_array_equal(R, H.astype(np.int64))
+
+
+def test_slac_twins_agree_when_a_projection_axis_collapses(rng):
+    # u = 1e5 everywhere: the range's + 1e-12 vanishes, so the dense twin
+    # (like np.histogram2d) widens the empty range to ±0.5 and puts every
+    # vertex in the middle row; the sparse twin must bin the same way
+    V = rng.uniform(0.0, 1.0, size=(300, 3))
+    V[:, 0] = 1e5
+    dense = project_vertices(V, 8)
+    assert dense[4].sum() == len(V)
+    assert instance_digest(project_vertices_sparse(V, 8)) == matrix_digest(dense)
 
 
 # ----------------------------------------------------------------------

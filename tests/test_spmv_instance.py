@@ -9,7 +9,11 @@ from repro import partition_2d
 from repro.core.errors import ParameterError
 from repro.core.sparse import SparsePrefix2D
 from repro.instances import rmat_edges, spmv_instance
-from repro.instances.mesh.project import slac_sparse
+from repro.instances.mesh.project import (
+    project_vertices,
+    project_vertices_sparse,
+    slac_sparse,
+)
 from repro.instances.spmv import spmv_sparse
 
 
@@ -139,3 +143,27 @@ class TestSparseGenerators:
         pd = partition_2d(A, 16, "JAG-M-HEUR")
         ps = partition_2d(sub, 16, "JAG-M-HEUR")
         np.testing.assert_array_equal(pd.coords(), ps.coords())
+
+
+class TestGeneratorBoundary:
+    """Malformed generator input fails with ``ParameterError``, the same way
+    for the dense and the sparse twin (one shared builder checks it)."""
+
+    @pytest.mark.parametrize("twin", [project_vertices, project_vertices_sparse])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_vertices(self, twin, bad):
+        V = np.zeros((5, 3))
+        V[2, 1] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            twin(V, 4)
+
+    @pytest.mark.parametrize("twin", [project_vertices, project_vertices_sparse])
+    def test_empty_vertices(self, twin):
+        with pytest.raises(ParameterError, match="N > 0"):
+            twin(np.zeros((0, 3)), 4)
+
+    @pytest.mark.parametrize("twin", [spmv_instance, spmv_sparse])
+    @pytest.mark.parametrize("mesh_size", [0, -3])
+    def test_empty_mesh(self, twin, mesh_size):
+        with pytest.raises(ParameterError, match="mesh_size"):
+            twin(4, model="mesh", mesh_size=mesh_size)
