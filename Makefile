@@ -1,12 +1,14 @@
-# Local mirror of .github/workflows/ci.yml.  ruff and mypy are optional
-# (the `dev` extra); when absent they are skipped with a notice rather than
-# failing the whole gate, so `make check` works in minimal containers.
+# Targets for the steps of .github/workflows/ci.yml.  `make check` runs
+# the steps of its `lint` and `check` jobs (the other jobs have one target
+# each).  ruff and mypy are optional (the `dev` extra); when absent they are
+# skipped with a notice rather than failing the whole gate, so `make check`
+# works in minimal containers.
 
 PYTHON ?= python
 
-.PHONY: check lint ruff mypy test test-reference partition-smoke examples-smoke figures figures-check figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
+.PHONY: check lint ruff mypy test test-reference partition-smoke examples-smoke sparse-smoke figures figures-check figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
 
-check: ruff mypy lint test
+check: ruff mypy lint test test-reference partition-smoke examples-smoke sparse-smoke
 	@echo "make check: all gates passed"
 
 ruff:
@@ -72,6 +74,38 @@ examples-smoke:
 		PYTHONPATH=src $(PYTHON) $$f > /dev/null; \
 	done
 	@echo "examples-smoke: every example exits 0"
+
+# CSR at the benchmark's scale: the three 4096² sparse_large instances
+# (R-MAT, mesh, SLAC), each solved by the six heuristics at m = 256 on the
+# CSR and the dense substrate; the rectangles must be identical (~2 s,
+# ~340 MB peak RSS)
+define SPARSE_SMOKE
+import gc
+import numpy as np
+from repro.core.prefix import PrefixSum2D
+from repro.core.registry import partition_2d
+from repro.core.sparse import SparsePrefix2D
+from repro.instances import slac_instance
+from repro.instances.spmv import spmv_instance
+makers = {
+    "rmat": lambda: spmv_instance(4096, model="rmat", scale=14, edge_factor=8, seed=0),
+    "mesh": lambda: spmv_instance(4096, model="mesh", mesh_size=512),
+    "slac": lambda: slac_instance(4096),
+}
+for name, make in makers.items():
+    A = make()
+    csr, dense = SparsePrefix2D(A), PrefixSum2D(A)
+    del A
+    for meth in "$(HEURISTICS)".split():
+        got, want = partition_2d(csr, 256, meth), partition_2d(dense, 256, meth)
+        assert np.array_equal(got.coords(), want.coords()), (name, meth)
+    print(f"sparse-smoke: {name} nnz={csr.nnz} six heuristics identical")
+    del csr, dense
+    gc.collect()
+endef
+export SPARSE_SMOKE
+sparse-smoke:
+	PYTHONPATH=src $(PYTHON) -c "$$SPARSE_SMOKE"
 
 # regenerate every figure/extension through the committed raw/ store:
 # unchanged cells are cache hits, only what changed is recomputed, and a

@@ -296,6 +296,9 @@ class _ProjectionMemo:
 
     __slots__ = ()
 
+    #: whether projections are memoized, or only boundary lists
+    _MEMO_BANDS = True
+
     # provided by the concrete substrate
     n1: int
     n2: int
@@ -343,7 +346,7 @@ class _ProjectionMemo:
         ``False`` forces the straight-line path, and ``None`` (default)
         memoizes only when the instance has at least ``_CACHE_MIN_CELLS``
         cells — on small matrices the cache bookkeeping costs more than the
-        subtraction.
+        subtraction (and never without ``_MEMO_BANDS``).
         """
         if reuse is None:
             # inlined slot read: this dispatch runs on every projection
@@ -352,7 +355,7 @@ class _ProjectionMemo:
             reuse = self._cache_default
             if reuse is None:
                 reuse = self._reuse_default()
-        if not reuse:
+        if not (reuse and self._MEMO_BANDS):
             return self._axis_prefix_ref(axis, lo, hi)
         if hi is None:
             hi = self.n2 if axis == 0 else self.n1
@@ -399,25 +402,6 @@ class _ProjectionMemo:
         p = self.axis_prefix(axis, lo, hi, reuse=reuse)[j0 : j1 + 1]  # repro-lint: disable=RPL002
         return p - p[0]
 
-    def band_windows(
-        self, axes: _Ints, lo: _Ints, hi: _Ints, j0: _Ints, j1: _Ints
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Windows ``[j0[k], j1[k]]`` of the projections of many bands, flattened.
-
-        Band ``k`` spans ``[lo[k], hi[k])`` across axis ``axes[k]`` (all five
-        are int sequences of one length ``K >= 1``), and its window is
-        ``axis_prefix(axes[k], lo[k], hi[k])[j0[k] : j1[k] + 1]``, un-rebased.
-        Returns ``(vals, offs)``: window ``k`` is ``vals[offs[k]:offs[k+1]]``,
-        the frontier batch of :func:`repro.perf.kernels.weighted_cuts`.  This
-        version slices memoized projections (one per band, as a per-node
-        query would); :class:`PrefixSum2D` reads only the windows from Γ.
-        """
-        parts = [
-            self.axis_prefix(ax, a, b, reuse=True)[x : y + 1]
-            for ax, a, b, x, y in zip(axes, lo, hi, j0, j1)
-        ]
-        return np.concatenate(parts), _window_offsets(j0, j1)
-
     def boundary_list(
         self,
         axis: int,
@@ -441,7 +425,7 @@ class _ProjectionMemo:
                 reuse = self._reuse_default()
         if not reuse:
             return self._axis_prefix_ref(axis, lo, hi).tolist()
-        p = self.axis_prefix(axis, lo, hi, reuse=True)
+        p = self.axis_prefix(axis, lo, hi, reuse=True) if self._MEMO_BANDS else None
         if hi is None:
             hi = self.n2 if axis == 0 else self.n1
         key = ("bl", axis, lo, hi)
@@ -453,7 +437,7 @@ class _ProjectionMemo:
             if _OPS:
                 bump("proj_hits")
             return hit  # type: ignore[return-value]
-        pl = p.tolist()
+        pl = (self._axis_prefix_ref(axis, lo, hi) if p is None else p).tolist()
         cache.put(key, pl)
         return pl
 
@@ -549,7 +533,9 @@ class PrefixSum2D(_ProjectionMemo):
     def band_windows(
         self, axes: _Ints, lo: _Ints, hi: _Ints, j0: _Ints, j1: _Ints
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_ProjectionMemo.band_windows` read from the window cells of Γ alone.
+        """``(vals, offs)``: window ``k``, ``vals[offs[k]:offs[k+1]]``, is
+        ``axis_prefix(axes[k], lo[k], hi[k])[j0[k] : j1[k] + 1]`` (un-rebased;
+        a frontier batch of :func:`repro.perf.kernels.weighted_cuts`).
 
         Window ``k`` is ``E[hi[k], j0[k] : j1[k] + 1] - E[lo[k], ...]`` for
         the edge matrix ``E`` of its axis: Γ for axis 1 (row ``r`` holds the

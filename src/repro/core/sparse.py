@@ -18,9 +18,10 @@ and dense row/column *marginal* prefixes.  It satisfies the same
   subtraction), O(1) for full-width/full-height rectangles via the
   marginals; :meth:`~SparsePrefix2D.rect_loads` batches the probes of
   many rectangles into one vectorized pass;
-* row-band projections (:meth:`_axis_prefix_ref` along axis 1) by
-  scatter-add over only the nonzeros inside the band, O(nnz_band + n2);
-  column bands the same way through the transpose's row band when the
+* row-band projections and frontier windows as differences of two Γ
+  rows, O(n2); a row is built on demand (:meth:`_row`) from the nearest
+  built row by scattering only the nonzeros between the two.  Column
+  bands the same way on the transpose's rows when the
   transpose is pinned (a large instance pins it on its first column band
   or -VER solve, any instance in a sweep), and otherwise by two searches
   over all of ``keys`` per row, O(n1 log nnz);
@@ -36,6 +37,7 @@ otherwise.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 
 import numpy as np
 
@@ -49,7 +51,9 @@ from .prefix import (
     PrefixSum2D,
     _as_int64,
     _checked_max,
+    _Ints,
     _ProjectionMemo,
+    _window_offsets,
     as_load_matrix,
 )
 
@@ -96,7 +100,7 @@ class SparsePrefix2D(_ProjectionMemo):
         full-width and full-height loads, and free full-band projections.
 
     Total memory is O(nnz + n1 + n2) against the dense substrate's
-    O(n1·n2).
+    O(n1·n2), plus the Γ rows built on demand (in the projection memo).
     """
 
     __slots__ = (
@@ -114,7 +118,12 @@ class SparsePrefix2D(_ProjectionMemo):
         "_max_el",
         "_min_el",
         "_T",
+        "_built",
     )
+
+    #: a band (two rows apart) costs 3.9 µs, a memo hit 0.9 µs: on 4096² SLAC
+    #: a band memo would save a heuristic session ~0.2 ms for ~2 MiB
+    _MEMO_BANDS = False
 
     def __init__(self, A: np.ndarray):
         A = as_load_matrix(A)
@@ -214,6 +223,7 @@ class SparsePrefix2D(_ProjectionMemo):
         self._max_el: int | None = None
         self._min_el: int | None = None
         self._T: "SparsePrefix2D | None" = None
+        self._built: list[int] = []  # ascending rows put in the memo
 
     # -- query surface (LoadView) ---------------------------------------
 
@@ -304,16 +314,52 @@ class SparsePrefix2D(_ProjectionMemo):
             out[idx] = np.add.reduceat(self.csum[b] - self.csum[a], offs)
         return out
 
+    def _row(self, r: int) -> np.ndarray:
+        """Row ``r`` of this substrate's Γ (read-only): the column prefix of
+        rows ``[0, r)``, built from the built row with the fewest nonzeros
+        between the two, from below or above (exact: no value exceeds
+        ``total``).  Rows 0 and ``n1`` are free; an evicted row is rebuilt.
+        """
+        if r == 0:
+            return np.zeros(self.n2 + 1, dtype=np.int64)
+        if r == self.n1:
+            return self.col_pref
+        cache = self.projection_cache()
+        row = cache.get(("row", r))
+        if row is not None:
+            return row  # type: ignore[return-value]
+        # the nearest built rows below and above; evicted ones leave the list
+        built = self._built
+        i = bisect_left(built, r)
+        while i and ("row", built[i - 1]) not in cache:
+            i -= 1
+            del built[i]
+        while i < len(built) and ("row", built[i]) not in cache:
+            del built[i]
+        lo = built[i - 1] if i else 0
+        hi = built[i] if i < len(built) else self.n1
+        s0, s, s1 = (int(self.indptr[x]) for x in (lo, r, hi))
+        a, b = (s0, s) if s - s0 <= s1 - s else (s, s1)
+        row = np.zeros(self.n2 + 1, dtype=np.int64)
+        np.add.at(row, self.cols[a:b] + 1, self.vals[a:b])  # only those nonzeros
+        np.cumsum(row, out=row)
+        if a == s0:
+            row += self._row(lo)
+        else:
+            np.subtract(self._row(hi), row, out=row)
+        row.flags.writeable = False
+        cache.put(("row", r), row)
+        built.insert(i, r)
+        return row
+
     def _axis_prefix_ref(self, axis: int, lo: int, hi: int | None) -> np.ndarray:
         if axis == 0:
             hi = self.n2 if hi is None else hi
             if lo == 0 and hi == self.n2:
-                # full band: the row marginal, copied so the memo's freeze
-                # cannot reach the substrate's own array
+                # full band: a copy of the row marginal, never the array
                 return self.row_pref.copy()
             if self._T is not None or self._reuse_default():
-                # a column band is the pinned transpose's row band: one
-                # scatter over the band's nonzeros, not two searches a row.
+                # the pinned transpose's row band, not two searches a row.
                 # A large instance pins it on its first column band
                 return self.transpose()._axis_prefix_ref(1, lo, hi)
             out = np.zeros(self.n1 + 1, dtype=np.int64)
@@ -324,16 +370,28 @@ class SparsePrefix2D(_ProjectionMemo):
             return out
         elif axis == 1:
             hi = self.n1 if hi is None else hi
-            if lo == 0 and hi == self.n1:
-                return self.col_pref.copy()
-            out = np.zeros(self.n2 + 1, dtype=np.int64)
-            s0 = int(self.indptr[lo])
-            s1 = int(self.indptr[hi])
-            # scatter-add over only the stripe's nonzeros, then prefix
-            np.add.at(out, self.cols[s0:s1] + 1, self.vals[s0:s1])
-            np.cumsum(out, out=out)
-            return out
+            return self._row(hi) - self._row(lo)
         raise ParameterError(f"axis must be 0 or 1, got {axis}")
+
+    def band_windows(
+        self, axes: _Ints, lo: _Ints, hi: _Ints, j0: _Ints, j1: _Ints
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`PrefixSum2D.band_windows` from the Γ rows of this substrate
+        (axis 1) or its transpose (axis 0), the missing ones built in
+        ascending order: a batch scatters each nonzero at most once an axis.
+        """
+        offs = _window_offsets(j0, j1)
+        out = np.empty(int(offs[-1]), dtype=np.int64)
+        for ax in (0, 1):
+            ks = [k for k, a in enumerate(axes) if a == ax]
+            if not ks:
+                continue
+            E = self.transpose() if ax == 0 else self
+            rows = {r: E._row(r) for r in sorted({lo[k] for k in ks} | {hi[k] for k in ks})}
+            for k in ks:
+                x, y = j0[k], j1[k] + 1
+                np.subtract(rows[hi[k]][x:y], rows[lo[k]][x:y], out=out[offs[k] : offs[k + 1]])
+        return out, offs
 
     def max_element(self) -> int:
         """Largest single cell load (lower bound ``max A[x][y]`` of §2.1)."""

@@ -44,22 +44,18 @@ def _stripe_matrix(pref: PrefixSum2D, cuts: np.ndarray, axis: int) -> np.ndarray
 
     ``axis`` is the fixed dimension carrying the stripes delimited by
     ``cuts``; row ``s`` of the result is the prefix of the free dimension
-    restricted to stripe ``s``.  One fancy-indexing subtraction on Γ.
+    restricted to stripe ``s``: one fancy-indexing subtraction on Γ, or the
+    stripes' full windows from the CSR substrate's built Γ rows.
     """
     G = getattr(pref, "G", None)
     if G is not None:
         if axis == 0:
             return G[cuts[1:], :] - G[cuts[:-1], :]
         return (G[:, cuts[1:]] - G[:, cuts[:-1]]).T
-    # sparse substrate: one stripe projection per band (axis 0 stripes
-    # project onto axis 1 and vice versa), identical values to the dense
-    # fancy-indexing subtraction above
-    return np.stack(
-        [
-            pref.axis_prefix(1 - axis, int(cuts[s]), int(cuts[s + 1]))
-            for s in range(len(cuts) - 1)
-        ]
-    )
+    S, c = len(cuts) - 1, cuts.tolist()
+    n = pref.n2 if axis == 0 else pref.n1
+    vals, _ = pref.band_windows([1 - axis] * S, c[:-1], c[1:], [0] * S, [n] * S)
+    return vals.reshape(S, n + 1)
 
 
 def _validated_cuts(cuts, n: int, parts: int, what: str) -> np.ndarray:

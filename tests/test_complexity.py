@@ -15,6 +15,9 @@ formulas on deterministic seeded instances:
 * HIER-RB evaluates exactly 2 cut searches per tree node with even splits,
   and at most 4 with odd ones; HIER-RELAXED at most 2 (§3.3).  Both make
   at most depth + 1 cut-kernel calls per solve, one per tree level.
+* The CSR substrate answers HIER bands from Γ rows built on demand: a
+  HIER-RB plus HIER-RELAXED session scatters each nonzero a few times,
+  not once per band.
 * RECT-NICOL's striped bisection needs about half the walks of plain
   bisection, because each walk's proved bound moves the bracket past ``B``.
 * JAG-M-OPT-BEST settles the likelier orientation and asks the other
@@ -250,6 +253,38 @@ def test_hier_kernel_calls_one_per_tree_level(monkeypatch, method, name):
                 depth = partition_2d(A, m, method).meta["tree"].depth()
             assert len(windows) <= depth + 1, (m, backend, depth)
             assert sum(windows) >= m - 1  # a window per internal node at least
+
+
+def test_csr_hier_session_scatters_few_nonzeros(monkeypatch):
+    # every CSR band projection and frontier window is read from Γ rows, and
+    # a row is built from its nearest built row: the nonzeros np.add.at
+    # scatters in a HIER-RB + HIER-RELAXED session at m = 256 stay within
+    # 8·nnz (4.7·nnz from built rows; 36·nnz with one scatter per band)
+    from repro.core import sparse
+    from repro.core.sparse import SparsePrefix2D
+    from repro.instances import slac_instance
+
+    pref = SparsePrefix2D(slac_instance(512))
+    scattered = [0]
+
+    class Add:
+        def __getattr__(self, name):
+            return getattr(np.add, name)
+
+        def at(self, a, idx, vals):
+            scattered[0] += len(vals)
+            np.add.at(a, idx, vals)
+
+    class Numpy:
+        add = Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(sparse, "np", Numpy())
+    for method in ("HIER-RB", "HIER-RELAXED"):
+        partition_2d(pref, 256, method)
+    assert 0 < scattered[0] <= 8 * pref.nnz, scattered[0] / pref.nnz
 
 
 @pytest.mark.parametrize("method", algorithm_names(heuristics_only=True))

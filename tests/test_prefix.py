@@ -282,7 +282,7 @@ class TestPrefix2D:
         want = [pf.axis_prefix(ax, a, b, reuse=False)[x : y + 1] for ax, a, b, x, y in bands]
         assert offs.tolist() == np.cumsum([0] + [len(w) for w in want]).tolist()
         np.testing.assert_array_equal(vals, np.concatenate(want))
-        # the memoized-slice version every other substrate inherits agrees
+        # the CSR substrate, which reads the windows from its built Γ rows, agrees
         csr_vals, csr_offs = SparsePrefix2D(A).band_windows(*zip(*bands))
         np.testing.assert_array_equal(csr_vals, vals)
         np.testing.assert_array_equal(csr_offs, offs)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core import prefix as prefix_mod
 from repro.core import sparse as sparse_mod
 from repro.core.partition import Partition
 from repro.core.prefix import LoadView, PrefixSum2D, as_load_matrix, prefix_2d
@@ -185,6 +186,52 @@ def test_pinned_column_band_never_searches_keys(rng, monkeypatch):
     # without a pinned transpose the keys are searched row by row
     unpinned.axis_prefix(0, 3, 4, reuse=False)
     assert searched == [unpinned, unpinned]
+
+
+def _draw_bands(data, shape, order) -> list[tuple[int, int, int, int, int]]:
+    """``(axis, lo, hi, j0, j1)`` bands of both axes, in ``order`` of ``(lo, hi)``."""
+    bands = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        ax = data.draw(st.integers(0, 1))
+        across, along = (shape[1], shape[0]) if ax == 0 else shape
+        lo = data.draw(st.integers(0, across))
+        hi = data.draw(st.integers(lo, across))
+        j0 = data.draw(st.integers(0, along))
+        bands.append((ax, lo, hi, j0, data.draw(st.integers(j0, along))))
+    if order != "random":
+        bands.sort(key=lambda b: (b[1], b[2]), reverse=order == "descending")
+    return bands
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_row_cache_sequences_match_dense(data):
+    """Random sequences of band projections and ``band_windows`` batches,
+    read from Γ rows built on demand (from below or from above, from rows
+    that may have been evicted mid-sequence), equal the dense twin byte for
+    byte: both axes, the transpose pinned or not, one matrix of at least
+    ``_CACHE_MIN_CELLS`` cells."""
+    shape = data.draw(st.sampled_from([(1, 9), (9, 1), (13, 11), (24, 20), (300, 256)]))
+    assert 300 * 256 >= prefix_mod._CACHE_MIN_CELLS
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A = _random_sparse(rng, *shape, density=data.draw(st.sampled_from([0.02, 0.2, 0.7])))
+    # a budget of a few rows evicts built rows between (and within) queries
+    rows = data.draw(st.sampled_from([None, 2, 3, 5]))
+    budget = prefix_mod._CACHE_BUDGET_BYTES if rows is None else rows * (8 * max(shape) + 120)
+    dense = PrefixSum2D(A)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prefix_mod, "_CACHE_BUDGET_BYTES", budget)
+        sparse = _pinned(A) if data.draw(st.booleans()) else SparsePrefix2D(A)
+        for _ in range(data.draw(st.integers(1, 6))):
+            bands = _draw_bands(data, shape, data.draw(st.sampled_from(["ascending", "descending", "random"])))
+            if data.draw(st.booleans()):
+                got = sparse.band_windows(*zip(*bands))
+                want = dense.band_windows(*zip(*bands))
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            else:
+                for ax, lo, hi, _, _ in bands:
+                    got = sparse.axis_prefix(ax, lo, hi)
+                    assert got.tobytes() == dense.axis_prefix(ax, lo, hi, reuse=False).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
