@@ -39,7 +39,8 @@ test-reference:
 		tests/test_jagged_heur.py tests/test_jagged_opt.py tests/test_hierarchical.py \
 		tests/test_sparse_equality.py tests/test_jagged_lmax.py \
 		tests/test_transpose.py tests/test_metamorphic.py \
-		tests/test_oned_optimal.py tests/test_oned_engine.py
+		tests/test_oned_optimal.py tests/test_oned_engine.py \
+		tests/test_partition_pins.py
 
 # CI smoke of the partition file round trip: each of the six heuristics
 # partitions a small .npy at m = 64 through the CLI into .json and .npz;

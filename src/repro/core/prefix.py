@@ -415,9 +415,11 @@ class _ProjectionMemo:
         The probe family binary-searches plain Python lists (C-speed
         ``bisect_right``, see :mod:`repro.oned.probe`); converting an
         ``ndarray`` costs O(n) per call.  This query converts once per
-        ``(axis, lo, hi)`` and memoizes the list alongside the projection.
-        Callers must treat the returned list as immutable.  ``reuse`` as in
-        :meth:`axis_prefix` (``None`` defers to the instance-size default).
+        ``(axis, lo, hi)`` and memoizes the list as the band's only entry,
+        on both substrates: no projection is kept beside it, so a call is
+        one memo lookup.  Callers must treat the returned list as
+        immutable.  ``reuse`` as in :meth:`axis_prefix` (``None`` defers
+        to the instance-size default).
         """
         if reuse is None:
             reuse = self._cache_default  # inlined, as in axis_prefix
@@ -425,7 +427,6 @@ class _ProjectionMemo:
                 reuse = self._reuse_default()
         if not reuse:
             return self._axis_prefix_ref(axis, lo, hi).tolist()
-        p = self.axis_prefix(axis, lo, hi, reuse=True) if self._MEMO_BANDS else None
         if hi is None:
             hi = self.n2 if axis == 0 else self.n1
         key = ("bl", axis, lo, hi)
@@ -437,7 +438,7 @@ class _ProjectionMemo:
             if _OPS:
                 bump("proj_hits")
             return hit  # type: ignore[return-value]
-        pl = (self._axis_prefix_ref(axis, lo, hi) if p is None else p).tolist()
+        pl = self._axis_prefix_ref(axis, lo, hi).tolist()
         cache.put(key, pl)
         return pl
 

@@ -20,6 +20,7 @@ from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 
 __all__ = [
     "build_jagged_partition",
+    "check_pq",
     "choose_pq",
     "default_stripe_count",
     "oriented",
@@ -32,6 +33,12 @@ def default_stripe_count(m: int, n_main: int) -> int:
         raise ParameterError(f"m must be >= 1, got {m}")
     P = int(round(np.sqrt(m)))
     return max(1, min(P, n_main, m))
+
+
+def check_pq(P: int, Q: int) -> None:
+    """Reject a stripe or per-stripe count below one."""
+    if P < 1 or Q < 1:
+        raise ParameterError(f"P and Q must be >= 1, got P={P}, Q={Q}")
 
 
 def choose_pq(m: int, n1: int, n2: int) -> tuple[int, int]:

@@ -36,7 +36,7 @@ from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 from ..oned.bisect import bisect_bottleneck
-from ..oned.probe import min_parts, probe_cuts
+from ..oned.probe import check_m, min_parts, probe_cuts
 from ..sweep.state import SweepInvariantError, SweepState
 from ..sweep.state import current as _sweep_current
 from .common import build_jagged_partition
@@ -514,6 +514,7 @@ def jag_m_opt_dp_bottleneck(pref: PrefixSum2D, m: int, *, limit: int = 1 << 22) 
     avoid accidental huge runs; use :func:`jag_m_opt_bottleneck` for real
     instances.
     """
+    check_m(m)
     n1 = pref.n1
     if n1 * n1 * m > limit:
         raise ParameterError(

@@ -10,8 +10,8 @@ discipline through the 2D algorithms:
   bit).
 * :mod:`repro.perf.cache` — the bounded LRU memo behind
   :meth:`~repro.core.prefix.PrefixSum2D.axis_prefix` /
-  :meth:`~repro.core.prefix.PrefixSum2D.boundary_list`: stripe projections
-  and their probe-ready list forms are materialized once per (axis, lo, hi)
+  :meth:`~repro.core.prefix.PrefixSum2D.boundary_list`: a stripe projection,
+  or its probe-ready list form, is materialized once per (axis, lo, hi)
   instead of once per probe.
 * :mod:`repro.perf.kernels` — the stable kernel interface: a registry of
   named kernels (``probe_batch``, ``min_parts``, ``probe_cuts``,

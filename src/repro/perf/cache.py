@@ -6,8 +6,10 @@ to the plain-list form the probe hot path wants
 (:meth:`~repro.core.prefix.PrefixSum2D.boundary_list`).  The JAG-M-OPT
 feasibility DP is the worst offender: every bisection iteration touches the
 same ``O(n1²)`` (stripe start, stripe end) bands again.  One bounded memo
-per prefix instance amortizes both the projection subtraction and the
-list conversion across iterations, variants and algorithms.
+per prefix instance amortizes the projection subtraction and the list
+conversion across iterations, variants and algorithms.  A band the exact
+solvers walk is kept as its list alone; a projection another caller asks
+for is a separate entry.
 
 The cache is bounded by approximate payload *bytes* rather than entry count
 because entries range from a 17-element stripe prefix to a full-width

@@ -21,7 +21,7 @@ import numpy as np
 from ..core.errors import ParameterError
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, prefix_2d
-from ..jagged.common import choose_pq
+from ..jagged.common import check_pq, choose_pq
 from ..oned.multicost import multi_bottleneck, multi_cuts
 from .common import build_rectilinear_partition
 from .nicol import _stripe_matrix
@@ -31,6 +31,7 @@ __all__ = ["rect_opt", "rect_opt_bottleneck"]
 
 def _enumerate(pref, P: int, Q: int, limit: int):
     """Yield ``(bottleneck, row_cuts, col_cuts)`` over all row-cut choices."""
+    check_pq(P, Q)
     n1 = pref.n1
     k = min(P, n1) - 1
     from math import comb

@@ -452,3 +452,36 @@ def test_jag_m_opt_best_asks_the_loser_once(monkeypatch):
     part = partition_2d(PrefixSum2D(uniform(256, 1.2, seed=0)), 36, "JAG-M-OPT")
     assert part.meta["orientation"] == "ver"
     assert sum(walks) <= 50_000, sum(walks)
+
+
+def test_jag_pq_opt_probes_prove_both_sides(monkeypatch):
+    # fig06's instance, -BEST: each probe-of-probes moves an end of the
+    # bracket to the bound it proves, HOR is settled and VER asked once
+    # below it.  4 / 16 / 21 probes at m = 16 / 144 / 400 (the threshold
+    # probe and the build's own included), against 26 / 32 / 26 for
+    # midpoint bisection of both orientations, and 37 / 444 / 972 stripe
+    # walks against 791 / 2 644 / 3 553
+    from repro.instances import uniform
+    from repro.jagged import pq_opt
+
+    probes, walks = [], []
+    probe_fn, walk_fn = pq_opt._probe, pq_opt._stripe_walk
+
+    def counted_probe(*args):
+        probes.append(args[3])
+        return probe_fn(*args)
+
+    def counted_walk(*args):
+        walks.append(args[2])
+        return walk_fn(*args)
+
+    monkeypatch.setattr(pq_opt, "_probe", counted_probe)
+    monkeypatch.setattr(pq_opt, "_stripe_walk", counted_walk)
+    pref = PrefixSum2D(uniform(256, 1.2, seed=0))
+    got = []
+    for m in (16, 144, 400):
+        probes.clear()
+        walks.clear()
+        partition_2d(pref, m, "JAG-PQ-OPT")
+        got.append((len(probes), len(walks)))
+    assert got == [(4, 37), (16, 444), (21, 972)], got

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.errors import ParameterError
 from repro.core.prefix import PrefixSum2D
 from repro.jagged import (
     jag_m_heur,
@@ -19,7 +20,10 @@ from repro.jagged import (
     jag_pq_opt_bottleneck,
     jag_pq_opt_dp_bottleneck,
 )
+from repro.jagged import pq_opt
 from repro.oned.bisect import bisect_bottleneck
+from repro.oned.probe import probe
+from repro.rectilinear.opt import rect_opt, rect_opt_bottleneck
 
 tiny_matrices = hnp.arrays(
     dtype=np.int64,
@@ -33,6 +37,41 @@ zero_heavy_matrices = hnp.arrays(
     shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
     elements=st.one_of(st.just(0), st.integers(0, 30)),
 )
+
+_shapes = st.tuples(st.integers(1, 8), st.integers(1, 8))
+
+
+@st.composite
+def _zero_rows(draw):
+    A = draw(hnp.arrays(np.int64, _shapes, elements=st.integers(0, 30)))
+    A[draw(hnp.arrays(np.bool_, (A.shape[0],)))] = 0
+    return A
+
+
+#: tie-heavy: 0/1 cells, all ones, whole zero rows, one row, one column
+tie_heavy_matrices = st.one_of(
+    hnp.arrays(np.int64, _shapes, elements=st.integers(0, 1)),
+    _shapes.map(lambda s: np.ones(s, dtype=np.int64)),
+    _zero_rows(),
+    hnp.arrays(np.int64, st.tuples(st.just(1), st.integers(1, 8)), elements=st.integers(0, 9)),
+    hnp.arrays(np.int64, st.tuples(st.integers(1, 8), st.just(1)), elements=st.integers(0, 9)),
+)
+
+
+def plain_feasible(A, P, Q, B):
+    """The probe-of-probes decision, stripes grown one row at a time."""
+    n1 = A.shape[0]
+    G = np.zeros((n1 + 1, A.shape[1] + 1), dtype=np.int64)
+    G[1:, 1:] = A.cumsum(0).cumsum(1)
+    pos = 0
+    for _ in range(P):
+        end = pos
+        while end < n1 and probe(G[end + 1] - G[pos], Q, B):
+            end += 1
+        if end == pos:
+            return pos == n1
+        pos = end
+    return pos == n1
 
 
 def brute_pq(A, P, Q):
@@ -111,6 +150,46 @@ class TestJagPQOpt:
         pref = PrefixSum2D(A)
         assert jag_pq_opt_bottleneck(pref, P, Q) == jag_pq_opt_dp_bottleneck(pref, P, Q)
 
+    @given(tie_heavy_matrices, st.integers(1, 10), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_probe_bounds_are_sound(self, A, P, Q):
+        """Every probe's bound against the plain decision, P > n1 included.
+
+        An infeasible probe at ``B`` returns ``b > B`` with every value of
+        ``[B, b)`` infeasible; a feasible one returns ``b <= B``, feasible.
+        """
+        pref = PrefixSum2D(A)
+        lb = max(-(-pref.total // (P * Q)), pref.max_element())
+        for B in range(lb, max(lb, pref.total) + 1):
+            cuts, b = pq_opt._probe(pref, P, Q, B)
+            if cuts is None:
+                assert b > B
+                assert not any(plain_feasible(A, P, Q, x) for x in range(B, b))
+            else:
+                assert b <= B and plain_feasible(A, P, Q, b)
+                assert cuts[0] == 0 and cuts[-1] == A.shape[0] and len(cuts) == P + 1
+
+    @given(tie_heavy_matrices, st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_orientations_match_dp_and_bruteforce(self, A, m):
+        """-HOR and -VER reach their optimum; -BEST keeps the smaller, ties to HOR."""
+        from repro.jagged.common import choose_pq
+
+        lmax = {}
+        for o, M in (("hor", A), ("ver", A.T)):
+            part = jag_pq_opt(A, m, orientation=o)
+            P, Q = choose_pq(m, *M.shape)
+            want = brute_pq(M, P, Q)
+            assert jag_pq_opt_dp_bottleneck(PrefixSum2D(M), P, Q) == want
+            assert part.meta["lmax"] == part.max_load(A) == want
+            assert part.meta["orientation"] == o
+            lmax[o] = want
+        best = jag_pq_opt(A, m)
+        best.validate()
+        winner = "ver" if lmax["ver"] < lmax["hor"] else "hor"
+        assert (best.meta["orientation"], best.meta["lmax"]) == (winner, lmax[winner])
+        assert np.array_equal(best.coords(), jag_pq_opt(A, m, orientation=winner).coords())
+
     def test_medium_instance(self, rng):
         A = rng.integers(1, 100, (40, 40))
         p = jag_pq_opt(A, 16)
@@ -160,3 +239,29 @@ class TestJagMOpt:
         A = rng.integers(1, 5, (100, 100))
         with pytest.raises(ParameterError):
             jag_m_opt_dp_bottleneck(PrefixSum2D(A), 1000)
+
+
+_ONES = np.ones((4, 4), dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: jag_pq_opt_bottleneck(PrefixSum2D(_ONES), 0, 3), id="pq-opt-bottleneck"),
+        pytest.param(lambda: jag_pq_opt(_ONES, 0, P=0, Q=5), id="pq-opt"),
+        pytest.param(lambda: jag_pq_opt(_ONES, -3, P=-1, Q=3), id="pq-opt-negative"),
+        pytest.param(lambda: jag_pq_opt_dp_bottleneck(PrefixSum2D(_ONES), 0, 3), id="pq-opt-dp"),
+        pytest.param(lambda: jag_m_opt_dp_bottleneck(PrefixSum2D(_ONES), 0), id="m-opt-dp"),
+        pytest.param(lambda: rect_opt_bottleneck(PrefixSum2D(_ONES), 0, 3), id="rect-opt-bottleneck"),
+        pytest.param(lambda: rect_opt_bottleneck(PrefixSum2D(_ONES), 3, 0), id="rect-opt-bottleneck-q"),
+        pytest.param(lambda: rect_opt(_ONES, 0, P=0, Q=3), id="rect-opt"),
+    ],
+)
+def test_exact_solvers_reject_non_positive_counts(call):
+    """Zero or negative P, Q or m is a ParameterError at the entry point.
+
+    These once raised ZeroDivisionError, RecursionError or a bare
+    ValueError, or returned the DP's infinity sentinel as an answer.
+    """
+    with pytest.raises(ParameterError):
+        call()

@@ -1,0 +1,160 @@
+"""sha256 pins of JAG-PQ-OPT partitions on the fig06 and fig07 instances.
+
+Each pin is ``(sha256 of coords(), meta["lmax"], meta["orientation"])`` of
+the -HOR, -VER and -BEST solves on the small-profile Uniform (fig06) and
+PIC-MAG (fig07) instances, at every m those figures run JAG-PQ-OPT at.  The
+digests were taken from the solver that bisected the midpoint and ran
+-BEST as two full solves; a change to the search that moves one rectangle,
+the optimum or the -BEST tie-break fails here.  The fig07 snapshot comes
+from the PIC-MAG instance cache (``REPRO_CACHE``), generated on first use.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.core.prefix import PrefixSum2D
+from repro.experiments.figures import _pic_dataset
+from repro.experiments.scale import get_scale
+from repro.instances import uniform
+from repro.jagged import jag_pq_opt
+
+SMALL = get_scale("small")
+
+PINS = {
+    ("fig06", 16, "hor"): (
+        "72271578ec21d2b2a982aca69f6057ba6c651c3250ff4e5801d1a7b5fddd98de", 4510210, "hor"
+    ),
+    ("fig06", 16, "ver"): (
+        "d47b3a32f3b56ff88b0333e9011601221061fbf66f7ccb6974d0ab47f0431865", 4510210, "ver"
+    ),
+    ("fig06", 16, "best"): (
+        "72271578ec21d2b2a982aca69f6057ba6c651c3250ff4e5801d1a7b5fddd98de", 4510210, "hor"
+    ),
+    ("fig06", 36, "hor"): (
+        "67330f57b186855130c457ab7d1c77ec80171abd9da8464a4b931324c6739457", 2034248, "hor"
+    ),
+    ("fig06", 36, "ver"): (
+        "afd8a4a432ef9ecaa2496d39ef98ddde99ba98a6d8af176b656465fd9ca8570d", 2034344, "ver"
+    ),
+    ("fig06", 36, "best"): (
+        "67330f57b186855130c457ab7d1c77ec80171abd9da8464a4b931324c6739457", 2034248, "hor"
+    ),
+    ("fig06", 64, "hor"): (
+        "28ad64e798c9cec481e2962dd7485f125bcc11e21cbecb46500259b866ab9c53", 1130749, "hor"
+    ),
+    ("fig06", 64, "ver"): (
+        "897f90d6363ebe22c6092640f4b2cbb466a7436b04b9b33d5e17b6a5230063e2", 1130749, "ver"
+    ),
+    ("fig06", 64, "best"): (
+        "28ad64e798c9cec481e2962dd7485f125bcc11e21cbecb46500259b866ab9c53", 1130749, "hor"
+    ),
+    ("fig06", 144, "hor"): (
+        "f0c6e6c96cee542bcdc4ea44d1b8a4038b458726ac05b961a86c8c0d527f1e7a", 531493, "hor"
+    ),
+    ("fig06", 144, "ver"): (
+        "89bbfff8ecb9cae356eeaa916c48108abbe431a135ada13873ecf9208347da14", 531409, "ver"
+    ),
+    ("fig06", 144, "best"): (
+        "89bbfff8ecb9cae356eeaa916c48108abbe431a135ada13873ecf9208347da14", 531409, "ver"
+    ),
+    ("fig06", 256, "hor"): (
+        "e9c369b7d9caa7e864b899c2c1d9190f7c937a094b7a4a0bd54c0faf51c3b724", 283647, "hor"
+    ),
+    ("fig06", 256, "ver"): (
+        "20963041d1e3706fa838ec47d1676240a265db97782fa7379e42984e0a27f538", 283647, "ver"
+    ),
+    ("fig06", 256, "best"): (
+        "e9c369b7d9caa7e864b899c2c1d9190f7c937a094b7a4a0bd54c0faf51c3b724", 283647, "hor"
+    ),
+    ("fig06", 400, "hor"): (
+        "9448329c21f027ccbdb696291330b2a7f42bcd1e7716dd5d58c6877e5efd016c", 186620, "hor"
+    ),
+    ("fig06", 400, "ver"): (
+        "fb2871170318f6ff62e550d0ce1b8dcc1f60e4f2eefca621b4c01e9f5a0d04d6", 186599, "ver"
+    ),
+    ("fig06", 400, "best"): (
+        "fb2871170318f6ff62e550d0ce1b8dcc1f60e4f2eefca621b4c01e9f5a0d04d6", 186599, "ver"
+    ),
+    ("fig07", 16, "hor"): (
+        "f1634199d7eb0fd2017ea4654ebed9fbc7711a6ff100b54b5b031f14f56934a9", 1074604, "hor"
+    ),
+    ("fig07", 16, "ver"): (
+        "32df73ad562def1df315eb632cd05ec99c3685a7c926403ca9c24dabf1e13812", 1073007, "ver"
+    ),
+    ("fig07", 16, "best"): (
+        "32df73ad562def1df315eb632cd05ec99c3685a7c926403ca9c24dabf1e13812", 1073007, "ver"
+    ),
+    ("fig07", 36, "hor"): (
+        "1a5ef175570d4213f723686a36c039ab4b59e36af77e6da4e39eac08107701cf", 489601, "hor"
+    ),
+    ("fig07", 36, "ver"): (
+        "f30ff3d5218221c3b3b061dde32e01e5ef5badedb7cae78280d2074e94db6caa", 489601, "ver"
+    ),
+    ("fig07", 36, "best"): (
+        "1a5ef175570d4213f723686a36c039ab4b59e36af77e6da4e39eac08107701cf", 489601, "hor"
+    ),
+    ("fig07", 64, "hor"): (
+        "aa2ddfc0713b52f11b22e6f9537a982e301d82b07d645c981a27ff3ac4ba99d7", 275848, "hor"
+    ),
+    ("fig07", 64, "ver"): (
+        "3a49eaf8b5582da6fa52b637dba18bf432e711a7dd44dfc3db7179aab312b0c0", 273623, "ver"
+    ),
+    ("fig07", 64, "best"): (
+        "3a49eaf8b5582da6fa52b637dba18bf432e711a7dd44dfc3db7179aab312b0c0", 273623, "ver"
+    ),
+    ("fig07", 144, "hor"): (
+        "fa6d997eabfb9473979bd2bbc725d4b01d1269501cc8424b78a15f97a747bb87", 124200, "hor"
+    ),
+    ("fig07", 144, "ver"): (
+        "359dda84c395187e2f36b7f57e8dd77358d869b70589bec1bce0436b2a85a16c", 124380, "ver"
+    ),
+    ("fig07", 144, "best"): (
+        "fa6d997eabfb9473979bd2bbc725d4b01d1269501cc8424b78a15f97a747bb87", 124200, "hor"
+    ),
+    ("fig07", 256, "hor"): (
+        "564b35ed3b3a9113ccbcd20c25ba09634c7a0949d4396c2dfaea44b8d3a255f9", 72870, "hor"
+    ),
+    ("fig07", 256, "ver"): (
+        "a10a0ddce56a9a13a68198b5511eda01efaa5df2054a2a5dc6eef8d1e4713a61", 72257, "ver"
+    ),
+    ("fig07", 256, "best"): (
+        "a10a0ddce56a9a13a68198b5511eda01efaa5df2054a2a5dc6eef8d1e4713a61", 72257, "ver"
+    ),
+    ("fig07", 400, "hor"): (
+        "f5c08c2dfcdfda05727d2983f5322346803db9f095a0cdeadde2a97499b49be7", 50102, "hor"
+    ),
+    ("fig07", 400, "ver"): (
+        "11194c74712736a306ca7b972dc3cfbf9dc3e2cfd380c4360852d35de75eb0de", 50083, "ver"
+    ),
+    ("fig07", 400, "best"): (
+        "11194c74712736a306ca7b972dc3cfbf9dc3e2cfd380c4360852d35de75eb0de", 50083, "ver"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def instances():
+    return {
+        "fig06": PrefixSum2D(uniform(SMALL.n_uniform, 1.2, seed=0)),
+        "fig07": PrefixSum2D(_pic_dataset(SMALL).snapshot(SMALL.pic_fig7_iteration)),
+    }
+
+
+def test_pins_cover_the_figures_cells():
+    ms = [m for m in SMALL.m_values if m <= SMALL.m_cap_pq_opt]
+    want = {(f, m, o) for f in ("fig06", "fig07") for m in ms for o in ("hor", "ver", "best")}
+    assert set(PINS) == want
+
+
+@pytest.mark.parametrize("fig,m,orientation", sorted(PINS))
+def test_jag_pq_opt_partition_is_pinned(instances, fig, m, orientation):
+    part = jag_pq_opt(instances[fig], m, orientation=orientation)
+    got = (
+        hashlib.sha256(part.coords().tobytes()).hexdigest(),
+        part.meta["lmax"],
+        part.meta["orientation"],
+    )
+    assert got == PINS[fig, m, orientation]
