@@ -57,10 +57,10 @@ _ROW_SCAN_MIN_WIDTH = 1024
 _GATHER_MIN_WINDOWS = 16
 _GATHER_MAX_MEAN = 64
 
-#: byte budget of one substrate's projection memo.  A JAG-M-OPT solve on
-#: the small-profile 256² instances keeps every band resident up to m = 64
-#: (38–44 MiB); at m = 144 it evicts 1% (uniform) to 21% (peak) of its
-#: ~14.5k entries
+#: byte budget of one substrate's projection memo.  Sized for the JAG-M-OPT
+#: DP's stripe lists, which filled it at m = 144 on the small-profile 256²
+#: instances; that DP now builds its lists fresh, and the memo holds
+#: JAG-PQ-OPT stripe lists, CSR Γ rows and projections
 _CACHE_BUDGET_BYTES = 64 << 20
 #: size-defaulted projection queries memoize, and Γᵀ is pinned, from this
 #: many cells up.  Six one-shot heuristic solves on a fresh ``peak``
@@ -419,7 +419,7 @@ class _ProjectionMemo:
         on both substrates: no projection is kept beside it, so a call is
         one memo lookup.  Callers must treat the returned list as
         immutable.  ``reuse`` as in :meth:`axis_prefix` (``None`` defers
-        to the instance-size default).
+        to the instance-size default; the JAG-M-OPT DP passes ``False``).
         """
         if reuse is None:
             reuse = self._cache_default  # inlined, as in axis_prefix

@@ -51,12 +51,12 @@ _R = TypeVar("_R")
 def _stripe_min_parts(pref: PrefixSum2D, k: int, i: int, B: int, cap: int) -> int:
     """Greedy rectangle count for stripe rows ``[k, i)`` at bottleneck ``B``.
 
-    The feasibility DP revisits the same ``(k, i)`` stripes on every
-    bisection iteration, so the stripe's boundary list is served from the
-    prefix cache instead of re-materializing ``G[i,:] - G[k,:]`` (and
-    re-converting it to a list) per call.
+    The stripe's boundary list is built fresh (``G[i,:] - G[k,:]`` as a
+    list), not served from the projection memo: most stripes the DP walks
+    are walked once (the stripe memo's facts answer the repeats), so the
+    memo would mostly pay its store and eviction costs.
     """
-    return min_parts(pref.boundary_list(1, k, i, reuse=True), B, cap=cap)
+    return min_parts(pref.boundary_list(1, k, i, reuse=False), B, cap=cap)
 
 
 #: memo-entry list length that triggers a compaction pass; cross-sweep

@@ -3,9 +3,10 @@
 The 2D algorithms repeatedly project bands of ``Γ`` onto one axis
 (:meth:`~repro.core.prefix.PrefixSum2D.axis_prefix`) and convert the result
 to the plain-list form the probe hot path wants
-(:meth:`~repro.core.prefix.PrefixSum2D.boundary_list`).  The JAG-M-OPT
-feasibility DP is the worst offender: every bisection iteration touches the
-same ``O(n1²)`` (stripe start, stripe end) bands again.  One bounded memo
+(:meth:`~repro.core.prefix.PrefixSum2D.boundary_list`).  JAG-PQ-OPT's
+probes walk the same P stripes on every bisection step, and CSR bands are
+differences of memoized Γ rows; the JAG-M-OPT DP, which walks most of its
+stripes once, builds its lists without the memo.  One bounded memo
 per prefix instance amortizes the projection subtraction and the list
 conversion across iterations, variants and algorithms.  A band the exact
 solvers walk is kept as its list alone; a projection another caller asks

@@ -134,21 +134,28 @@ def min_parts(
     no count is feasible: some single cell exceeds ``B``, or ``B < 0`` (as
     in :func:`probe`).  With ``cap=None`` an infeasible call raises
     ``ValueError``.
+    The walk stops as soon as the load left exceeds what the intervals left
+    under the cap can carry, and still answers as the full walk (proof:
+    ``docs/algorithms.md``, JAG-M-OPT).
     """
     Pl = as_boundary_list(P)
     if hi is None:
         hi = len(Pl) - 1
     limit = cap if cap is not None else (hi - lo) + 1
+    need = Pl[hi] - limit * B  # the smallest P[pos] the remaining parts can carry
     pos = lo
     parts = 0
     while pos < hi:
         if parts >= limit:
             return limit + 1
+        if Pl[pos] < need:  # more than ``limit`` parts (or none) can cover the rest
+            break
         nxt = bisect_right(Pl, Pl[pos] + B, pos, hi + 1) - 1
         if nxt <= pos:  # single cell exceeds B (always, when B < 0)
             break
         pos = nxt
         parts += 1
+        need += B
     else:
         if B >= 0:
             return parts

@@ -307,15 +307,15 @@ def test_heuristic_solve_constructs_no_rect(monkeypatch, method):
 
 
 # ---------------------------------------------------------------------------
-# cache effectiveness: the JAG-M-OPT DP re-reads stripe projections
+# cache effectiveness: the JAG-PQ-OPT probes re-read stripe boundary lists
 
 
-def test_jag_m_opt_projection_cache_hits():
+def test_jag_pq_opt_projection_cache_hits():
     rng = np.random.default_rng(9)
     A = rng.integers(0, 60, (48, 48))
     with op_counters() as ops:
         pref = PrefixSum2D(A)
-        partition_2d(pref, 12, "JAG-M-OPT-HOR")
+        partition_2d(pref, 12, "JAG-PQ-OPT-HOR")
     assert ops["proj_hits"] > 0
     assert ops["proj_hits"] <= ops["proj_queries"]
     # every miss stored its entry (nothing evicted within the budget)
@@ -370,15 +370,46 @@ def test_rect_nicol_gallops_from_its_hint(monkeypatch):
     assert len(walks) <= 220, len(walks)
 
 
-def test_jag_m_opt_scans_level_end_starts_only():
+def test_jag_m_opt_scans_level_end_starts_only(monkeypatch):
     # the feasibility DP visits only the last start of each run of equal
-    # f(k) (at most m + 1 per row): 522 stripe projections on this
-    # instance, against 975 when every start in [0, i) is a candidate
+    # f(k) (at most m + 1 per row): its 7 DPs walk 157 stripes on this
+    # instance, where the all-starts DP (_reference_dp, every start in
+    # [0, i) a candidate) walks 886 at the same bottlenecks
+    from repro.jagged import m_opt
+
+    walks = []
+    walk = m_opt._stripe_min_parts
+
+    def counted(*args):
+        walks.append(args[1:3])
+        return walk(*args)
+
+    monkeypatch.setattr(m_opt, "_stripe_min_parts", counted)
     rng = np.random.default_rng(9)
     A = rng.integers(0, 60, (48, 48))
-    with op_counters() as ops:
-        partition_2d(PrefixSum2D(A), 12, "JAG-M-OPT-HOR")
-    assert ops["proj_queries"] <= 600
+    partition_2d(PrefixSum2D(A), 12, "JAG-M-OPT-HOR")
+    assert 0 < len(walks) <= 160, len(walks)
+
+
+def test_jag_m_opt_capped_walks_stop_at_the_load_bound(monkeypatch):
+    # a capped stripe walk stops once the load left exceeds what its
+    # remaining parts can carry: one JAG-M-OPT solve here makes 6 626
+    # bisect_right calls, where walking every capped step to cap + 1 made
+    # 10 579 (fig06's m = 144 cell: 345 k against 985 k)
+    from bisect import bisect_right
+
+    from repro.instances import uniform
+    from repro.perf import kernels
+
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return bisect_right(*args)
+
+    monkeypatch.setattr(kernels, "bisect_right", counted)
+    partition_2d(PrefixSum2D(uniform(64, 1.2, seed=0)), 36, "JAG-M-OPT-HOR")
+    assert calls[0] <= 6700, calls[0]
 
 
 def _count_m_opt_work(monkeypatch):

@@ -31,6 +31,7 @@ coverage (``perf`` stays in ``HOT_PACKAGES``).
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,76 @@ def test_min_parts_matches_reference(pname, backend):
             if cap is not None and want > cap:
                 want = cap + 1
             assert kernel("min_parts", backend)(P, B, 0, None, cap) == want, (pname, B, cap)
+
+
+def _min_parts_full_walk(Pl: list[int], B: int, lo: int, hi: int, cap: int | None) -> int:
+    """The capped greedy that walks every step up to ``cap + 1``: the oracle
+    the walk stopping at the remaining-load bound must answer like."""
+    limit = cap if cap is not None else (hi - lo) + 1
+    pos = lo
+    parts = 0
+    while pos < hi:
+        if parts >= limit:
+            return limit + 1
+        nxt = bisect_right(Pl, Pl[pos] + B, pos, hi + 1) - 1
+        if nxt <= pos:
+            break
+        pos = nxt
+        parts += 1
+    else:
+        if B >= 0:
+            return parts
+    if cap is None:
+        raise ValueError(f"no interval count is feasible at bottleneck {B}")
+    return limit + 1
+
+
+#: cell loads: zeros, small loads and loads near ``2**62``, in runs
+_cell_runs = st.lists(
+    st.tuples(
+        st.one_of(st.just(0), st.integers(0, 20), st.integers(_HUGE - 50, _HUGE)),
+        st.integers(1, 6),
+    ),
+    max_size=8,
+)
+
+
+@given(_cell_runs, st.data())
+@settings(max_examples=400, deadline=None)
+def test_min_parts_matches_the_full_walk(runs, data):
+    cells = [v for v, k in runs for _ in range(k)]
+    Pl = [0]
+    for v in cells:
+        Pl.append(Pl[-1] + v)
+    n = len(cells)
+    lo = data.draw(st.integers(0, n), label="lo")
+    hi = data.draw(st.integers(0, n), label="hi")
+    rest = Pl[hi] - Pl[lo] if lo < hi else 0
+    B = data.draw(
+        st.one_of(
+            st.sampled_from([-1, 0]),
+            st.integers(1, max(rest, 1) + 2),
+            st.sampled_from(cells or [1]),
+            st.integers(1, n + 1).map(lambda k: -(-rest // k)),  # rest split k ways
+        ),
+        label="B",
+    )
+    try:  # caps around the exact count, where a refutation one step early shows
+        exact = _min_parts_full_walk(Pl, B, lo, hi, None)
+        near = [exact - 1, exact, exact + 1]
+    except ValueError:
+        near = [0]
+    caps = st.one_of(st.sampled_from([None, 0, 1]), st.integers(-1, n + 2), st.sampled_from(near))
+    cap = data.draw(caps, label="cap")
+    try:
+        want: int | type[ValueError] = _min_parts_full_walk(Pl, B, lo, hi, cap)
+    except ValueError:
+        want = ValueError
+    try:
+        got: int | type[ValueError] = kernels.min_parts(Pl, B, lo, hi, cap)
+    except ValueError:
+        got = ValueError
+    assert got == want
 
 
 @pytest.mark.parametrize("pname", sorted(PREFIXES))

@@ -1,12 +1,15 @@
-"""sha256 pins of JAG-PQ-OPT partitions on the fig06 and fig07 instances.
+"""sha256 pins of the exact jagged partitions on the fig06 and fig07 instances.
 
 Each pin is ``(sha256 of coords(), meta["lmax"], meta["orientation"])`` of
 the -HOR, -VER and -BEST solves on the small-profile Uniform (fig06) and
-PIC-MAG (fig07) instances, at every m those figures run JAG-PQ-OPT at.  The
-digests were taken from the solver that bisected the midpoint and ran
--BEST as two full solves; a change to the search that moves one rectangle,
-the optimum or the -BEST tie-break fails here.  The fig07 snapshot comes
-from the PIC-MAG instance cache (``REPRO_CACHE``), generated on first use.
+PIC-MAG (fig07) instances, at every m those figures run JAG-PQ-OPT
+(``PINS``) and JAG-M-OPT (``M_OPT_PINS``) at.  The JAG-PQ-OPT digests were
+taken from the solver that bisected the midpoint and ran -BEST as two full
+solves; the JAG-M-OPT digests from the one whose capped stripe walks ran
+every greedy step and read their stripes through the projection memo.  A
+change to a search that moves one rectangle, the optimum or the -BEST
+tie-break fails here.  The fig07 snapshot comes from the PIC-MAG instance
+cache (``REPRO_CACHE``), generated on first use.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from repro.core.prefix import PrefixSum2D
 from repro.experiments.figures import _pic_dataset
 from repro.experiments.scale import get_scale
 from repro.instances import uniform
-from repro.jagged import jag_pq_opt
+from repro.jagged import jag_m_opt, jag_pq_opt
 
 SMALL = get_scale("small")
 
@@ -134,6 +137,81 @@ PINS = {
     ),
 }
 
+M_OPT_PINS = {
+    ("fig06", 16, "hor"): (
+        "122fbe76aba1140782e20bc55f20753ab89540d984351c4c88f691183a7a3678", 4506755, "hor"
+    ),
+    ("fig06", 16, "ver"): (
+        "d5cdd0214b98bef66e467f841edc622968562bd801829e9a8037abbaea476532", 4507033, "ver"
+    ),
+    ("fig06", 16, "best"): (
+        "122fbe76aba1140782e20bc55f20753ab89540d984351c4c88f691183a7a3678", 4506755, "hor"
+    ),
+    ("fig06", 36, "hor"): (
+        "62a8a895ec421ebbbd96410039e997bc4ad344a418dd70737f648315481a429d", 2009830, "hor"
+    ),
+    ("fig06", 36, "ver"): (
+        "70b36f86dfa768efd221afd8fa70bd20c86d4773eeb8387e60d31cb72e988ace", 2008968, "ver"
+    ),
+    ("fig06", 36, "best"): (
+        "70b36f86dfa768efd221afd8fa70bd20c86d4773eeb8387e60d31cb72e988ace", 2008968, "ver"
+    ),
+    ("fig06", 64, "hor"): (
+        "3a9a90812405216f41ec0d4fe502167f0bce5ed6058875ec82cba5da62975ae7", 1127757, "hor"
+    ),
+    ("fig06", 64, "ver"): (
+        "3e656dd9485d94566466270aed89c827b0f35471336001f1baa147ddd90751bd", 1128193, "ver"
+    ),
+    ("fig06", 64, "best"): (
+        "3a9a90812405216f41ec0d4fe502167f0bce5ed6058875ec82cba5da62975ae7", 1127757, "hor"
+    ),
+    ("fig06", 144, "hor"): (
+        "d4ef1a05b1dda2bcde952aa76f64125b047cc116bed5585d55e0e338b4c30f43", 503860, "hor"
+    ),
+    ("fig06", 144, "ver"): (
+        "663912f4f8663ab4db2d61b797e9493301ade9cf665110411bbbd34cf62da73e", 503569, "ver"
+    ),
+    ("fig06", 144, "best"): (
+        "663912f4f8663ab4db2d61b797e9493301ade9cf665110411bbbd34cf62da73e", 503569, "ver"
+    ),
+    ("fig07", 16, "hor"): (
+        "c95e19ab537915d9fe4426410455307b6649d97da3c366af451e3143c34767a5", 1064772, "hor"
+    ),
+    ("fig07", 16, "ver"): (
+        "810578ea5fe38e588b1aeebcd70193949f0d832741a9c66b3931952b3af44ef2", 1058363, "ver"
+    ),
+    ("fig07", 16, "best"): (
+        "810578ea5fe38e588b1aeebcd70193949f0d832741a9c66b3931952b3af44ef2", 1058363, "ver"
+    ),
+    ("fig07", 36, "hor"): (
+        "29a437811ba86b61db8efcd8778b17041786ac33d31e71eff03c64f5d2073c8a", 472701, "hor"
+    ),
+    ("fig07", 36, "ver"): (
+        "95febe77bfd9a6c520f58571b75920c63611f3a10f1b7edab499ba49d7b08e32", 477228, "ver"
+    ),
+    ("fig07", 36, "best"): (
+        "29a437811ba86b61db8efcd8778b17041786ac33d31e71eff03c64f5d2073c8a", 472701, "hor"
+    ),
+    ("fig07", 64, "hor"): (
+        "3031ada4cd94f67208e773fc156ebf5c2aa6bc62dd926338aeeb633b0831f1b2", 266825, "hor"
+    ),
+    ("fig07", 64, "ver"): (
+        "97fe4ed109acf24aa38834e38bfd674e451618dc73689e010efda58010d30674", 266533, "ver"
+    ),
+    ("fig07", 64, "best"): (
+        "97fe4ed109acf24aa38834e38bfd674e451618dc73689e010efda58010d30674", 266533, "ver"
+    ),
+    ("fig07", 144, "hor"): (
+        "9c8c907927c6150d883174eac54d02566072ae645436978b6a1b565ea5022c43", 119079, "hor"
+    ),
+    ("fig07", 144, "ver"): (
+        "bb588166feb2854aeb4740100552d1e36edb6c7e4880b96b47244c7ecad5b1bc", 119542, "ver"
+    ),
+    ("fig07", 144, "best"): (
+        "9c8c907927c6150d883174eac54d02566072ae645436978b6a1b565ea5022c43", 119079, "hor"
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def instances():
@@ -144,9 +222,10 @@ def instances():
 
 
 def test_pins_cover_the_figures_cells():
-    ms = [m for m in SMALL.m_values if m <= SMALL.m_cap_pq_opt]
-    want = {(f, m, o) for f in ("fig06", "fig07") for m in ms for o in ("hor", "ver", "best")}
-    assert set(PINS) == want
+    for pins, m_cap in ((PINS, SMALL.m_cap_pq_opt), (M_OPT_PINS, SMALL.m_cap_m_opt)):
+        ms = [m for m in SMALL.m_values if m <= m_cap]
+        want = {(f, m, o) for f in ("fig06", "fig07") for m in ms for o in ("hor", "ver", "best")}
+        assert set(pins) == want
 
 
 @pytest.mark.parametrize("fig,m,orientation", sorted(PINS))
@@ -158,3 +237,14 @@ def test_jag_pq_opt_partition_is_pinned(instances, fig, m, orientation):
         part.meta["orientation"],
     )
     assert got == PINS[fig, m, orientation]
+
+
+@pytest.mark.parametrize("fig,m,orientation", sorted(M_OPT_PINS))
+def test_jag_m_opt_partition_is_pinned(instances, fig, m, orientation):
+    part = jag_m_opt(instances[fig], m, orientation=orientation)
+    got = (
+        hashlib.sha256(part.coords().tobytes()).hexdigest(),
+        part.meta["lmax"],
+        part.meta["orientation"],
+    )
+    assert got == M_OPT_PINS[fig, m, orientation]
