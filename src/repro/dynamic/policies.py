@@ -34,8 +34,7 @@ as exact rationals.  The naive float form double-rounds and flips decisions
 once loads near 2^62 (the same failure PR 5 pinned in
 ``Partition.imbalance``); ``tests/test_policies.py`` pins the flip.
 Cost-model arithmetic (:class:`MigrationBudgeted`'s α/γ trade) is float by
-design — unit costs are real-valued, like the heterogeneous speeds of
-:mod:`repro.oned.hetero`.
+design — unit costs are real-valued.
 """
 # repro-lint: disable-file=RPL003 — cost-model seconds are fractional by design
 

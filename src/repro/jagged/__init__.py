@@ -1,7 +1,6 @@
 """Jagged partitions: P×Q-way and the paper's new m-way class (§3.2)."""
 
 from .common import build_jagged_partition, choose_pq, default_stripe_count
-from .hetero import hetero_makespan_2d, jag_hetero, speed_groups
 from .m_heur import allocate_processors, jag_m_heur
 from .m_opt import jag_m_opt, jag_m_opt_bottleneck, jag_m_opt_dp_bottleneck
 from .pq_heur import jag_pq_heur
@@ -11,9 +10,6 @@ __all__ = [
     "build_jagged_partition",
     "choose_pq",
     "default_stripe_count",
-    "hetero_makespan_2d",
-    "jag_hetero",
-    "speed_groups",
     "allocate_processors",
     "jag_m_heur",
     "jag_m_opt",

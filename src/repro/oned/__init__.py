@@ -9,7 +9,6 @@ generalization used by RECT-NICOL.
 from .api import ONED_METHODS, OneDResult, interval_loads, partition_1d
 from .bisect import bisect_bottleneck, partition_bisect
 from .dp import dp_bottleneck, partition_dp
-from .hetero import hetero_makespan, partition_hetero, probe_hetero
 from .heuristics import direct_cut, direct_cut_refined, recursive_bisection
 from .multicost import multi_bottleneck, partition_multi, probe_multi
 from .nicol import nicol, nicol_bottleneck, nicol_plus, nicol_plus_bottleneck
@@ -24,9 +23,6 @@ __all__ = [
     "partition_bisect",
     "dp_bottleneck",
     "partition_dp",
-    "hetero_makespan",
-    "partition_hetero",
-    "probe_hetero",
     "direct_cut",
     "direct_cut_refined",
     "recursive_bisection",

@@ -5,7 +5,6 @@ from .simulator import (
     CostModel,
     SimulationReport,
     StepStats,
-    hetero_partitioner,
 )
 
 __all__ = [
@@ -13,5 +12,4 @@ __all__ = [
     "CostModel",
     "SimulationReport",
     "StepStats",
-    "hetero_partitioner",
 ]

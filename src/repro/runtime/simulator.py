@@ -8,9 +8,7 @@ PIC-MAG dataset) and a partitioning strategy, it simulates a bulk-synchronous
 execution:
 
 * **compute** — a step costs the load of the most loaded processor times
-  ``alpha`` (perfect overlap inside a step, barrier at the end); with
-  heterogeneous per-processor ``speeds`` the cost is the makespan
-  ``max_p L_p / s_p`` (cf. :mod:`repro.oned.hetero`);
+  ``alpha`` (perfect overlap inside a step, barrier at the end);
 * **communicate** — ghost-cell exchange along rectangle boundaries costs the
   largest per-processor boundary times ``beta``;
 * **repartition** — when the policy installs a new partition, the load
@@ -35,12 +33,12 @@ serve; the examples drive it with different algorithms to show end-to-end
 effects (cf. §5: "integrate the proposed algorithms in a real dynamic
 application and study their end-to-end effects").
 """
-# repro-lint: disable-file=RPL003 — simulated seconds/speeds are fractional by design
+# repro-lint: disable-file=RPL003 — simulated seconds are fractional by design
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -48,14 +46,13 @@ from ..core.errors import ParameterError
 from ..core.metrics import exact_imbalance, max_boundary, migration_volume, neighbor_counts
 from ..core.partition import Partition
 from ..core.prefix import LoadView, MatrixLike, prefix_2d
-from ..dynamic.policies import EveryK, RepartitionPolicy, StepContext
+from ..dynamic.policies import EveryK, RepartitionPolicy, StepContext, _count, _finite
 
 __all__ = [
     "CostModel",
     "StepStats",
     "SimulationReport",
     "BSPSimulator",
-    "hetero_partitioner",
 ]
 
 Partitioner = Callable[[LoadView, int], Partition]
@@ -70,6 +67,8 @@ class CostModel:
     ``gamma`` — seconds per unit of load migrated at a repartitioning;
     ``latency`` — seconds per halo message: the per-step latency term is
     ``latency`` times the largest per-processor neighbour count.
+
+    Every unit cost must be finite and non-negative (zero isolates a term).
     """
 
     alpha: float = 1e-6
@@ -77,15 +76,14 @@ class CostModel:
     gamma: float = 2e-6
     latency: float = 0.0  #: seconds per halo message (per neighbour, per step)
 
+    def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "latency"):
+            _finite(name, getattr(self, name))
+
 
 @dataclass(frozen=True)
 class StepStats:
-    """Per-snapshot accounting.
-
-    ``makespan`` is the speed-normalized bottleneck time driving the
-    compute cost: equal to ``max_load`` for homogeneous processors, and
-    ``max_p L_p / s_p`` when the simulator was given ``speeds``.
-    """
+    """Per-snapshot accounting."""
 
     iteration: int
     max_load: int
@@ -94,7 +92,6 @@ class StepStats:
     comm_time: float
     migration_time: float
     repartitioned: bool
-    makespan: float = 0.0
 
     @property
     def total_time(self) -> float:
@@ -143,27 +140,6 @@ class SimulationReport:
         )
 
 
-def hetero_partitioner(speeds) -> Partitioner:
-    """Partitioner closure over :func:`repro.jagged.hetero.jag_hetero`.
-
-    ``speeds[i]`` is processor ``i``'s relative speed; the returned callable
-    has the simulator's ``(pref, m) -> Partition`` shape and checks that the
-    simulator's ``m`` matches ``len(speeds)``.
-    """
-    from ..jagged.hetero import jag_hetero
-
-    speeds = np.asarray(speeds, dtype=np.float64)
-
-    def run(pref: LoadView, m: int) -> Partition:
-        if m != len(speeds):
-            raise ParameterError(
-                f"simulator m={m} != len(speeds)={len(speeds)}"
-            )
-        return jag_hetero(pref, speeds)
-
-    return run
-
-
 class BSPSimulator:
     """Simulate a dynamic application over load snapshots.
 
@@ -173,7 +149,8 @@ class BSPSimulator:
         Number of processors.
     partitioner:
         ``(LoadView, m) -> Partition`` — typically a closure over
-        :func:`repro.partition_2d` (or :func:`hetero_partitioner`).
+        :func:`repro.partition_2d`; it must return an ``m``-part
+        :class:`~repro.core.partition.Partition`.
     cost:
         The :class:`CostModel`.
     policy:
@@ -181,11 +158,6 @@ class BSPSimulator:
         to repartition (and optionally how to solve).  Defaults to
         ``EveryK(1)``, a fresh partition every snapshot; ``EveryK(0)`` is a
         static decomposition.
-    speeds:
-        Optional per-processor relative speeds (length ``m``, finite and
-        positive).
-        When given, the compute cost of a step is ``alpha`` times the
-        makespan ``max_p L_p / s_p`` instead of ``alpha · Lmax``.
     """
 
     def __init__(
@@ -195,19 +167,11 @@ class BSPSimulator:
         *,
         cost: CostModel | None = None,
         policy: RepartitionPolicy | None = None,
-        speeds=None,
     ):
-        self.m = m
+        self.m = _count("m", m, 1)
         self.partitioner = partitioner
         self.cost = cost or CostModel()
         self.policy = policy if policy is not None else EveryK(1)
-        if speeds is not None:
-            speeds = np.asarray(speeds, dtype=np.float64)
-            if speeds.ndim != 1 or len(speeds) != m:
-                raise ParameterError(f"speeds must be a 1D array of length m={m}")
-            if not (np.isfinite(speeds) & (speeds > 0)).all():
-                raise ParameterError("speeds must be finite and positive")
-        self.speeds: Optional[np.ndarray] = speeds
 
     def run(
         self,
@@ -221,8 +185,10 @@ class BSPSimulator:
         :class:`~repro.core.prefix.LoadView` substrate (dense or sparse) —
         substrates pass through undensified.  ``steps_per_snapshot``
         multiplies compute/communication time (the application executes
-        that many solver steps between load changes).
+        that many solver steps between load changes); it must be an
+        integer ``>= 1``.
         """
+        steps_per_snapshot = _count("steps_per_snapshot", steps_per_snapshot, 1)
         report = SimulationReport()
         part: Partition | None = None
         c = self.cost
@@ -247,6 +213,11 @@ class BSPSimulator:
                     # a policy may hand the current partition back unchanged
                     # (MigrationBudgeted deciding "keep"): not a repartition
                     if new_part is not part:
+                        if new_part.m != self.m:
+                            raise ParameterError(
+                                f"partitioner returned {new_part.m} parts "
+                                f"for m={self.m} processors"
+                            )
                         if part is not None:
                             mig_time = c.gamma * migration_volume(
                                 part, new_part, pref
@@ -256,11 +227,6 @@ class BSPSimulator:
                 assert part is not None
                 lmax = part.max_load(pref)
                 imbalance = exact_imbalance(lmax, pref.total, self.m)
-                if self.speeds is not None:
-                    loads = part.loads(pref).astype(np.float64)
-                    makespan = float(np.max(loads / self.speeds))
-                else:
-                    makespan = float(lmax)
                 lat = (
                     c.latency * int(neighbor_counts(part).max(initial=0))
                     if c.latency
@@ -271,12 +237,11 @@ class BSPSimulator:
                         iteration=iteration,
                         max_load=lmax,
                         imbalance=imbalance,
-                        compute_time=c.alpha * makespan * steps_per_snapshot,
+                        compute_time=c.alpha * lmax * steps_per_snapshot,
                         comm_time=(c.beta * max_boundary(part) + lat)
                         * steps_per_snapshot,
                         migration_time=mig_time,
                         repartitioned=repartitioned,
-                        makespan=makespan,
                     )
                 )
         return report

@@ -25,14 +25,12 @@ MODULES = [
     "repro.oned.api",
     "repro.oned.bisect",
     "repro.oned.dp",
-    "repro.oned.hetero",
     "repro.oned.heuristics",
     "repro.oned.multicost",
     "repro.oned.nicol",
     "repro.oned.probe",
     "repro.rectilinear",
     "repro.jagged",
-    "repro.jagged.hetero",
     "repro.hierarchical",
     "repro.spiral",
     "repro.volume",

@@ -136,8 +136,8 @@ class TestRPL003IntegerLoad:
 
     def test_file_level_suppression(self, tmp_path):
         src = (
-            "# repro-lint: disable-file=RPL003 — speeds are fractional by design\n"
-            "t = total / speeds\n"
+            "# repro-lint: disable-file=RPL003 — seconds are fractional by design\n"
+            "t = total / rate\n"
             "b = float(total)\n"
         )
         res = lint_snippet(tmp_path, "oned", src)
@@ -245,6 +245,19 @@ class TestRepoIsClean:
         assert lint_main([str(src)]) == 0
         out = capsys.readouterr().out
         assert out.strip().endswith("suppressed)")
+
+    def test_documented_file_exemptions_match_code(self):
+        """docs/lint.md "Documented exemptions" names exactly the files
+        that carry a ``disable-file`` suppression."""
+        src = REPO_ROOT / "src" / "repro"
+        exempt = set()
+        for path in src.rglob("*.py"):
+            rel = path.relative_to(src).as_posix()
+            if FileContext(path, rel, path.read_text(encoding="utf-8")).file_suppressions:
+                exempt.add(rel)
+        doc = (REPO_ROOT / "docs" / "lint.md").read_text(encoding="utf-8")
+        section = doc.split("Documented exemptions", 1)[1].split("\n###", 1)[0]
+        assert set(re.findall(r"`([\w/]+\.py)`", section)) == exempt
 
     def test_real_registry_is_consistent(self):
         """Every live registry entry passes the per-entry registry check."""

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro import partition_2d
+from repro.core.errors import ParameterError
+from repro.core.partition import Partition
+from repro.core.rectangle import Rect
 from repro.dynamic import EveryK
 from repro.runtime import BSPSimulator, CostModel, SimulationReport
 
@@ -162,58 +165,36 @@ class TestSubstratePassThrough:
         assert sparse_rep.steps == dense_rep.steps
 
 
-class TestHeterogeneous:
-    def test_makespan_uses_speeds(self):
-        from repro.core.partition import Partition
-        from repro.core.rectangle import Rect
-
-        A = np.array([[6, 2]], dtype=np.int64)
+class TestBSPSimulator:
+    def test_compute_time_is_alpha_times_lmax(self):
         fixed = Partition(
             [Rect(0, 1, 0, 1), Rect(0, 1, 1, 2)], shape=(1, 2), method="manual"
         )
         cost = CostModel(alpha=1.0, beta=0.0, gamma=0.0)
-        homo = BSPSimulator(2, lambda p, m: fixed, cost=cost).run([(0, A)])
-        assert homo.steps[0].makespan == 6.0
-        # processor 0 is 4x faster: bottleneck moves to processor 1
-        het = BSPSimulator(
-            2, lambda p, m: fixed, cost=cost, speeds=[4.0, 1.0]
-        ).run([(0, A)])
-        assert het.steps[0].makespan == 2.0
-        assert het.steps[0].compute_time == pytest.approx(2.0)
-        # max_load / imbalance stay speed-agnostic (they are load metrics)
-        assert het.steps[0].max_load == homo.steps[0].max_load == 6
+        rep = BSPSimulator(2, lambda p, m: fixed, cost=cost).run(
+            [(0, np.array([[6, 2]], dtype=np.int64))]
+        )
+        assert rep.steps[0].compute_time == 6.0
+        assert rep.steps[0].max_load == 6
 
-    def test_hetero_partitioner_end_to_end(self):
-        from repro.runtime import hetero_partitioner
+    @pytest.mark.parametrize("m", [0, -1, 2.0])
+    def test_rejects_bad_processor_count(self, m):
+        with pytest.raises(ParameterError, match="m must be"):
+            BSPSimulator(m, jag)
 
-        speeds = [1.0, 1.0, 2.0, 4.0]
-        sim = BSPSimulator(4, hetero_partitioner(speeds), speeds=speeds)
-        rep = sim.run(snapshots(steps=3))
-        assert len(rep.steps) == 3
-        assert all(s.makespan > 0 for s in rep.steps)
+    @pytest.mark.parametrize("steps", [0, -3, 1.5])
+    def test_rejects_bad_steps_per_snapshot(self, steps):
+        with pytest.raises(ParameterError, match="steps_per_snapshot"):
+            BSPSimulator(4, jag).run(snapshots(steps=1), steps_per_snapshot=steps)
 
-    def test_speeds_validation(self):
-        from repro.core.errors import ParameterError
+    def test_rejects_partition_of_wrong_size(self):
+        with pytest.raises(ParameterError, match="2 parts for m=4"):
+            BSPSimulator(4, lambda p, m: jag(p, 2)).run(snapshots(steps=1))
 
-        with pytest.raises(ParameterError):
-            BSPSimulator(4, jag, speeds=[1.0, 2.0])  # wrong length
-        with pytest.raises(ParameterError):
-            BSPSimulator(2, jag, speeds=[1.0, 0.0])  # non-positive
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_non_finite_speeds_rejected(self, bad):
-        # pinned: a NaN speed used to run and report a NaN makespan and
-        # total_time, and an infinite one was accepted
-        from repro.core.errors import ParameterError
-
-        with pytest.raises(ParameterError):
-            BSPSimulator(4, jag, speeds=[1.0, bad, 1.0, 1.0])
-
-    def test_hetero_partitioner_m_mismatch(self):
-        from repro.core.errors import ParameterError
-        from repro.core.prefix import PrefixSum2D
-        from repro.runtime import hetero_partitioner
-
-        run = hetero_partitioner([1.0, 2.0])
-        with pytest.raises(ParameterError):
-            run(PrefixSum2D(np.ones((4, 4), dtype=np.int64)), 3)
+class TestCostModel:
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "latency"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_or_negative(self, field, bad):
+        with pytest.raises(ParameterError, match=field):
+            CostModel(**{field: bad})
