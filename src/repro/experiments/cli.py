@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .extensions import ALL_EXTENSIONS
 from .figures import ALL_FIGURES
-from .pool import cell_pool
 from .rawstore import use_raw_store
 from .scale import _PROFILES, get_scale
 
@@ -60,14 +59,6 @@ def main(argv: list[str] | None = None) -> int:
         help="write the Figure 1/Figure 2 image gallery (PPM) into DIR",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for independent figure cells (default 1 = "
-        "serial; each solve stays serial; outputs are byte-identical for any N)",
-    )
-    parser.add_argument(
         "--raw-dir",
         type=Path,
         default=None,
@@ -82,8 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         "the raw store)",
     )
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     figs = sorted(ALL_RUNNABLE) if args.all else (args.figures or [])
     if not figs and args.gallery is None:
         parser.error("choose figures with --figures, run --all, or use --gallery")
@@ -101,9 +90,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"# wrote {path}", file=sys.stderr)
         scale = get_scale(args.scale)
         print(f"# scale profile: {scale.name}", file=sys.stderr)
-        # every figure is deterministic and the cell maps preserve item
-        # order, so the tables and CSVs below are byte-identical for any --jobs
-        scope.enter_context(cell_pool(args.jobs))
         for fig in figs:
             before = store.counters() if store is not None else {}
             t0 = time.perf_counter()

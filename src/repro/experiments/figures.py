@@ -12,6 +12,8 @@ paper's sizes — see :mod:`repro.experiments.scale`) and are deterministic.
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Any, Callable, Iterable
 
 from ..core.prefix import PrefixSum2D
 from ..core.registry import ALGORITHMS
@@ -20,17 +22,7 @@ from ..instances.pic import PICMagDataset
 from ..jagged.m_heur import jag_m_heur
 from ..theory.bounds import theorem3_ratio
 from .harness import FigureResult, timed
-# pmap has no caller here, but benchmarks/e2e/tracing.py patches figures.pmap
-from .pool import pmap, pmap_batched  # noqa: F401
-from .rawstore import (
-    MISS,
-    RawStore,
-    canonical_scope,
-    cell as raw_cell,
-    current_raw_store,
-    digest_matrix,
-    digest_prefix,
-)
+from .rawstore import cell as raw_cell, digest_matrix, digest_prefix
 from .scale import Scale, get_scale
 
 __all__ = [
@@ -66,90 +58,57 @@ def _pic_dataset(sc: Scale) -> PICMagDataset:
     )
 
 
-#: instance families the averaged synthetic figures draw from, named by a
-#: picklable ``(family, n)`` spec so the per-seed cells can run in pool workers
-_INSTANCE_FAMILIES = {
-    "peak": peak,
-    "multi_peak": multi_peak,
-}
+def pmap(fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
+    """Ordered map of ``fn`` over ``items``."""
+    return [fn(it) for it in items]
 
 
-def _imbalance_cell(payload) -> tuple[int, float]:
-    """One seeded (instance, algorithm, m) cell: ``(Lmax, Lavg)``.
-
-    Top-level and driven by a picklable payload so ``repro-experiments
-    --jobs N`` can fan the cells of a figure out over the worker pool.
-    """
-    family, n, seed, algo, m, kw = payload
-    A = _INSTANCE_FAMILIES[family](n, seed=seed)
-    pref = PrefixSum2D(A)
-    part = ALGORITHMS[algo](pref, m, **kw)
-    return part.max_load(pref), pref.total / m
+# pmap_batched has no caller: benchmarks/e2e/tracing.py wraps both names in
+# its ``parallel.pool`` span
+pmap_batched = pmap
 
 
 def _avg_imbalance_grid(
-    spec: tuple[str, int],
+    family: Callable[..., Any],
+    n: int,
     seeds: int,
-    grid: list[tuple[str, int, dict]],
-    profile: str | None = None,
+    grid: list[tuple[str, int]],
+    profile: str,
 ) -> list[float]:
     """Paper's synthetic-dataset metric for every ``(algo, m)`` of a sweep.
 
     The metric of one grid entry is ``sum_I Lmax(I) / sum_I Lavg(I) - 1``
-    over the seeded instances ``I`` of ``spec`` (the instance family and
-    size, e.g. ``("peak", 1024)``).  A figure sweep has ``len(grid) × seeds``
-    sub-millisecond cells, so the whole grid goes through one
-    :func:`~repro.experiments.pool.pmap_batched` call, which amortizes pool
-    dispatch over whole chunks; the reduction below runs per grid entry in
-    seed order, so the floats are bit-identical for any worker count.
-
-    With an ambient raw store (and a ``profile`` name to key under), the
-    parent resolves every per-seed cell against the store first, ships only
-    the misses — in chunks, flushing each chunk's results before the next
-    dispatch, so an interrupted run resumes from the flushed cells — and
-    reassembles in payload order, keeping the reduction bit-identical.
+    over the seeded instances ``I = family(n, seed)``.  Each seed's
+    instance is generated once, and its prefix is built on the first cell
+    the raw store misses, so a full-hit replay builds none and at most one
+    seed's prefix is live at a time.  The reduction runs per grid entry in
+    seed order.
     """
-    payloads = [
-        (spec[0], spec[1], s, algo, m, kw)
-        for algo, m, kw in grid
-        for s in range(seeds)
-    ]
-    store = current_raw_store()
-    if store is None or profile is None:
-        cells = pmap_batched(_imbalance_cell, payloads)
-    else:
-        family, n = spec
-        digests = [
-            digest_matrix(_INSTANCE_FAMILIES[family](n, seed=s)) for s in range(seeds)
+
+    def seed_cells(seed: int) -> list[list]:
+        A = family(n, seed=seed)
+        pref = None
+
+        def solve(algo: str, m: int) -> list:
+            nonlocal pref
+            if pref is None:
+                pref = PrefixSum2D(A)
+            lmax = ALGORITHMS[algo](pref, m).max_load(pref)
+            return [int(lmax), pref.total / m]
+
+        dig = digest_matrix(A)
+        return [
+            raw_cell(profile, dig, algo, m, partial(solve, algo, m), metric="lmax_lavg")
+            for algo, m in grid
         ]
-        keys = [
-            RawStore.make_key(
-                profile=profile,
-                digest=digests[s],
-                algo=algo,
-                m=m,
-                scope=canonical_scope(kw),
-                metric="lmax_lavg",
-            )
-            for _, _, s, algo, m, kw in payloads
-        ]
-        cells = [store.load(k) for k in keys]
-        miss_idx = [i for i, v in enumerate(cells) if v is MISS]
-        chunk = max(8, seeds * 2)
-        for start in range(0, len(miss_idx), chunk):
-            idxs = miss_idx[start : start + chunk]
-            fresh = pmap_batched(_imbalance_cell, [payloads[i] for i in idxs])
-            for i, (lmax, lavg) in zip(idxs, fresh):
-                val = [int(lmax), float(lavg)]
-                store.store(keys[i], val)
-                cells[i] = val
+
+    per_seed = pmap(seed_cells, range(seeds))
     out = []
     for c in range(len(grid)):
-        block = cells[c * seeds : (c + 1) * seeds]
-        lmax_sum = sum(lmax for lmax, _ in block)
+        lmax_sum = sum(cells[c][0] for cells in per_seed)
         lavg_sum = 0.0
-        for _, lavg in block:
-            lavg_sum += lavg
+        for cells in per_seed:
+            lavg_sum += cells[c][1]
         out.append(lmax_sum / lavg_sum - 1.0)
     return out
 
@@ -182,15 +141,13 @@ def fig03_hier_rb_variants(scale=None) -> FigureResult:
         "load imbalance",
         notes=f"scale={sc.name}; paper: 1024x1024, m up to 10,000",
     )
-    # the whole (m × variant) grid ships to the pool in one batched call;
-    # the per-cell reduction order matches the serial loops exactly
     grid = [
-        (f"HIER-RB-{variant}", m, {})
+        (f"HIER-RB-{variant}", m)
         for m in sc.m_values
         for variant in ("LOAD", "DIST", "HOR", "VER")
     ]
-    vals = _avg_imbalance_grid(("peak", sc.n_peak), sc.seeds, grid, sc.name)
-    for (algo, m, _), v in zip(grid, vals):
+    vals = _avg_imbalance_grid(peak, sc.n_peak, sc.seeds, grid, sc.name)
+    for (algo, m), v in zip(grid, vals):
         res.add(algo, m, v)
     return res
 
@@ -213,12 +170,12 @@ def fig04_hier_relaxed_variants(scale=None) -> FigureResult:
         notes=f"scale={sc.name}; paper: 512x512, 10 instances",
     )
     grid = [
-        (f"HIER-RELAXED-{variant}", m, {})
+        (f"HIER-RELAXED-{variant}", m)
         for m in sc.m_values
         for variant in ("LOAD", "DIST", "HOR", "VER")
     ]
-    vals = _avg_imbalance_grid(("multi_peak", sc.n_multipeak), sc.seeds, grid, sc.name)
-    for (algo, m, _), v in zip(grid, vals):
+    vals = _avg_imbalance_grid(multi_peak, sc.n_multipeak, sc.seeds, grid, sc.name)
+    for (algo, m), v in zip(grid, vals):
         res.add(algo, m, v)
     return res
 

@@ -9,8 +9,8 @@ is
   hit and never recomputed (``make figures`` only solves what changed);
 * **interruptible/resumable** — cells are flushed atomically the moment
   they complete (:func:`repro.sweep.store.write_json_atomic`, the envelope
-  the sweep store uses), so a killed ``--jobs N`` run resumes where it
-  left off and the final CSVs are byte-identical to an uninterrupted run;
+  the sweep store uses), so a killed run resumes where it left off and
+  the final CSVs are byte-identical to an uninterrupted run;
 * **safe** — a file that is truncated, tampered with, version-skewed, or
   keyed differently than its name promises is ignored and recomputed
   cold; a corrupt store can cost time, never poison a figure.
@@ -25,10 +25,9 @@ suffixed with the live scale, and solver kwargs are canonicalized with
 keeps differently-scaled runs of the same figure apart even where their
 instances coincide.
 
-Workers never touch the store: the parent resolves hits, dispatches only
-the misses, and flushes results as they arrive — the same parent-only
-discipline the sweep store uses, so concurrent figure runs on one store
-directory end last-writer-wins with identical content.
+Every figure resolves its cells one at a time through :func:`cell`, which
+flushes each result the moment it is computed, so concurrent figure runs
+on one store directory end last-writer-wins with identical content.
 
 The store is selected with ``repro-experiments --raw-dir``, which scopes
 it with :func:`use_raw_store`.  Without a store every cell is simply

@@ -40,7 +40,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator
 
-__all__ = ["OpCounters", "op_counters", "counting", "bump", "gauge", "merge_snapshot"]
+__all__ = ["OpCounters", "op_counters", "counting", "bump", "gauge"]
 
 
 class OpCounters(Dict[str, int]):
@@ -80,26 +80,6 @@ def gauge(name: str, value: int) -> None:
     for c in _STACK:
         if value > c.get(name, 0):
             c[name] = value
-
-
-#: Names recorded via :func:`gauge`.  A snapshot travelling back from a
-#: worker process carries plain ints, so the merge side needs this list to
-#: know which entries fold with max rather than sum.
-GAUGE_NAMES = frozenset({"substrate_bytes"})
-
-
-def merge_snapshot(ops: Dict[str, int]) -> None:
-    """Fold a snapshot from another context/process into every open context.
-
-    Counter entries add; entries named in :data:`GAUGE_NAMES` keep the max,
-    so N workers touching the same substrate report its size once, exactly
-    as the serial loop would.
-    """
-    for name, n in ops.items():
-        if name in GAUGE_NAMES:
-            gauge(name, n)
-        else:
-            bump(name, n)
 
 
 @contextmanager

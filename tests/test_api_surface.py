@@ -41,7 +41,6 @@ MODULES = [
     "repro.runtime",
     "repro.dynamic",
     "repro.experiments",
-    "repro.experiments.pool",
 ]
 
 

@@ -9,7 +9,7 @@ from repro.cli import main
 from repro.core.registry import partition_2d
 from repro.core.serialize import load_partition
 from repro.experiments import cli as experiments_cli
-from repro.experiments import pool, rawstore
+from repro.experiments import rawstore
 from repro.experiments.rawstore import current_raw_store, use_raw_store
 
 
@@ -137,7 +137,6 @@ class TestExperimentsCli:
             dict(os.environ),
             current_raw_store(),
             list(rawstore._STACK),
-            pool._ACTIVE,
         )
 
     def test_main_leaves_process_state_unchanged(self, tmp_path, capsys):

@@ -5,8 +5,7 @@ Covers the three pillars the module promises:
 * incremental — a second run over a populated store is all cache hits and
   byte-identical;
 * interruptible/resumable — a run killed mid-figure (simulated with
-  :class:`InterruptingRawStore`) resumes from the flushed cells, for
-  ``--jobs 1`` and ``--jobs 4`` alike;
+  :class:`InterruptingRawStore`) resumes from the flushed cells;
 * safe — truncated / tampered / version-skewed / mis-keyed files are
   ignored, recomputed cold, and healed on the next flush.
 """
@@ -17,7 +16,7 @@ import os
 
 import pytest
 
-from repro.experiments import ALL_EXTENSIONS, ALL_FIGURES, TINY, use_raw_store
+from repro.experiments import ALL_EXTENSIONS, ALL_FIGURES, TINY, figures, use_raw_store
 from repro.experiments.rawstore import (
     MISS,
     InterruptingRawStore,
@@ -28,7 +27,6 @@ from repro.experiments.rawstore import (
     current_raw_store,
     digest_matrix,
 )
-from repro.experiments.pool import cell_pool
 from repro.sweep.store import canonical_sha256
 
 
@@ -216,7 +214,7 @@ class TestSparseCell:
         assert warm.counters() == {"hits": 1, "misses": 0, "invalid": 0}
 
 
-#: the batched grid (fig03/fig04), per-cell sweeps (fig05/fig13), the
+#: the seeded grid (fig03/fig04), per-cell sweeps (fig05/fig13), the
 #: verbatim ``runtime_s`` replay (fig06), kwargs-scoped cells (fig09, ext3)
 #: and the combined-stream digest (ext2)
 FARM = ("fig03", "fig04", "fig05", "fig06", "fig09", "fig13", "ext2", "ext3")
@@ -240,26 +238,50 @@ class TestFigureFarm:
         assert warm_store.misses == 0 and warm_store.invalid == 0
         assert warm_store.hits > 0
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_kill_and_resume_byte_identical(self, tmp_path, jobs):
-        # fig03 ships its cells to the pool in chunks; fig06 is left out
-        # (a resumed run re-measures its wall-clock cells)
+    def test_kill_and_resume_byte_identical(self, tmp_path):
+        # fig03 runs first, so the kill lands inside its per-seed grid; fig06
+        # is left out (a resumed run re-measures its wall-clock cells)
         figs = ("fig03", "fig05", "fig13")
         baseline = _figures_under(RawStore(tmp_path / "baseline"), figs)
 
         killed = InterruptingRawStore(tmp_path / "resumed", abort_after=7)
-        with cell_pool(jobs):
-            with pytest.raises(SimulatedInterrupt):
-                _figures_under(killed, figs)
-            flushed = sum(
-                len(files) for _, _, files in os.walk(tmp_path / "resumed")
-            )
-            assert flushed == 7  # every write up to the kill landed atomically
+        with pytest.raises(SimulatedInterrupt):
+            _figures_under(killed, figs)
+        flushed = sum(len(files) for _, _, files in os.walk(tmp_path / "resumed"))
+        assert flushed == 7  # every write up to the kill landed atomically
 
-            resumer = RawStore(tmp_path / "resumed")
-            resumed = _figures_under(resumer, figs)
+        resumer = RawStore(tmp_path / "resumed")
+        resumed = _figures_under(resumer, figs)
         assert resumed == baseline
         assert resumer.hits >= 7  # the flushed cells were reused, not redone
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    @pytest.mark.parametrize("fig,family", [("fig03", "peak"), ("fig04", "multi_peak")])
+    def test_grid_builds_one_instance_per_seed(self, tmp_path, monkeypatch, fig, family, with_store):
+        calls = []
+        real = getattr(figures, family)
+
+        def spy(n, seed):
+            calls.append(seed)
+            return real(n, seed=seed)
+
+        monkeypatch.setattr(figures, family, spy)
+        store = RawStore(tmp_path) if with_store else None
+        with use_raw_store(None, store=store):
+            ALL_FIGURES[fig](TINY)
+        assert calls == list(range(TINY.seeds))
+
+    @pytest.mark.parametrize("fig", ["fig03", "fig04"])
+    def test_full_hit_replay_builds_no_prefix(self, tmp_path, monkeypatch, fig):
+        cold = _figures_under(RawStore(tmp_path), (fig,))
+
+        def no_prefix(A):
+            raise AssertionError("a full-hit replay built a prefix")
+
+        monkeypatch.setattr(figures, "PrefixSum2D", no_prefix)
+        warm_store = RawStore(tmp_path)
+        assert _figures_under(warm_store, (fig,)) == cold
+        assert warm_store.misses == 0 and warm_store.hits > 0
 
     def test_tampered_store_still_correct(self, tmp_path):
         root = tmp_path / "raw"  # conftest parks $REPRO_CACHE in tmp_path

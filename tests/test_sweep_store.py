@@ -387,37 +387,3 @@ class TestStoreFormat:
         merged = _merge_instance(a, b)
         # trust neither side of a conflict; agreeing and unrelated optima survive
         assert merged["opt"] == [[2, 12], [6, 5]]
-
-
-class TestParallelComposition:
-    def test_csvs_identical_jobs_1_vs_4_with_store(self, tmp_path, monkeypatch):
-        """Figure CSVs are byte-identical for any --jobs, cold and warm from
-        a raw store alike (fig03 ships its cells to the pool)."""
-        from repro.experiments import ALL_FIGURES
-        from repro.experiments.cli import main
-        from tests.test_experiments import TINY
-
-        figs = ("fig03", "fig05")
-        monkeypatch.setattr(
-            "repro.experiments.cli.ALL_RUNNABLE",
-            {f: lambda sc, f=f: ALL_FIGURES[f](TINY) for f in figs},
-        )
-        store = os.fspath(tmp_path / "raw")
-        outs = {}
-        for tag, jobs in (("serial", "1"), ("par", "4"), ("warm", "4")):
-            out = tmp_path / tag
-            rc = main(
-                [
-                    "--figures",
-                    *figs,
-                    "--out",
-                    os.fspath(out),
-                    "--jobs",
-                    jobs,
-                    "--raw-dir",
-                    store,
-                ]
-            )
-            assert rc == 0
-            outs[tag] = [(out / f"{f}.csv").read_bytes() for f in figs]
-        assert outs["serial"] == outs["par"] == outs["warm"]
