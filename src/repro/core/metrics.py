@@ -29,7 +29,6 @@ __all__ = [
     "communication_volume",
     "max_boundary",
     "migration_volume",
-    "neighbor_counts",
 ]
 
 
@@ -95,33 +94,6 @@ def _boundary_lengths(partition: Partition) -> np.ndarray:
     # a row side is as long as the width, a column side as the height
     sides = (lo > 0).astype(np.int64) + (hi < partition.shape)
     return (sides * ext[:, ::-1]).sum(axis=1) * (ext > 0).all(axis=1)
-
-
-def neighbor_counts(partition: Partition) -> np.ndarray:
-    """Number of distinct neighbouring processors of each processor.
-
-    Two processors are neighbours when their rectangles share a positive-
-    length edge segment (diagonal touching does not exchange halo data in a
-    4-neighbour stencil).  This is the per-processor *message count* of a
-    halo exchange — the latency term of the communication model, next to
-    :func:`max_boundary`'s bandwidth term.  O(m²) pairwise, vectorized.
-    """
-    coords = partition.coords()
-    m = len(coords)
-    out = np.zeros(m, dtype=np.int64)
-    if m == 0:
-        return out
-    r0, r1, c0, c1 = coords.T
-    nonempty = (r1 > r0) & (c1 > c0)
-    # vertical adjacency: column ranges overlap and one's bottom is the
-    # other's top; horizontal symmetrically
-    col_overlap = (c0[:, None] < c1[None, :]) & (c0[None, :] < c1[:, None])
-    row_overlap = (r0[:, None] < r1[None, :]) & (r0[None, :] < r1[:, None])
-    vert = col_overlap & ((r1[:, None] == r0[None, :]) | (r0[:, None] == r1[None, :]))
-    horiz = row_overlap & ((c1[:, None] == c0[None, :]) | (c0[:, None] == c1[None, :]))
-    adj = (vert | horiz) & nonempty[:, None] & nonempty[None, :]
-    np.fill_diagonal(adj, False)
-    return adj.sum(axis=1).astype(np.int64)
 
 
 def migration_volume(

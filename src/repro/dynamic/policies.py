@@ -15,7 +15,7 @@ this module supplies the *when to repartition* half of the loop as pluggable
   comparison — no fresh solve is paid just to decide;
 * :class:`MigrationBudgeted` — pay a candidate solve, but migrate only when
   the projected compute savings over a horizon amortize the ``γ``-priced
-  migration volume, with hysteresis against threshold chatter;
+  migration volume;
 * :class:`WarmStarted` — delegate the decision to an inner policy and route
   every per-snapshot solve through one long-lived sweep scope
   (:func:`repro.sweep.use_sweep`), optionally backed by a persistent
@@ -202,57 +202,43 @@ class MigrationBudgeted(RepartitionPolicy):
     """Repartition only when projected savings amortize the migration bill.
 
     Each snapshot pays one candidate solve; the candidate is installed only
-    when the projected compute savings over the next ``horizon`` snapshots
+    when the projected compute savings over the next ``horizon = 5``
+    snapshots
 
     ``alpha · (Lmax(current) − Lmax(candidate)) · steps_per_snapshot · horizon``
 
-    exceed ``hysteresis · gamma · migration_volume(current, candidate)``.
-    ``hysteresis > 1`` demands a margin over break-even, suppressing chatter
-    when the two sides are close; ``cooldown`` skips the candidate solve
-    entirely for that many snapshots after a migration (the freshly
-    installed partition is assumed near-optimal for a while).
+    exceed ``gamma · migration_volume(current, candidate)``.
 
     The trade itself is float cost-model arithmetic by design; the load and
     migration volumes feeding it are exact integers.
     """
 
-    def __init__(
-        self, *, horizon: int = 5, hysteresis: float = 1.0, cooldown: int = 0
-    ) -> None:
+    horizon = 5
+    name = f"budgeted-h{horizon}"
+
+    def __init__(self) -> None:
         super().__init__()
-        self.horizon = _count("horizon", horizon, 1)
-        self.hysteresis = _finite("hysteresis", hysteresis)
-        self.cooldown = _count("cooldown", cooldown, 0)
-        self.name = f"budgeted-h{self.horizon}"
         self.candidate_solves = 0
-        self._since_migration = 0
 
     def reset(self) -> None:
         super().reset()
         self.candidate_solves = 0
-        self._since_migration = 0
 
     # The candidate solve needs the simulator's partitioner, which only
     # solve() receives in the base protocol — so the decision is made
-    # lazily: should_repartition() answers True whenever a candidate might
-    # pay off (i.e. past the cooldown window), and solve() hands back the
-    # *current* partition object unchanged when the trade says keep.  The
-    # simulator treats a solve() returning the identical object as "kept":
-    # no migration is billed and the step is not counted a repartition.
+    # lazily: should_repartition() always answers True, and solve() hands
+    # back the *current* partition object unchanged when the trade says
+    # keep.  The simulator treats a solve() returning the identical object
+    # as "kept": no migration is billed and the step is not counted a
+    # repartition.
 
     def should_repartition(self, ctx: StepContext) -> bool:
-        if ctx.part is None:
-            return True
-        if self._since_migration < self.cooldown:
-            self._since_migration += 1
-            return False
         return True
 
     def solve(self, partitioner: Partitioner, ctx: StepContext) -> Partition:
-        if ctx.part is None:
-            self._since_migration = 0
-            return partitioner(ctx.pref, ctx.m)
         candidate = partitioner(ctx.pref, ctx.m)
+        if ctx.part is None:
+            return candidate
         self.candidate_solves += 1
         cur_lmax = ctx.part.max_load(ctx.pref)
         new_lmax = candidate.max_load(ctx.pref)
@@ -265,11 +251,7 @@ class MigrationBudgeted(RepartitionPolicy):
         bill = ctx.cost.gamma * float(
             migration_volume(ctx.part, candidate, ctx.pref)
         )
-        if saving > self.hysteresis * bill:
-            self._since_migration = 0
-            return candidate
-        self._since_migration += 1
-        return ctx.part
+        return candidate if saving > bill else ctx.part
 
 
 class WarmStarted(RepartitionPolicy):

@@ -55,8 +55,6 @@ __all__ = [
     "RawStore",
     "MISS",
     "canonical_scope",
-    "InterruptingRawStore",
-    "SimulatedInterrupt",
     "use_raw_store",
     "current_raw_store",
     "digest_prefix",
@@ -250,31 +248,6 @@ class RawStore:
         return {"hits": self.hits, "misses": self.misses, "invalid": self.invalid}
 
 
-class SimulatedInterrupt(RuntimeError):
-    """Raised by :class:`InterruptingRawStore` when its write budget runs out."""
-
-
-class InterruptingRawStore(RawStore):
-    """Kill-and-resume harness: dies after ``abort_after`` cell writes.
-
-    Used by ``tests/test_rawstore.py`` to emulate a run killed mid-figure:
-    every write up to the budget lands atomically on disk, then
-    :class:`SimulatedInterrupt` fires; a fresh run over the same directory
-    must resume from the flushed cells and produce byte-identical CSVs.
-    """
-
-    def __init__(self, root, *, abort_after: int, force: bool = False) -> None:
-        super().__init__(root, force=force)
-        self.abort_after = abort_after
-        self.writes = 0
-
-    def store(self, key: dict, value: Any) -> None:
-        if self.writes >= self.abort_after:
-            raise SimulatedInterrupt(f"aborting after {self.abort_after} cell writes")
-        super().store(key, value)
-        self.writes += 1
-
-
 # ----------------------------------------------------------------------
 # ambient store selection
 # ----------------------------------------------------------------------
@@ -292,8 +265,8 @@ def use_raw_store(
 ) -> Iterator[RawStore | None]:
     """Scope a raw store (or ``None`` to disable caching inside the scope).
 
-    Pass ``store=`` to scope a pre-built store object (e.g. an
-    :class:`InterruptingRawStore`); otherwise one is built from ``root``.
+    Pass ``store=`` to scope a pre-built store object; otherwise one is
+    built from ``root``.
     """
     if store is None and root is not None:
         store = RawStore(root, force=force)

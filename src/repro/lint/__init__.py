@@ -18,7 +18,7 @@ checks source text one file at a time: a ruleset grounded in this codebase
 (:mod:`.rules`, RPL001–RPL003), dataflow rules (:mod:`.dataflow`,
 :mod:`.flowrules`, RPL010 and RPL011), a suppression meta-check (RPL100),
 and a CLI (:mod:`.cli`, installed as ``repro-lint`` / ``python -m
-repro.lint``) with text and JSON reporters.  Guarantees about live objects
+repro.lint``) that prints a text report.  Guarantees about live objects
 are tests, not rules: the input matrix is never written
 (``tests/test_adversarial.py::test_input_matrix_is_read_only``); the
 paper's complexity bounds are op-count tests
@@ -33,7 +33,7 @@ See ``docs/lint.md`` for the rule catalogue and suppression syntax.
 from __future__ import annotations
 
 from .engine import LintResult, Violation, lint_paths
-from .reporters import json_report, text_report
+from .reporters import text_report
 from .rules import ALL_RULES
 
 __all__ = [
@@ -41,6 +41,5 @@ __all__ = [
     "Violation",
     "lint_paths",
     "ALL_RULES",
-    "json_report",
     "text_report",
 ]

@@ -3,7 +3,7 @@
 The engine is deliberately small: a rule is an object with a ``code``, a
 ``name``, a ``rationale`` and a ``check(ctx)`` generator over
 :class:`Violation`; the engine walks the target tree, parses each Python
-file once, applies every selected rule whose :meth:`Rule.applies_to` accepts
+file once, applies every rule whose :meth:`Rule.applies_to` accepts
 the file, and filters the result through per-line and per-file suppressions.
 
 Suppression syntax (checked anywhere in a file, conventionally as a trailing
@@ -213,24 +213,16 @@ def _relative(path: Path) -> str:
         return path.as_posix()
 
 
-def _selected(code: str, select: set[str] | None, ignore: set[str]) -> bool:
-    if code in ignore:
-        return False
-    return select is None or code in select
-
-
 def _stale_suppressions(
     contexts: Sequence[FileContext],
-    active_codes: set[str],
+    rule_codes: frozenset[str],
     known_codes: frozenset[str],
-    full_run: bool,
 ) -> Iterator[Violation]:
     """RPL100: suppressions that silenced nothing this run, or name no rule.
 
-    A code is checkable only when its rule actually ran (``active_codes``);
-    ``disable=all`` is checkable only on a full run (no ``--select``), since
-    a restricted run gives most rules no chance to match.  A code outside
-    ``known_codes`` (a typo, a retired rule) is flagged on every run.
+    A code in ``rule_codes`` that silenced nothing is stale, and so is an
+    unused ``disable=all``.  A code outside ``known_codes`` (a typo, a
+    retired rule) is flagged whether or not it silenced anything.
     """
     for ctx in contexts:
         for s in ctx.suppressions:
@@ -249,9 +241,9 @@ def _stale_suppressions(
                     ),
                 )
             if "ALL" in s.codes:
-                stale = frozenset({"ALL"}) if full_run and not s.used else frozenset()
+                stale = frozenset({"ALL"}) if not s.used else frozenset()
             else:
-                stale = frozenset((s.codes & active_codes) - s.used)
+                stale = frozenset((s.codes & rule_codes) - s.used)
             if not stale:
                 continue
             yield Violation(
@@ -267,23 +259,9 @@ def _stale_suppressions(
             )
 
 
-def lint_paths(
-    paths: Sequence[Path | str],
-    *,
-    select: set[str] | None = None,
-    ignore: set[str] | None = None,
-) -> LintResult:
-    """Lint ``paths`` with every registered rule.
-
-    ``select``/``ignore`` filter by rule code; each rule runs on every file
-    it applies to.
-    """
+def lint_paths(paths: Sequence[Path | str]) -> LintResult:
+    """Lint ``paths`` with every registered rule, then the RPL100 check."""
     from .rules import ALL_RULES, KNOWN_CODES
-
-    ignore = {c.upper() for c in (ignore or set())}
-    if select is not None:
-        select = {c.upper() for c in select}
-    active = [r for r in ALL_RULES if _selected(r.code, select, ignore)]
 
     result = LintResult()
     contexts: list[FileContext] = []
@@ -297,25 +275,23 @@ def lint_paths(
             continue
         contexts.append(ctx)
         result.files_checked += 1
-        for rule in active:
+        for rule in ALL_RULES:
             if not rule.applies_to(ctx):
                 continue
             for v in rule.check(ctx):
                 (result.suppressed if ctx.is_suppressed(v) else result.violations).append(v)
 
-    if _selected(STALE_CODE, select, ignore):
-        by_rel = {ctx.rel: ctx for ctx in contexts}
-        for v in _stale_suppressions(
-            contexts, {r.code for r in active}, KNOWN_CODES, full_run=select is None
-        ):
-            # a stale finding is suppressible only by an *explicit* RPL100
-            # code — `disable=all` must not swallow its own staleness report
-            hit = False
-            for s in by_rel[v.path].suppressions:
-                if STALE_CODE in s.codes and (s.file_scope or s.line == v.line):
-                    s.used.add(STALE_CODE)
-                    hit = True
-            (result.suppressed if hit else result.violations).append(v)
+    by_rel = {ctx.rel: ctx for ctx in contexts}
+    rule_codes = frozenset(r.code for r in ALL_RULES)
+    for v in _stale_suppressions(contexts, rule_codes, KNOWN_CODES):
+        # a stale finding is suppressible only by an *explicit* RPL100
+        # code — `disable=all` must not swallow its own staleness report
+        hit = False
+        for s in by_rel[v.path].suppressions:
+            if STALE_CODE in s.codes and (s.file_scope or s.line == v.line):
+                s.used.add(STALE_CODE)
+                hit = True
+        (result.suppressed if hit else result.violations).append(v)
 
     result.violations.sort()
     result.suppressed.sort()

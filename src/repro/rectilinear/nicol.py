@@ -18,8 +18,8 @@ bounds the new striped optimum from above: the search walks there first,
 gallops down in doubling steps until a walk fails, then bisects, and all
 its walks share one memo of step cost windows.  Iteration stops when the
 grid bottleneck stops improving (the paper observes 3–10 iterations in
-practice for a 514×514 matrix up to 10 000 processors) or at
-``max_iters``.
+practice for a 514×514 matrix up to 10 000 processors) or after
+``_MAX_ITERS`` refinement rounds.
 """
 
 from __future__ import annotations
@@ -30,13 +30,16 @@ import numpy as np
 
 from ..core.errors import ParameterError
 from ..core.partition import Partition
-from ..core.prefix import MatrixLike, PrefixSum2D, _as_int64, prefix_2d
+from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 from ..jagged.common import choose_pq
 from ..oned.multicost import partition_multi
 from .common import build_rectilinear_partition, grid_bottleneck
 from .uniform import uniform_cuts
 
 __all__ = ["rect_nicol"]
+
+#: refinement rounds (columns then rows) before RECT-NICOL stops unconverged
+_MAX_ITERS = 20
 
 
 def _stripe_matrix(pref: PrefixSum2D, cuts: np.ndarray, axis: int) -> np.ndarray:
@@ -58,16 +61,6 @@ def _stripe_matrix(pref: PrefixSum2D, cuts: np.ndarray, axis: int) -> np.ndarray
     return vals.reshape(S, n + 1)
 
 
-def _validated_cuts(cuts, n: int, parts: int, what: str) -> np.ndarray:
-    # exact: 2.5 must not truncate to 2, nor 2^63 wrap or overflow
-    out = _as_int64(np.asarray(cuts), f"{what} init_cuts")
-    if out.ndim != 1 or len(out) != parts + 1:
-        raise ParameterError(f"{what} init_cuts must have length {parts + 1}")
-    if out[0] != 0 or out[-1] != n or (np.diff(out) < 0).any():
-        raise ParameterError(f"{what} init_cuts must be nondecreasing from 0 to {n}")
-    return out
-
-
 def _count(value, what: str, least: int) -> int:
     """``value`` as an int of at least ``least``, or a ``ParameterError``."""
     # bool is an Integral too, but True processors is a caller's bug
@@ -81,9 +74,6 @@ def rect_nicol(
     m: int,
     P: int | None = None,
     Q: int | None = None,
-    *,
-    max_iters: int = 20,
-    init_cuts: tuple | None = None,
 ) -> Partition:
     """Iteratively refined ``P×Q`` rectilinear partition (§3.1, refs [9, 15]).
 
@@ -91,42 +81,34 @@ def rect_nicol(
     and row cuts against the striped max-load cost until the bottleneck
     stops improving.
 
-    ``init_cuts`` optionally replaces the uniform starting point with a
-    caller-provided ``(row_cuts, col_cuts)`` pair (validated).  Note that a
-    different starting point changes the refinement *trajectory* and may
-    converge to a different (better or worse) local fixed point — which is
-    exactly why the sweep engine does **not** chain cuts across ``m``
-    values: its contract is bit-identity with cold calls.  The identity-
-    safe warm start used instead is internal: each striped sub-problem is
-    seeded with the incumbent grid bottleneck as its first probe point,
-    which :func:`~repro.oned.multicost.partition_multi` probes and
-    gallops down from rather than trusts.
+    A different starting point would change the refinement *trajectory*
+    and may converge to a different local fixed point — which is why the
+    sweep engine does **not** chain cuts across ``m`` values: its contract
+    is bit-identity with cold calls.  The identity-safe warm start used
+    instead is internal: each striped sub-problem is seeded with the
+    incumbent grid bottleneck as its first probe point, which
+    :func:`~repro.oned.multicost.partition_multi` probes and gallops down
+    from rather than trusts.
 
-    ``P`` and ``Q`` must be integers of at least 1 and ``max_iters`` an
-    integer of at least 0; anything else is a ``ParameterError``.
+    ``P`` and ``Q`` must be integers of at least 1; anything else is a
+    ``ParameterError``.
     """
     pref = prefix_2d(A)
-    max_iters = _count(max_iters, "max_iters", 0)
     if P is None or Q is None:
         P, Q = choose_pq(m, pref.n1, pref.n2)
     else:
         P, Q = _count(P, "P", 1), _count(Q, "Q", 1)
         if P * Q != m:
             raise ParameterError(f"P*Q must equal m ({P}*{Q} != {m})")
-    if init_cuts is not None:
-        row_init, col_init = init_cuts
-        row_cuts = _validated_cuts(row_init, pref.n1, P, "row")
-        col_cuts = _validated_cuts(col_init, pref.n2, Q, "column")
-    else:
-        row_cuts = uniform_cuts(pref.n1, P)
-        col_cuts = uniform_cuts(pref.n2, Q)
+    row_cuts = uniform_cuts(pref.n1, P)
+    col_cuts = uniform_cuts(pref.n2, Q)
     best = grid_bottleneck(pref, row_cuts, col_cuts)
     best_cuts = (row_cuts.copy(), col_cuts.copy())
     iters_used = 0
     # the current cuts achieve `cur` on the grid, so `cur` upper-bounds the
     # next refinement's striped optimum — a valid (and verified) hint
     cur = best
-    for it in range(max_iters):
+    for it in range(_MAX_ITERS):
         prev = best
         # refine columns against fixed rows, then rows against fixed columns;
         # each refinement's striped bottleneck IS the grid bottleneck of the

@@ -43,7 +43,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..core.errors import ParameterError
-from ..core.metrics import exact_imbalance, max_boundary, migration_volume, neighbor_counts
+from ..core.metrics import exact_imbalance, max_boundary, migration_volume
 from ..core.partition import Partition
 from ..core.prefix import LoadView, MatrixLike, prefix_2d
 from ..dynamic.policies import EveryK, RepartitionPolicy, StepContext, _count, _finite
@@ -64,9 +64,7 @@ class CostModel:
 
     ``alpha`` — seconds per unit of computational load;
     ``beta`` — seconds per boundary cell exchanged (per step);
-    ``gamma`` — seconds per unit of load migrated at a repartitioning;
-    ``latency`` — seconds per halo message: the per-step latency term is
-    ``latency`` times the largest per-processor neighbour count.
+    ``gamma`` — seconds per unit of load migrated at a repartitioning.
 
     Every unit cost must be finite and non-negative (zero isolates a term).
     """
@@ -74,10 +72,9 @@ class CostModel:
     alpha: float = 1e-6
     beta: float = 5e-6
     gamma: float = 2e-6
-    latency: float = 0.0  #: seconds per halo message (per neighbour, per step)
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "latency"):
+        for name in ("alpha", "beta", "gamma"):
             _finite(name, getattr(self, name))
 
 
@@ -227,19 +224,13 @@ class BSPSimulator:
                 assert part is not None
                 lmax = part.max_load(pref)
                 imbalance = exact_imbalance(lmax, pref.total, self.m)
-                lat = (
-                    c.latency * int(neighbor_counts(part).max(initial=0))
-                    if c.latency
-                    else 0.0
-                )
                 report.steps.append(
                     StepStats(
                         iteration=iteration,
                         max_load=lmax,
                         imbalance=imbalance,
                         compute_time=c.alpha * lmax * steps_per_snapshot,
-                        comm_time=(c.beta * max_boundary(part) + lat)
-                        * steps_per_snapshot,
+                        comm_time=c.beta * max_boundary(part) * steps_per_snapshot,
                         migration_time=mig_time,
                         repartitioned=repartitioned,
                     )

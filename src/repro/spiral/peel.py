@@ -63,22 +63,20 @@ def _strip_load(pref: PrefixSum2D, rect: _Box, side: str, width: int) -> int:
     return pref.load(*_strip(rect, side, width)[0])
 
 
-def spiral_relaxed(A: MatrixLike, m: int, *, start_side: str = "top") -> Partition:
+def spiral_relaxed(A: MatrixLike, m: int) -> Partition:
     """Spiral heuristic (§3.4): peel one strip per processor in rotating side order.
 
-    At each step the strip width is chosen so the strip load is closest to
-    the remaining average load (the HIER-RELAXED relaxation with j = 1): a
-    binary search over the monotone strip load.  The last processor takes
-    the remaining rectangle.
+    The first strip comes off the top.  At each step the strip width is
+    chosen so the strip load is closest to the remaining average load (the
+    HIER-RELAXED relaxation with j = 1): a binary search over the monotone
+    strip load.  The last processor takes the remaining rectangle.
     """
     if m <= 0:
         raise ParameterError("m must be positive")
-    if start_side not in SIDES:
-        raise ParameterError(f"start_side must be one of {SIDES}")
     pref = prefix_2d(A)
     rect: _Box = (0, pref.n1, 0, pref.n2)
     rects: list[_Box] = []
-    side_idx = SIDES.index(start_side)
+    side_idx = 0
     for k in range(m - 1):
         remaining = m - k
         if _is_empty(rect):

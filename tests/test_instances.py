@@ -197,21 +197,3 @@ class TestPICDataset:
     def test_period_validation(self):
         with pytest.raises(ParameterError):
             PICMagDataset(self.CFG, period=0, cache=False)
-
-
-class TestCavityGraph:
-    def test_graph_structure(self):
-        pytest.importorskip("networkx")
-        pytest.importorskip("scipy")
-        from repro.instances.mesh.graph import cavity_graph
-
-        g = cavity_graph(CavityConfig(rings=40, density=40.0), k_neighbors=3)
-        assert g.number_of_nodes() > 100
-        # k-NN graph: average degree between k and 2k (symmetrized)
-        avg_deg = 2 * g.number_of_edges() / g.number_of_nodes()
-        assert 3 <= avg_deg <= 6
-        # positions attached
-        import numpy as np
-
-        pos = g.nodes[0]["pos"]
-        assert np.asarray(pos).shape == (3,)

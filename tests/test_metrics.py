@@ -174,50 +174,3 @@ class TestMigration:
         raw = migration_volume(p1, p2, A)
         assert migration_volume(p1, p2, PrefixSum2D(A)) == raw
         assert migration_volume(p1, p2, SparsePrefix2D(A)) == raw
-
-
-class TestNeighborCounts:
-    def test_grid_adjacency(self, rng):
-        from repro.core.metrics import neighbor_counts
-
-        A = rng.integers(1, 9, (8, 8))
-        p = rect_uniform(A, 16)  # 4x4 grid
-        counts = neighbor_counts(p)
-        # corners 2, edges 3, interior 4
-        assert sorted(counts.tolist()) == sorted([2] * 4 + [3] * 8 + [4] * 4)
-
-    def test_single_rect_no_neighbors(self, rng):
-        from repro.core.metrics import neighbor_counts
-
-        A = rng.integers(1, 9, (4, 4))
-        assert neighbor_counts(rect_uniform(A, 1)).tolist() == [0]
-
-    def test_empty_rects_have_no_neighbors(self, rng):
-        from repro.core.metrics import neighbor_counts
-        from repro import partition_2d
-
-        A = np.ones((2, 2), dtype=np.int64)
-        p = partition_2d(A, 6, "HIER-RB")  # idle processors present
-        counts = neighbor_counts(p)
-        areas = np.array([r.area for r in p.rects])
-        assert (counts[areas == 0] == 0).all()
-
-    def test_symmetric_relation(self, rng):
-        from repro.core.metrics import neighbor_counts
-        from repro import partition_2d
-
-        A = rng.integers(1, 9, (12, 12))
-        p = partition_2d(A, 7, "JAG-M-HEUR")
-        counts = neighbor_counts(p)
-        # total adjacency degree is even (each pair counted twice)
-        assert counts.sum() % 2 == 0
-
-    def test_latency_term_increases_comm(self, rng):
-        from repro import partition_2d
-        from repro.runtime import BSPSimulator, CostModel
-
-        A = rng.integers(1, 9, (16, 16)).astype(np.int64)
-        jag = lambda pref, m: partition_2d(pref, m, "JAG-M-HEUR")
-        no_lat = BSPSimulator(4, jag, cost=CostModel(latency=0.0)).run([(0, A)])
-        with_lat = BSPSimulator(4, jag, cost=CostModel(latency=1e-3)).run([(0, A)])
-        assert with_lat.comm_time > no_lat.comm_time

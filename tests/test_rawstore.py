@@ -5,7 +5,7 @@ Covers the three pillars the module promises:
 * incremental — a second run over a populated store is all cache hits and
   byte-identical;
 * interruptible/resumable — a run killed mid-figure (simulated with
-  :class:`InterruptingRawStore`) resumes from the flushed cells;
+  :class:`InterruptingRawStore` below) resumes from the flushed cells;
 * safe — truncated / tampered / version-skewed / mis-keyed files are
   ignored, recomputed cold, and healed on the next flush.
 """
@@ -13,21 +13,45 @@ Covers the three pillars the module promises:
 import dataclasses
 import json
 import os
+from typing import Any
 
 import pytest
 
 from repro.experiments import ALL_EXTENSIONS, ALL_FIGURES, TINY, figures, use_raw_store
 from repro.experiments.rawstore import (
     MISS,
-    InterruptingRawStore,
     RawStore,
-    SimulatedInterrupt,
     cell,
     combine_digests,
     current_raw_store,
     digest_matrix,
 )
 from repro.sweep.store import canonical_sha256
+
+
+class SimulatedInterrupt(RuntimeError):
+    """Raised by :class:`InterruptingRawStore` when its write budget runs out."""
+
+
+class InterruptingRawStore(RawStore):
+    """Kill-and-resume harness: dies after ``abort_after`` cell writes.
+
+    Emulates a run killed mid-figure: every write up to the budget lands
+    atomically on disk, then :class:`SimulatedInterrupt` fires; a fresh run
+    over the same directory must resume from the flushed cells and produce
+    byte-identical CSVs.
+    """
+
+    def __init__(self, root, *, abort_after: int, force: bool = False) -> None:
+        super().__init__(root, force=force)
+        self.abort_after = abort_after
+        self.writes = 0
+
+    def store(self, key: dict, value: Any) -> None:
+        if self.writes >= self.abort_after:
+            raise SimulatedInterrupt(f"aborting after {self.abort_after} cell writes")
+        super().store(key, value)
+        self.writes += 1
 
 
 def _key(store, **over):

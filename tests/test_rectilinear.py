@@ -90,10 +90,8 @@ class TestRectNicol:
             (dict(P=-1, Q=-4), "P must be an integer >= 1"),
             (dict(P=2.0, Q=2), "P must be an integer >= 1"),  # was a bare TypeError
             (dict(P=2, Q=True), "Q must be an integer >= 1"),
-            (dict(max_iters=2.5), "max_iters must be an integer >= 0"),  # was a TypeError
-            (dict(max_iters=-1), "max_iters must be an integer >= 0"),  # ran zero iterations
         ],
-        ids=["negative-pq", "float-p", "bool-q", "float-iters", "negative-iters"],
+        ids=["negative-pq", "float-p", "bool-q"],
     )
     def test_malformed_arguments_are_parameter_errors(self, rng, kw, match):
         A = rng.integers(1, 5, (8, 8))
@@ -103,38 +101,13 @@ class TestRectNicol:
     def test_integral_arguments_of_any_int_type(self, rng):
         A = rng.integers(1, 5, (8, 8))
         want = rect_nicol(A, 4, P=2, Q=2).coords()
-        got = rect_nicol(A, 4, P=np.int64(2), Q=np.int32(2), max_iters=np.int64(20))
+        got = rect_nicol(A, 4, P=np.int64(2), Q=np.int32(2))
         np.testing.assert_array_equal(got.coords(), want)
-        # zero iterations keep the uniform start
-        start = rect_nicol(A, 4, P=2, Q=2, max_iters=0)
-        assert start.meta["iterations"] == 0
 
     def test_single_processor(self, rng):
         A = rng.integers(1, 5, (4, 4))
         p = rect_nicol(A, 1)
         assert p.max_load(A) == A.sum()
-
-    def test_init_cuts_must_be_integral(self, rng):
-        # used to truncate 2.5 to 2 silently
-        A = rng.integers(1, 5, (4, 4))
-        with pytest.raises(ParameterError, match="row init_cuts must contain integers"):
-            rect_nicol(A, 4, P=2, Q=2, init_cuts=([0, 2.5, 4], [0, 2, 4]))
-        with pytest.raises(ParameterError, match="column init_cuts must contain integers"):
-            rect_nicol(A, 4, P=2, Q=2, init_cuts=([0, 2, 4], [0, 1.5, 4]))
-        with pytest.raises(ParameterError, match="column init_cuts must be finite"):
-            rect_nicol(A, 4, P=2, Q=2, init_cuts=([0, 2, 4], [0, np.nan, 4]))
-        # integral floats are exact, so they are still accepted
-        p = rect_nicol(A, 4, P=2, Q=2, init_cuts=([0.0, 2.0, 4.0], [0, 2, 4]))
-        assert p.max_load(A) == rect_nicol(A, 4, P=2, Q=2).max_load(A)
-
-    @pytest.mark.parametrize(
-        "big", [2**63, 2**64, np.uint64(2**63)], ids=["2^63", "2^64", "uint64-2^63"]
-    )
-    def test_init_cuts_past_int64_are_parameter_errors(self, rng, big):
-        # used to raise a raw OverflowError
-        A = rng.integers(1, 5, (4, 4))
-        with pytest.raises(ParameterError):
-            rect_nicol(A, 4, P=2, Q=2, init_cuts=([0, big, 4], [0, 2, 4]))
 
     def test_indexer_matches_owner_map(self, rng):
         A = rng.integers(0, 9, (10, 12))

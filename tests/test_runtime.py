@@ -193,7 +193,7 @@ class TestBSPSimulator:
 
 
 class TestCostModel:
-    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "latency"])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_rejects_non_finite_or_negative(self, field, bad):
         with pytest.raises(ParameterError, match=field):

@@ -36,13 +36,6 @@ class TestSpiralRelaxed:
         assert r2.r1 == 16  # bottom strip
         assert r3.c0 == 0  # left strip
 
-    def test_start_side(self, rng):
-        A = rng.integers(1, 9, (12, 12))
-        p = spiral_relaxed(A, 4, start_side="left")
-        assert p.rects[0].c0 == 0 and p.rects[0].r0 == 0 and p.rects[0].r1 == 12
-        with pytest.raises(ParameterError):
-            spiral_relaxed(A, 4, start_side="around")
-
     def test_single_processor(self, rng):
         A = rng.integers(1, 9, (5, 5))
         p = spiral_relaxed(A, 1)
