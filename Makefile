@@ -6,7 +6,7 @@
 
 PYTHON ?= python
 
-.PHONY: check lint ruff mypy test test-reference partition-smoke examples-smoke sparse-smoke figures figures-check figures-smoke sweep-store-smoke bench-kernels bench-kernels-smoke bench-e2e-smoke bench-e2e
+.PHONY: check lint ruff mypy test test-reference partition-smoke examples-smoke sparse-smoke figures figures-check figures-smoke sweep-store-smoke bench-e2e-smoke bench-e2e
 
 check: ruff mypy lint test test-reference partition-smoke examples-smoke sparse-smoke
 	@echo "make check: all gates passed"
@@ -202,17 +202,6 @@ sweep-store-smoke:
 	cmp $(SWEEP_SMOKE)/cold.txt $(SWEEP_SMOKE)/none.txt
 	cmp $(SWEEP_SMOKE)/cold.txt $(SWEEP_SMOKE)/healed.txt
 	@echo "sweep-store-smoke: warm, storeless and healed reports equal"
-
-# kernel micro-bench: reference vs numpy for every kernel with a numpy body,
-# asserting bit-identical results per row; writes BENCH_kernels.json
-bench-kernels:
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --min-speedup 1.5
-
-# CI's kernel identity gate: the adversarial per-kernel suite and the
-# differential matrix, then the tiny kernel bench
-bench-kernels-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_kernels_equality.py tests/test_backend_equality.py
-	PYTHONPATH=src $(PYTHON) benchmarks/perf_regress.py --profile tiny
 
 # smoke test of the end-to-end benchmark (BENCHMARK.json): every workload
 # at ~5% of its ops, outputs checked against golden.json.  The first run

@@ -660,10 +660,8 @@ def prefix_2d(A: MatrixLike) -> "LoadView":
     Existing substrates (dense :class:`PrefixSum2D` or any other
     :class:`LoadView`, e.g. ``SparsePrefix2D``) pass through unchanged, so
     callers that pre-build a sparse substrate keep it across the whole
-    solver stack.  Raw arrays densify into :class:`PrefixSum2D`; density
-    dispatch (:func:`repro.core.sparse.substrate_from_triplets`) belongs to
-    the instance-construction layer, not here — solver-internal coercions
-    must never silently change substrate.
+    solver stack.  Raw arrays densify into :class:`PrefixSum2D`: a
+    solver-internal coercion never silently changes substrate.
     """
     if isinstance(A, PrefixSum2D):
         pref: "LoadView" = A

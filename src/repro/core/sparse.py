@@ -29,14 +29,13 @@ and dense row/column *marginal* prefixes.  It satisfies the same
   dense substrate holds on every solver family, which the differential
   matrix (``tests/test_backend_equality.py``) enforces.
 
-:func:`substrate_from_triplets` dispatches between the two substrates on
-density: CSR when at most a quarter of the cells are nonzero, dense
-otherwise.
+It has one constructor, ``SparsePrefix2D(A)`` over a dense load matrix,
+and digests through :meth:`~SparsePrefix2D.cells_dense` like the dense
+substrate.
 """
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left
 
 import numpy as np
@@ -47,9 +46,6 @@ from ..perf.counters import bump
 from ..sweep.state import sweep_active
 from .errors import ParameterError
 from .prefix import (
-    LoadView,
-    PrefixSum2D,
-    _as_int64,
     _checked_max,
     _Ints,
     _ProjectionMemo,
@@ -57,10 +53,7 @@ from .prefix import (
     as_load_matrix,
 )
 
-__all__ = [
-    "SparsePrefix2D",
-    "substrate_from_triplets",
-]
+__all__ = ["SparsePrefix2D"]
 
 
 #: cells per block of the dense-to-CSR nonzero scan, and (rectangle, row)
@@ -70,13 +63,6 @@ __all__ = [
 #: 2^16 → 29 / 22 / 19 ms, 2^18 → 29 / 23 / 19 ms, 2^20 → 30 / 27 / 18 ms,
 #: one full mask → 35 / 23 / 17 ms; 2D ``np.nonzero`` took 96 / 70 / 67 ms
 _NONZERO_BLOCK = 1 << 18
-
-
-#: the density dispatcher builds CSR when ``nnz * _CELLS_PER_NONZERO <=
-#: cells`` (density at most ¼), where CSR's ~32 bytes a nonzero meet dense
-#: Γ's 8 bytes a cell: CSR over dense bytes on random 1024² matrices are
-#: 0.40 / 1.00 / 1.60 at density 0.10 / 0.25 / 0.40
-_CELLS_PER_NONZERO = 4
 
 
 class SparsePrefix2D(_ProjectionMemo):
@@ -140,52 +126,6 @@ class SparsePrefix2D(_ProjectionMemo):
         vals = flat[keys]
         _checked_max(vals)
         self._init_sorted(keys, vals, (A.shape[0], A.shape[1]))
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_triplets(
-        cls,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        shape: tuple[int, int],
-    ) -> "SparsePrefix2D":
-        """Build directly from COO triplets without densifying.
-
-        Duplicate ``(row, col)`` entries are summed (the convention of every
-        sparse-matrix assembly path); explicit zeros are dropped.  This is
-        the O(nnz log nnz) entry point the ``large``-profile instance
-        generators use — peak memory never touches O(n1·n2).
-        """
-        n1, n2 = int(shape[0]), int(shape[1])
-        if n1 <= 0 or n2 <= 0:
-            raise ParameterError(f"shape must be positive, got {(n1, n2)}")
-        # exact, non-negative integers: a cast would truncate 1.5 to row 1
-        rows = _as_int64(np.asarray(rows).ravel(), "triplet row indices")
-        cols = _as_int64(np.asarray(cols).ravel(), "triplet column indices")
-        vals = np.asarray(vals).ravel()
-        if not (len(rows) == len(cols) == len(vals)):
-            raise ParameterError("rows, cols and vals must have equal lengths")
-        vals = _as_int64(vals, "triplet values")
-        if len(rows) and (rows.max() >= n1 or cols.max() >= n2):
-            raise ParameterError("triplet indices out of bounds for shape")
-        _checked_max(vals)  # before the duplicate sums below could wrap
-        keys = rows * n2 + cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        vals = vals[order]
-        if len(keys):
-            first = np.empty(len(keys), dtype=bool)
-            first[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            starts = np.flatnonzero(first)
-            vals = np.add.reduceat(vals, starts)  # exact int64 duplicate collapse
-            keys = keys[starts]
-        nz = vals != 0
-        self = cls.__new__(cls)
-        self._init_sorted(keys[nz], vals[nz], (n1, n2))
-        return self
 
     def _init_sorted(
         self,
@@ -443,54 +383,3 @@ class SparsePrefix2D(_ProjectionMemo):
         T._max_el = self._max_el  # same multiset of cell loads
         T._min_el = self._min_el
         return T
-
-    # -- digest ----------------------------------------------------------
-
-    def matrix_digest(self) -> tuple[str, int]:
-        """``(digest, scale)`` equal to the dense :func:`repro.sweep.store.matrix_digest`.
-
-        Streams the logical dense matrix through sha256 in bounded row
-        blocks (~4 MiB of int64 at a time), so warm sweep/raw-store facts
-        recorded against the dense substrate transfer to the sparse one and
-        vice versa without ever materializing the full array.
-        """
-        nnz = len(self.vals)
-        scale = int(np.gcd.reduce(self.vals)) if nnz else 1
-        if scale <= 0:
-            scale = 1
-        h = hashlib.sha256()
-        h.update(b"int64|")
-        h.update(repr((self.n1, self.n2)).encode())
-        h.update(b"|")
-        block = max(1, (1 << 22) // max(1, 8 * self.n2))
-        counts = np.diff(self.indptr)
-        prim = self.vals // scale
-        for r0 in range(0, self.n1, block):
-            r1 = min(self.n1, r0 + block)
-            s0 = int(self.indptr[r0])
-            s1 = int(self.indptr[r1])
-            buf = np.zeros((r1 - r0, self.n2), dtype=np.int64)
-            local = np.repeat(np.arange(r1 - r0), counts[r0:r1])
-            buf[local, self.cols[s0:s1]] = prim[s0:s1]
-            h.update(buf.tobytes())
-        return h.hexdigest(), scale
-
-
-def substrate_from_triplets(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    shape: tuple[int, int],
-) -> LoadView:
-    """Density-dispatched substrate for a COO triplet stream.
-
-    The sparse build happens first (O(nnz) memory); only when more than a
-    quarter of the cells are nonzero does the matrix densify.  Generators
-    at the ``large`` profile therefore never allocate O(n1·n2) unless the
-    data genuinely is dense.  Both substrates answer every query
-    bit-identically (``tests/test_sparse_equality.py``).
-    """
-    sp = SparsePrefix2D.from_triplets(rows, cols, vals, shape)
-    if sp.nnz * _CELLS_PER_NONZERO <= int(shape[0]) * int(shape[1]):
-        return sp
-    return PrefixSum2D(sp.cells_dense())

@@ -16,10 +16,8 @@
   tiny common instance, so the raw-cell coverage test
   (``tests/test_registry.py::test_raw_cells_cover_every_entry``) holds: no
   registered algorithm goes unmeasured.
-* :func:`ext6_spmv_sparse` — the intro's spmv use case ([1]–[3]) at the
-  profile's histogram resolution; at the ``large`` profile the instance
-  builds on the sparse CSR substrate straight from the edge stream (4096²,
-  never densified) — the substrate the tentpole exists for.
+* :func:`ext6_spmv` — the intro's spmv use case ([1]–[3]) at the
+  profile's histogram resolution.
 * :func:`ext7_policy_comparison` — "integrate the proposed algorithms in a
   real dynamic application and study their end-to-end effects": cumulative
   simulated BSP time (compute + communication + migration) of the
@@ -60,7 +58,7 @@ __all__ = [
     "ext3_stripe_autotuning",
     "ext4_volume_3d",
     "ext5_registry_coverage",
-    "ext6_spmv_sparse",
+    "ext6_spmv",
     "ext7_policy_comparison",
     "ALL_EXTENSIONS",
 ]
@@ -270,26 +268,16 @@ def ext5_registry_coverage(scale=None) -> FigureResult:
     return res
 
 
-def ext6_spmv_sparse(scale=None) -> FigureResult:
+def ext6_spmv(scale=None) -> FigureResult:
     """All heuristics on the R-MAT spmv nonzero histogram vs m.
 
     The intro's first application class (2D-decomposed sparse linear
     algebra, refs [1]–[3]) at the profile's ``n_spmv`` blocking resolution.
-    At the ``large`` profile the 4096² histogram is built straight from the
-    edge stream onto the sparse CSR substrate
-    (:func:`repro.instances.spmv.spmv_sparse` — O(nnz) memory, digest-equal
-    to the densified instance, so raw-store cells transfer across
-    substrates); the other profiles densify as before.
     """
+    from ..instances.spmv import spmv_instance
+
     sc = get_scale(scale)
-    if sc.name == "large":
-        from ..instances.spmv import spmv_sparse
-
-        pref = spmv_sparse(sc.n_spmv, model="rmat", seed=0)
-    else:
-        from ..instances.spmv import spmv_instance
-
-        pref = PrefixSum2D(spmv_instance(sc.n_spmv, model="rmat", seed=0))
+    pref = PrefixSum2D(spmv_instance(sc.n_spmv, model="rmat", seed=0))
     res = FigureResult(
         "ext6",
         f"All heuristics on R-MAT spmv {sc.n_spmv}x{sc.n_spmv}",
@@ -371,6 +359,6 @@ ALL_EXTENSIONS = {
     "ext3": ext3_stripe_autotuning,
     "ext4": ext4_volume_3d,
     "ext5": ext5_registry_coverage,
-    "ext6": ext6_spmv_sparse,
+    "ext6": ext6_spmv,
     "ext7": ext7_policy_comparison,
 }

@@ -482,19 +482,9 @@ def fig14_slac(scale=None) -> FigureResult:
     high load imbalance.  Only the hierarchical partitioning algorithms
     manage to keep the imbalance low and HIER-RELAXED gets a lower imbalance
     than HIER-RB."
-
-    At the ``large`` profile the instance (4096²) is built straight from the
-    projected-vertex triplet stream onto the sparse CSR substrate — same
-    digest, bit-identical cells, never a dense O(n²) allocation.
     """
     sc = get_scale(scale)
-    if sc.name == "large":
-        from ..instances.mesh.project import slac_sparse
-
-        pref = slac_sparse(sc.n_slac)
-    else:
-        A = slac_instance(sc.n_slac)
-        pref = PrefixSum2D(A)
+    pref = PrefixSum2D(slac_instance(sc.n_slac))
     res = FigureResult(
         "fig14",
         f"All heuristics on SLAC {sc.n_slac}x{sc.n_slac}",

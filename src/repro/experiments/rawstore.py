@@ -16,8 +16,9 @@ is
   cold; a corrupt store can cost time, never poison a figure.
 
 Keying follows the sweep store: the instance coordinate is the SHA-256 of
-the gcd-primitive load array (:func:`repro.sweep.store.matrix_digest`)
-suffixed with the live scale, and solver kwargs are canonicalized with
+the gcd-primitive load array (:func:`repro.sweep.store.matrix_digest` of
+the substrate's ``cells_dense()``, dense or CSR alike) suffixed with the
+live scale, and solver kwargs are canonicalized with
 :func:`canonical_scope`.  The full cell key is
 ``(schema version, profile, instance digest, algorithm, scope, m, metric)``
 — ``metric`` names the value schema (``imbalance``, ``lmax_lavg``,

@@ -11,10 +11,6 @@ profile*:
   phenomenon (who wins, crossovers, waves); minutes for the full suite.
 * ``paper`` — the paper's matrix sizes, processor counts and snapshot
   cadence; hours for the full suite.
-* ``large`` — beyond-paper instance sizes (≥4096² spmv/mesh histograms)
-  reachable only through the sparse CSR substrate
-  (:mod:`repro.core.sparse`); the generators build from triplets and never
-  densify, so memory stays O(nnz).
 
 Select with ``repro-experiments --scale paper`` or the ``scale=`` argument
 of the figure functions.
@@ -24,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.errors import ParameterError
 from ..instances.pic import PICConfig
 
-__all__ = ["Scale", "TINY", "SMALL", "PAPER", "LARGE", "get_scale"]
+__all__ = ["Scale", "TINY", "SMALL", "PAPER", "get_scale"]
 
 
 @dataclass(frozen=True)
@@ -140,41 +137,20 @@ PAPER = Scale(
     m_fig12=9216,
 )
 
-LARGE = Scale(
-    name="large",
-    m_values=(16, 64, 256),
-    m_cap_pq_opt=256,
-    m_cap_m_opt=64,
-    n_peak=1024,
-    n_multipeak=512,
-    n_diagonal=4096,
-    n_uniform=512,
-    n_fig9=514,
-    m_fig9=800,
-    fig9_stripes=tuple(range(2, 302, 8)),
-    n_slac=4096,
-    n_spmv=4096,
-    seeds=3,
-    pic=PICConfig(grid=512, particles=150_000, smooth=5, particle_load=22),
-    pic_period=500,
-    pic_max_iteration=33_500,
-    pic_fig7_iteration=30_000,
-    pic_fig13_iteration=20_000,
-    m_fig8=6400,
-    m_fig11=400,
-    m_fig12=9216,
-)
-
-_PROFILES = {"tiny": TINY, "small": SMALL, "paper": PAPER, "large": LARGE}
+_PROFILES = {"tiny": TINY, "small": SMALL, "paper": PAPER}
 
 
 def get_scale(name: str | Scale | None) -> Scale:
-    """Resolve a profile by name, pass through Scale objects, None → ``small``."""
+    """Resolve a profile by name, pass through Scale objects, None → ``small``.
+
+    Anything else (an unknown name, a non-string) is a ``ParameterError``
+    naming the argument and the profiles.
+    """
     if name is None:
         return SMALL
     if isinstance(name, Scale):
         return name
-    key = name.lower()
+    key = name.lower() if isinstance(name, str) else None
     if key not in _PROFILES:
-        raise ValueError(f"unknown scale {name!r}; choose from {sorted(_PROFILES)}")
+        raise ParameterError(f"scale must be one of {sorted(_PROFILES)}, got {name!r}")
     return _PROFILES[key]

@@ -2,7 +2,6 @@
 
 from .mesh import CavityConfig, slac_instance
 from .pic import PICConfig, PICMagDataset, PICMagSimulator
-from .rendering import render_scene
 from .spmv import rmat_edges, spmv_instance
 from .synthetic import (
     SYNTHETIC_CLASSES,
@@ -19,7 +18,6 @@ __all__ = [
     "PICConfig",
     "PICMagDataset",
     "PICMagSimulator",
-    "render_scene",
     "rmat_edges",
     "spmv_instance",
     "SYNTHETIC_CLASSES",

@@ -12,23 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from ...core.errors import ParameterError
-from ..spmv import _hist2d_counts, hist2d_triplets
+from ..spmv import _hist2d_counts
 from .cavity import CavityConfig, cavity_vertices
 
-__all__ = ["project_vertices", "project_vertices_sparse", "slac_instance", "slac_sparse"]
-
-
-def _projection(vertices: np.ndarray, n: int, axes: tuple[int, int], n2: int | None) -> tuple:
-    """``(u, v, bins, value_range)`` of a projection — both twins' builder."""
-    vertices = np.asarray(vertices, dtype=np.float64)
-    if vertices.ndim != 2 or vertices.shape[1] != 3 or len(vertices) == 0:
-        raise ParameterError("vertices must have shape (N, 3) with N > 0")
-    if not np.isfinite(vertices).all():
-        raise ParameterError("vertices must be finite")
-    u = vertices[:, axes[0]]
-    v = vertices[:, axes[1]]
-    value_range = ((u.min(), u.max() + 1e-12), (v.min(), v.max() + 1e-12))
-    return u, v, (n, n if n2 is None else n2), value_range
+__all__ = ["project_vertices", "slac_instance"]
 
 
 def project_vertices(
@@ -51,27 +38,15 @@ def project_vertices(
         Which coordinate pair spans the projection plane (default: the side
         view ``(z, x)``).
     """
-    return _hist2d_counts(*_projection(vertices, n, axes, n2))
-
-
-def project_vertices_sparse(
-    vertices: np.ndarray,
-    n: int = 512,
-    *,
-    axes: tuple[int, int] = (0, 1),
-    n2: int | None = None,
-):
-    """Sparse-substrate twin of :func:`project_vertices` — never densifies.
-
-    Same edges, same binning (digest-equal to the densified projection):
-    the histogram runs as a triplet stream and the substrate builds via
-    :func:`repro.core.sparse.substrate_from_triplets`, so peak memory is
-    O(vertices + nnz) instead of O(n·n2).
-    """
-    from ...core.sparse import substrate_from_triplets
-
-    u, v, bins, value_range = _projection(vertices, n, axes, n2)
-    return substrate_from_triplets(*hist2d_triplets(u, v, bins, value_range), bins)
+    vertices = np.asarray(vertices, dtype=np.float64)
+    if vertices.ndim != 2 or vertices.shape[1] != 3 or len(vertices) == 0:
+        raise ParameterError("vertices must have shape (N, 3) with N > 0")
+    if not np.isfinite(vertices).all():
+        raise ParameterError("vertices must be finite")
+    u = vertices[:, axes[0]]
+    v = vertices[:, axes[1]]
+    value_range = ((u.min(), u.max() + 1e-12), (v.min(), v.max() + 1e-12))
+    return _hist2d_counts(u, v, (n, n if n2 is None else n2), value_range)
 
 
 def slac_instance(
@@ -81,8 +56,3 @@ def slac_instance(
     verts = cavity_vertices(config)
     return project_vertices(verts, n)
 
-
-def slac_sparse(n: int = 512, config: CavityConfig | None = None):
-    """Sparse-substrate SLAC substitute — the ``large``-profile entry point."""
-    verts = cavity_vertices(config)
-    return project_vertices_sparse(verts, n)

@@ -13,8 +13,9 @@ Two synthetic sparsity models:
 * ``mesh`` — a 5-point-stencil mesh matrix (banded, near-uniform rows; the
   structured-PDE regime).
 
-Both twins share one nonzero builder per model (:func:`_spmv_points`) and
-one exact binning (:func:`_hist2d_keys`, bit-identical to ``np.histogram2d``).
+Each model builds its nonzeros in :func:`_spmv_points`, and one exact
+binning (:func:`_hist2d_counts`, bit-identical to ``np.histogram2d``)
+counts them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from ..core.errors import ParameterError
 
-__all__ = ["spmv_instance", "spmv_sparse", "rmat_edges", "hist2d_triplets"]
+__all__ = ["spmv_instance", "rmat_edges"]
 
 _Bins = int | tuple[int, int]
 _Range = tuple[tuple[float, float], tuple[float, float]]
@@ -67,7 +68,7 @@ def rmat_edges(
 def _spmv_points(
     n: int, model: str, scale: int, edge_factor: int, mesh_size: int | None, seed
 ) -> tuple[np.ndarray, np.ndarray, _Range]:
-    """Nonzero ``(rows, cols, value_range)`` of one model — both twins' builder."""
+    """Nonzero ``(rows, cols, value_range)`` of one model."""
     if n <= 0:
         raise ParameterError("n must be positive")
     key = model.lower()
@@ -139,14 +140,13 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return b
 
 
-def _hist2d_keys(
-    x: np.ndarray, y: np.ndarray, bins: _Bins, value_range: _Range
-) -> tuple[np.ndarray, int, int]:
-    """Flat ``row · n2 + col`` cell key of every counted point, and ``(n1, n2)``.
+def _hist2d_counts(x: np.ndarray, y: np.ndarray, bins: _Bins, value_range: _Range) -> np.ndarray:
+    """``np.histogram2d(x, y, bins, range=value_range)`` as int64, counted in
+    one ``bincount`` (no float64 histogram, no int64 copy of it).
 
-    Bins as ``np.histogram2d(x, y, bins, range=value_range)`` does: the same
-    ``linspace`` edges (an empty range widened to ±0.5), the rightmost edge
-    folded into the last bin, points outside the range dropped.
+    Bins as ``np.histogram2d`` does: the same ``linspace`` edges (an empty
+    range widened to ±0.5), the rightmost edge folded into the last bin,
+    points outside the range dropped.
     """
     n1, n2 = (int(bins),) * 2 if np.ndim(bins) == 0 else (int(bins[0]), int(bins[1]))
     if n1 <= 0 or n2 <= 0:
@@ -166,54 +166,8 @@ def _hist2d_keys(
     if bx.size and not (min(bx.min(), by.min()) >= 1 and bx.max() <= n1 and by.max() <= n2):
         keep = (bx >= 1) & (bx <= n1) & (by >= 1) & (by <= n2)
         bx, by = bx[keep], by[keep]
+    # flat row · n2 + col cell key of every counted point
     bx *= n2
     bx += by
     bx -= n2 + 1
-    return bx, n1, n2
-
-
-def _hist2d_counts(x: np.ndarray, y: np.ndarray, bins: _Bins, value_range: _Range) -> np.ndarray:
-    """``np.histogram2d(x, y, bins, range=value_range)`` as int64, counted in
-    one ``bincount`` (no float64 histogram, no int64 copy of it)."""
-    keys, n1, n2 = _hist2d_keys(x, y, bins, value_range)
-    return np.bincount(keys, minlength=n1 * n2).reshape(n1, n2)
-
-
-def hist2d_triplets(
-    x: np.ndarray, y: np.ndarray, bins: _Bins, value_range: _Range
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO triplets of the 2D histogram — bit-identical bins, O(points) memory.
-
-    The same keys as the dense twin, but only the *occupied* cells, as
-    ``(rows, cols, counts)``: the ``large`` profile builds a
-    :class:`~repro.core.sparse.SparsePrefix2D` with the same digest as the
-    densified instance, without the O(bins²) allocation.
-    """
-    keys, _, n2 = _hist2d_keys(x, y, bins, value_range)
-    uniq, counts = np.unique(keys, return_counts=True)
-    rows = uniq // n2
-    cols = uniq - rows * n2
-    return rows, cols, counts.astype(np.int64)
-
-
-def spmv_sparse(
-    n: int,
-    *,
-    model: str = "rmat",
-    scale: int = 14,
-    edge_factor: int = 8,
-    mesh_size: int | None = None,
-    seed: int | np.random.Generator | None = 0,
-):
-    """Sparse-substrate twin of :func:`spmv_instance` — never densifies.
-
-    Same models, same parameters, same logical load matrix (digest-equal to
-    ``spmv_instance`` with identical arguments): the histogram runs as a
-    triplet stream through :func:`hist2d_triplets` and the substrate builds
-    via :func:`repro.core.sparse.substrate_from_triplets`, so peak memory is
-    O(edges + nnz) instead of O(n²).
-    """
-    from ..core.sparse import substrate_from_triplets
-
-    rows, cols, value_range = _spmv_points(n, model, scale, edge_factor, mesh_size, seed)
-    return substrate_from_triplets(*hist2d_triplets(rows, cols, n, value_range), (n, n))
+    return np.bincount(bx, minlength=n1 * n2).reshape(n1, n2)

@@ -8,7 +8,8 @@ how production partitioners amortize repartitioning cost across
 timesteps, the store is keyed by *content*:
 
 * the instance digest is ``SHA-256`` over the load matrix's dtype tag,
-  shape, and the bytes of its **primitive** form ``A' = A // g`` where
+  shape, and the bytes of its **primitive** form (the matrix is the
+  substrate's ``cells_dense()``, dense or CSR alike) ``A' = A // g`` where
   ``g = gcd(A)`` — so instances that differ only by a positive integer
   scale factor share one entry;
 * facts are stored at primitive scale and rescaled on the way in and out:
@@ -61,7 +62,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.prefix import PrefixSum2D
+from ..core.prefix import LoadView, PrefixSum2D
 from ..core.sparse import SparsePrefix2D
 from .state import SweepInvariantError, SweepState
 
@@ -137,18 +138,14 @@ def matrix_digest(A: np.ndarray) -> tuple[str, int]:
     return h.hexdigest(), scale
 
 
-def instance_digest(pref: PrefixSum2D) -> tuple[str, int]:
-    """``(digest, scale)`` of a prefix's underlying load matrix.
+def instance_digest(pref: LoadView) -> tuple[str, int]:
+    """``(digest, scale)`` of a substrate's underlying load matrix.
 
-    Recovers the load matrix from the inclusive prefix grid and hashes its
-    primitive form via :func:`matrix_digest`.  A sparse substrate digests
-    itself (streamed dense row blocks, never the full array) to the *same*
-    value — warm facts transfer across substrates for one logical matrix.
+    Hashes the primitive form of :meth:`~repro.core.prefix.LoadView.cells_dense`
+    via :func:`matrix_digest`; the dense and the CSR substrate of one logical
+    matrix digest to the same value, so warm facts transfer across them.
     """
-    digest = getattr(pref, "matrix_digest", None)
-    if digest is not None:
-        return digest()
-    return matrix_digest(np.diff(np.diff(pref.G, axis=0), axis=1))
+    return matrix_digest(pref.cells_dense())
 
 
 class SweepStore:

@@ -24,8 +24,7 @@ suites (``tests/test_kernels_equality.py``, ``tests/test_sparse_equality.py``,
 
 Two coverage tests keep the matrix whole: its parametrization is exactly
 the registry, and the registry's solves reach every kernel's reference
-oracle.  The substrate dispatchers are pinned here too.  CI's kernel
-identity gate names this file, so deleting it fails CI.
+oracle.
 """
 
 from __future__ import annotations
@@ -38,12 +37,11 @@ import pytest
 from repro.core import prefix
 from repro.core.prefix import PrefixSum2D
 from repro.core.registry import ALGORITHMS, partition_2d
-from repro.core.sparse import SparsePrefix2D, substrate_from_triplets
+from repro.core.sparse import SparsePrefix2D
 from repro.perf.config import use_perf_backend
 from repro.perf.counters import op_counters
 from repro.perf.kernels import KERNELS
 from repro.sweep import SweepStore, use_sweep
-from repro.sweep.store import instance_digest, matrix_digest
 
 
 def _random_sparse(rng, n1: int, n2: int, k: int, hi: int) -> np.ndarray:
@@ -195,34 +193,3 @@ def test_every_kernel_reference_is_exercised(monkeypatch):
         for method in sorted(ALGORITHMS):
             partition_2d(PrefixSum2D(smooth), 5, method)
     assert dual and dual <= reached
-
-
-# ----------------------------------------------------------------------
-# the substrate dispatcher
-# ----------------------------------------------------------------------
-def test_substrate_from_triplets_dispatches_on_density(rng):
-    # the density boundary is exact: exactly a quarter of the cells nonzero
-    # is CSR, one more nonzero is dense
-    A = _random_sparse(rng, 12, 10, 30, 50)
-    for want in (SparsePrefix2D, PrefixSum2D):
-        rows, cols = np.nonzero(A)
-        assert isinstance(substrate_from_triplets(rows, cols, A[rows, cols], A.shape), want)
-        A[np.unravel_index(np.flatnonzero(A == 0)[0], A.shape)] = 1
-
-
-def test_substrate_from_triplets_matches_dense_assembly(rng):
-    n1, n2 = 21, 17
-    k = 60
-    rows = rng.integers(0, n1, size=k)
-    cols = rng.integers(0, n2, size=k)
-    vals = rng.integers(0, 7, size=k)  # duplicates and explicit zeros
-    A = np.zeros((n1, n2), dtype=np.int64)
-    np.add.at(A, (rows, cols), vals)
-    sub = substrate_from_triplets(rows, cols, vals, (n1, n2))
-    np.testing.assert_array_equal(sub.cells_dense(), A)
-    assert instance_digest(sub) == matrix_digest(A)
-    # a stream covering every cell densifies: same logical matrix
-    r, c = np.indices((n1, n2)).reshape(2, -1)
-    dense_sub = substrate_from_triplets(r, c, A[r, c] + 1, (n1, n2))
-    assert isinstance(dense_sub, PrefixSum2D)
-    np.testing.assert_array_equal(dense_sub.cells_dense(), A + 1)

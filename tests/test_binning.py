@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import ParameterError
 from repro.instances import spmv as spmv_mod
-from repro.instances.spmv import _bin_index, _hist2d_counts, hist2d_triplets
+from repro.instances.spmv import _bin_index, _hist2d_counts
 
 
 def _probe_points(edges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -33,13 +33,6 @@ def _probe_points(edges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             lo * (1.0 - t) + hi * t,
         ]
     )
-
-
-def _dense_triplets(x, y, bins, value_range) -> np.ndarray:
-    rows, cols, counts = hist2d_triplets(x, y, bins, value_range)
-    R = np.zeros(bins, dtype=np.int64)
-    R[rows, cols] = counts
-    return R
 
 
 @settings(max_examples=120, deadline=None)
@@ -65,7 +58,6 @@ def test_binning_equals_searchsorted_and_histogram2d(lo, log_width, n, n2, seed)
     H, _, _ = np.histogram2d(x, y, bins=(n, n2), range=value_range)
     ref = H.astype(np.int64)
     np.testing.assert_array_equal(_hist2d_counts(x, y, (n, n2), value_range), ref)
-    np.testing.assert_array_equal(_dense_triplets(x, y, (n, n2), value_range), ref)
 
 
 def test_overflowing_guess_takes_the_searchsorted_fallback(monkeypatch):
@@ -103,7 +95,6 @@ def test_degenerate_ranges_match_histogram2d(value_range):
     vr = (value_range, (-1.0, 1.0))
     H, _, _ = np.histogram2d(x, y, bins=(16, 3), range=vr)
     np.testing.assert_array_equal(_hist2d_counts(x, y, (16, 3), vr), H.astype(np.int64))
-    np.testing.assert_array_equal(_dense_triplets(x, y, (16, 3), vr), H.astype(np.int64))
 
 
 def test_numpy_integer_resolution_is_accepted():
@@ -138,5 +129,3 @@ def test_bad_range_is_a_parameter_error(value_range):
     x = np.zeros(3)
     with pytest.raises(ParameterError):
         _hist2d_counts(x, x, 4, value_range)
-    with pytest.raises(ParameterError):
-        hist2d_triplets(x, x, 4, value_range)

@@ -119,17 +119,19 @@ class TestCli:
 
 class TestExperimentsCli:
     def test_scale_choices_follow_the_profile_table(self, monkeypatch, tmp_path, capsys):
-        """--scale accepts every profile, `large` included."""
+        """--scale accepts a profile from the table and rejects other names."""
         seen = []
         monkeypatch.setattr(
             experiments_cli,
             "ALL_RUNNABLE",
             {"fig05": lambda sc: seen.append(sc.name) or _demo_figure()},
         )
-        rc = experiments_cli.main(["--figures", "fig05", "--scale", "large"])
-        assert rc == 0 and seen == ["large"]
-        with pytest.raises(SystemExit):
-            experiments_cli.main(["--figures", "fig05", "--scale", "huge"])
+        rc = experiments_cli.main(["--figures", "fig05", "--scale", "paper"])
+        assert rc == 0 and seen == ["paper"]
+        for name in ("huge", "large"):
+            with pytest.raises(SystemExit) as exc:
+                experiments_cli.main(["--figures", "fig05", "--scale", name])
+            assert exc.value.code == 2
 
     @staticmethod
     def _process_state():

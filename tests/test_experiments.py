@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from repro.core.errors import ParameterError
 from repro.experiments import ALL_FIGURES, FigureResult, get_scale
 from repro.experiments.cli import main
 from repro.experiments.scale import PAPER, SMALL, TINY, Scale
@@ -20,6 +21,11 @@ class TestScale:
         assert get_scale(TINY) is TINY
         with pytest.raises(ValueError):
             get_scale("huge")
+
+    @pytest.mark.parametrize("name", [3, "huge", "large"])
+    def test_malformed_scale_is_a_parameter_error(self, name):
+        with pytest.raises(ParameterError, match=r"scale must be one of \['paper', 'small', 'tiny'\]"):
+            get_scale(name)
 
     def test_paper_profile_matches_paper_numbers(self):
         assert PAPER.n_uniform == 512

@@ -3,8 +3,9 @@
 The digests were taken from the ``np.histogram2d`` binning these generators
 used before the shared exact binning in :mod:`repro.instances.spmv`; any
 drift in a generator or in the binning changes a byte and fails here, at
-the resolutions the ``large`` profile and the ``sparse_large`` benchmark
-build.
+the resolutions the paper profile and the ``sparse_large`` benchmark build.
+The CSR substrate of each 4096² instance digests (``instance_digest``) to a
+pinned value too, equal to the dense ``matrix_digest`` of the same matrix.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import pytest
 
 from repro.core.sparse import SparsePrefix2D
 from repro.instances import slac_instance, spmv_instance
-from repro.instances.mesh.project import slac_sparse
-from repro.instances.spmv import spmv_sparse
+from repro.sweep.store import instance_digest
 
 DENSE = {
     "slac-256": (
@@ -42,21 +42,12 @@ DENSE = {
     ),
 }
 
-# (digest, scale) of SparsePrefix2D.matrix_digest: equal to the dense
-# repro.sweep.store.matrix_digest of the same logical matrix
+# (digest, scale) of instance_digest over the CSR substrate: equal to the
+# dense repro.sweep.store.matrix_digest of the same matrix
 SPARSE = {
-    "slac-4096": (
-        lambda: slac_sparse(4096),
-        "5e7edb6bdee84b60d31c178b1c4d9751ad4b7c633e9d68145d32223dc838f1bd",
-    ),
-    "rmat-4096": (
-        lambda: spmv_sparse(4096, model="rmat", scale=14, edge_factor=8),
-        "e611287dc4572d99253815aacb7f82bf7ebef59f80757213cf23fe5d9fa3f40a",
-    ),
-    "mesh-4096": (
-        lambda: spmv_sparse(4096, model="mesh", mesh_size=512),
-        "4149f23f73a297769daf27c6266a4bb7c5715331a392827e0c9a99b81c374b8d",
-    ),
+    "slac-4096": "5e7edb6bdee84b60d31c178b1c4d9751ad4b7c633e9d68145d32223dc838f1bd",
+    "rmat-4096": "e611287dc4572d99253815aacb7f82bf7ebef59f80757213cf23fe5d9fa3f40a",
+    "mesh-4096": "4149f23f73a297769daf27c6266a4bb7c5715331a392827e0c9a99b81c374b8d",
 }
 
 
@@ -70,7 +61,5 @@ def test_dense_instance_bytes_are_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(SPARSE))
 def test_sparse_twin_digest_is_pinned(name):
-    build, digest = SPARSE[name]
-    sub = build()
-    assert isinstance(sub, SparsePrefix2D)
-    assert sub.matrix_digest() == (digest, 1)
+    sub = SparsePrefix2D(DENSE[name][0]())
+    assert instance_digest(sub) == (SPARSE[name], 1)

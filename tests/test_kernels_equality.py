@@ -23,16 +23,14 @@ forced on every batch.
 The tail of the module pins backend selection (malformed environment
 values fail loudly), the dispatch sites themselves (``oned.probe``,
 ``oned.multicost``, ``jagged.m_heur`` and the frontier cut entry points
-answer identically on either backend), the committed kernel micro-bench
-(one ``BENCH_kernels.json`` row per numpy body) and the registry's lint
-coverage (``perf`` stays in ``HOT_PACKAGES``).
+answer identically on either backend, a hierarchical tree level's 200-window
+batch and RECT-NICOL's hinted striped solves included) and the registry's
+lint coverage (``perf`` stays in ``HOT_PACKAGES``).
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +344,20 @@ def test_frontier_huge_totals_take_exact_ints(monkeypatch):
     assert found == (2, 2**61 + 9, 1, 1)
 
 
+def test_frontier_kernels_match_on_a_tree_level_batch(monkeypatch):
+    """One batch of 200 windows tiling an 8 000-cell projection, as the nodes
+    of a hierarchical tree level tile a band."""
+    rng = np.random.default_rng(42)
+    n = 8_000
+    P = np.concatenate([[0], np.cumsum(rng.integers(1, 1_000, n))]).astype(np.int64)
+    inner = rng.choice(np.arange(2, n - 1, 2), 199, replace=False)
+    ends = np.unique(np.concatenate([[0, n], inner]))
+    vals, offs = _batch(P, list(zip(ends[:-1], ends[1:])))
+    for backend in BACKENDS:
+        _check_weighted(vals, offs, [_ORIENTS[1]] * 200, backend, monkeypatch, "level")
+        _check_relaxed(vals, offs, [64] * 200, backend, monkeypatch, "level")
+
+
 @st.composite
 def _frontier_batches(draw):
     """Ragged batches of windows over one random prefix, with per-window
@@ -560,13 +572,6 @@ def test_registry_names_are_stable():
         assert callable(k.reference) and callable(k.numpy)
 
 
-def test_bench_rows_are_the_numpy_kernels():
-    """The committed micro-bench times exactly the kernels with a numpy body."""
-    doc = json.loads((Path(__file__).resolve().parents[1] / "BENCH_kernels.json").read_text())
-    rows = sorted(row["name"] for row in doc["benches"])
-    assert rows == sorted(name for name, k in KERNELS.items() if k.numpy is not k.reference)
-
-
 def test_backend_env_parses_case_and_blanks(monkeypatch):
     monkeypatch.setenv("REPRO_PERF_BACKEND", " REFERENCE ")
     assert _parse_backend() == "reference"
@@ -639,6 +644,26 @@ def test_multicost_dispatch_matches_reference():
         got_part = partition_multi(M, m, ub=total)
         assert ref_B == got_B == ref_part[0] == got_part[0]
         assert ref_part[1].tolist() == got_part[1].tolist()
+
+
+def test_hinted_striped_solves_match_reference():
+    """RECT-NICOL's hinted striped solves: each walk gallops down from the
+    hint, then bisects, all through one step memo (which the reference
+    backend ignores)."""
+    from repro.oned.multicost import partition_multi
+
+    rng = np.random.default_rng(42)
+    M = np.cumsum(rng.integers(0, 100, (8, 1_000)), axis=1)
+    M = np.concatenate([np.zeros((8, 1), dtype=np.int64), M], axis=1).astype(np.int64)
+    for m in (4, 8, 16, 32):
+        c = np.linspace(0, 1_000, m + 1).astype(np.int64)
+        hint = int((M[:, c[1:]] - M[:, c[:-1]]).max())  # equal-width cuts' bottleneck
+        with use_perf_backend("reference"):
+            ref_B, ref_cuts = partition_multi(M, m, ub=hint)
+        for backend in BACKENDS:
+            with use_perf_backend(backend):
+                B, cuts = partition_multi(M, m, ub=hint)
+            assert (B, cuts.tolist()) == (ref_B, ref_cuts.tolist()), (m, backend)
 
 
 def test_allocate_processors_dispatch_matches_reference():

@@ -219,10 +219,9 @@ class TestSparseCell:
         from repro.core.sparse import SparsePrefix2D
         from repro.experiments.figures import _imb_cell
         from repro.experiments.rawstore import digest_prefix
-        from repro.instances.spmv import spmv_sparse
+        from repro.instances.spmv import spmv_instance
 
-        pref = spmv_sparse(256, model="rmat", scale=12, edge_factor=2, seed=0)
-        assert isinstance(pref, SparsePrefix2D)
+        pref = SparsePrefix2D(spmv_instance(256, model="rmat", scale=12, edge_factor=2, seed=0))
         dig = digest_prefix(pref)
         assert dig == digest_prefix(PrefixSum2D(pref.cells_dense()))
 

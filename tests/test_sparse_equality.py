@@ -3,9 +3,9 @@
 Every query the :class:`~repro.core.prefix.LoadView` surface exposes, every
 registry algorithm and the sweep/raw-store digests must answer
 **bit-identically** on the two substrates — the sparse path is a performance
-substrate, never a semantic fork.  The density dispatchers, and every
-registry algorithm across backends and sweep temperatures too, are in the
-differential matrix (``tests/test_backend_equality.py``).
+substrate, never a semantic fork.  Every registry algorithm across backends
+and sweep temperatures is in the differential matrix
+(``tests/test_backend_equality.py``).
 """
 
 from __future__ import annotations
@@ -21,15 +21,11 @@ from repro.core import sparse as sparse_mod
 from repro.core.partition import Partition
 from repro.core.prefix import LoadView, PrefixSum2D, as_load_matrix, prefix_2d
 from repro.core.registry import ALGORITHMS, partition_2d
-from repro.core.sparse import SparsePrefix2D, substrate_from_triplets
+from repro.core.sparse import SparsePrefix2D
 from repro.core.errors import ParameterError
 from repro.instances import slac_instance
-from repro.instances.spmv import hist2d_triplets, spmv_instance, spmv_sparse
-from repro.instances.mesh.project import (
-    project_vertices,
-    project_vertices_sparse,
-    slac_sparse,
-)
+from repro.instances.spmv import spmv_instance
+from repro.instances.mesh.project import project_vertices
 from repro.perf.counters import op_counters
 from repro.sweep import use_sweep
 from repro.sweep.store import instance_digest, matrix_digest
@@ -323,19 +319,6 @@ def test_partition_loads_accepts_sparse(rng):
     np.testing.assert_array_equal(part.loads(sparse), part.loads(dense))
 
 
-def test_from_triplets_validation():
-    with pytest.raises(ParameterError):
-        SparsePrefix2D.from_triplets([0], [0], [1], (0, 4))
-    with pytest.raises(ParameterError):
-        SparsePrefix2D.from_triplets([5], [0], [1], (4, 4))
-    with pytest.raises(ParameterError):
-        SparsePrefix2D.from_triplets([0], [0], [-1], (4, 4))
-    with pytest.raises(ParameterError):
-        SparsePrefix2D.from_triplets([0, 1], [0], [1, 1], (4, 4))
-    with pytest.raises(ParameterError):
-        SparsePrefix2D.from_triplets([0], [0], [np.nan], (4, 4))
-
-
 def _nonzero_csr(A) -> tuple[np.ndarray, ...]:
     """``(indptr, cols, vals, keys)`` by 2D ``np.nonzero`` and a fancy gather."""
     A = np.asarray(A, dtype=np.int64)
@@ -358,40 +341,14 @@ def test_flat_index_csr_matches_nonzero_build(A):
 
 
 def test_total_above_int64_is_rejected_by_every_csr_build():
-    # total 3·2^62 + 1 once wrapped to -4611686018427387903 on all three
+    # total 3·2^62 + 1 once wrapped to -4611686018427387903
     A = np.array([[2**62, 2**62], [2**62, 1]], dtype=np.int64)
     with pytest.raises(ParameterError, match="exceeds int64"):
         SparsePrefix2D(A)
-    with pytest.raises(ParameterError, match="exceeds int64"):
-        SparsePrefix2D.from_triplets([0, 0, 1, 1], [0, 1, 0, 1], A.ravel(), (2, 2))
-    # duplicates summed into one cell are checked before they are summed
-    with pytest.raises(ParameterError, match="exceeds int64"):
-        SparsePrefix2D.from_triplets([1, 1], [0, 0], [2**62, 2**62], (2, 2))
-    with pytest.raises(ParameterError, match="exceeds int64"):
-        substrate_from_triplets([1, 1], [0, 0], [2**62, 2**62], (2, 2))
-    ok = SparsePrefix2D.from_triplets([1, 1], [0, 0], [2**62, 2**62 - 1], (2, 2))
-    assert ok.total == 2**63 - 1 == SparsePrefix2D(ok.cells_dense()).total
-
-
-def test_triplet_values_are_checked_exactly():
-    with pytest.raises(ParameterError, match="integers"):
-        SparsePrefix2D.from_triplets([0], [0], [100000.5], (2, 2))
-    with pytest.raises(ParameterError, match="exceeds int64"):
-        SparsePrefix2D.from_triplets([0], [0], np.array([2**63], dtype=np.uint64), (2, 2))
+    ok = SparsePrefix2D(np.array([[0, 0], [2**62, 2**62 - 1]], dtype=np.int64))
+    assert ok.total == 2**63 - 1
     with pytest.raises(ParameterError, match="exceeds int64"):
         SparsePrefix2D(np.array([[0, 2**63]], dtype=np.uint64))
-
-
-def test_triplet_indices_must_be_exact_integers():
-    # row 1.5 used to be cast to row 1
-    with pytest.raises(ParameterError, match="row indices must contain integers"):
-        SparsePrefix2D.from_triplets([1.5], [0], [5], (3, 3))
-    with pytest.raises(ParameterError, match="column indices must contain integers"):
-        substrate_from_triplets([0], [0.5], [5], (3, 3))
-    with pytest.raises(ParameterError, match="non-negative"):
-        SparsePrefix2D.from_triplets([0], [-1], [5], (3, 3))
-    exact = SparsePrefix2D.from_triplets([1.0], [2.0], [5], (3, 3))
-    assert exact.load(1, 2, 2, 3) == exact.total == 5
 
 
 def test_prefix_2d_passes_sparse_through(rng):
@@ -407,51 +364,33 @@ def test_digest_equality_across_substrates(rng):
         _random_sparse(rng),
         np.zeros((5, 7), dtype=np.int64),
         6 * _random_sparse(rng, 9, 9, density=0.2),  # gcd scale > 1
-        # the CSR digest densifies one 4 MiB row block at a time (128 rows
-        # at 4096 columns): three blocks here, the last one partial
         _random_sparse(rng, 300, 4096, density=0.001),
     ):
         dense, sparse = _pair(A)
-        assert sparse.matrix_digest() == matrix_digest(A)
+        assert instance_digest(sparse) == matrix_digest(A)
         assert instance_digest(sparse) == instance_digest(dense)
 
 
 def test_generator_twins_are_digest_equal():
-    for dense_A, sparse_sub in (
-        (spmv_instance(24, model="mesh", mesh_size=40), spmv_sparse(24, model="mesh", mesh_size=40)),
-        (spmv_instance(24, model="rmat", scale=9, edge_factor=2, seed=7), spmv_sparse(24, model="rmat", scale=9, edge_factor=2, seed=7)),
-        (slac_instance(24), slac_sparse(24)),
+    for A in (
+        spmv_instance(24, model="mesh", mesh_size=40),
+        spmv_instance(24, model="rmat", scale=9, edge_factor=2, seed=7),
+        slac_instance(24),
     ):
-        assert instance_digest(prefix_2d(dense_A)) == instance_digest(
-            prefix_2d(sparse_sub)
-        )
+        assert instance_digest(SparsePrefix2D(A)) == instance_digest(prefix_2d(A))
 
 
-def test_hist2d_triplets_matches_histogram2d(rng):
-    x = rng.uniform(-3.0, 11.0, size=400)
-    y = rng.uniform(-2.0, 8.0, size=400)
-    vrange = ((-1.0, 9.5), (0.0, 7.0))
-    # include points exactly on the rightmost edge (histogramdd folds them in)
-    x[:5] = vrange[0][1]
-    y[:5] = vrange[1][1]
-    for bins in (13, (9, 16)):
-        H, _, _ = np.histogram2d(x, y, bins=bins, range=vrange)
-        rows, cols, counts = hist2d_triplets(x, y, bins, vrange)
-        shape = (bins, bins) if isinstance(bins, int) else bins
-        R = np.zeros(shape, dtype=np.int64)
-        R[rows, cols] = counts
-        np.testing.assert_array_equal(R, H.astype(np.int64))
-
-
-def test_slac_twins_agree_when_a_projection_axis_collapses(rng):
-    # u = 1e5 everywhere: the range's + 1e-12 vanishes, so the dense twin
+def test_projection_bins_like_histogram2d_when_an_axis_collapses(rng):
+    # u = 1e5 everywhere: the range's + 1e-12 vanishes, so the projection
     # (like np.histogram2d) widens the empty range to ±0.5 and puts every
-    # vertex in the middle row; the sparse twin must bin the same way
+    # vertex in the middle row
     V = rng.uniform(0.0, 1.0, size=(300, 3))
     V[:, 0] = 1e5
     dense = project_vertices(V, 8)
     assert dense[4].sum() == len(V)
-    assert instance_digest(project_vertices_sparse(V, 8)) == matrix_digest(dense)
+    vrange = ((1e5, 1e5 + 1e-12), (V[:, 1].min(), V[:, 1].max() + 1e-12))
+    H, _, _ = np.histogram2d(V[:, 0], V[:, 1], bins=8, range=vrange)
+    np.testing.assert_array_equal(dense, H.astype(np.int64))
 
 
 # ----------------------------------------------------------------------
