@@ -136,24 +136,25 @@ figures-check:
 	test ! -s $(FIGURES_CHECK)/dirty
 	@echo "figures-check: committed CSVs reproduce cold, make figures all hits and clean"
 
-# CI smoke of the figure farm: fig03 (the seeded grid) and fig05 (one
-# instance) twice against one raw store -- the second run must be all cache
-# hits and its CSVs byte-identical.  The raw store is left in
+# CI smoke of the figure farm: fig03 (the seeded grid), fig05 (one
+# instance) and fig07 (one PIC-MAG snapshot, read on demand from the
+# instance cache) twice against one raw store -- the second run must be all
+# cache hits and its CSVs byte-identical.  The raw store is left in
 # $(FIGURES_SMOKE)/raw
 FIGURES_SMOKE = /tmp/repro-figures-smoke
 EXPERIMENTS = PYTHONPATH=src $(PYTHON) -m repro.experiments --scale tiny
 figures-smoke:
 	rm -rf $(FIGURES_SMOKE) && mkdir -p $(FIGURES_SMOKE)
-	$(EXPERIMENTS) --figures fig03 fig05 --raw-dir $(FIGURES_SMOKE)/raw \
+	$(EXPERIMENTS) --figures fig03 fig05 fig07 --raw-dir $(FIGURES_SMOKE)/raw \
 		--out $(FIGURES_SMOKE)/cold 2> $(FIGURES_SMOKE)/cold.log
-	$(EXPERIMENTS) --figures fig03 fig05 --raw-dir $(FIGURES_SMOKE)/raw \
+	$(EXPERIMENTS) --figures fig03 fig05 fig07 --raw-dir $(FIGURES_SMOKE)/raw \
 		--out $(FIGURES_SMOKE)/warm 2> $(FIGURES_SMOKE)/warm.log
 	cat $(FIGURES_SMOKE)/warm.log
-	set -e; for f in fig03 fig05; do \
+	set -e; for f in fig03 fig05 fig07; do \
 		grep -q "raw-store $$f: hits=[1-9][0-9]* misses=0 invalid=0" $(FIGURES_SMOKE)/warm.log; \
 		cmp $(FIGURES_SMOKE)/cold/$$f.csv $(FIGURES_SMOKE)/warm/$$f.csv; \
 	done
-	@echo "figures-smoke: fig03 and fig05 warm reruns all hits, byte-identical"
+	@echo "figures-smoke: fig03, fig05 and fig07 warm reruns all hits, byte-identical"
 
 # CI smoke of the sweep fact store: a WarmStarted(EveryK(1)) JAG-M-OPT
 # stream over the tiny-profile PIC-MAG snapshots runs cold into a store,

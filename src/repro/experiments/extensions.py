@@ -34,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.metrics import communication_volume, migration_volume
-from ..core.prefix import PrefixSum2D
 from ..core.registry import ALGORITHMS
 from ..dynamic import (
     EveryK,
@@ -46,10 +45,10 @@ from ..instances import peak
 from ..jagged.m_heur import jag_m_heur
 from ..runtime import BSPSimulator
 from ..volume import PrefixSum3D, vol_hier_rb, vol_jag_m_heur, vol_uniform
-from .figures import HEURISTICS, _imb_cell, _pic_dataset
+from .figures import HEURISTICS, _imb_cell, _instance, _pic_dataset
 from .harness import FigureResult
 from .rawstore import cell as raw_cell
-from .rawstore import combine_digests, digest_matrix, digest_prefix
+from .rawstore import combine_digests, digest_matrix
 from .scale import get_scale
 
 __all__ = [
@@ -68,8 +67,7 @@ def ext1_comm_volume(scale=None) -> FigureResult:
     """Communication volume of every heuristic vs m (PIC-MAG snapshot)."""
     sc = get_scale(scale)
     ds = _pic_dataset(sc)
-    A = ds.snapshot(sc.pic_fig13_iteration)
-    pref = PrefixSum2D(A)
+    dig, sub = _instance(ds.snapshot(sc.pic_fig13_iteration))
     res = FigureResult(
         "ext1",
         f"Communication volume on PIC-MAG iter={sc.pic_fig13_iteration}",
@@ -77,7 +75,6 @@ def ext1_comm_volume(scale=None) -> FigureResult:
         "crossing edges",
         notes=f"scale={sc.name}; §5 extension (not a paper figure)",
     )
-    dig = digest_prefix(pref)
     for m in sc.m_values:
         for name in HEURISTICS:
             v = raw_cell(
@@ -86,7 +83,7 @@ def ext1_comm_volume(scale=None) -> FigureResult:
                 name,
                 m,
                 lambda name=name, m=m: int(
-                    communication_volume(ALGORITHMS[name](pref, m))
+                    communication_volume(ALGORITHMS[name](sub(), m))
                 ),
                 metric="comm_volume",
             )
@@ -107,12 +104,13 @@ def ext2_migration_tradeoff(scale=None) -> FigureResult:
         notes=f"scale={sc.name}; series: total migrated load (fraction of "
         "total work moved per step) and mean imbalance",
     )
-    snaps = [PrefixSum2D(A) for _, A in ds.snapshots()]
+    insts = [_instance(A) for _, A in ds.snapshots()]
     # one cell per threshold: the value is a function of the whole snapshot
     # stream, so the instance coordinate is the combined stream digest
-    sig = combine_digests(digest_prefix(p) for p in snaps)
+    sig = combine_digests(dig for dig, _ in insts)
 
     def _series(thr: float) -> list:
+        snaps = [sub() for _, sub in insts]
         inc = IncrementalJagged(m, threshold=thr)
         prev = None
         migration = 0
@@ -150,8 +148,7 @@ def ext3_stripe_autotuning(scale=None) -> FigureResult:
     """JAG-M-HEUR stripe-count policies: √m vs Theorem 4 vs auto sweep."""
     sc = get_scale(scale)
     ds = _pic_dataset(sc)
-    A = ds.snapshot(sc.pic_fig13_iteration)
-    pref = PrefixSum2D(A)
+    dig, sub = _instance(ds.snapshot(sc.pic_fig13_iteration))
     res = FigureResult(
         "ext3",
         f"JAG-M-HEUR stripe policies on PIC-MAG iter={sc.pic_fig13_iteration}",
@@ -159,7 +156,6 @@ def ext3_stripe_autotuning(scale=None) -> FigureResult:
         "load imbalance",
         notes=f"scale={sc.name}; Theorem 4 uses the measured delta",
     )
-    dig = digest_prefix(pref)
     for m in sc.m_values:
         for policy in ("sqrt", "theorem4", "auto"):
             v = raw_cell(
@@ -168,7 +164,7 @@ def ext3_stripe_autotuning(scale=None) -> FigureResult:
                 "JAG-M-HEUR",
                 m,
                 lambda policy=policy, m=m: float(
-                    jag_m_heur(pref, m, num_stripes=policy).imbalance(pref)
+                    jag_m_heur(sub(), m, num_stripes=policy).imbalance(sub())
                 ),
                 num_stripes=policy,
             )
@@ -253,7 +249,7 @@ def ext5_registry_coverage(scale=None) -> FigureResult:
     """
     sc = get_scale(scale)
     n = min(sc.n_peak, 20)  # exact DPs: keep the common instance tiny
-    pref = PrefixSum2D(peak(n, seed=0))
+    dig, sub = _instance(peak(n, seed=0))
     res = FigureResult(
         "ext5",
         f"Registry coverage sweep on {n}x{n} Peak",
@@ -261,10 +257,9 @@ def ext5_registry_coverage(scale=None) -> FigureResult:
         "load imbalance",
         notes=f"scale={sc.name}; entries no paper figure exercises",
     )
-    dig = digest_prefix(pref)
     for m in (2, 4, 6):
         for name in _UNCOVERED_ENTRIES:
-            res.add(name, m, _imb_cell(sc.name, dig, name, m, pref))
+            res.add(name, m, _imb_cell(sc.name, dig, name, m, sub))
     return res
 
 
@@ -277,7 +272,7 @@ def ext6_spmv(scale=None) -> FigureResult:
     from ..instances.spmv import spmv_instance
 
     sc = get_scale(scale)
-    pref = PrefixSum2D(spmv_instance(sc.n_spmv, model="rmat", seed=0))
+    dig, sub = _instance(spmv_instance(sc.n_spmv, model="rmat", seed=0))
     res = FigureResult(
         "ext6",
         f"All heuristics on R-MAT spmv {sc.n_spmv}x{sc.n_spmv}",
@@ -285,10 +280,9 @@ def ext6_spmv(scale=None) -> FigureResult:
         "load imbalance",
         notes=f"scale={sc.name}; §1 spmv use case (not a paper figure)",
     )
-    dig = digest_prefix(pref)
     for m in sc.m_values:
         for name in HEURISTICS:
-            res.add(name, m, _imb_cell(sc.name, dig, name, m, pref))
+            res.add(name, m, _imb_cell(sc.name, dig, name, m, sub))
     return res
 
 
@@ -306,8 +300,8 @@ def ext7_policy_comparison(scale=None) -> FigureResult:
     sc = get_scale(scale)
     ds = _pic_dataset(sc)
     m = sc.m_fig11
-    snaps = [(it, PrefixSum2D(A)) for it, A in ds.snapshots()]
-    sig = combine_digests(digest_prefix(p) for _, p in snaps)
+    insts = [(it, *_instance(A)) for it, A in ds.snapshots()]
+    sig = combine_digests(dig for _, dig, _ in insts)
     res = FigureResult(
         "ext7",
         f"Repartitioning policies over the PIC-MAG run, m={m}",
@@ -327,6 +321,7 @@ def ext7_policy_comparison(scale=None) -> FigureResult:
     }
 
     def _series(make) -> list:
+        snaps = [(it, sub()) for it, _, sub in insts]
         rep = BSPSimulator(m, solver, policy=make()).run(
             snaps, steps_per_snapshot=sc.pic_period
         )
@@ -346,7 +341,7 @@ def ext7_policy_comparison(scale=None) -> FigureResult:
             policy=pname,
         )
         cum = 0.0
-        for (it, _), t in zip(snaps, times):
+        for (it, _, _), t in zip(insts, times):
             cum += t
             res.add(pname, it, cum)
     return res

@@ -12,9 +12,12 @@ paper's sizes — see :mod:`repro.experiments.scale`) and are deterministic.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable, Iterable
 
+import numpy as np
+
+from ..core.errors import ParameterError
 from ..core.prefix import PrefixSum2D
 from ..core.registry import ALGORITHMS
 from ..instances import diagonal, multi_peak, peak, slac_instance, uniform
@@ -22,7 +25,7 @@ from ..instances.pic import PICMagDataset
 from ..jagged.m_heur import jag_m_heur
 from ..theory.bounds import theorem3_ratio
 from .harness import FigureResult, timed
-from .rawstore import cell as raw_cell, digest_matrix, digest_prefix
+from .rawstore import cell as raw_cell, digest_matrix
 from .scale import Scale, get_scale
 
 __all__ = [
@@ -68,6 +71,19 @@ def pmap(fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
 pmap_batched = pmap
 
 
+def _instance(A) -> tuple[str, Callable[[], PrefixSum2D]]:
+    """``(digest, substrate)`` of the load matrix ``A``; the substrate's Γ is
+    built on its first call, so a full-hit replay builds none.
+
+    A replay rejects every input a build would: the shape is checked here,
+    the entries (exact, non-negative, within int64) by :func:`digest_matrix`.
+    """
+    A = np.asarray(A)
+    if A.ndim != 2 or not A.size:
+        raise ParameterError(f"load matrix must be 2D and non-empty, got shape {A.shape}")
+    return digest_matrix(A), cache(partial(PrefixSum2D, A))
+
+
 def _avg_imbalance_grid(
     family: Callable[..., Any],
     n: int,
@@ -79,24 +95,19 @@ def _avg_imbalance_grid(
 
     The metric of one grid entry is ``sum_I Lmax(I) / sum_I Lavg(I) - 1``
     over the seeded instances ``I = family(n, seed)``.  Each seed's
-    instance is generated once, and its prefix is built on the first cell
-    the raw store misses, so a full-hit replay builds none and at most one
-    seed's prefix is live at a time.  The reduction runs per grid entry in
-    seed order.
+    instance is generated once (:func:`_instance`), so at most one seed's
+    prefix is live at a time.  The reduction runs per grid entry in seed
+    order.
     """
 
     def seed_cells(seed: int) -> list[list]:
-        A = family(n, seed=seed)
-        pref = None
+        dig, sub = _instance(family(n, seed=seed))
 
         def solve(algo: str, m: int) -> list:
-            nonlocal pref
-            if pref is None:
-                pref = PrefixSum2D(A)
+            pref = sub()
             lmax = ALGORITHMS[algo](pref, m).max_load(pref)
             return [int(lmax), pref.total / m]
 
-        dig = digest_matrix(A)
         return [
             raw_cell(profile, dig, algo, m, partial(solve, algo, m), metric="lmax_lavg")
             for algo, m in grid
@@ -113,14 +124,14 @@ def _avg_imbalance_grid(
     return out
 
 
-def _imb_cell(profile: str, dig: str, algo: str, m: int, pref) -> float:
-    """One raw-store-resolved imbalance cell of a registry algorithm."""
+def _imb_cell(profile: str, dig: str, algo: str, m: int, sub) -> float:
+    """One raw-store-resolved imbalance cell of a registry algorithm on ``sub()``."""
     return raw_cell(
         profile,
         dig,
         algo,
         m,
-        lambda: float(ALGORITHMS[algo](pref, m).imbalance(pref)),
+        lambda: float(ALGORITHMS[algo](sub(), m).imbalance(sub())),
     )
 
 
@@ -190,8 +201,7 @@ def fig05_hier_relaxed_diagonal(scale=None) -> FigureResult:
     improving and converge to -LOAD.
     """
     sc = get_scale(scale)
-    A = diagonal(sc.n_diagonal, seed=0)
-    pref = PrefixSum2D(A)
+    dig, sub = _instance(diagonal(sc.n_diagonal, seed=0))
     res = FigureResult(
         "fig05",
         f"HIER-RELAXED variants on {sc.n_diagonal}x{sc.n_diagonal} Diagonal",
@@ -199,11 +209,10 @@ def fig05_hier_relaxed_diagonal(scale=None) -> FigureResult:
         "load imbalance",
         notes=f"scale={sc.name}; paper: 4096x4096",
     )
-    dig = digest_prefix(pref)
     for m in sc.m_values:
         for variant in ("LOAD", "DIST", "HOR", "VER"):
             algo = f"HIER-RELAXED-{variant}"
-            res.add(algo, m, _imb_cell(sc.name, dig, algo, m, pref))
+            res.add(algo, m, _imb_cell(sc.name, dig, algo, m, sub))
     return res
 
 
@@ -219,8 +228,7 @@ def fig06_runtime(scale=None) -> FigureResult:
     processors in the paper's C++).
     """
     sc = get_scale(scale)
-    A = uniform(sc.n_uniform, 1.2, seed=0)
-    pref = PrefixSum2D(A)
+    dig, sub = _instance(uniform(sc.n_uniform, 1.2, seed=0))
     res = FigureResult(
         "fig06",
         f"Runtime on {sc.n_uniform}x{sc.n_uniform} Uniform (delta=1.2)",
@@ -230,19 +238,19 @@ def fig06_runtime(scale=None) -> FigureResult:
     )
     # timings are raw *measurements*: once a cell is in the raw store it is
     # replayed verbatim (like any recorded experiment), keyed by the
-    # measurement protocol (repeats)
+    # measurement protocol (repeats); sub() runs before timed() starts its
+    # clock, so no timing includes the Γ build
     def _timing(algo: str, m: int, repeats: int) -> float:
         return raw_cell(
             sc.name,
             dig,
             algo,
             m,
-            lambda: float(timed(ALGORITHMS[algo], pref, m, repeats=repeats)[0]),
+            lambda: float(timed(ALGORITHMS[algo], sub(), m, repeats=repeats)[0]),
             metric="runtime_s",
             repeats=repeats,
         )
 
-    dig = digest_prefix(pref)
     for m in sc.m_values:
         for name in HEURISTICS:
             # best of 3: one-shot wall clocks of millisecond heuristics are
@@ -267,8 +275,7 @@ def fig07_jagged_vs_m(scale=None) -> FigureResult:
     """
     sc = get_scale(scale)
     ds = _pic_dataset(sc)
-    A = ds.snapshot(sc.pic_fig7_iteration)
-    pref = PrefixSum2D(A)
+    dig, sub = _instance(ds.snapshot(sc.pic_fig7_iteration))
     res = FigureResult(
         "fig07",
         f"Jagged methods on PIC-MAG iter={sc.pic_fig7_iteration}",
@@ -277,14 +284,13 @@ def fig07_jagged_vs_m(scale=None) -> FigureResult:
         notes=f"scale={sc.name}; JAG-M-OPT capped at m={sc.m_cap_m_opt} "
         "(paper caps at 1,000: 'runtime becomes prohibitive')",
     )
-    dig = digest_prefix(pref)
     for m in sc.m_values:
         for name in ("JAG-PQ-HEUR", "JAG-M-HEUR"):
-            res.add(name, m, _imb_cell(sc.name, dig, name, m, pref))
+            res.add(name, m, _imb_cell(sc.name, dig, name, m, sub))
         if m <= sc.m_cap_pq_opt:
-            res.add("JAG-PQ-OPT", m, _imb_cell(sc.name, dig, "JAG-PQ-OPT", m, pref))
+            res.add("JAG-PQ-OPT", m, _imb_cell(sc.name, dig, "JAG-PQ-OPT", m, sub))
         if m <= sc.m_cap_m_opt:
-            res.add("JAG-M-OPT", m, _imb_cell(sc.name, dig, "JAG-M-OPT", m, pref))
+            res.add("JAG-M-OPT", m, _imb_cell(sc.name, dig, "JAG-M-OPT", m, sub))
     return res
 
 
@@ -308,12 +314,11 @@ def fig08_jagged_vs_iteration(scale=None) -> FigureResult:
         notes=f"scale={sc.name}; paper: m=6,400, snapshots every 500 iterations",
     )
     for it, A in ds.snapshots():
-        pref = PrefixSum2D(A)
-        dig = digest_prefix(pref)
+        dig, sub = _instance(A)
         for name in ("JAG-PQ-HEUR", "JAG-PQ-OPT", "JAG-M-HEUR"):
             if name == "JAG-PQ-OPT" and m > sc.m_cap_pq_opt:
                 continue
-            res.add(name, it, _imb_cell(sc.name, dig, name, m, pref))
+            res.add(name, it, _imb_cell(sc.name, dig, name, m, sub))
     return res
 
 
@@ -329,7 +334,8 @@ def fig09_stripe_count(scale=None) -> FigureResult:
     """
     sc = get_scale(scale)
     A = uniform(sc.n_fig9, 1.2, seed=0)
-    pref = PrefixSum2D(A)
+    dig, sub = _instance(A)
+    n1, n2 = A.shape
     m = sc.m_fig9
     delta = 1.2
     res = FigureResult(
@@ -339,9 +345,8 @@ def fig09_stripe_count(scale=None) -> FigureResult:
         "load imbalance",
         notes=f"scale={sc.name}; paper: 514x514, m=800, P in [2, 300]",
     )
-    dig = digest_prefix(pref)
     for P in sc.fig9_stripes:
-        if P >= m or P >= pref.n1:
+        if P >= m or P >= n1:
             continue
         v = raw_cell(
             sc.name,
@@ -349,7 +354,7 @@ def fig09_stripe_count(scale=None) -> FigureResult:
             "JAG-M-HEUR",
             m,
             lambda P=P: float(
-                jag_m_heur(pref, m, num_stripes=P, orientation="hor").imbalance(pref)
+                jag_m_heur(sub(), m, num_stripes=P, orientation="hor").imbalance(sub())
             ),
             num_stripes=P,
             orientation="hor",
@@ -358,7 +363,7 @@ def fig09_stripe_count(scale=None) -> FigureResult:
         res.add(
             "m-way jagged guarantee (Thm 3)",
             P,
-            theorem3_ratio(delta, P, m, pref.n1, pref.n2) - 1.0,
+            theorem3_ratio(delta, P, m, n1, n2) - 1.0,
         )
     return res
 
@@ -372,8 +377,7 @@ def fig10_hier_diagonal(scale=None) -> FigureResult:
     Paper: 4096×4096 diagonal; HIER-RELAXED clearly better than HIER-RB.
     """
     sc = get_scale(scale)
-    A = diagonal(sc.n_diagonal, seed=0)
-    pref = PrefixSum2D(A)
+    dig, sub = _instance(diagonal(sc.n_diagonal, seed=0))
     res = FigureResult(
         "fig10",
         f"Hierarchical methods on {sc.n_diagonal}x{sc.n_diagonal} Diagonal",
@@ -381,11 +385,10 @@ def fig10_hier_diagonal(scale=None) -> FigureResult:
         "load imbalance",
         notes=f"scale={sc.name}; paper: 4096x4096",
     )
-    dig = digest_prefix(pref)
     for m in sc.m_values:
-        res.add("HIER-RB", m, _imb_cell(sc.name, dig, "HIER-RB", m, pref))
+        res.add("HIER-RB", m, _imb_cell(sc.name, dig, "HIER-RB", m, sub))
         res.add(
-            "HIER-RELAXED", m, _imb_cell(sc.name, dig, "HIER-RELAXED", m, pref)
+            "HIER-RELAXED", m, _imb_cell(sc.name, dig, "HIER-RELAXED", m, sub)
         )
     return res
 
@@ -410,10 +413,9 @@ def fig11_hier_vs_iteration(scale=None) -> FigureResult:
         notes=f"scale={sc.name}; paper: m=400",
     )
     for it, A in ds.snapshots():
-        pref = PrefixSum2D(A)
-        dig = digest_prefix(pref)
-        res.add("HIER-RB", it, _imb_cell(sc.name, dig, "HIER-RB", m, pref))
-        res.add("HIER-RELAXED", it, _imb_cell(sc.name, dig, "HIER-RELAXED", m, pref))
+        dig, sub = _instance(A)
+        res.add("HIER-RB", it, _imb_cell(sc.name, dig, "HIER-RB", m, sub))
+        res.add("HIER-RELAXED", it, _imb_cell(sc.name, dig, "HIER-RELAXED", m, sub))
     return res
 
 
@@ -438,10 +440,9 @@ def fig12_all_vs_iteration(scale=None) -> FigureResult:
         notes=f"scale={sc.name}; paper: m=9,216",
     )
     for it, A in ds.snapshots():
-        pref = PrefixSum2D(A)
-        dig = digest_prefix(pref)
+        dig, sub = _instance(A)
         for name in HEURISTICS:
-            res.add(name, it, _imb_cell(sc.name, dig, name, m, pref))
+            res.add(name, it, _imb_cell(sc.name, dig, name, m, sub))
     return res
 
 
@@ -456,8 +457,7 @@ def fig13_all_vs_m(scale=None) -> FigureResult:
     """
     sc = get_scale(scale)
     ds = _pic_dataset(sc)
-    A = ds.snapshot(sc.pic_fig13_iteration)
-    pref = PrefixSum2D(A)
+    dig, sub = _instance(ds.snapshot(sc.pic_fig13_iteration))
     res = FigureResult(
         "fig13",
         f"All heuristics on PIC-MAG iter={sc.pic_fig13_iteration}",
@@ -465,10 +465,9 @@ def fig13_all_vs_m(scale=None) -> FigureResult:
         "load imbalance",
         notes=f"scale={sc.name}",
     )
-    dig = digest_prefix(pref)
     for m in sc.m_values:
         for name in HEURISTICS:
-            res.add(name, m, _imb_cell(sc.name, dig, name, m, pref))
+            res.add(name, m, _imb_cell(sc.name, dig, name, m, sub))
     return res
 
 
@@ -484,7 +483,7 @@ def fig14_slac(scale=None) -> FigureResult:
     than HIER-RB."
     """
     sc = get_scale(scale)
-    pref = PrefixSum2D(slac_instance(sc.n_slac))
+    dig, sub = _instance(slac_instance(sc.n_slac))
     res = FigureResult(
         "fig14",
         f"All heuristics on SLAC {sc.n_slac}x{sc.n_slac}",
@@ -492,10 +491,9 @@ def fig14_slac(scale=None) -> FigureResult:
         "load imbalance",
         notes=f"scale={sc.name}; sparse instance (zeros), delta undefined",
     )
-    dig = digest_prefix(pref)
     for m in sc.m_values:
         for name in HEURISTICS:
-            res.add(name, m, _imb_cell(sc.name, dig, name, m, pref))
+            res.add(name, m, _imb_cell(sc.name, dig, name, m, sub))
     return res
 
 

@@ -17,9 +17,9 @@ is
 
 Keying follows the sweep store: the instance coordinate is the SHA-256 of
 the gcd-primitive load array (:func:`repro.sweep.store.matrix_digest` of
-the substrate's ``cells_dense()``, dense or CSR alike) suffixed with the
-live scale, and solver kwargs are canonicalized with
-:func:`canonical_scope`.  The full cell key is
+the validated load matrix itself, so a figure digests an instance without
+building its substrate) suffixed with the live scale, and solver kwargs
+are canonicalized with :func:`canonical_scope`.  The full cell key is
 ``(schema version, profile, instance digest, algorithm, scope, m, metric)``
 — ``metric`` names the value schema (``imbalance``, ``lmax_lavg``,
 ``runtime_s``, ``comm_volume``, ``migration_series``), and ``profile``
@@ -47,7 +47,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..sweep.store import (
     canonical_sha256,
-    instance_digest,
     matrix_digest,
     write_json_atomic,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "canonical_scope",
     "use_raw_store",
     "current_raw_store",
-    "digest_prefix",
     "digest_matrix",
     "combine_digests",
 ]
@@ -110,19 +108,13 @@ def canonical_scope(kw: Mapping[str, Any] | None) -> Scope:
 # ----------------------------------------------------------------------
 # instance digests
 # ----------------------------------------------------------------------
-def digest_prefix(pref) -> str:
-    """Content digest of a prefix's load matrix, scale included.
+def digest_matrix(A) -> str:
+    """Content digest of a raw load array (any dimensionality), scale included.
 
     The sweep store shares facts across positive-integer scale multiples;
     raw cells store *values* (loads, runtimes), which scale, so the live
     scale is part of the coordinate.
     """
-    dig, scale = instance_digest(pref)
-    return f"{dig}:{scale}"
-
-
-def digest_matrix(A) -> str:
-    """Content digest of a raw load array (any dimensionality)."""
     dig, scale = matrix_digest(A)
     return f"{dig}:{scale}"
 

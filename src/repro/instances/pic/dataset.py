@@ -4,7 +4,8 @@ The paper extracts "the distribution of the particles every 500 iterations of
 the simulations for the first 33,500 iterations" (§4.1).
 :class:`PICMagDataset` reproduces that cadence on the substitute simulator,
 memoizes snapshots in memory, and optionally persists them to an ``.npz``
-cache so repeated runs do not re-run the particle pusher.
+cache so repeated runs do not re-run the particle pusher.  The cache is
+read on demand: a snapshot decompresses only its own entry.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class PICMagDataset:
                 f"_per{self.period}_max{self.max_iteration}.npz"
             )
             self._cache_path = default_cache_dir() / key
-            self._load_cache()
 
     # ------------------------------------------------------------------
     @property
@@ -83,13 +83,19 @@ class PICMagDataset:
                 f"iteration must be a multiple of {self.period} in "
                 f"[0, {self.max_iteration}], got {iteration}"
             )
+        self._read_cache([iteration])
         if iteration not in self._snapshots:
             self._advance_to(iteration)
         return self._snapshots[iteration]
 
     def snapshots(self, iterations: list[int] | None = None):
-        """Yield ``(iteration, load_matrix)`` pairs in increasing order."""
-        for it in sorted(iterations if iterations is not None else self.iterations):
+        """Yield ``(iteration, load_matrix)`` pairs in increasing order.
+
+        The cached entries of all of them are read in one open of the cache.
+        """
+        its = sorted(iterations if iterations is not None else self.iterations)
+        self._read_cache(its)
+        for it in its:
             yield it, self.snapshot(it)
 
     # ------------------------------------------------------------------
@@ -110,30 +116,40 @@ class PICMagDataset:
         self._save_cache()
 
     # ------------------------------------------------------------------
-    def _load_cache(self) -> None:
-        """Adopt the cached snapshots; a corrupt cache heals rather than poisons.
+    def _read_cache(self, iterations: list[int]) -> None:
+        """Adopt the cached entries of ``iterations`` not yet in memory.
 
-        An unreadable file, or an entry with a non-integer name or not a
-        ``grid × grid`` int64 matrix, counts as missing: the simulator
-        regenerates it and :meth:`_save_cache` rewrites the file.
+        Each wanted entry is decompressed alone; the archive is closed on
+        return.  An unreadable file, or an entry that is missing, unreadable
+        or not a ``grid × grid`` int64 matrix, counts as missing: the
+        simulator regenerates it and :meth:`_save_cache` rewrites the file.
         """
         p = self._cache_path
-        if p is None or not p.exists():
-            return
-        try:
-            with np.load(p) as data:
-                entries = {name: data[name] for name in data.files}
-        except Exception:  # truncated, garbage, or not an .npz archive
+        want = [it for it in iterations if it not in self._snapshots]
+        if p is None or not want or not p.exists():
             return
         n = self.config.grid
-        for name, A in entries.items():
-            if name.isdigit() and A.shape == (n, n) and A.dtype == np.int64:
-                self._snapshots[int(name)] = A
+        try:
+            with np.load(p) as data:
+                names = set(data.files)
+                for it in want:
+                    if str(it) not in names:
+                        continue
+                    try:
+                        A = data[str(it)]
+                    except Exception:  # a damaged entry
+                        continue
+                    if A.shape == (n, n) and A.dtype == np.int64:
+                        self._snapshots[it] = A
+        except Exception:  # truncated, garbage, or not an .npz archive
+            return
 
     def _save_cache(self) -> None:
         p = self._cache_path
         if p is None:
             return
+        # the valid entries never read must survive the rewrite
+        self._read_cache(self.iterations)
         p.parent.mkdir(parents=True, exist_ok=True)
         tmp = p.with_suffix(".tmp.npz")
         np.savez_compressed(tmp, **{str(k): v for k, v in self._snapshots.items()})

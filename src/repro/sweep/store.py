@@ -62,7 +62,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.prefix import LoadView, PrefixSum2D
+from ..core.prefix import LoadView, PrefixSum2D, _as_int64
 from ..core.sparse import SparsePrefix2D
 from .state import SweepInvariantError, SweepState
 
@@ -86,6 +86,9 @@ _PROBE_KEY = "f"
 #: harvest time (deterministically, keeping the first ones) so one
 #: pathological run cannot grow the store without bound
 _MAX_FACTS = 4096
+
+#: leading entries whose gcd :func:`matrix_digest` takes before any full scan
+_GCD_PREFIX = 1024
 
 
 def canonical_sha256(obj: Any) -> str:
@@ -123,18 +126,23 @@ def matrix_digest(A: np.ndarray) -> tuple[str, int]:
     hashes dtype, shape, and the primitive array ``A // scale``, so any
     positive-integer multiple of the same primitive maps to the same
     entry.  Shape is part of the hashed material: arrays with identical
-    bytes but different shapes get different digests.
+    bytes but different shapes get different digests.  Entries must be
+    exact non-negative integers within int64 (a ``ParameterError``
+    otherwise), so no inexact array shares an exact one's digest.  The gcd
+    of a short prefix comes first: gcd(all) divides it, so where it is 1
+    the whole array is never scanned.
     """
-    A = np.asarray(A, dtype=np.int64)
-    scale = int(np.gcd.reduce(A, axis=None)) if A.size else 1
-    if scale <= 0:
-        scale = 1
-    prim = A // scale
+    A = _as_int64(np.asarray(A), "load array")
+    flat = A.reshape(-1)
+    scale = int(np.gcd.reduce(flat[:_GCD_PREFIX]))  # 0 for an empty prefix
+    if scale != 1:
+        scale = int(np.gcd.reduce(flat)) or 1
+    prim = A if scale == 1 else A // scale
     h = hashlib.sha256()
     h.update(b"int64|")
     h.update(repr(tuple(prim.shape)).encode())
     h.update(b"|")
-    h.update(np.ascontiguousarray(prim, dtype=np.int64).tobytes())
+    h.update(prim)
     return h.hexdigest(), scale
 
 

@@ -1,5 +1,7 @@
 """Tests for the evaluation instances: synthetic, PIC-MAG, SLAC (§4.1)."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.instances import (
     uniform,
 )
 from repro.instances.mesh import CavityConfig, cavity_vertices, project_vertices
+from repro.instances.pic import dataset as pic_dataset
 from repro.instances.pic.simulator import _box_smooth
 
 
@@ -165,34 +168,61 @@ class TestPICDataset:
         np.testing.assert_array_equal(early, ref.snapshot(100))
         np.testing.assert_array_equal(late, ref.snapshot(300))
 
+    @staticmethod
+    def _count_simulators(monkeypatch) -> list:
+        built = []
+        real = pic_dataset.PICMagSimulator
+
+        def spy(config):
+            built.append(config)
+            return real(config)
+
+        monkeypatch.setattr(pic_dataset, "PICMagSimulator", spy)
+        return built
+
     def test_disk_cache_roundtrip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "c"))
         ds1 = PICMagDataset(self.CFG, period=100, max_iteration=200)
         a = ds1.snapshot(200)
+        built = self._count_simulators(monkeypatch)
         ds2 = PICMagDataset(self.CFG, period=100, max_iteration=200)
-        assert 200 in ds2._snapshots  # loaded from disk, no simulation
         np.testing.assert_array_equal(ds2.snapshot(200), a)
+        assert built == []  # served from disk, no simulation
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "bad-entries"])
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "bad-entries", "one-bad-entry"])
     def test_corrupt_disk_cache_heals(self, tmp_path, monkeypatch, damage):
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        ref = PICMagDataset(self.CFG, period=100, max_iteration=200, cache=False)
+        want = dict(ref.snapshots())
         a = PICMagDataset(self.CFG, period=100, max_iteration=200).snapshot(200)
         (path,) = tmp_path.glob("*.npz")
         if damage == "truncated":
             path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         elif damage == "garbage":
             path.write_bytes(b"garbage{")
-        else:  # a readable archive whose entries are all unusable
+        elif damage == "bad-entries":  # a readable archive whose entries are all unusable
             bad = {"junk": a, "100": a.astype(np.float64), "200": a[:-1], "0": a.ravel()}
             np.savez(path, **bad)
+        else:  # one undecodable entry among good ones
+            np.savez(path, **{"100": want[100], "200": want[200]})
+            with zipfile.ZipFile(path, "a") as zf:
+                zf.writestr("0.npy", b"garbage{")
+        built = self._count_simulators(monkeypatch)
         ds = PICMagDataset(self.CFG, period=100, max_iteration=200)
-        ref = PICMagDataset(self.CFG, period=100, max_iteration=200, cache=False)
-        for (i, got), (j, want) in zip(ds.snapshots(), ref.snapshots(), strict=True):
+        if damage == "one-bad-entry":
+            np.testing.assert_array_equal(ds.snapshot(200), want[200])
+            assert built == []  # a good entry is served without simulating
+            # regenerating 0 rewrites the archive before 100 was ever read
+            np.testing.assert_array_equal(ds.snapshot(0), want[0])
+        for (i, got), (j, exp) in zip(ds.snapshots(), ref.snapshots(), strict=True):
             assert i == j
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, exp)
             assert got.dtype == np.int64
+        assert len(built) == 1
         with np.load(path) as data:  # rewritten, and readable again
             assert sorted(int(name) for name in data.files) == ds.iterations
+            for it in ds.iterations:
+                np.testing.assert_array_equal(data[str(it)], want[it])
 
     def test_period_validation(self):
         with pytest.raises(ParameterError):

@@ -11,12 +11,17 @@ Covers the three pillars the module promises:
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 from typing import Any
 
+import numpy as np
 import pytest
 
+from repro.core.errors import ParameterError
+from repro.core.prefix import PrefixSum2D
+from repro.core.sparse import SparsePrefix2D
 from repro.experiments import ALL_EXTENSIONS, ALL_FIGURES, TINY, figures, use_raw_store
 from repro.experiments.rawstore import (
     MISS,
@@ -26,7 +31,8 @@ from repro.experiments.rawstore import (
     current_raw_store,
     digest_matrix,
 )
-from repro.sweep.store import canonical_sha256
+from repro.sweep import store as sweep_store
+from repro.sweep.store import canonical_sha256, matrix_digest
 
 
 class SimulatedInterrupt(RuntimeError):
@@ -205,42 +211,71 @@ class TestAmbientSelection:
         assert combine_digests(["a:1"]) != combine_digests(["a:11"])
 
     def test_digest_matrix_includes_scale(self):
-        import numpy as np
-
         A = np.array([[2, 4], [6, 8]], dtype=np.int64)
         assert digest_matrix(A) != digest_matrix(A // 2)
         assert digest_matrix(A).split(":")[0] == digest_matrix(A // 2).split(":")[0]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[2, 4], [6, 8]]) + 0.5,  # inexact: would floor onto the integers
+            np.array([[1, 2**63]], dtype=np.uint64),  # would wrap to -2^63
+            np.array([[1.0, np.nan]]),  # would hash a cast NaN
+        ],
+        ids=["half", "uint64-2^63", "nan"],
+    )
+    def test_digest_rejects_inexact_input(self, bad):
+        with pytest.raises(ParameterError):
+            digest_matrix(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.ones((2, 2, 2)), np.ones((0, 3)), np.array([[1, -1]]), np.array([[0.5, 1.0]])],
+        ids=["3d", "empty", "negative", "half"],
+    )
+    def test_instance_rejects_what_a_build_rejects(self, bad):
+        with pytest.raises(ParameterError):
+            PrefixSum2D(bad)
+        with pytest.raises(ParameterError):
+            figures._instance(bad)
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.r_[np.full(4095, 6), [5]].reshape(64, 64),  # gcd 1 only past the prefix
+            2 * np.random.default_rng(0).integers(0, 50, (64, 64)),  # scale 2
+            np.zeros((64, 64), dtype=np.int64),
+            3 * np.random.default_rng(1).integers(1, 9, (16, 16, 16)),  # 3D, scale 3
+        ],
+        ids=["gcd1-after-prefix", "all-even", "zero", "3d"],
+    )
+    def test_early_exit_digest_equals_full_computation(self, A):
+        assert A.size > sweep_store._GCD_PREFIX
+        scale = int(np.gcd.reduce(A, axis=None)) or 1
+        h = hashlib.sha256(b"int64|" + repr(A.shape).encode() + b"|")
+        h.update((A.astype(np.int64) // scale).tobytes())
+        assert matrix_digest(A) == (h.hexdigest(), scale)
 
 
 class TestSparseCell:
     def test_csr_cell_cold_then_warm(self, tmp_path):
         """A CSR instance's cell: computed and flushed cold, then served from disk."""
-        from repro.core.prefix import PrefixSum2D
-        from repro.core.sparse import SparsePrefix2D
         from repro.experiments.figures import _imb_cell
-        from repro.experiments.rawstore import digest_prefix
         from repro.instances.spmv import spmv_instance
 
         pref = SparsePrefix2D(spmv_instance(256, model="rmat", scale=12, edge_factor=2, seed=0))
-        dig = digest_prefix(pref)
-        assert dig == digest_prefix(PrefixSum2D(pref.cells_dense()))
+        dig = digest_matrix(pref.cells_dense())
 
         cold = RawStore(tmp_path)
         with use_raw_store(None, store=cold):
-            value = _imb_cell("tiny", dig, "JAG-M-HEUR", 16, pref)
+            value = _imb_cell("tiny", dig, "JAG-M-HEUR", 16, lambda: pref)
         assert cold.counters() == {"hits": 0, "misses": 1, "invalid": 0}
         assert os.path.exists(cold._path(_key(cold, digest=dig, m=16)))
 
         warm = RawStore(tmp_path)
         with use_raw_store(None, store=warm):
-            assert _imb_cell("tiny", dig, "JAG-M-HEUR", 16, pref) == value
+            assert _imb_cell("tiny", dig, "JAG-M-HEUR", 16, lambda: pref) == value
         assert warm.counters() == {"hits": 1, "misses": 0, "invalid": 0}
-
-
-#: the seeded grid (fig03/fig04), per-cell sweeps (fig05/fig13), the
-#: verbatim ``runtime_s`` replay (fig06), kwargs-scoped cells (fig09, ext3)
-#: and the combined-stream digest (ext2)
-FARM = ("fig03", "fig04", "fig05", "fig06", "fig09", "fig13", "ext2", "ext3")
 
 
 def _figures_under(store, figs=("fig05", "fig13")):
@@ -253,13 +288,34 @@ def _figures_under(store, figs=("fig05", "fig13")):
 
 
 class TestFigureFarm:
-    def test_second_run_all_hits_byte_identical(self, tmp_path):
-        cold = _figures_under(RawStore(tmp_path), FARM)
-        warm_store = RawStore(tmp_path)
-        warm = _figures_under(warm_store, FARM)
+    def test_second_run_all_hits_byte_identical(self, tmp_path, monkeypatch):
+        """The replay contract: a second run of every figure and extension is
+        all hits and byte-identical, builds no substrate, and fig07 reads one
+        PIC-MAG cache entry (the conftest parks ``$REPRO_CACHE`` in tmp_path)."""
+        runnable = sorted({**ALL_FIGURES, **ALL_EXTENSIONS})
+        cold = _figures_under(RawStore(tmp_path / "raw"), runnable)
+        builds: list[str] = []
+        for cls in (PrefixSum2D, SparsePrefix2D):
+
+            def counted(obj, *args, _init=cls.__init__, **kw):
+                builds.append(type(obj).__name__)
+                _init(obj, *args, **kw)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        reads: list[str] = []
+        read = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(
+            np.lib.npyio.NpzFile, "__getitem__", lambda data, key: reads.append(key) or read(data, key)
+        )
+        warm_store = RawStore(tmp_path / "raw")
+        warm = _figures_under(warm_store, runnable)
         assert warm == cold
         assert warm_store.misses == 0 and warm_store.invalid == 0
         assert warm_store.hits > 0
+        assert builds == []
+        reads.clear()
+        _figures_under(warm_store, ("fig07",))
+        assert len(reads) == 1
 
     def test_kill_and_resume_byte_identical(self, tmp_path):
         # fig03 runs first, so the kill lands inside its per-seed grid; fig06
