@@ -31,10 +31,11 @@ lint:
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# the solver suite again with every kernel call resolved to its scalar
-# reference oracle (CI's "solver suite on the reference kernels" step)
+# the solver suite again with every kernel's numpy slot holding its scalar
+# reference oracle for the whole session (the tests/reference_kernels.py
+# plugin; CI's "solver suite on the reference kernels" step)
 test-reference:
-	REPRO_PERF_BACKEND=reference PYTHONPATH=src $(PYTHON) -m pytest -x -q \
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q -p tests.reference_kernels \
 		tests/test_multicost.py tests/test_rectilinear.py tests/test_rect_opt.py \
 		tests/test_jagged_heur.py tests/test_jagged_opt.py tests/test_hierarchical.py \
 		tests/test_sparse_equality.py tests/test_jagged_lmax.py \

@@ -1,10 +1,9 @@
 """Central registry of every environment variable the repo reads.
 
 Each knob the codebase consults from the environment is declared here once,
-with its default and a one-line description.  Each consumer (the
-``consumer`` field) keeps its own parsing — a backend name and a cache directory
-want different validation — but reads through :func:`env_str`; the *names
-and defaults* live in this table.  ``repro-lint`` (RPL011) checks every
+with its default and a one-line description.  Its consumer (the
+``consumer`` field) keeps its own parsing but reads through
+:func:`env_str`; the *names and defaults* live in this table.  ``repro-lint`` (RPL011) checks every
 ``os.environ`` read against it: the read happens inside a declared config
 module (this one or a ``*/config.py``) and names a variable declared in
 :data:`ENV_VARS`.  ``tests/test_lint.py`` checks that every declared
@@ -30,11 +29,6 @@ class EnvVar:
 
 
 ENV_VARS: dict[str, EnvVar] = {
-    "REPRO_PERF_BACKEND": EnvVar(
-        default="numpy",
-        description="kernel-registry backend: reference (the scalar oracle) or numpy",
-        consumer="repro.perf.config",
-    ),
     "REPRO_CACHE": EnvVar(
         default="",
         description="instance cache directory; empty means ~/.cache/repro",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class of all errors raised by :mod:`repro`."""
@@ -13,3 +15,14 @@ class InvalidPartitionError(ReproError):
 
 class ParameterError(ReproError, ValueError):
     """An argument is out of its documented domain."""
+
+
+def check_count(value, what: str, least: int = 1) -> int:
+    """``value`` as an int of at least ``least``, or a ``ParameterError``.
+
+    Any :class:`numbers.Integral` passes (``np.int64`` included) except
+    ``bool``: ``True`` processors is a caller's bug.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)

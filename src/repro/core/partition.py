@@ -26,6 +26,10 @@ __all__ = ["Partition"]
 # A cell indexer maps (i, j) -> processor index.
 Indexer = Callable[[int, int], int]
 
+#: :meth:`Partition.validate` paints an owner map on grids up to this many
+#: cells and runs the paper's pairwise overlap test above it
+_PAINT_MAX_CELLS = 1 << 20
+
 
 def _as_coords(rects: Union[np.ndarray, Sequence[Rect]]) -> np.ndarray:
     """A fresh read-only ``(m, 4)`` int64 copy of ``rects``, converted exactly."""
@@ -124,16 +128,16 @@ class Partition:
         """The read-only ``(m, 4)`` int64 array of ``(r0, r1, c0, c1)`` rows (no copy)."""
         return self._coords
 
-    def validate(self, *, method: str = "auto") -> None:
+    def validate(self) -> None:
         """Check the two validity properties of Section 2.1.
 
         1. the rectangles are pairwise disjoint (no collision), and
         2. they cover the whole matrix (all inside ``A`` and the areas sum to
            the area of ``A``).
 
-        ``method`` is ``"pairwise"`` (the paper's O(m²) test, vectorized),
-        ``"paint"`` (O(n1·n2·…) owner-map painting, exact and simple), or
-        ``"auto"`` (paint for small grids, pairwise otherwise).
+        Disjointness is checked by owner-map painting (O(n1·n2), exact and
+        simple) on grids of up to ``_PAINT_MAX_CELLS`` cells, and by the
+        paper's O(m²) pairwise test, vectorized, above.
 
         Raises
         ------
@@ -157,16 +161,10 @@ class Partition:
             raise InvalidPartitionError(
                 f"areas sum to {int(areas.sum())}, expected {n1 * n2}"
             )
-        if method == "auto":
-            method = "paint" if n1 * n2 <= 1 << 20 else "pairwise"
-        if method == "paint":
-            # the areas sum to n1·n2, so full cover ⇒ disjoint
-            if (self.owner_map() < 0).any():
-                raise InvalidPartitionError("uncovered cell detected")
-        elif method == "pairwise":
+        if n1 * n2 > _PAINT_MAX_CELLS:
             self._validate_pairwise(nonempty)
-        else:
-            raise ParameterError(f"unknown validation method {method!r}")
+        elif (self.owner_map() < 0).any():  # the areas sum to n1·n2: cover ⇒ disjoint
+            raise InvalidPartitionError("uncovered cell detected")
 
     def _validate_pairwise(self, coords: np.ndarray, chunk: int = 512) -> None:
         """Vectorized O(m²) pairwise overlap test (chunked for memory)."""

@@ -23,7 +23,7 @@ from ..jagged.pq_opt import jag_pq_opt
 from ..perf.counters import OpCounters, counting, op_counters
 from ..rectilinear.nicol import rect_nicol
 from ..rectilinear.uniform import rect_uniform
-from .errors import ParameterError
+from .errors import ParameterError, check_count
 from .partition import Partition
 from .prefix import MatrixLike
 
@@ -115,7 +115,8 @@ def partition_2d(A: MatrixLike, m: int, method: str = "JAG-M-HEUR", **kw) -> Par
         2D non-negative integer load matrix (or a prebuilt
         :class:`~repro.core.prefix.PrefixSum2D`).
     m:
-        Number of processors.
+        Number of processors: any integer >= 1 (``np.int64`` included); a
+        ``bool``, fractional or non-numeric ``m`` is a ``ParameterError``.
     method:
         A name from :data:`ALGORITHMS` (case-insensitive), e.g.
         ``"JAG-M-HEUR"``, ``"HIER-RELAXED-LOAD"``, ``"RECT-NICOL"``.
@@ -134,6 +135,7 @@ def partition_2d(A: MatrixLike, m: int, method: str = "JAG-M-HEUR", **kw) -> Par
         raise ParameterError(
             f"unknown algorithm {method!r}; choose from {sorted(ALGORITHMS)}"
         )
+    check_count(m, "m")
     if counting():
         # a counter context is open: attach this call's own op counts to the
         # partition (nested context, so outer contexts still see every event)

@@ -41,13 +41,12 @@ design — unit costs are real-valued.
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, ContextManager, Optional
 
-from ..core.errors import ParameterError
+from ..core.errors import ParameterError, check_count
 from ..core.metrics import migration_volume
 from ..core.partition import Partition
 from ..core.prefix import LoadView
@@ -64,13 +63,6 @@ __all__ = [
 
 #: the solver the simulator injects: ``(pref, m) -> Partition``
 Partitioner = Callable[[LoadView, int], Partition]
-
-
-def _count(name: str, value: Any, least: int) -> int:
-    """``value`` as an ``int >= least``; a fractional count is rejected, never truncated."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def _finite(name: str, value: Any) -> float:
@@ -165,7 +157,7 @@ class EveryK(RepartitionPolicy):
 
     def __init__(self, k: int = 1) -> None:
         super().__init__()
-        self.k = _count("k", k, 0)
+        self.k = check_count(k, "k", 0)
         self.name = f"every-{self.k}"
 
     def should_repartition(self, ctx: StepContext) -> bool:

@@ -5,9 +5,6 @@ engineering turns exact 1D partitioning from minutes into milliseconds
 (Probe with array slicing, NicolPlus bounding).  This package carries that
 discipline through the 2D algorithms:
 
-* :mod:`repro.perf.config` — the kernel-backend switch (``numpy`` runs,
-  ``reference`` is the oracle the equality tests compare it against bit for
-  bit).
 * :mod:`repro.perf.cache` — the bounded LRU memo behind
   :meth:`~repro.core.prefix.PrefixSum2D.axis_prefix` /
   :meth:`~repro.core.prefix.PrefixSum2D.boundary_list`: a stripe projection,
@@ -16,9 +13,10 @@ discipline through the 2D algorithms:
 * :mod:`repro.perf.kernels` — the stable kernel interface: a registry of
   named kernels (``probe_batch``, ``min_parts``, ``probe_cuts``,
   ``weighted_cut``, ``relaxed_split``, ``alloc_tail``, ``probe_multi``),
-  each with a scalar reference implementation and, where an end-to-end
-  workload needs one, a vectorized numpy implementation, selected via
-  ``REPRO_PERF_BACKEND``; and the scalar §2.2 Probe walks.
+  each with a scalar ``reference`` body and, where an end-to-end workload
+  needs one, a vectorized ``numpy`` body; and the scalar §2.2 Probe walks.
+  Production always calls the ``numpy`` slot; the ``reference`` body is the
+  oracle the equality tests pin it against bit for bit.
 * :mod:`repro.perf.counters` — near-zero-overhead operation counters (probe
   calls, greedy/bisection steps, rectangle-load queries) with a
   context-manager API; ``tests/test_complexity.py`` pins them against the
@@ -26,9 +24,8 @@ discipline through the 2D algorithms:
 """
 
 from .cache import LRUCache
-from .config import perf_backend, set_perf_backend, use_perf_backend
 from .counters import OpCounters, bump, counting, op_counters
-from .kernels import KERNELS, kernel
+from .kernels import KERNELS
 
 __all__ = [
     "KERNELS",
@@ -36,9 +33,5 @@ __all__ = [
     "OpCounters",
     "bump",
     "counting",
-    "kernel",
     "op_counters",
-    "perf_backend",
-    "set_perf_backend",
-    "use_perf_backend",
 ]

@@ -1,4 +1,4 @@
-"""The stable kernel interface: named kernels × selectable backends.
+"""The stable kernel interface: named kernels, each with an oracle body.
 
 Grown out of ``repro.perf.batch`` (PR 2): every inner loop of the
 partitioners lives here as a *named kernel* with a ``reference`` and a
@@ -7,11 +7,11 @@ partitioners lives here as a *named kernel* with a ``reference`` and a
 ``reference``
     A self-contained scalar transliteration of the algorithm (Python
     ``bisect`` / exact int arithmetic).  This is the oracle the ``numpy``
-    backend is property-tested against bit-for-bit
+    body is property-tested against bit-for-bit
     (``tests/test_kernels_equality.py``, ``tests/test_backend_equality.py``).
 ``numpy``
     The vectorized array-program formulation (segmented scoring of a tree
-    level's windows, windowed striped walks).  The default backend.
+    level's windows, windowed striped walks).  The body production calls.
 
 A numpy body stays only while some end-to-end workload measurably needs it
 (``docs/performance.md``, "Kernel A/B"): ``weighted_cut``,
@@ -21,11 +21,12 @@ both slots.  The scalar §2.2 Probe walks (:func:`probe`,
 :func:`min_parts`, ``probe_cuts``) are written once, here, and
 :mod:`repro.oned.probe` re-exports them.
 
-The backend is selected by ``REPRO_PERF_BACKEND`` (parsed in
-:mod:`repro.perf.config`, declared in :data:`repro.config.ENV_VARS`), or
-scoped with :func:`repro.perf.config.use_perf_backend`.  Call sites resolve
-through :func:`kernel`, so switching the backend swaps every kernel call at
-once.
+Production calls the ``numpy`` slot only.  The public entry points below
+look their entry up in :data:`KERNELS` on every call, so replacing an entry
+reaches every call site at once.  That is how
+the tests run a solve on the oracles (``tests/conftest.py``'s
+``reference_kernels`` puts each ``reference`` body into its ``numpy``
+slot) and how the end-to-end tracer wraps both slots.
 
 This module is deliberately self-contained — it imports nothing from the
 algorithm packages (``oned``/``jagged``/``hierarchical``), because those
@@ -35,7 +36,7 @@ Overflow discipline: the scalar walks search exact Python ints, the striped
 walk compares differences of prefixes against a ``B`` clamped to the
 largest stripe total, and the frontier cut kernels fall back to their exact
 Python-int scalar code when a window's ``total · w`` or ``total · (m-1)``
-could exceed int64, so loads near ``2**62`` are safe in every backend.
+could exceed int64, so loads near ``2**62`` are safe in either body.
 """
 
 from __future__ import annotations
@@ -48,14 +49,12 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .config import perf_backend
 from .counters import _STACK as _OPS
 from .counters import bump
 
 __all__ = [
     "Kernel",
     "KERNELS",
-    "kernel",
     "as_boundary_list",
     "probe",
     "min_parts",
@@ -71,7 +70,7 @@ __all__ = [
 _I64_MAX = 2**63 - 1
 
 #: frontier cut kernels: below this many candidate cuts in one batch the
-#: numpy backend scores window by window with the scalar code — a segmented
+#: numpy body scores window by window with the scalar code — a segmented
 #: pass costs a fixed ~0.15 ms of numpy calls, a scalar candidate 1–2 µs.
 #: Measured crossover on the bench box, see docs/performance.md
 #: ("Frontier-batched hierarchical growth")
@@ -627,7 +626,7 @@ def _probe_multi_numpy(M: Any, m: int, B: int, memo: StepMemo | None = None) -> 
 
 
 # ----------------------------------------------------------------------
-# registry + backend resolution
+# registry
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Kernel:
@@ -655,19 +654,8 @@ KERNELS: dict[str, Kernel] = {
 }
 
 
-def kernel(name: str, backend: str | None = None) -> Callable[..., Any]:
-    """Resolve kernel ``name`` for ``backend`` (default: the active one)."""
-    k = KERNELS[name]
-    b = perf_backend() if backend is None else backend
-    if b == "reference":
-        return k.reference
-    if b == "numpy":
-        return k.numpy
-    raise ValueError(f"unknown kernel backend {b!r}")
-
-
 # ----------------------------------------------------------------------
-# public entry points (stable signatures; call sites dispatch through these)
+# public entry points (stable signatures; each resolves KERNELS per call)
 # ----------------------------------------------------------------------
 def probe_cuts(
     P: np.ndarray | list[int], m: int, B: int, lo: int = 0, hi: int | None = None
@@ -678,7 +666,7 @@ def probe_cuts(
     ``cuts[m] == hi``; trailing intervals may be empty when fewer than ``m``
     intervals suffice.  ``P`` is a prefix array or boundary list.
     """
-    return kernel("probe_cuts")(P, m, B, lo, hi)
+    return KERNELS["probe_cuts"].numpy(P, m, B, lo, hi)
 
 
 def weighted_cuts(
@@ -690,9 +678,9 @@ def weighted_cuts(
     ``max(L1/w1, L2/w2)`` over ``orientations[k]``, and the first
     orientation attaining the minimum wins.  Per window ``(cut_rel,
     value · w1·w2, w1, w2)``, or None when it has fewer than 2 cells; scores
-    are exact scaled ints on every backend.
+    are exact scaled ints in either body.
     """
-    return kernel("weighted_cut")(vals, offs, orientations)
+    return KERNELS["weighted_cut"].numpy(vals, offs, orientations)
 
 
 def relaxed_splits(
@@ -705,12 +693,12 @@ def relaxed_splits(
     ``max(L1/j, L2/(m-j))``.  None when the window has fewer than 2 cells
     or ``ms[k] < 2``.
     """
-    return kernel("relaxed_split")(vals, offs, ms)
+    return KERNELS["relaxed_split"].numpy(vals, offs, ms)
 
 
 def alloc_tail(loads: np.ndarray, q: Sequence[int] | np.ndarray, m: int) -> np.ndarray:
     """JAG-M-HEUR allocation tail: shave ceil-overflow, assign leftovers."""
-    return kernel("alloc_tail")(loads, q, m)
+    return KERNELS["alloc_tail"].numpy(loads, q, m)
 
 
 def probe_multi(M: Any, m: int, B: int, memo: StepMemo | None = None) -> MultiWalk:
@@ -723,4 +711,4 @@ def probe_multi(M: Any, m: int, B: int, memo: StepMemo | None = None) -> MultiWa
     infeasible too.  ``memo`` is a dict shared by the walks of one solve on
     the same ``M`` (start it empty); it changes no result.
     """
-    return kernel("probe_multi")(M, m, B, memo)
+    return KERNELS["probe_multi"].numpy(M, m, B, memo)

@@ -24,11 +24,9 @@ practice for a 514×514 matrix up to 10 000 processors) or after
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from ..core.errors import ParameterError
+from ..core.errors import ParameterError, check_count
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 from ..jagged.common import choose_pq
@@ -61,14 +59,6 @@ def _stripe_matrix(pref: PrefixSum2D, cuts: np.ndarray, axis: int) -> np.ndarray
     return vals.reshape(S, n + 1)
 
 
-def _count(value, what: str, least: int) -> int:
-    """``value`` as an int of at least ``least``, or a ``ParameterError``."""
-    # bool is an Integral too, but True processors is a caller's bug
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ParameterError(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 def rect_nicol(
     A: MatrixLike,
     m: int,
@@ -97,7 +87,7 @@ def rect_nicol(
     if P is None or Q is None:
         P, Q = choose_pq(m, pref.n1, pref.n2)
     else:
-        P, Q = _count(P, "P", 1), _count(Q, "Q", 1)
+        P, Q = check_count(P, "P"), check_count(Q, "Q")
         if P * Q != m:
             raise ParameterError(f"P*Q must equal m ({P}*{Q} != {m})")
     row_cuts = uniform_cuts(pref.n1, P)

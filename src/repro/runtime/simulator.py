@@ -42,11 +42,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..core.errors import ParameterError
+from ..core.errors import ParameterError, check_count
 from ..core.metrics import exact_imbalance, max_boundary, migration_volume
 from ..core.partition import Partition
 from ..core.prefix import LoadView, MatrixLike, prefix_2d
-from ..dynamic.policies import EveryK, RepartitionPolicy, StepContext, _count, _finite
+from ..dynamic.policies import EveryK, RepartitionPolicy, StepContext, _finite
 
 __all__ = [
     "CostModel",
@@ -165,7 +165,7 @@ class BSPSimulator:
         cost: CostModel | None = None,
         policy: RepartitionPolicy | None = None,
     ):
-        self.m = _count("m", m, 1)
+        self.m = check_count(m, "m")
         self.partitioner = partitioner
         self.cost = cost or CostModel()
         self.policy = policy if policy is not None else EveryK(1)
@@ -185,7 +185,7 @@ class BSPSimulator:
         that many solver steps between load changes); it must be an
         integer ``>= 1``.
         """
-        steps_per_snapshot = _count("steps_per_snapshot", steps_per_snapshot, 1)
+        steps_per_snapshot = check_count(steps_per_snapshot, "steps_per_snapshot")
         report = SimulationReport()
         part: Partition | None = None
         c = self.cost

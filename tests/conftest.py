@@ -2,10 +2,32 @@
 
 from __future__ import annotations
 
+import dataclasses
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+
+from repro.perf.kernels import KERNELS
+
+
+@contextmanager
+def reference_kernels(on: bool = True) -> Iterator[None]:
+    """Run every kernel on its scalar oracle: each ``KERNELS`` entry's
+    ``numpy`` slot, the one production calls, holds its ``reference`` body
+    until exit.  ``on=False`` changes nothing (a backend loop's numpy arm).
+    Enter it inside any ``monkeypatch`` of ``KERNELS``, so the patch's undo
+    runs last."""
+    saved = dict(KERNELS)
+    if on:
+        KERNELS.update({n: dataclasses.replace(k, numpy=k.reference) for n, k in saved.items()})
+    try:
+        yield
+    finally:
+        KERNELS.update(saved)
 
 
 def prefix_of(values) -> np.ndarray:

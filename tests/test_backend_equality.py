@@ -2,8 +2,9 @@
 
 Every registry algorithm runs on seeded instances across three axes:
 
-* kernel backend — the registry's scalar ``reference`` oracles and the
-  production ``numpy`` kernels;
+* kernel body — the production ``numpy`` slot of every kernel, and the
+  registry's scalar ``reference`` oracles swapped into that slot
+  (``tests.conftest.reference_kernels``);
 * substrate — dense ``Γ`` (:class:`PrefixSum2D`) and CSR
   (:class:`SparsePrefix2D`), plus a cold CSR pass as on a large instance
   (projection memo on, transpose pinned before the solve);
@@ -23,8 +24,9 @@ suites (``tests/test_kernels_equality.py``, ``tests/test_sparse_equality.py``,
 ``tests/test_sweep*.py``) miss the input that triggers it.
 
 Two coverage tests keep the matrix whole: its parametrization is exactly
-the registry, and the registry's solves reach every kernel's reference
-oracle.
+the registry, and the registry's solves reach the ``numpy`` slot of every
+kernel with a second body, through the entry points that look the slot up
+on every call.
 """
 
 from __future__ import annotations
@@ -38,10 +40,12 @@ from repro.core import prefix
 from repro.core.prefix import PrefixSum2D
 from repro.core.registry import ALGORITHMS, partition_2d
 from repro.core.sparse import SparsePrefix2D
-from repro.perf.config import use_perf_backend
+from repro.perf import kernels
 from repro.perf.counters import op_counters
 from repro.perf.kernels import KERNELS
 from repro.sweep import SweepStore, use_sweep
+
+from .conftest import reference_kernels
 
 
 def _random_sparse(rng, n1: int, n2: int, k: int, hi: int) -> np.ndarray:
@@ -96,7 +100,7 @@ def _cold(method, make, A, ms):
 def _counted(method, A, ms):
     """Cold ``numpy`` dense rects and op counts (counting is slow: only this
     cell pays for it)."""
-    with use_perf_backend("numpy"), op_counters() as ops:
+    with op_counters() as ops:
         rects = _cold(method, PrefixSum2D, A, ms)
     ops.pop("proj_hits", None)  # memo reuse, not solver work
     return rects, ops
@@ -125,7 +129,7 @@ def test_partitions_identical_across_backends(method, tmp_path):
         seeded = {}
         for sub, make in SUBSTRATES.items():
             where = f"{method}, {backend}, {sub}"
-            with use_perf_backend(backend):
+            with reference_kernels(backend == "reference"):
                 for name, A, ms in cells:
                     if (backend, sub) == ("numpy", "dense"):
                         break  # the cold cells are the baseline
@@ -147,7 +151,7 @@ def test_partitions_identical_across_backends(method, tmp_path):
         assert len(set(seeded.values())) <= 1, f"{method}, {backend}: {seeded}"
         # cold on CSR as on a large instance: memo on by default and the
         # transpose pinned, so every column band is the transpose's row band
-        with use_perf_backend(backend), pytest.MonkeyPatch.context() as mp:
+        with reference_kernels(backend == "reference"), pytest.MonkeyPatch.context() as mp:
             mp.setattr(prefix, "_CACHE_MIN_CELLS", 0)
             for name, A, ms in cells:
                 if exact and not name.startswith("sparse"):
@@ -175,21 +179,38 @@ def test_matrix_runs_every_registry_entry():
 
 
 def test_every_kernel_reference_is_exercised(monkeypatch):
-    """One solve per registry entry reaches the reference oracle of every
-    kernel with a numpy body, so the matrix compares each numpy body against
-    it.  A kernel with one body in both slots has no second body to compare;
-    ``tests/test_kernels_equality.py`` pins it against its own oracle."""
+    """Production calls the ``numpy`` slot, resolved from ``KERNELS`` per call.
+
+    One solve per registry entry reaches the slot of every kernel with a
+    second body, so the matrix compares each numpy body against its oracle
+    (``reference_kernels`` swaps the oracle into that slot).  A kernel with
+    one body in both slots has no second body to compare;
+    ``tests/test_kernels_equality.py`` pins it against its own oracle.  Each
+    public entry point reaches its own entry's spy, which is what lets the
+    oracle swap and the end-to-end tracer's patch see every call."""
     dual = {name for name, k in KERNELS.items() if k.numpy is not k.reference}
-    reached = set()
+    reached = []
     for name, k in list(KERNELS.items()):
 
-        def spy(*args, _name=name, _ref=k.reference, **kwargs):
-            reached.add(_name)
-            return _ref(*args, **kwargs)
+        def spy(*args, _name=name, _body=k.numpy, **kwargs):
+            reached.append(_name)
+            return _body(*args, **kwargs)
 
-        monkeypatch.setitem(KERNELS, name, dataclasses.replace(k, reference=spy))
+        monkeypatch.setitem(KERNELS, name, dataclasses.replace(k, numpy=spy))
     smooth = next(A for name, A, _ in INSTANCES if name == "smooth")
-    with use_perf_backend("reference"):
-        for method in sorted(ALGORITHMS):
-            partition_2d(PrefixSum2D(smooth), 5, method)
-    assert dual and dual <= reached
+    for method in sorted(ALGORITHMS):
+        partition_2d(PrefixSum2D(smooth), 5, method)
+    assert dual and dual <= set(reached)
+    P = np.array([0, 3, 4, 8], dtype=np.int64)
+    offs = np.array([0, len(P)], dtype=np.int64)
+    entry_points = {
+        "probe_cuts": lambda: kernels.probe_cuts(P, 2, 5),
+        "weighted_cut": lambda: kernels.weighted_cuts(P, offs, [((1, 1),)]),
+        "relaxed_split": lambda: kernels.relaxed_splits(P, offs, [2]),
+        "alloc_tail": lambda: kernels.alloc_tail(np.array([5, 3]), np.array([1, 1]), 3),
+        "probe_multi": lambda: kernels.probe_multi(P[None, :], 2, 5),
+    }
+    for name, call in entry_points.items():
+        reached.clear()
+        call()
+        assert reached == [name], name

@@ -44,10 +44,10 @@ from repro.core.rectangle import Rect
 from repro.core.registry import algorithm_names, partition_2d
 from repro.oned.bisect import bisect_bottleneck
 from repro.oned.probe import probe
-from repro.perf import op_counters, use_perf_backend
+from repro.perf import op_counters
 from repro.perf.counters import OpCounters
 
-from .conftest import prefix_of
+from .conftest import prefix_of, reference_kernels
 
 
 @pytest.fixture()
@@ -198,7 +198,7 @@ def test_hier_rb_cut_calls_even_splits():
     A = rng.integers(1, 50, (32, 32))
     m = 16  # powers of two split evenly at every node: one orientation each
     for backend in ("reference", "numpy"):
-        with use_perf_backend(backend), op_counters() as ops:
+        with reference_kernels(backend == "reference"), op_counters() as ops:
             partition_2d(A, m, "HIER-RB")
         assert ops["cut_calls"] == 2 * (m - 1), backend
 
@@ -208,7 +208,7 @@ def test_hier_rb_cut_calls_odd_splits_at_most_4_per_node():
     A = rng.integers(1, 50, (32, 32))
     for m in (7, 13, 23):
         for backend in ("reference", "numpy"):
-            with use_perf_backend(backend), op_counters() as ops:
+            with reference_kernels(backend == "reference"), op_counters() as ops:
                 partition_2d(A, m, "HIER-RB")
             assert m - 1 <= ops["cut_calls"] <= 4 * (m - 1), (m, backend)
 
@@ -218,7 +218,7 @@ def test_hier_relaxed_cut_calls_bounded_by_tree():
     A = rng.integers(1, 50, (32, 32))
     for m in (4, 9, 16):
         for backend in ("reference", "numpy"):
-            with use_perf_backend(backend), op_counters() as ops:
+            with reference_kernels(backend == "reference"), op_counters() as ops:
                 partition_2d(A, m, "HIER-RELAXED")
             assert m - 1 <= ops["cut_calls"] <= 2 * (m - 1), (m, backend)
 
@@ -249,7 +249,7 @@ def test_hier_kernel_calls_one_per_tree_level(monkeypatch, method, name):
     for m in (7, 16, 64, 200):
         for backend in ("reference", "numpy"):
             windows.clear()
-            with use_perf_backend(backend):
+            with reference_kernels(backend == "reference"):
                 depth = partition_2d(A, m, method).meta["tree"].depth()
             assert len(windows) <= depth + 1, (m, backend, depth)
             assert sum(windows) >= m - 1  # a window per internal node at least
@@ -341,9 +341,8 @@ def test_striped_bisection_tightens_from_both_sides(monkeypatch, P, Q):
 
     monkeypatch.setitem(kernels.KERNELS, "probe_multi", dataclasses.replace(k, numpy=counted))
     M = _stripe_matrix(PrefixSum2D(peak(256, seed=0)), uniform_cuts(256, P), 0)
-    with use_perf_backend("numpy"):
-        B = multi_bottleneck(M, Q)
-    with use_perf_backend("reference"):
+    B = multi_bottleneck(M, Q)
+    with reference_kernels():
         assert multi_bottleneck(M, Q) == B
     assert len(walks) <= 10, walks
 
@@ -364,8 +363,7 @@ def test_rect_nicol_gallops_from_its_hint(monkeypatch):
         return k.numpy(*args)
 
     monkeypatch.setitem(kernels.KERNELS, "probe_multi", dataclasses.replace(k, numpy=counted))
-    with use_perf_backend("numpy"):
-        part = partition_2d(diagonal(512, seed=0), 64, "RECT-NICOL")
+    part = partition_2d(diagonal(512, seed=0), 64, "RECT-NICOL")
     assert part.meta["iterations"] == 16
     assert len(walks) <= 220, len(walks)
 

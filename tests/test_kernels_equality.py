@@ -1,6 +1,6 @@
 """Adversarial bit-identity suite for the kernel registry (repro.perf.kernels).
 
-The ``numpy`` backend of every kernel is compared against the scalar
+The ``numpy`` body of every kernel is compared against the scalar
 ``reference`` implementation bit for bit, on inputs chosen to break
 vectorized shortcuts: all-zero arrays and zero runs, single-cell arrays,
 empty windows, loads near ``2**62`` (where an unclamped ``P[pos] + B``
@@ -16,14 +16,14 @@ match, and the bound must be sound — realised by the cuts of a feasible
 walk, and still infeasible one below it after an infeasible walk.
 
 The frontier cut kernels (``weighted_cut``, ``relaxed_split``) score ragged
-batches of windows; their numpy backend runs in both of its regimes, the
+batches of windows; their numpy body runs in both of its regimes, the
 scalar one below ``_FRONTIER_MIN_CANDS`` candidates and the segmented pass
 forced on every batch.
 
-The tail of the module pins backend selection (malformed environment
-values fail loudly), the dispatch sites themselves (``oned.probe``,
-``oned.multicost``, ``jagged.m_heur`` and the frontier cut entry points
-answer identically on either backend, a hierarchical tree level's 200-window
+The tail of the module pins the registry's names, the dispatch sites
+themselves (``oned.probe``, ``oned.multicost``, ``jagged.m_heur`` and the
+frontier cut entry points answer identically with the oracles swapped into
+the ``numpy`` slots, a hierarchical tree level's 200-window
 batch and RECT-NICOL's hinted striped solves included) and the registry's
 lint coverage (``perf`` stays in ``HOT_PACKAGES``).
 """
@@ -39,17 +39,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.perf import kernels
-from repro.perf.config import (
-    _parse_backend,
-    perf_backend,
-    set_perf_backend,
-    use_perf_backend,
-)
-from repro.perf.kernels import KERNELS, kernel
+from repro.perf.kernels import KERNELS
 
-from .conftest import alloc_oracle
+from .conftest import alloc_oracle, reference_kernels
 
-#: backends compared against the reference oracle
+#: the kernel slots compared against the reference oracle
 BACKENDS = ("numpy",)
 
 _HUGE = 2**62
@@ -114,7 +108,7 @@ def test_probe_batch_matches_reference(pname, backend):
         windows += [(1, n - 1), (2, 2)]  # interior window and an empty one
     for m in (1, 2, 3, n + 5):  # n + 5 > n: more processors than cells
         for lo, hi in windows:
-            got = kernel("probe_batch", backend)(P, m, Bs, lo, hi)
+            got = getattr(KERNELS["probe_batch"], backend)(P, m, Bs, lo, hi)
             fits = [_greedy(P, B, lo, hi) for B in Bs.tolist()]
             want = [c is not None and len(c) <= m for c in fits]
             assert got.tolist() == want, (pname, backend, m, lo, hi)
@@ -130,12 +124,13 @@ def test_min_parts_matches_reference(pname, backend):
         for cap in (None, 0, 1, 3, n + 7):
             if cuts is None and cap is None:
                 with pytest.raises(ValueError):
-                    kernel("min_parts", backend)(P, B, 0, None, cap)
+                    getattr(KERNELS["min_parts"], backend)(P, B, 0, None, cap)
                 continue
             want = len(cuts) if cuts is not None else cap + 1
             if cap is not None and want > cap:
                 want = cap + 1
-            assert kernel("min_parts", backend)(P, B, 0, None, cap) == want, (pname, B, cap)
+            got = getattr(KERNELS["min_parts"], backend)(P, B, 0, None, cap)
+            assert got == want, (pname, B, cap)
 
 
 def _min_parts_full_walk(Pl: list[int], B: int, lo: int, hi: int, cap: int | None) -> int:
@@ -217,7 +212,7 @@ def test_probe_cuts_matches_reference(pname, backend):
     for m in (1, 2, 3, n + 5):
         for B in _candidate_Bs(P):
             for lo, hi in windows:
-                got = kernel("probe_cuts", backend)(P, m, B, lo, hi)
+                got = getattr(KERNELS["probe_cuts"], backend)(P, m, B, lo, hi)
                 cuts = _greedy(P, B, lo, hi)
                 if cuts is None or len(cuts) > m:
                     assert got is None, (pname, backend, m, B, lo, hi)
@@ -231,7 +226,7 @@ def test_probe_cuts_accepts_boundary_lists():
     """Callers (oned.nicol, jagged.m_opt) pass plain Python lists."""
     Pl = [0, 3, 4, 8, 9, 14]
     for backend in ("reference",) + BACKENDS:
-        out = kernel("probe_cuts", backend)(Pl, 3, 6, 0, None)
+        out = getattr(KERNELS["probe_cuts"], backend)(Pl, 3, 6, 0, None)
         assert out is not None and out.tolist()[0] == 0 and out.tolist()[-1] == 5
 
 
@@ -258,18 +253,18 @@ def _regimes(monkeypatch):
 
 
 def _check_weighted(vals, offs, orients, backend, monkeypatch, where) -> None:
-    ref = kernel("weighted_cut", "reference")(vals, offs, orients)
+    ref = KERNELS["weighted_cut"].reference(vals, offs, orients)
     assert len(ref) == len(offs) - 1
     for floor in _regimes(monkeypatch):
-        got = kernel("weighted_cut", backend)(vals, offs, orients)
+        got = getattr(KERNELS["weighted_cut"], backend)(vals, offs, orients)
         assert got == ref, (where, floor)
 
 
 def _check_relaxed(vals, offs, ms, backend, monkeypatch, where) -> None:
-    ref = kernel("relaxed_split", "reference")(vals, offs, ms)
+    ref = KERNELS["relaxed_split"].reference(vals, offs, ms)
     assert len(ref) == len(offs) - 1
     for floor in _regimes(monkeypatch):
-        got = kernel("relaxed_split", backend)(vals, offs, ms)
+        got = getattr(KERNELS["relaxed_split"], backend)(vals, offs, ms)
         assert got == ref, (where, floor)
 
 
@@ -388,15 +383,15 @@ def _frontier_batches(draw):
 @settings(max_examples=200, deadline=None)
 def test_frontier_kernels_match_on_random_batches(case):
     (vals, offs), ms, orients = case
-    ref_cut = kernel("weighted_cut", "reference")(vals, offs, orients)
-    ref_split = kernel("relaxed_split", "reference")(vals, offs, ms)
+    ref_cut = KERNELS["weighted_cut"].reference(vals, offs, orients)
+    ref_split = KERNELS["relaxed_split"].reference(vals, offs, ms)
     saved = kernels._FRONTIER_MIN_CANDS
     try:
         for floor in (10**9, 0):
             kernels._FRONTIER_MIN_CANDS = floor
             for backend in BACKENDS:
-                assert kernel("weighted_cut", backend)(vals, offs, orients) == ref_cut
-                assert kernel("relaxed_split", backend)(vals, offs, ms) == ref_split
+                assert getattr(KERNELS["weighted_cut"], backend)(vals, offs, orients) == ref_cut
+                assert getattr(KERNELS["relaxed_split"], backend)(vals, offs, ms) == ref_split
     finally:
         kernels._FRONTIER_MIN_CANDS = saved
 
@@ -422,7 +417,7 @@ def test_alloc_tail_matches_reference(case, backend):
     total = int(loads.sum())
     q = -((-(m - P) * loads) // total)  # the caller's exact ceil allocation
     np.maximum(q, 1, out=q)
-    got = kernel("alloc_tail", backend)(loads, q, m)
+    got = getattr(KERNELS["alloc_tail"], backend)(loads, q, m)
     assert got.tolist() == alloc_oracle(loads_l, q.tolist(), m), (case, backend)
     assert int(got.sum()) == m and int(got.min()) >= 1
 
@@ -433,7 +428,7 @@ def test_alloc_tail_shave_matches_reference(backend):
     loads = [9, 4, 4, 7, 1, 6]
     for q in ([3, 3, 3, 3, 3, 3], [1, 5, 2, 4, 2, 2], [2, 2, 2, 2, 2, 2]):
         for m in range(len(loads), sum(q) + 3):
-            got = kernel("alloc_tail", backend)(np.array(loads), np.array(q), m)
+            got = getattr(KERNELS["alloc_tail"], backend)(np.array(loads), np.array(q), m)
             assert got.tolist() == alloc_oracle(loads, q, m), (q, m, backend)
             assert int(got.sum()) == m
 
@@ -477,14 +472,14 @@ def test_probe_multi_matches_reference(case, backend):
     M = _MULTI_CASES[case]
     for m in _multi_ms(M):
         for B in _multi_Bs(M):
-            ref = kernel("probe_multi", "reference")(M, m, B)
-            got = kernel("probe_multi", backend)(M, m, B)
+            ref = KERNELS["probe_multi"].reference(M, m, B)
+            got = getattr(KERNELS["probe_multi"], backend)(M, m, B)
             assert ref == got, (case, backend, m, B)
 
 
 def _check_walk_bound(M: np.ndarray, m: int, B: int, backend: str) -> None:
     """A walk's bound is what it proves: realised if feasible, a lower bound if not."""
-    walk = kernel("probe_multi", backend)
+    walk = getattr(KERNELS["probe_multi"], backend)
     ok, bound, cuts = walk(M, m, B)
     if ok:
         assert cuts is not None and len(cuts) == m + 1
@@ -520,9 +515,9 @@ _stripe_stacks = hnp.arrays(
 @given(_stripe_stacks, st.integers(1, 12), st.integers(-2, 500))
 @settings(max_examples=300, deadline=None)
 def test_probe_multi_tuples_match_and_bounds_hold(M, m, B):
-    ref = kernel("probe_multi", "reference")(M, m, B)
+    ref = KERNELS["probe_multi"].reference(M, m, B)
     for backend in BACKENDS:
-        assert kernel("probe_multi", backend)(M, m, B) == ref, backend
+        assert getattr(KERNELS["probe_multi"], backend)(M, m, B) == ref, backend
     _check_walk_bound(M, m, B, "numpy")
 
 
@@ -536,7 +531,7 @@ def test_probe_multi_shared_memo_changes_no_walk(M, m, Bs):
     # one solve's walks share a step memo; any order of B — widening
     # windows included — must return exactly the memo-free tuples
     for backend in ("reference",) + BACKENDS:
-        walk = kernel("probe_multi", backend)
+        walk = getattr(KERNELS["probe_multi"], backend)
         memo: kernels.StepMemo = {}
         for B in Bs:
             assert walk(M, m, B, memo) == walk(M, m, B), (backend, B)
@@ -548,7 +543,7 @@ def test_probe_multi_memo_widens_a_narrow_window():
     M = _stack(*np.random.default_rng(3).integers(0, 9, (2, 64)).tolist())
     total = int(M[:, -1].max())
     memo: kernels.StepMemo = {}
-    walk = kernel("probe_multi", "numpy")
+    walk = KERNELS["probe_multi"].numpy
     assert walk(M, 8, total // 10, memo) == walk(M, 8, total // 10)
     assert memo[0][0] == 16
     assert walk(M, 8, total, memo) == (True, total, [0] + [64] * 8)
@@ -556,7 +551,7 @@ def test_probe_multi_memo_widens_a_narrow_window():
 
 
 # ----------------------------------------------------------------------
-# backend selection and malformed environment values
+# the registry
 # ----------------------------------------------------------------------
 def test_registry_names_are_stable():
     assert set(KERNELS) == {
@@ -572,45 +567,8 @@ def test_registry_names_are_stable():
         assert callable(k.reference) and callable(k.numpy)
 
 
-def test_backend_env_parses_case_and_blanks(monkeypatch):
-    monkeypatch.setenv("REPRO_PERF_BACKEND", " REFERENCE ")
-    assert _parse_backend() == "reference"
-    monkeypatch.setenv("REPRO_PERF_BACKEND", "")
-    assert _parse_backend() == "numpy"
-    monkeypatch.delenv("REPRO_PERF_BACKEND")
-    assert _parse_backend() == "numpy"
-
-
-@pytest.mark.parametrize("value", ["refrence", "cuda"])
-def test_malformed_backend_env_is_rejected(monkeypatch, value):
-    """A typo must not quietly turn a reference run into a numpy one."""
-    monkeypatch.setenv("REPRO_PERF_BACKEND", value)
-    with pytest.raises(ValueError, match=r"REPRO_PERF_BACKEND.*'reference', 'numpy'"):
-        _parse_backend()
-
-
-def test_set_perf_backend_rejects_unknown_names():
-    for name in ("cuda", "Numpy"):
-        with pytest.raises(ValueError):
-            set_perf_backend(name)
-    # the failed set must not have clobbered the active backend
-    assert perf_backend() in ("reference", "numpy")
-    with pytest.raises(ValueError):
-        kernel("probe_batch", "cuda")
-
-
-def test_use_perf_backend_scopes_and_restores():
-    before = perf_backend()
-    with use_perf_backend("reference"):
-        assert perf_backend() == "reference"
-        with use_perf_backend("numpy"):
-            assert perf_backend() == "numpy"
-        assert perf_backend() == "reference"
-    assert perf_backend() == before
-
-
 # ----------------------------------------------------------------------
-# dispatch sites: identical answers on the reference and numpy backends
+# dispatch sites: identical answers on the reference and numpy bodies
 # ----------------------------------------------------------------------
 def test_oned_probe_cuts_dispatch_matches_reference():
     from repro.oned.probe import probe_cuts
@@ -618,7 +576,7 @@ def test_oned_probe_cuts_dispatch_matches_reference():
     P = PREFIXES["plain"]
     for m in (1, 3, 7):
         for B in _candidate_Bs(P):
-            with use_perf_backend("reference"):
+            with reference_kernels():
                 ref = probe_cuts(P, m, B)
             got = probe_cuts(P, m, B)
             if ref is None:
@@ -634,10 +592,10 @@ def test_multicost_dispatch_matches_reference():
     total = int(M[:, -1].max())
     for m in (1, 2, 4, 9):
         for B in (0, total // 3, total):
-            with use_perf_backend("reference"):
+            with reference_kernels():
                 ref = probe_multi(M, m, B)
             assert ref == probe_multi(M, m, B)
-        with use_perf_backend("reference"):
+        with reference_kernels():
             ref_B = multi_bottleneck(M, m)
             ref_part = partition_multi(M, m)
         got_B = multi_bottleneck(M, m)
@@ -649,7 +607,7 @@ def test_multicost_dispatch_matches_reference():
 def test_hinted_striped_solves_match_reference():
     """RECT-NICOL's hinted striped solves: each walk gallops down from the
     hint, then bisects, all through one step memo (which the reference
-    backend ignores)."""
+    body ignores)."""
     from repro.oned.multicost import partition_multi
 
     rng = np.random.default_rng(42)
@@ -658,12 +616,10 @@ def test_hinted_striped_solves_match_reference():
     for m in (4, 8, 16, 32):
         c = np.linspace(0, 1_000, m + 1).astype(np.int64)
         hint = int((M[:, c[1:]] - M[:, c[:-1]]).max())  # equal-width cuts' bottleneck
-        with use_perf_backend("reference"):
+        with reference_kernels():
             ref_B, ref_cuts = partition_multi(M, m, ub=hint)
-        for backend in BACKENDS:
-            with use_perf_backend(backend):
-                B, cuts = partition_multi(M, m, ub=hint)
-            assert (B, cuts.tolist()) == (ref_B, ref_cuts.tolist()), (m, backend)
+        B, cuts = partition_multi(M, m, ub=hint)
+        assert (B, cuts.tolist()) == (ref_B, ref_cuts.tolist()), m
 
 
 def test_allocate_processors_dispatch_matches_reference():
@@ -671,12 +627,10 @@ def test_allocate_processors_dispatch_matches_reference():
 
     loads = np.array([5, 0, 9, 0, 3, 1000, 1], dtype=np.int64)
     for m in (7, 12, 40):
-        with use_perf_backend("reference"):
+        with reference_kernels():
             ref = allocate_processors(loads, m)
-        for backend in BACKENDS:
-            with use_perf_backend(backend):
-                got = allocate_processors(loads, m)
-            assert ref.tolist() == got.tolist(), (m, backend)
+        got = allocate_processors(loads, m)
+        assert ref.tolist() == got.tolist(), m
 
 
 def test_hier_cut_dispatchers_match_unwindowed_references():
@@ -688,8 +642,8 @@ def test_hier_cut_dispatchers_match_unwindowed_references():
     windows = [(0, n), (2, n - 1)]
     vals, offs = _batch(P, windows)
     bands = [_batch(P[j0 : j1 + 1] - P[j0], [(0, j1 - j0)]) for j0, j1 in windows]
-    ref = kernel("weighted_cut", "reference")
-    ref_s = kernel("relaxed_split", "reference")
+    ref = KERNELS["weighted_cut"].reference
+    ref_s = KERNELS["relaxed_split"].reference
     for orients in _ORIENTS:
         want = [ref(*band, [orients])[0] for band in bands]
         assert weighted_cuts(vals, offs, [orients] * 2) == want, orients

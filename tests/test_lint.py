@@ -314,7 +314,7 @@ class TestRPL010Determinism:
 
 
 class TestRPL011ConfigRegistry:
-    CONFIG = "src/repro/perf/config.py"
+    CONFIG = "src/repro/instances/config.py"  # any */config.py is a config module
 
     @staticmethod
     def _check(rel: str, source: str) -> list[Violation]:
@@ -363,13 +363,12 @@ class TestRPL011ConfigRegistry:
         )
         assert [name for name in ENV_VARS if name not in docs] == []
 
-    def test_registry_declares_exactly_the_two_knobs(self):
+    def test_registry_declares_exactly_the_one_knob(self):
         # the projection-memo sizes and the CSR density are module constants;
         # a sweep store is attached only through use_sweep(store=), a raw
         # store only through --raw-dir / use_raw_store, a scale through
-        # --scale / scale=
-        assert set(ENV_VARS) == {"REPRO_PERF_BACKEND", "REPRO_CACHE"}
-        assert ENV_VARS["REPRO_PERF_BACKEND"].default == "numpy"
+        # --scale / scale=; production always runs the numpy kernel slot
+        assert set(ENV_VARS) == {"REPRO_CACHE"}
 
     @pytest.mark.parametrize("name", sorted(ENV_VARS))
     def test_declared_name_is_read_by_its_consumer(self, name):
@@ -379,8 +378,8 @@ class TestRPL011ConfigRegistry:
         assert f'env_str("{name}")' in path.read_text(encoding="utf-8"), consumer
 
     def test_retired_perf_switch_is_not_declared(self):
-        # the kernel registry's backend is the only dispatch switch left
-        assert "REPRO_PERF" not in ENV_VARS
+        # no environment variable selects a kernel body
+        assert "REPRO_PERF" not in ENV_VARS and "REPRO_PERF_BACKEND" not in ENV_VARS
         out = self._check(self.CONFIG, "import os\nv = os.environ.get('REPRO_PERF', '')\n")
         assert [v.message for v in out] == [
             "environment variable 'REPRO_PERF' is read but not declared in "

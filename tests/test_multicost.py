@@ -1,8 +1,9 @@
 """Tests for the striped-cost 1D solver used by RECT-NICOL.
 
 The solve narrows its bracket with the bounds each walk proves.  On either
-kernel backend it must return the brute-force optimum and the greedy cuts
-at it, for any ``ub`` hint.
+kernel body (production's ``numpy`` slot, or the oracles swapped in by
+``reference_kernels``) it must return the brute-force optimum and the
+greedy cuts at it, for any ``ub`` hint.
 """
 
 import itertools
@@ -15,7 +16,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.errors import ParameterError
 from repro.oned.multicost import multi_bottleneck, multi_cuts, partition_multi, probe_multi
-from repro.perf import use_perf_backend
+
+from .conftest import reference_kernels
 
 stripe_loads = hnp.arrays(
     dtype=np.int64,
@@ -149,7 +151,7 @@ class TestBoundTightening:
         }
         ub = hints[where]
         for backend in ("numpy", "reference"):
-            with use_perf_backend(backend):
+            with reference_kernels(backend == "reference"):
                 assert multi_bottleneck(M, m, ub=ub) == want, backend
                 B, cuts = partition_multi(M, m, ub=ub)
             assert B == want
@@ -159,7 +161,7 @@ class TestBoundTightening:
     @settings(max_examples=80, deadline=None)
     def test_cuts_are_the_greedy_cuts_at_the_optimum(self, A, m):
         M = stack_prefix(A)
-        with use_perf_backend("reference"):
+        with reference_kernels():
             B_ref, cuts_ref = partition_multi(M, m)
         B, cuts = partition_multi(M, m)
         assert B == B_ref and cuts.tolist() == cuts_ref.tolist()
@@ -171,7 +173,7 @@ class TestBoundTightening:
         M = stack_prefix(rng.integers(0, 1_000, (5, 3_000)))
         for m in (1, 2, 7, 40):
             lo, hi = 0, int(M[:, -1].max())
-            with use_perf_backend("reference"):
+            with reference_kernels():
                 while lo < hi:
                     mid = (lo + hi) // 2
                     lo, hi = (lo, mid) if probe_multi(M, m, mid) else (mid + 1, hi)
@@ -185,7 +187,7 @@ class TestParameterValidation:
     @pytest.mark.parametrize("backend", ["numpy", "reference"])
     def test_m_below_one_is_a_parameter_error(self, m, backend):
         M = stack_prefix(np.array([[3, 1, 4], [1, 5, 9]]))
-        with use_perf_backend(backend):
+        with reference_kernels(backend == "reference"):
             with pytest.raises(ParameterError, match="m must be >= 1"):
                 multi_bottleneck(M, m)
             with pytest.raises(ParameterError, match="m must be >= 1"):
@@ -197,7 +199,7 @@ class TestParameterValidation:
     def test_one_dimensional_prefix_is_one_stripe(self, backend):
         # partition_multi used to raise IndexError on a 1D prefix
         P = np.array([0, 4, 5, 9, 10])
-        with use_perf_backend(backend):
+        with reference_kernels(backend == "reference"):
             assert partition_multi(P, 2)[0] == multi_bottleneck(P[None, :], 2) == 5
             assert partition_multi(P, 2)[1].tolist() == [0, 2, 4]
             assert multi_cuts(P, 2, 5).tolist() == [0, 2, 4]

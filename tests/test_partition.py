@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import partition_2d
+from repro.core import partition
 from repro.core.errors import InvalidPartitionError, ParameterError
 from repro.core.partition import Partition
 from repro.core.prefix import PrefixSum2D
@@ -13,6 +14,10 @@ from repro.core.rectangle import Rect
 from repro.core.serialize import partition_from_dict, partition_to_dict
 from repro.jagged.common import build_jagged_partition
 from repro.rectilinear.common import build_rectilinear_partition
+
+
+#: the ``_PAINT_MAX_CELLS`` that forces each validation path on any grid
+PAINT_MAX = {"paint": 1 << 62, "pairwise": -1}
 
 
 def three_way(shape=(6, 8)):
@@ -27,17 +32,19 @@ class TestValidity:
         three_way().validate()
         assert three_way().is_valid()
 
-    @pytest.mark.parametrize("method", ["paint", "pairwise"])
-    def test_overlap_detected(self, method):
+    @pytest.mark.parametrize("method", sorted(PAINT_MAX))
+    def test_overlap_detected(self, monkeypatch, method):
+        monkeypatch.setattr(partition, "_PAINT_MAX_CELLS", PAINT_MAX[method])
         p = Partition([Rect(0, 6, 0, 4), Rect(0, 6, 3, 8), Rect(0, 0, 0, 0)], (6, 8))
         with pytest.raises(InvalidPartitionError):
-            p.validate(method=method)
+            p.validate()
 
-    @pytest.mark.parametrize("method", ["paint", "pairwise"])
-    def test_gap_detected(self, method):
+    @pytest.mark.parametrize("method", sorted(PAINT_MAX))
+    def test_gap_detected(self, monkeypatch, method):
+        monkeypatch.setattr(partition, "_PAINT_MAX_CELLS", PAINT_MAX[method])
         p = Partition([Rect(0, 6, 0, 4), Rect(0, 5, 4, 8)], (6, 8))
         with pytest.raises(InvalidPartitionError):
-            p.validate(method=method)
+            p.validate()
 
     def test_out_of_bounds_detected(self):
         p = Partition([Rect(0, 7, 0, 8)], (6, 8))
@@ -51,10 +58,6 @@ class TestValidity:
     def test_no_rects(self):
         with pytest.raises(InvalidPartitionError):
             Partition([], (3, 3)).validate()
-
-    def test_unknown_method(self):
-        with pytest.raises(ParameterError):
-            three_way().validate(method="nope")
 
     def test_pairwise_chunking(self, rng):
         # many thin valid stripes exercise the chunked pairwise path
@@ -316,14 +319,16 @@ def _small_partitions(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_small_partitions(), st.sampled_from(["paint", "pairwise"]))
+@given(_small_partitions(), st.sampled_from(sorted(PAINT_MAX)))
 def test_array_validate_matches_tuple_reference(case, method):
     rows, shape = case
     p = Partition(np.array(rows, dtype=np.int64).reshape(-1, 4), shape)
     want = _tuple_check(rows, shape)
-    try:
-        p.validate(method=method)
-        got = True
-    except InvalidPartitionError:
-        got = False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "_PAINT_MAX_CELLS", PAINT_MAX[method])
+        try:
+            p.validate()
+            got = True
+        except InvalidPartitionError:
+            got = False
     assert got == want

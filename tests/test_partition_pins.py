@@ -10,6 +10,12 @@ every greedy step and read their stripes through the projection memo.  A
 change to a search that moves one rectangle, the optimum or the -BEST
 tie-break fails here.  The fig07 snapshot comes from the PIC-MAG instance
 cache (``REPRO_CACHE``), generated on first use.
+
+``HEURISTIC_PINS`` pin ``(sha256 of coords(), max load)`` of two heuristics
+on a 128² peak, at m values no figure runs: JAG-M-HEUR where √m rounds up
+(m = 7 and 14: truncating √m gives one stripe fewer) and HIER-RB-DIST from a
+square root, where the DIST rule's tie between equal sides decides the first
+cut.
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ import hashlib
 import pytest
 
 from repro.core.prefix import PrefixSum2D
+from repro.core.registry import partition_2d
 from repro.experiments.figures import _pic_dataset
 from repro.experiments.scale import get_scale
-from repro.instances import uniform
+from repro.instances import peak, uniform
 from repro.jagged import jag_m_opt, jag_pq_opt
 
 SMALL = get_scale("small")
@@ -212,6 +219,27 @@ M_OPT_PINS = {
     ),
 }
 
+HEURISTIC_PINS = {
+    ("JAG-M-HEUR", 7): (
+        "42fb0662833d2568c28e6ad793ea0f87608c6896864713303506b58903316ab4", 582997
+    ),
+    ("JAG-M-HEUR", 14): (
+        "accdac9d8a20a7bfa406f8a5c5b4d692fe18075973b5f35d792ff41e4f6bfe18", 294678
+    ),
+    ("HIER-RB-DIST", 7): (
+        "deb958c935d9e380856386a450f98734ba4cc7ac36f882ffb4520da396c5db33", 500509
+    ),
+    ("HIER-RB-DIST", 16): (
+        "cbbd60b4d7cb31445ccd90f5fa5686fd44beb970d19ba501a2cb3c039c34b7c6", 228750
+    ),
+    ("HIER-RB-DIST", 30): (
+        "5634daef4a9a0652db26f20b4ad8c39ee347f307687ec3426766972e5d8a51f6", 139782
+    ),
+    ("HIER-RB-DIST", 100): (
+        "9d053815ab48f58072cefc822309f65dbdc75e0036c461ddfd80545d171ab555", 54969
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def instances():
@@ -248,3 +276,15 @@ def test_jag_m_opt_partition_is_pinned(instances, fig, m, orientation):
         part.meta["orientation"],
     )
     assert got == M_OPT_PINS[fig, m, orientation]
+
+
+@pytest.fixture(scope="module")
+def peak128():
+    return peak(128, seed=0)
+
+
+@pytest.mark.parametrize("method,m", sorted(HEURISTIC_PINS))
+def test_heuristic_partition_is_pinned(peak128, method, m):
+    part = partition_2d(peak128, m, method)
+    got = (hashlib.sha256(part.coords().tobytes()).hexdigest(), part.max_load(peak128))
+    assert got == HEURISTIC_PINS[method, m]

@@ -1,9 +1,9 @@
 """Property tests: optimized kernels are bit-identical to the reference oracles.
 
 The perf layer's contract (docs/performance.md) is *exact* equality, not
-approximate: every kernel's ``numpy`` backend must produce the same
+approximate: every kernel's ``numpy`` body must produce the same
 integers — same probe decisions, same cut positions, same rectangles — as
-its ``reference`` backend, the Probe walks must answer alike
+its ``reference`` body, the Probe walks must answer alike
 (``probe_batch`` and ``min_parts`` against per-candidate ``probe``), and
 the JAG-M-OPT level-end DP must match the all-starts DP
 (:func:`repro.jagged.m_opt._reference_dp`).  These tests drive both on
@@ -33,11 +33,10 @@ from repro.jagged.m_opt import (
 from repro.oned.bisect import bisect_bottleneck
 from repro.oned.nicol import nicol_plus_bottleneck
 from repro.oned.probe import min_parts, probe
-from repro.perf import kernel, use_perf_backend
-from repro.perf.kernels import relaxed_splits, weighted_cuts
+from repro.perf.kernels import KERNELS, relaxed_splits, weighted_cuts
 from repro.sweep import use_sweep
 
-from .conftest import alloc_oracle, load_arrays, prefix_of
+from .conftest import alloc_oracle, load_arrays, prefix_of, reference_kernels
 
 # ---------------------------------------------------------------------------
 # the probe_batch kernel and min_parts vs the scalar probe
@@ -52,7 +51,7 @@ def test_probe_batch_matches_scalar_probe(values, m, data):
         st.lists(st.integers(-2, total + 2), min_size=1, max_size=12),
         label="bottleneck candidates",
     )
-    got = kernel("probe_batch")(P, m, np.array(Bs, dtype=np.int64))
+    got = KERNELS["probe_batch"].numpy(P, m, np.array(Bs, dtype=np.int64))
     want = np.array([probe(P, m, B) for B in Bs])
     np.testing.assert_array_equal(got, want)
 
@@ -66,7 +65,7 @@ def test_probe_batch_matches_on_windows(values, data):
     lo = data.draw(st.integers(0, n), label="lo")
     hi = data.draw(st.integers(lo, n), label="hi")
     Bs = np.array([0, 1, int(P[-1]) // 2 + 1, int(P[-1])], dtype=np.int64)
-    got = kernel("probe_batch")(P, m, Bs, lo, hi)
+    got = KERNELS["probe_batch"].numpy(P, m, Bs, lo, hi)
     want = np.array([probe(P, m, int(B), lo, hi) for B in Bs])
     np.testing.assert_array_equal(got, want)
 
@@ -127,7 +126,7 @@ def _fraction_score(bp: np.ndarray, c: int, w1: int, w2: int) -> Fraction:
 def test_weighted_cut_num_orders_like_fractions(values, w1, w2):
     bp = prefix_of(values)
     L = len(bp) - 1
-    (num,) = kernel("weighted_cut", "reference")(bp, np.array([0, L + 1]), [((w1, w2),)])
+    (num,) = KERNELS["weighted_cut"].reference(bp, np.array([0, L + 1]), [((w1, w2),)])
     if L < 2:
         assert num is None
         return
@@ -152,16 +151,16 @@ def test_windowed_cut_kernels_match_rebased(values, m, data):
     orients = ((m1, m2),) if m1 == m2 else ((m1, m2), (m2, m1))
     band = (bp, np.array([0, L + 1]))
     window = (p[j0 : j1 + 1], np.array([0, L + 1]))
-    ref_cut = kernel("weighted_cut", "reference")(*band, [orients])
+    ref_cut = KERNELS["weighted_cut"].reference(*band, [orients])
     assert weighted_cuts(*window, [orients]) == ref_cut
 
-    ref_split = kernel("relaxed_split", "reference")(*band, [m])
+    ref_split = KERNELS["relaxed_split"].reference(*band, [m])
     assert relaxed_splits(*window, [m]) == ref_split
 
 
 # ---------------------------------------------------------------------------
 # whole-algorithm bit identity: numpy kernels vs reference kernels (every
-# registry algorithm across backends, substrates and sweep temperatures:
+# registry algorithm across kernel bodies, substrates and sweep temperatures:
 # test_backend_equality.py)
 
 
@@ -190,7 +189,7 @@ def test_partitions_bit_identical_across_modes(method):
     for seed, m in ((0, 5), (1, 9), (2, 16)):
         rng = np.random.default_rng(seed)
         A = rng.integers(0, 60, (21, 17))
-        with use_perf_backend("reference"):
+        with reference_kernels():
             ref = _rects(A, m, method)
         opt = _rects(A, m, method)
         assert ref == opt, f"{method} diverged (seed={seed}, m={m})"
@@ -218,7 +217,7 @@ def test_allocate_processors_identical_across_modes(data):
         ),
         dtype=object,
     )
-    with use_perf_backend("reference"):
+    with reference_kernels():
         ref = allocate_processors(loads.astype(np.int64, copy=False), m)
     opt = allocate_processors(loads.astype(np.int64, copy=False), m)
     assert ref.tolist() == opt.tolist()
@@ -331,14 +330,14 @@ def test_pinned_dp_identical_to_unpinned(A, data):
 def test_jag_m_opt_backtrack_identical_across_modes(A, data):
     # the backtrack resolves the all-starts tie-break only on the path rows:
     # bottleneck and stripe cuts must match the reference DP's argmin chain,
-    # and the rectangles must not move — on either kernel backend, cold and
+    # and the rectangles must not move — on either kernel body, cold and
     # with facts shared across the m values of one sweep scope
     ms = data.draw(st.lists(st.integers(1, A.shape[0] + 4), min_size=1, max_size=3), label="ms")
     out = _jag_m_opt_outputs(A, ms)
     assert [(B, cuts) for B, cuts, _ in out] == _reference_outputs(A, ms)
     with use_sweep():
         assert _jag_m_opt_outputs(A, ms) == out
-    with use_perf_backend("reference"):
+    with reference_kernels():
         assert _jag_m_opt_outputs(A, ms) == out
 
 
@@ -401,6 +400,6 @@ def test_shared_prefix_instance_is_safe_across_methods():
     shared = [partition_2d(pref, 6, mth).rects for mth in EQUALITY_METHODS]
     fresh = []
     for mth in EQUALITY_METHODS:
-        with use_perf_backend("reference"):
+        with reference_kernels():
             fresh.append(partition_2d(PrefixSum2D(A), 6, mth).rects)
     assert shared == fresh

@@ -58,6 +58,16 @@ class TestRegistry:
         with pytest.raises(ParameterError):
             partition_2d(rng.integers(1, 5, (4, 4)), 2, "MAGIC")
 
+    @pytest.mark.parametrize("m", [2.5, True, "3", 0], ids=repr)
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_malformed_m_is_a_parameter_error(self, rng, name, m):
+        with pytest.raises(ParameterError, match="m must be an integer >= 1"):
+            partition_2d(rng.integers(1, 5, (4, 4)), m, name)
+
+    def test_numpy_integer_m_is_accepted(self, rng):
+        A = rng.integers(1, 5, (6, 6))
+        assert partition_2d(A, np.int64(4)).rects == partition_2d(A, 4).rects
+
     def test_case_insensitive(self, rng):
         A = rng.integers(1, 5, (6, 6))
         p = partition_2d(A, 4, "jag-m-heur")
