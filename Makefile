@@ -159,9 +159,11 @@ figures-smoke:
 
 # CI smoke of the sweep fact store: a WarmStarted(EveryK(1)) JAG-M-OPT
 # stream over the tiny-profile PIC-MAG snapshots runs cold into a store,
-# warm from it, with no store, and again after the file was garbled.  The
-# four SimulationReports must be equal; after each flush the store must be
-# trusted and version 3, and only the warm run may seed from it.
+# warm from it (twice), with no store, and again after the file was
+# garbled.  The five SimulationReports must be equal; after each run the
+# store must be trusted and version 4, only the warm runs may seed from
+# it, and the second warm run, which adds no fact, must leave the file's
+# bytes, inode and mtime as they were.
 # argv: store path ('' = no store), report file, expected seeding (0/1)
 SWEEP_SMOKE = /tmp/repro-sweep-store-smoke
 define WARM_STREAM
@@ -189,7 +191,7 @@ if store is not None:
     disk = SweepStore(path)
     disk.load()
     assert disk.ignored_reason is None, disk.ignored_reason
-    assert json.load(open(path))["version"] == 3
+    assert json.loads(open(path, "rb").readline())["version"] == 4
 endef
 export WARM_STREAM
 WARM_RUN = PYTHONPATH=src $(PYTHON) -c "$$WARM_STREAM"
@@ -197,13 +199,19 @@ sweep-store-smoke:
 	rm -rf $(SWEEP_SMOKE) && mkdir -p $(SWEEP_SMOKE)
 	$(WARM_RUN) $(SWEEP_SMOKE)/S.json $(SWEEP_SMOKE)/cold.txt 0
 	$(WARM_RUN) $(SWEEP_SMOKE)/S.json $(SWEEP_SMOKE)/warm.txt 1
+	cp $(SWEEP_SMOKE)/S.json $(SWEEP_SMOKE)/S.before
+	stat -c '%i %y' $(SWEEP_SMOKE)/S.json > $(SWEEP_SMOKE)/stat.before
+	$(WARM_RUN) $(SWEEP_SMOKE)/S.json $(SWEEP_SMOKE)/warm2.txt 1
+	stat -c '%i %y' $(SWEEP_SMOKE)/S.json | cmp - $(SWEEP_SMOKE)/stat.before
+	cmp $(SWEEP_SMOKE)/S.json $(SWEEP_SMOKE)/S.before
 	$(WARM_RUN) '' $(SWEEP_SMOKE)/none.txt 0
 	printf 'garbage{' > $(SWEEP_SMOKE)/S.json
 	$(WARM_RUN) $(SWEEP_SMOKE)/S.json $(SWEEP_SMOKE)/healed.txt 0
 	cmp $(SWEEP_SMOKE)/cold.txt $(SWEEP_SMOKE)/warm.txt
+	cmp $(SWEEP_SMOKE)/cold.txt $(SWEEP_SMOKE)/warm2.txt
 	cmp $(SWEEP_SMOKE)/cold.txt $(SWEEP_SMOKE)/none.txt
 	cmp $(SWEEP_SMOKE)/cold.txt $(SWEEP_SMOKE)/healed.txt
-	@echo "sweep-store-smoke: warm, storeless and healed reports equal"
+	@echo "sweep-store-smoke: warm, storeless and healed reports equal; a warm run adding nothing left the file untouched"
 
 # smoke test of the end-to-end benchmark (BENCHMARK.json): every workload
 # at ~5% of its ops, outputs checked against golden.json.  The first run

@@ -26,3 +26,11 @@ def check_count(value, what: str, least: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ParameterError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def check_choice(value, what: str, choices: tuple[str, ...]) -> str:
+    """``value`` lower-cased if it is a string naming one of ``choices``, else a
+    ``ParameterError`` (a non-string ``variant`` or ``orientation`` included)."""
+    if isinstance(value, str) and value.lower() in choices:
+        return value.lower()
+    raise ParameterError(f"{what} must be one of {'/'.join(choices)}, got {value!r}")

@@ -16,7 +16,7 @@ large runs.
 
 from __future__ import annotations
 
-from ..core.errors import ParameterError
+from ..core.errors import ParameterError, check_count
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, prefix_2d
 from ..perf.counters import _STACK as _OPS
@@ -120,16 +120,12 @@ class _HierDP:
 
 def hier_opt_bottleneck(A: MatrixLike, m: int, *, limit: int = 1 << 24) -> int:
     """Optimal hierarchical bottleneck (small instances only)."""
-    pref = prefix_2d(A)
-    dp = _HierDP(pref, m, limit)
-    return dp.run()
+    return _HierDP(prefix_2d(A), check_count(m, "m"), limit).run()
 
 
 def hier_opt(A: MatrixLike, m: int, *, limit: int = 1 << 24) -> Partition:
     """Optimal hierarchical bipartition (paper §3.3; small instances only)."""
-    if m <= 0:
-        raise ParameterError("m must be positive")
-    pref = prefix_2d(A)
+    m, pref = check_count(m, "m"), prefix_2d(A)
     tree = HierTree(pref.n1, pref.n2, m)
     _HierDP(pref, m, limit).build_tree(tree, 0)
     return tree_to_partition(tree, pref, "HIER-OPT", m)

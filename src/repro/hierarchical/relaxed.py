@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from ..core.errors import ParameterError
+from ..core.errors import check_choice, check_count
 from ..core.partition import Partition
 from ..core.prefix import LoadView, MatrixLike, prefix_2d
 from ..perf.kernels import relaxed_splits
@@ -46,11 +46,7 @@ def hier_relaxed(A: MatrixLike, m: int, variant: str = "load") -> Partition:
     ``variant`` ∈ ``{"load", "dist", "hor", "ver"}``; the paper selects
     ``load`` as the reference HIER-RELAXED (§4.2).
     """
-    if m <= 0:
-        raise ParameterError("m must be positive")
-    variant = variant.lower()
-    if variant not in HIER_VARIANTS:
-        raise ParameterError(f"unknown variant {variant!r}; choose from {HIER_VARIANTS}")
+    m, variant = check_count(m, "m"), check_choice(variant, "variant", HIER_VARIANTS)
     pref = prefix_2d(A)
     tree = grow_tree(pref, m, _relaxed_chooser(variant))
     return tree_to_partition(tree, pref, f"HIER-RELAXED-{variant.upper()}", m)

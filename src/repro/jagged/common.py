@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.errors import ParameterError
+from ..core.errors import ParameterError, check_choice, check_count
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 
@@ -29,16 +29,14 @@ __all__ = [
 
 def default_stripe_count(m: int, n_main: int) -> int:
     """The paper's default stripe count: ``√m`` (§3.2.2), clamped to valid range."""
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
-    P = int(round(np.sqrt(m)))
+    P = int(round(np.sqrt(check_count(m, "m"))))
     return max(1, min(P, n_main, m))
 
 
 def check_pq(P: int, Q: int) -> None:
-    """Reject a stripe or per-stripe count below one."""
-    if P < 1 or Q < 1:
-        raise ParameterError(f"P and Q must be >= 1, got P={P}, Q={Q}")
+    """Reject a stripe or per-stripe count that is not an integer of at least one."""
+    check_count(P, "P")
+    check_count(Q, "Q")
 
 
 def choose_pq(m: int, n1: int, n2: int) -> tuple[int, int]:
@@ -47,9 +45,7 @@ def choose_pq(m: int, n1: int, n2: int) -> tuple[int, int]:
     The paper evaluates square processor counts with ``P = Q = √m``; for
     general ``m`` the nearest divisor keeps the grid as square as possible.
     """
-    if m <= 0:
-        raise ParameterError("m must be positive")
-    root = int(np.sqrt(m))
+    root = int(np.sqrt(check_count(m, "m")))
     best = 1
     for p in range(1, root + 1):
         if m % p == 0:
@@ -127,8 +123,8 @@ def oriented(
     """
 
     def run(A: MatrixLike, m: int, *args, orientation: str = "best", **kw) -> Partition:
-        pref = prefix_2d(A)
-        o = orientation.lower()
+        m, pref = check_count(m, "m"), prefix_2d(A)
+        o = check_choice(orientation, "orientation", ("hor", "ver", "best"))
         if o == "hor":
             part = fn(pref, m, *args, **kw)
             part.meta["orientation"] = "hor"
@@ -138,16 +134,14 @@ def oriented(
             out = part.transpose().with_method(part.method)
             out.meta["orientation"] = "ver"
             return out
-        if o == "best":
-            hor = fn(pref, m, *args, **kw)
-            vert = fn(pref.transpose(), m, *args, **kw)
-            if vert.meta["lmax"] < hor.meta["lmax"]:
-                out = vert.transpose().with_method(vert.method)
-                out.meta["orientation"] = "ver"
-                return out
-            hor.meta["orientation"] = "hor"
-            return hor
-        raise ParameterError(f"orientation must be hor/ver/best, got {orientation!r}")
+        hor = fn(pref, m, *args, **kw)
+        vert = fn(pref.transpose(), m, *args, **kw)
+        if vert.meta["lmax"] < hor.meta["lmax"]:
+            out = vert.transpose().with_method(vert.method)
+            out.meta["orientation"] = "ver"
+            return out
+        hor.meta["orientation"] = "hor"
+        return hor
 
     run.__name__ = getattr(fn, "__name__", "jagged")
     run.__doc__ = fn.__doc__

@@ -32,11 +32,11 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from ..core.errors import ParameterError
+from ..core.errors import ParameterError, check_choice, check_count
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 from ..oned.bisect import bisect_bottleneck
-from ..oned.probe import check_m, min_parts, probe_cuts
+from ..oned.probe import min_parts, probe_cuts
 from ..sweep.state import SweepInvariantError, SweepState
 from ..sweep.state import current as _sweep_current
 from .common import build_jagged_partition
@@ -95,6 +95,11 @@ def _compact_entries(entries: list) -> None:
 #: collide with the ``(k, i)`` stripe keys)
 _PROBE_KEY = "f"
 
+#: reserved memo key of the journal a store installs when it seeds a memo:
+#: every fact recorded after seeding is also appended there as ``(key,
+#: rec)``, so the store's harvest maps only the facts a scope added
+_NEW_KEY = "n"
+
 
 def _memo_record(
     memo: dict, key: tuple[int, int] | str, entries: list | None, rec: tuple
@@ -106,6 +111,9 @@ def _memo_record(
         entries.append(rec)
         if len(entries) > _MEMO_COMPACT_LEN:
             _compact_entries(entries)
+    new = memo.get(_NEW_KEY)
+    if new is not None:
+        new.append((key, rec))
 
 
 def _memo_bounds(entries: list, B: int) -> tuple[int, int | None]:
@@ -343,8 +351,6 @@ def _optimum(prefs: tuple[PrefixSum2D, ...], m: int) -> tuple[_Side, int]:
     reads, confirms a bracket end seeded from a store, and is reused by the
     build.
     """
-    if m <= 0:
-        raise ParameterError("m must be positive")
     state = _sweep_current()
     lb = max(-(-prefs[0].total // m), prefs[0].max_element())
     sides = [_Side(p, m, lb, state) for p in prefs]
@@ -401,6 +407,7 @@ def jag_m_opt_bottleneck(pref: PrefixSum2D, m: int) -> int:
     only narrow a valid bracket or reuse proven stripe facts, so the
     returned optimum is bit-identical to a cold call's.
     """
+    m = check_count(m, "m")
     return _healed(lambda: _optimum((pref,), m)[1], pref)
 
 
@@ -479,15 +486,13 @@ def jag_m_opt(A: MatrixLike, m: int, *, orientation: str = "best") -> Partition:
     ``min(opt_HOR, opt_VER)`` (:func:`_optimum`) that builds only the
     winner.
     """
-    pref = prefix_2d(A)
-    o = orientation.lower()
+    m, pref = check_count(m, "m"), prefix_2d(A)
+    o = check_choice(orientation, "orientation", ("hor", "ver", "best"))
     if o == "hor":
         prefs: tuple[PrefixSum2D, ...] = (pref,)
-    elif o in ("ver", "best"):
+    else:
         T = pref.transpose()
         prefs = (T,) if o == "ver" else (pref, T)
-    else:
-        raise ParameterError(f"orientation must be hor/ver/best, got {orientation!r}")
 
     def solve() -> Partition:
         win, B = _optimum(prefs, m)
@@ -514,7 +519,7 @@ def jag_m_opt_dp_bottleneck(pref: PrefixSum2D, m: int, *, limit: int = 1 << 22) 
     avoid accidental huge runs; use :func:`jag_m_opt_bottleneck` for real
     instances.
     """
-    check_m(m)
+    check_count(m, "m")
     n1 = pref.n1
     if n1 * n1 * m > limit:
         raise ParameterError(

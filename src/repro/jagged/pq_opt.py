@@ -26,7 +26,7 @@ winner.
 
 from __future__ import annotations
 
-from ..core.errors import ParameterError
+from ..core.errors import ParameterError, check_choice, check_count
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 from ..oned.bisect import _walk_list
@@ -171,10 +171,8 @@ def jag_pq_opt(
     VER once just below the HOR optimum and settles VER only if it fits
     there, so ties keep HOR.  Only the winner is built.
     """
-    pref = prefix_2d(A)
-    o = orientation.lower()
-    if o not in ("hor", "ver", "best"):
-        raise ParameterError(f"orientation must be hor/ver/best, got {orientation!r}")
+    m, pref = check_count(m, "m"), prefix_2d(A)
+    o = check_choice(orientation, "orientation", ("hor", "ver", "best"))
     win = pref if o != "ver" else pref.transpose()
     pq = _counts(win, m, P, Q)
     B = jag_pq_opt_bottleneck(win, *pq)

@@ -83,7 +83,7 @@ def rect_nicol(
     ``P`` and ``Q`` must be integers of at least 1; anything else is a
     ``ParameterError``.
     """
-    pref = prefix_2d(A)
+    m, pref = check_count(m, "m"), prefix_2d(A)
     if P is None or Q is None:
         P, Q = choose_pq(m, pref.n1, pref.n2)
     else:

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..core.errors import ParameterError
+from ..core.errors import ParameterError, check_count
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, prefix_2d
 from ..jagged.common import check_pq, choose_pq
@@ -70,7 +70,7 @@ def rect_opt(
     limit: int = 200_000,
 ) -> Partition:
     """Optimal ``P×Q`` rectilinear partition (small instances only)."""
-    pref = prefix_2d(A)
+    m, pref = check_count(m, "m"), prefix_2d(A)
     if P is None or Q is None:
         P, Q = choose_pq(m, pref.n1, pref.n2)
     elif P * Q != m:

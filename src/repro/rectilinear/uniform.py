@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.errors import ParameterError
+from ..core.errors import ParameterError, check_count
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, prefix_2d
 from ..jagged.common import choose_pq
@@ -21,14 +21,14 @@ __all__ = ["rect_uniform", "uniform_cuts"]
 
 def uniform_cuts(n: int, parts: int) -> np.ndarray:
     """Equal-size interval boundaries: ``round(k · n / parts)``."""
-    return np.round(np.linspace(0, n, parts + 1)).astype(np.int64)
+    return np.round(np.linspace(0, n, check_count(parts, "parts") + 1)).astype(np.int64)
 
 
 def rect_uniform(
     A: MatrixLike, m: int, P: int | None = None, Q: int | None = None
 ) -> Partition:
     """Uniform ``P×Q`` rectilinear partition (§3.1; area-balanced, load-oblivious)."""
-    pref = prefix_2d(A)
+    m, pref = check_count(m, "m"), prefix_2d(A)
     if P is None or Q is None:
         P, Q = choose_pq(m, pref.n1, pref.n2)
     elif P * Q != m:

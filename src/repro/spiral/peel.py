@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..core.errors import ParameterError
+from ..core.errors import ParameterError, check_count
 from ..core.partition import Partition
 from ..core.prefix import MatrixLike, PrefixSum2D, prefix_2d
 
@@ -71,9 +71,7 @@ def spiral_relaxed(A: MatrixLike, m: int) -> Partition:
     HIER-RELAXED relaxation with j = 1): a binary search over the monotone
     strip load.  The last processor takes the remaining rectangle.
     """
-    if m <= 0:
-        raise ParameterError("m must be positive")
-    pref = prefix_2d(A)
+    m, pref = check_count(m, "m"), prefix_2d(A)
     rect: _Box = (0, pref.n1, 0, pref.n2)
     rects: list[_Box] = []
     side_idx = 0
@@ -163,8 +161,7 @@ def _spiral_solver(pref: PrefixSum2D):
 
 
 def _spiral_guard(pref: PrefixSum2D, m: int, limit: int) -> None:
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
+    check_count(m, "m")
     cost = pref.n1 * pref.n1 * pref.n2 * pref.n2 * m
     if cost > limit:
         raise ParameterError(

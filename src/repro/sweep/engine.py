@@ -40,8 +40,9 @@ def use_sweep(
     ``store`` optionally attaches a disk-backed fact store
     (:class:`~repro.sweep.store.SweepStore`, or a path): persisted facts
     for instances touched inside the scope are loaded on first touch and
-    the scope's proven facts are flushed back on exit.  ``None`` keeps the
-    scope in memory.  A flush failure (e.g. an unwritable path) is
+    the facts the scope proved beyond them are flushed back on exit (a
+    scope that proved nothing new leaves the file untouched).  ``None``
+    keeps the scope in memory.  A flush failure (e.g. an unwritable path) is
     reported as a :class:`RuntimeWarning`, never an exception — the
     in-memory results are already correct without the store.
     """

@@ -178,7 +178,8 @@ class SweepState:
     def facts(self, obj: Any) -> tuple[dict[int, int], dict]:
         """Everything recorded about ``obj``: ``({m: B*}, stripe memo)``.
 
-        This is the disk store's only view of the state.
+        This is the disk store's only view of the state.  Optima keep
+        insertion order, so those seeded from the store come first.
         """
         key = id(obj)
         return self._optima.get(key, {}), self._memos.get(key, {})
@@ -200,10 +201,11 @@ class SweepState:
     # -- disk-store lifecycle -------------------------------------------
 
     def flush_to_store(self) -> None:
-        """Harvest every tracked instance's facts into the attached store.
+        """Harvest what each tracked instance gained into the attached store.
 
         A no-op without a store.  Called by ``use_sweep`` on scope exit;
-        the store itself performs the atomic read-merge-write.
+        the store maps only the facts recorded after seeding and performs
+        the atomic read-merge-write, or no I/O when nothing was gained.
         """
         if self._store is None:
             return

@@ -3,52 +3,46 @@
 Facts proved inside one ``use_sweep()`` scope (the m-indexed JAG-M-OPT
 optima and the stripe/probe memo) die with the process; this module
 persists them so a later process — replaying a snapshot stream, or
-partitioning the *same* physical instance again — starts warm.  Mirroring
-how production partitioners amortize repartitioning cost across
-timesteps, the store is keyed by *content*:
+partitioning the *same* instance again — starts warm.  The store is keyed
+by *content*:
 
-* the instance digest is ``SHA-256`` over the load matrix's dtype tag,
-  shape, and the bytes of its **primitive** form (the matrix is the
-  substrate's ``cells_dense()``, dense or CSR alike) ``A' = A // g`` where
-  ``g = gcd(A)`` — so instances that differ only by a positive integer
-  scale factor share one entry;
-* facts are stored at primitive scale and rescaled on the way in and out:
-  ``Lmax(c·A) = c·Lmax(A)`` for every fixed rectangle set, so optima
-  multiply by the live scale exactly.  Stripe-count facts transfer
-  through ``parts(c·A', B) = parts(A', B // c)`` (integer loads:
-  ``c·l <= B  ⟺  l <= ⌊B/c⌋``).
+* the instance digest is ``SHA-256`` over the dtype tag, shape, and bytes
+  of the **primitive** form ``A' = A // gcd(A)`` of the substrate's
+  ``cells_dense()`` (dense or CSR alike), so instances that differ only by
+  a positive integer scale factor share one entry;
+* facts are stored at primitive scale: ``Lmax(c·A) = c·Lmax(A)`` for every
+  fixed rectangle set, and ``parts(c·A', B) = parts(A', ⌊B/c⌋)`` for
+  integer loads.
 
 The store reads a live state only through
 :meth:`~repro.sweep.state.SweepState.facts` and writes it only through
-``record_opt`` and ``stripe_memo``, so the table layout stays private to
-:mod:`repro.sweep.state`.  An instance entry is ``{"shape", "opt",
-"stripe"}`` where ``opt`` is a list of ``[m, B]`` pairs, ``B`` at
-primitive scale.  A -BEST JAG-M-OPT solve records only the winning
-orientation's optimum; the losing orientation's entry (the transposed
-matrix) carries only the probe facts showing it does not fit below it.
+``record_opt`` and ``stripe_memo``.  An entry is ``{"shape", "opt",
+"stripe": {"probe", "facts"}}``.  A -BEST solve records only the winning
+orientation's optimum; an entry with no optimum (the loser, the transposed
+matrix) keeps only the probe facts its threshold probe reads.
 
-File format (version 3): one JSON document ``{"format", "version",
-"payload", "sha256"}`` where ``sha256`` covers the canonical (sorted,
-compact) serialization of ``payload``.  A file that fails to parse, fails
-the checksum, or carries another version (including the version-2 files
-that held heuristic witnesses and hierarchical node memos) is **ignored,
-never trusted** — and every seeded optimum still passes the in-memory
-validator, so even a checksum-valid but semantically poisoned store cannot
-install a contradiction (seeding stops at the first rejected fact).  A
-lone wrong optimum contradicts nothing on record, so seeding accepts it;
-the solve that disproves it (``record_opt`` rejects its result, or the
-DP that confirms a seeded bracket end finds it infeasible) makes the state forget the
-instance's seeded facts and re-solve cold, and the next flush replaces
-the instance's entry instead of merging into it (:meth:`SweepStore.drop`).
-:func:`canonical_sha256` and :func:`write_json_atomic` are the integrity
-envelope this store shares with the figure farm's raw store
-(:mod:`repro.experiments.rawstore`).
+A scope pays only for the facts it adds.  Seeding a memo installs an empty
+journal under ``_NEW_KEY`` that ``repro.jagged.m_opt`` appends each later
+fact to, and seeded optima come first in the state's table, so the harvest
+maps only new facts (no per-fact work at scale 1) and skips an instance
+that gained none; an unseeded memo is new as a whole.  With nothing
+harvested or dropped, :meth:`SweepStore.flush` does no I/O at all.
 
-Flushing is a read-merge-write: the current file is re-read, the harvest
-since the last flush is merged in (conflicting optima are dropped
-entirely), and the result is written to a temp file in the same directory
-and ``os.replace``-d over the target — atomic on POSIX, so concurrent
-flushes end last-writer-wins and never corrupt the file.
+File format (version 4): a header line ``{"format", "sha256", "version"}``
+then the canonical JSON of ``{"instances": {digest: entry}}``, whose exact
+bytes ``sha256`` covers.  A file that fails to parse, fails the checksum,
+or has another version (version 3 included) is **ignored, never trusted**,
+with no migration.  Every seeded optimum passes the state's validator, and
+seeding stops at the first rejected fact.  A lone wrong optimum
+contradicts nothing, so it seeds; the solve that disproves it makes the
+state forget the instance's seeded facts and re-solve cold, and the next
+flush replaces the entry (:meth:`SweepStore.drop`).
+
+A flush re-reads the file, merges the harvest in (conflicting optima are
+dropped, stripe facts union) and ``os.replace``-s a temp file over it, so
+concurrent flushes end last-writer-wins and never tear the file.
+:func:`canonical_sha256` and :func:`write_json_atomic` are the envelope of
+the raw store (:mod:`repro.experiments.rawstore`).
 """
 
 from __future__ import annotations
@@ -75,43 +69,44 @@ __all__ = [
 ]
 
 _FORMAT = "repro-sweep-store"
-_VERSION = 3
+_VERSION = 4
 
-#: reserved stripe-memo key for whole-matrix probe facts — must match
-#: ``repro.jagged.m_opt._PROBE_KEY`` (a deliberate string constant, not an
-#: import: the store stays independent of the algorithm packages)
+#: reserved stripe-memo keys of ``repro.jagged.m_opt`` (probe facts, journal):
+#: string constants, not imports, so the store needs no algorithm package
 _PROBE_KEY = "f"
+_NEW_KEY = "n"
 
-#: per-instance cap on each fact list: entries beyond it are dropped at
-#: harvest time (deterministically, keeping the first ones) so one
-#: pathological run cannot grow the store without bound
+#: per-instance cap on the optima, probe facts and stripe facts (whole
+#: stripes, the first ones kept): no run grows the store without bound
 _MAX_FACTS = 4096
 
 #: leading entries whose gcd :func:`matrix_digest` takes before any full scan
 _GCD_PREFIX = 1024
 
 
+def _canonical(obj: Any) -> bytes:
+    """The compact sorted-key JSON encoding of ``obj``."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
 def canonical_sha256(obj: Any) -> str:
     """SHA-256 of the canonical (sorted-key, compact) JSON encoding of ``obj``."""
-    canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return hashlib.sha256(_canonical(obj)).hexdigest()
 
 
 def write_json_atomic(path: str, doc: Any) -> None:
-    """Write ``doc`` to ``path`` as compact sorted-key JSON, atomically.
+    """Write ``doc`` to ``path`` as compact sorted-key JSON, atomically."""
+    _write_atomic(path, _canonical(doc))
 
-    The bytes go to a temp file in the target directory that
-    ``os.replace`` then moves over ``path``; the temp file is unlinked on
-    any failure, so a reader sees the old file or the new one, never a
-    torn write.  ``json.dumps`` encodes in C where ``json.dump`` to a file
-    takes the pure-Python encoder; the bytes are the same.
-    """
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file in its directory and
+    ``os.replace``: a reader sees the old file or the new one, never a torn one."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):
@@ -163,7 +158,8 @@ class SweepStore:
     ``load()`` on scope entry, ``seed_state`` as instances are first
     touched, ``harvest_state`` + ``flush()`` on scope exit.  One store
     object may serve many scopes; each flush writes only what was
-    harvested since the previous one.
+    harvested since the previous one, and nothing at all when that is
+    nothing.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -172,9 +168,9 @@ class SweepStore:
         self._harvest: dict[str, dict] = {}
         # digests whose on-disk entry a solve disproved: replaced, not merged
         self._dropped: set[str] = set()
-        # id -> (instance, digest, scale) for instances touched since the
-        # last flush; the strong reference keeps the id from being reused
-        self._digests: dict[int, tuple[Any, str, int]] = {}
+        # id -> (instance, digest, scale, optima seeded, the first ones in
+        # the state's table) since the last flush; the reference pins the id
+        self._digests: dict[int, tuple[Any, str, int, int]] = {}
         #: why the on-disk file was ignored at load time (None = trusted)
         self.ignored_reason: str | None = None
         #: instances seeded from this store (cumulative across scopes) —
@@ -187,22 +183,21 @@ class SweepStore:
         """Parse the on-disk file; ``(instances, reason-ignored)``."""
         try:
             with open(self.path, "rb") as fh:
-                doc = json.load(fh)
+                head, _, body = fh.read().partition(b"\n")
+            doc = json.loads(head)
+            if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
+                return {}, "not a sweep store"
+            if doc.get("version") != _VERSION:
+                return {}, f"version {doc.get('version')!r} != {_VERSION}"
+            if doc.get("sha256") != hashlib.sha256(body).hexdigest():
+                return {}, "checksum mismatch"
+            payload = json.loads(body)
         except FileNotFoundError:
             return {}, None
         except (OSError, ValueError) as exc:
             return {}, f"unreadable: {exc}"
-        if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-            return {}, "not a sweep store"
-        if doc.get("version") != _VERSION:
-            return {}, f"version {doc.get('version')!r} != {_VERSION}"
-        payload = doc.get("payload")
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("instances"), dict
-        ):
+        if not isinstance(payload, dict) or not isinstance(payload.get("instances"), dict):
             return {}, "malformed payload"
-        if doc.get("sha256") != canonical_sha256(payload):
-            return {}, "checksum mismatch"
         return payload["instances"], None
 
     def load(self) -> None:
@@ -216,11 +211,10 @@ class SweepStore:
     def flush(self) -> None:
         """Merge the harvest since the last flush into the file, atomically.
 
-        Re-reads the file first so concurrent flushers merge instead of
-        clobbering each other's facts; the final ``os.replace`` makes the
-        outcome last-writer-wins and the file never torn.  A successful
-        flush empties the harvest, so a later scope on the same store
-        object never rewrites facts this one already flushed.
+        No I/O when nothing was harvested or dropped.  Otherwise re-reads
+        the file so concurrent flushers merge instead of clobbering, encodes
+        the payload once (those bytes are hashed and written), and empties
+        the harvest, so a later scope never rewrites facts flushed here.
         """
         self._digests.clear()
         if not self._harvest and not self._dropped:
@@ -230,16 +224,10 @@ class SweepStore:
             on_disk.pop(digest, None)
         for digest, inst in self._harvest.items():
             on_disk[digest] = _merge_instance(on_disk.get(digest), inst)
-        payload = {"instances": on_disk}
-        write_json_atomic(
-            self.path,
-            {
-                "format": _FORMAT,
-                "version": _VERSION,
-                "payload": payload,
-                "sha256": canonical_sha256(payload),
-            },
-        )
+        body = _canonical({"instances": on_disk})
+        sha = hashlib.sha256(body).hexdigest()
+        head = _canonical({"format": _FORMAT, "sha256": sha, "version": _VERSION})
+        _write_atomic(self.path, head + b"\n" + body)
         self._data = on_disk
         self._harvest = {}
         self._dropped = set()
@@ -250,26 +238,23 @@ class SweepStore:
         """True for objects the store can content-address (either 2D substrate)."""
         return isinstance(obj, (PrefixSum2D, SparsePrefix2D))
 
-    def _digest_of(self, pref: PrefixSum2D) -> tuple[str, int]:
+    def _digest_of(self, pref: PrefixSum2D) -> tuple[str, int, int]:
+        """``(digest, scale, optima seeded)`` of a touched instance."""
         cached = self._digests.get(id(pref))
         if cached is None:
-            cached = (pref, *instance_digest(pref))
-            self._digests[id(pref)] = cached
-        return cached[1], cached[2]
+            cached = self._digests[id(pref)] = (pref, *instance_digest(pref), 0)
+        return cached[1:]
 
     def seed_state(self, state: SweepState, obj: Any) -> None:
         """Install the stored facts for ``obj`` into a live state.
 
-        Every optimum goes through the state's validated ``record_opt``
-        (and stripe facts into the memo dict, whose facts the consumer
-        re-verifies by construction), rescaled from primitive to the live
-        scale.  A fact the validator rejects stops the seeding of this
-        instance — facts already installed each passed validation
-        individually, so they stay.
+        Optima go through the state's validated ``record_opt``, stripe facts
+        into the memo, rescaled to the live scale.  A fact the validator
+        rejects stops this instance's seeding; those installed stay.
         """
         if not self.is_instance(obj):
             return
-        digest, c = self._digest_of(obj)
+        digest, c, _ = self._digest_of(obj)
         inst = self._data.get(digest)
         if inst is None:
             return
@@ -283,10 +268,10 @@ class SweepStore:
         except (SweepInvariantError, KeyError, TypeError, ValueError, AttributeError):
             # semantically bad content behind a valid checksum: stop here
             return
+        finally:
+            self._digests[id(obj)] = (obj, digest, c, len(state.facts(obj)[0]))
 
-    def _seed_stripe(
-        self, state: SweepState, pref: PrefixSum2D, raw: Any, c: int
-    ) -> None:
+    def _seed_stripe(self, state: SweepState, pref: PrefixSum2D, raw: Any, c: int) -> None:
         if not raw:
             return
         memo = state.stripe_memo(pref)
@@ -296,88 +281,100 @@ class SweepStore:
         if probe:
             memo[_PROBE_KEY] = probe
         for k, i, entries in raw.get("facts", ()):
-            memo[(int(k), int(i))] = [
-                (int(B) * c, int(p), bool(e)) for B, p, e in entries
-            ]
+            memo[(int(k), int(i))] = [(int(B) * c, int(p), bool(e)) for B, p, e in entries]
+        # every fact recorded from here on is new: the harvest maps only these
+        memo[_NEW_KEY] = []
 
     def drop(self, obj: Any) -> None:
         """Forget ``obj``'s entry: no later instance is seeded from it, and
         the next flush deletes it before merging."""
-        digest, _ = self._digest_of(obj)
+        digest, c, _ = self._digest_of(obj)
         self._dropped.add(digest)
         self._data.pop(digest, None)
         self._harvest.pop(digest, None)
+        self._digests[id(obj)] = (obj, digest, c, 0)
 
     def harvest_state(self, state: SweepState, obj: Any) -> None:
-        """Collect ``obj``'s live facts (rescaled to primitive) for flush."""
+        """Collect the facts ``obj`` gained since seeding, at primitive scale.
+
+        New optima follow the seeded ones in the state's table; new stripe
+        facts are the memo's journal, or the whole memo when nothing was
+        seeded into it.  An instance that gained nothing is not harvested.
+        """
         if not self.is_instance(obj):
             return
-        digest, c = self._digest_of(obj)
-        optima, stripe = state.facts(obj)
-        inst: dict[str, Any] = {
+        digest, c, seeded = self._digest_of(obj)
+        optima, memo = state.facts(obj)
+        opt = [[m, B // c] for m, B in list(optima.items())[seeded:] if B % c == 0]
+        new, stripe = memo.get(_NEW_KEY), memo  # no journal: the whole memo is new
+        if new is not None:
+            stripe = {}
+            for key, rec in new:
+                stripe.setdefault(key, []).append(rec)
+        probe = stripe.get(_PROBE_KEY, [])
+        # an instance with no optimum lost every -BEST solve it took part
+        # in: its threshold probes read only the probe facts
+        facts = [[*key, e] for key, e in stripe.items() if key != _PROBE_KEY] if optima else []
+        if facts:
+            facts = _capped(facts, _MAX_FACTS - self._stored_facts(digest, new))
+        if c != 1:  # parts(c·A', B) = parts(A', ⌊B/c⌋) for integer loads
+            probe = [(B // c, p, x) for B, p, x in probe]
+            facts = [[k, i, [(B // c, p, x) for B, p, x in e]] for k, i, e in facts]
+        if not (opt or probe or facts):
+            return
+        inst = {
             "shape": [obj.n1, obj.n2],
-            "opt": [[m, B // c] for m, B in optima.items() if B % c == 0][:_MAX_FACTS],
+            "opt": opt[:_MAX_FACTS],
+            "stripe": {"probe": probe[:_MAX_FACTS], "facts": facts},
         }
-        if stripe:
-            # parts(c·A', B) = parts(A', ⌊B/c⌋): the floor mapping is exact
-            # for integer loads, so the primitive fact carries the same
-            # count and exactness as the live one
-            probe = stripe.get(_PROBE_KEY) or []
-            facts = []
-            total = 0
-            for mk, entries in stripe.items():
-                if mk == _PROBE_KEY:
-                    continue
-                mapped = _dedupe([[int(B) // c, int(p), bool(e)] for B, p, e in entries])
-                total += len(mapped)
-                if total > _MAX_FACTS:
-                    break
-                facts.append([mk[0], mk[1], mapped])
-            inst["stripe"] = {
-                "probe": _dedupe([[int(B) // c, int(p), bool(e)] for B, p, e in probe]),
-                "facts": facts,
-            }
         self._harvest[digest] = _merge_instance(self._harvest.get(digest), inst)
+
+    def _stored_facts(self, digest: str, journal: list | None) -> int:
+        """Stripe facts already on record for a journaled (seeded) memo."""
+        stored = self._data.get(digest) if journal is not None else None
+        return sum(len(e) for _, _, e in stored["stripe"].get("facts", ())) if stored else 0
+
+
+def _capped(facts: list, room: int) -> list:
+    """The leading stripes of ``facts`` holding at most ``room`` fact triples."""
+    total = 0
+    for n, (_, _, entries) in enumerate(facts):
+        total += len(entries)
+        if total > room:
+            return facts[:n]
+    return facts
 
 
 def _dedupe(entries: list) -> list:
     """Drop duplicate fact triples, preserving first-seen order."""
-    seen: dict[tuple, None] = {}
-    for e in entries:
-        seen.setdefault(tuple(e), None)
-    return [list(e) for e in seen][:_MAX_FACTS]
+    return list(dict.fromkeys(map(tuple, entries)))
 
 
 def _merge_instance(base: dict | None, new: dict) -> dict:
     """Merge two primitive-scale instance entries (same digest).
 
     Optima recorded on both sides with different values are *dropped*
-    (one side is wrong — trust neither); stripe fact lists union.
+    (one side is wrong — trust neither); stripe fact lists union, and only
+    the stripes ``new`` touches are deduplicated.
     """
     if not base:
         return new
     if list(base.get("shape", ())) != list(new.get("shape", ())):
         return base
-    out: dict[str, Any] = {"shape": base["shape"]}
-
     optima: dict[int, int | None] = {}
     for src in (base, new):
         for m, B in src.get("opt", ()):
             optima[m] = B if optima.get(m, B) == B else None
-    # conflicting optima: trust neither side
-    out["opt"] = [[m, B] for m, B in optima.items() if B is not None]
-
-    sb, sn = base.get("stripe"), new.get("stripe")
-    if sb or sn:
-        sb, sn = sb or {}, sn or {}
-        stripe: dict[tuple[int, int], list] = {}
-        for src in (sb, sn):
-            for k, i, entries in src.get("facts", ()):
-                stripe.setdefault((int(k), int(i)), []).extend(entries)
-        out["stripe"] = {
-            "probe": _dedupe(list(sb.get("probe", ())) + list(sn.get("probe", ()))),
-            "facts": [
-                [k, i, _dedupe(entries)] for (k, i), entries in stripe.items()
-            ][:_MAX_FACTS],
-        }
-    return out
+    sb, sn = base.get("stripe") or {}, new.get("stripe") or {}
+    stripe = {(k, i): entries for k, i, entries in sb.get("facts", ())}
+    for k, i, entries in sn.get("facts", ()):
+        stripe[(k, i)] = _dedupe([*stripe.get((k, i), ()), *entries])
+    return {
+        "shape": base["shape"],
+        # conflicting optima: trust neither side
+        "opt": [[m, B] for m, B in optima.items() if B is not None][:_MAX_FACTS],
+        "stripe": {
+            "probe": _dedupe([*sb.get("probe", ()), *sn.get("probe", ())])[:_MAX_FACTS],
+            "facts": _capped([[k, i, e] for (k, i), e in stripe.items()], _MAX_FACTS),
+        },
+    }

@@ -1,5 +1,6 @@
 """Tests for the algorithm registry and the partition_2d entry point."""
 
+import importlib
 import inspect
 import json
 import re
@@ -14,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro import ALGORITHMS, algorithm_names, lower_bound, partition_2d
 from repro.core.errors import ParameterError
+from repro.core.prefix import prefix_2d
 
 from .conftest import load_matrices
 
@@ -26,6 +28,19 @@ tiny_matrices = hnp.arrays(
     shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
     elements=st.integers(0, 40),
 )
+
+#: every exported solver entry point that takes a processor count, by module
+M_ENTRY_POINTS = {
+    name: f"repro.{module}"
+    for module, names in [
+        ("hierarchical", "hier_opt hier_opt_bottleneck hier_rb hier_relaxed"),
+        ("jagged", "jag_m_heur jag_m_opt jag_m_opt_bottleneck jag_m_opt_dp_bottleneck"),
+        ("jagged", "jag_pq_heur jag_pq_opt"),
+        ("rectilinear", "rect_nicol rect_opt rect_uniform uniform_cuts"),
+        ("spiral", "spiral_opt spiral_opt_bottleneck spiral_relaxed"),
+    ]
+    for name in names.split()
+}
 
 FAST_NAMES = [
     "RECT-UNIFORM",
@@ -63,6 +78,25 @@ class TestRegistry:
     def test_malformed_m_is_a_parameter_error(self, rng, name, m):
         with pytest.raises(ParameterError, match="m must be an integer >= 1"):
             partition_2d(rng.integers(1, 5, (4, 4)), m, name)
+
+    @pytest.mark.parametrize("m", [True, 2.5, "3", 0, -1], ids=repr)
+    @pytest.mark.parametrize("name", sorted(M_ENTRY_POINTS))
+    def test_malformed_m_is_a_parameter_error_at_every_entry_point(self, name, m):
+        fn = getattr(importlib.import_module(M_ENTRY_POINTS[name]), name)
+        arg = 8 if name == "uniform_cuts" else prefix_2d(np.arange(1, 65).reshape(8, 8))
+        with pytest.raises(ParameterError, match="must be an integer >= 1"):
+            fn(arg, m)
+
+    @pytest.mark.parametrize("value", [None, 5, b"hor"], ids=repr)
+    @pytest.mark.parametrize(
+        "name, key",
+        [("hier_rb", "variant"), ("hier_relaxed", "variant")]
+        + [(n, "orientation") for n in ("jag_m_heur", "jag_m_opt", "jag_pq_heur", "jag_pq_opt")],
+    )
+    def test_non_string_choice_is_a_parameter_error(self, name, key, value):
+        fn = getattr(importlib.import_module(M_ENTRY_POINTS[name]), name)
+        with pytest.raises(ParameterError, match=f"{key} must be one of"):
+            fn(np.arange(1, 17).reshape(4, 4), 4, **{key: value})
 
     def test_numpy_integer_m_is_accepted(self, rng):
         A = rng.integers(1, 5, (6, 6))

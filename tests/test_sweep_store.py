@@ -5,11 +5,13 @@ disk* (fresh process, fresh prefix — only the store file survives) returns
 partitions bit-identical to cold calls, for the original instance and for
 any positive-integer multiple of it.  A corrupt, truncated or
 version-mismatched store is ignored, never trusted; concurrent flushes
-merge last-writer-wins and never corrupt the file.
+merge last-writer-wins and never corrupt the file; a scope that adds no
+fact does not touch it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -38,6 +40,36 @@ def _matrix(seed: int = 3, n: int = 36) -> np.ndarray:
 
 def _cold(A, name, m):
     return _rects(partition_2d(prefix_2d(A), m, name))
+
+
+def _read(path) -> tuple[dict, dict]:
+    """``(header, payload)`` of a version-4 store file."""
+    with open(path, "rb") as fh:
+        head, _, body = fh.read().partition(b"\n")
+    return json.loads(head), json.loads(body)
+
+
+def _write(path, payload: dict, header: dict | None = None) -> None:
+    """Write a version-4 store file, signed over the payload bytes unless
+    ``header`` is given (a stale or foreign header)."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    if header is None:
+        sha = hashlib.sha256(body).hexdigest()
+        header = {"format": "repro-sweep-store", "sha256": sha, "version": 4}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n" + body)
+
+
+def _write_single_doc(path, version: int, payload: dict) -> None:
+    """A file in the single-document layout of versions 1-3."""
+    doc = {
+        "format": "repro-sweep-store",
+        "version": version,
+        "payload": payload,
+        "sha256": canonical_sha256(payload),
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
 
 
 @pytest.fixture()
@@ -94,6 +126,76 @@ class TestWarmFromDisk:
         assert s.ignored_reason is None
         assert s.get(instance_digest(prefix_2d(A))[0]) is not None
 
+    def test_warm_run_adding_nothing_leaves_file_untouched(self, store_path):
+        """A scope whose solves add no fact neither reads nor writes the file."""
+        A = _matrix()
+        _populate(A, store_path)
+        before = open(store_path, "rb").read(), os.stat(store_path)
+        store = SweepStore(store_path)
+        with use_sweep(store=store):
+            pref = prefix_2d(A)
+            for name in ALGOS:
+                for m in M_VALUES:
+                    partition_2d(pref, m, name)
+        assert store.seeded > 0
+        after = open(store_path, "rb").read(), os.stat(store_path)
+        assert after[0] == before[0]
+        assert (after[1].st_ino, after[1].st_mtime_ns) == (before[1].st_ino, before[1].st_mtime_ns)
+
+    def test_new_facts_merge_into_the_entry(self, store_path, monkeypatch):
+        """A warm scope that solves a new m adds its facts to the seeded
+        entry (none lost), and the next scope over both records no fact
+        and does not touch the file."""
+        import repro.jagged.m_opt as m_opt
+        from repro.jagged.m_opt import jag_m_opt_bottleneck
+
+        A = _matrix(9, 28)
+        _populate(A, store_path, algos=["JAG-M-OPT-HOR"], ms=[6])
+        old = _read(store_path)[1]["instances"]
+        _populate(A, store_path, algos=["JAG-M-OPT-HOR"], ms=[6, 4])
+        new = _read(store_path)[1]["instances"]
+        for dig, inst in old.items():
+            facts = {(k, i): e for k, i, e in new[dig]["stripe"]["facts"]}
+            for k, i, entries in inst["stripe"]["facts"]:
+                assert all(e in facts[(k, i)] for e in entries)
+        (inst,), (before,) = new.values(), old.values()
+        assert sorted(inst["opt"]) == [[4, jag_m_opt_bottleneck(prefix_2d(A), 4)], *before["opt"]]
+        stat = os.stat(store_path)
+        record = m_opt._memo_record
+        calls = []
+        monkeypatch.setattr(m_opt, "_memo_record", lambda *a: calls.append(a) or record(*a))
+        _populate(A, store_path, algos=["JAG-M-OPT-HOR"], ms=[6, 4])
+        assert calls == []  # every fact the solves read came from the file
+        assert os.stat(store_path).st_mtime_ns == stat.st_mtime_ns
+
+    def test_losing_orientation_keeps_only_probe_facts(self, store_path):
+        """A -BEST solve's losing orientation is stored with its probe facts
+        and no stripe facts; a warm rerun still matches cold."""
+        A = _matrix(11, 30)
+        _populate(A, store_path, algos=["JAG-M-OPT"], ms=[6])
+        insts = _read(store_path)[1]["instances"]
+        loser = [inst for inst in insts.values() if not inst["opt"]]
+        assert len(insts) == 2 and len(loser) == 1
+        assert loser[0]["stripe"]["probe"] and loser[0]["stripe"]["facts"] == []
+        cold = _cold(A, "JAG-M-OPT", 6)
+        with use_sweep(store=store_path):
+            assert _rects(partition_2d(prefix_2d(A), 6, "JAG-M-OPT")) == cold
+
+    def test_capped_entry_settles(self, store_path, monkeypatch):
+        """Facts beyond the per-instance cap are dropped at harvest, so
+        rerunning a capped instance stops rewriting the file."""
+        import repro.sweep.store as store_mod
+
+        monkeypatch.setattr(store_mod, "_MAX_FACTS", 40)
+        A = _matrix(12, 40)
+        for _ in range(2):
+            _populate(A, store_path, algos=["JAG-M-OPT-HOR"], ms=[12])
+        stat = os.stat(store_path)
+        _populate(A, store_path, algos=["JAG-M-OPT-HOR"], ms=[12])
+        assert os.stat(store_path).st_mtime_ns == stat.st_mtime_ns
+        for inst in _read(store_path)[1]["instances"].values():
+            assert sum(len(e) for _, _, e in inst["stripe"]["facts"]) <= 40
+
     def test_flush_failure_warns_not_raises(self, tmp_path):
         bad = os.fspath(tmp_path / "no" / "such" / "dir" / "facts.json")
         A = _matrix(2, 16)
@@ -127,6 +229,21 @@ class TestScaleTransfer:
                 for m in M_VALUES:
                     assert _rects(partition_2d(pref, m, name)) == cold[(name, m)]
 
+    def test_scaled_new_facts_stored_at_primitive_scale(self, store_path):
+        """Facts a warm scope on 3·A adds are stored divided by 3: a later
+        scope on A reads the new optimum exactly and stays cold-identical."""
+        from repro.jagged.m_opt import jag_m_opt_bottleneck
+
+        A = _matrix(10, 24)
+        _populate(A, store_path, algos=["JAG-M-OPT-HOR"], ms=[6])
+        _populate(A * 3, store_path, algos=["JAG-M-OPT-HOR"], ms=[4])
+        with use_sweep(store=store_path) as st:
+            pref = prefix_2d(A)
+            assert st.bounds(pref, 4)[0] == jag_m_opt_bottleneck(prefix_2d(A), 4)
+            for m in (4, 6):
+                got = partition_2d(pref, m, "JAG-M-OPT-HOR")
+                assert _rects(got) == _cold(A, "JAG-M-OPT-HOR", m)
+
     def test_scaled_bounds_scale_exactly(self, store_path):
         from repro.jagged.m_opt import jag_m_opt_bottleneck
 
@@ -159,9 +276,8 @@ class TestRobustness:
     def test_wrong_version_ignored(self, store_path):
         A = _matrix(5, 20)
         _populate(A, store_path, algos=["JAG-M-OPT"], ms=[4])
-        doc = json.load(open(store_path))
-        doc["version"] = 999
-        json.dump(doc, open(store_path, "w"))
+        header, payload = _read(store_path)
+        _write(store_path, payload, header={**header, "version": 999})
         assert "version" in (self._ignored(store_path) or "")
         with use_sweep(store=store_path) as st:
             assert st.bounds(prefix_2d(A), 4) == (None, None, None)
@@ -185,16 +301,8 @@ class TestRobustness:
             "rb": [[[0, 20, 0, 20, 0, 1, 1], [10, 5862, 0]]],
             "relaxed": {"1": [[[0, 20, 0, 20, 0, 4], [5, 1, 2893.0]]]},
         }
-        payload = {"instances": {dig: inst}}
-        doc = {
-            "format": "repro-sweep-store",
-            "version": 2,
-            "payload": payload,
-            "sha256": canonical_sha256(payload),
-        }
-        with open(store_path, "w") as fh:
-            json.dump(doc, fh)
-        assert self._ignored(store_path) == "version 2 != 3"
+        _write_single_doc(store_path, 2, {"instances": {dig: inst}})
+        assert self._ignored(store_path) == "version 2 != 4"
         cold = _cold(A, "JAG-M-OPT", 4)
         with use_sweep(store=store_path) as st:
             pref = prefix_2d(A)
@@ -202,38 +310,52 @@ class TestRobustness:
             assert _rects(partition_2d(pref, 4, "JAG-M-OPT")) == cold
         s = SweepStore(store_path)
         s.load()
-        assert s.ignored_reason is None  # the flush rewrote it as version 3
+        assert s.ignored_reason is None  # the flush rewrote it as version 4
         assert list(s.get(dig)) == ["opt", "shape", "stripe"]
+
+    def test_v3_file_ignored(self, store_path):
+        """A checksum-valid file in the single-document version-3 layout,
+        with this instance's m = 4 optimum, is ignored whole and rewritten."""
+        A = _matrix(5, 20)
+        dig, _ = instance_digest(prefix_2d(A))
+        inst = {
+            "shape": [20, 20],
+            "opt": [[4, 3003]],
+            "stripe": {"probe": [[3002, 5, False]], "facts": [[0, 1, [[2951, 1, True]]]]},
+        }
+        _write_single_doc(store_path, 3, {"instances": {dig: inst}})
+        assert self._ignored(store_path) == "version 3 != 4"
+        cold = _cold(A, "JAG-M-OPT", 4)
+        with use_sweep(store=store_path) as st:
+            pref = prefix_2d(A)
+            assert st.bounds(pref, 4) == (None, None, None)
+            assert _rects(partition_2d(pref, 4, "JAG-M-OPT")) == cold
+        header, _ = _read(store_path)
+        assert header["version"] == 4 and self._ignored(store_path) is None
 
     def test_v1_file_ignored(self, store_path):
         """A checksum-valid file in the old two-family layout is never read."""
         A = _matrix(5, 20)
         dig, _ = instance_digest(prefix_2d(A))
         inst = {"shape": [20, 20], "mono": [["jag_m", [], {"4": 1}, {}]], "grid": []}
-        payload = {"instances": {dig: inst}}
-        doc = {
-            "format": "repro-sweep-store",
-            "version": 1,
-            "payload": payload,
-            "sha256": canonical_sha256(payload),
-        }
-        with open(store_path, "w") as fh:
-            json.dump(doc, fh)
-        assert self._ignored(store_path) == "version 1 != 3"
+        _write_single_doc(store_path, 1, {"instances": {dig: inst}})
+        assert self._ignored(store_path) == "version 1 != 4"
         with use_sweep(store=store_path) as st:
-            assert st.bounds(prefix_2d(A), 4) == (None, None, None)
+            pref = prefix_2d(A)
+            assert st.bounds(pref, 4) == (None, None, None)
+            partition_2d(pref, 4, "JAG-M-OPT")  # a fact, so the scope flushes
         s = SweepStore(store_path)
         s.load()
-        assert s.ignored_reason is None  # the flush rewrote it as version 3
+        assert s.ignored_reason is None  # the flush rewrote it as version 4
 
     def test_checksum_mismatch_ignored(self, store_path):
         A = _matrix(5, 20)
         _populate(A, store_path, algos=["JAG-M-OPT"], ms=[4])
-        doc = json.load(open(store_path))
-        inst = next(iter(doc["payload"]["instances"].values()))
+        header, payload = _read(store_path)
+        inst = next(i for i in payload["instances"].values() if i["opt"])
         for row in inst["opt"]:
             row[1] += 1  # tamper with an optimum, keep old checksum
-        json.dump(doc, open(store_path, "w"))
+        _write(store_path, payload, header=header)
         assert self._ignored(store_path) == "checksum mismatch"
         cold = _cold(A, "JAG-M-OPT", 4)
         with use_sweep(store=store_path):
@@ -260,13 +382,12 @@ class TestRobustness:
         """A checksum-valid store with contradictory facts cannot poison."""
         A = _matrix(5, 20)
         _populate(A, store_path, algos=["JAG-M-OPT"], ms=[4, 6])
-        doc = json.load(open(store_path))
-        inst = next(iter(doc["payload"]["instances"].values()))
+        _, payload = _read(store_path)
+        inst = next(i for i in payload["instances"].values() if i["opt"])
         for row in inst["opt"]:
             if row[0] == 4:
                 row[1] = 1  # impossible optimum, violates monotonicity
-        doc["sha256"] = canonical_sha256(doc["payload"])  # re-sign the tampering
-        json.dump(doc, open(store_path, "w"))
+        _write(store_path, payload)  # re-sign the tampering
         assert self._ignored(store_path) is None  # checksum accepts it...
         cold = _cold(A, "JAG-M-OPT", 6)
         with use_sweep(store=store_path):
@@ -290,12 +411,11 @@ class TestRobustness:
         fake = 1 if lie == "below-every-bound" else (lb + opt) // 2
         assert fake < opt
         _populate(A, store_path, algos=["JAG-M-OPT-HOR"], ms=[4])
-        doc = json.load(open(store_path))
-        (inst,) = doc["payload"]["instances"].values()
+        _, payload = _read(store_path)
+        (inst,) = payload["instances"].values()
         assert [m for m, _ in inst["opt"]] == [4]
         inst["opt"] = [[4, fake]]  # B*(6) <= B*(4) = fake: a wrong upper bound
-        doc["sha256"] = canonical_sha256(doc["payload"])
-        json.dump(doc, open(store_path, "w"))
+        _write(store_path, payload)
         cold = None if method == "bottleneck" else _cold(A, method, 6)
         with use_sweep(store=store_path) as st:
             if method == "bottleneck":
@@ -307,7 +427,7 @@ class TestRobustness:
             again = PrefixSum2D(A)
             assert st.bounds(again, 4)[0] != fake
             assert jag_m_opt_bottleneck(again, 6) == opt
-        inst = json.load(open(store_path))["payload"]["instances"][instance_digest(pref)[0]]
+        inst = _read(store_path)[1]["instances"][instance_digest(pref)[0]]
         assert [4, fake] not in inst["opt"]
 
     def test_concurrent_flush_never_corrupts(self, store_path):
@@ -349,6 +469,21 @@ class TestStoreFormat:
             exact, _, _ = st.bounds(prefix_2d(A), 4)
             assert exact == big
 
+    def test_file_is_header_line_then_signed_payload(self, store_path):
+        """Version 4: a header line whose sha256 covers exactly the bytes of
+        the canonical payload encoding that follows it."""
+        _populate(_matrix(5, 20), store_path, algos=["JAG-M-OPT"], ms=[4])
+        raw = open(store_path, "rb").read()
+        head, _, body = raw.partition(b"\n")
+        header, payload = _read(store_path)
+        assert header == {
+            "format": "repro-sweep-store",
+            "sha256": hashlib.sha256(body).hexdigest(),
+            "version": 4,
+        }
+        assert head == json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        assert body == json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
     def test_atomic_write_bytes_are_canonical_json(self, tmp_path):
         """The file holds exactly the compact sorted-key encoding, nothing else."""
         doc = {"b": [1, (1 << 70) + 3, {"z": None, "a": "\u00e9"}], "a": 1.5, "c": True}
@@ -374,7 +509,7 @@ class TestStoreFormat:
         with use_sweep(store=alone):
             partition_2d(prefix_2d(B), 4, "JAG-M-OPT")
         # the solve also touches B's transpose: compare against B alone
-        got, want = (json.load(open(p))["payload"]["instances"] for p in (store_path, alone))
+        got, want = (_read(p)[1]["instances"] for p in (store_path, alone))
         assert instance_digest(prefix_2d(B))[0] in want
         assert instance_digest(prefix_2d(A))[0] not in got
         assert got == want
